@@ -1,11 +1,21 @@
 """Classical isomorphism and automorphism of colored graphs.
 
-Color refinement (1-WL with vertex and edge colors) drives an
-individualization-refinement backtracking search.  Refinement alone
-cannot separate the quantum-isomorphic pairs produced elsewhere in this
-package -- they are fractionally isomorphic by construction -- so the
-search exhausts candidate branches, pruning on per-class count
-imbalances after every refinement round.
+Color refinement drives an individualization-refinement backtracking
+search.  Refinement is incremental cell splitting (McKay and Piperno,
+"Practical graph isomorphism II", 2014; Junttila and Kaski, bliss, 2007):
+a queue of splitter cells, where each touched cell is split by its
+vertices' per-edge-color neighbour counts into the splitter, until the
+partition is equitable.  The coarsest equitable refinement is unique, so
+the stable partition is the one 1-WL color refinement reaches.
+
+Isomorphism is decided on the disjoint union of the two graphs: a search
+node holds a stable partition in which every cell has as many vertices
+of one graph as of the other, and each child individualizes one pair
+(v, w), one vertex from each graph, then refines from that new cell
+alone.  A fragment with unequal sides prunes the branch at once.
+Refinement alone cannot separate the quantum-isomorphic pairs produced
+elsewhere in this package -- they are fractionally isomorphic by
+construction -- so the search exhausts the candidate branches.
 
 The automorphism group is computed as a stabilizer chain: the orbit of a
 base vertex is found by explicit searches, the stabilizer recursively,
@@ -15,6 +25,7 @@ computed; isomorphism is decided by direct search.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graphs import ColoredGraph
@@ -22,11 +33,16 @@ from .graphs import ColoredGraph
 
 @dataclass(frozen=True)
 class StableColoring:
-    """Vertex classes stable under refinement, with the round history."""
+    """Vertex classes of the stable (equitable) partition.
+
+    `classes[v]` is the index of v's cell.  Refinement processes one
+    splitter cell at a time: `rounds` counts the splitters processed and
+    `history` holds the cell count after each of them.
+    """
 
     classes: tuple[int, ...]
     rounds: int
-    history: tuple[int, ...]  # class count after each round
+    history: tuple[int, ...]
 
     @property
     def num_classes(self) -> int:
@@ -45,38 +61,52 @@ class Bijection:
     def inverse(self) -> Bijection:
         return Bijection(tuple(sorted((w, v) for v, w in self.pairs)))
 
-    def apply(self, v: int) -> int:
-        return self.mapping()[v]
-
     def to_json_dict(self) -> dict:
         return {str(v): w for v, w in self.pairs}
 
 
+@dataclass
+class _Partition:
+    """`cells[i]` lists the vertices of cell i in increasing order and
+    `cell_of[v]` is the cell holding v.  A split replaces a cell's list
+    instead of editing it, so a child may share the parent's lists."""
+
+    cell_of: list[int]
+    cells: list[list[int]]
+
+
 class _Instance:
-    """Shared refinement workspace for one or two graphs."""
+    """Shared refinement workspace for one or two graphs.
+
+    The vertices of the second graph follow those of the first.  Each
+    adjacency entry is (neighbour, weight) with weight base**color_id, base
+    above every degree, so a sum of weights encodes a per-color count.
+    """
 
     def __init__(self, graphs: list[ColoredGraph], seeds=None):
-        self.offsets = []
-        self.side = []
-        labels = []
-        total = 0
-        for gi, G in enumerate(graphs):
-            self.offsets.append(total)
-            total += G.num_vertices
-            self.side.extend([gi] * G.num_vertices)
-        self.size = total
-        self.nsides = len(graphs)
+        self.split = graphs[0].num_vertices  # first vertex of the second graph
+        total = sum(G.num_vertices for G in graphs)
 
         color_names = sorted({c.render() for G in graphs
                               for (_, _, c) in G.edges if c is not None})
         color_ids = {name: i + 1 for i, name in enumerate(color_names)}
+        edges = []
+        offset = 0
+        for G in graphs:
+            edges.extend((offset + u, offset + v,
+                          color_ids[c.render()] if c is not None else 0)
+                         for (u, v, c) in G.edges)
+            offset += G.num_vertices
+        degree = [0] * total
+        for (u, v, _) in edges:
+            degree[u] += 1
+            degree[v] += 1
+        base = max(degree, default=0) + 1
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(total)]
-        for gi, G in enumerate(graphs):
-            base = self.offsets[gi]
-            for (u, v, c) in G.edges:
-                cid = color_ids[c.render()] if c is not None else 0
-                self.adj[base + u].append((base + v, cid))
-                self.adj[base + v].append((base + u, cid))
+        for (u, v, cid) in edges:
+            weight = base ** cid
+            self.adj[u].append((v, weight))
+            self.adj[v].append((u, weight))
 
         tokens = []
         for gi, G in enumerate(graphs):
@@ -85,54 +115,91 @@ class _Instance:
                 c = G.vertex_colors[v]
                 tokens.append((c.render() if c is not None else "",
                                repr(seed[v]) if seed is not None else ""))
-        uniq = sorted(set(tokens))
-        token_ids = {t: i for i, t in enumerate(uniq)}
+        token_ids = {t: i for i, t in enumerate(sorted(set(tokens)))}
         self.init_colors = [token_ids[t] for t in tokens]
 
-    def refine(self, individualized: list[tuple[int, int]] = (),
-               balanced: bool = False):
-        """Refine to stability; None when `balanced` and some class has
-        unequal vertex counts on the two sides (no bijection can exist)."""
-        current = list(self.init_colors)
-        shift = max(current, default=0) + 1
-        for serial, pair in enumerate(individualized):
-            for vertex in pair:
-                current[vertex] = shift + serial
-        history = []
-        num_classes = -1
-        while True:
-            sigs = []
-            for v in range(self.size):
-                nb = sorted((cid, current[u]) for (u, cid) in self.adj[v])
-                sigs.append((current[v], tuple(nb)))
-            ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            current = [ids[s] for s in sigs]
-            history.append(len(ids))
-            if balanced and self.nsides == 2:
-                counts: dict[tuple[int, int], int] = {}
-                for v, c in enumerate(current):
-                    key = (c, self.side[v])
-                    counts[key] = counts.get(key, 0) + 1
-                for (c, s), n in counts.items():
-                    if counts.get((c, 1 - s), 0) != n:
-                        return None, tuple(history)
-            if len(ids) == num_classes:
-                return current, tuple(history)
-            num_classes = len(ids)
+    def _unbalanced(self, cell: list[int]) -> bool:
+        # cells are sorted, so the first-graph vertices come first
+        return 2 * bisect_left(cell, self.split) != len(cell)
 
-    def cells(self, coloring: list[int]) -> dict[int, tuple[list[int], list[int]]]:
-        out: dict[int, tuple[list[int], list[int]]] = {}
-        for v, c in enumerate(coloring):
-            out.setdefault(c, ([], []))[self.side[v]].append(v)
-        return out
+    def initial(self, balanced: bool = False
+                ) -> tuple[_Partition | None, tuple[int, ...]]:
+        """The stable refinement of the vertex colors, with its history;
+        None when `balanced` and some cell has unequal sides."""
+        cells: list[list[int]] = [[] for _ in range(len(set(self.init_colors)))]
+        for v, c in enumerate(self.init_colors):
+            cells[c].append(v)
+        part = _Partition(list(self.init_colors), cells)
+        if balanced and any(self._unbalanced(cell) for cell in cells):
+            return None, ()
+        history = self._refine(part, list(range(len(cells))), balanced)
+        if history is None:
+            return None, ()
+        return part, history
+
+    def individualize(self, part: _Partition, v: int, w: int) -> _Partition | None:
+        """The child of a stable, balanced `part` that pairs v (first graph)
+        with w (second graph, same cell); None when it is unbalanced."""
+        cell_of = list(part.cell_of)
+        cells = list(part.cells)
+        c = cell_of[v]
+        cells[c] = [x for x in cells[c] if x != v and x != w]
+        new = len(cells)
+        cells.append([v, w])
+        cell_of[v] = cell_of[w] = new
+        child = _Partition(cell_of, cells)
+        return child if self._refine(child, [new], True) is not None else None
+
+    def _refine(self, part: _Partition, queue: list[int],
+                balanced: bool) -> tuple[int, ...] | None:
+        """Split cells of `part` in place until it is equitable, starting
+        from the splitter cells in `queue`.  Returns the cell count after
+        each splitter, or None when `balanced` and a fragment has unequal
+        sides (no bijection can exist below this node)."""
+        adj, cell_of, cells = self.adj, part.cell_of, part.cells
+        history = []
+        while queue:
+            counts: dict[int, int] = {}
+            for u in cells[queue.pop()]:
+                for x, weight in adj[u]:
+                    counts[x] = counts.get(x, 0) + weight
+            touched: dict[int, list[int]] = {}
+            for x, k in counts.items():
+                touched.setdefault(cell_of[x], []).append(k)
+            for c, keys in touched.items():
+                members = cells[c]
+                if len(keys) == len(members) and min(keys) == max(keys):
+                    continue
+                groups: dict[int, list[int]] = {}
+                for x in members:
+                    groups.setdefault(counts.get(x, 0), []).append(x)
+                fragments = list(groups.values())
+                if balanced and any(self._unbalanced(f) for f in fragments):
+                    return None
+                # the largest fragment keeps the cell's id, and its place in
+                # the queue if it had one; every other fragment is queued.
+                # Counts into an unqueued largest fragment are the counts
+                # into the old cell minus those into the others.
+                largest = max(fragments, key=len)
+                cells[c] = largest
+                for fragment in fragments:
+                    if fragment is largest:
+                        continue
+                    new = len(cells)
+                    cells.append(fragment)
+                    for x in fragment:
+                        cell_of[x] = new
+                    queue.append(new)
+            history.append(len(cells))
+        return tuple(history)
 
 
 def refine(G: ColoredGraph, seed=None) -> StableColoring:
     """Stable 1-WL partition of one graph, optionally seeded by per-vertex
     fingerprints (e.g. vertex_invariants)."""
     inst = _Instance([G], seeds=[seed] if seed is not None else None)
-    coloring, history = inst.refine()
-    return StableColoring(tuple(coloring), len(history), history)
+    part, history = inst.initial()
+    return StableColoring(tuple(part.cell_of), len(history), history)
 
 
 def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
@@ -192,29 +259,28 @@ def _quick_mismatch(G1: ColoredGraph, G2: ColoredGraph) -> bool:
     return vhist(G1) != vhist(G2) or ehist(G1) != ehist(G2)
 
 
-def _search(inst: _Instance, n1: int,
-            forced: list[tuple[int, int]]) -> Bijection | None:
-    coloring, _ = inst.refine(forced, balanced=True)
-    if coloring is None:
+def _target(part: _Partition) -> list[int] | None:
+    """The smallest cell with more than one vertex from each graph, ties to
+    the cell holding the smallest vertex; None when every cell is a pair."""
+    best = None
+    for cell in part.cells:
+        if len(cell) > 2 and (best is None or (len(cell), cell[0]) < (len(best), best[0])):
+            best = cell
+    return best
+
+
+def _search(inst: _Instance, part: _Partition | None) -> Bijection | None:
+    if part is None:
         return None
-    cells = inst.cells(coloring)
-    target = None
-    for cid, (left, right) in sorted(cells.items()):
-        if len(left) != len(right):
-            return None
-        if len(left) > 1 and (target is None or len(left) < len(cells[target][0])):
-            target = cid
-    if target is None:
-        pairs = []
-        for cid, (left, right) in cells.items():
-            pairs.append((left[0], right[0] - n1))
-        return Bijection(tuple(sorted(pairs)))
-    left, right = cells[target]
-    v = min(left)
+    n1 = inst.split
+    cell = _target(part)
+    if cell is None:
+        return Bijection(tuple(sorted((c[0], c[1] - n1) for c in part.cells)))
+    v = cell[0]
     # try the mirror vertex first: makes "G vs itself" return the identity
-    candidates = sorted(right, key=lambda w: (w - n1 != v, w))
+    candidates = sorted(cell[len(cell) // 2:], key=lambda w: (w - n1 != v, w))
     for w in candidates:
-        found = _search(inst, n1, forced + [(v, w)])
+        found = _search(inst, inst.individualize(part, v, w))
         if found is not None:
             return found
     return None
@@ -228,11 +294,12 @@ def find_isomorphism(G1: ColoredGraph, G2: ColoredGraph) -> Bijection | None:
     if _quick_mismatch(G1, G2):
         return None
     inst = _Instance([G1, G2])
-    found = _search(inst, G1.num_vertices, [])
+    found = _search(inst, inst.initial(balanced=True)[0])
     if found is None:
         return None
     ok, violation = verify_mapping(G1, G2, found)
-    assert ok, f"search produced an invalid mapping: {violation}"
+    if not ok:
+        raise RuntimeError(f"search produced an invalid mapping: {violation}")
     return found
 
 
@@ -251,30 +318,23 @@ def automorphism_group(G: ColoredGraph) -> AutomorphismGroup:
     """
     inst = _Instance([G, G])
     n1 = G.num_vertices
-    base: list[int] = []
+    part = inst.initial(balanced=True)[0]
     generators: list[Bijection] = []
     order = 1
     while True:
-        forced = [(v, n1 + v) for v in base]
-        coloring, _ = inst.refine(forced, balanced=True)
-        assert coloring is not None
-        cells = inst.cells(coloring)
-        target = None
-        for cid, (left, right) in sorted(cells.items()):
-            if len(left) > 1 and (target is None or len(left) < len(cells[target][0])):
-                target = cid
-        if target is None:
+        if part is None:
+            raise RuntimeError("refinement of a graph against itself is unbalanced")
+        cell = _target(part)
+        if cell is None:
             break
-        left, _ = cells[target]
-        v = min(left)
+        left = cell[:len(cell) // 2]
+        v = left[0]
         orbit = 1
-        for w in sorted(left):
-            if w == v:
-                continue
-            g = _search(inst, n1, forced + [(v, n1 + w)])
+        for w in left[1:]:
+            g = _search(inst, inst.individualize(part, v, n1 + w))
             if g is not None:
                 orbit += 1
                 generators.append(g)
         order *= orbit
-        base.append(v)
+        part = inst.individualize(part, v, n1 + v)
     return AutomorphismGroup(tuple(generators), order)

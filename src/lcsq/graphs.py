@@ -329,9 +329,6 @@ class ColoredGraph:
             present.setdefault(c.render(), c)
         return sorted(present.values(), key=color_sort_key)
 
-    def index_by_label(self) -> dict:
-        return {render_label(lab): i for i, lab in enumerate(self.labels)}
-
     def system(self) -> LinearSystem | None:
         raw = self.meta.get("system")
         return parse_system(raw) if raw else None

@@ -14,6 +14,7 @@ from lcsq.qcert import build_magic_unitary
 
 C0 = SharedEdgeColor(-1)
 E1_33 = (1, 0, 0, 0, 0, 0)
+E1_34 = (1, 0, 0, 0, 0, 0, 0)
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +64,13 @@ def gpp33_pair(gstar33_0, gstar33_e1):
 def gpp34(gstar34):
     pa = canonical_assignment(gstar34, C0)
     return decolor_edges(decolor_vertices(gstar34, pa), pa)
+
+
+@pytest.fixture(scope="session")
+def gpp34_e1(gstar34):
+    pa = canonical_assignment(gstar34, C0)
+    gstar = build_Gstar(incidence_system(complete_bipartite(3, 4), E1_34))
+    return decolor_edges(decolor_vertices(gstar, pa), pa)
 
 
 @pytest.fixture(scope="session")

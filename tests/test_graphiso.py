@@ -6,7 +6,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lcsq import graphiso
 from lcsq.graphs import (ColoredGraph, PlainColor, SharedEdgeColor, VertexColor,
                          vertex_invariants)
 from lcsq.decolor import Original, canonical_assignment, decolor_vertices
@@ -114,6 +116,46 @@ def permuted_copy(G, rng):
     return ColoredGraph(tuple(range(n)), tuple(vcolors), edges), perm
 
 
+def wl_classes(G):
+    """Round-based 1-WL to stability: the reference for refine()."""
+    vcol, _ = _colors(G)
+    adj = [[] for _ in range(G.num_vertices)]
+    for (u, v, c) in G.edges:
+        key = c.render() if c is not None else ""
+        adj[u].append((v, key))
+        adj[v].append((u, key))
+    colors = list(vcol)
+    while True:
+        sigs = [(colors[v], tuple(sorted((key, colors[u]) for u, key in adj[v])))
+                for v in range(G.num_vertices)]
+        ids = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        refined = [ids[sig] for sig in sigs]
+        if len(ids) == len(set(colors)):
+            return refined
+        colors = refined
+
+
+def blocks(classes):
+    """The partition a class list induces, independent of class ids."""
+    out = {}
+    for v, c in enumerate(classes):
+        out.setdefault(c, []).append(v)
+    return sorted(out.values())
+
+
+@st.composite
+def colored_graphs(draw, max_vertices=7):
+    n = draw(st.integers(1, max_vertices))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(draw(st.lists(st.sampled_from(possible), unique=True))) if possible else []
+    edge_colors = draw(st.lists(st.sampled_from([None, PlainColor(0), PlainColor(1)]),
+                                min_size=len(chosen), max_size=len(chosen)))
+    vcolors = draw(st.lists(st.sampled_from([None, VertexColor(0), VertexColor(1)]),
+                            min_size=n, max_size=n))
+    edges = tuple((u, v, c) for (u, v), c in zip(chosen, edge_colors))
+    return ColoredGraph(tuple(range(n)), tuple(vcolors), edges)
+
+
 # ---------------------------------------------------------------------------
 # refinement
 
@@ -162,6 +204,12 @@ def test_refine_classes_are_orbit_unions():
                 assert coloring.classes[v] == coloring.classes[w]
 
 
+@settings(max_examples=150, deadline=None)
+@given(colored_graphs(max_vertices=12))
+def test_refine_matches_round_based_wl(G):
+    assert blocks(refine(G).classes) == blocks(wl_classes(G))
+
+
 # ---------------------------------------------------------------------------
 # isomorphism
 
@@ -205,6 +253,28 @@ def test_agreement_with_exhaustive_search_small_corpus():
         if got is not None:
             ok, violation = verify_mapping(G1, G2, got)
             assert ok, violation
+
+
+def test_gpp34_pair_non_isomorphic(gpp34, gpp34_e1):
+    assert gpp34.num_vertices == gpp34_e1.num_vertices == 1720
+    assert find_isomorphism(gpp34, gpp34_e1) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_graphs(), st.randoms(use_true_random=False))
+def test_finds_verified_isomorphism_of_any_permuted_copy(G, rng):
+    shuffled, _ = permuted_copy(G, rng)
+    result = find_isomorphism(G, shuffled)
+    assert result is not None
+    assert verify_mapping(G, shuffled, result) == (True, None)
+
+
+def test_invalid_search_result_raises(monkeypatch):
+    G = plain(3, [(0, 1), (1, 2)])
+    swap = Bijection(((0, 1), (1, 0), (2, 2)))
+    monkeypatch.setattr(graphiso, "_search", lambda inst, part: swap)
+    with pytest.raises(RuntimeError, match="invalid mapping"):
+        find_isomorphism(G, G)
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +382,18 @@ def test_automorphism_order_matches_brute_force_small():
         aut = automorphism_group(G)
         assert aut.order == expected
         assert closure_order(aut.generators, G.num_vertices) == expected
+
+
+def test_gpp_k34_order_64(gpp34):
+    aut = automorphism_group(gpp34)
+    assert aut.order == 64
+    for g in aut.generators:
+        ok, violation = verify_mapping(gpp34, gpp34, g)
+        assert ok, violation
+    assert closure_order(aut.generators, gpp34.num_vertices) == 64
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_graphs())
+def test_automorphism_order_matches_brute_force(G):
+    assert automorphism_group(G).order == len(brute_force_isomorphisms(G, G))
