@@ -46,10 +46,10 @@ class RunConfig:
     report: str | None = None
     map_out: str | None = None
     json_out: str | None = None
-    seed: int = 0
 
     def echo(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v not in (None, False)}
+        return {k: v for k, v in asdict(self).items()
+                if v is not None and v is not False}
 
 
 class UsageError(ValueError):
@@ -164,14 +164,14 @@ def cmd_group(cfg: RunConfig) -> int:
     }
     lines = []
     if table.is_complete:
-        abelian = fpgroups.is_abelian(P, cap)
+        abelian = fpgroups.is_abelian(table)
         result["abelian"] = abelian
         lines.append(f"order: {table.num_cosets}, abelian: {abelian}")
     else:
         lines.append(f"order: exceeds cap {cap}")
     if cfg.word:
         word = P.word_from_names(cfg.word)
-        trivial = table.follow(0, word) == 0 if table.is_complete else None
+        trivial = fpgroups.word_is_identity(table, word) if table.is_complete else None
         result["word"] = cfg.word
         result["word_is_identity"] = trivial
         if trivial is None:
@@ -345,9 +345,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aut", help="automorphism group of a graph JSON")
     p.add_argument("graph")
     p.add_argument("--json", dest="json_out")
-
-    for p in sub.choices.values():
-        p.add_argument("--seed", type=int, default=0)
     return top
 
 
@@ -363,7 +360,6 @@ def main(argv=None) -> int:
             system_path=getattr(args, "system", None),
             graph_path=getattr(args, "graph", None) if args.command != "aut" else None,
             b=getattr(args, "b", None),
-            seed=getattr(args, "seed", 0),
             json_out=getattr(args, "json_out", None),
         )
         if args.command in ("solve", "build", "group", "cert"):
@@ -388,11 +384,10 @@ def main(argv=None) -> int:
                 rep=args.rep, lift=args.lift, tol=args.tol, cap=args.cap,
                 out=args.out, report=args.report, **common))
         if args.command == "iso":
-            cfg = RunConfig("iso", map_out=args.map_out, seed=args.seed,
-                            json_out=args.json_out)
+            cfg = RunConfig("iso", map_out=args.map_out, json_out=args.json_out)
             return cmd_iso(cfg, args.graph1, args.graph2)
         if args.command == "aut":
-            cfg = RunConfig("aut", seed=args.seed, json_out=args.json_out)
+            cfg = RunConfig("aut", json_out=args.json_out)
             return cmd_aut(cfg, args.graph)
         raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, f2core.SystemFormatError, FileNotFoundError,

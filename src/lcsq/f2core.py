@@ -344,7 +344,8 @@ def solve_f2(sys: LinearSystem) -> tuple[int, ...] | None:
         if (r >> n) & 1:
             x |= 1 << col
     b_vec = sum(b << i for i, b in enumerate(sys.b))
-    assert sys.M.mul_vec(x) == b_vec, "solver produced a non-solution"
+    if sys.M.mul_vec(x) != b_vec:
+        raise RuntimeError("solver produced a non-solution")
     return tuple((x >> j) & 1 for j in range(n))
 
 

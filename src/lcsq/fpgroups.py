@@ -33,14 +33,16 @@ Word = tuple[int, ...]
 def default_cap() -> int:
     """Coset cap, overridable via the LCSQ_COSET_CAP environment variable."""
     raw = os.environ.get("LCSQ_COSET_CAP")
-    if raw:
-        try:
-            cap = int(raw)
-            if cap >= 1:
-                return cap
-        except ValueError:
-            pass
-    return DEFAULT_COSET_CAP
+    if not raw:
+        return DEFAULT_COSET_CAP
+    try:
+        cap = int(raw)
+        if cap < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"LCSQ_COSET_CAP must be a positive integer, got {raw!r}") from None
+    return cap
 
 
 @dataclass(frozen=True)
@@ -323,10 +325,9 @@ def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
             nxt = enum.rows[c * ngens + g]
             row.append(-1 if nxt == _Enumerator.UNDEF else lookup[enum.find(nxt)])
         rows.append(tuple(row))
-    status = "capped" if capped else "complete"
-    if not capped:
-        assert all(x >= 0 for row in rows for x in row), "incomplete closed table"
-    return CosetTable(P, tuple(rows), status)
+    if not capped and any(x < 0 for row in rows for x in row):
+        raise RuntimeError("enumeration closed with undefined table entries")
+    return CosetTable(P, tuple(rows), "capped" if capped else "complete")
 
 
 def group_order(P: Presentation, cap: int | None = None) -> int | None:
@@ -353,13 +354,11 @@ def regular_perm_rep(T: CosetTable) -> list[tuple[int, ...]]:
     return perms
 
 
-def is_abelian(P: Presentation, cap: int | None = None) -> bool | None:
-    """Whether the presented group is abelian; None when enumeration caps out."""
-    table = todd_coxeter(P, [], cap)
-    if not table.is_complete:
-        return None
-    perms = regular_perm_rep(table)
-    n = table.num_cosets
+def is_abelian(T: CosetTable) -> bool:
+    """Whether the group of a complete table over the trivial subgroup is
+    abelian.  Raises ValueError for a capped table."""
+    perms = regular_perm_rep(T)
+    n = T.num_cosets
     for a in range(len(perms)):
         pa = perms[a]
         for b in range(a + 1, len(perms)):
@@ -369,16 +368,15 @@ def is_abelian(P: Presentation, cap: int | None = None) -> bool | None:
     return True
 
 
-def word_is_identity(P: Presentation, word: Word,
-                     cap: int | None = None) -> bool | None:
-    """Whether a word is trivial in the group; None when enumeration caps out."""
+def word_is_identity(T: CosetTable, word: Word) -> bool:
+    """Whether a word is trivial in the group of a complete table over the
+    trivial subgroup.  Raises ValueError for a capped table."""
+    if not T.is_complete:
+        raise ValueError("coset table is not complete")
     for g in word:
-        if not 0 <= g < P.ngens:
+        if not 0 <= g < T.presentation.ngens:
             raise ValueError(f"word references unknown generator {g}")
-    table = todd_coxeter(P, [], cap)
-    if not table.is_complete:
-        return None
-    return table.follow(0, word) == 0
+    return T.follow(0, word) == 0
 
 
 def coset_rep_words(T: CosetTable) -> list[Word]:
@@ -398,5 +396,6 @@ def coset_rep_words(T: CosetTable) -> list[Word]:
                     words[d] = words[c] + (g,)
                     nxt.append(d)
         frontier = nxt
-    assert all(w is not None for w in words), "table row unreachable from coset 0"
+    if any(w is None for w in words):
+        raise RuntimeError("table row unreachable from coset 0")
     return words  # type: ignore[return-value]

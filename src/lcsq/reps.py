@@ -216,16 +216,13 @@ class Representation:
 
     For the isomorphism relation set of (M, b) the central element is
     fixed to -1, so no gamma image participates in verification (the
-    right-hand side signs are read off the system being checked).  The
-    optional gamma_image records the extra generator when the source
-    presentation carried one.
+    right-hand side signs are read off the system being checked).
     """
 
     images: list
     backend: str  # "dense" | "group_algebra"
     system: LinearSystem | None = None
     name: str = ""
-    gamma_image: object | None = None
 
     def identity(self):
         first = self.images[0]
@@ -379,12 +376,9 @@ def group_algebra_rep(P, T: CosetTable) -> Representation:
     if not T.is_complete:
         raise ValueError("coset table is not complete")
     ctx = GroupAlgebraContext(T)
-    has_gamma = "gamma" in P.generators
-    nvars = P.ngens - (1 if has_gamma else 0)
+    nvars = P.ngens - (1 if "gamma" in P.generators else 0)
     images = [ctx.generator_element(i) for i in range(nvars)]
-    gamma = ctx.generator_element(P.gen_index("gamma")) if has_gamma else None
-    return Representation(images, "group_algebra", None, name="regular",
-                          gamma_image=gamma)
+    return Representation(images, "group_algebra", None, name="regular")
 
 
 # ---------------------------------------------------------------------------

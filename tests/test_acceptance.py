@@ -94,7 +94,7 @@ def test_criterion_03_k33_solution_group():
         table = todd_coxeter(P)
         assert table.is_complete
         assert table.num_cosets == 16 == abelianized_order(sys.M)
-        assert is_abelian(P) is True
+        assert is_abelian(table) is True
     assert t.elapsed < 5.0
     report(3, f"order 16 = abelianized order, abelian, {t.elapsed:.3f}s")
 

@@ -103,6 +103,20 @@ def test_coset_cap_env_override(files, monkeypatch):
     assert run("group", "--graph", files / "k34.g", "--homogeneous") == 3
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_invalid_coset_cap_env_exit_2(files, monkeypatch, capsys, raw):
+    monkeypatch.setenv("LCSQ_COSET_CAP", raw)
+    assert run("group", "--graph", files / "k34.g", "--homogeneous") == 2
+    assert "LCSQ_COSET_CAP" in capsys.readouterr().err
+
+
+def test_zero_tol_is_echoed(files):
+    report = files / "report.json"
+    assert run("cert", "qut", "--graph", files / "k33.g", "--rep", "regular",
+               "--tol", "0", "--report", report) == 0
+    assert json.loads(report.read_text())["config"]["tol"] == 0.0
+
+
 def test_cert_qiso_pauli(files, capsys):
     report = files / "report.json"
     assert run("cert", "qiso", "--graph", files / "k33.g", "--b1", "000000",

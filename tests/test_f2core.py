@@ -165,6 +165,14 @@ def test_solve_single_equation():
     assert solve_f2(sys) == (1, 0)
 
 
+def test_solve_rejects_a_non_solution(monkeypatch):
+    # the re-substitution check must raise, not assert, so it survives -O
+    sys = LinearSystem(BinMatrix.from_rows([[1, 1]]), (1,))
+    monkeypatch.setattr(BinMatrix, "mul_vec", lambda self, x: 0)
+    with pytest.raises(RuntimeError, match="non-solution"):
+        solve_f2(sys)
+
+
 def test_abelianized_orders():
     k33 = incidence_system(complete_bipartite(3, 3), (0,) * 6).M
     k34 = incidence_system(complete_bipartite(3, 4), (0,) * 7).M

@@ -8,7 +8,7 @@ import pytest
 
 from lcsq.f2core import (BinMatrix, LinearSystem, abelianized_order,
                          complete_bipartite, incidence_system, solve_f2)
-from lcsq.fpgroups import (Presentation, coset_rep_words, group_order,
+from lcsq.fpgroups import (CosetTable, Presentation, coset_rep_words, group_order,
                            is_abelian, regular_perm_rep, solution_presentation,
                            todd_coxeter, word_is_identity)
 
@@ -204,13 +204,16 @@ def test_constraint_products_act_trivially(table33, k33_sys0):
 
 
 def test_is_abelian(k33_sys0, k34_sys0):
-    assert is_abelian(solution_presentation(k33_sys0, True)) is True
-    assert is_abelian(solution_presentation(k34_sys0, True)) is False
+    assert is_abelian(todd_coxeter(solution_presentation(k33_sys0, True))) is True
+    assert is_abelian(todd_coxeter(solution_presentation(k34_sys0, True))) is False
 
 
 def test_infinite_dihedral_unknown():
     P = Presentation(("x", "y"), ((0, 0), (1, 1)))
-    assert is_abelian(P, cap=100) is None
+    with pytest.raises(ValueError):
+        is_abelian(todd_coxeter(P, cap=100))
+    with pytest.raises(ValueError):
+        word_is_identity(todd_coxeter(P, cap=100), (0, 0))
 
 
 def test_order_equals_abelianization_when_abelian(k33_sys0):
@@ -225,13 +228,13 @@ def test_order_multiple_of_abelianization(k34_sys0):
 
 def test_word_squares_are_identity(k33_sys0):
     P = solution_presentation(k33_sys0, homogeneous=True)
-    assert word_is_identity(P, (0, 0)) is True
+    assert word_is_identity(todd_coxeter(P), (0, 0)) is True
 
 
 def test_gamma_nontrivial_for_magic_square(k33_sys_e1):
     P = solution_presentation(k33_sys_e1, homogeneous=False)
     gamma = P.gen_index("gamma")
-    assert word_is_identity(P, (gamma,)) is False
+    assert word_is_identity(todd_coxeter(P), (gamma,)) is False
     assert group_order(P) == 32
 
 
@@ -250,13 +253,19 @@ def test_gamma_for_solvable_system_sign_character():
         assert signs == (-1) ** b[k]  # the character respects every relation
     P = solution_presentation(sys, homogeneous=False)
     gamma = P.gen_index("gamma")
-    assert word_is_identity(P, (gamma,)) is False
+    assert word_is_identity(todd_coxeter(P), (gamma,)) is False
 
 
 def test_word_validation(k33_sys0):
     P = solution_presentation(k33_sys0, homogeneous=True)
     with pytest.raises(ValueError):
-        word_is_identity(P, (99,))
+        word_is_identity(todd_coxeter(P), (99,))
+
+
+def test_rep_words_reject_unreachable_row():
+    P = Presentation(("x",), ((0, 0),))
+    with pytest.raises(RuntimeError, match="unreachable"):
+        coset_rep_words(CosetTable(P, ((0,), (1,)), "complete"))
 
 
 def test_rep_words_and_csv(table33):

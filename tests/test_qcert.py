@@ -3,16 +3,20 @@ witnesses, lifting, and the algebraic property suites."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lcsq.f2core import BinMatrix, LinearSystem
-from lcsq.graphs import build_G, sign_vectors
-from lcsq.decolor import Original, Subdivision, VertexPath, EdgePath
+from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system
+from lcsq.graphs import SharedEdgeColor, build_G, build_Gstar, sign_vectors
+from lcsq.decolor import (Original, Subdivision, VertexPath, EdgePath,
+                          canonical_assignment, decolor_edges, decolor_vertices)
+from lcsq.fpgroups import solution_presentation, todd_coxeter
 from lcsq.graphiso import automorphism_group
-from lcsq.reps import DenseElement, Representation
+from lcsq.reps import DenseElement, Representation, group_algebra_rep
 from lcsq.qcert import (CertificateError, MagicUnitaryCert, build_magic_unitary,
                         extract_generators, lift_cert, make_classical_cert,
                         noncommuting_witness, verify_cert)
@@ -195,6 +199,41 @@ def test_nontrivial_automorphism_certificate(gstar33_0):
     g = aut.generators[0]
     cert = make_classical_cert(gstar33_0, gstar33_0, g.mapping())
     assert verify_cert(cert, "qut").passed
+
+
+def test_classical_edge_break_fails_only_intertwining(gstar33_0):
+    # swapping two vertices of block 0 keeps every vertex color but breaks
+    # edges; a 1x1 entry's residual is the largest |(A u - u A)_ij|, an integer
+    n = gstar33_0.num_vertices
+    mapping = {v: v for v in range(n)}
+    mapping[0], mapping[1] = 1, 0
+    report = verify_cert(make_classical_cert(gstar33_0, gstar33_0, mapping), "qut")
+    failing = [name for name, r, _ in report.families if r > 0]
+    assert failing and all(name.startswith("intertwine:") for name in failing)
+
+    perm = np.zeros((n, n))
+    for v, w in mapping.items():
+        perm[v, w] = 1.0
+    classes = {}
+    for (u, v, c) in gstar33_0.edges:
+        classes.setdefault(f"intertwine:{c.render()}", []).append((u, v))
+    for name, pairs in classes.items():
+        adj = np.zeros((n, n))
+        for (u, v) in pairs:
+            adj[u, v] = adj[v, u] = 1.0
+        expected = float(np.abs(adj @ perm - perm @ adj).max())
+        assert report.residual(name) == expected == int(expected)
+
+
+def test_edge_only_in_column_graph_fails_intertwining(gstar33_0):
+    # the identity map from G* minus one edge onto G*: the missing edge shows
+    # up only on the u A_G' side of the relation
+    u, v, c = gstar33_0.edges[0]
+    sparser = dataclasses.replace(gstar33_0, edges=gstar33_0.edges[1:])
+    cert = make_classical_cert(sparser, gstar33_0, {w: w for w in range(24)})
+    report = verify_cert(cert, "qut")
+    assert report.residual(f"intertwine:{c.render()}") == 1.0
+    assert not report.passed
 
 
 def test_classical_cert_rejects_non_bijection(gstar33_0):
@@ -457,3 +496,41 @@ def test_cert_json_shape(pauli_cert, exact_cert34):
     exact = exact_cert34.to_json_dict()
     assert exact["backend"] == "group_algebra"
     assert all(len(item) == 3 for elem in exact["elements"] for item in elem)
+
+
+# ---------------------------------------------------------------------------
+# exact regular-representation certificates over random incidence systems
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=5):
+    """A random connected simple graph on 3..max_vertices vertices (three
+    vertices are the fewest whose G* has a shared:-1 edge to decolor by)."""
+    n = draw(st.integers(3, max_vertices))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # spanning tree
+    others = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
+    edges |= set(draw(st.lists(st.sampled_from(others), unique=True)))
+    return SimpleGraph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=12, deadline=None)
+@given(connected_graphs())
+def test_regular_cert_verifies_lifts_and_round_trips_exactly(H):
+    sys = incidence_system(H, (0,) * H.num_vertices)
+    P = solution_presentation(sys, homogeneous=True)
+    table = todd_coxeter(P)
+    assert table.is_complete
+    G = build_Gstar(sys)
+    cert = build_magic_unitary(G, G, group_algebra_rep(P, table))
+
+    report = verify_cert(cert, "qut")
+    assert report.passed and report.max_residual == 0.0
+
+    pa = canonical_assignment(G, SharedEdgeColor(-1))
+    gpp = decolor_edges(decolor_vertices(G, pa), pa)
+    lifted = verify_cert(lift_cert(cert, gpp, gpp), "qut")
+    assert lifted.passed and lifted.max_residual == 0.0
+
+    extraction = extract_generators(cert)
+    assert extraction.cross_block_discrepancy == 0.0
+    assert extraction.roundtrip_residual == 0.0
