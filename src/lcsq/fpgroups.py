@@ -7,17 +7,24 @@ in the non-homogeneous case).  Because every generator is an involution,
 words and relators are plain sequences of generator indices with no
 inverse markers, and the coset table has one column per generator.
 
-The enumerator is the classic union-find formulation: walk every relator
-from every live coset, identifying the endpoint with the start, and
-merge coincidences through a queue.  Identifications only ever quotient
-the table, so a completed table is exact: its row count is the subgroup
-index and the generator columns give the regular permutation action.
+The enumerator is HLT scan-and-fill (Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, ch. 5).  Each relator is scanned forward and
+backward from a coset as far as the table is defined; a one-letter gap
+is filled as a deduction, meeting ends are identified by COINC-style
+coincidence processing, and otherwise one coset is defined and the scan
+resumes.  The table stays clean and symmetric: c·g = d exactly when
+d·g = c, and no live row points at a dead coset.  Identifications only
+ever quotient the table, so a completed table is exact: its row count is
+the subgroup index and the generator columns give the regular
+permutation action.  Cosets are numbered in definition order and the
+smaller index survives every coincidence, so the result is numbered in
+that index order.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .f2core import LinearSystem
@@ -26,6 +33,9 @@ DEFAULT_COSET_CAP = 10 ** 6
 
 # dead-row slack allowed before the enumeration workspace is compacted
 COMPACT_SLACK = 1024
+
+# an undefined coset-table entry
+UNDEF = -1
 
 Word = tuple[int, ...]
 
@@ -51,8 +61,9 @@ class Presentation:
 
     Relators are words (tuples of generator indices).  The involution
     relator (g, g) must be present for every generator: the enumerator
-    scans words forward only, which is sound exactly because every
-    generator is self-inverse.
+    has no inverse letters and scans a word backward through the same
+    columns, which is sound exactly because every generator is
+    self-inverse.
     """
 
     generators: tuple[str, ...]
@@ -80,12 +91,18 @@ class Presentation:
         return len(self.generators)
 
     def gen_index(self, name: str) -> int:
-        return self.generators.index(name)
+        try:
+            return self.generators.index(name)
+        except ValueError:
+            raise ValueError(f"unknown generator {name!r}") from None
 
     def word_from_names(self, names: list[str] | str) -> Word:
         if isinstance(names, str):
             names = names.split()
-        return tuple(self.gen_index(n) for n in names)
+        try:
+            return tuple(self.gen_index(n) for n in names)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in word {' '.join(names)!r}") from None
 
     def to_text(self) -> str:
         gens = ", ".join(self.generators)
@@ -163,16 +180,18 @@ class CosetTable:
     """Completed (or capped) coset table: rows = cosets, columns = generators.
 
     Row 0 is the coset of the subgroup.  A complete table is closed under
-    all generators and all relators of its presentation.
+    all generators and all relators of its presentation.  A capped table
+    keeps no rows, only the number of live cosets when the cap was hit.
     """
 
     presentation: Presentation
     table: tuple[tuple[int, ...], ...]
     status: str  # "complete" | "capped"
+    live_at_cap: int = 0
 
     @property
     def num_cosets(self) -> int:
-        return len(self.table)
+        return len(self.table) if self.is_complete else self.live_at_cap
 
     @property
     def is_complete(self) -> bool:
@@ -184,6 +203,8 @@ class CosetTable:
         return coset
 
     def to_csv(self) -> str:
+        if not self.is_complete:
+            raise ValueError("coset table is not complete")
         header = "coset," + ",".join(self.presentation.generators)
         lines = [header]
         for c, row in enumerate(self.table):
@@ -191,143 +212,154 @@ class CosetTable:
         return "\n".join(lines)
 
 
-class _Enumerator:
-    """Union-find coset enumeration workspace (flat int32 arrays)."""
+def _rep(parent: list[int], c: int) -> int:
+    """Live representative of coset c, compressing the path."""
+    root = c
+    while parent[root] != root:
+        root = parent[root]
+    while parent[c] != root:
+        parent[c], c = root, parent[c]
+    return root
 
-    UNDEF = -1
 
-    def __init__(self, ngens: int):
-        self.ngens = ngens
-        self.parent = array("i")
-        self.rows = array("i")
-        self.live = 0
-        self.add()
+def _coincidence(rows: list[list[int]], parent: list[int], a: int, b: int) -> int:
+    """Identify the distinct live cosets a and b, and every coincidence
+    that follows.
 
-    def compact(self, to_visit: int) -> int:
-        """Drop dead rows, renumbering live cosets in index order.
-
-        Renumbering preserves order, so the returned value is the new
-        position of the to_visit pointer and every coset before it has
-        already been scanned against all relators.
-        """
-        lookup: dict[int, int] = {}
-        for c in range(len(self.parent)):
-            if self.parent[c] == c:
-                lookup[c] = len(lookup)
-        new_rows = array("i")
-        ngens = self.ngens
-        for c in lookup:
-            for g in range(ngens):
-                nxt = self.rows[c * ngens + g]
-                new_rows.append(self.UNDEF if nxt == self.UNDEF
-                                else lookup[self.find(nxt)])
-        new_to_visit = sum(1 for c in lookup if c < to_visit)
-        self.parent = array("i", range(len(lookup)))
-        self.rows = new_rows
-        return new_to_visit
-
-    def add(self) -> int:
-        c = len(self.parent)
-        self.parent.append(c)
-        self.rows.extend([self.UNDEF] * self.ngens)
-        self.live += 1
-        return c
-
-    def find(self, c: int) -> int:
-        parent = self.parent
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    def follow(self, c: int, g: int) -> int:
-        """Neighbor of c under g, defining a fresh coset if absent."""
-        c = self.find(c)
-        slot = c * self.ngens + g
-        nxt = self.rows[slot]
-        if nxt == self.UNDEF:
-            nxt = self.add()
-            self.rows[slot] = nxt
-            self.rows[nxt * self.ngens + g] = c  # generators are involutions
-            return nxt
-        return self.find(nxt)
-
-    def follow_word(self, c: int, word: Word) -> int:
-        for g in word:
-            c = self.follow(c, g)
-        return c
-
-    def unify(self, c1: int, c2: int) -> None:
-        rows, ngens, UNDEF = self.rows, self.ngens, self.UNDEF
-        queue = [(c1, c2)]
-        while queue:
-            a, b = queue.pop()
-            a = self.find(a)
-            b = self.find(b)
-            if a == b:
+    Holt's COINC for involutive generators: the smaller index of each
+    merged pair survives, a killed coset's row is moved entry by entry
+    onto its representative, and each moved entry first unhooks its
+    mirror (d·x = dead), so on return no live row points at a dead
+    coset.  Returns the number of cosets killed.
+    """
+    if b < a:
+        a, b = b, a
+    parent[b] = a
+    queue = [b]
+    for dead in queue:  # grows while it is walked
+        for x, d in enumerate(rows[dead]):
+            if d < 0:
                 continue
-            if b < a:
-                a, b = b, a
-            self.parent[b] = a
-            self.live -= 1
-            for g in range(ngens):
-                na = rows[a * ngens + g]
-                nb = rows[b * ngens + g]
-                if na == UNDEF:
-                    rows[a * ngens + g] = nb
-                elif nb != UNDEF:
-                    queue.append((na, nb))
+            rows[d][x] = UNDEF
+            mu = _rep(parent, dead)
+            nu = _rep(parent, d)
+            e = rows[mu][x]
+            if e >= 0:
+                p, q = nu, _rep(parent, e)
+            else:
+                e = rows[nu][x]
+                if e < 0:
+                    rows[mu][x] = nu
+                    rows[nu][x] = mu
+                    continue
+                p, q = mu, _rep(parent, e)
+            if p != q:
+                if q < p:
+                    p, q = q, p
+                parent[q] = p
+                queue.append(q)
+    return len(queue)
+
+
+def _live_rows(rows: list[list[int]], parent: list[int]) -> list[list[int]]:
+    """The live rows in index order, renumbered to their new positions."""
+    lookup = [UNDEF] * len(parent)
+    count = 0
+    for c, p in enumerate(parent):
+        if p == c:
+            lookup[c] = count
+            count += 1
+    return [[UNDEF if e < 0 else lookup[e] for e in rows[c]]
+            for c, p in enumerate(parent) if p == c]
 
 
 def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
                  cap: int | None = None) -> CosetTable:
     """Enumerate cosets of the subgroup generated by subgroup_words.
 
-    Walks every relator from every live coset, merging collisions as they
-    appear.  If more than `cap` live cosets are ever needed, returns a
-    partial table with status "capped" (a status, not an error).
+    HLT scan-and-fill: the subgroup words are scanned at coset 0, then
+    every relator is scanned at every live coset in index order.  A scan
+    runs forward and backward as far as the table is defined; a one-letter
+    gap is filled as a deduction, meeting ends are identified by
+    `_coincidence`, and otherwise one coset is defined at the forward end
+    and the scan resumes.  Every generator is an involution, so the table
+    is kept symmetric (c·g = d exactly when d·g = c) and no live row ever
+    points at a dead coset.  Cosets are numbered in definition order,
+    survivors keep their relative order, and the result is renumbered in
+    that index order.
+
+    If more than `cap` live cosets are ever needed, returns a table with
+    status "capped" (a status, not an error) that keeps only the live
+    count at the cap.
     """
     if cap is None:
         cap = default_cap()
     if cap < 1:
         raise ValueError("cap must be at least 1")
 
-    enum = _Enumerator(P.ngens)
-    for word in subgroup_words or []:
-        enum.unify(enum.follow_word(0, word), 0)
+    blank = [UNDEF] * P.ngens
+    rows = [list(blank)]  # rows[c][g] = c·g
+    parent = [0]  # parent[c] == c iff c is live; else a union-find link
+    live = 1
 
-    capped = False
+    def scan_and_fill(c: int, words: Iterable[Word]) -> None:
+        """Scan each word at c, or at c's representative once c dies."""
+        nonlocal live
+        tab, par = rows, parent
+        for word in words:
+            if par[c] != c:
+                c = _rep(par, c)
+            f = b = c
+            i, j = 0, len(word)
+            while True:
+                while i < j:
+                    e = tab[f][word[i]]
+                    if e < 0:
+                        break
+                    f = e
+                    i += 1
+                while j > i:
+                    e = tab[b][word[j - 1]]
+                    if e < 0:
+                        break
+                    b = e
+                    j -= 1
+                if j == i:
+                    if f != b:
+                        live -= _coincidence(tab, par, f, b)
+                    break
+                x = word[i]
+                if j == i + 1:
+                    tab[f][x] = b
+                    tab[b][x] = f
+                    break
+                d = len(par)
+                par.append(d)
+                tab.append(blank.copy())
+                live += 1
+                tab[f][x] = d
+                tab[d][x] = f
+
+    scan_and_fill(0, subgroup_words or [])
+
     to_visit = 0
-    while to_visit < len(enum.parent):
-        if enum.live > cap:
-            capped = True
-            break
-        if len(enum.parent) > 4 * enum.live + COMPACT_SLACK:
-            to_visit = enum.compact(to_visit)
-        c = enum.find(to_visit)
-        if c == to_visit:
-            for rel in P.relators:
-                enum.unify(enum.follow_word(c, rel), c)
+    while to_visit < len(parent):
+        if live > cap:
+            return CosetTable(P, (), "capped", live)
+        if len(parent) > 4 * live + COMPACT_SLACK:
+            # Drop dead rows; renumbering keeps index order, so every coset
+            # before the new to_visit has already been scanned.
+            rows = _live_rows(rows, parent)
+            to_visit = sum(1 for c in range(to_visit) if parent[c] == c)
+            parent = list(range(len(rows)))
+        if parent[to_visit] == to_visit:
+            scan_and_fill(to_visit, P.relators)
         to_visit += 1
 
-    # Renumber live cosets in discovery order.
-    lookup: dict[int, int] = {}
-    for c in range(len(enum.parent)):
-        if enum.find(c) == c:
-            lookup[c] = len(lookup)
-    ngens = enum.ngens
-    rows = []
-    for c, idx in lookup.items():
-        row = []
-        for g in range(ngens):
-            nxt = enum.rows[c * ngens + g]
-            row.append(-1 if nxt == _Enumerator.UNDEF else lookup[enum.find(nxt)])
-        rows.append(tuple(row))
-    if not capped and any(x < 0 for row in rows for x in row):
+    table = tuple(map(tuple, _live_rows(rows, parent)))
+    if any(x < 0 for row in table for x in row):
         raise RuntimeError("enumeration closed with undefined table entries")
-    return CosetTable(P, tuple(rows), "capped" if capped else "complete")
+    return CosetTable(P, table, "complete")
 
 
 def group_order(P: Presentation, cap: int | None = None) -> int | None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -98,6 +99,11 @@ def test_group_cap_exit_3(files):
                "--cap", "10") == 3
 
 
+def test_group_unknown_word_generator_exit_2(files, capsys):
+    assert run("group", "--graph", files / "k33.g", "--word", "x1 y9") == 2
+    assert "unknown generator 'y9' in word 'x1 y9'" in capsys.readouterr().err
+
+
 def test_coset_cap_env_override(files, monkeypatch):
     monkeypatch.setenv("LCSQ_COSET_CAP", "10")
     assert run("group", "--graph", files / "k34.g", "--homogeneous") == 3
@@ -150,6 +156,19 @@ def test_cert_qut_regular_k34_witness(files, capsys):
     assert "witness: found" in capsys.readouterr().out
     data = json.loads(cert_out.read_text())
     assert data["backend"] == "group_algebra"
+
+
+# the regular-rep certificate lists group elements by coset number, so its
+# digest pins the enumerator's coset numbering end to end
+K34_REGULAR_CERT_SHA256 = (
+    "6aac99ced985bcece3183d8f2d18062daddad70d4934150b5339648e74386540")
+
+
+def test_cert_qut_regular_k34_out_is_pinned(files):
+    cert_out = files / "cert.json"
+    assert run("cert", "qut", "--graph", files / "k34.g", "--rep", "regular",
+               "--out", cert_out) == 0
+    assert hashlib.sha256(cert_out.read_bytes()).hexdigest() == K34_REGULAR_CERT_SHA256
 
 
 def test_cert_cap_exit_3(files):

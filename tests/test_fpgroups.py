@@ -3,14 +3,26 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import (BinMatrix, LinearSystem, abelianized_order,
                          complete_bipartite, incidence_system, solve_f2)
-from lcsq.fpgroups import (CosetTable, Presentation, coset_rep_words, group_order,
-                           is_abelian, regular_perm_rep, solution_presentation,
-                           todd_coxeter, word_is_identity)
+from lcsq.fpgroups import (COMPACT_SLACK, CosetTable, Presentation, coset_rep_words,
+                           group_order, is_abelian, regular_perm_rep,
+                           solution_presentation, todd_coxeter, word_is_identity)
+
+
+@pytest.fixture(scope="module")
+def k35_sys0():
+    return incidence_system(complete_bipartite(3, 5), (0,) * 8)
+
+
+@pytest.fixture(scope="module")
+def table35(k35_sys0):
+    return todd_coxeter(solution_presentation(k35_sys0, homogeneous=True))
 
 
 def perm_closure(gens: list[tuple[int, ...]]) -> int:
@@ -277,3 +289,207 @@ def test_rep_words_and_csv(table33):
     lines = csv.splitlines()
     assert lines[0] == "coset," + ",".join(table33.presentation.generators)
     assert len(lines) == table33.num_cosets + 1
+
+
+def test_capped_table_keeps_only_the_live_count(k34_sys0):
+    P = solution_presentation(k34_sys0, homogeneous=True)
+    T = todd_coxeter(P, [], cap=10)
+    assert T.table == ()
+    assert T.num_cosets == reference_todd_coxeter(P, [], 10)[2] > 10
+    with pytest.raises(ValueError, match="complete"):
+        T.to_csv()
+
+
+def test_unknown_generator_names_word(k33_sys0):
+    P = solution_presentation(k33_sys0, homogeneous=True)
+    assert P.word_from_names("x1 x9") == (0, 8)
+    with pytest.raises(ValueError, match="unknown generator 'y9' in word 'x1 y9'"):
+        P.word_from_names("x1 y9")
+    with pytest.raises(ValueError, match="unknown generator 'y9'"):
+        P.gen_index("y9")
+
+
+# ---------------------------------------------------------------------------
+# K3,5: the next exact instance after K3,4
+
+
+def test_k35_order(table35, k35_sys0):
+    assert table35.is_complete and table35.num_cosets == 8192
+    assert abelianized_order(k35_sys0.M) == 2 ** 8
+    assert is_abelian(table35) is False
+
+
+def test_k35_relators_act_trivially(table35):
+    # enumerator-independent: the columns are involutions and every relator
+    # is the identity permutation on all 8192 cosets
+    perms = regular_perm_rep(table35)
+    identity = list(range(table35.num_cosets))
+    for p in perms:
+        assert [p[c] for c in p] == identity
+    for rel in table35.presentation.relators:
+        image = identity
+        for g in rel:
+            image = [perms[g][c] for c in image]
+        assert image == identity
+
+
+# ---------------------------------------------------------------------------
+# exact replay against the union-find enumerator
+
+
+class _UnionFindEnumerator:
+    """Reference enumerator: HLT with union-find coincidences.
+
+    For every relator scan it defines fresh cosets along the whole word
+    and merges the end back onto the start.  Scan-and-fill must reproduce
+    its status, its complete tables and its live count at a cap exactly.
+    """
+
+    UNDEF = -1
+
+    def __init__(self, ngens: int):
+        self.ngens = ngens
+        self.parent = array("i")
+        self.rows = array("i")
+        self.live = 0
+        self.add()
+
+    def compact(self, to_visit: int) -> int:
+        lookup: dict[int, int] = {}
+        for c in range(len(self.parent)):
+            if self.parent[c] == c:
+                lookup[c] = len(lookup)
+        new_rows = array("i")
+        ngens = self.ngens
+        for c in lookup:
+            for g in range(ngens):
+                nxt = self.rows[c * ngens + g]
+                new_rows.append(self.UNDEF if nxt == self.UNDEF
+                                else lookup[self.find(nxt)])
+        new_to_visit = sum(1 for c in lookup if c < to_visit)
+        self.parent = array("i", range(len(lookup)))
+        self.rows = new_rows
+        return new_to_visit
+
+    def add(self) -> int:
+        c = len(self.parent)
+        self.parent.append(c)
+        self.rows.extend([self.UNDEF] * self.ngens)
+        self.live += 1
+        return c
+
+    def find(self, c: int) -> int:
+        parent = self.parent
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def follow(self, c: int, g: int) -> int:
+        c = self.find(c)
+        slot = c * self.ngens + g
+        nxt = self.rows[slot]
+        if nxt == self.UNDEF:
+            nxt = self.add()
+            self.rows[slot] = nxt
+            self.rows[nxt * self.ngens + g] = c
+            return nxt
+        return self.find(nxt)
+
+    def follow_word(self, c: int, word) -> int:
+        for g in word:
+            c = self.follow(c, g)
+        return c
+
+    def unify(self, c1: int, c2: int) -> None:
+        rows, ngens, UNDEF = self.rows, self.ngens, self.UNDEF
+        queue = [(c1, c2)]
+        while queue:
+            a, b = queue.pop()
+            a = self.find(a)
+            b = self.find(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            self.parent[b] = a
+            self.live -= 1
+            for g in range(ngens):
+                na = rows[a * ngens + g]
+                nb = rows[b * ngens + g]
+                if na == UNDEF:
+                    rows[a * ngens + g] = nb
+                elif nb != UNDEF:
+                    queue.append((na, nb))
+
+
+def reference_todd_coxeter(P, subgroup_words, cap):
+    """(status, rows of a complete table or None, live coset count)."""
+    enum = _UnionFindEnumerator(P.ngens)
+    for word in subgroup_words:
+        enum.unify(enum.follow_word(0, word), 0)
+    to_visit = 0
+    while to_visit < len(enum.parent):
+        if enum.live > cap:
+            return "capped", None, enum.live
+        if len(enum.parent) > 4 * enum.live + COMPACT_SLACK:
+            to_visit = enum.compact(to_visit)
+        c = enum.find(to_visit)
+        if c == to_visit:
+            for rel in P.relators:
+                enum.unify(enum.follow_word(c, rel), c)
+        to_visit += 1
+    lookup: dict[int, int] = {}
+    for c in range(len(enum.parent)):
+        if enum.find(c) == c:
+            lookup[c] = len(lookup)
+    ngens, UNDEF = enum.ngens, enum.UNDEF
+    rows = []
+    for c in lookup:
+        row = []
+        for g in range(ngens):
+            nxt = enum.rows[c * ngens + g]
+            row.append(UNDEF if nxt == UNDEF else lookup[enum.find(nxt)])
+        rows.append(tuple(row))
+    return "complete", tuple(rows), enum.live
+
+
+@st.composite
+def involutive_presentations(draw):
+    ngens = draw(st.integers(1, 4))
+    letters = st.integers(0, ngens - 1)
+    extra = draw(st.lists(st.lists(letters, min_size=1, max_size=8).map(tuple),
+                          max_size=5))
+    relators = draw(st.permutations([(g, g) for g in range(ngens)] + extra))
+    subgroup = draw(st.lists(st.lists(letters, max_size=6).map(tuple), max_size=2))
+    cap = draw(st.sampled_from([5, 50, 500]))
+    P = Presentation(tuple(f"g{i}" for i in range(ngens)), tuple(relators))
+    return P, subgroup, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(involutive_presentations())
+def test_enumeration_replays_union_find_reference(case):
+    P, subgroup, cap = case
+    T = todd_coxeter(P, subgroup, cap)
+    status, rows, live = reference_todd_coxeter(P, subgroup, cap)
+    assert T.status == status
+    assert T.num_cosets == live
+    if T.is_complete:
+        assert T.table == rows
+
+
+def test_flagship_tables_replay_union_find_reference(k33_sys_e1, table34, table35):
+    gamma33 = todd_coxeter(solution_presentation(k33_sys_e1, homogeneous=False))
+    for T in (gamma33, table34, table35):
+        status, rows, _ = reference_todd_coxeter(T.presentation, [], 10 ** 6)
+        assert T.is_complete and status == "complete"
+        assert T.table == rows
+    # capped, coincidence-heavy: K4,4 at a small cap
+    P = solution_presentation(incidence_system(complete_bipartite(4, 4), (0,) * 8),
+                              homogeneous=True)
+    T = todd_coxeter(P, [], 3000)
+    assert T.status == "capped"
+    assert T.num_cosets == reference_todd_coxeter(P, [], 3000)[2]
