@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 from . import f2core, fpgroups, graphs, decolor, reps, qcert, graphiso
 
@@ -239,14 +239,17 @@ def cmd_cert(cfg: RunConfig) -> int:
                      + ("found" if witness else "none (all entries commute)"))
 
     passed = report.passed
-    if cfg.lift:
+    lift_tol = max(cfg.tol, qcert.LIFTED_TOL)
+    # a source that fails at the lift tolerance is not lifted: the run is a
+    # verified negative either way
+    if cfg.lift and replace(report, tol=lift_tol).passed:
         c0 = _pick_c0(cfg, G1)
         pa = decolor.canonical_assignment(G1, c0)
         Gpp1 = decolor.decolor_edges(decolor.decolor_vertices(G1, pa), pa)
         Gpp2 = (Gpp1 if G2 is G1 else
                 decolor.decolor_edges(decolor.decolor_vertices(G2, pa), pa))
-        lifted = qcert.lift_cert(cert, Gpp1, Gpp2, max(cfg.tol, qcert.LIFTED_TOL))
-        lift_report = qcert.verify_cert(lifted, mode, max(cfg.tol, qcert.LIFTED_TOL))
+        lifted = qcert.lift_cert(cert, report, Gpp1, Gpp2, lift_tol)
+        lift_report = qcert.verify_cert(lifted, mode, lift_tol)
         result["lifted_verification"] = lift_report.to_json_dict()
         lines.append(f"lifted certificate over {Gpp1.num_vertices}-vertex graphs "
                      f"{'passes' if lift_report.passed else 'FAILS'}")

@@ -120,8 +120,13 @@ class Presentation:
         rels = []
         for chunk in tail.split(";"):
             names = chunk.split()
-            if names:
-                rels.append(tuple(index[n] for n in names))
+            try:
+                rel = tuple(index[n] for n in names)
+            except KeyError as exc:
+                raise ValueError(f"unknown generator {exc.args[0]!r} "
+                                 f"in relator {' '.join(names)!r}") from None
+            if rel:
+                rels.append(rel)
         return cls(gens, tuple(rels))
 
     def to_json_dict(self) -> dict:

@@ -12,16 +12,20 @@ same construction covers the automorphism case (both graphs equal) and
 the isomorphism case (right-hand sides b and b' differ).
 
 Verification has one path for both element backends: every relation is
-checked entry by entry through the elements' own sum, product and
-residual norm, so the sparse intertwining loop never forms a dense
-matrix.  A family's residual is the largest norm of any single entry:
-a per-entry Frobenius norm for dense elements, and for group-algebra
-elements the l1 norm of the coefficients, which is zero exactly on zero.
+checked entry by entry through the elements' own `combine` (a sum minus a
+sum), product and residual norm, so the sparse intertwining loop never
+forms a dense matrix.  Row, column and intertwining sums collect the
+stored entry objects of each side and are evaluated once per distinct
+signature (the ids of the terms, in order): entries that coincide by the
+block structure share one object, so most sums repeat.  A family's
+residual is the largest norm of any single entry: a per-entry Frobenius
+norm for dense elements, and for group-algebra elements the l1 norm of
+the coefficients, which is zero exactly on zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .f2core import LinearSystem
 from .graphs import ColoredGraph, VertexLabel
@@ -226,13 +230,32 @@ def _edge_classes(G: ColoredGraph) -> dict[str, list[tuple[int, int]]]:
     return classes
 
 
+def _residual(memo: dict, plus: list, minus: list) -> float:
+    """Residual norm of sum(plus) - sum(minus), summed once per signature.
+
+    The signature is the ids of the terms on each side, in order.  Entries
+    that coincide by the block structure share one object, so many sums
+    repeat one signature, and equal signatures mean equal arithmetic (each
+    side is summed in the order given).  The terms must outlive the memo.
+    """
+    sig = (tuple(map(id, plus)), tuple(map(id, minus)))
+    r = memo.get(sig)
+    if r is None:
+        first = plus[0] if plus else minus[0]
+        r = memo[sig] = first.combine(plus, minus).residual_norm()
+    return r
+
+
 def _intertwine(cert: MagicUnitaryCert,
                 pairs1: list[tuple[int, int]],
-                pairs2: list[tuple[int, int]]) -> float:
+                pairs2: list[tuple[int, int]],
+                memo: dict) -> float:
     """Largest residual norm over the entries of A1 u - u A2.
 
     A1 and A2 are the adjacency matrices of one edge color, given as edge
     lists; only entry pairs reachable through a stored entry are formed.
+    Each entry's terms are collected in entry order and summed through
+    `_residual`.
     """
     adj1: dict[int, list[int]] = {}
     for (u, v) in pairs1:
@@ -247,19 +270,14 @@ def _intertwine(cert: MagicUnitaryCert,
     right: dict = {}
     for (k, j), elem in cert.entries.items():
         for i in adj1.get(k, ()):
-            key = (i, j)
-            left[key] = left[key] + elem if key in left else elem
+            left.setdefault((i, j), []).append(elem)
     for (i, k), elem in cert.entries.items():
         for j in adj2.get(k, ()):
-            key = (i, j)
-            right[key] = right[key] + elem if key in right else elem
+            right.setdefault((i, j), []).append(elem)
 
     worst = 0.0
     for key in left.keys() | right.keys():
-        a = left.get(key)
-        b = right.get(key)
-        diff = (a - b) if (a is not None and b is not None) else (a if b is None else -b)
-        worst = max(worst, diff.residual_norm())
+        worst = max(worst, _residual(memo, left.get(key, []), right.get(key, [])))
     return worst
 
 
@@ -277,7 +295,10 @@ def verify_cert(cert: MagicUnitaryCert, mode: str,
     the certificate's backend, and its residual is the largest residual
     norm of any one offending element.  For the dense backend that is the
     Frobenius norm of one d x d entry (for intertwining, of one (i, j)
-    entry of A_G u - u A_G'), not of the whole difference.
+    entry of A_G u - u A_G'), not of the whole difference.  Each distinct
+    row, column or intertwining sum is evaluated once (see `_residual`);
+    dense sums keep the left-to-right order of a chain of `+`, so failing
+    float residuals do not depend on the memo.
     """
     if mode not in ("qut", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -297,17 +318,15 @@ def verify_cert(cert: MagicUnitaryCert, mode: str,
 
     # row and column sums
     one = cert.identity
+    memo: dict = {}
     for axis, name, count in ((0, "row_sum", G1.num_vertices),
                               (1, "col_sum", G2.num_vertices)):
-        sums: dict[int, object] = {}
+        terms: dict[int, list] = {}
         for (i, j), elem in cert.entries.items():
-            idx = i if axis == 0 else j
-            sums[idx] = sums[idx] + elem if idx in sums else elem
+            terms.setdefault(i if axis == 0 else j, []).append(elem)
         worst, desc = 0.0, ""
         for idx in range(count):
-            total = sums.get(idx)
-            r = (total - one).residual_norm() if total is not None \
-                else one.residual_norm()
+            r = _residual(memo, terms.get(idx, []), [one])
             if r > worst:
                 worst, desc = r, f"{name.split('_')[0]} {idx}"
         families.append((name, worst, desc))
@@ -328,7 +347,7 @@ def verify_cert(cert: MagicUnitaryCert, mode: str,
     classes1 = _edge_classes(G1)
     classes2 = _edge_classes(G2)
     for cname in sorted(classes1.keys() | classes2.keys()):
-        r = _intertwine(cert, classes1.get(cname, []), classes2.get(cname, []))
+        r = _intertwine(cert, classes1.get(cname, []), classes2.get(cname, []), memo)
         families.append((f"intertwine:{cname or 'plain'}", r, cname or "plain"))
 
     # structural invariants of the block decomposition
@@ -496,14 +515,20 @@ def _assignment_of(G: ColoredGraph) -> dict:
     return data
 
 
-def lift_cert(cert: MagicUnitaryCert, Gpp1: ColoredGraph, Gpp2: ColoredGraph,
+def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
+              Gpp1: ColoredGraph, Gpp2: ColoredGraph,
               tol: float = LIFTED_TOL) -> MagicUnitaryCert:
     """Transport a verified certificate over (G, G') to their decolorings.
+
+    `report` is `verify_cert`'s report on `cert` (either mode: the residuals
+    are the same).  It is judged at `tol`, so this raises exactly when
+    re-verifying the source at `tol` would fail, without re-verifying it.
 
     Original and path vertices inherit the source entry at equal path
     positions; subdivision vertices of same-colored edges e = (a, b) and
     f = (c, d) receive u_{ac} u_{bd} + u_{ad} u_{bc} (a projection because
-    the same-block factors commute, which is checked here).
+    the same-block factors commute, which is checked here).  Gadgets with
+    the same four input objects are one element, built and checked once.
     """
     asg1, asg2 = _assignment_of(Gpp1), _assignment_of(Gpp2)
     if asg1 != asg2:
@@ -514,8 +539,7 @@ def lift_cert(cert: MagicUnitaryCert, Gpp1: ColoredGraph, Gpp2: ColoredGraph,
             base2 != cert.col_graph.meta.get("system"):
         raise CertificateError("decolorings were not built from the certificate's graphs")
 
-    report = verify_cert(cert, "iso", tol)
-    if not report.passed:
+    if not replace(report, tol=tol).passed:
         raise CertificateError(
             f"source certificate fails verification: {report.worst[0]} "
             f"(residual {report.worst[1]:.3g})")
@@ -547,6 +571,7 @@ def lift_cert(cert: MagicUnitaryCert, Gpp1: ColoredGraph, Gpp2: ColoredGraph,
     edges1 = colored_edges(cert.row_graph)
     edges2 = colored_edges(cert.col_graph)
     zero = cert.zero()
+    gadgets: dict[tuple[int, int, int, int], object] = {}
     for cname, elist in sorted(edges1.items()):
         flist = edges2.get(cname, [])
         m = pa.edge_length(  # colors of subdivided edges must carry a length
@@ -558,11 +583,14 @@ def lift_cert(cert: MagicUnitaryCert, Gpp1: ColoredGraph, Gpp2: ColoredGraph,
                 u_bd = cert.entry(b, d) or zero
                 u_ad = cert.entry(a, d) or zero
                 u_bc = cert.entry(b, c) or zero
-                swap = (u_ac * u_bd - u_bd * u_ac).residual_norm()
-                if swap > limit:
-                    raise CertificateError(
-                        f"entries for edges {(a, b)}/{(c, d)} do not commute")
-                elem = u_ac * u_bd + u_ad * u_bc
+                sig = (id(u_ac), id(u_bd), id(u_ad), id(u_bc))
+                elem = gadgets.get(sig)
+                if elem is None:
+                    swap = (u_ac * u_bd - u_bd * u_ac).residual_norm()
+                    if swap > limit:
+                        raise CertificateError(
+                            f"entries for edges {(a, b)}/{(c, d)} do not commute")
+                    elem = gadgets[sig] = u_ac * u_bd + u_ad * u_bc
                 out[(sub1[(a, b)], sub2[(c, d)])] = elem
                 for i in range(1, m + 1):
                     out[(epath1[((a, b), i)], epath2[((c, d), i)])] = elem

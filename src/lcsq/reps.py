@@ -12,8 +12,9 @@ Two interchangeable element types drive everything downstream:
   elements, so the arithmetic never leaves this ring and equality is
   literal.
 
-Both support sum, product, halving, adjoint, and a residual norm that is
-zero exactly on the zero element.
+Both support sum, product, halving, adjoint, `combine` (the sum of one
+sequence of elements minus the sum of another, in one call), and a
+residual norm that is zero exactly on the zero element.
 """
 
 from __future__ import annotations
@@ -54,6 +55,23 @@ class DenseElement:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @staticmethod
+    def combine(plus, minus) -> DenseElement:
+        """sum(plus) - sum(minus) over sequences of elements; each side is
+        summed left to right, as a chain of `+` would, so float results
+        are the chain's bit for bit."""
+        def total(side):
+            acc = side[0].mat
+            for t in side[1:]:
+                acc = acc + t.mat
+            return acc
+
+        if not minus:
+            return DenseElement(total(plus))
+        if not plus:
+            return DenseElement(-total(minus))
+        return DenseElement(total(plus) - total(minus))
 
     def __add__(self, other: DenseElement) -> DenseElement:
         return DenseElement(self.mat + other.mat)
@@ -124,7 +142,12 @@ class GroupAlgebraContext:
 
 class GroupAlgebraElement:
     """sum_g (coeffs[g] / 2^exp) * g, exact, normalized so that either
-    exp = 0 or some numerator is odd."""
+    exp = 0 or some numerator is odd.
+
+    Sums and differences of any number of terms go through `combine`, one
+    accumulator that aligns the exponents and normalizes once; `+` and `-`
+    are its two-term cases.
+    """
 
     __slots__ = ("ctx", "coeffs", "exp")
 
@@ -132,33 +155,48 @@ class GroupAlgebraElement:
         coeffs = {g: c for g, c in coeffs.items() if c}
         if not coeffs:
             exp = 0
-        else:
-            while exp > 0 and all(c % 2 == 0 for c in coeffs.values()):
-                coeffs = {g: c // 2 for g, c in coeffs.items()}
-                exp -= 1
+        elif exp > 0:
+            # every numerator is divisible by 2^t, t = trailing zeros of their OR
+            bits = 0
+            for c in coeffs.values():
+                bits |= c
+            shift = min((bits & -bits).bit_length() - 1, exp)
+            if shift:
+                coeffs = {g: c >> shift for g, c in coeffs.items()}
+                exp -= shift
         self.ctx = ctx
         self.coeffs = coeffs
         self.exp = exp
 
-    def _aligned(self, other: GroupAlgebraElement):
-        if self.ctx is not other.ctx:
-            raise ValueError("elements live over different group algebras")
-        exp = max(self.exp, other.exp)
-        a = {g: c << (exp - self.exp) for g, c in self.coeffs.items()}
-        b = {g: c << (exp - other.exp) for g, c in other.coeffs.items()}
-        return a, b, exp
+    @staticmethod
+    def combine(plus, minus) -> GroupAlgebraElement:
+        """sum(plus) - sum(minus) over sequences of elements, in one
+        accumulator; at least one term."""
+        terms = [*plus, *minus]
+        if not terms:
+            raise ValueError("combine needs at least one term")
+        ctx = terms[0].ctx
+        exp = 0
+        for t in terms:
+            if t.ctx is not ctx:
+                raise ValueError("elements live over different group algebras")
+            exp = max(exp, t.exp)
+        acc: dict[int, int] = {}
+        for t in plus:
+            shift = exp - t.exp
+            for g, c in t.coeffs.items():
+                acc[g] = acc.get(g, 0) + (c << shift)
+        for t in minus:
+            shift = exp - t.exp
+            for g, c in t.coeffs.items():
+                acc[g] = acc.get(g, 0) - (c << shift)
+        return GroupAlgebraElement(ctx, acc, exp)
 
     def __add__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
-        a, b, exp = self._aligned(other)
-        for g, c in b.items():
-            a[g] = a.get(g, 0) + c
-        return GroupAlgebraElement(self.ctx, a, exp)
+        return GroupAlgebraElement.combine((self, other), ())
 
     def __sub__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
-        a, b, exp = self._aligned(other)
-        for g, c in b.items():
-            a[g] = a.get(g, 0) - c
-        return GroupAlgebraElement(self.ctx, a, exp)
+        return GroupAlgebraElement.combine((self,), (other,))
 
     def __neg__(self) -> GroupAlgebraElement:
         return GroupAlgebraElement(self.ctx, {g: -c for g, c in self.coeffs.items()},

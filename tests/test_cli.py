@@ -7,7 +7,9 @@ import json
 
 import pytest
 
+from lcsq import qcert
 from lcsq.cli import main
+from test_qcert import corrupt_swap_columns
 
 EX_SYS = "11100;10011|01\n"
 K33_G = "6\n" + "".join(f"{a} {b}\n" for a in (1, 2, 3) for b in (4, 5, 6))
@@ -169,6 +171,56 @@ def test_cert_qut_regular_k34_out_is_pinned(files):
     assert run("cert", "qut", "--graph", files / "k34.g", "--rep", "regular",
                "--out", cert_out) == 0
     assert hashlib.sha256(cert_out.read_bytes()).hexdigest() == K34_REGULAR_CERT_SHA256
+
+
+# both lifted cert jobs and the sha256 of their reports, run from the
+# directory holding the graph files so that the echoed paths are relative
+LIFTED_JOBS = {
+    "qut-k34-regular": (
+        ["cert", "qut", "--graph", "k34.g", "--rep", "regular"],
+        "d8ea7ad09d773cc7dc0b13d0329c390b7a0418bcd81dc36b0b3c3ed157dd6946"),
+    "qiso-k33-pauli": (
+        ["cert", "qiso", "--graph", "k33.g", "--b1", "000000", "--b2", "100000",
+         "--rep", "pauli"],
+        "aa8937d98ad4116aa0892846529764c30dcc2df23bf0e71225052209192a818b"),
+}
+
+
+@pytest.mark.parametrize("job", sorted(LIFTED_JOBS))
+def test_lifted_cert_report_is_pinned(files, monkeypatch, job):
+    argv, digest = LIFTED_JOBS[job]
+    monkeypatch.chdir(files)
+    assert run(*argv, "--lift", "--report", "report.json") == 0
+    assert hashlib.sha256((files / "report.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("lift, calls", [(False, 1), (True, 2)])
+def test_cert_verifies_each_certificate_once(files, monkeypatch, lift, calls):
+    verified = []
+    verify = qcert.verify_cert
+
+    def counting(cert, *args):
+        verified.append(cert)
+        return verify(cert, *args)
+
+    monkeypatch.setattr(qcert, "verify_cert", counting)
+    argv = ["cert", "qut", "--graph", files / "k33.g", "--rep", "regular"]
+    assert run(*argv, *(["--lift"] if lift else [])) == 0
+    assert len(verified) == len({id(cert) for cert in verified}) == calls
+
+
+@pytest.mark.parametrize("job", sorted(LIFTED_JOBS))
+def test_failing_source_is_not_lifted_and_exits_1(files, monkeypatch, capsys, job):
+    build = qcert.build_magic_unitary
+    monkeypatch.setattr(qcert, "build_magic_unitary",
+                        lambda *args: corrupt_swap_columns(build(*args), 0, 1))
+    monkeypatch.chdir(files)
+    assert run(*LIFTED_JOBS[job][0], "--lift", "--report", "report.json") == 1
+    out = capsys.readouterr().out
+    assert "certificate FAILS" in out and "lifted" not in out
+    data = json.loads((files / "report.json").read_text())
+    assert data["verification"]["passed"] is False
+    assert not any(key.startswith("lifted") for key in data)
 
 
 def test_cert_cap_exit_3(files):

@@ -309,6 +309,11 @@ def test_unknown_generator_names_word(k33_sys0):
         P.gen_index("y9")
 
 
+def test_from_text_names_an_undeclared_generator():
+    with pytest.raises(ValueError, match="unknown generator 'y' in relator 'x y'"):
+        Presentation.from_text("gens: x; rels: x x; x y")
+
+
 # ---------------------------------------------------------------------------
 # K3,5: the next exact instance after K3,4
 

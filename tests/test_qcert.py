@@ -4,6 +4,7 @@ witnesses, lifting, and the algebraic property suites."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 import numpy as np
@@ -17,9 +18,10 @@ from lcsq.decolor import (Original, Subdivision, VertexPath, EdgePath,
 from lcsq.fpgroups import solution_presentation, todd_coxeter
 from lcsq.graphiso import automorphism_group
 from lcsq.reps import DenseElement, Representation, group_algebra_rep
-from lcsq.qcert import (CertificateError, MagicUnitaryCert, build_magic_unitary,
-                        extract_generators, lift_cert, make_classical_cert,
-                        noncommuting_witness, verify_cert)
+from lcsq.qcert import (CertificateError, MagicUnitaryCert, VerificationReport,
+                        _edge_classes, build_magic_unitary, extract_generators,
+                        lift_cert, make_classical_cert, noncommuting_witness,
+                        verify_cert)
 
 
 def tiny_system():
@@ -312,7 +314,7 @@ def test_no_witness_for_k33(exact_cert33):
 def test_lift_classical_identity(gstar33_0, gpp33_pair):
     gpp0, _ = gpp33_pair
     cert = make_classical_cert(gstar33_0, gstar33_0, {v: v for v in range(24)})
-    lifted = lift_cert(cert, gpp0, gpp0)
+    lifted = lift_cert(cert, verify_cert(cert, "iso"), gpp0, gpp0)
     nonzero = {key for key, e in lifted.entries.items() if e.residual_norm() > 1e-12}
     assert nonzero == {(v, v) for v in range(gpp0.num_vertices)}
     assert verify_cert(lifted, "qut").passed
@@ -322,7 +324,7 @@ def test_lift_classical_automorphism_is_induced_map(gstar33_0, gpp33_pair):
     gpp0, _ = gpp33_pair
     g = automorphism_group(gstar33_0).generators[0].mapping()
     cert = make_classical_cert(gstar33_0, gstar33_0, g)
-    lifted = lift_cert(cert, gpp0, gpp0)
+    lifted = lift_cert(cert, verify_cert(cert, "iso"), gpp0, gpp0)
 
     index = {}
     for i, lab in enumerate(gpp0.labels):
@@ -347,7 +349,7 @@ def test_lift_classical_automorphism_is_induced_map(gstar33_0, gpp33_pair):
 
 def test_lift_pauli(pauli_cert, gpp33_pair):
     gpp0, gpp1 = gpp33_pair
-    lifted = lift_cert(pauli_cert, gpp0, gpp1)
+    lifted = lift_cert(pauli_cert, verify_cert(pauli_cert, "iso"), gpp0, gpp1)
     report = verify_cert(lifted, "iso", 1e-9)
     assert report.passed
     assert report.max_residual < 1e-9
@@ -361,7 +363,7 @@ def test_lift_pauli(pauli_cert, gpp33_pair):
 
 
 def test_lift_exact_k34_retains_witness(exact_cert34, gpp34):
-    lifted = lift_cert(exact_cert34, gpp34, gpp34)
+    lifted = lift_cert(exact_cert34, verify_cert(exact_cert34, "iso"), gpp34, gpp34)
     report = verify_cert(lifted, "qut")
     assert report.passed
     assert report.max_residual == 0.0
@@ -371,14 +373,26 @@ def test_lift_exact_k34_retains_witness(exact_cert34, gpp34):
 def test_lift_rejects_mismatched_assignments(pauli_cert, gpp33_pair, gpp34):
     gpp0, _ = gpp33_pair
     with pytest.raises(CertificateError, match="path lengths|built from"):
-        lift_cert(pauli_cert, gpp0, gpp34)
+        lift_cert(pauli_cert, verify_cert(pauli_cert, "iso"), gpp0, gpp34)
 
 
 def test_lift_rejects_failing_source(pauli_cert, gpp33_pair):
     gpp0, gpp1 = gpp33_pair
     bad = corrupt_swap_columns(pauli_cert, 0, 1)
     with pytest.raises(CertificateError, match="fails verification"):
-        lift_cert(bad, gpp0, gpp1)
+        lift_cert(bad, verify_cert(bad, "iso"), gpp0, gpp1)
+
+
+def test_lift_judges_the_report_at_its_own_tolerance(pauli_cert, gpp33_pair):
+    # a residual between the verifier's and the lift's tolerance: the report
+    # fails as written but passes at the lift's tolerance
+    gpp0, gpp1 = gpp33_pair
+    report = VerificationReport((("projection", 5e-10, "entry (0, 0)"),), 1e-10, "dense")
+    assert not report.passed
+    lifted = lift_cert(pauli_cert, report, gpp0, gpp1, 1e-9)
+    assert lifted.row_graph is gpp0
+    with pytest.raises(CertificateError, match="fails verification: projection"):
+        lift_cert(pauli_cert, report, gpp0, gpp1, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +542,125 @@ def test_regular_cert_verifies_lifts_and_round_trips_exactly(H):
 
     pa = canonical_assignment(G, SharedEdgeColor(-1))
     gpp = decolor_edges(decolor_vertices(G, pa), pa)
-    lifted = verify_cert(lift_cert(cert, gpp, gpp), "qut")
+    lifted = verify_cert(lift_cert(cert, report, gpp, gpp), "qut")
     assert lifted.passed and lifted.max_residual == 0.0
 
     extraction = extract_generators(cert)
     assert extraction.cross_block_discrepancy == 0.0
     assert extraction.roundtrip_residual == 0.0
+
+
+# ---------------------------------------------------------------------------
+# memoised sums against the chain sums they replaced
+
+
+def reference_intertwine(cert, pairs1, pairs2):
+    """Largest residual norm over the entries of A1 u - u A2, each entry
+    summed as a chain of `+` in entry order."""
+    adj1, adj2 = {}, {}
+    for adj, pairs in ((adj1, pairs1), (adj2, pairs2)):
+        for (u, v) in pairs:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+    left, right = {}, {}
+    for (k, j), elem in cert.entries.items():
+        for i in adj1.get(k, ()):
+            key = (i, j)
+            left[key] = left[key] + elem if key in left else elem
+    for (i, k), elem in cert.entries.items():
+        for j in adj2.get(k, ()):
+            key = (i, j)
+            right[key] = right[key] + elem if key in right else elem
+    worst = 0.0
+    for key in left.keys() | right.keys():
+        a, b = left.get(key), right.get(key)
+        diff = (a - b) if (a is not None and b is not None) else (a if b is None else -b)
+        worst = max(worst, diff.residual_norm())
+    return worst
+
+
+def reference_sum_families(cert):
+    """The row_sum, col_sum and intertwine families, in verify_cert's order,
+    from chain sums."""
+    G1, G2 = cert.row_graph, cert.col_graph
+    one = cert.identity
+    families = []
+    for axis, name, count in ((0, "row_sum", G1.num_vertices),
+                              (1, "col_sum", G2.num_vertices)):
+        sums = {}
+        for (i, j), elem in cert.entries.items():
+            idx = i if axis == 0 else j
+            sums[idx] = sums[idx] + elem if idx in sums else elem
+        worst, desc = 0.0, ""
+        for idx in range(count):
+            total = sums.get(idx)
+            r = (total - one).residual_norm() if total is not None \
+                else one.residual_norm()
+            if r > worst:
+                worst, desc = r, f"{name.split('_')[0]} {idx}"
+        families.append((name, worst, desc))
+    classes1, classes2 = _edge_classes(G1), _edge_classes(G2)
+    for cname in sorted(classes1.keys() | classes2.keys()):
+        r = reference_intertwine(cert, classes1.get(cname, []), classes2.get(cname, []))
+        families.append((f"intertwine:{cname or 'plain'}", r, cname or "plain"))
+    return families
+
+
+def assert_sums_match_reference(cert, mode):
+    report = verify_cert(cert, mode)
+    expected = reference_sum_families(cert)
+    names = {name for name, _, _ in expected}
+    assert [f for f in report.families if f[0] in names] == expected
+
+
+@functools.lru_cache(maxsize=None)
+def regular_cert(H):
+    sys = incidence_system(H, (0,) * H.num_vertices)
+    P = solution_presentation(sys, homogeneous=True)
+    G = build_Gstar(sys)
+    return build_magic_unitary(G, G, group_algebra_rep(P, todd_coxeter(P)))
+
+
+@st.composite
+def corrupted_certs(draw, pauli):
+    """The Pauli certificate or a regular-rep certificate on a random
+    connected graph, after one to three corruptions: two columns swapped, an
+    entry zeroed, or an entry replaced by another stored element."""
+    if draw(st.booleans()):
+        cert, mode = pauli, "iso"
+    else:
+        cert, mode = regular_cert(draw(connected_graphs())), "qut"
+    n = cert.col_graph.num_vertices
+    stored = [elem for _, elem in cert.distinct_elements()]
+    for kind in draw(st.lists(st.sampled_from(["swap", "zero", "copy"]),
+                              min_size=1, max_size=3)):
+        if kind == "swap":
+            cert = corrupt_swap_columns(cert, draw(st.integers(0, n - 1)),
+                                        draw(st.integers(0, n - 1)))
+        else:
+            key = draw(st.sampled_from(sorted(cert.entries)))
+            elem = cert.zero() if kind == "zero" else draw(st.sampled_from(stored))
+            cert = replace_entry(cert, key, elem)
+    return cert, mode
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_memoised_sums_match_chain_sums_on_corrupted_certs(pauli_cert, data):
+    cert, mode = data.draw(corrupted_certs(pauli_cert))
+    assert_sums_match_reference(cert, mode)
+
+
+def test_dense_sums_keep_left_to_right_order(gstar33_0):
+    # rows 0 and 1 hold the same three objects in opposite orders, and
+    # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1 in floats; every other row sums
+    # to exactly 1, so the row_sum family shows both order and memo key
+    a, b, c = DenseElement([[0.1]]), DenseElement([[0.2]]), DenseElement([[0.3]])
+    assert abs((0.1 + 0.2 + 0.3) - 1) < abs((0.3 + 0.2 + 0.1) - 1)
+    entries = {(0, 0): a, (0, 1): b, (0, 2): c, (1, 0): c, (1, 1): b, (1, 2): a}
+    one = DenseElement.identity(1)
+    entries.update({(v, v): one for v in range(2, 24)})
+    cert = MagicUnitaryCert(gstar33_0, gstar33_0, entries, "dense", one)
+    assert verify_cert(cert, "qut").families[1] == \
+        ("row_sum", abs((0.3 + 0.2 + 0.1) - 1), "row 1")
+    assert_sums_match_reference(cert, "qut")

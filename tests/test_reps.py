@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import BinMatrix, LinearSystem
 from lcsq.fpgroups import Presentation, regular_perm_rep, solution_presentation, todd_coxeter
@@ -147,6 +149,63 @@ def test_dyadic_normalization(table33):
     zero = e - e
     assert zero.is_zero() and zero.exp == 0 and zero.residual_norm() == 0.0
     assert e.support() == [[0, 1, 1], [1, 2, 1]]
+
+
+def reference_normalize(coeffs, exp):
+    """The halving loop that normalized group-algebra elements: halve every
+    numerator while all are even and exp > 0."""
+    coeffs = {g: c for g, c in coeffs.items() if c}
+    if not coeffs:
+        return {}, 0
+    while exp > 0 and all(c % 2 == 0 for c in coeffs.values()):
+        coeffs = {g: c // 2 for g, c in coeffs.items()}
+        exp -= 1
+    return coeffs, exp
+
+
+# numerators with many factors of two, negative ones and zeros included
+numerators = st.builds(lambda m, k: m << k, st.integers(-40, 40), st.integers(0, 12))
+raw_elements = st.tuples(st.dictionaries(st.integers(0, 15), numerators, max_size=6),
+                         st.integers(0, 10))
+
+
+@pytest.fixture(scope="module")
+def ctx33(table33):
+    return GroupAlgebraContext(table33)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_elements)
+def test_normalization_matches_halving_loop(ctx33, raw):
+    coeffs, exp = raw
+    e = GroupAlgebraElement(ctx33, coeffs, exp)
+    assert (e.coeffs, e.exp) == reference_normalize(coeffs, exp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(raw_elements, max_size=5), st.lists(raw_elements, max_size=5))
+def test_combine_is_the_exact_sum_and_difference(ctx33, plus, minus):
+    if not plus and not minus:
+        with pytest.raises(ValueError, match="at least one term"):
+            GroupAlgebraElement.combine([], [])
+        return
+    value = {}
+    for sign, side in ((1, plus), (-1, minus)):
+        for coeffs, exp in side:
+            for g, c in coeffs.items():
+                value[g] = value.get(g, 0) + sign * Fraction(c, 2 ** exp)
+    e = GroupAlgebraElement.combine([GroupAlgebraElement(ctx33, c, x) for c, x in plus],
+                                    [GroupAlgebraElement(ctx33, c, x) for c, x in minus])
+    assert {g: Fraction(c, 2 ** e.exp) for g, c in e.coeffs.items()} == \
+        {g: v for g, v in value.items() if v}
+    assert e.exp == 0 or any(c % 2 for c in e.coeffs.values())
+
+
+def test_combine_rejects_mixed_algebras(ctx33, table34):
+    a = ctx33.identity_element()
+    b = GroupAlgebraContext(table34).identity_element()
+    with pytest.raises(ValueError, match="different group algebras"):
+        GroupAlgebraElement.combine([a], [b])
 
 
 def test_group_algebra_inverse_map(table34):
