@@ -3,8 +3,10 @@ verify certificates, and decide classical isomorphism.
 
 Exit codes: 0 success / verified positive; 1 verified negative
 (unsolvable, non-isomorphic, certificate failure); 2 usage or parse
-error; 3 enumeration cap hit.  All reports are JSON with sorted keys, so
-identical configurations produce byte-identical outputs.
+error; 3 enumeration cap hit; 4 internal error (a self-check inside the
+library failed, which is a bug, not a verdict).  All reports and graph
+files are written by `graphs.dump_json` (sorted keys, one space of indent),
+so identical configurations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -67,7 +70,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _dump(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+    """A report as written to disk: `graphs.dump_json` plus a newline."""
+    return graphs.dump_json(data) + "\n"
 
 
 def _parse_bits(text: str, length: int, what: str) -> tuple[int, ...]:
@@ -400,6 +404,9 @@ def main(argv=None) -> int:
     except KeyError as exc:  # malformed JSON documents
         print(f"error: missing field {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # a library self-check failed
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

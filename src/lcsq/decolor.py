@@ -13,6 +13,7 @@ provenance instead of by renumbered index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import ColoredGraph, ColorTag, LABEL_PARSERS, parse_color
 
@@ -114,20 +115,30 @@ class PathAssignment:
                 raise ValueError("path lengths must be pairwise distinct")
             if any(n < 0 for n in values):
                 raise ValueError("path lengths must be nonnegative")
-        if any(c.render() == self.c0.render() for (c, _) in self.edge_lengths):
+        if self.c0.render() in self._edge_index:
             raise ValueError("c0 must not receive an edge path length")
 
+    # Lookups keyed by rendered color, built once per assignment.  Reversed
+    # so that the first pair of a rendered color wins, as a scan would.
+    @cached_property
+    def _vertex_index(self) -> dict[str, int]:
+        return {c.render(): n for c, n in reversed(self.vertex_lengths)}
+
+    @cached_property
+    def _edge_index(self) -> dict[str, int]:
+        return {c.render(): n for c, n in reversed(self.edge_lengths)}
+
     def vertex_length(self, color: ColorTag) -> int:
-        for c, n in self.vertex_lengths:
-            if c.render() == color.render():
-                return n
-        raise KeyError(f"no path length assigned to vertex color {color.render()}")
+        name = color.render()
+        if name not in self._vertex_index:
+            raise KeyError(f"no path length assigned to vertex color {name}")
+        return self._vertex_index[name]
 
     def edge_length(self, color: ColorTag) -> int:
-        for c, n in self.edge_lengths:
-            if c.render() == color.render():
-                return n
-        raise KeyError(f"no path length assigned to edge color {color.render()}")
+        name = color.render()
+        if name not in self._edge_index:
+            raise KeyError(f"no path length assigned to edge color {name}")
+        return self._edge_index[name]
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,8 +213,9 @@ def decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     labels = list(Gp.labels)
     edges = []
     new_vertices = []
+    c0_name = pa.c0.render()
     for (u, v, c) in Gp.edges:
-        if c is None or c.render() == pa.c0.render():
+        if c is None or c.render() == c0_name:
             edges.append((u, v, None))
             continue
         m = pa.edge_length(c)  # KeyError when a color has no assigned length

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, groupby, product, repeat
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class SignVector:
             raise ValueError("pointwise product needs identical domains")
         return SignVector(self.domain,
                           tuple(a * b for a, b in zip(self.signs, other.signs)))
-
-    def restrict(self, sub: tuple[int, ...]) -> SignVector:
-        return SignVector(tuple(sub), tuple(self.sign(i) for i in sub))
 
     def is_all_plus(self) -> bool:
         return all(s == 1 for s in self.signs)
@@ -304,13 +301,6 @@ class ColoredGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency_lists(self) -> list[list[tuple[int, object]]]:
-        adj: list[list[tuple[int, object]]] = [[] for _ in range(self.num_vertices)]
-        for (u, v, c) in self.edges:
-            adj[u].append((v, c))
-            adj[v].append((u, c))
-        return adj
-
     def degrees(self) -> list[int]:
         deg = [0] * self.num_vertices
         for (u, v, _) in self.edges:
@@ -496,19 +486,83 @@ def vertex_invariants(G: ColoredGraph, l_max: int = 3) -> list[tuple]:
 # Serialization
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _flat_records(items) -> bool:
+    """Whether every item is a non-empty dict with no container value."""
+    if not (all(map(isinstance, items, repeat(dict))) and all(items)):
+        return False
+    types = set(map(type, chain.from_iterable(map(dict.values, items))))
+    return not any(issubclass(t, _CONTAINERS) for t in types)
+
+
+def _encode(obj, depth: int) -> str:
+    """`obj` in `dump_json`'s layout, opened at nesting depth `depth`."""
+    if isinstance(obj, dict):
+        is_dict, items = True, sorted(obj.items())
+    elif isinstance(obj, (list, tuple)):
+        is_dict, items = False, obj
+    else:
+        return json.dumps(obj)
+    open_, close = "{}" if is_dict else "[]"
+    if not items:
+        return open_ + close
+    inner = "\n" + " " * (depth + 1)
+    outer = "\n" + " " * depth
+    if not is_dict and _flat_records(items):
+        # one C-encoder call writes every record with its keys at depth + 2
+        # and the records joined by the same separator; only the record
+        # boundaries need re-indenting, and "},\n" cannot occur inside an
+        # encoded string, which never holds a raw newline.  No more than two
+        # copies of the text are alive at once, here and below.
+        keys = inner + " "
+        body = json.dumps(items, sort_keys=True, separators=("," + keys, ": "))[2:-2]
+        body = body.replace("}," + keys + "{", inner + "}," + inner + "{" + keys)
+        return "".join(("[", inner, "{", keys, body, inner, "}", outer, "]"))
+    sep = "," + inner
+    parts = []
+    for scalar, group in groupby(items, lambda item: not isinstance(
+            item[1] if is_dict else item, _CONTAINERS)):
+        if scalar:
+            run = dict(group) if is_dict else list(group)
+            parts.append(json.dumps(run, sort_keys=True, separators=(sep, ": "))[1:-1])
+        elif is_dict:
+            # json.dumps({key: 0}) converts (or rejects) the key as json does
+            parts.extend(json.dumps({key: 0})[1:-4] + ": " + _encode(value, depth + 1)
+                         for key, value in group)
+        else:
+            parts.extend(_encode(value, depth + 1) for value in group)
+    parts[0] = open_ + inner + parts[0]
+    parts[-1] += outer + close
+    return sep.join(parts)
+
+
+def dump_json(obj) -> str:
+    """The one JSON writer: sorted keys, one space of indent per level.
+
+    The text equals `json.dumps(obj, sort_keys=True)` with an indent of one,
+    byte for byte.  That call would run CPython's pure-Python encoder; here
+    the recursion covers structure only, and every run of scalars and every
+    list of flat records is written by one call to the C encoder.
+    """
+    return _encode(obj, 0)
+
+
 def to_json_dict(G: ColoredGraph) -> dict:
-    return {
-        "vertices": [
-            {"id": i, "label": render_label(lab),
-             **({"color": c.render()} if c is not None else {})}
-            for i, (lab, c) in enumerate(zip(G.labels, G.vertex_colors))
-        ],
-        "edges": [
-            {"u": u, "v": v, **({"color": c.render()} if c is not None else {})}
-            for (u, v, c) in G.edges
-        ],
-        "meta": G.meta,
-    }
+    vertices = []
+    for i, (lab, c) in enumerate(zip(G.labels, G.vertex_colors)):
+        record = {"id": i, "label": render_label(lab)}
+        if c is not None:
+            record["color"] = c.render()
+        vertices.append(record)
+    edges = []
+    for (u, v, c) in G.edges:
+        record = {"u": u, "v": v}
+        if c is not None:
+            record["color"] = c.render()
+        edges.append(record)
+    return {"vertices": vertices, "edges": edges, "meta": G.meta}
 
 
 def from_json_dict(data: dict) -> ColoredGraph:
@@ -543,9 +597,9 @@ def to_dot(G: ColoredGraph) -> str:
 
 
 def serialize(G: ColoredGraph, fmt: str = "json") -> str:
-    """Render the graph as a JSON document or DOT source."""
+    """Render the graph as a JSON document (`dump_json`) or as DOT source."""
     if fmt == "json":
-        return json.dumps(to_json_dict(G), sort_keys=True, indent=1)
+        return dump_json(to_json_dict(G))
     if fmt == "dot":
         return to_dot(G)
     raise ValueError(f"unknown format {fmt!r}")

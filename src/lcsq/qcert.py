@@ -561,22 +561,23 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
             out[(vpath1[(v, i)], vpath2[(x, i)])] = elem
 
     # edge gadgets: w_{e_k, f_k} = u_{ac} u_{bd} + u_{ad} u_{bc}
-    def colored_edges(G: ColoredGraph) -> dict[str, list[tuple[int, int]]]:
-        grouped: dict[str, list[tuple[int, int]]] = {}
+    def colored_edges(G: ColoredGraph) -> dict[str, tuple]:
+        """Rendered color -> (its first tag, its edges), c0 and None left out."""
+        grouped: dict[str, tuple] = {}
         for (u, v, c) in G.edges:
-            if c is not None and c.render() != c0_name:
-                grouped.setdefault(c.render(), []).append((u, v))
+            if c is not None:
+                name = c.render()
+                if name != c0_name:
+                    grouped.setdefault(name, (c, []))[1].append((u, v))
         return grouped
 
     edges1 = colored_edges(cert.row_graph)
     edges2 = colored_edges(cert.col_graph)
     zero = cert.zero()
     gadgets: dict[tuple[int, int, int, int], object] = {}
-    for cname, elist in sorted(edges1.items()):
-        flist = edges2.get(cname, [])
-        m = pa.edge_length(  # colors of subdivided edges must carry a length
-            next(c for (_, _, c) in cert.row_graph.edges
-                 if c is not None and c.render() == cname))
+    for cname, (color, elist) in sorted(edges1.items()):
+        flist = edges2.get(cname, (None, []))[1]
+        m = pa.edge_length(color)  # colors of subdivided edges must carry a length
         for (a, b) in elist:
             for (c, d) in flist:
                 u_ac = cert.entry(a, c) or zero

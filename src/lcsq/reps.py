@@ -404,7 +404,7 @@ def pauli_magic_square_rep(distinguished: int = 0) -> Representation:
     rep = Representation(images, "dense", sys, name="pauli-magic-square")
     report = verify_representation(rep, sys, "iso", tol=1e-12)
     if not report.passed:  # construction bug, not a data condition
-        raise AssertionError(f"magic square failed verification: {report.worst}")
+        raise RuntimeError(f"magic square failed verification: {report.worst}")
     return rep
 
 

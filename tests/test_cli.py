@@ -7,13 +7,16 @@ import json
 
 import pytest
 
-from lcsq import qcert
-from lcsq.cli import main
+from types import SimpleNamespace
+
+from lcsq import graphiso, qcert, reps
+from lcsq.cli import EXIT_INTERNAL, main
 from test_qcert import corrupt_swap_columns
 
 EX_SYS = "11100;10011|01\n"
 K33_G = "6\n" + "".join(f"{a} {b}\n" for a in (1, 2, 3) for b in (4, 5, 6))
 K34_G = "7\n" + "".join(f"{a} {b}\n" for a in (1, 2, 3, 4) for b in (5, 6, 7))
+K35_G = "8\n" + "".join(f"{a} {b}\n" for a in (1, 2, 3) for b in (4, 5, 6, 7, 8))
 
 
 @pytest.fixture()
@@ -21,6 +24,7 @@ def files(tmp_path):
     (tmp_path / "ex.sys").write_text(EX_SYS)
     (tmp_path / "k33.g").write_text(K33_G)
     (tmp_path / "k34.g").write_text(K34_G)
+    (tmp_path / "k35.g").write_text(K35_G)
     (tmp_path / "bad.sys").write_text("111;11|00\n")
     return tmp_path
 
@@ -64,6 +68,27 @@ def test_build_deterministic(files):
     run("build", "--graph", files / "k33.g", "--construction", "Gstar",
         "--decolor", "full", "--out", out2)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# sha256 of graph JSONs and an `aut` report, measured with the stdlib
+# encoder before `graphs.dump_json` wrote them, from the relative paths below
+GPP35_SHA256 = "aaa3d61e97e9b885e885af7c6f1a893c8b9b9c9adcf55b8fa53736ee9eab02c1"
+AUT_GPP34_SHA256 = "db0a6c37b38d640c6604a661f5e70297a2a91802f7d88aab575ba490261dfc0f"
+
+
+def test_build_full_decolor_k35_is_pinned(files, monkeypatch):
+    monkeypatch.chdir(files)
+    assert run("build", "--graph", "k35.g", "--decolor", "full",
+               "--out", "gpp35.json") == 0
+    assert hashlib.sha256((files / "gpp35.json").read_bytes()).hexdigest() == GPP35_SHA256
+
+
+def test_aut_json_on_k34_gpp_is_pinned(files, monkeypatch):
+    monkeypatch.chdir(files)
+    assert run("build", "--graph", "k34.g", "--decolor", "full",
+               "--out", "gpp34.json") == 0
+    assert run("aut", "gpp34.json", "--json", "aut.json") == 0
+    assert hashlib.sha256((files / "aut.json").read_bytes()).hexdigest() == AUT_GPP34_SHA256
 
 
 def test_solve(files, capsys):
@@ -271,3 +296,22 @@ def test_malformed_graph_json_exit_2(files, capsys):
     assert "error:" in capsys.readouterr().err
     bad.write_text("not json at all")
     assert run("aut", bad) == 2
+
+
+def test_failed_self_check_exits_internal(files, monkeypatch, capsys):
+    def broken(G):
+        raise RuntimeError("search produced an invalid mapping")
+
+    a = files / "a.json"
+    assert run("build", "--graph", files / "k33.g", "--out", a) == 0
+    monkeypatch.setattr(graphiso, "automorphism_group", broken)
+    assert run("aut", a) == EXIT_INTERNAL == 4
+    assert "internal error: search produced an invalid mapping" in capsys.readouterr().err
+
+
+def test_failed_magic_square_exits_internal(files, monkeypatch, capsys):
+    failing = SimpleNamespace(passed=False, worst=("involution:x1", 2.0))
+    monkeypatch.setattr(reps, "verify_representation", lambda *args, **kw: failing)
+    assert run("cert", "qiso", "--graph", files / "k33.g", "--b1", "000000",
+               "--b2", "100000", "--rep", "pauli") == 4
+    assert "internal error: magic square failed verification" in capsys.readouterr().err

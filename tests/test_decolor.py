@@ -3,6 +3,7 @@ matching/degree hypotheses."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -10,9 +11,10 @@ import pytest
 from lcsq.f2core import BinMatrix, LinearSystem
 from lcsq.decolor import (EdgePath, Original, PathAssignment, Subdivision,
                           VertexPath, canonical_assignment, check_matchings,
-                          check_min_degree, decolor_edges, decolor_vertices)
+                          check_min_degree, decolor_edges, decolor_full,
+                          decolor_vertices)
 from lcsq.graphs import (ColoredGraph, IntraEdgeColor, PlainColor,
-                         SharedEdgeColor, build_G)
+                         SharedEdgeColor, build_G, serialize)
 
 C0 = SharedEdgeColor(-1)
 
@@ -210,6 +212,33 @@ def test_missing_edge_length_is_error():
     pa = PathAssignment((), (), PlainColor(0))
     with pytest.raises(KeyError):
         decolor_edges(G, pa)
+
+
+def test_unassigned_colors_raise_key_error_naming_them():
+    pa = PathAssignment(((PlainColor(1), 0),), ((PlainColor(2), 0),), PlainColor(0))
+    assert pa.vertex_length(PlainColor(1)) == 0
+    assert pa.edge_length(PlainColor(2)) == 0
+    with pytest.raises(KeyError, match="no path length assigned to vertex color plain:2"):
+        pa.vertex_length(PlainColor(2))
+    with pytest.raises(KeyError, match="no path length assigned to edge color plain:1"):
+        pa.edge_length(PlainColor(1))
+    with pytest.raises(KeyError, match="edge color plain:0"):
+        pa.edge_length(PlainColor(0))  # c0 has no length either
+
+
+# sha256 of `serialize(decolor_full(G, shared:-1))`, measured before the
+# lookups were keyed by rendered color
+DECOLOR_FULL_SHA256 = {
+    "gstar33_e1": "079f4988929a1482f94a4e99992e71b8ce4b5f3e85e2348484261c48684ab997",
+    "gstar34": "97c437d48efa4d6d950b003b683cd17bc8ff2fc65eb6f7608d5f97c0697f3e49",
+}
+
+
+@pytest.mark.parametrize("graph", sorted(DECOLOR_FULL_SHA256))
+def test_decolor_full_bytes_are_pinned(request, graph):
+    Gpp = decolor_full(request.getfixturevalue(graph), C0)
+    digest = hashlib.sha256(serialize(Gpp).encode()).hexdigest()
+    assert digest == DECOLOR_FULL_SHA256[graph]
 
 
 def test_count_formulas_random_systems():

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import BinMatrix, LinearSystem, parse_system
 from lcsq.graphs import (ColoredGraph, IntraEdgeColor, PlainColor,
                          SharedEdgeColor, VertexColor,
-                         adjacency_matrix, build_G, build_Gstar, parse_graph_json,
-                         render_label, serialize, sign_vectors, vertex_invariants)
+                         adjacency_matrix, build_G, build_Gstar, dump_json,
+                         parse_graph_json, render_label, serialize, sign_vectors,
+                         to_json_dict, vertex_invariants)
 
 # The 2x5 demo system: block 0 holds the solutions of x1 x2 x3 = 1 and block 1
 # the solutions of x1 x4 x5 = -1, in canonical order; the 8 surviving inter
@@ -237,6 +240,73 @@ def test_round_trip_random_plain_graphs():
                         for _ in range(n))
         G = ColoredGraph(tuple(range(n)), vcolors, edges)
         assert parse_graph_json(serialize(G)) == G
+
+
+def stdlib_dump(obj) -> str:
+    """The oracle `dump_json` must match byte for byte."""
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+# strings that look like the record boundaries `dump_json` re-indents, or
+# that the encoder escapes
+TRICKY_TEXT = ["}", "{", "},\n  {", "},\n {\n", "[]", '"', '\\"', "\\",
+               "\n", "\t", "é", "☃ snow", "\u2028", ""]
+text = st.one_of(st.sampled_from(TRICKY_TEXT), st.text(max_size=6))
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), text,
+    st.sampled_from([1e-10, float("inf"), float("-inf"), float("nan"), -0.0, 0.5]),
+    st.floats(allow_nan=True, allow_infinity=True))
+# `json` sorts int keys numerically before writing them as strings
+key_sets = [text, st.integers(-20, 20)]
+records = st.one_of(*(st.dictionaries(keys, scalars, min_size=1, max_size=4)
+                      for keys in key_sets))
+
+
+def json_trees(depth: int):
+    if depth == 0:
+        return scalars
+    child = json_trees(depth - 1)
+    nested_records = st.builds(lambda record, key, value: {**record, key: value},
+                               st.dictionaries(text, scalars, max_size=3), text, child)
+    return st.one_of(
+        scalars,
+        st.lists(child, max_size=4),
+        st.lists(child, max_size=4).map(tuple),
+        *(st.dictionaries(keys, child, max_size=4) for keys in key_sets),
+        st.lists(records, min_size=1, max_size=5),
+        st.lists(st.one_of(records, nested_records, st.just({}), st.just([])),
+                 max_size=5),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees(4))
+def test_dump_json_matches_stdlib_indent(tree):
+    assert dump_json(tree) == stdlib_dump(tree)
+
+
+@pytest.mark.parametrize("tree", [
+    [], {}, [[]], {"a": {}}, [{}, {"a": 1}], [{"a": 1}, {}],
+    [{"a": 1}, {"b": [2]}], ({"a": "},\n   {"}, {"b": "}"}),
+    {2: "x", 10: [1], -1: {"k": None}}, [1, [2, 3], 4, {"z": 5, "a": [6]}],
+    "},\n {", float("nan"), [float("inf"), {"x": float("-inf")}],
+])
+def test_dump_json_edge_cases(tree):
+    assert dump_json(tree) == stdlib_dump(tree)
+
+
+def test_dump_json_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        dump_json({(1, 2): [3]})
+    with pytest.raises(TypeError):
+        dump_json([{"a": object()}])
+
+
+def test_serialize_is_stdlib_bytes(gstar33_0, gpp33_pair):
+    """G*(K3,3) and the two 426-vertex decolorings serialize exactly as the
+    stdlib encoder writes them."""
+    for G in (gstar33_0, *gpp33_pair):
+        assert serialize(G) == stdlib_dump(to_json_dict(G))
 
 
 def test_dot_output(gstar33_0):
