@@ -4,7 +4,10 @@ verify certificates, and decide classical isomorphism.
 Exit codes: 0 success / verified positive; 1 verified negative
 (unsolvable, non-isomorphic, certificate failure); 2 usage or parse
 error; 3 enumeration cap hit; 4 internal error (a self-check inside the
-library failed, which is a bug, not a verdict).  All reports and graph
+library failed, or a certificate precondition failed on inputs the CLI
+built itself: a bug, not a verdict).  Certificates are verified in exact
+arithmetic on both backends, so "passes" means that every residual is
+literally zero; there is no tolerance to set.  All reports and graph
 files are written by `graphs.dump_json` (sorted keys, one space of indent),
 so identical configurations produce byte-identical outputs.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 from . import f2core, fpgroups, graphs, decolor, reps, qcert, graphiso
 
@@ -43,7 +46,6 @@ class RunConfig:
     rep: str | None = None
     lift: bool = False
     cap: int | None = None
-    tol: float = qcert.DEFAULT_TOL
     out: str | None = None
     dot: str | None = None
     report: str | None = None
@@ -226,15 +228,15 @@ def cmd_cert(cfg: RunConfig) -> int:
         raise UsageError("--rep must be pauli or regular")
 
     mode = "qut" if cfg.subcommand == "qut" else "iso"
-    cert = qcert.build_magic_unitary(G1, G2, R, cfg.tol)
-    report = qcert.verify_cert(cert, mode, cfg.tol)
+    cert = qcert.build_magic_unitary(G1, G2, R)
+    report = qcert.verify_cert(cert, mode)
     result: dict = {"config": cfg.echo(), "mode": mode,
                     "verification": report.to_json_dict()}
     lines = [f"certificate {'passes' if report.passed else 'FAILS'} "
              f"(max residual {report.max_residual:.3g})"]
 
     if mode == "qut":
-        witness = qcert.noncommuting_witness(cert, cfg.tol)
+        witness = qcert.noncommuting_witness(cert)
         result["noncommuting_witness"] = (
             None if witness is None else
             {"entry_a": list(witness[0]), "entry_b": list(witness[1]),
@@ -243,23 +245,21 @@ def cmd_cert(cfg: RunConfig) -> int:
                      + ("found" if witness else "none (all entries commute)"))
 
     passed = report.passed
-    lift_tol = max(cfg.tol, qcert.LIFTED_TOL)
-    # a source that fails at the lift tolerance is not lifted: the run is a
-    # verified negative either way
-    if cfg.lift and replace(report, tol=lift_tol).passed:
+    # a failing source is not lifted: the run is a verified negative either way
+    if cfg.lift and passed:
         c0 = _pick_c0(cfg, G1)
         pa = decolor.canonical_assignment(G1, c0)
         Gpp1 = decolor.decolor_edges(decolor.decolor_vertices(G1, pa), pa)
         Gpp2 = (Gpp1 if G2 is G1 else
                 decolor.decolor_edges(decolor.decolor_vertices(G2, pa), pa))
-        lifted = qcert.lift_cert(cert, report, Gpp1, Gpp2, lift_tol)
-        lift_report = qcert.verify_cert(lifted, mode, lift_tol)
+        lifted = qcert.lift_cert(cert, report, Gpp1, Gpp2)
+        lift_report = qcert.verify_cert(lifted, mode)
         result["lifted_verification"] = lift_report.to_json_dict()
         lines.append(f"lifted certificate over {Gpp1.num_vertices}-vertex graphs "
                      f"{'passes' if lift_report.passed else 'FAILS'}")
         passed = passed and lift_report.passed
         if mode == "qut":
-            lifted_witness = qcert.noncommuting_witness(lifted, cfg.tol)
+            lifted_witness = qcert.noncommuting_witness(lifted)
             result["lifted_noncommuting_witness"] = lifted_witness is not None
 
     if cfg.out:
@@ -338,7 +338,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--b2")
     p.add_argument("--rep", choices=["pauli", "regular"], required=True)
     p.add_argument("--lift", action="store_true")
-    p.add_argument("--tol", type=float, default=qcert.DEFAULT_TOL)
     p.add_argument("--cap", type=int)
     p.add_argument("--out", help="write certificate JSON here")
     p.add_argument("--report", help="write verification report JSON here")
@@ -388,7 +387,7 @@ def main(argv=None) -> int:
         if args.command == "cert":
             return cmd_cert(RunConfig(
                 args.kind, construction=args.construction, b1=args.b1, b2=args.b2,
-                rep=args.rep, lift=args.lift, tol=args.tol, cap=args.cap,
+                rep=args.rep, lift=args.lift, cap=args.cap,
                 out=args.out, report=args.report, **common))
         if args.command == "iso":
             cfg = RunConfig("iso", map_out=args.map_out, json_out=args.json_out)
@@ -404,7 +403,8 @@ def main(argv=None) -> int:
     except KeyError as exc:  # malformed JSON documents
         print(f"error: missing field {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:  # a library self-check failed
+    except (RuntimeError, qcert.CertificateError) as exc:
+        # a library self-check failed: every certificate input is built here
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

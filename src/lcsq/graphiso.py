@@ -83,7 +83,7 @@ class _Instance:
     above every degree, so a sum of weights encodes a per-color count.
     """
 
-    def __init__(self, graphs: list[ColoredGraph], seeds=None):
+    def __init__(self, graphs: list[ColoredGraph]):
         self.split = graphs[0].num_vertices  # first vertex of the second graph
         total = sum(G.num_vertices for G in graphs)
 
@@ -108,13 +108,8 @@ class _Instance:
             self.adj[u].append((v, weight))
             self.adj[v].append((u, weight))
 
-        tokens = []
-        for gi, G in enumerate(graphs):
-            seed = seeds[gi] if seeds else None
-            for v in range(G.num_vertices):
-                c = G.vertex_colors[v]
-                tokens.append((c.render() if c is not None else "",
-                               repr(seed[v]) if seed is not None else ""))
+        tokens = [c.render() if c is not None else ""
+                  for G in graphs for c in G.vertex_colors]
         token_ids = {t: i for i, t in enumerate(sorted(set(tokens)))}
         self.init_colors = [token_ids[t] for t in tokens]
 
@@ -194,10 +189,9 @@ class _Instance:
         return tuple(history)
 
 
-def refine(G: ColoredGraph, seed=None) -> StableColoring:
-    """Stable 1-WL partition of one graph, optionally seeded by per-vertex
-    fingerprints (e.g. vertex_invariants)."""
-    inst = _Instance([G], seeds=[seed] if seed is not None else None)
+def refine(G: ColoredGraph) -> StableColoring:
+    """Stable 1-WL partition of one graph."""
+    inst = _Instance([G])
     part, history = inst.initial()
     return StableColoring(tuple(part.cell_of), len(history), history)
 

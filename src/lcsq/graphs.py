@@ -19,8 +19,6 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain, groupby, product, repeat
 
-import numpy as np
-
 from .f2core import LinearSystem, parse_system, render_system
 
 
@@ -323,26 +321,6 @@ class ColoredGraph:
         raw = self.meta.get("system")
         return parse_system(raw) if raw else None
 
-    def decolored_adjacency(self) -> np.ndarray:
-        A = np.zeros((self.num_vertices, self.num_vertices), dtype=np.float64)
-        for (u, v, _) in self.edges:
-            A[u, v] = A[v, u] = 1.0
-        return A
-
-
-def adjacency_matrix(G: ColoredGraph, color: ColorTag) -> np.ndarray:
-    """0/1 adjacency matrix of the edges carrying one color."""
-    palette = {c.render() for c in G.edge_palette()}
-    if color.render() not in palette:
-        raise ValueError(f"color {color.render()} is not in the graph's palette")
-    A = np.zeros((G.num_vertices, G.num_vertices), dtype=np.int64)
-    want = color.render()
-    for (u, v, c) in G.edges:
-        if c is not None and c.render() == want:
-            A[u, v] = A[v, u] = 1
-    return A
-
-
 # ---------------------------------------------------------------------------
 # Constructions
 
@@ -432,54 +410,6 @@ def build_Gstar(sys: LinearSystem) -> ColoredGraph:
 
     meta = {"construction": "Gstar", "system": render_system(sys)}
     return ColoredGraph(tuple(labels), tuple(colors), tuple(edges), meta)
-
-
-# ---------------------------------------------------------------------------
-# Vertex invariants (refinement seeds)
-
-
-def vertex_invariants(G: ColoredGraph, l_max: int = 3) -> list[tuple]:
-    """Per-vertex fingerprint over the decolored adjacency matrix.
-
-    Combines the degree, the diagonal of A^l for l = 1..l_max (closed walk
-    counts), and the multiset of neighbor degrees at each BFS distance.
-    Vertices with different fingerprints lie in different orbits.
-    """
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
-    n = G.num_vertices
-    A = G.decolored_adjacency()
-    diags = []
-    P = A.copy()
-    for _ in range(l_max):
-        diags.append(tuple(int(x) for x in np.round(np.diag(P))))
-        P = P @ A
-    deg = G.degrees()
-
-    adj = [[] for _ in range(n)]
-    for (u, v, _) in G.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    out = []
-    for v in range(n):
-        dist = [-1] * n
-        dist[v] = 0
-        frontier = [v]
-        rings: list[tuple[int, ...]] = []
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if dist[y] < 0:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            if nxt:
-                rings.append(tuple(sorted(deg[y] for y in nxt)))
-            frontier = nxt
-        walks = tuple(d[v] for d in diags)
-        out.append((deg[v], walks, tuple(rings)))
-    return out
 
 
 # ---------------------------------------------------------------------------

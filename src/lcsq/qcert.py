@@ -20,23 +20,20 @@ signature (the ids of the terms, in order): entries that coincide by the
 block structure share one object, so most sums repeat.  A family's
 residual is the largest norm of any single entry: a per-entry Frobenius
 norm for dense elements, and for group-algebra elements the l1 norm of
-the coefficients, which is zero exactly on zero.
+the coefficients.  Both backends are exact, so a norm is zero exactly on
+zero, and a family passes only when its residual is literally 0.0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .f2core import LinearSystem
 from .graphs import ColoredGraph, VertexLabel
 from .decolor import Original, VertexPath, Subdivision, EdgePath, PathAssignment
 from .reps import DenseElement, Representation, verify_representation
 
-DEFAULT_TOL = 1e-10
-LIFTED_TOL = 1e-9
-
-
-class CertificateError(ValueError):
+class CertificateError(Exception):
     """A certificate precondition failed (mismatched inputs, failed source)."""
 
 
@@ -84,11 +81,8 @@ class MagicUnitaryCert:
             elem = self.entries[(i, j)]
             if id(elem) not in index:
                 index[id(elem)] = len(table)
-                if isinstance(elem, GroupAlgebraElement):
-                    table.append(elem.support())
-                else:
-                    table.append([[[float(z.real), float(z.imag)] for z in row]
-                                  for row in elem.mat])
+                table.append(elem.support() if isinstance(elem, GroupAlgebraElement)
+                             else elem.rows())
             entry_list.append({
                 "row": render_label(self.row_graph.labels[i]),
                 "col": render_label(self.col_graph.labels[j]),
@@ -121,7 +115,7 @@ def _block_vertices(G: ColoredGraph) -> dict[int, list[int]]:
 
 
 def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
-                        R: Representation, tol: float = DEFAULT_TOL) -> MagicUnitaryCert:
+                        R: Representation) -> MagicUnitaryCert:
     """Certificate u with u[(k,alpha),(k,beta)] = prod_i p_i^{(alpha*beta)_i}.
 
     R must represent the relation set of (M, b + b'); this is verified
@@ -133,7 +127,7 @@ def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
     sys_xor = LinearSystem(s1.M, xor_b)
     if len(R.images) != s1.M.cols:
         raise CertificateError(f"{len(R.images)} images for {s1.M.cols} variables")
-    report = verify_representation(R, sys_xor, "iso", tol)
+    report = verify_representation(R, sys_xor, "iso")
     if not report.passed:
         raise CertificateError(
             f"representation fails for b+b': {report.worst} "
@@ -193,7 +187,6 @@ class VerificationReport:
     """Residual per relation family, the worst offender, and the verdict."""
 
     families: tuple  # ((name, residual, worst description), ...)
-    tol: float
     backend: str
 
     @property
@@ -208,14 +201,13 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        limit = 0.0 if self.backend == "group_algebra" else self.tol
-        return all(r <= limit for _, r, _ in self.families)
+        return all(r == 0.0 for _, r, _ in self.families)
 
     def residual(self, family: str) -> float:
         return max((r for n, r, _ in self.families if n == family), default=0.0)
 
     def to_json_dict(self) -> dict:
-        return {"passed": self.passed, "tol": self.tol, "backend": self.backend,
+        return {"passed": self.passed, "backend": self.backend,
                 "max_residual": self.max_residual,
                 "families": [{"name": n, "residual": r, "worst": w}
                              for n, r, w in self.families]}
@@ -281,8 +273,7 @@ def _intertwine(cert: MagicUnitaryCert,
     return worst
 
 
-def verify_cert(cert: MagicUnitaryCert, mode: str,
-                tol: float = DEFAULT_TOL) -> VerificationReport:
+def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     """Check the full relation set of the certificate.
 
     Families: entry projections; row and column sums = identity; color
@@ -296,9 +287,7 @@ def verify_cert(cert: MagicUnitaryCert, mode: str,
     norm of any one offending element.  For the dense backend that is the
     Frobenius norm of one d x d entry (for intertwining, of one (i, j)
     entry of A_G u - u A_G'), not of the whole difference.  Each distinct
-    row, column or intertwining sum is evaluated once (see `_residual`);
-    dense sums keep the left-to-right order of a chain of `+`, so failing
-    float residuals do not depend on the memo.
+    row, column or intertwining sum is evaluated once (see `_residual`).
     """
     if mode not in ("qut", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -384,7 +373,7 @@ def verify_cert(cert: MagicUnitaryCert, mode: str,
                         worst, desc = r, f"block {k}"
         families.append(("block_commute", worst, desc))
 
-    return VerificationReport(tuple(families), tol, cert.backend)
+    return VerificationReport(tuple(families), cert.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +400,14 @@ def _recover_block_table(cert: MagicUnitaryCert) -> dict:
     return table
 
 
-def extract_generators(cert: MagicUnitaryCert,
-                       tol: float = DEFAULT_TOL) -> ExtractionReport:
+def extract_generators(cert: MagicUnitaryCert) -> ExtractionReport:
     """Recover y_i = sum_delta delta_i v^{(k)}_delta for every variable.
 
     The sum must not depend on which block k containing i is used; the
     maximal cross-block deviation is reported, together with the residual
     against the source representation when one is attached.
     """
-    report = verify_cert(cert, "iso", tol)
+    report = verify_cert(cert, "iso")
     if not report.passed:
         raise CertificateError(
             f"certificate fails verification: {report.worst[0]} "
@@ -466,21 +454,20 @@ def extract_generators(cert: MagicUnitaryCert,
 # Quantum symmetry witness
 
 
-def noncommuting_witness(cert: MagicUnitaryCert, tol: float = DEFAULT_TOL):
+def noncommuting_witness(cert: MagicUnitaryCert):
     """Some pair of nonzero entries whose commutator is nonzero, or None.
 
     Enumerates all pairs of distinct stored elements (each nonzero entry
     value appears once), so "None" means every pair of certificate
     entries commutes -- no quantum symmetry is witnessed.
     """
-    limit = 0.0 if cert.backend == "group_algebra" else tol
     distinct = cert.distinct_elements()
     for a in range(len(distinct)):
         key_a, elem_a = distinct[a]
         for b in range(a + 1, len(distinct)):
             key_b, elem_b = distinct[b]
             r = (elem_a * elem_b - elem_b * elem_a).residual_norm()
-            if r > limit:
+            if r:
                 return (key_a, key_b, r)
     return None
 
@@ -516,13 +503,12 @@ def _assignment_of(G: ColoredGraph) -> dict:
 
 
 def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
-              Gpp1: ColoredGraph, Gpp2: ColoredGraph,
-              tol: float = LIFTED_TOL) -> MagicUnitaryCert:
+              Gpp1: ColoredGraph, Gpp2: ColoredGraph) -> MagicUnitaryCert:
     """Transport a verified certificate over (G, G') to their decolorings.
 
     `report` is `verify_cert`'s report on `cert` (either mode: the residuals
-    are the same).  It is judged at `tol`, so this raises exactly when
-    re-verifying the source at `tol` would fail, without re-verifying it.
+    are the same).  This raises exactly when the report fails, without
+    re-verifying the source.
 
     Original and path vertices inherit the source entry at equal path
     positions; subdivision vertices of same-colored edges e = (a, b) and
@@ -539,7 +525,7 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
             base2 != cert.col_graph.meta.get("system"):
         raise CertificateError("decolorings were not built from the certificate's graphs")
 
-    if not replace(report, tol=tol).passed:
+    if not report.passed:
         raise CertificateError(
             f"source certificate fails verification: {report.worst[0]} "
             f"(residual {report.worst[1]:.3g})")
@@ -549,7 +535,6 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
     orig1, vpath1, sub1, epath1 = _decorated_index(Gpp1)
     orig2, vpath2, sub2, epath2 = _decorated_index(Gpp2)
 
-    limit = 0.0 if cert.backend == "group_algebra" else tol
     out: dict = {}
 
     # vertex gadgets: w_{v_k, x_k} = u_{v, x}
@@ -587,8 +572,7 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
                 sig = (id(u_ac), id(u_bd), id(u_ad), id(u_bc))
                 elem = gadgets.get(sig)
                 if elem is None:
-                    swap = (u_ac * u_bd - u_bd * u_ac).residual_norm()
-                    if swap > limit:
+                    if not (u_ac * u_bd - u_bd * u_ac).is_zero():
                         raise CertificateError(
                             f"entries for edges {(a, b)}/{(c, d)} do not commute")
                     elem = gadgets[sig] = u_ac * u_bd + u_ad * u_bc

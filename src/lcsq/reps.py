@@ -1,32 +1,83 @@
 """Star-algebra backends and concrete representations of solution-group
 relation sets.
 
-Two interchangeable element types drive everything downstream:
+Two interchangeable element types drive everything downstream, and both
+are exact:
 
-* DenseElement -- square complex matrices (numpy), compared in Frobenius
-  norm against a tolerance;
-* GroupAlgebraElement -- exact elements of the group algebra of a finite
-  group given by a completed coset table, with dyadic-rational
-  coefficients stored as integer numerators over a shared power-of-two
-  denominator.  All constants arising here are halves of sums of group
-  elements, so the arithmetic never leaves this ring and equality is
-  literal.
+* DenseElement -- square matrices over the dyadic Gaussian rationals
+  Z[i][1/2], stored as integer real and imaginary numerators over one
+  shared power-of-two denominator.  The Pauli magic square has entries
+  0, +-1, +-i, and every constant arising here is a half, so this ring
+  holds all of its arithmetic;
+* GroupAlgebraElement -- elements of the group algebra of a finite group
+  given by a completed coset table, with dyadic-rational coefficients
+  stored the same way.
 
+Both keep a dict of nonzero integer numerators and an exponent exp (the
+value is numerators / 2^exp), normalized so that either exp = 0 or some
+numerator is odd, so equal elements are equal objects field by field.
 Both support sum, product, halving, adjoint, `combine` (the sum of one
 sequence of elements minus the sum of another, in one call), and a
-residual norm that is zero exactly on the zero element.
+residual norm that is 0.0 exactly on the zero element; a relation holds
+only when its residual is literally zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .f2core import LinearSystem, complete_bipartite, incidence_system
 from .fpgroups import CosetTable, coset_rep_words
 
-DENSE_EQ_TOL = 1e-10
+
+# ---------------------------------------------------------------------------
+# Dyadic numerators, shared by both backends
+
+
+def _normalized(coeffs: dict[int, int], exp: int) -> tuple[dict[int, int], int]:
+    """`coeffs` without its zero numerators, and `exp`, both reduced until
+    either exp = 0 or some numerator is odd."""
+    coeffs = {k: c for k, c in coeffs.items() if c}
+    if not coeffs:
+        return coeffs, 0
+    if exp > 0:
+        # every numerator is divisible by 2^t, t = trailing zeros of their OR
+        bits = 0
+        for c in coeffs.values():
+            bits |= c
+        shift = min((bits & -bits).bit_length() - 1, exp)
+        if shift:
+            coeffs = {k: c >> shift for k, c in coeffs.items()}
+            exp -= shift
+    return coeffs, exp
+
+
+def _accumulate(plus, minus) -> tuple[dict[int, int], int]:
+    """Numerators and exponent of sum(plus) - sum(minus), unnormalized: the
+    terms' numerators are aligned to their largest exponent and summed key
+    by key.  Exact, so the order of the terms does not matter."""
+    exp = 0
+    for t in plus:
+        exp = max(exp, t.exp)
+    for t in minus:
+        exp = max(exp, t.exp)
+    acc: dict[int, int] = {}
+    for t in plus:
+        shift = exp - t.exp
+        if shift:
+            for k, c in t.coeffs.items():
+                acc[k] = acc.get(k, 0) + (c << shift)
+        elif acc:
+            for k, c in t.coeffs.items():
+                acc[k] = acc.get(k, 0) + c
+        else:
+            acc = dict(t.coeffs)
+    for t in minus:
+        shift = exp - t.exp
+        for k, c in t.coeffs.items():
+            acc[k] = acc.get(k, 0) - (c << shift)
+    return acc, exp
 
 
 # ---------------------------------------------------------------------------
@@ -34,68 +85,131 @@ DENSE_EQ_TOL = 1e-10
 
 
 class DenseElement:
-    """A d x d complex matrix with algebra operations."""
+    """A d x d matrix over Z[i][1/2].
 
-    __slots__ = ("mat",)
+    `coeffs` maps 2 * (i * d + j) + part to a nonzero integer numerator of
+    the real (part 0) or imaginary (part 1) component of entry (i, j); the
+    entry is (re + i * im) / 2^exp.  The constructor reads a square matrix
+    of finite numbers, each converted exactly from its complex float value.
+    """
+
+    __slots__ = ("dim", "coeffs", "exp")
 
     def __init__(self, mat):
-        arr = np.asarray(mat, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        try:
+            rows = [[complex(z) for z in row] for row in mat]
+        except TypeError:
+            raise ValueError("dense elements must be square matrices") from None
+        d = len(rows)
+        if not d or any(len(row) != d for row in rows):
             raise ValueError("dense elements must be square matrices")
-        self.mat = arr
+        ratios = {}
+        for i, row in enumerate(rows):
+            for j, z in enumerate(row):
+                for part, x in enumerate((z.real, z.imag)):
+                    if not math.isfinite(x):
+                        raise ValueError(f"dense entry ({i}, {j}) is not finite")
+                    if x:
+                        ratios[2 * (i * d + j) + part] = x.as_integer_ratio()
+        exp = max((den.bit_length() - 1 for _, den in ratios.values()), default=0)
+        coeffs = {k: num << (exp - den.bit_length() + 1)
+                  for k, (num, den) in ratios.items()}
+        self.dim = d
+        self.coeffs, self.exp = _normalized(coeffs, exp)
+
+    @classmethod
+    def _exact(cls, dim: int, coeffs: dict[int, int], exp: int) -> DenseElement:
+        self = object.__new__(cls)
+        self.dim = dim
+        self.coeffs, self.exp = _normalized(coeffs, exp)
+        return self
 
     @classmethod
     def identity(cls, d: int) -> DenseElement:
-        return cls(np.eye(d))
-
-    @classmethod
-    def zero(cls, d: int) -> DenseElement:
-        return cls(np.zeros((d, d)))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+        return cls._exact(d, {2 * (i * d + i): 1 for i in range(d)}, 0)
 
     @staticmethod
     def combine(plus, minus) -> DenseElement:
-        """sum(plus) - sum(minus) over sequences of elements; each side is
-        summed left to right, as a chain of `+` would, so float results
-        are the chain's bit for bit."""
-        def total(side):
-            acc = side[0].mat
-            for t in side[1:]:
-                acc = acc + t.mat
-            return acc
-
-        if not minus:
-            return DenseElement(total(plus))
-        if not plus:
-            return DenseElement(-total(minus))
-        return DenseElement(total(plus) - total(minus))
+        """sum(plus) - sum(minus) over sequences of elements, in one
+        accumulator; at least one term."""
+        terms = [*plus, *minus]
+        if not terms:
+            raise ValueError("combine needs at least one term")
+        d = terms[0].dim
+        for t in terms:
+            if t.dim != d:
+                raise ValueError("dense elements of different dimensions")
+        return DenseElement._exact(d, *_accumulate(plus, minus))
 
     def __add__(self, other: DenseElement) -> DenseElement:
-        return DenseElement(self.mat + other.mat)
+        return DenseElement.combine((self, other), ())
 
     def __sub__(self, other: DenseElement) -> DenseElement:
-        return DenseElement(self.mat - other.mat)
+        return DenseElement.combine((self,), (other,))
 
     def __neg__(self) -> DenseElement:
-        return DenseElement(-self.mat)
+        return DenseElement._exact(self.dim, {k: -c for k, c in self.coeffs.items()},
+                                   self.exp)
 
     def __mul__(self, other: DenseElement) -> DenseElement:
-        return DenseElement(self.mat @ other.mat)
+        d = self.dim
+        if other.dim != d:
+            raise ValueError("dense elements of different dimensions")
+        width = 2 * d  # keys of one row: i * width + 2 * j + part
+        # row k of the right factor: (2j + part, b, -b if part else b); the
+        # third is what b contributes after an imaginary left entry (i * i = -1)
+        rows: dict[int, list[tuple[int, int, int]]] = {}
+        for key, b in other.coeffs.items():
+            k, col = divmod(key, width)
+            rows.setdefault(k, []).append((col, b, -b if col & 1 else b))
+        out: dict[int, int] = {}
+        for key, a in self.coeffs.items():
+            i, col = divmod(key, width)
+            row = rows.get(col >> 1)
+            if row is None:
+                continue
+            base = i * width
+            if col & 1:  # i * re -> im, i * (i * im) -> -re
+                for c, _, b in row:
+                    o = base + (c ^ 1)
+                    out[o] = out.get(o, 0) + a * b
+            else:
+                for c, b, _ in row:
+                    o = base + c
+                    out[o] = out.get(o, 0) + a * b
+        return DenseElement._exact(d, out, self.exp + other.exp)
 
     def halve(self) -> DenseElement:
-        return DenseElement(self.mat * 0.5)
+        return DenseElement._exact(self.dim, self.coeffs, self.exp + 1)
 
     def adjoint(self) -> DenseElement:
-        return DenseElement(self.mat.conj().T)
+        width = 2 * self.dim
+        out = {}
+        for key, c in self.coeffs.items():
+            i, col = divmod(key, width)
+            out[(col >> 1) * width + 2 * i + (col & 1)] = -c if col & 1 else c
+        return DenseElement._exact(self.dim, out, self.exp)
 
     def residual_norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
+        # the Frobenius norm, from the exact sum of squares: 0.0 exactly on
+        # the zero element, positive otherwise
+        return math.sqrt(sum(c * c for c in self.coeffs.values())) / (1 << self.exp)
 
-    def is_zero(self, tol: float = DENSE_EQ_TOL) -> bool:
-        return self.residual_norm() <= tol
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def rows(self) -> list[list[list[float]]]:
+        """The matrix as rows of [re, im] float pairs (its JSON form)."""
+        d, c, scale = self.dim, self.coeffs, 1 << self.exp
+        return [[[c.get(2 * (i * d + j), 0) / scale, c.get(2 * (i * d + j) + 1, 0) / scale]
+                 for j in range(d)] for i in range(d)]
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, DenseElement) and self.dim == other.dim
+                and self.exp == other.exp and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.dim, self.exp, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self):
         return f"DenseElement(dim={self.dim})"
@@ -141,8 +255,7 @@ class GroupAlgebraContext:
 
 
 class GroupAlgebraElement:
-    """sum_g (coeffs[g] / 2^exp) * g, exact, normalized so that either
-    exp = 0 or some numerator is odd.
+    """sum_g (coeffs[g] / 2^exp) * g, exact and normalized.
 
     Sums and differences of any number of terms go through `combine`, one
     accumulator that aligns the exponents and normalizes once; `+` and `-`
@@ -152,21 +265,8 @@ class GroupAlgebraElement:
     __slots__ = ("ctx", "coeffs", "exp")
 
     def __init__(self, ctx: GroupAlgebraContext, coeffs: dict[int, int], exp: int):
-        coeffs = {g: c for g, c in coeffs.items() if c}
-        if not coeffs:
-            exp = 0
-        elif exp > 0:
-            # every numerator is divisible by 2^t, t = trailing zeros of their OR
-            bits = 0
-            for c in coeffs.values():
-                bits |= c
-            shift = min((bits & -bits).bit_length() - 1, exp)
-            if shift:
-                coeffs = {g: c >> shift for g, c in coeffs.items()}
-                exp -= shift
         self.ctx = ctx
-        self.coeffs = coeffs
-        self.exp = exp
+        self.coeffs, self.exp = _normalized(coeffs, exp)
 
     @staticmethod
     def combine(plus, minus) -> GroupAlgebraElement:
@@ -176,21 +276,10 @@ class GroupAlgebraElement:
         if not terms:
             raise ValueError("combine needs at least one term")
         ctx = terms[0].ctx
-        exp = 0
         for t in terms:
             if t.ctx is not ctx:
                 raise ValueError("elements live over different group algebras")
-            exp = max(exp, t.exp)
-        acc: dict[int, int] = {}
-        for t in plus:
-            shift = exp - t.exp
-            for g, c in t.coeffs.items():
-                acc[g] = acc.get(g, 0) + (c << shift)
-        for t in minus:
-            shift = exp - t.exp
-            for g, c in t.coeffs.items():
-                acc[g] = acc.get(g, 0) - (c << shift)
-        return GroupAlgebraElement(ctx, acc, exp)
+        return GroupAlgebraElement(ctx, *_accumulate(plus, minus))
 
     def __add__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
         return GroupAlgebraElement.combine((self, other), ())
@@ -214,7 +303,7 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.ctx, out, self.exp + other.exp)
 
     def halve(self) -> GroupAlgebraElement:
-        return GroupAlgebraElement(self.ctx, dict(self.coeffs), self.exp + 1)
+        return GroupAlgebraElement(self.ctx, self.coeffs, self.exp + 1)
 
     def adjoint(self) -> GroupAlgebraElement:
         inv = self.ctx.inverse
@@ -226,7 +315,7 @@ class GroupAlgebraElement:
         # 0.0 exactly on the zero element; positive otherwise
         return sum(abs(c) for c in self.coeffs.values()) / float(1 << self.exp)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
+    def is_zero(self) -> bool:
         return not self.coeffs
 
     def support(self) -> list[tuple[int, int, int]]:
@@ -280,7 +369,6 @@ class RepVerification:
     """Residual of every defining relation, plus the overall verdict."""
 
     entries: tuple  # ((name, residual), ...)
-    tol: float
     backend: str
 
     @property
@@ -295,23 +383,21 @@ class RepVerification:
 
     @property
     def passed(self) -> bool:
-        limit = 0.0 if self.backend == "group_algebra" else self.tol
-        return all(r <= limit for _, r in self.entries)
+        return all(r == 0.0 for _, r in self.entries)
 
     def to_json_dict(self) -> dict:
-        return {"passed": self.passed, "tol": self.tol, "backend": self.backend,
+        return {"passed": self.passed, "backend": self.backend,
                 "max_residual": self.max_residual, "worst": self.worst,
                 "relations": [{"name": n, "residual": r} for n, r in self.entries]}
 
 
-def verify_representation(R: Representation, sys: LinearSystem, mode: str,
-                          tol: float = DENSE_EQ_TOL) -> RepVerification:
+def verify_representation(R: Representation, sys: LinearSystem,
+                          mode: str) -> RepVerification:
     """Check the defining relations of the solution-group relation set.
 
     mode "qut" checks the homogeneous relations (every constraint product
-    equals +1); mode "iso" checks products against (-1)^{b_k}.  Exact
-    backends must produce literal zeros; dense residuals are Frobenius
-    norms compared against tol.
+    equals +1); mode "iso" checks products against (-1)^{b_k}.  A relation
+    holds only when its residual is literally zero.
     """
     if mode not in ("qut", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -348,24 +434,30 @@ def verify_representation(R: Representation, sys: LinearSystem, mode: str,
             target = -one
         entries.append((f"product:k{k + 1}", (prod - target).residual_norm()))
 
-    return RepVerification(tuple(entries), tol, R.backend)
+    return RepVerification(tuple(entries), R.backend)
 
 
 # ---------------------------------------------------------------------------
 # The Pauli (magic square) representation
 
 
-def _pauli_square() -> list[list[np.ndarray]]:
-    I = np.eye(2, dtype=np.complex128)
-    X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-    Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+def _kron(A: list, B: list) -> list:
+    """Kronecker product of two square matrices given as lists of rows."""
+    return [[a * b for a in row_a for b in row_b] for row_a in A for row_b in B]
+
+
+def _pauli_square() -> list[list[DenseElement]]:
+    # entries 0, +-1, +-i: their products are exact in any number type
+    I = [[1, 0], [0, 1]]
+    X = [[0, 1], [1, 0]]
+    Z = [[1, 0], [0, -1]]
+    Y = [[0, -1j], [1j, 0]]
     # Rows multiply to +I; columns to +I, +I, -I.
-    return [
-        [np.kron(X, I), np.kron(I, X), np.kron(X, X)],
-        [np.kron(I, Z), np.kron(Z, I), np.kron(Z, Z)],
-        [np.kron(X, Z), np.kron(Z, X), np.kron(Y, Y)],
-    ]
+    return [[DenseElement(_kron(A, B)) for A, B in row] for row in (
+        [(X, I), (I, X), (X, X)],
+        [(I, Z), (Z, I), (Z, Z)],
+        [(X, Z), (Z, X), (Y, Y)],
+    )]
 
 
 def pauli_magic_square_rep(distinguished: int = 0) -> Representation:
@@ -393,16 +485,16 @@ def pauli_magic_square_rep(distinguished: int = 0) -> Representation:
         # left vertex a reads column sigma[a]; right vertex 3+b reads row b
         for a in range(3):
             for b_ in range(3):
-                images[3 * a + b_] = DenseElement(cells[b_][sigma[a]])
+                images[3 * a + b_] = cells[b_][sigma[a]]
     else:
         tau = swap_to_last(distinguished - 3)
         # left vertex a reads row a; right vertex 3+b reads column tau[b]
         for a in range(3):
             for b_ in range(3):
-                images[3 * a + b_] = DenseElement(cells[a][tau[b_]])
+                images[3 * a + b_] = cells[a][tau[b_]]
 
     rep = Representation(images, "dense", sys, name="pauli-magic-square")
-    report = verify_representation(rep, sys, "iso", tol=1e-12)
+    report = verify_representation(rep, sys, "iso")
     if not report.passed:  # construction bug, not a data condition
         raise RuntimeError(f"magic square failed verification: {report.worst}")
     return rep
@@ -424,12 +516,6 @@ def group_algebra_rep(P, T: CosetTable) -> Representation:
 
 
 def representation_to_json_dict(R: Representation) -> dict:
-    gens = {}
-    for i, img in enumerate(R.images):
-        name = f"x{i + 1}"
-        if R.backend == "dense":
-            gens[name] = [[[float(z.real), float(z.imag)] for z in row]
-                          for row in img.mat]
-        else:
-            gens[name] = img.support()
+    gens = {f"x{i + 1}": img.rows() if R.backend == "dense" else img.support()
+            for i, img in enumerate(R.images)}
     return {"backend": R.backend, "name": R.name, "generators": gens}

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,9 +75,11 @@ def test_build_deterministic(files):
 
 
 # sha256 of graph JSONs and an `aut` report, measured with the stdlib
-# encoder before `graphs.dump_json` wrote them, from the relative paths below
+# encoder before `graphs.dump_json` wrote them, from the relative paths below;
+# the `aut` report's digest was re-derived when reports stopped echoing a
+# tolerance: the older report with its "tol" member deleted
 GPP35_SHA256 = "aaa3d61e97e9b885e885af7c6f1a893c8b9b9c9adcf55b8fa53736ee9eab02c1"
-AUT_GPP34_SHA256 = "db0a6c37b38d640c6604a661f5e70297a2a91802f7d88aab575ba490261dfc0f"
+AUT_GPP34_SHA256 = "4936920dd809714595f1769b28a1791ee5d6ff11a0f3eb43a788f7f63e84bc37"
 
 
 def test_build_full_decolor_k35_is_pinned(files, monkeypatch):
@@ -143,11 +149,10 @@ def test_invalid_coset_cap_env_exit_2(files, monkeypatch, capsys, raw):
     assert "LCSQ_COSET_CAP" in capsys.readouterr().err
 
 
-def test_zero_tol_is_echoed(files):
-    report = files / "report.json"
+def test_tol_flag_is_unknown(files):
+    # verification is exact, so there is no tolerance to set
     assert run("cert", "qut", "--graph", files / "k33.g", "--rep", "regular",
-               "--tol", "0", "--report", report) == 0
-    assert json.loads(report.read_text())["config"]["tol"] == 0.0
+               "--tol", "0") == 2
 
 
 def test_cert_qiso_pauli(files, capsys):
@@ -189,6 +194,19 @@ def test_cert_qut_regular_k34_witness(files, capsys):
 # digest pins the enumerator's coset numbering end to end
 K34_REGULAR_CERT_SHA256 = (
     "6aac99ced985bcece3183d8f2d18062daddad70d4934150b5339648e74386540")
+# the Pauli certificate's [re, im] floats, as written when the dense backend
+# was a numpy complex128 matrix (`--out` echoes no config, so this digest
+# does not depend on the paths)
+K33_PAULI_CERT_SHA256 = (
+    "1c272c3d4cdf01700c2bed5ae9f5bc39d81afa0e57a0e88db0d483a7935f15bc")
+
+
+def test_cert_qiso_pauli_out_is_pinned(files, monkeypatch):
+    monkeypatch.chdir(files)
+    assert run("cert", "qiso", "--graph", "k33.g", "--b1", "000000", "--b2", "100000",
+               "--rep", "pauli", "--out", "c.json") == 0
+    assert hashlib.sha256((files / "c.json").read_bytes()).hexdigest() == \
+        K33_PAULI_CERT_SHA256
 
 
 def test_cert_qut_regular_k34_out_is_pinned(files):
@@ -199,15 +217,17 @@ def test_cert_qut_regular_k34_out_is_pinned(files):
 
 
 # both lifted cert jobs and the sha256 of their reports, run from the
-# directory holding the graph files so that the echoed paths are relative
+# directory holding the graph files so that the echoed paths are relative;
+# derived from the reports written before verification became exact, with
+# their "tol" members deleted
 LIFTED_JOBS = {
     "qut-k34-regular": (
         ["cert", "qut", "--graph", "k34.g", "--rep", "regular"],
-        "d8ea7ad09d773cc7dc0b13d0329c390b7a0418bcd81dc36b0b3c3ed157dd6946"),
+        "f75f47a8ac4177b3c97001aa4c66e4192f67d4331c65cc1f3512d2bb97670dde"),
     "qiso-k33-pauli": (
         ["cert", "qiso", "--graph", "k33.g", "--b1", "000000", "--b2", "100000",
          "--rep", "pauli"],
-        "aa8937d98ad4116aa0892846529764c30dcc2df23bf0e71225052209192a818b"),
+        "199c3abad3165da3dadca92897194609dd826678bb5445ef80130c8e5c7474f6"),
 }
 
 
@@ -216,6 +236,35 @@ def test_lifted_cert_report_is_pinned(files, monkeypatch, job):
     argv, digest = LIFTED_JOBS[job]
     monkeypatch.chdir(files)
     assert run(*argv, "--lift", "--report", "report.json") == 0
+    assert hashlib.sha256((files / "report.json").read_bytes()).hexdigest() == digest
+
+
+def test_no_tolerance_in_any_report(files, monkeypatch):
+    monkeypatch.chdir(files)
+    assert run(*LIFTED_JOBS["qiso-k33-pauli"][0], "--lift", "--report", "report.json") == 0
+    assert '"tol"' not in (files / "report.json").read_text()
+
+
+def _cli(*argv, cwd, optimize=False):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    cmd = [sys.executable, *(["-O"] if optimize else []), *argv]
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_cli_imports_no_numpy(files):
+    probe = _cli("-c", "import lcsq.cli, sys; print('numpy' in sys.modules)", cwd=files)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
+
+
+def test_lifted_pauli_job_under_python_O(files, monkeypatch):
+    # the checks are explicit raises, not asserts, so -O changes nothing
+    argv, digest = LIFTED_JOBS["qiso-k33-pauli"]
+    proc = _cli("-m", "lcsq.cli", *argv, "--lift", "--report", "report.json",
+                cwd=files, optimize=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "lifted certificate over 426-vertex graphs passes" in proc.stdout
     assert hashlib.sha256((files / "report.json").read_bytes()).hexdigest() == digest
 
 
@@ -307,6 +356,18 @@ def test_failed_self_check_exits_internal(files, monkeypatch, capsys):
     monkeypatch.setattr(graphiso, "automorphism_group", broken)
     assert run("aut", a) == EXIT_INTERNAL == 4
     assert "internal error: search produced an invalid mapping" in capsys.readouterr().err
+
+
+def test_certificate_error_exits_internal(files, monkeypatch, capsys):
+    # every certificate input of `cert` is built by the CLI, so a failed
+    # certificate precondition is a bug, not a usage error
+    def broken(*args):
+        raise qcert.CertificateError("the two decolorings used different path lengths")
+
+    monkeypatch.setattr(qcert, "lift_cert", broken)
+    assert run("cert", "qut", "--graph", files / "k33.g", "--rep", "regular",
+               "--lift") == EXIT_INTERNAL
+    assert "internal error: the two decolorings" in capsys.readouterr().err
 
 
 def test_failed_magic_square_exits_internal(files, monkeypatch, capsys):

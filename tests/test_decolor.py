@@ -123,7 +123,7 @@ def test_gp_preserves_original_subgraph(gstar33_0):
 
 def test_gp_invariants_separate_former_vertex_colors(gstar33_0):
     # after decoloring, path lengths alone distinguish the old color classes
-    from lcsq.graphs import vertex_invariants
+    from test_graphs import vertex_invariants
     pa = canonical_assignment(gstar33_0, C0)
     Gp = decolor_vertices(gstar33_0, pa)
     fp = vertex_invariants(Gp, l_max=2)

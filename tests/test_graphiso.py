@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq import graphiso
-from lcsq.graphs import (ColoredGraph, PlainColor, SharedEdgeColor, VertexColor,
-                         vertex_invariants)
+from lcsq.graphs import ColoredGraph, PlainColor, SharedEdgeColor, VertexColor
 from lcsq.decolor import Original, canonical_assignment, decolor_vertices
 from lcsq.graphiso import (Bijection, automorphism_group, find_isomorphism,
                            refine, verify_mapping)
@@ -180,11 +179,6 @@ def test_refine_separates_former_blocks(gstar33_0):
             assert block_of_class.setdefault(cls, block) == block
     assert len({coloring.classes[v] for v, lab in enumerate(Gp.labels)
                 if isinstance(lab, Original)}) == 6
-
-
-def test_refine_with_seed(gstar33_0):
-    seeded = refine(gstar33_0, seed=vertex_invariants(gstar33_0, 2))
-    assert seeded.num_classes >= refine(gstar33_0).num_classes
 
 
 def test_refine_history_monotone(gstar33_0):

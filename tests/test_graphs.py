@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import BinMatrix, LinearSystem, parse_system
-from lcsq.graphs import (ColoredGraph, IntraEdgeColor, PlainColor,
-                         SharedEdgeColor, VertexColor,
-                         adjacency_matrix, build_G, build_Gstar, dump_json,
-                         parse_graph_json, render_label, serialize, sign_vectors,
-                         to_json_dict, vertex_invariants)
+from lcsq.graphs import (ColorTag, ColoredGraph, IntraEdgeColor, PlainColor,
+                         SharedEdgeColor, VertexColor, build_G, build_Gstar,
+                         dump_json, parse_graph_json, render_label, serialize,
+                         sign_vectors, to_json_dict)
 
 # The 2x5 demo system: block 0 holds the solutions of x1 x2 x3 = 1 and block 1
 # the solutions of x1 x4 x5 = -1, in canonical order; the 8 surviving inter
@@ -121,7 +120,20 @@ def test_intra_colors_distinct_against_fixed_vertex(gstar33_0):
 
 
 # ---------------------------------------------------------------------------
-# adjacency matrices
+# adjacency matrices (a numpy oracle over the edge list)
+
+
+def adjacency_matrix(G: ColoredGraph, color: ColorTag) -> np.ndarray:
+    """0/1 adjacency matrix of the edges carrying one color."""
+    palette = {c.render() for c in G.edge_palette()}
+    if color.render() not in palette:
+        raise ValueError(f"color {color.render()} is not in the graph's palette")
+    A = np.zeros((G.num_vertices, G.num_vertices), dtype=np.int64)
+    want = color.render()
+    for (u, v, c) in G.edges:
+        if c is not None and c.render() == want:
+            A[u, v] = A[v, u] = 1
+    return A
 
 
 def test_adjacency_single_edge():
@@ -167,7 +179,53 @@ def test_color_classes_partition_offdiagonal(gstar33_0, demo_sys):
 
 
 # ---------------------------------------------------------------------------
-# vertex invariants
+# vertex invariants (a numpy oracle: vertices with different fingerprints
+# lie in different orbits)
+
+
+def vertex_invariants(G: ColoredGraph, l_max: int = 3) -> list[tuple]:
+    """Per-vertex fingerprint over the decolored adjacency matrix.
+
+    Combines the degree, the diagonal of A^l for l = 1..l_max (closed walk
+    counts), and the multiset of neighbor degrees at each BFS distance.
+    """
+    if l_max < 1:
+        raise ValueError("l_max must be at least 1")
+    n = G.num_vertices
+    A = np.zeros((n, n), dtype=np.float64)
+    for (u, v, _) in G.edges:
+        A[u, v] = A[v, u] = 1.0
+    diags = []
+    P = A.copy()
+    for _ in range(l_max):
+        diags.append(tuple(int(x) for x in np.round(np.diag(P))))
+        P = P @ A
+    deg = G.degrees()
+
+    adj = [[] for _ in range(n)]
+    for (u, v, _) in G.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    out = []
+    for v in range(n):
+        dist = [-1] * n
+        dist[v] = 0
+        frontier = [v]
+        rings: list[tuple[int, ...]] = []
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if dist[y] < 0:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            if nxt:
+                rings.append(tuple(sorted(deg[y] for y in nxt)))
+            frontier = nxt
+        walks = tuple(d[v] for d in diags)
+        out.append((deg[v], walks, tuple(rings)))
+    return out
 
 
 def path_graph(n):

@@ -22,6 +22,7 @@ from lcsq.qcert import (CertificateError, MagicUnitaryCert, VerificationReport,
                         _edge_classes, build_magic_unitary, extract_generators,
                         lift_cert, make_classical_cert, noncommuting_witness,
                         verify_cert)
+from test_reps import as_array
 
 
 def tiny_system():
@@ -42,8 +43,8 @@ def tiny_cert():
 
 def test_trivial_one_dimensional_cert():
     cert = tiny_cert()
-    assert cert.entry(0, 0).mat.tolist() == [[1.0]]
-    assert cert.entry(1, 1).mat.tolist() == [[1.0]]
+    assert as_array(cert.entry(0, 0)).tolist() == [[1.0]]
+    assert as_array(cert.entry(1, 1)).tolist() == [[1.0]]
     assert cert.entry(0, 1).residual_norm() == 0.0
     assert cert.entry(1, 0).residual_norm() == 0.0
     assert verify_cert(cert, "qut").passed
@@ -63,7 +64,7 @@ def test_pauli_cert_block_structure(pauli_cert):
 
 
 def test_pauli_cert_verifies(pauli_cert):
-    report = verify_cert(pauli_cert, "iso", 1e-10)
+    report = verify_cert(pauli_cert, "iso")
     assert report.passed
     assert report.max_residual < 1e-10
     names = {n for n, _, _ in report.families}
@@ -117,7 +118,7 @@ def corrupt_swap_columns(cert, j1, j2):
 
 def test_swapped_block_columns_fail_with_named_color(pauli_cert):
     bad = corrupt_swap_columns(pauli_cert, 0, 1)  # two vertices of block 0
-    report = verify_cert(bad, "iso", 1e-10)
+    report = verify_cert(bad, "iso")
     assert not report.passed
     failing = [n for n, r, _ in report.families if r > 1e-10]
     assert any(n.startswith("intertwine:intra:0:") for n in failing)
@@ -142,12 +143,12 @@ def test_each_family_catches_its_own_corruption(pauli_cert):
     assert report.residual("col_sum") > 1e-6
 
     # non-idempotent entry: the projection family must flag it
-    half = DenseElement(0.5 * pauli_cert.entries[(0, 0)].mat)
+    half = DenseElement(0.5 * as_array(pauli_cert.entries[(0, 0)]))
     report = verify_cert(replace_entry(pauli_cert, (0, 0), half), "iso")
     assert report.residual("projection") > 1e-6
 
     # non-self-adjoint entry
-    skew = DenseElement(pauli_cert.entries[(0, 0)].mat * 1j)
+    skew = DenseElement(as_array(pauli_cert.entries[(0, 0)]) * 1j)
     report = verify_cert(replace_entry(pauli_cert, (0, 0), skew), "iso")
     assert report.residual("projection") > 1e-6
 
@@ -252,7 +253,7 @@ def test_extract_trivial():
     assert report.cross_block_discrepancy == 0.0
     assert report.roundtrip_residual == 0.0
     for y in report.generators:
-        assert np.allclose(y.mat, [[1.0]])
+        assert np.allclose(as_array(y), [[1.0]])
 
 
 def test_extract_pauli_round_trip(pauli_cert):
@@ -350,7 +351,7 @@ def test_lift_classical_automorphism_is_induced_map(gstar33_0, gpp33_pair):
 def test_lift_pauli(pauli_cert, gpp33_pair):
     gpp0, gpp1 = gpp33_pair
     lifted = lift_cert(pauli_cert, verify_cert(pauli_cert, "iso"), gpp0, gpp1)
-    report = verify_cert(lifted, "iso", 1e-9)
+    report = verify_cert(lifted, "iso")
     assert report.passed
     assert report.max_residual < 1e-9
     # vertex entries are inherited verbatim
@@ -383,16 +384,16 @@ def test_lift_rejects_failing_source(pauli_cert, gpp33_pair):
         lift_cert(bad, verify_cert(bad, "iso"), gpp0, gpp1)
 
 
-def test_lift_judges_the_report_at_its_own_tolerance(pauli_cert, gpp33_pair):
-    # a residual between the verifier's and the lift's tolerance: the report
-    # fails as written but passes at the lift's tolerance
+def test_lift_rejects_any_nonzero_residual_in_the_report(pauli_cert, gpp33_pair):
+    # the lift judges the report it is given: a residual far below any float
+    # tolerance still fails, and an all-zero report passes
     gpp0, gpp1 = gpp33_pair
-    report = VerificationReport((("projection", 5e-10, "entry (0, 0)"),), 1e-10, "dense")
+    report = VerificationReport((("projection", 5e-300, "entry (0, 0)"),), "dense")
     assert not report.passed
-    lifted = lift_cert(pauli_cert, report, gpp0, gpp1, 1e-9)
-    assert lifted.row_graph is gpp0
     with pytest.raises(CertificateError, match="fails verification: projection"):
-        lift_cert(pauli_cert, report, gpp0, gpp1, 1e-10)
+        lift_cert(pauli_cert, report, gpp0, gpp1)
+    clean = VerificationReport((("projection", 0.0, ""),), "dense")
+    assert lift_cert(pauli_cert, clean, gpp0, gpp1).row_graph is gpp0
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +475,7 @@ def test_edge_nonedge_orthogonality(pauli_cert):
 
     def u(i, j):
         e = pauli_cert.entry(i, j)
-        return e.mat if e is not None else np.zeros((4, 4))
+        return as_array(e) if e is not None else np.zeros((4, 4))
 
     # exhaustive on block 0 (vertices 0..3 in both graphs)
     for i in range(4):
@@ -651,16 +652,48 @@ def test_memoised_sums_match_chain_sums_on_corrupted_certs(pauli_cert, data):
     assert_sums_match_reference(cert, mode)
 
 
-def test_dense_sums_keep_left_to_right_order(gstar33_0):
-    # rows 0 and 1 hold the same three objects in opposite orders, and
-    # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1 in floats; every other row sums
-    # to exactly 1, so the row_sum family shows both order and memo key
+@st.composite
+def combine_orders(draw):
+    """Two to six dense elements with float entries (whose float sums depend
+    on the order), split into plus and minus sides, and a reordering."""
+    d = draw(st.sampled_from([1, 2, 4]))
+    entries = st.floats(-4, 4, allow_nan=False, allow_infinity=False, width=32)
+    terms = draw(st.lists(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                   min_size=d, max_size=d), min_size=2, max_size=6))
+    signs = draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+    order = draw(st.permutations(range(len(terms))))
+    return [DenseElement(t) for t in terms], signs, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(combine_orders())
+def test_any_reordering_of_a_combine_is_equal(case):
+    terms, signs, order = case
+    plus = [t for t, s in zip(terms, signs) if s]
+    minus = [t for t, s in zip(terms, signs) if not s]
+    shuffled = [terms[i] for i in order]
+    plus2 = [t for t in shuffled if any(t is p for p in plus)]
+    minus2 = [t for t in shuffled if not any(t is p for p in plus)]
+    first = DenseElement.combine(plus, minus)
+    assert DenseElement.combine(plus2, minus2) == first
+    assert DenseElement.combine(plus[::-1], minus[::-1]) == first
+    chain = plus[0] if plus else -minus[0]
+    for t in plus[1:]:
+        chain = chain + t
+    for t in (minus if plus else minus[1:]):
+        chain = chain - t
+    assert chain == first
+
+
+def test_reordered_rows_read_one_residual(gstar33_0):
+    # rows 0 and 1 hold the same three objects in opposite orders; with
+    # exact sums both read one residual, so the family names the first row
     a, b, c = DenseElement([[0.1]]), DenseElement([[0.2]]), DenseElement([[0.3]])
-    assert abs((0.1 + 0.2 + 0.3) - 1) < abs((0.3 + 0.2 + 0.1) - 1)
     entries = {(0, 0): a, (0, 1): b, (0, 2): c, (1, 0): c, (1, 1): b, (1, 2): a}
     one = DenseElement.identity(1)
     entries.update({(v, v): one for v in range(2, 24)})
     cert = MagicUnitaryCert(gstar33_0, gstar33_0, entries, "dense", one)
-    assert verify_cert(cert, "qut").families[1] == \
-        ("row_sum", abs((0.3 + 0.2 + 0.1) - 1), "row 1")
+    residual = DenseElement.combine([a, b, c], [one]).residual_norm()
+    assert residual > 0
+    assert verify_cert(cert, "qut").families[1] == ("row_sum", residual, "row 0")
     assert_sums_match_reference(cert, "qut")

@@ -16,6 +16,11 @@ from lcsq.reps import (DenseElement, GroupAlgebraContext, GroupAlgebraElement,
                        representation_to_json_dict, verify_representation)
 
 
+def as_array(e: DenseElement) -> np.ndarray:
+    """A dense element as a numpy complex128 matrix, the tests' oracle."""
+    return np.array([[complex(re, im) for re, im in row] for row in e.rows()])
+
+
 # ---------------------------------------------------------------------------
 # Pauli representation
 
@@ -24,20 +29,20 @@ def test_pauli_images_are_involutions(pauli_rep):
     assert len(pauli_rep.images) == 9
     for x in pauli_rep.images:
         assert x.dim == 4
-        assert np.allclose(x.mat @ x.mat, np.eye(4))
-        assert np.allclose(x.mat, x.mat.conj().T)
+        assert np.allclose(as_array(x) @ as_array(x), np.eye(4))
+        assert np.allclose(as_array(x), as_array(x).conj().T)
 
 
 def test_pauli_distinguished_product_is_minus_identity(pauli_rep):
     sys = pauli_rep.system
     prod = np.eye(4, dtype=complex)
     for i in sys.support(0):
-        prod = prod @ pauli_rep.images[i].mat
+        prod = prod @ as_array(pauli_rep.images[i])
     assert np.allclose(prod, -np.eye(4))
     for k in range(1, 6):
         prod = np.eye(4, dtype=complex)
         for i in sys.support(k):
-            prod = prod @ pauli_rep.images[i].mat
+            prod = prod @ as_array(pauli_rep.images[i])
         assert np.allclose(prod, np.eye(4))
 
 
@@ -47,12 +52,13 @@ def test_pauli_block_commutators_vanish(pauli_rep):
         support = sys.support(k)
         for a in range(len(support)):
             for b in range(a + 1, len(support)):
-                X, Y = pauli_rep.images[support[a]].mat, pauli_rep.images[support[b]].mat
+                X = as_array(pauli_rep.images[support[a]])
+                Y = as_array(pauli_rep.images[support[b]])
                 assert np.linalg.norm(X @ Y - Y @ X) < 1e-12
 
 
 def test_pauli_verification_tight(pauli_rep):
-    report = verify_representation(pauli_rep, pauli_rep.system, "iso", tol=1e-12)
+    report = verify_representation(pauli_rep, pauli_rep.system, "iso")
     assert report.passed
     assert report.max_residual < 1e-12
 
@@ -60,11 +66,11 @@ def test_pauli_verification_tight(pauli_rep):
 @pytest.mark.parametrize("distinguished", range(6))
 def test_pauli_all_distinguished_positions(distinguished):
     rep = pauli_magic_square_rep(distinguished)
-    report = verify_representation(rep, rep.system, "iso", tol=1e-12)
+    report = verify_representation(rep, rep.system, "iso")
     assert report.passed
     prod = np.eye(4, dtype=complex)
     for i in rep.system.support(distinguished):
-        prod = prod @ rep.images[i].mat
+        prod = prod @ as_array(rep.images[i])
     assert np.allclose(prod, -np.eye(4))
 
 
@@ -319,3 +325,64 @@ def test_representation_json(pauli_rep, table33, k33_sys0):
     assert exact["backend"] == "group_algebra"
     (coset, num, log2den), = exact["generators"]["x1"]
     assert num == 1 and log2den == 0
+
+
+# ---------------------------------------------------------------------------
+# exact dense arithmetic against numpy complex128 (exact on these inputs:
+# every numerator and product is far below 2^53)
+
+
+@st.composite
+def dyadic_matrices(draw, d=None):
+    """A d x d matrix with entries (re + i * im) / 2^exp, |re|, |im| <= 16,
+    exp <= 4, as a DenseElement and as its complex128 array."""
+    d = d or draw(st.sampled_from([1, 2, 4]))
+    exp = draw(st.integers(0, 4))
+    nums = st.integers(-16, 16) | st.just(0)
+    parts = draw(st.lists(st.tuples(nums, nums), min_size=d * d, max_size=d * d))
+    arr = np.array([complex(re, im) for re, im in parts]).reshape(d, d) / 2 ** exp
+    return DenseElement(arr), arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dense_arithmetic_matches_numpy(data):
+    a, A = data.draw(dyadic_matrices())
+    b, B = data.draw(dyadic_matrices(a.dim))
+    others = data.draw(st.lists(dyadic_matrices(a.dim), max_size=4))
+    assert np.array_equal(as_array(a), A)
+    assert np.array_equal(as_array(a * b), A @ B)
+    assert np.array_equal(as_array(a.adjoint()), A.conj().T)
+    assert np.array_equal(as_array(a.halve()), A / 2)
+    assert np.array_equal(as_array(-a), -A)
+    plus = [a, *(e for e, _ in others[::2])]
+    minus = [b, *(e for e, _ in others[1::2])]
+    expected = A + sum(M for _, M in others[::2]) - B - sum(M for _, M in others[1::2])
+    assert np.array_equal(as_array(DenseElement.combine(plus, minus)), expected)
+    assert np.array_equal(as_array(a + b), A + B)
+    assert np.array_equal(as_array(a - b), A - B)
+    assert a.residual_norm() == np.linalg.norm(A)
+    assert (a.residual_norm() == 0.0) == (not A.any()) == a.is_zero()
+    assert a.exp == 0 or any(c % 2 for c in a.coeffs.values())
+
+
+@pytest.mark.parametrize("bad", [
+    [[1, 2, 3], [4, 5, 6]],            # 2 x 3
+    [[1, 2], [3]],                     # ragged
+    [1, 2],                            # one-dimensional
+    [],                                # empty
+    [[float("inf")]],
+    [[0, 1], [complex(0, float("-inf")), 0]],
+    [[float("nan"), 0], [0, 0]],
+    np.zeros((2, 3)),
+])
+def test_dense_constructor_rejects(bad):
+    with pytest.raises(ValueError):
+        DenseElement(bad)
+
+
+def test_dense_constructor_is_exact():
+    e = DenseElement([[0.1]])
+    assert e.coeffs == {0: 3602879701896397} and e.exp == 55
+    assert DenseElement([[0.5, -0.25j], [0, 2]]) == \
+        DenseElement([[2, -1j], [0, 8]]).halve().halve()
