@@ -19,13 +19,21 @@ the subgroup index and the generator columns give the regular
 permutation action.  Cosets are numbered in definition order and the
 smaller index survives every coincidence, so the result is numbered in
 that index order.
+
+The workspace is column-major, with a never-assigned sink slot closing
+every column; relators whose trace closes are skipped and runs of
+involution relators are fill steps.  Only scans that would change nothing
+are left out, so the numbering is that of the plain scans (see
+`todd_coxeter`).
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .f2core import LinearSystem
 
@@ -36,6 +44,9 @@ COMPACT_SLACK = 1024
 
 # an undefined coset-table entry
 UNDEF = -1
+
+# initial rows of the enumeration workspace, the sink slot included (>= 2)
+_INITIAL_ROWS = 1024
 
 Word = tuple[int, ...]
 
@@ -227,7 +238,7 @@ def _rep(parent: list[int], c: int) -> int:
     return root
 
 
-def _coincidence(rows: list[list[int]], parent: list[int], a: int, b: int) -> int:
+def _coincidence(cols: list[list[int]], parent: list[int], a: int, b: int) -> int:
     """Identify the distinct live cosets a and b, and every coincidence
     that follows.
 
@@ -242,22 +253,25 @@ def _coincidence(rows: list[list[int]], parent: list[int], a: int, b: int) -> in
     parent[b] = a
     queue = [b]
     for dead in queue:  # grows while it is walked
-        for x, d in enumerate(rows[dead]):
+        for col in cols:
+            d = col[dead]
             if d < 0:
                 continue
-            rows[d][x] = UNDEF
-            mu = _rep(parent, dead)
-            nu = _rep(parent, d)
-            e = rows[mu][x]
+            col[d] = UNDEF
+            mu = parent[dead]
+            if parent[mu] != mu:
+                mu = _rep(parent, dead)
+            nu = d if parent[d] == d else _rep(parent, d)
+            e = col[mu]
             if e >= 0:
-                p, q = nu, _rep(parent, e)
+                p, q = nu, e if parent[e] == e else _rep(parent, e)
             else:
-                e = rows[nu][x]
+                e = col[nu]
                 if e < 0:
-                    rows[mu][x] = nu
-                    rows[nu][x] = mu
+                    col[mu] = nu
+                    col[nu] = mu
                     continue
-                p, q = mu, _rep(parent, e)
+                p, q = mu, e if parent[e] == e else _rep(parent, e)
             if p != q:
                 if q < p:
                     p, q = q, p
@@ -266,16 +280,109 @@ def _coincidence(rows: list[list[int]], parent: list[int], a: int, b: int) -> in
     return len(queue)
 
 
-def _live_rows(rows: list[list[int]], parent: list[int]) -> list[list[int]]:
-    """The live rows in index order, renumbered to their new positions."""
-    lookup = [UNDEF] * len(parent)
-    count = 0
-    for c, p in enumerate(parent):
-        if p == c:
-            lookup[c] = count
-            count += 1
-    return [[UNDEF if e < 0 else lookup[e] for e in rows[c]]
-            for c, p in enumerate(parent) if p == c]
+def _grow(cols: list[list[int]]) -> int:
+    """Append about 1/8 of their length in UNDEF slots to every column;
+    returns the new sink index (the last slot, never assigned)."""
+    extra = [UNDEF] * (len(cols[0]) // 8 + 1)
+    for col in cols:
+        col.extend(extra)
+    return len(cols[0]) - 1
+
+
+def _live_columns(cols: list[list[int]], parent: list[int]
+                  ) -> tuple[list[list[int]], list[int]]:
+    """The live cosets' columns in index order, renumbered to their new
+    positions, and the old indices of the live cosets."""
+    kept = [c for c, p in enumerate(parent) if p == c]
+    lookup = [UNDEF] * (len(parent) + 1)  # the trailing slot: lookup[UNDEF] == UNDEF
+    for new, c in enumerate(kept):
+        lookup[c] = new
+    renumber = lookup.__getitem__
+    return [list(map(renumber, map(col.__getitem__, kept))) for col in cols], kept
+
+
+# a scan step: a fill run's columns, then one word's columns and length
+_Step = tuple[tuple[list[int], ...], tuple[list[int], ...], int]
+
+
+def _steps(cols: list[list[int]], words: Iterable[Word]) -> tuple[_Step, ...]:
+    """Resolve words to scan steps (fill, word, len(word)): `fill` holds
+    the columns of the run of involution words (g, g) just before `word`,
+    and `word` is a word's tuple of columns (empty after a trailing run)."""
+    steps = []
+    run: list[list[int]] = []
+    for w in words:
+        if len(w) == 2 and w[0] == w[1]:
+            run.append(cols[w[0]])
+        else:
+            steps.append((tuple(run), tuple(cols[g] for g in w), len(w)))
+            run = []
+    if run:
+        steps.append((tuple(run), (), 0))
+    return tuple(steps)
+
+
+def _scan(cols: list[list[int]], parent: list[int], c: int,
+          steps: tuple[_Step, ...]) -> int:
+    """Scan every step at c, or at c's representative once c dies;
+    returns the change in the live count."""
+    sink = len(cols[0]) - 1
+    change = 0
+    for fill, word, n in steps:
+        if fill:
+            # scanning (g, g) on a symmetric table only defines an undefined c·g
+            for col in fill:
+                if col[c] < 0:
+                    d = len(parent)
+                    if d == sink:
+                        sink = _grow(cols)
+                    parent.append(d)
+                    change += 1
+                    col[c] = d
+                    col[d] = c
+        # an undefined entry leads to the sink, which leads to itself
+        f = c
+        for col in word:
+            f = col[f]
+        if f == c:
+            continue  # the word closes at c: its scan would change nothing
+        if f >= 0:  # defined throughout: the scan would meet at f and c
+            change -= _coincidence(cols, parent, f, c)
+        else:
+            f = b = c
+            i, j = 0, n
+            while True:
+                while i < j:
+                    e = word[i][f]
+                    if e < 0:
+                        break
+                    f = e
+                    i += 1
+                while j > i:
+                    e = word[j - 1][b]
+                    if e < 0:
+                        break
+                    b = e
+                    j -= 1
+                if j == i:
+                    if f != b:
+                        change -= _coincidence(cols, parent, f, b)
+                    break
+                col = word[i]
+                if j == i + 1:
+                    col[f] = b
+                    col[b] = f
+                    break
+                d = len(parent)
+                if d == sink:
+                    sink = _grow(cols)
+                parent.append(d)
+                change += 1
+                col[f] = d
+                col[d] = f
+        if parent[c] != c:
+            c = _rep(parent, c)
+    return change
 
 
 def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
@@ -293,6 +400,17 @@ def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
     survivors keep their relative order, and the result is renumbered in
     that index order.
 
+    The workspace is column-major, cols[g][c] = c·g, and each word is
+    resolved once (again after each compaction) to its tuple of columns,
+    so a letter is one subscript.  The last slot of every column is a sink
+    that is never assigned: columns grow by about 1/8 before a definition
+    would reach it, so col[UNDEF] == UNDEF and a trace through an undefined
+    entry stays at UNDEF.  A word whose trace from c returns to c would
+    scan to no effect and is skipped.  A run of involution relators (g, g)
+    is one fill step, since scanning (g, g) on a symmetric table only
+    defines c·g when it is undefined.  Neither shortcut drops or reorders a
+    definition, deduction or coincidence, so the numbering is unchanged.
+
     If more than `cap` live cosets are ever needed, returns a table with
     status "capped" (a status, not an error) that keeps only the live
     count at the cap.
@@ -302,50 +420,10 @@ def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
     if cap < 1:
         raise ValueError("cap must be at least 1")
 
-    blank = [UNDEF] * P.ngens
-    rows = [list(blank)]  # rows[c][g] = c·g
+    cols = [[UNDEF] * _INITIAL_ROWS for _ in range(P.ngens)]
     parent = [0]  # parent[c] == c iff c is live; else a union-find link
-    live = 1
-
-    def scan_and_fill(c: int, words: Iterable[Word]) -> None:
-        """Scan each word at c, or at c's representative once c dies."""
-        nonlocal live
-        tab, par = rows, parent
-        for word in words:
-            if par[c] != c:
-                c = _rep(par, c)
-            f = b = c
-            i, j = 0, len(word)
-            while True:
-                while i < j:
-                    e = tab[f][word[i]]
-                    if e < 0:
-                        break
-                    f = e
-                    i += 1
-                while j > i:
-                    e = tab[b][word[j - 1]]
-                    if e < 0:
-                        break
-                    b = e
-                    j -= 1
-                if j == i:
-                    if f != b:
-                        live -= _coincidence(tab, par, f, b)
-                    break
-                x = word[i]
-                if j == i + 1:
-                    tab[f][x] = b
-                    tab[b][x] = f
-                    break
-                d = len(par)
-                par.append(d)
-                tab.append(blank.copy())
-                live += 1
-                tab[f][x] = d
-                tab[d][x] = f
-
-    scan_and_fill(0, subgroup_words or [])
+    live = 1 + _scan(cols, parent, 0, _steps(cols, subgroup_words or ()))
+    steps = _steps(cols, P.relators)
 
     to_visit = 0
     while to_visit < len(parent):
@@ -354,17 +432,21 @@ def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
         if len(parent) > 4 * live + COMPACT_SLACK:
             # Drop dead rows; renumbering keeps index order, so every coset
             # before the new to_visit has already been scanned.
-            rows = _live_rows(rows, parent)
-            to_visit = sum(1 for c in range(to_visit) if parent[c] == c)
-            parent = list(range(len(rows)))
+            cols, kept = _live_columns(cols, parent)
+            _grow(cols)  # restores the sink slot
+            steps = _steps(cols, P.relators)
+            to_visit = bisect_left(kept, to_visit)
+            parent = list(range(len(kept)))
+            if to_visit >= len(parent):
+                break
         if parent[to_visit] == to_visit:
-            scan_and_fill(to_visit, P.relators)
+            live += _scan(cols, parent, to_visit, steps)
         to_visit += 1
 
-    table = tuple(map(tuple, _live_rows(rows, parent)))
-    if any(x < 0 for row in table for x in row):
+    cols = _live_columns(cols, parent)[0]
+    if any(UNDEF in col for col in cols):
         raise RuntimeError("enumeration closed with undefined table entries")
-    return CosetTable(P, table, "complete")
+    return CosetTable(P, tuple(zip(*cols)), "complete")
 
 
 def group_order(P: Presentation, cap: int | None = None) -> int | None:
@@ -381,13 +463,11 @@ def regular_perm_rep(T: CosetTable) -> list[tuple[int, ...]]:
     """
     if not T.is_complete:
         raise ValueError("coset table is not complete")
-    perms = []
-    n = T.num_cosets
-    for g in range(T.presentation.ngens):
-        perm = tuple(T.table[c][g] for c in range(n))
-        if sorted(perm) != list(range(n)):
+    perms = list(zip(*T.table))
+    identity = list(range(T.num_cosets))
+    for g, perm in enumerate(perms):
+        if sorted(perm) != identity:
             raise ValueError(f"generator column {g} is not a permutation")
-        perms.append(perm)
     return perms
 
 
@@ -395,12 +475,9 @@ def is_abelian(T: CosetTable) -> bool:
     """Whether the group of a complete table over the trivial subgroup is
     abelian.  Raises ValueError for a capped table."""
     perms = regular_perm_rep(T)
-    n = T.num_cosets
-    for a in range(len(perms)):
-        pa = perms[a]
-        for b in range(a + 1, len(perms)):
-            pb = perms[b]
-            if any(pa[pb[c]] != pb[pa[c]] for c in range(n)):
+    for a, pa in enumerate(perms):
+        for pb in perms[a + 1:]:
+            if itemgetter(*pb)(pa) != itemgetter(*pa)(pb):  # pa∘pb vs pb∘pa
                 return False
     return True
 

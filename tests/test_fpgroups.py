@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import lcsq.fpgroups as fp
 from lcsq.f2core import (BinMatrix, LinearSystem, abelianized_order,
                          complete_bipartite, incidence_system, solve_f2)
 from lcsq.fpgroups import (COMPACT_SLACK, CosetTable, Presentation, coset_rep_words,
@@ -441,6 +443,8 @@ def reference_todd_coxeter(P, subgroup_words, cap):
             return "capped", None, enum.live
         if len(enum.parent) > 4 * enum.live + COMPACT_SLACK:
             to_visit = enum.compact(to_visit)
+            if to_visit >= len(enum.parent):
+                break
         c = enum.find(to_visit)
         if c == to_visit:
             for rel in P.relators:
@@ -484,6 +488,56 @@ def test_enumeration_replays_union_find_reference(case):
     assert T.num_cosets == live
     if T.is_complete:
         assert T.table == rows
+
+
+def _case(relators, subgroup, cap):
+    ngens = 1 + max(g for rel in relators for g in rel)
+    return Presentation(tuple(f"g{i}" for i in range(ngens)), relators), subgroup, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(involutive_presentations())
+# compacts while a live row still holds an undefined entry
+@example(_case(((0, 0), (1, 1), (2, 2), (1, 2, 1, 1, 0, 1, 0, 0), (3, 3), (2,)), [], 50))
+def test_enumeration_replays_union_find_reference_compacting_eagerly(case):
+    P, subgroup, cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fp, "COMPACT_SLACK", 0)
+        mp.setattr(sys.modules[__name__], "COMPACT_SLACK", 0)
+        T = todd_coxeter(P, subgroup, cap)
+        status, rows, live = reference_todd_coxeter(P, subgroup, cap)
+    assert T.status == status
+    assert T.num_cosets == live
+    if T.is_complete:
+        assert T.table == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(involutive_presentations())
+# the visited coset dies in a coincidence and later relators scan at its
+# representative
+@example(_case(((0, 0), (1, 1), (1, 0, 2, 0, 0), (2, 0, 2, 1), (2, 2)), [], 500))
+def test_enumeration_replays_union_find_reference_growing_columns(case):
+    # a workspace of one row plus the sink slot grows on almost every
+    # definition, so the sink invariant is crossed again and again
+    P, subgroup, cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fp, "_INITIAL_ROWS", 2)
+        T = todd_coxeter(P, subgroup, cap)
+    status, rows, live = reference_todd_coxeter(P, subgroup, cap)
+    assert T.status == status
+    assert T.num_cosets == live
+    if T.is_complete:
+        assert T.table == rows
+
+
+def test_compaction_that_leaves_no_coset_to_visit():
+    # ~1200 cosets collapse to the trivial group; the compaction that
+    # follows leaves every live coset already visited
+    P = Presentation(("a", "b"), ((0, 0), (1, 1), (0, 1) * 601, (0,)))
+    T = todd_coxeter(P)
+    assert T.is_complete and T.table == ((0, 0),)
+    assert reference_todd_coxeter(P, [], 10 ** 6) == ("complete", ((0, 0),), 1)
 
 
 def test_flagship_tables_replay_union_find_reference(k33_sys_e1, table34, table35):

@@ -66,7 +66,7 @@ def test_pauli_cert_block_structure(pauli_cert):
 def test_pauli_cert_verifies(pauli_cert):
     report = verify_cert(pauli_cert, "iso")
     assert report.passed
-    assert report.max_residual < 1e-10
+    assert report.max_residual == 0.0
     names = {n for n, _, _ in report.families}
     assert {"projection", "row_sum", "col_sum", "color",
             "block_equal", "block_commute"} <= names
@@ -173,8 +173,8 @@ def test_extract_without_block_table(pauli_cert):
                                pauli_cert.identity,
                                source_rep=pauli_cert.source_rep, block_table=None)
     report = extract_generators(rebuilt)
-    assert report.cross_block_discrepancy < 1e-10
-    assert report.roundtrip_residual < 1e-10
+    assert report.cross_block_discrepancy == 0.0
+    assert report.roundtrip_residual == 0.0
 
 
 def test_classical_transposition_fails(gstar33_0):
@@ -258,8 +258,8 @@ def test_extract_trivial():
 
 def test_extract_pauli_round_trip(pauli_cert):
     report = extract_generators(pauli_cert)
-    assert report.cross_block_discrepancy < 1e-10
-    assert report.roundtrip_residual < 1e-10
+    assert report.cross_block_discrepancy == 0.0
+    assert report.roundtrip_residual == 0.0
     assert len(report.generators) == 9
 
 
@@ -288,7 +288,7 @@ def test_extracted_products_match_parity(pauli_cert):
             prod = prod * report.generators[i]
         sign = (-1) ** (sys1.b[k] ^ sys2.b[k])
         target = one if sign == 1 else -one
-        assert (prod - target).residual_norm() < 1e-10
+        assert (prod - target).residual_norm() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ def test_lift_pauli(pauli_cert, gpp33_pair):
     lifted = lift_cert(pauli_cert, verify_cert(pauli_cert, "iso"), gpp0, gpp1)
     report = verify_cert(lifted, "iso")
     assert report.passed
-    assert report.max_residual < 1e-9
+    assert report.max_residual == 0.0
     # vertex entries are inherited verbatim
     orig_index0 = {lab.vertex: i for i, lab in enumerate(gpp0.labels)
                    if isinstance(lab, Original)}
@@ -417,14 +417,13 @@ def test_block_resolutions_of_identity(cert_name, request):
     table = block_elements(cert)
     one = cert.identity
     sys1, sys2 = cert.row_graph.system(), cert.col_graph.system()
-    limit = 0.0 if cert.backend == "group_algebra" else 1e-10
     for k in range(sys1.num_constraints):
         parity = sys1.b[k] ^ sys2.b[k]
         total = None
         for delta in sign_vectors(sys1.support(k), parity):
             v = table[(k, delta.render())]
             total = v if total is None else total + v
-        assert (total - one).residual_norm() <= limit
+        assert (total - one).residual_norm() == 0.0
 
 
 @pytest.mark.parametrize("cert_name", ["pauli_cert", "exact_cert34"])
@@ -433,7 +432,6 @@ def test_wrong_parity_projections_vanish(cert_name, request):
     cert = request.getfixturevalue(cert_name)
     rep = cert.source_rep
     sys1, sys2 = cert.row_graph.system(), cert.col_graph.system()
-    limit = 0.0 if cert.backend == "group_algebra" else 1e-10
     for k in range(sys1.num_constraints):
         wrong = 1 ^ sys1.b[k] ^ sys2.b[k]
         for delta in sign_vectors(sys1.support(k), wrong):
@@ -441,14 +439,13 @@ def test_wrong_parity_projections_vanish(cert_name, request):
             for i in sys1.support(k):
                 p = rep.projection(i, delta.sign(i))
                 v = p if v is None else v * p
-            assert v.residual_norm() <= limit
+            assert v.residual_norm() == 0.0
 
 
 @pytest.mark.parametrize("cert_name", ["pauli_cert", "exact_cert33", "exact_cert34"])
 def test_same_block_orthogonality_and_commutation(cert_name, request):
     cert = request.getfixturevalue(cert_name)
     table = block_elements(cert)
-    limit = 0.0 if cert.backend == "group_algebra" else 1e-10
     by_block = {}
     for (k, dname), elem in table.items():
         by_block.setdefault(k, []).append(elem)
@@ -456,8 +453,8 @@ def test_same_block_orthogonality_and_commutation(cert_name, request):
         for a in range(len(elems)):
             for b in range(a + 1, len(elems)):
                 x, y = elems[a], elems[b]
-                assert (x * y).residual_norm() <= limit  # distinct deltas: orthogonal
-                assert (x * y - y * x).residual_norm() <= limit
+                assert (x * y).residual_norm() == 0.0  # distinct deltas: orthogonal
+                assert (x * y - y * x).residual_norm() == 0.0
 
 
 def test_edge_nonedge_orthogonality(pauli_cert):

@@ -60,7 +60,7 @@ def test_pauli_block_commutators_vanish(pauli_rep):
 def test_pauli_verification_tight(pauli_rep):
     report = verify_representation(pauli_rep, pauli_rep.system, "iso")
     assert report.passed
-    assert report.max_residual < 1e-12
+    assert report.max_residual == 0.0
 
 
 @pytest.mark.parametrize("distinguished", range(6))
@@ -260,10 +260,10 @@ def test_projections_both_backends(table33, k33_sys0, pauli_rep):
         for i in range(3):
             plus, minus = R.projection(i, 1), R.projection(i, -1)
             for p in (plus, minus):
-                assert (p * p - p).residual_norm() < 1e-12
-                assert (p - p.adjoint()).residual_norm() < 1e-12
-            assert (plus + minus - one).residual_norm() < 1e-12
-            assert (plus * minus).residual_norm() < 1e-12
+                assert (p * p - p).residual_norm() == 0.0
+                assert (p - p.adjoint()).residual_norm() == 0.0
+            assert (plus + minus - one).residual_norm() == 0.0
+            assert (plus * minus).residual_norm() == 0.0
 
 
 def test_backends_agree_on_verdicts(table33, k33_sys0):
