@@ -16,12 +16,22 @@ checked entry by entry through the elements' own `combine` (a sum minus a
 sum), product and residual norm, so the sparse intertwining loop never
 forms a dense matrix.  Row, column and intertwining sums collect the
 stored entry objects of each side and are evaluated once per distinct
-signature (the ids of the terms, in order): entries that coincide by the
-block structure share one object, so most sums repeat.  A family's
-residual is the largest norm of any single entry: a per-entry Frobenius
-norm for dense elements, and for group-algebra elements the l1 norm of
-the coefficients.  Both backends are exact, so a norm is zero exactly on
-zero, and a family passes only when its residual is literally 0.0.
+signature (the sorted indices of the terms' distinct objects; the sums
+are exact, so the order of the terms does not matter): entries that
+coincide by the block structure share one object, so most sums repeat.
+A family's residual is the largest norm of any single entry: a per-entry
+Frobenius norm for dense elements, and for group-algebra elements the l1
+norm of the coefficients.  Both backends are exact, so a norm is zero
+exactly on zero, and a family passes only when its residual is
+literally 0.0.
+
+A commutator xy - yx of self-adjoint x and y is xy - (xy)*, so it takes
+one product and an adjoint; the block-commutation family, the witness
+search and the lift's gadgets all use this, and fall back to two
+products for an element that is not self-adjoint.  A group algebra is
+commutative exactly when its group is abelian, so a certificate over
+the regular representation of an abelian group has no quantum-symmetry
+witness, and the search is skipped.
 """
 
 from __future__ import annotations
@@ -222,32 +232,41 @@ def _edge_classes(G: ColoredGraph) -> dict[str, list[tuple[int, int]]]:
     return classes
 
 
-def _residual(memo: dict, plus: list, minus: list) -> float:
+def _residual(memo: dict, elems: list, sig: tuple) -> float:
     """Residual norm of sum(plus) - sum(minus), summed once per signature.
 
-    The signature is the ids of the terms on each side, in order.  Entries
-    that coincide by the block structure share one object, so many sums
-    repeat one signature, and equal signatures mean equal arithmetic (each
-    side is summed in the order given).  The terms must outlive the memo.
+    The signature `sig` is the sorted indices into `elems` of the terms on
+    each side.  Entries that coincide by the block structure share one
+    object, so many sums repeat one signature; the sums are exact, so equal
+    signatures mean equal sums whatever the order of the terms.
     """
-    sig = (tuple(map(id, plus)), tuple(map(id, minus)))
     r = memo.get(sig)
     if r is None:
+        plus = [elems[e] for e in sig[0]]
+        minus = [elems[e] for e in sig[1]]
         first = plus[0] if plus else minus[0]
         r = memo[sig] = first.combine(plus, minus).residual_norm()
     return r
 
 
+def _commutator_norm(x, y, selfadjoint: bool) -> float:
+    """Residual norm of xy - yx.  When x and y are both self-adjoint, yx is
+    (xy)*, so one product and an adjoint give the same element."""
+    xy = x * y
+    return (xy - (xy.adjoint() if selfadjoint else y * x)).residual_norm()
+
+
 def _intertwine(cert: MagicUnitaryCert,
                 pairs1: list[tuple[int, int]],
                 pairs2: list[tuple[int, int]],
-                memo: dict) -> float:
+                memo: dict, elems: list, index: dict) -> float:
     """Largest residual norm over the entries of A1 u - u A2.
 
     A1 and A2 are the adjacency matrices of one edge color, given as edge
     lists; only entry pairs reachable through a stored entry are formed.
-    Each entry's terms are collected in entry order and summed through
-    `_residual`.
+    Each entry's terms are collected as indices into `elems` (`index` maps
+    an element's id to its index), and each distinct signature is summed
+    once, through `_residual`.
     """
     adj1: dict[int, list[int]] = {}
     for (u, v) in pairs1:
@@ -261,16 +280,23 @@ def _intertwine(cert: MagicUnitaryCert,
     left: dict = {}
     right: dict = {}
     for (k, j), elem in cert.entries.items():
-        for i in adj1.get(k, ()):
-            left.setdefault((i, j), []).append(elem)
+        if k in adj1:
+            e = index[id(elem)]
+            for i in adj1[k]:
+                left.setdefault((i, j), []).append(e)
     for (i, k), elem in cert.entries.items():
-        for j in adj2.get(k, ()):
-            right.setdefault((i, j), []).append(elem)
+        if k in adj2:
+            e = index[id(elem)]
+            for j in adj2[k]:
+                right.setdefault((i, j), []).append(e)
 
-    worst = 0.0
-    for key in left.keys() | right.keys():
-        worst = max(worst, _residual(memo, left.get(key, []), right.get(key, [])))
-    return worst
+    sigs = {(tuple(sorted(left.get(key, ()))), tuple(sorted(right.get(key, ()))))
+            for key in left.keys() | right.keys()}
+    return max((_residual(memo, elems, sig) for sig in sigs), default=0.0)
+
+
+def _rendered_colors(G: ColoredGraph) -> list:
+    return [c.render() if c is not None else None for c in G.vertex_colors]
 
 
 def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
@@ -287,7 +313,10 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     norm of any one offending element.  For the dense backend that is the
     Frobenius norm of one d x d entry (for intertwining, of one (i, j)
     entry of A_G u - u A_G'), not of the whole difference.  Each distinct
-    row, column or intertwining sum is evaluated once (see `_residual`).
+    row, column or intertwining sum is evaluated once (see `_residual`),
+    and the family reports the first row or column attaining its residual.
+    The projection family finds which entries are self-adjoint, and a
+    same-block commutator of two of them takes one product.
     """
     if mode not in ("qut", "iso"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -297,35 +326,43 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     G1, G2 = cert.row_graph, cert.col_graph
 
     # entry projections: e = e* = e^2
+    distinct = cert.distinct_elements()
+    selfadjoint: set[int] = set()
     worst, desc = 0.0, ""
-    for key, elem in cert.distinct_elements():
-        r = max((elem - elem.adjoint()).residual_norm(),
-                (elem * elem - elem).residual_norm())
+    for key, elem in distinct:
+        skew = (elem - elem.adjoint()).residual_norm()
+        if not skew:
+            selfadjoint.add(id(elem))
+        r = max(skew, (elem * elem - elem).residual_norm())
         if r > worst:
             worst, desc = r, f"entry {key}"
     families.append(("projection", worst, desc))
 
     # row and column sums
     one = cert.identity
+    elems = [elem for _, elem in distinct] + [one]
+    index = {id(elem): e for e, elem in enumerate(elems)}
     memo: dict = {}
-    for axis, name, count in ((0, "row_sum", G1.num_vertices),
-                              (1, "col_sum", G2.num_vertices)):
+    minus = (index[id(one)],)
+    for axis, name, count in ((0, "row", G1.num_vertices), (1, "col", G2.num_vertices)):
         terms: dict[int, list] = {}
-        for (i, j), elem in cert.entries.items():
-            terms.setdefault(i if axis == 0 else j, []).append(elem)
-        worst, desc = 0.0, ""
-        for idx in range(count):
-            r = _residual(memo, terms.get(idx, []), [one])
-            if r > worst:
-                worst, desc = r, f"{name.split('_')[0]} {idx}"
-        families.append((name, worst, desc))
+        for key, elem in cert.entries.items():
+            terms.setdefault(key[axis], []).append(index[id(elem)])
+        sigs = {(tuple(sorted(terms.get(idx, ()))), minus) for idx in range(count)}
+        worst = max((_residual(memo, elems, sig) for sig in sigs), default=0.0)
+        desc = ""
+        if worst:  # the first row or column attaining it
+            idx = next(idx for idx in range(count)
+                       if memo[(tuple(sorted(terms.get(idx, ()))), minus)] == worst)
+            desc = f"{name} {idx}"
+        families.append((f"{name}_sum", worst, desc))
 
     # color vanishing on stored entries
+    colors1 = _rendered_colors(G1)
+    colors2 = colors1 if G2 is G1 else _rendered_colors(G2)
     worst, desc = 0.0, ""
     for (i, j), elem in cert.entries.items():
-        c1, c2 = G1.vertex_colors[i], G2.vertex_colors[j]
-        r1 = c1.render() if c1 is not None else None
-        r2 = c2.render() if c2 is not None else None
+        r1, r2 = colors1[i], colors2[j]
         if r1 != r2:
             r = elem.residual_norm()
             if r > worst:
@@ -336,7 +373,8 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     classes1 = _edge_classes(G1)
     classes2 = _edge_classes(G2)
     for cname in sorted(classes1.keys() | classes2.keys()):
-        r = _intertwine(cert, classes1.get(cname, []), classes2.get(cname, []), memo)
+        r = _intertwine(cert, classes1.get(cname, []), classes2.get(cname, []),
+                        memo, elems, index)
         families.append((f"intertwine:{cname or 'plain'}", r, cname or "plain"))
 
     # structural invariants of the block decomposition
@@ -350,9 +388,9 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
             delta = li.assignment.pointwise(lj.assignment)
             groups.setdefault((li.block, delta.render()), []).append(elem)
         worst, desc = 0.0, ""
-        for (k, dname), elems in groups.items():
-            first = elems[0]
-            for other in elems[1:]:
+        for (k, dname), group in groups.items():
+            first = group[0]
+            for other in group[1:]:
                 if other is first:
                     continue
                 r = (other - first).residual_norm()
@@ -362,13 +400,13 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
 
         worst, desc = 0.0, ""
         per_block: dict[int, list] = {}
-        for (k, _), elems in groups.items():
-            per_block.setdefault(k, []).append(elems[0])
-        for k, elems in per_block.items():
-            for a in range(len(elems)):
-                for b in range(a + 1, len(elems)):
-                    x, y = elems[a], elems[b]
-                    r = (x * y - y * x).residual_norm()
+        for (k, _), group in groups.items():
+            per_block.setdefault(k, []).append(group[0])
+        for k, firsts in per_block.items():
+            for a in range(len(firsts)):
+                for b in range(a + 1, len(firsts)):
+                    x, y = firsts[a], firsts[b]
+                    r = _commutator_norm(x, y, id(x) in selfadjoint and id(y) in selfadjoint)
                     if r > worst:
                         worst, desc = r, f"block {k}"
         families.append(("block_commute", worst, desc))
@@ -459,14 +497,32 @@ def noncommuting_witness(cert: MagicUnitaryCert):
 
     Enumerates all pairs of distinct stored elements (each nonzero entry
     value appears once), so "None" means every pair of certificate
-    entries commutes -- no quantum symmetry is witnessed.
+    entries commutes -- no quantum symmetry is witnessed.  The first pair
+    in key order with a nonzero commutator is returned, with its norm.
+
+    A group algebra is commutative exactly when its group is abelian, so
+    over an abelian group the answer is None without a search.  In the
+    search, each element's self-adjointness is found once, when first
+    needed; for a self-adjoint pair one product gives the commutator (see
+    `_commutator_norm`).
     """
+    if cert.backend == "group_algebra" and cert.identity.ctx.abelian:
+        return None
     distinct = cert.distinct_elements()
+    selfadjoint: list[bool | None] = [None] * len(distinct)
+
+    def is_selfadjoint(idx: int) -> bool:
+        sa = selfadjoint[idx]
+        if sa is None:
+            elem = distinct[idx][1]
+            sa = selfadjoint[idx] = elem == elem.adjoint()
+        return sa
+
     for a in range(len(distinct)):
         key_a, elem_a = distinct[a]
         for b in range(a + 1, len(distinct)):
             key_b, elem_b = distinct[b]
-            r = (elem_a * elem_b - elem_b * elem_a).residual_norm()
+            r = _commutator_norm(elem_a, elem_b, is_selfadjoint(a) and is_selfadjoint(b))
             if r:
                 return (key_a, key_b, r)
     return None
@@ -513,8 +569,11 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
     Original and path vertices inherit the source entry at equal path
     positions; subdivision vertices of same-colored edges e = (a, b) and
     f = (c, d) receive u_{ac} u_{bd} + u_{ad} u_{bc} (a projection because
-    the same-block factors commute, which is checked here).  Gadgets with
-    the same four input objects are one element, built and checked once.
+    the same-block factors commute, which is checked here).  The source
+    passes, so its entries are self-adjoint and u_{bd} u_{ac} is
+    (u_{ac} u_{bd})*: the check and the gadget share one product.  Gadgets
+    with the same four input objects are one element, built and checked
+    once.
     """
     asg1, asg2 = _assignment_of(Gpp1), _assignment_of(Gpp2)
     if asg1 != asg2:
@@ -572,10 +631,12 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
                 sig = (id(u_ac), id(u_bd), id(u_ad), id(u_bc))
                 elem = gadgets.get(sig)
                 if elem is None:
-                    if not (u_ac * u_bd - u_bd * u_ac).is_zero():
+                    # the entries are self-adjoint, so u_bd u_ac = (u_ac u_bd)*
+                    prod = u_ac * u_bd
+                    if prod != prod.adjoint():
                         raise CertificateError(
                             f"entries for edges {(a, b)}/{(c, d)} do not commute")
-                    elem = gadgets[sig] = u_ac * u_bd + u_ad * u_bc
+                    elem = gadgets[sig] = prod + u_ad * u_bc
                 out[(sub1[(a, b)], sub2[(c, d)])] = elem
                 for i in range(1, m + 1):
                     out[(epath1[((a, b), i)], epath2[((c, d), i)])] = elem

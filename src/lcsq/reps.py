@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .f2core import LinearSystem, complete_bipartite, incidence_system
-from .fpgroups import CosetTable, coset_rep_words
+from .fpgroups import CosetTable, coset_rep_words, is_abelian
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +221,16 @@ class DenseElement:
 
 class GroupAlgebraContext:
     """Multiplication and inversion for a finite group given by a completed
-    coset table over the trivial subgroup (cosets are the group elements)."""
+    coset table over the trivial subgroup (cosets are the group elements).
+    `abelian` tells whether the group, and so its group algebra, is
+    commutative."""
 
     def __init__(self, table: CosetTable):
         if not table.is_complete:
             raise ValueError("group algebra needs a complete coset table")
         self.table = table
         self.size = table.num_cosets
+        self.abelian = is_abelian(table)
         self.words = coset_rep_words(table)
         # generators are involutions, so reversing a word inverts the element
         self.inverse = [table.follow(0, tuple(reversed(w))) for w in self.words]

@@ -376,3 +376,22 @@ def test_failed_magic_square_exits_internal(files, monkeypatch, capsys):
     assert run("cert", "qiso", "--graph", files / "k33.g", "--b1", "000000",
                "--b2", "100000", "--rep", "pauli") == 4
     assert "internal error: magic square failed verification" in capsys.readouterr().err
+
+
+def test_regular_k33_lift_under_python_O_matches_in_process(files, monkeypatch, capsys):
+    # the abelian shortcut of the witness search is no assert either: -O
+    # reports no witness and writes the bytes of an in-process run
+    argv = ["cert", "qut", "--graph", "k33.g", "--rep", "regular", "--lift",
+            "--report", "r.json"]
+    monkeypatch.chdir(files)
+    assert run(*argv) == 0
+    assert "witness: none" in capsys.readouterr().out
+    in_process = (files / "r.json").read_bytes()
+    (files / "r.json").unlink()
+    proc = _cli("-m", "lcsq.cli", *argv, cwd=files, optimize=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "witness: none" in proc.stdout
+    data = json.loads((files / "r.json").read_text())
+    assert data["noncommuting_witness"] is None
+    assert data["lifted_noncommuting_witness"] is False
+    assert (files / "r.json").read_bytes() == in_process

@@ -552,3 +552,55 @@ def test_flagship_tables_replay_union_find_reference(k33_sys_e1, table34, table3
     T = todd_coxeter(P, [], 3000)
     assert T.status == "capped"
     assert T.num_cosets == reference_todd_coxeter(P, [], 3000)[2]
+
+
+# ---------------------------------------------------------------------------
+# is_abelian and the permutation check against the full permutations
+
+
+def commute_as_permutations(T: CosetTable) -> bool:
+    """Oracle: every pair of generator permutations commutes on every coset."""
+    perms = regular_perm_rep(T)
+    n = T.num_cosets
+    return all(a[b[c]] == b[a[c]] for a in perms for b in perms for c in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(involutive_presentations())
+def test_is_abelian_matches_permutation_commutation(case):
+    P, _, cap = case
+    T = todd_coxeter(P, [], cap)
+    if T.is_complete:
+        assert is_abelian(T) is commute_as_permutations(T)
+    else:
+        with pytest.raises(ValueError, match="complete"):
+            is_abelian(T)
+
+
+def test_is_abelian_matches_permutation_commutation_on_flagships(
+        table33, table34, table35, k33_sys_e1):
+    gamma33 = todd_coxeter(solution_presentation(k33_sys_e1, homogeneous=False))
+    for T, abelian in ((table33, True), (table34, False), (table35, False),
+                       (gamma33, False)):
+        assert is_abelian(T) is abelian
+        assert commute_as_permutations(T) is abelian
+
+
+@pytest.mark.parametrize("column", [
+    (1, 2, 0),   # a permutation, but a 3-cycle
+    (1, 1, 2),   # not a permutation
+    (1, 0, 3),   # points past the last coset
+    (-1, 2, 1),  # an undefined entry
+    (1,),        # one coset, pointing past it
+])
+def test_perm_rep_rejects_a_column_that_is_not_an_involution(column):
+    P = Presentation(("x",), ((0, 0),))
+    T = CosetTable(P, tuple((c,) for c in column), "complete")
+    with pytest.raises(ValueError, match="generator column 0"):
+        regular_perm_rep(T)
+
+
+def test_perm_rep_of_the_trivial_group():
+    T = todd_coxeter(Presentation(("x",), ((0, 0), (0,))))
+    assert T.table == ((0,),)
+    assert regular_perm_rep(T) == [(0,)]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system
-from lcsq.graphs import SharedEdgeColor, build_G, build_Gstar, sign_vectors
+from lcsq.graphs import SharedEdgeColor, VertexLabel, build_G, build_Gstar, sign_vectors
 from lcsq.decolor import (Original, Subdivision, VertexPath, EdgePath,
                           canonical_assignment, decolor_edges, decolor_vertices)
 from lcsq.fpgroups import solution_presentation, todd_coxeter
@@ -694,3 +694,241 @@ def test_reordered_rows_read_one_residual(gstar33_0):
     assert residual > 0
     assert verify_cert(cert, "qut").families[1] == ("row_sum", residual, "row 0")
     assert_sums_match_reference(cert, "qut")
+
+
+# ---------------------------------------------------------------------------
+# the verifier's and the witness search's shortcuts against naive evaluators
+
+
+def naive_verify(cert, mode):
+    """verify_cert as evaluated without shortcuts: every sum is memoised by
+    the ids of its terms in order, every commutator takes two products, and
+    every vertex color is rendered per entry."""
+    G1, G2 = cert.row_graph, cert.col_graph
+    memo = {}
+
+    def residual(plus, minus):
+        sig = (tuple(map(id, plus)), tuple(map(id, minus)))
+        if sig not in memo:
+            first = plus[0] if plus else minus[0]
+            memo[sig] = first.combine(plus, minus).residual_norm()
+        return memo[sig]
+
+    families = []
+    worst, desc = 0.0, ""
+    for key, elem in cert.distinct_elements():
+        r = max((elem - elem.adjoint()).residual_norm(),
+                (elem * elem - elem).residual_norm())
+        if r > worst:
+            worst, desc = r, f"entry {key}"
+    families.append(("projection", worst, desc))
+
+    one = cert.identity
+    for axis, name, count in ((0, "row_sum", G1.num_vertices),
+                              (1, "col_sum", G2.num_vertices)):
+        terms = {}
+        for (i, j), elem in cert.entries.items():
+            terms.setdefault(i if axis == 0 else j, []).append(elem)
+        worst, desc = 0.0, ""
+        for idx in range(count):
+            r = residual(terms.get(idx, []), [one])
+            if r > worst:
+                worst, desc = r, f"{name.split('_')[0]} {idx}"
+        families.append((name, worst, desc))
+
+    worst, desc = 0.0, ""
+    for (i, j), elem in cert.entries.items():
+        c1, c2 = G1.vertex_colors[i], G2.vertex_colors[j]
+        r1 = c1.render() if c1 is not None else None
+        r2 = c2.render() if c2 is not None else None
+        if r1 != r2:
+            r = elem.residual_norm()
+            if r > worst:
+                worst, desc = r, f"entry ({i},{j}) colors {r1}/{r2}"
+    families.append(("color", worst, desc))
+
+    classes1, classes2 = _edge_classes(G1), _edge_classes(G2)
+    for cname in sorted(classes1.keys() | classes2.keys()):
+        adj1, adj2 = {}, {}
+        for adj, pairs in ((adj1, classes1.get(cname, [])), (adj2, classes2.get(cname, []))):
+            for (u, v) in pairs:
+                adj.setdefault(u, []).append(v)
+                adj.setdefault(v, []).append(u)
+        left, right = {}, {}
+        for (k, j), elem in cert.entries.items():
+            for i in adj1.get(k, ()):
+                left.setdefault((i, j), []).append(elem)
+        for (i, k), elem in cert.entries.items():
+            for j in adj2.get(k, ()):
+                right.setdefault((i, j), []).append(elem)
+        r = max((residual(left.get(key, []), right.get(key, []))
+                 for key in left.keys() | right.keys()), default=0.0)
+        families.append((f"intertwine:{cname or 'plain'}", r, cname or "plain"))
+
+    if all(isinstance(l, VertexLabel) for l in G1.labels + G2.labels):
+        groups = {}
+        for (i, j), elem in cert.entries.items():
+            li, lj = G1.labels[i], G2.labels[j]
+            if li.block == lj.block:
+                delta = li.assignment.pointwise(lj.assignment)
+                groups.setdefault((li.block, delta.render()), []).append(elem)
+        worst, desc = 0.0, ""
+        for (k, dname), elems in groups.items():
+            for other in elems[1:]:
+                if other is not elems[0]:
+                    r = (other - elems[0]).residual_norm()
+                    if r > worst:
+                        worst, desc = r, f"block {k} delta {dname}"
+        families.append(("block_equal", worst, desc))
+        worst, desc = 0.0, ""
+        per_block = {}
+        for (k, _), elems in groups.items():
+            per_block.setdefault(k, []).append(elems[0])
+        for k, elems in per_block.items():
+            for a in range(len(elems)):
+                for b in range(a + 1, len(elems)):
+                    x, y = elems[a], elems[b]
+                    r = (x * y - y * x).residual_norm()
+                    if r > worst:
+                        worst, desc = r, f"block {k}"
+        families.append(("block_commute", worst, desc))
+    return VerificationReport(tuple(families), cert.backend)
+
+
+def brute_witness(cert):
+    """The first pair of distinct stored elements, in key order, whose
+    commutator (two products) is nonzero, with its norm; or None."""
+    distinct = cert.distinct_elements()
+    for a, (key_a, x) in enumerate(distinct):
+        for key_b, y in distinct[a + 1:]:
+            r = (x * y - y * x).residual_norm()
+            if r:
+                return (key_a, key_b, r)
+    return None
+
+
+@pytest.fixture(scope="module")
+def exact_cert35():
+    sys = incidence_system(SimpleGraph.from_edges(
+        8, [(a, b) for a in range(3) for b in range(3, 8)]), (0,) * 8)
+    P = solution_presentation(sys, homogeneous=True)
+    G = build_Gstar(sys)
+    return build_magic_unitary(G, G, group_algebra_rep(P, todd_coxeter(P)))
+
+
+def lifted_cert(cert):
+    """The certificate lifted to the full decolorings of its two graphs."""
+    G1, G2 = cert.row_graph, cert.col_graph
+    pa = canonical_assignment(G1, SharedEdgeColor(-1))
+    gpp1 = decolor_edges(decolor_vertices(G1, pa), pa)
+    gpp2 = gpp1 if G2 is G1 else decolor_edges(decolor_vertices(G2, pa), pa)
+    return lift_cert(cert, verify_cert(cert, "iso"), gpp1, gpp2)
+
+
+@pytest.fixture(scope="module")
+def certs(pauli_cert, exact_cert33, exact_cert34, exact_cert35):
+    """name -> (certificate, mode), sources and lifts."""
+    out = {}
+    for name, cert, mode in (("pauli", pauli_cert, "iso"), ("k33", exact_cert33, "qut"),
+                             ("k34", exact_cert34, "qut"), ("k35", exact_cert35, "qut")):
+        out[name] = (cert, mode)
+        out[f"{name}-lifted"] = (lifted_cert(cert), mode)
+    return out
+
+
+def not_selfadjoint(cert):
+    """An element of the certificate's algebra with x* != x: i times the
+    identity for dense certificates, a group element that is not an
+    involution for group-algebra ones."""
+    if cert.backend == "dense":
+        d = cert.identity.dim
+        return DenseElement([[1j if r == c else 0 for c in range(d)] for r in range(d)])
+    ctx = cert.identity.ctx
+    g = next(g for g in range(ctx.size) if ctx.inverse[g] != g)
+    return ctx.basis_element(g)
+
+
+def corruptions(cert):
+    """name -> a broken copy of the certificate.  The first stored entry is
+    the one a (block, delta) class and the witness search read first."""
+    first = next(iter(cert.entries))
+    out = {"swap": corrupt_swap_columns(cert, 0, 1),
+           "zero": replace_entry(cert, first, cert.zero())}
+    if cert.backend == "dense" or not cert.identity.ctx.abelian:
+        # over an abelian group of involutions every element is self-adjoint
+        out["skew"] = replace_entry(cert, first, not_selfadjoint(cert))
+    return out
+
+
+@pytest.mark.parametrize("name", ["pauli", "pauli-lifted", "k33", "k33-lifted", "k34",
+                                  "k34-lifted", "k35", "k35-lifted"])
+def test_report_equals_naive_evaluation(certs, name):
+    cert, mode = certs[name]
+    report = verify_cert(cert, mode)
+    assert report.passed
+    assert report.to_json_dict() == naive_verify(cert, mode).to_json_dict()
+
+
+@pytest.mark.parametrize("name", ["pauli", "pauli-lifted", "k33", "k33-lifted", "k34",
+                                  "k34-lifted", "k35"])
+def test_broken_report_equals_naive_evaluation(certs, name):
+    cert, mode = certs[name]
+    for kind, bad in corruptions(cert).items():
+        report = verify_cert(bad, mode)
+        assert not report.passed, kind
+        assert report.to_json_dict() == naive_verify(bad, mode).to_json_dict(), kind
+
+
+def test_non_selfadjoint_entry_keeps_two_product_commutators(certs):
+    # i times the identity commutes with every entry, but x y - (x y)* is
+    # 2i y: reading a commutator as x y - (x y)* would report a failure
+    cert, mode = certs["pauli"]
+    bad = corruptions(cert)["skew"]
+    x = bad.entries[next(iter(bad.entries))]
+    assert any((x * y - (x * y).adjoint()).residual_norm() > 0
+               for y in bad.entries.values())
+    assert verify_cert(bad, mode).residual("block_commute") == 0.0
+    assert noncommuting_witness(bad) == brute_witness(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reports_equal_naive_evaluation_on_corrupted_certs(pauli_cert, data):
+    cert, mode = data.draw(corrupted_certs(pauli_cert))
+    assert verify_cert(cert, mode).to_json_dict() == \
+        naive_verify(cert, mode).to_json_dict()
+
+
+@pytest.mark.parametrize("name", ["pauli", "pauli-lifted", "k33", "k33-lifted",
+                                  "k34", "k34-lifted"])
+def test_witness_equals_brute_force(certs, name):
+    cert, _ = certs[name]
+    assert noncommuting_witness(cert) == brute_witness(cert)
+    for kind, bad in corruptions(cert).items():
+        assert noncommuting_witness(bad) == brute_witness(bad), kind
+
+
+@settings(max_examples=12, deadline=None)
+@given(connected_graphs())
+def test_witness_equals_brute_force_on_random_graphs(H):
+    cert = regular_cert(H)
+    witness = noncommuting_witness(cert)
+    assert witness == brute_witness(cert)
+    assert (witness is None) is cert.identity.ctx.abelian
+
+
+def test_abelian_witness_takes_no_products(certs, monkeypatch):
+    from lcsq.reps import GroupAlgebraElement
+    products = []
+    mul = GroupAlgebraElement.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", counting)
+    for name in ("k33", "k33-lifted"):
+        assert noncommuting_witness(certs[name][0]) is None
+    assert products == []
+    assert noncommuting_witness(certs["k34"][0]) is not None
+    assert products
