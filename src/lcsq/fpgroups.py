@@ -115,31 +115,6 @@ class Presentation:
         except ValueError as exc:
             raise ValueError(f"{exc} in word {' '.join(names)!r}") from None
 
-    def to_text(self) -> str:
-        gens = ", ".join(self.generators)
-        rels = "; ".join(" ".join(self.generators[g] for g in rel)
-                         for rel in self.relators)
-        return f"gens: {gens}; rels: {rels}"
-
-    @classmethod
-    def from_text(cls, text: str) -> Presentation:
-        head, _, tail = text.partition("; rels:")
-        if not head.strip().startswith("gens:") or not tail:
-            raise ValueError("expected 'gens: ...; rels: ...'")
-        gens = tuple(n.strip() for n in head.split(":", 1)[1].split(",") if n.strip())
-        index = {n: i for i, n in enumerate(gens)}
-        rels = []
-        for chunk in tail.split(";"):
-            names = chunk.split()
-            try:
-                rel = tuple(index[n] for n in names)
-            except KeyError as exc:
-                raise ValueError(f"unknown generator {exc.args[0]!r} "
-                                 f"in relator {' '.join(names)!r}") from None
-            if rel:
-                rels.append(rel)
-        return cls(gens, tuple(rels))
-
     def to_json_dict(self) -> dict:
         return {"generators": list(self.generators),
                 "relators": [list(rel) for rel in self.relators]}
@@ -217,15 +192,6 @@ class CosetTable:
         for g in word:
             coset = self.table[coset][g]
         return coset
-
-    def to_csv(self) -> str:
-        if not self.is_complete:
-            raise ValueError("coset table is not complete")
-        header = "coset," + ",".join(self.presentation.generators)
-        lines = [header]
-        for c, row in enumerate(self.table):
-            lines.append(f"{c}," + ",".join(str(x) for x in row))
-        return "\n".join(lines)
 
 
 def _rep(parent: list[int], c: int) -> int:

@@ -14,10 +14,17 @@ the isomorphism case (right-hand sides b and b' differ).
 Verification has one path for both element backends: every relation is
 checked entry by entry through the elements' own `combine` (a sum minus a
 sum), product and residual norm, so the sparse intertwining loop never
-forms a dense matrix.  Row, column and intertwining sums collect the
-stored entry objects of each side and are evaluated once per distinct
-signature (the sorted indices of the terms' distinct objects; the sums
-are exact, so the order of the terms does not matter): entries that
+forms a dense matrix.  Each row, column and intertwining sum
+sum(plus) - sum(minus) first gets a signature: a signed digit vector
+over the certificate's distinct stored objects, held in one int (the
+weight of object e is 1 << (e * bits), as graphiso weighs edge colors by
+base**color_id).  Digits count an object's terms on the plus side minus
+those on the minus side, and `bits` leaves room for the largest
+multiplicity one side can reach, so the int is 0 exactly when both sides
+hold the same objects (the residual is then 0.0 with no algebra), and
+equal ints mean equal sums: the sums are exact, so neither the order of
+the terms nor cancelling a term on both sides changes them.  Each
+distinct nonzero signature is decoded and summed once; entries that
 coincide by the block structure share one object, so most sums repeat.
 A family's residual is the largest norm of any single entry: a per-entry
 Frobenius norm for dense elements, and for group-algebra elements the l1
@@ -75,9 +82,10 @@ class MagicUnitaryCert:
     def distinct_elements(self) -> list[tuple[tuple[int, int], object]]:
         """One representative (key, element) per distinct stored object."""
         seen: dict[int, tuple[tuple[int, int], object]] = {}
-        for key in sorted(self.entries):
-            elem = self.entries[key]
-            seen.setdefault(id(elem), (key, elem))
+        for key, elem in self.entries.items():  # the smallest key per object
+            first = seen.get(id(elem))
+            if first is None or key < first[0]:
+                seen[id(elem)] = (key, elem)
         return sorted(seen.values(), key=lambda kv: kv[0])
 
     def to_json_dict(self) -> dict:
@@ -232,18 +240,49 @@ def _edge_classes(G: ColoredGraph) -> dict[str, list[tuple[int, int]]]:
     return classes
 
 
-def _residual(memo: dict, elems: list, sig: tuple) -> float:
-    """Residual norm of sum(plus) - sum(minus), summed once per signature.
+def _adjacency(pairs: list[tuple[int, int]]) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {}
+    for (u, v) in pairs:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
 
-    The signature `sig` is the sorted indices into `elems` of the terms on
-    each side.  Entries that coincide by the block structure share one
-    object, so many sums repeat one signature; the sums are exact, so equal
-    signatures mean equal sums whatever the order of the terms.
+
+def _decode(sig: int, bits: int) -> tuple[list[int], list[int]]:
+    """The indices of a signature's positive and negative digits, each
+    repeated as often as its digit's absolute value."""
+    plus: list[int] = []
+    minus: list[int] = []
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    while sig:
+        e = ((sig & -sig).bit_length() - 1) // bits  # lowest nonzero digit
+        d = (sig >> (e * bits)) & mask
+        if d >= half:
+            d -= 1 << bits
+        sig -= d << (e * bits)
+        if d > 0:
+            plus += [e] * d
+        else:
+            minus += [e] * -d
+    return plus, minus
+
+
+def _residual(memo: dict, elems: list, bits: int, sig: int) -> float:
+    """Residual norm of the sum with signature `sig`, summed once per
+    signature.
+
+    `sig` is sum(weight of plus terms) - sum(weight of minus terms), where
+    object `elems[e]` weighs 1 << (e * bits) and no object occurs more than
+    2**(bits - 1) - 1 times on one side, so each digit is one object's
+    signed multiplicity.  `memo` maps 0 to 0.0: equal multisets cancel.  A
+    nonzero signature is decoded into its uncancelled terms; the sums are
+    exact, so those give the same element as the terms that built it.
     """
     r = memo.get(sig)
     if r is None:
-        plus = [elems[e] for e in sig[0]]
-        minus = [elems[e] for e in sig[1]]
+        plus, minus = _decode(sig, bits)
+        plus = [elems[e] for e in plus]
+        minus = [elems[e] for e in minus]
         first = plus[0] if plus else minus[0]
         r = memo[sig] = first.combine(plus, minus).residual_norm()
     return r
@@ -256,43 +295,27 @@ def _commutator_norm(x, y, selfadjoint: bool) -> float:
     return (xy - (xy.adjoint() if selfadjoint else y * x)).residual_norm()
 
 
-def _intertwine(cert: MagicUnitaryCert,
-                pairs1: list[tuple[int, int]],
-                pairs2: list[tuple[int, int]],
-                memo: dict, elems: list, index: dict) -> float:
+def _intertwine(rows: dict, adj1: dict, adj2: dict,
+                memo: dict, elems: list, bits: int) -> float:
     """Largest residual norm over the entries of A1 u - u A2.
 
-    A1 and A2 are the adjacency matrices of one edge color, given as edge
-    lists; only entry pairs reachable through a stored entry are formed.
-    Each entry's terms are collected as indices into `elems` (`index` maps
-    an element's id to its index), and each distinct signature is summed
-    once, through `_residual`.
+    A1 and A2 are the adjacency matrices of one edge color, as neighbour
+    lists, and `rows` maps a row of u to its stored (column, weight) pairs.
+    Row i of the difference is formed alone, as a dict from column j to the
+    signature of sum_{k ~1 i} u[k, j] - sum_{k ~2 j} u[i, k]; each distinct
+    signature is summed once, through `_residual`.
     """
-    adj1: dict[int, list[int]] = {}
-    for (u, v) in pairs1:
-        adj1.setdefault(u, []).append(v)
-        adj1.setdefault(v, []).append(u)
-    adj2: dict[int, list[int]] = {}
-    for (u, v) in pairs2:
-        adj2.setdefault(u, []).append(v)
-        adj2.setdefault(v, []).append(u)
-
-    left: dict = {}
-    right: dict = {}
-    for (k, j), elem in cert.entries.items():
-        if k in adj1:
-            e = index[id(elem)]
-            for i in adj1[k]:
-                left.setdefault((i, j), []).append(e)
-    for (i, k), elem in cert.entries.items():
-        if k in adj2:
-            e = index[id(elem)]
-            for j in adj2[k]:
-                right.setdefault((i, j), []).append(e)
-
-    sigs = {(tuple(sorted(left.get(key, ()))), tuple(sorted(right.get(key, ()))))
-            for key in left.keys() | right.keys()}
-    return max((_residual(memo, elems, sig) for sig in sigs), default=0.0)
+    sigs: set[int] = set()
+    for i in adj1.keys() | rows.keys():
+        acc: dict[int, int] = {}
+        for k in adj1.get(i, ()):
+            for j, w in rows.get(k, ()):
+                acc[j] = acc.get(j, 0) + w
+        for k, w in rows.get(i, ()):
+            for j in adj2.get(k, ()):
+                acc[j] = acc.get(j, 0) - w
+        sigs.update(acc.values())
+    return max((_residual(memo, elems, bits, sig) for sig in sigs), default=0.0)
 
 
 def _rendered_colors(G: ColoredGraph) -> list:
@@ -313,8 +336,10 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     norm of any one offending element.  For the dense backend that is the
     Frobenius norm of one d x d entry (for intertwining, of one (i, j)
     entry of A_G u - u A_G'), not of the whole difference.  Each distinct
-    row, column or intertwining sum is evaluated once (see `_residual`),
-    and the family reports the first row or column attaining its residual.
+    row, column or intertwining sum is evaluated once, and one whose two
+    sides hold the same objects not at all (see `_residual`); the family
+    reports the first row or column attaining its residual.  Intertwining
+    is formed one row at a time from an index of the entries by row.
     The projection family finds which entries are self-adjoint, and a
     same-block commutator of two of them takes one product.
     """
@@ -338,24 +363,50 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
             worst, desc = r, f"entry {key}"
     families.append(("projection", worst, desc))
 
-    # row and column sums
+    # the stored entries by row, as (column, weight of the object) pairs;
+    # no object occurs more often on one side of a sum than the longest row
+    # or column, or the largest degree in one edge color (see `_residual`)
     one = cert.identity
     elems = [elem for _, elem in distinct] + [one]
     index = {id(elem): e for e, elem in enumerate(elems)}
-    memo: dict = {}
-    minus = (index[id(one)],)
+    rows: dict[int, list] = {}
+    col_lengths: dict[int, int] = {}
+    for (i, j), elem in cert.entries.items():
+        rows.setdefault(i, []).append((j, index[id(elem)]))
+        col_lengths[j] = col_lengths.get(j, 0) + 1
+    classes1 = _edge_classes(G1)
+    classes2 = classes1 if G2 is G1 else _edge_classes(G2)
+    adjacency = {}
+    for cname in sorted(classes1.keys() | classes2.keys()):
+        adj1 = _adjacency(classes1.get(cname, []))
+        adj2 = adj1 if G2 is G1 else _adjacency(classes2.get(cname, []))
+        adjacency[cname] = (adj1, adj2)
+    degrees = (len(nbrs) for pair in adjacency.values() for adj in pair
+               for nbrs in adj.values())
+    bound = max(max(map(len, rows.values()), default=1),
+                max(col_lengths.values(), default=1), max(degrees, default=1))
+    bits = bound.bit_length() + 1
+    weights = [1 << (e * bits) for e in range(len(elems))]
+    for row in rows.values():
+        row[:] = [(j, weights[e]) for j, e in row]
+
+    # row and column sums
+    memo: dict = {0: 0.0}
+    minus = weights[index[id(one)]]
     for axis, name, count in ((0, "row", G1.num_vertices), (1, "col", G2.num_vertices)):
-        terms: dict[int, list] = {}
-        for key, elem in cert.entries.items():
-            terms.setdefault(key[axis], []).append(index[id(elem)])
-        sigs = {(tuple(sorted(terms.get(idx, ()))), minus) for idx in range(count)}
-        worst = max((_residual(memo, elems, sig) for sig in sigs), default=0.0)
+        sums: dict[int, int] = {}
+        for i, row in rows.items():
+            for j, w in row:
+                idx = j if axis else i
+                sums[idx] = sums.get(idx, 0) + w
+        sigs = {sums.get(idx, 0) - minus for idx in range(count)}
+        worst = max((_residual(memo, elems, bits, sig) for sig in sigs), default=0.0)
         desc = ""
         if worst:  # the first row or column attaining it
-            idx = next(idx for idx in range(count)
-                       if memo[(tuple(sorted(terms.get(idx, ()))), minus)] == worst)
+            idx = next(idx for idx in range(count) if memo[sums.get(idx, 0) - minus] == worst)
             desc = f"{name} {idx}"
         families.append((f"{name}_sum", worst, desc))
+    del sums  # one int per column: free them before the intertwining
 
     # color vanishing on stored entries
     colors1 = _rendered_colors(G1)
@@ -370,11 +421,8 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     families.append(("color", worst, desc))
 
     # intertwining per edge color
-    classes1 = _edge_classes(G1)
-    classes2 = _edge_classes(G2)
-    for cname in sorted(classes1.keys() | classes2.keys()):
-        r = _intertwine(cert, classes1.get(cname, []), classes2.get(cname, []),
-                        memo, elems, index)
+    for cname, (adj1, adj2) in adjacency.items():
+        r = _intertwine(rows, adj1, adj2, memo, elems, bits)
         families.append((f"intertwine:{cname or 'plain'}", r, cname or "plain"))
 
     # structural invariants of the block decomposition

@@ -268,6 +268,17 @@ def test_lifted_pauli_job_under_python_O(files, monkeypatch):
     assert hashlib.sha256((files / "report.json").read_bytes()).hexdigest() == digest
 
 
+def test_lifted_regular_k34_job_under_python_O(files):
+    # the group-algebra lift, its witness search and its intertwining
+    # signatures run no assert either
+    argv, digest = LIFTED_JOBS["qut-k34-regular"]
+    proc = _cli("-m", "lcsq.cli", *argv, "--lift", "--report", "report.json",
+                cwd=files, optimize=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "witness: found; lifted certificate over 2272-vertex graphs passes" in proc.stdout
+    assert hashlib.sha256((files / "report.json").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("lift, calls", [(False, 1), (True, 2)])
 def test_cert_verifies_each_certificate_once(files, monkeypatch, lift, calls):
     verified = []

@@ -6,20 +6,22 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system
-from lcsq.graphs import SharedEdgeColor, VertexLabel, build_G, build_Gstar, sign_vectors
+from lcsq.graphs import (ColoredGraph, PlainColor, SharedEdgeColor, VertexLabel, build_G,
+                         build_Gstar, sign_vectors)
 from lcsq.decolor import (Original, Subdivision, VertexPath, EdgePath,
                           canonical_assignment, decolor_edges, decolor_vertices)
 from lcsq.fpgroups import solution_presentation, todd_coxeter
 from lcsq.graphiso import automorphism_group
 from lcsq.reps import DenseElement, Representation, group_algebra_rep
 from lcsq.qcert import (CertificateError, MagicUnitaryCert, VerificationReport,
-                        _edge_classes, build_magic_unitary, extract_generators,
+                        _decode, _edge_classes, build_magic_unitary, extract_generators,
                         lift_cert, make_classical_cert, noncommuting_witness,
                         verify_cert)
 from test_reps import as_array
@@ -694,6 +696,78 @@ def test_reordered_rows_read_one_residual(gstar33_0):
     assert residual > 0
     assert verify_cert(cert, "qut").families[1] == ("row_sum", residual, "row 0")
     assert_sums_match_reference(cert, "qut")
+
+
+# ---------------------------------------------------------------------------
+# signed digit signatures
+
+
+def plain_graph(n, edges):
+    """n uncolored vertices and the given edges, all of one edge color."""
+    return ColoredGraph(tuple(range(n)), (None,) * n,
+                        tuple((u, v, PlainColor(0)) for u, v in edges))
+
+
+@pytest.mark.parametrize("mode", ["qut", "iso"])
+def test_one_object_at_the_digit_bound(mode):
+    # over the star K1,3 every leaf-leaf entry is the one object x and the
+    # centre's row and column are empty: rows, columns and degrees reach 3,
+    # the largest digit the signatures leave room for, and the intertwining
+    # entries (centre, leaf) and (leaf, centre) read 3x and -3x; the iso
+    # case gives the column graph as an equal but separate object
+    star = [(0, 1), (0, 2), (0, 3)]
+    G1 = plain_graph(4, star)
+    G2 = G1 if mode == "qut" else plain_graph(4, star)
+    x = DenseElement([[0.5, 0.25], [0.25, 0.5]])
+    one = DenseElement.identity(2)
+    cert = MagicUnitaryCert(G1, G2, {(i, j): x for i in (1, 2, 3) for j in (1, 2, 3)},
+                            "dense", one)
+    report = verify_cert(cert, mode)
+    three_x = DenseElement.combine([x, x, x], [])
+    assert report.residual("intertwine:plain:0") == three_x.residual_norm() > 0
+    assert report.residual("row_sum") == max((three_x - one).residual_norm(),
+                                             one.residual_norm())
+    assert_sums_match_reference(cert, mode)
+
+
+def test_same_objects_in_another_order_cancel():
+    # on the path 1 - 0 - 2, entry (0, 0) of A u - u A is u10 + u20 - u01 - u02,
+    # here a2 + a1 - a1 - a2 in entry order; every other entry is a difference
+    # of equal values, so the family reads 0
+    G = plain_graph(3, [(0, 1), (0, 2)])
+    a1, a2, b = DenseElement([[0.25]]), DenseElement([[0.25]]), DenseElement([[0.5]])
+    entries = {(1, 0): a2, (2, 0): a1, (0, 1): a1, (0, 2): a2,
+               (0, 0): b, (1, 2): b, (2, 1): b}
+    cert = MagicUnitaryCert(G, G, entries, "dense", DenseElement.identity(1))
+    assert verify_cert(cert, "qut").residual("intertwine:plain:0") == 0.0
+    assert_sums_match_reference(cert, "qut")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 30), max_size=12), st.lists(st.integers(0, 30), max_size=12),
+       st.integers(0, 2))
+def test_signature_decodes_to_the_cancelled_multisets(plus, minus, slack):
+    most = max([1, *Counter(plus).values(), *Counter(minus).values()])
+    bits = most.bit_length() + 1 + slack
+    sig = sum(1 << (e * bits) for e in plus) - sum(1 << (e * bits) for e in minus)
+    left, right = _decode(sig, bits)
+    assert left == sorted((Counter(plus) - Counter(minus)).elements())
+    assert right == sorted((Counter(minus) - Counter(plus)).elements())
+    assert (sig == 0) == (Counter(plus) == Counter(minus))
+
+
+@pytest.mark.parametrize("name", ["pauli", "k34", "k34-lifted"])
+def test_distinct_elements_in_key_order(certs, name):
+    cert, _ = certs[name]
+    shuffled = list(cert.entries.items())
+    random.Random(1).shuffle(shuffled)
+    for entries in (cert.entries, dict(shuffled)):
+        seen = {}
+        for key in sorted(entries):
+            seen.setdefault(id(entries[key]), (key, entries[key]))
+        expected = sorted(seen.values(), key=lambda kv: kv[0])
+        got = dataclasses.replace(cert, entries=entries).distinct_elements()
+        assert [(k, id(e)) for k, e in got] == [(k, id(e)) for k, e in expected]
 
 
 # ---------------------------------------------------------------------------
