@@ -104,6 +104,12 @@ def _build_graph(cfg: RunConfig, sys_: f2core.LinearSystem) -> graphs.ColoredGra
     raise UsageError(f"unknown construction {construction!r}")
 
 
+def _cap(cfg: RunConfig) -> int:
+    """The coset cap: --cap, or fpgroups.DEFAULT_COSET_CAP without it.  A cap
+    below 1 is rejected by `fpgroups.todd_coxeter` (exit 2)."""
+    return fpgroups.DEFAULT_COSET_CAP if cfg.cap is None else cfg.cap
+
+
 def _pick_c0(cfg: RunConfig, G: graphs.ColoredGraph) -> graphs.ColorTag:
     if cfg.c0:
         return graphs.parse_color(cfg.c0, G.system())
@@ -158,7 +164,7 @@ def cmd_group(cfg: RunConfig) -> int:
     sys_ = _load_system(cfg)
     homogeneous = cfg.homogeneous or all(v == 0 for v in sys_.b)
     P = fpgroups.solution_presentation(sys_, homogeneous=homogeneous)
-    cap = cfg.cap if cfg.cap is not None else fpgroups.default_cap()
+    cap = _cap(cfg)
     table = fpgroups.todd_coxeter(P, [], cap)
     result: dict = {
         "config": cfg.echo(),
@@ -218,7 +224,7 @@ def cmd_cert(cfg: RunConfig) -> int:
             raise UsageError("--rep regular represents the homogeneous group; "
                              "b1 and b2 must agree")
         P = fpgroups.solution_presentation(sys_.with_b(xor_b), homogeneous=True)
-        cap = cfg.cap if cfg.cap is not None else fpgroups.default_cap()
+        cap = _cap(cfg)
         table = fpgroups.todd_coxeter(P, [], cap)
         if not table.is_complete:
             print(f"coset enumeration exceeded cap {cap}")
@@ -247,11 +253,10 @@ def cmd_cert(cfg: RunConfig) -> int:
     passed = report.passed
     # a failing source is not lifted: the run is a verified negative either way
     if cfg.lift and passed:
-        c0 = _pick_c0(cfg, G1)
-        pa = decolor.canonical_assignment(G1, c0)
-        Gpp1 = decolor.decolor_edges(decolor.decolor_vertices(G1, pa), pa)
-        Gpp2 = (Gpp1 if G2 is G1 else
-                decolor.decolor_edges(decolor.decolor_vertices(G2, pa), pa))
+        # one assignment, from G1, for both graphs: lift_cert needs them equal
+        pa = decolor.canonical_assignment(G1, _pick_c0(cfg, G1))
+        Gpp1 = decolor.decolor_full(G1, pa)
+        Gpp2 = Gpp1 if G2 is G1 else decolor.decolor_full(G2, pa)
         lifted = qcert.lift_cert(cert, report, Gpp1, Gpp2)
         lift_report = qcert.verify_cert(lifted, mode)
         result["lifted_verification"] = lift_report.to_json_dict()

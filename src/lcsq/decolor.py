@@ -6,8 +6,9 @@ Path lengths are chosen canonically (0, 1, 2, ... along the canonical
 color order), so two graphs sharing a palette receive identical
 assignments -- certificates can then be transported between the decolored
 graphs entry by entry.  New vertices carry structured, stable identities
-(vpath/sub/epath) so downstream constructions can address them by
-provenance instead of by renumbered index.
+(vpath/sub/epath, defined and parsed in `lcsq.graphs`) so downstream
+constructions can address them by provenance instead of by renumbered
+index.
 """
 
 from __future__ import annotations
@@ -15,85 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import ColoredGraph, ColorTag, LABEL_PARSERS, parse_color
-
-
-# ---------------------------------------------------------------------------
-# Decorated vertex identities
-
-
-@dataclass(frozen=True)
-class Original:
-    vertex: int
-
-    def render(self) -> str:
-        return f"orig:{self.vertex}"
-
-
-@dataclass(frozen=True)
-class VertexPath:
-    vertex: int
-    i: int
-
-    def __post_init__(self):
-        if self.i < 1:
-            raise ValueError("path positions start at 1")
-
-    def render(self) -> str:
-        return f"vpath:{self.vertex}:{self.i}"
-
-
-@dataclass(frozen=True)
-class Subdivision:
-    edge: tuple[int, int]
-
-    def __post_init__(self):
-        if self.edge[0] >= self.edge[1]:
-            raise ValueError("edge endpoints must be ascending")
-
-    def render(self) -> str:
-        return f"sub:{self.edge[0]}-{self.edge[1]}"
-
-
-@dataclass(frozen=True)
-class EdgePath:
-    edge: tuple[int, int]
-    i: int
-
-    def __post_init__(self):
-        if self.edge[0] >= self.edge[1]:
-            raise ValueError("edge endpoints must be ascending")
-        if self.i < 1:
-            raise ValueError("path positions start at 1")
-
-    def render(self) -> str:
-        return f"epath:{self.edge[0]}-{self.edge[1]}:{self.i}"
-
-
-DecoratedVertexId = Original | VertexPath | Subdivision | EdgePath
-
-
-def _parse_decorated(text: str, system) -> DecoratedVertexId | None:
-    kind, _, rest = text.partition(":")
-    try:
-        if kind == "orig":
-            return Original(int(rest))
-        if kind == "vpath":
-            v, i = rest.split(":")
-            return VertexPath(int(v), int(i))
-        if kind == "sub":
-            a, b = rest.split("-")
-            return Subdivision((int(a), int(b)))
-        if kind == "epath":
-            pair, i = rest.split(":")
-            a, b = pair.split("-")
-            return EdgePath((int(a), int(b)), int(i))
-    except ValueError:
-        return None
-    return None
-
-
-LABEL_PARSERS.append(_parse_decorated)
+from .graphs import (ColoredGraph, ColorTag, EdgePath, Original, Subdivision,
+                     VertexPath, parse_color)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +170,8 @@ def decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     return ColoredGraph(tuple(labels), (None,) * len(labels), tuple(edges), meta)
 
 
-def decolor_full(G: ColoredGraph, c0: ColorTag) -> ColoredGraph:
-    """Convenience pipeline: canonical assignment, then both stages."""
-    pa = canonical_assignment(G, c0)
+def decolor_full(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
+    """G -> G'': both stages under one path assignment."""
     return decolor_edges(decolor_vertices(G, pa), pa)
 
 

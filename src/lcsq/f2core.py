@@ -69,9 +69,6 @@ class BinMatrix:
     def zero(cls, m: int, n: int) -> BinMatrix:
         return cls(m, n, (0,) * m)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.bits[i] >> j) & 1
-
     def row(self, i: int) -> list[int]:
         return [(self.bits[i] >> j) & 1 for j in range(self.cols)]
 
@@ -124,6 +121,15 @@ class LinearSystem:
     def support(self, k: int) -> tuple[int, ...]:
         return self.M.support(k)
 
+    def sharing_pairs(self) -> list[tuple[int, int]]:
+        """The pairs i < j of variables that share a constraint, sorted."""
+        pairs = set()
+        for k in range(self.num_constraints):
+            support = self.support(k)
+            for a, i in enumerate(support):
+                pairs.update((i, j) for j in support[a + 1:])
+        return sorted(pairs)
+
     def b_bitstring(self) -> str:
         return "".join(str(v) for v in self.b)
 
@@ -155,9 +161,6 @@ class SimpleGraph:
     @classmethod
     def from_edges(cls, num_vertices: int, edges) -> SimpleGraph:
         return cls(num_vertices, tuple((min(u, v), max(u, v)) for u, v in edges))
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def is_connected(self) -> bool:
         if self.num_vertices <= 1:

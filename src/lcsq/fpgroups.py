@@ -29,7 +29,6 @@ are left out, so the numbering is that of the plain scans (see
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -49,21 +48,6 @@ UNDEF = -1
 _INITIAL_ROWS = 1024
 
 Word = tuple[int, ...]
-
-
-def default_cap() -> int:
-    """Coset cap, overridable via the LCSQ_COSET_CAP environment variable."""
-    raw = os.environ.get("LCSQ_COSET_CAP")
-    if not raw:
-        return DEFAULT_COSET_CAP
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"LCSQ_COSET_CAP must be a positive integer, got {raw!r}") from None
-    return cap
 
 
 @dataclass(frozen=True)
@@ -115,15 +99,6 @@ class Presentation:
         except ValueError as exc:
             raise ValueError(f"{exc} in word {' '.join(names)!r}") from None
 
-    def to_json_dict(self) -> dict:
-        return {"generators": list(self.generators),
-                "relators": [list(rel) for rel in self.relators]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> Presentation:
-        return cls(tuple(data["generators"]),
-                   tuple(tuple(rel) for rel in data["relators"]))
-
 
 def solution_presentation(sys: LinearSystem, homogeneous: bool) -> Presentation:
     """Presentation of Gamma_0(M) (homogeneous) or Gamma(M, b).
@@ -145,13 +120,7 @@ def solution_presentation(sys: LinearSystem, homogeneous: bool) -> Presentation:
     if gamma is not None:
         relators.append((gamma, gamma))
 
-    sharing = set()
-    for k in range(sys.num_constraints):
-        support = sys.support(k)
-        for a in range(len(support)):
-            for b_ in range(a + 1, len(support)):
-                sharing.add((support[a], support[b_]))
-    for i, j in sorted(sharing):
+    for i, j in sys.sharing_pairs():
         relators.append((i, j, i, j))
     if gamma is not None:
         for i in range(n):
@@ -352,7 +321,7 @@ def _scan(cols: list[list[int]], parent: list[int], c: int,
 
 
 def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
-                 cap: int | None = None) -> CosetTable:
+                 cap: int = DEFAULT_COSET_CAP) -> CosetTable:
     """Enumerate cosets of the subgroup generated by subgroup_words.
 
     HLT scan-and-fill: the subgroup words are scanned at coset 0, then
@@ -377,12 +346,11 @@ def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
     defines c·g when it is undefined.  Neither shortcut drops or reorders a
     definition, deduction or coincidence, so the numbering is unchanged.
 
-    If more than `cap` live cosets are ever needed, returns a table with
-    status "capped" (a status, not an error) that keeps only the live
-    count at the cap.
+    If more than `cap` live cosets are ever needed (DEFAULT_COSET_CAP
+    unless given), returns a table with status "capped" (a status, not an
+    error) that keeps only the live count at the cap.  A cap below 1 is a
+    ValueError.
     """
-    if cap is None:
-        cap = default_cap()
     if cap < 1:
         raise ValueError("cap must be at least 1")
 
@@ -413,12 +381,6 @@ def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
     if any(UNDEF in col for col in cols):
         raise RuntimeError("enumeration closed with undefined table entries")
     return CosetTable(P, tuple(zip(*cols)), "complete")
-
-
-def group_order(P: Presentation, cap: int | None = None) -> int | None:
-    """Group order via enumeration over the trivial subgroup; None if capped."""
-    table = todd_coxeter(P, [], cap)
-    return table.num_cosets if table.is_complete else None
 
 
 def regular_perm_rep(T: CosetTable) -> list[tuple[int, ...]]:

@@ -33,16 +33,10 @@ from .graphs import ColoredGraph
 
 @dataclass(frozen=True)
 class StableColoring:
-    """Vertex classes of the stable (equitable) partition.
-
-    `classes[v]` is the index of v's cell.  Refinement processes one
-    splitter cell at a time: `rounds` counts the splitters processed and
-    `history` holds the cell count after each of them.
-    """
+    """Vertex classes of the stable (equitable) partition: `classes[v]` is
+    the index of v's cell."""
 
     classes: tuple[int, ...]
-    rounds: int
-    history: tuple[int, ...]
 
     @property
     def num_classes(self) -> int:
@@ -117,20 +111,16 @@ class _Instance:
         # cells are sorted, so the first-graph vertices come first
         return 2 * bisect_left(cell, self.split) != len(cell)
 
-    def initial(self, balanced: bool = False
-                ) -> tuple[_Partition | None, tuple[int, ...]]:
-        """The stable refinement of the vertex colors, with its history;
-        None when `balanced` and some cell has unequal sides."""
+    def initial(self, balanced: bool = False) -> _Partition | None:
+        """The stable refinement of the vertex colors; None when `balanced`
+        and some cell has unequal sides."""
         cells: list[list[int]] = [[] for _ in range(len(set(self.init_colors)))]
         for v, c in enumerate(self.init_colors):
             cells[c].append(v)
         part = _Partition(list(self.init_colors), cells)
         if balanced and any(self._unbalanced(cell) for cell in cells):
-            return None, ()
-        history = self._refine(part, list(range(len(cells))), balanced)
-        if history is None:
-            return None, ()
-        return part, history
+            return None
+        return part if self._refine(part, list(range(len(cells))), balanced) else None
 
     def individualize(self, part: _Partition, v: int, w: int) -> _Partition | None:
         """The child of a stable, balanced `part` that pairs v (first graph)
@@ -143,16 +133,14 @@ class _Instance:
         cells.append([v, w])
         cell_of[v] = cell_of[w] = new
         child = _Partition(cell_of, cells)
-        return child if self._refine(child, [new], True) is not None else None
+        return child if self._refine(child, [new], True) else None
 
-    def _refine(self, part: _Partition, queue: list[int],
-                balanced: bool) -> tuple[int, ...] | None:
+    def _refine(self, part: _Partition, queue: list[int], balanced: bool) -> bool:
         """Split cells of `part` in place until it is equitable, starting
-        from the splitter cells in `queue`.  Returns the cell count after
-        each splitter, or None when `balanced` and a fragment has unequal
-        sides (no bijection can exist below this node)."""
+        from the splitter cells in `queue`.  Returns False when `balanced`
+        and a fragment has unequal sides (no bijection can exist below this
+        node), True otherwise."""
         adj, cell_of, cells = self.adj, part.cell_of, part.cells
-        history = []
         while queue:
             counts: dict[int, int] = {}
             for u in cells[queue.pop()]:
@@ -170,7 +158,7 @@ class _Instance:
                     groups.setdefault(counts.get(x, 0), []).append(x)
                 fragments = list(groups.values())
                 if balanced and any(self._unbalanced(f) for f in fragments):
-                    return None
+                    return False
                 # the largest fragment keeps the cell's id, and its place in
                 # the queue if it had one; every other fragment is queued.
                 # Counts into an unqueued largest fragment are the counts
@@ -185,15 +173,12 @@ class _Instance:
                     for x in fragment:
                         cell_of[x] = new
                     queue.append(new)
-            history.append(len(cells))
-        return tuple(history)
+        return True
 
 
 def refine(G: ColoredGraph) -> StableColoring:
     """Stable 1-WL partition of one graph."""
-    inst = _Instance([G])
-    part, history = inst.initial()
-    return StableColoring(tuple(part.cell_of), len(history), history)
+    return StableColoring(tuple(_Instance([G]).initial().cell_of))
 
 
 def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
@@ -288,7 +273,7 @@ def find_isomorphism(G1: ColoredGraph, G2: ColoredGraph) -> Bijection | None:
     if _quick_mismatch(G1, G2):
         return None
     inst = _Instance([G1, G2])
-    found = _search(inst, inst.initial(balanced=True)[0])
+    found = _search(inst, inst.initial(balanced=True))
     if found is None:
         return None
     ok, violation = verify_mapping(G1, G2, found)
@@ -312,7 +297,7 @@ def automorphism_group(G: ColoredGraph) -> AutomorphismGroup:
     """
     inst = _Instance([G, G])
     n1 = G.num_vertices
-    part = inst.initial(balanced=True)[0]
+    part = inst.initial(balanced=True)
     generators: list[Bijection] = []
     order = 1
     while True:

@@ -205,10 +205,6 @@ def parse_color(text: str, system: LinearSystem | None = None) -> ColorTag:
     raise ValueError(f"unknown color string {text!r}")
 
 
-def color_sort_key(color: ColorTag) -> tuple:
-    return color.sort_key()
-
-
 # ---------------------------------------------------------------------------
 # Vertex labels
 
@@ -223,17 +219,69 @@ class VertexLabel:
         return f"{self.block}:{self.assignment.render()}"
 
 
+# The decorated identities of the decoloring pipeline (`lcsq.decolor`): an
+# original vertex, the i-th vertex of its attached path, the subdivision
+# vertex of an edge, and the i-th vertex of the path attached to it.
+
+
+@dataclass(frozen=True)
+class Original:
+    vertex: int
+
+    def render(self) -> str:
+        return f"orig:{self.vertex}"
+
+
+@dataclass(frozen=True)
+class VertexPath:
+    vertex: int
+    i: int
+
+    def __post_init__(self):
+        if self.i < 1:
+            raise ValueError("path positions start at 1")
+
+    def render(self) -> str:
+        return f"vpath:{self.vertex}:{self.i}"
+
+
+@dataclass(frozen=True)
+class Subdivision:
+    edge: tuple[int, int]
+
+    def __post_init__(self):
+        if self.edge[0] >= self.edge[1]:
+            raise ValueError("edge endpoints must be ascending")
+
+    def render(self) -> str:
+        return f"sub:{self.edge[0]}-{self.edge[1]}"
+
+
+@dataclass(frozen=True)
+class EdgePath:
+    edge: tuple[int, int]
+    i: int
+
+    def __post_init__(self):
+        if self.edge[0] >= self.edge[1]:
+            raise ValueError("edge endpoints must be ascending")
+        if self.i < 1:
+            raise ValueError("path positions start at 1")
+
+    def render(self) -> str:
+        return f"epath:{self.edge[0]}-{self.edge[1]}:{self.i}"
+
+
+DecoratedVertexId = Original | VertexPath | Subdivision | EdgePath
+
+
 def render_label(label) -> str:
     if hasattr(label, "render"):
         return label.render()
     return str(label)
 
 
-# Loaders for structured labels; lcsq.decolor appends its own parser.
-LABEL_PARSERS: list = []
-
-
-def _parse_vertex_label(text: str, system: LinearSystem | None):
+def _parse_vertex_label(text: str, system: LinearSystem | None) -> VertexLabel | None:
     head, sep, sig = text.partition(":")
     if sep and head.isdigit() and sig and set(sig) <= {"+", "-"}:
         block = int(head)
@@ -244,17 +292,35 @@ def _parse_vertex_label(text: str, system: LinearSystem | None):
     return None
 
 
+def _parse_decorated(text: str) -> DecoratedVertexId | None:
+    kind, _, rest = text.partition(":")
+    try:
+        if kind == "orig":
+            return Original(int(rest))
+        if kind == "vpath":
+            v, i = rest.split(":")
+            return VertexPath(int(v), int(i))
+        if kind == "sub":
+            a, b = rest.split("-")
+            return Subdivision((int(a), int(b)))
+        if kind == "epath":
+            pair, i = rest.split(":")
+            a, b = pair.split("-")
+            return EdgePath((int(a), int(b)), int(i))
+    except ValueError:
+        return None
+    return None
+
+
 def parse_label(text: str, system: LinearSystem | None = None):
-    for parser in LABEL_PARSERS:
-        parsed = parser(text, system)
-        if parsed is not None:
-            return parsed
+    """A label from its rendered string: a VertexLabel, then a decorated
+    identity, then an int, and otherwise the string itself."""
+    parsed = _parse_vertex_label(text, system) or _parse_decorated(text)
+    if parsed is not None:
+        return parsed
     if text.lstrip("-").isdigit():
         return int(text)
     return text
-
-
-LABEL_PARSERS.append(_parse_vertex_label)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +374,14 @@ class ColoredGraph:
 
     def vertex_palette(self) -> list:
         present = {c.render(): c for c in self.vertex_colors if c is not None}
-        return sorted(present.values(), key=color_sort_key)
+        return sorted(present.values(), key=lambda c: c.sort_key())
 
     def edge_palette(self) -> list:
         present = {c.render(): c for (_, _, c) in self.edges if c is not None}
         for extra in self.meta.get("edge_palette", []):
             c = parse_color(extra, self.system()) if isinstance(extra, str) else extra
             present.setdefault(c.render(), c)
-        return sorted(present.values(), key=color_sort_key)
+        return sorted(present.values(), key=lambda c: c.sort_key())
 
     def system(self) -> LinearSystem | None:
         raw = self.meta.get("system")

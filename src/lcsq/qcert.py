@@ -46,9 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .f2core import LinearSystem
-from .graphs import ColoredGraph, VertexLabel
-from .decolor import Original, VertexPath, Subdivision, EdgePath, PathAssignment
-from .reps import DenseElement, Representation, verify_representation
+from .graphs import (ColoredGraph, EdgePath, Original, Subdivision, VertexLabel,
+                     VertexPath, render_label, sign_vectors)
+from .decolor import PathAssignment
+from .reps import DenseElement, GroupAlgebraElement, Representation, verify_representation
 
 class CertificateError(Exception):
     """A certificate precondition failed (mismatched inputs, failed source)."""
@@ -60,8 +61,9 @@ class MagicUnitaryCert:
 
     `entries` maps (row vertex, column vertex) to an algebra element;
     absent pairs are zero.  Entries that coincide by the block structure
-    share one element object.  `block_table` (when built from a
-    representation) maps (block, delta string) to that shared element.
+    share one element object: a certificate built from a representation
+    holds one object per (block, delta), which `extract_generators` reads
+    back from the entries.
     """
 
     row_graph: ColoredGraph
@@ -71,7 +73,6 @@ class MagicUnitaryCert:
     identity: object
     provenance: str = ""
     source_rep: Representation | None = None
-    block_table: dict | None = None
 
     def entry(self, i: int, j: int):
         return self.entries.get((i, j))
@@ -89,9 +90,6 @@ class MagicUnitaryCert:
         return sorted(seen.values(), key=lambda kv: kv[0])
 
     def to_json_dict(self) -> dict:
-        from .graphs import render_label
-        from .reps import GroupAlgebraElement
-
         table: list = []
         index: dict[int, int] = {}
         entry_list = []
@@ -155,7 +153,6 @@ def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
     blocks1 = _block_vertices(Gb)
     blocks2 = _block_vertices(Gb2)
 
-    block_table: dict = {}
     entries: dict = {}
     for k in sorted(blocks1):
         support = s1.support(k)
@@ -175,25 +172,10 @@ def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
             alpha = Gb.labels[i].assignment
             for j in blocks2.get(k, []):
                 beta = Gb2.labels[j].assignment
-                delta = alpha.pointwise(beta)
-                elem = v_elem(delta.signs)
-                entries[(i, j)] = elem
-                block_table[(k, delta.render())] = elem
+                entries[(i, j)] = v_elem(alpha.pointwise(beta).signs)
 
     return MagicUnitaryCert(Gb, Gb2, entries, R.backend, one,
-                            provenance=f"built:{R.name}", source_rep=R,
-                            block_table=block_table)
-
-
-def make_classical_cert(G1: ColoredGraph, G2: ColoredGraph,
-                        mapping: dict[int, int]) -> MagicUnitaryCert:
-    """0/1 scalar certificate of a classical bijection (entries are 1x1)."""
-    if sorted(mapping) != list(range(G1.num_vertices)) or \
-            sorted(mapping.values()) != list(range(G2.num_vertices)):
-        raise CertificateError("mapping is not a bijection between the vertex sets")
-    one = DenseElement.identity(1)
-    entries = {(v, w): one for v, w in mapping.items()}
-    return MagicUnitaryCert(G1, G2, entries, "dense", one, provenance="classical")
+                            provenance=f"built:{R.name}", source_rep=R)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +304,28 @@ def _rendered_colors(G: ColoredGraph) -> list:
     return [c.render() if c is not None else None for c in G.vertex_colors]
 
 
+def _algebra(elem):
+    """What `combine` needs two elements to share: a dense element's
+    dimension, or a group-algebra element's context."""
+    return elem.dim if isinstance(elem, DenseElement) else elem.ctx
+
+
+def _color_family(cert: MagicUnitaryCert) -> tuple[str, float, str]:
+    """Color vanishing: every stored entry between vertices of different
+    colors must be zero."""
+    colors1 = _rendered_colors(cert.row_graph)
+    colors2 = (colors1 if cert.col_graph is cert.row_graph
+               else _rendered_colors(cert.col_graph))
+    worst, desc = 0.0, ""
+    for (i, j), elem in cert.entries.items():
+        r1, r2 = colors1[i], colors2[j]
+        if r1 != r2:
+            r = elem.residual_norm()
+            if r > worst:
+                worst, desc = r, f"entry ({i},{j}) colors {r1}/{r2}"
+    return ("color", worst, desc)
+
+
 def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     """Check the full relation set of the certificate.
 
@@ -329,7 +333,11 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     vanishing; intertwining with every edge-color adjacency matrix; and,
     when both graphs are block-labelled, the structural block form
     (entries depend only on alpha * beta and same-block entries commute).
-    Failures are report entries, never exceptions.
+    Failures are report entries, never exceptions.  An element over
+    another algebra than `cert.identity` (another dense dimension, another
+    group-algebra context) fails a `shape` family, residual 1.0, naming the
+    first such entry; the families that add or multiply entries together
+    are then left out, and only projection, shape and color are reported.
 
     Every family is checked entry by entry with the element operations of
     the certificate's backend, and its residual is the largest residual
@@ -350,11 +358,15 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     families: list[tuple[str, float, str]] = []
     G1, G2 = cert.row_graph, cert.col_graph
 
-    # entry projections: e = e* = e^2
+    # entry projections: e = e* = e^2, and each element's algebra
     distinct = cert.distinct_elements()
+    algebra = _algebra(cert.identity)
+    misfit = None
     selfadjoint: set[int] = set()
     worst, desc = 0.0, ""
     for key, elem in distinct:
+        if misfit is None and _algebra(elem) != algebra:
+            misfit = key
         skew = (elem - elem.adjoint()).residual_norm()
         if not skew:
             selfadjoint.add(id(elem))
@@ -362,6 +374,9 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
         if r > worst:
             worst, desc = r, f"entry {key}"
     families.append(("projection", worst, desc))
+    if misfit is not None:
+        families += [("shape", 1.0, f"entry {misfit}"), _color_family(cert)]
+        return VerificationReport(tuple(families), cert.backend)
 
     # the stored entries by row, as (column, weight of the object) pairs;
     # no object occurs more often on one side of a sum than the longest row
@@ -408,17 +423,7 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
         families.append((f"{name}_sum", worst, desc))
     del sums  # one int per column: free them before the intertwining
 
-    # color vanishing on stored entries
-    colors1 = _rendered_colors(G1)
-    colors2 = colors1 if G2 is G1 else _rendered_colors(G2)
-    worst, desc = 0.0, ""
-    for (i, j), elem in cert.entries.items():
-        r1, r2 = colors1[i], colors2[j]
-        if r1 != r2:
-            r = elem.residual_norm()
-            if r > worst:
-                worst, desc = r, f"entry ({i},{j}) colors {r1}/{r2}"
-    families.append(("color", worst, desc))
+    families.append(_color_family(cert))
 
     # intertwining per edge color
     for cname, (adj1, adj2) in adjacency.items():
@@ -475,23 +480,14 @@ class ExtractionReport:
     roundtrip_residual: float | None  # vs. the source representation
 
 
-def _recover_block_table(cert: MagicUnitaryCert) -> dict:
-    if cert.block_table is not None:
-        return cert.block_table
-    table: dict = {}
-    for (i, j), elem in cert.entries.items():
-        li, lj = cert.row_graph.labels[i], cert.col_graph.labels[j]
-        delta = li.assignment.pointwise(lj.assignment)
-        table.setdefault((li.block, delta.render()), elem)
-    return table
-
-
 def extract_generators(cert: MagicUnitaryCert) -> ExtractionReport:
     """Recover y_i = sum_delta delta_i v^{(k)}_delta for every variable.
 
-    The sum must not depend on which block k containing i is used; the
-    maximal cross-block deviation is reported, together with the residual
-    against the source representation when one is attached.
+    v^{(k)}_delta is read from the entries: the first entry of block k
+    with alpha * beta = delta (the certificate passes, so every such entry
+    is equal).  The sum must not depend on which block k containing i is
+    used; the maximal cross-block deviation is reported, together with the
+    residual against the source representation when one is attached.
     """
     report = verify_cert(cert, "iso")
     if not report.passed:
@@ -501,9 +497,11 @@ def extract_generators(cert: MagicUnitaryCert) -> ExtractionReport:
 
     sys1, sys2 = _require_shared_matrix(cert.row_graph, cert.col_graph)
     parity = [x ^ y for x, y in zip(sys1.b, sys2.b)]
-    table = _recover_block_table(cert)
-
-    from .graphs import sign_vectors
+    table: dict = {}  # (block, delta string) -> element
+    for (i, j), elem in cert.entries.items():
+        li, lj = cert.row_graph.labels[i], cert.col_graph.labels[j]
+        delta = li.assignment.pointwise(lj.assignment)
+        table.setdefault((li.block, delta.render()), elem)
 
     per_var_blocks: dict[int, dict[int, object]] = {}
     for k in range(sys1.num_constraints):

@@ -195,9 +195,6 @@ class DenseElement:
         # the zero element, positive otherwise
         return math.sqrt(sum(c * c for c in self.coeffs.values())) / (1 << self.exp)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def rows(self) -> list[list[list[float]]]:
         """The matrix as rows of [re, im] float pairs (its JSON form)."""
         d, c, scale = self.dim, self.coeffs, 1 << self.exp
@@ -318,9 +315,6 @@ class GroupAlgebraElement:
         # 0.0 exactly on the zero element; positive otherwise
         return sum(abs(c) for c in self.coeffs.values()) / float(1 << self.exp)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def support(self) -> list[tuple[int, int, int]]:
         """JSON-facing support list [[element, numerator, log2 denominator]]."""
         return [[g, self.coeffs[g], self.exp] for g in sorted(self.coeffs)]
@@ -351,7 +345,6 @@ class Representation:
 
     images: list
     backend: str  # "dense" | "group_algebra"
-    system: LinearSystem | None = None
     name: str = ""
 
     def identity(self):
@@ -388,11 +381,6 @@ class RepVerification:
     def passed(self) -> bool:
         return all(r == 0.0 for _, r in self.entries)
 
-    def to_json_dict(self) -> dict:
-        return {"passed": self.passed, "backend": self.backend,
-                "max_residual": self.max_residual, "worst": self.worst,
-                "relations": [{"name": n, "residual": r} for n, r in self.entries]}
-
 
 def verify_representation(R: Representation, sys: LinearSystem,
                           mode: str) -> RepVerification:
@@ -417,13 +405,7 @@ def verify_representation(R: Representation, sys: LinearSystem,
         entries.append((f"selfadjoint:x{i + 1}", (x - x.adjoint()).residual_norm()))
         entries.append((f"involution:x{i + 1}", (x * x - one).residual_norm()))
 
-    sharing = set()
-    for k in range(sys.num_constraints):
-        support = sys.support(k)
-        for a in range(len(support)):
-            for b_ in range(a + 1, len(support)):
-                sharing.add((support[a], support[b_]))
-    for i, j in sorted(sharing):
+    for i, j in sys.sharing_pairs():
         xi, xj = R.images[i], R.images[j]
         entries.append((f"commute:x{i + 1},x{j + 1}",
                         (xi * xj - xj * xi).residual_norm()))
@@ -496,7 +478,7 @@ def pauli_magic_square_rep(distinguished: int = 0) -> Representation:
             for b_ in range(3):
                 images[3 * a + b_] = cells[a][tau[b_]]
 
-    rep = Representation(images, "dense", sys, name="pauli-magic-square")
+    rep = Representation(images, "dense", name="pauli-magic-square")
     report = verify_representation(rep, sys, "iso")
     if not report.passed:  # construction bug, not a data condition
         raise RuntimeError(f"magic square failed verification: {report.worst}")
@@ -511,14 +493,4 @@ def group_algebra_rep(P, T: CosetTable) -> Representation:
     ctx = GroupAlgebraContext(T)
     nvars = P.ngens - (1 if "gamma" in P.generators else 0)
     images = [ctx.generator_element(i) for i in range(nvars)]
-    return Representation(images, "group_algebra", None, name="regular")
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def representation_to_json_dict(R: Representation) -> dict:
-    gens = {f"x{i + 1}": img.rows() if R.backend == "dense" else img.support()
-            for i, img in enumerate(R.images)}
-    return {"backend": R.backend, "name": R.name, "generators": gens}
+    return Representation(images, "group_algebra", name="regular")

@@ -137,16 +137,28 @@ def test_group_unknown_word_generator_exit_2(files, capsys):
     assert "unknown generator 'y9' in word 'x1 y9'" in capsys.readouterr().err
 
 
-def test_coset_cap_env_override(files, monkeypatch):
-    monkeypatch.setenv("LCSQ_COSET_CAP", "10")
-    assert run("group", "--graph", files / "k34.g", "--homogeneous") == 3
+CAP_COMMANDS = {
+    "group": ["group", "--graph", "k34.g", "--homogeneous"],
+    "cert": ["cert", "qut", "--graph", "k34.g", "--rep", "regular"],
+}
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
-def test_invalid_coset_cap_env_exit_2(files, monkeypatch, capsys, raw):
-    monkeypatch.setenv("LCSQ_COSET_CAP", raw)
-    assert run("group", "--graph", files / "k34.g", "--homogeneous") == 2
-    assert "LCSQ_COSET_CAP" in capsys.readouterr().err
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+@pytest.mark.parametrize("command", sorted(CAP_COMMANDS))
+def test_invalid_cap_exit_2(files, monkeypatch, capsys, command, raw):
+    # --cap is the one way to set the cap: argparse rejects a non-integer,
+    # and todd_coxeter a cap below 1, before any enumeration
+    monkeypatch.chdir(files)
+    assert run(*CAP_COMMANDS[command], "--cap", raw) == 2
+    err = capsys.readouterr().err
+    assert ("invalid int value" if raw == "abc" else "cap must be at least 1") in err
+
+
+def test_group_json_without_cap_reports_the_default(files, monkeypatch):
+    monkeypatch.chdir(files)
+    assert run("group", "--graph", "k33.g", "--json", "g.json") == 0
+    data = json.loads((files / "g.json").read_text())
+    assert data["cap"] == 1000000 and "cap" not in data["config"]
 
 
 def test_tol_flag_is_unknown(files):

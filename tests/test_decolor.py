@@ -9,12 +9,11 @@ import random
 import pytest
 
 from lcsq.f2core import BinMatrix, LinearSystem
-from lcsq.decolor import (EdgePath, Original, PathAssignment, Subdivision,
-                          VertexPath, canonical_assignment, check_matchings,
+from lcsq.decolor import (PathAssignment, canonical_assignment, check_matchings,
                           check_min_degree, decolor_edges, decolor_full,
                           decolor_vertices)
-from lcsq.graphs import (ColoredGraph, IntraEdgeColor, PlainColor,
-                         SharedEdgeColor, build_G, serialize)
+from lcsq.graphs import (ColoredGraph, EdgePath, IntraEdgeColor, Original, PlainColor,
+                         SharedEdgeColor, Subdivision, VertexPath, build_G, serialize)
 
 C0 = SharedEdgeColor(-1)
 
@@ -226,8 +225,8 @@ def test_unassigned_colors_raise_key_error_naming_them():
         pa.edge_length(PlainColor(0))  # c0 has no length either
 
 
-# sha256 of `serialize(decolor_full(G, shared:-1))`, measured before the
-# lookups were keyed by rendered color
+# sha256 of `serialize(decolor_full(G, pa))` under the canonical assignment
+# for c0 = shared:-1, measured before the lookups were keyed by rendered color
 DECOLOR_FULL_SHA256 = {
     "gstar33_e1": "079f4988929a1482f94a4e99992e71b8ce4b5f3e85e2348484261c48684ab997",
     "gstar34": "97c437d48efa4d6d950b003b683cd17bc8ff2fc65eb6f7608d5f97c0697f3e49",
@@ -236,7 +235,8 @@ DECOLOR_FULL_SHA256 = {
 
 @pytest.mark.parametrize("graph", sorted(DECOLOR_FULL_SHA256))
 def test_decolor_full_bytes_are_pinned(request, graph):
-    Gpp = decolor_full(request.getfixturevalue(graph), C0)
+    G = request.getfixturevalue(graph)
+    Gpp = decolor_full(G, canonical_assignment(G, C0))
     digest = hashlib.sha256(serialize(Gpp).encode()).hexdigest()
     assert digest == DECOLOR_FULL_SHA256[graph]
 

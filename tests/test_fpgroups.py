@@ -13,8 +13,8 @@ import lcsq.fpgroups as fp
 from lcsq.f2core import (BinMatrix, LinearSystem, abelianized_order,
                          complete_bipartite, incidence_system, solve_f2)
 from lcsq.fpgroups import (COMPACT_SLACK, CosetTable, Presentation, coset_rep_words,
-                           group_order, is_abelian, regular_perm_rep,
-                           solution_presentation, todd_coxeter, word_is_identity)
+                           is_abelian, regular_perm_rep, solution_presentation,
+                           todd_coxeter, word_is_identity)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def test_forced_equal_involutions_give_z2():
     sys = LinearSystem(BinMatrix.from_rows([[1, 1]]), (0,))
     P = solution_presentation(sys, homogeneous=True)
     assert P.generators == ("x1", "x2")
-    assert group_order(P) == 2
+    assert todd_coxeter(P, []).num_cosets == 2
 
 
 def test_k33_presentation_relator_census(k33_sys0):
@@ -90,11 +90,6 @@ def test_nonhomogeneous_adds_gamma(k33_sys_e1):
     assert products[0][:3] == k33_sys_e1.support(0)
 
 
-def test_presentation_json_round_trip(k33_sys0):
-    P = solution_presentation(k33_sys0, homogeneous=True)
-    assert Presentation.from_json_dict(P.to_json_dict()) == P
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -107,7 +102,7 @@ def test_single_involution():
 
 def test_klein_four_group():
     P = Presentation(("x", "y"), ((0, 0), (1, 1), (0, 1, 0, 1)))
-    assert group_order(P) == 4
+    assert todd_coxeter(P, []).num_cosets == 4
 
 
 def test_k33_order(table33, k33_sys0):
@@ -128,7 +123,6 @@ def test_cap_is_a_status(k34_sys0):
     T = todd_coxeter(P, [], cap=10)
     assert T.status == "capped"
     assert not T.is_complete
-    assert group_order(P, cap=10) is None
 
 
 def test_nontrivial_subgroup_index(k33_sys0):
@@ -231,12 +225,12 @@ def test_infinite_dihedral_unknown():
 
 def test_order_equals_abelianization_when_abelian(k33_sys0):
     P = solution_presentation(k33_sys0, homogeneous=True)
-    assert group_order(P) == abelianized_order(k33_sys0.M)
+    assert todd_coxeter(P, []).num_cosets == abelianized_order(k33_sys0.M)
 
 
 def test_order_multiple_of_abelianization(k34_sys0):
     P = solution_presentation(k34_sys0, homogeneous=True)
-    assert group_order(P) % abelianized_order(k34_sys0.M) == 0
+    assert todd_coxeter(P, []).num_cosets % abelianized_order(k34_sys0.M) == 0
 
 
 def test_word_squares_are_identity(k33_sys0):
@@ -248,7 +242,7 @@ def test_gamma_nontrivial_for_magic_square(k33_sys_e1):
     P = solution_presentation(k33_sys_e1, homogeneous=False)
     gamma = P.gen_index("gamma")
     assert word_is_identity(todd_coxeter(P), (gamma,)) is False
-    assert group_order(P) == 32
+    assert todd_coxeter(P, []).num_cosets == 32
 
 
 def test_gamma_for_solvable_system_sign_character():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq import graphiso
-from lcsq.graphs import ColoredGraph, PlainColor, SharedEdgeColor, VertexColor
-from lcsq.decolor import Original, canonical_assignment, decolor_vertices
+from lcsq.graphs import ColoredGraph, Original, PlainColor, SharedEdgeColor, VertexColor
+from lcsq.decolor import canonical_assignment, decolor_vertices
 from lcsq.graphiso import (Bijection, automorphism_group, find_isomorphism,
                            refine, verify_mapping)
 
@@ -179,12 +179,6 @@ def test_refine_separates_former_blocks(gstar33_0):
             assert block_of_class.setdefault(cls, block) == block
     assert len({coloring.classes[v] for v, lab in enumerate(Gp.labels)
                 if isinstance(lab, Original)}) == 6
-
-
-def test_refine_history_monotone(gstar33_0):
-    coloring = refine(gstar33_0)
-    assert list(coloring.history) == sorted(coloring.history)
-    assert coloring.rounds == len(coloring.history)
 
 
 def test_refine_classes_are_orbit_unions():

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +289,29 @@ def test_demo_json_counts(demo_sys):
 def test_round_trip_block_graphs(gstar33_0, gstar33_e1, k34_sys0):
     for G in (gstar33_0, gstar33_e1, build_G(parse_system("11100;10011|01"))):
         assert parse_graph_json(serialize(G)) == G
+
+
+def test_decorated_labels_parse_without_importing_decolor(gpp33_pair, tmp_path):
+    # a fresh interpreter that imports lcsq.graphs alone reads the decorated
+    # labels of a G'' file as the same objects as this process, which has
+    # lcsq.decolor imported
+    gpp = gpp33_pair[1]
+    path = tmp_path / "gpp.json"
+    path.write_text(serialize(gpp))
+    probe = ("import json, sys\n"
+             "from lcsq import graphs\n"
+             "G = graphs.parse_graph_json(open(sys.argv[1]).read())\n"
+             "print(json.dumps(['lcsq.decolor' in sys.modules, [repr(l) for l in G.labels]]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", probe, str(path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    decolor_loaded, labels = json.loads(proc.stdout)
+    assert decolor_loaded is False
+    assert labels == [repr(l) for l in gpp.labels]
+    assert {l.split("(")[0] for l in labels} == {"Original", "VertexPath",
+                                                 "Subdivision", "EdgePath"}
 
 
 def test_round_trip_random_plain_graphs():

@@ -13,17 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system
-from lcsq.graphs import (ColoredGraph, PlainColor, SharedEdgeColor, VertexLabel, build_G,
-                         build_Gstar, sign_vectors)
-from lcsq.decolor import (Original, Subdivision, VertexPath, EdgePath,
-                          canonical_assignment, decolor_edges, decolor_vertices)
-from lcsq.fpgroups import solution_presentation, todd_coxeter
+from lcsq.graphs import (ColoredGraph, EdgePath, Original, PlainColor, SharedEdgeColor,
+                         Subdivision, VertexLabel, VertexPath, build_G, build_Gstar,
+                         sign_vectors)
+from lcsq.decolor import canonical_assignment, decolor_edges, decolor_vertices
+from lcsq.fpgroups import Presentation, solution_presentation, todd_coxeter
 from lcsq.graphiso import automorphism_group
-from lcsq.reps import DenseElement, Representation, group_algebra_rep
+from lcsq.reps import (DenseElement, GroupAlgebraContext, Representation,
+                       group_algebra_rep)
 from lcsq.qcert import (CertificateError, MagicUnitaryCert, VerificationReport,
                         _decode, _edge_classes, build_magic_unitary, extract_generators,
-                        lift_cert, make_classical_cert, noncommuting_witness,
-                        verify_cert)
+                        lift_cert, noncommuting_witness, verify_cert)
 from test_reps import as_array
 
 
@@ -35,8 +35,19 @@ def tiny_cert():
     sys = tiny_system()
     G = build_G(sys)
     one = DenseElement.identity(1)
-    rep = Representation([one, one], "dense", sys)
+    rep = Representation([one, one], "dense")
     return build_magic_unitary(G, G, rep)
+
+
+def make_classical_cert(G1: ColoredGraph, G2: ColoredGraph,
+                        mapping: dict[int, int]) -> MagicUnitaryCert:
+    """0/1 scalar certificate of a classical bijection (entries are 1x1)."""
+    if sorted(mapping) != list(range(G1.num_vertices)) or \
+            sorted(mapping.values()) != list(range(G2.num_vertices)):
+        raise CertificateError("mapping is not a bijection between the vertex sets")
+    one = DenseElement.identity(1)
+    entries = {(v, w): one for v, w in mapping.items()}
+    return MagicUnitaryCert(G1, G2, entries, "dense", one, provenance="classical")
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +180,33 @@ def test_exact_corruption_is_flagged(exact_cert34):
     assert report.max_residual > 0.0
 
 
+@pytest.mark.parametrize("cert_name, mode", [("pauli_cert", "iso"), ("exact_cert33", "qut")])
+def test_mixed_element_shapes_are_a_failing_family(request, cert_name, mode):
+    # one entry over another algebra: a 1x1 matrix among 4x4 ones, or an
+    # element of another group's algebra among the K3,3 group algebra's
+    cert = request.getfixturevalue(cert_name)
+    assert "shape" not in {name for name, _, _ in verify_cert(cert, mode).families}
+    if cert.backend == "dense":
+        aliens = [DenseElement.identity(1), DenseElement.identity(2)]
+    else:
+        z2 = todd_coxeter(Presentation(("x",), ((0, 0),)))
+        aliens = [GroupAlgebraContext(z2).identity_element() for _ in range(2)]
+    keys = sorted(cert.entries)
+    bad = replace_entry(replace_entry(cert, keys[9], aliens[0]), keys[5], aliens[1])
+    report = verify_cert(bad, mode)
+    assert not report.passed
+    assert [name for name, _, _ in report.families] == ["projection", "shape", "color"]
+    assert report.worst == ("shape", 1.0, f"entry {keys[5]}")  # the first in key order
+    # each alien is itself a projection, so only its algebra fails
+    assert report.residual("projection") == 0.0
+
+
 def test_extract_without_block_table(pauli_cert):
+    # a certificate assembled from a copy of the entries alone: extraction
+    # reads the (block, delta) elements back from the entries
     rebuilt = MagicUnitaryCert(pauli_cert.row_graph, pauli_cert.col_graph,
                                dict(pauli_cert.entries), "dense",
-                               pauli_cert.identity,
-                               source_rep=pauli_cert.source_rep, block_table=None)
+                               pauli_cert.identity, source_rep=pauli_cert.source_rep)
     report = extract_generators(rebuilt)
     assert report.cross_block_discrepancy == 0.0
     assert report.roundtrip_residual == 0.0
