@@ -110,13 +110,13 @@ def _cap(cfg: RunConfig) -> int:
     return fpgroups.DEFAULT_COSET_CAP if cfg.cap is None else cfg.cap
 
 
-def _pick_c0(cfg: RunConfig, G: graphs.ColoredGraph) -> graphs.ColorTag:
+def _pick_c0(cfg: RunConfig, G: graphs.ColoredGraph) -> str:
+    """--c0 as given (`decolor.canonical_assignment` rejects one that is not
+    an edge color of G), else shared:-1."""
     if cfg.c0:
-        return graphs.parse_color(cfg.c0, G.system())
-    palette = {c.render(): c for c in G.edge_palette()}
-    shared = graphs.SharedEdgeColor(-1)
-    if shared.render() in palette:
-        return shared
+        return cfg.c0
+    if "shared:-1" in G.edge_palette():
+        return "shared:-1"
     raise UsageError("no shared:-1 edge color present; specify --c0 explicitly")
 
 

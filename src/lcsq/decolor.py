@@ -2,10 +2,11 @@
 paths, then strip edge colors by subdividing colored edges and attaching
 paths to the subdivision vertices.
 
-Path lengths are chosen canonically (0, 1, 2, ... along the canonical
-color order), so two graphs sharing a palette receive identical
+Path lengths are chosen canonically (0, 1, 2, ... along the palette order
+of `lcsq.graphs`), so two graphs sharing a palette receive identical
 assignments -- certificates can then be transported between the decolored
-graphs entry by entry.  New vertices carry structured, stable identities
+graphs entry by entry.  A path assignment maps each color string straight
+to its length.  New vertices carry structured, stable identities
 (vpath/sub/epath, defined and parsed in `lcsq.graphs`) so downstream
 constructions can address them by provenance instead of by renumbered
 index.
@@ -14,10 +15,8 @@ index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .graphs import (ColoredGraph, ColorTag, EdgePath, Original, Subdivision,
-                     VertexPath, parse_color)
+from .graphs import ColoredGraph, EdgePath, Original, Subdivision, VertexPath
 
 
 # ---------------------------------------------------------------------------
@@ -28,63 +27,40 @@ from .graphs import (ColoredGraph, ColorTag, EdgePath, Original, Subdivision,
 class PathAssignment:
     """Distinct path lengths n_c per vertex color and m_c per edge color != c0."""
 
-    vertex_lengths: tuple  # ((ColorTag, int), ...)
-    edge_lengths: tuple
-    c0: ColorTag
+    vertex_lengths: dict[str, int]
+    edge_lengths: dict[str, int]
+    c0: str
 
     def __post_init__(self):
         for lengths in (self.vertex_lengths, self.edge_lengths):
-            values = [n for (_, n) in lengths]
+            values = list(lengths.values())
             if len(set(values)) != len(values):
                 raise ValueError("path lengths must be pairwise distinct")
             if any(n < 0 for n in values):
                 raise ValueError("path lengths must be nonnegative")
-        if self.c0.render() in self._edge_index:
+        if self.c0 in self.edge_lengths:
             raise ValueError("c0 must not receive an edge path length")
 
-    # Lookups keyed by rendered color, built once per assignment.  Reversed
-    # so that the first pair of a rendered color wins, as a scan would.
-    @cached_property
-    def _vertex_index(self) -> dict[str, int]:
-        return {c.render(): n for c, n in reversed(self.vertex_lengths)}
+    def vertex_length(self, color: str) -> int:
+        if color not in self.vertex_lengths:
+            raise KeyError(f"no path length assigned to vertex color {color}")
+        return self.vertex_lengths[color]
 
-    @cached_property
-    def _edge_index(self) -> dict[str, int]:
-        return {c.render(): n for c, n in reversed(self.edge_lengths)}
-
-    def vertex_length(self, color: ColorTag) -> int:
-        name = color.render()
-        if name not in self._vertex_index:
-            raise KeyError(f"no path length assigned to vertex color {name}")
-        return self._vertex_index[name]
-
-    def edge_length(self, color: ColorTag) -> int:
-        name = color.render()
-        if name not in self._edge_index:
-            raise KeyError(f"no path length assigned to edge color {name}")
-        return self._edge_index[name]
+    def edge_length(self, color: str) -> int:
+        if color not in self.edge_lengths:
+            raise KeyError(f"no path length assigned to edge color {color}")
+        return self.edge_lengths[color]
 
     def to_json_dict(self) -> dict:
-        return {
-            "c0": self.c0.render(),
-            "vertex_lengths": {c.render(): n for c, n in self.vertex_lengths},
-            "edge_lengths": {c.render(): n for c, n in self.edge_lengths},
-        }
+        return {"c0": self.c0, "vertex_lengths": dict(self.vertex_lengths),
+                "edge_lengths": dict(self.edge_lengths)}
 
     @classmethod
-    def from_json_dict(cls, data: dict, system=None) -> PathAssignment:
-        return cls(
-            tuple(sorted(((parse_color(c, system), n)
-                          for c, n in data["vertex_lengths"].items()),
-                         key=lambda cn: cn[1])),
-            tuple(sorted(((parse_color(c, system), n)
-                          for c, n in data["edge_lengths"].items()),
-                         key=lambda cn: cn[1])),
-            parse_color(data["c0"], system),
-        )
+    def from_json_dict(cls, data: dict) -> PathAssignment:
+        return cls(dict(data["vertex_lengths"]), dict(data["edge_lengths"]), data["c0"])
 
 
-def canonical_assignment(G: ColoredGraph, c0: ColorTag) -> PathAssignment:
+def canonical_assignment(G: ColoredGraph, c0: str) -> PathAssignment:
     """Smallest distinct lengths in canonical color order: vertex colors get
     n_c = 0, 1, 2, ...; edge colors other than c0 get m_c = 0, 1, 2, ...
 
@@ -92,15 +68,11 @@ def canonical_assignment(G: ColoredGraph, c0: ColorTag) -> PathAssignment:
     certificate built on one pair of graphs lift to their decolorings.
     """
     edge_palette = G.edge_palette()
-    if c0.render() not in {c.render() for c in edge_palette}:
-        raise ValueError(f"c0 {c0.render()} is not an edge color of the graph")
-    vcolors = G.vertex_palette()
-    ecolors = [c for c in edge_palette if c.render() != c0.render()]
-    return PathAssignment(
-        tuple((c, n) for n, c in enumerate(vcolors)),
-        tuple((c, n) for n, c in enumerate(ecolors)),
-        c0,
-    )
+    if c0 not in edge_palette:
+        raise ValueError(f"c0 {c0} is not an edge color of the graph")
+    edge_palette.remove(c0)
+    return PathAssignment({c: n for n, c in enumerate(G.vertex_palette())},
+                          {c: n for n, c in enumerate(edge_palette)}, c0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +109,8 @@ def decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     labels = list(Gp.labels)
     edges = []
     new_vertices = []
-    c0_name = pa.c0.render()
     for (u, v, c) in Gp.edges:
-        if c is None or c.render() == c0_name:
+        if c is None or c == pa.c0:
             edges.append((u, v, None))
             continue
         m = pa.edge_length(c)  # KeyError when a color has no assigned length
@@ -185,7 +156,7 @@ def check_min_degree(G: ColoredGraph, d: int) -> tuple[bool, list[int]]:
     return (not offenders, offenders)
 
 
-def check_matchings(Gp: ColoredGraph, c0: ColorTag) -> tuple[bool, ColorTag | None]:
+def check_matchings(Gp: ColoredGraph, c0: str) -> tuple[bool, str | None]:
     """Whether every edge color class except c0 is a matching.
 
     Returns the first offending color otherwise.  This is the hypothesis
@@ -193,13 +164,10 @@ def check_matchings(Gp: ColoredGraph, c0: ColorTag) -> tuple[bool, ColorTag | No
     structure of the incidence-system graphs.
     """
     seen: dict[str, set[int]] = {}
-    colors: dict[str, ColorTag] = {}
     for (u, v, c) in Gp.edges:
-        if c is None or c.render() == c0.render():
+        if c is None or c == c0:
             continue
-        key = c.render()
-        ends = seen.setdefault(key, set())
-        colors[key] = c
+        ends = seen.setdefault(c, set())
         if u in ends or v in ends:
             return (False, c)
         ends.add(u)

@@ -26,6 +26,7 @@ computed; isomorphism is decided by direct search.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import ColoredGraph
@@ -81,14 +82,13 @@ class _Instance:
         self.split = graphs[0].num_vertices  # first vertex of the second graph
         total = sum(G.num_vertices for G in graphs)
 
-        color_names = sorted({c.render() for G in graphs
-                              for (_, _, c) in G.edges if c is not None})
+        color_names = sorted({c for G in graphs for (_, _, c) in G.edges} - {None})
         color_ids = {name: i + 1 for i, name in enumerate(color_names)}
         edges = []
         offset = 0
         for G in graphs:
             edges.extend((offset + u, offset + v,
-                          color_ids[c.render()] if c is not None else 0)
+                          color_ids[c] if c is not None else 0)
                          for (u, v, c) in G.edges)
             offset += G.num_vertices
         degree = [0] * total
@@ -102,8 +102,7 @@ class _Instance:
             self.adj[u].append((v, weight))
             self.adj[v].append((u, weight))
 
-        tokens = [c.render() if c is not None else ""
-                  for G in graphs for c in G.vertex_colors]
+        tokens = [c or "" for G in graphs for c in G.vertex_colors]
         token_ids = {t: i for i, t in enumerate(sorted(set(tokens)))}
         self.init_colors = [token_ids[t] for t in tokens]
 
@@ -193,16 +192,10 @@ def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
 
     for v, w in mapping.items():
         c1, c2 = G1.vertex_colors[v], G2.vertex_colors[w]
-        r1 = c1.render() if c1 is not None else None
-        r2 = c2.render() if c2 is not None else None
-        if r1 != r2:
-            return False, (1, f"vertex color: {v} has {r1}, image {w} has {r2}")
+        if c1 != c2:
+            return False, (1, f"vertex color: {v} has {c1}, image {w} has {c2}")
 
-    def edge_map(G: ColoredGraph) -> dict[tuple[int, int], str | None]:
-        return {(u, v): (c.render() if c is not None else None)
-                for (u, v, c) in G.edges}
-
-    e1, e2 = edge_map(G1), edge_map(G2)
+    e1, e2 = ({(u, v): c for (u, v, c) in G.edges} for G in (G1, G2))
     for (u, v), c in e1.items():
         iu, iv = mapping[u], mapping[v]
         image = e2.get((min(iu, iv), max(iu, iv)), "absent")
@@ -218,24 +211,9 @@ def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
 
 
 def _quick_mismatch(G1: ColoredGraph, G2: ColoredGraph) -> bool:
-    if G1.num_vertices != G2.num_vertices or G1.num_edges != G2.num_edges:
-        return True
-
-    def vhist(G):
-        out: dict[str, int] = {}
-        for c in G.vertex_colors:
-            key = c.render() if c is not None else ""
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    def ehist(G):
-        out: dict[str, int] = {}
-        for (_, _, c) in G.edges:
-            key = c.render() if c is not None else ""
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    return vhist(G1) != vhist(G2) or ehist(G1) != ehist(G2)
+    return (G1.num_vertices != G2.num_vertices or G1.num_edges != G2.num_edges
+            or Counter(G1.vertex_colors) != Counter(G2.vertex_colors)
+            or Counter(c for (_, _, c) in G1.edges) != Counter(c for (_, _, c) in G2.edges))
 
 
 def _target(part: _Partition) -> list[int] | None:

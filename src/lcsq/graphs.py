@@ -11,11 +11,18 @@ single color -1, and the +1 edges become non-edges.
 Vertex order is canonical: blocks ascending, and within a block the sign
 vectors in lexicographic order over the sorted domain with +1 < -1.  All
 matrix-facing modules rely on those indices.
+
+A color is the canonical string that graph files hold, such as "v:3",
+"intra:0:+--+", "inter:1-4:-", "shared:-1" or "plain:2".  This module is
+the one that knows the format: it writes colors, checks those a file
+holds, and orders a palette by kind, then block, then sign.  Everywhere
+else a color is compared as a plain string.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import chain, groupby, product, repeat
 
@@ -61,13 +68,6 @@ class SignVector:
         return SignVector(self.domain,
                           tuple(a * b for a, b in zip(self.signs, other.signs)))
 
-    def is_all_plus(self) -> bool:
-        return all(s == 1 for s in self.signs)
-
-    def sort_key(self) -> tuple:
-        # +1 sorts before -1, positionwise over the sorted domain
-        return (self.domain, tuple(0 if s == 1 else 1 for s in self.signs))
-
     def render(self) -> str:
         return "".join("+" if s == 1 else "-" for s in self.signs)
 
@@ -87,122 +87,36 @@ def sign_vectors(domain: tuple[int, ...], parity: int) -> list[SignVector]:
 
 
 # ---------------------------------------------------------------------------
-# Color tags
+# Colors
+#
+# A color is its canonical string: "v:k" on the vertices of block k,
+# "intra:k:s" on an edge inside block k whose ends differ by the sign
+# vector s over S_k ("+" for +1), "inter:l-k:s" on an edge between blocks
+# l < k (s over their shared variables), "shared:-1" or "shared:+1" in the
+# incidence construction, and "plain:n" on any other graph.  Colors are
+# compared as strings; only palette order needs `_color_key`.
+
+_NUM = "(0|[1-9][0-9]*)"
+_COLOR_FORMS = {kind: (order, re.compile(form)) for order, (kind, form) in enumerate((
+    ("v", _NUM),
+    ("intra", _NUM + r":(\+*(?:-\+*-\+*)+)"),  # an even, nonzero count of -1
+    ("inter", _NUM + "-" + _NUM + ":([+-]+)"),
+    ("shared", "([+-])1"),
+    ("plain", _NUM),
+))}
 
 
-@dataclass(frozen=True)
-class VertexColor:
-    block: int
-
-    def render(self) -> str:
-        return f"v:{self.block}"
-
-    def sort_key(self) -> tuple:
-        return (0, self.block)
-
-
-@dataclass(frozen=True)
-class IntraEdgeColor:
-    """Color alpha * beta of an edge inside block k; parity 0 and never all-plus."""
-
-    block: int
-    delta: SignVector
-
-    def __post_init__(self):
-        if self.delta.parity() != 0:
-            raise ValueError("intra color must have sign product +1")
-        if self.delta.is_all_plus():
-            raise ValueError("intra color cannot be the all-plus vector (loop)")
-
-    def render(self) -> str:
-        return f"intra:{self.block}:{self.delta.render()}"
-
-    def sort_key(self) -> tuple:
-        return (1, self.block, self.delta.sort_key())
-
-
-@dataclass(frozen=True)
-class InterEdgeColor:
-    """Restriction of alpha * beta to the shared variables, scoped to a block pair."""
-
-    blocks: tuple[int, int]
-    delta: SignVector
-
-    def __post_init__(self):
-        if self.blocks[0] >= self.blocks[1]:
-            raise ValueError("block pair must be ascending")
-
-    def render(self) -> str:
-        return f"inter:{self.blocks[0]}-{self.blocks[1]}:{self.delta.render()}"
-
-    def sort_key(self) -> tuple:
-        return (2, self.blocks, self.delta.sort_key())
-
-
-@dataclass(frozen=True)
-class SharedEdgeColor:
-    """The two-color scheme of the incidence construction; only -1 survives."""
-
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def render(self) -> str:
-        return f"shared:{'+1' if self.sign == 1 else '-1'}"
-
-    def sort_key(self) -> tuple:
-        return (3, 0 if self.sign == 1 else 1)
-
-
-@dataclass(frozen=True)
-class PlainColor:
-    index: int
-
-    def render(self) -> str:
-        return f"plain:{self.index}"
-
-    def sort_key(self) -> tuple:
-        return (4, self.index)
-
-
-ColorTag = VertexColor | IntraEdgeColor | InterEdgeColor | SharedEdgeColor | PlainColor
-
-
-def parse_color(text: str, system: LinearSystem | None = None) -> ColorTag:
-    """Rebuild a ColorTag from its canonical string.
-
-    Sign-vector domains of intra/inter colors are recovered from the system
-    when one is supplied (they are S_k and S_l & S_k); without a system a
-    placeholder domain 0..len-1 is used, which still renders identically.
-    """
+def _color_key(text: str) -> tuple:
+    """The canonical order of colors: by kind (v, intra, inter, shared,
+    plain), then block numbers as ints, then signs, +1 before -1 as "+"
+    precedes "-" in ASCII.  Raises ValueError on anything that is not a
+    canonical color."""
     kind, _, rest = text.partition(":")
-    if kind == "v":
-        return VertexColor(int(rest))
-    if kind == "intra":
-        block, _, sig = rest.partition(":")
-        k = int(block)
-        domain = tuple(range(len(sig)))
-        if system is not None and k < system.num_constraints:
-            support = system.support(k)
-            if len(support) == len(sig):
-                domain = support
-        return IntraEdgeColor(k, SignVector.from_string(domain, sig))
-    if kind == "inter":
-        pair, _, sig = rest.partition(":")
-        l, k = (int(x) for x in pair.split("-"))
-        domain = tuple(range(len(sig)))
-        if system is not None and k < system.num_constraints:
-            shared = tuple(sorted(set(system.support(l)) & set(system.support(k))))
-            if len(shared) == len(sig):
-                domain = shared
-        return InterEdgeColor((l, k), SignVector.from_string(domain, sig))
-    if kind == "shared":
-        return SharedEdgeColor(1 if rest == "+1" else -1)
-    if kind == "plain":
-        return PlainColor(int(rest))
-    raise ValueError(f"unknown color string {text!r}")
+    order, form = _COLOR_FORMS.get(kind, (None, None))
+    match = form and form.fullmatch(rest)
+    if not match or (kind == "inter" and int(match[1]) >= int(match[2])):
+        raise ValueError(f"not a canonical color: {text!r}")
+    return (order, *(int(g) if g.isdigit() else g for g in match.groups()))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +247,8 @@ class ColoredGraph:
 
     Vertices are 0..n-1; `labels[i]` is the structured identity of vertex i
     (a VertexLabel, a decorated id from the decoloring pipeline, an int, or
-    a string).  Edges are (u, v, color) with u < v.
+    a string).  Edges are (u, v, color) with u < v.  A color is a canonical
+    color string, or None for none.
     """
 
     labels: tuple
@@ -372,16 +287,11 @@ class ColoredGraph:
             deg[v] += 1
         return deg
 
-    def vertex_palette(self) -> list:
-        present = {c.render(): c for c in self.vertex_colors if c is not None}
-        return sorted(present.values(), key=lambda c: c.sort_key())
+    def vertex_palette(self) -> list[str]:
+        return sorted(set(self.vertex_colors) - {None}, key=_color_key)
 
-    def edge_palette(self) -> list:
-        present = {c.render(): c for (_, _, c) in self.edges if c is not None}
-        for extra in self.meta.get("edge_palette", []):
-            c = parse_color(extra, self.system()) if isinstance(extra, str) else extra
-            present.setdefault(c.render(), c)
-        return sorted(present.values(), key=lambda c: c.sort_key())
+    def edge_palette(self) -> list[str]:
+        return sorted({c for (_, _, c) in self.edges} - {None}, key=_color_key)
 
     def system(self) -> LinearSystem | None:
         raw = self.meta.get("system")
@@ -391,42 +301,31 @@ class ColoredGraph:
 # Constructions
 
 
-def _blocks(sys: LinearSystem) -> list[list[SignVector]]:
-    blocks = []
+def _block_graph(sys: LinearSystem):
+    """What both constructions share: the blocks, each block's first vertex,
+    the vertex labels and colors, and the edges inside the blocks."""
+    blocks, offsets, labels, colors, edges = [], [], [], [], []
     for k in range(sys.num_constraints):
         support = sys.support(k)
         if not support:
             raise ValueError(f"constraint {k} touches no variable")
-        blocks.append(sign_vectors(support, sys.b[k]))
-    return blocks
-
-
-def _block_vertices(blocks: list[list[SignVector]]):
-    labels = []
-    colors = []
-    offsets = []
-    for k, block in enumerate(blocks):
-        offsets.append(len(labels))
-        for alpha in block:
-            labels.append(VertexLabel(k, alpha))
-            colors.append(VertexColor(k))
-    return labels, colors, offsets
+        block = sign_vectors(support, sys.b[k])
+        base = len(labels)
+        blocks.append(block)
+        offsets.append(base)
+        labels.extend(VertexLabel(k, alpha) for alpha in block)
+        colors.extend([f"v:{k}"] * len(block))
+        for a in range(len(block)):
+            for b_ in range(a + 1, len(block)):
+                delta = block[a].pointwise(block[b_])
+                edges.append((base + a, base + b_, f"intra:{k}:{delta.render()}"))
+    return blocks, offsets, labels, colors, edges
 
 
 def build_G(sys: LinearSystem) -> ColoredGraph:
     """The colored graph G(M, b): blocks of local solutions, all edges between
     variable-sharing blocks, colored by the (restricted) pointwise product."""
-    blocks = _blocks(sys)
-    labels, colors, offsets = _block_vertices(blocks)
-    edges = []
-
-    for k, block in enumerate(blocks):
-        base = offsets[k]
-        for a in range(len(block)):
-            for b_ in range(a + 1, len(block)):
-                delta = block[a].pointwise(block[b_])
-                edges.append((base + a, base + b_, IntraEdgeColor(k, delta)))
-
+    blocks, offsets, labels, colors, edges = _block_graph(sys)
     for l in range(sys.num_constraints):
         for k in range(l + 1, sys.num_constraints):
             shared = tuple(sorted(set(sys.support(l)) & set(sys.support(k))))
@@ -434,10 +333,10 @@ def build_G(sys: LinearSystem) -> ColoredGraph:
                 continue
             for a, alpha in enumerate(blocks[l]):
                 for b_, beta in enumerate(blocks[k]):
-                    delta = SignVector(shared, tuple(alpha.sign(i) * beta.sign(i)
-                                                     for i in shared))
+                    delta = "".join("+" if alpha.sign(i) == beta.sign(i) else "-"
+                                    for i in shared)
                     edges.append((offsets[l] + a, offsets[k] + b_,
-                                  InterEdgeColor((l, k), delta)))
+                                  f"inter:{l}-{k}:{delta}"))
 
     meta = {"construction": "G", "system": render_system(sys)}
     return ColoredGraph(tuple(labels), tuple(colors), tuple(edges), meta)
@@ -447,17 +346,7 @@ def build_Gstar(sys: LinearSystem) -> ColoredGraph:
     """The reduced graph G_*(M, b): cross-block pairs must share at most one
     variable; inter edges are colored by the single shared sign and the +1
     class is replaced by non-edges."""
-    blocks = _blocks(sys)
-    labels, colors, offsets = _block_vertices(blocks)
-
-    edges = []
-    for k, block in enumerate(blocks):
-        base = offsets[k]
-        for a in range(len(block)):
-            for b_ in range(a + 1, len(block)):
-                delta = block[a].pointwise(block[b_])
-                edges.append((base + a, base + b_, IntraEdgeColor(k, delta)))
-
+    blocks, offsets, labels, colors, edges = _block_graph(sys)
     for l in range(sys.num_constraints):
         for k in range(l + 1, sys.num_constraints):
             shared = tuple(sorted(set(sys.support(l)) & set(sys.support(k))))
@@ -470,9 +359,8 @@ def build_Gstar(sys: LinearSystem) -> ColoredGraph:
             i = shared[0]
             for a, alpha in enumerate(blocks[l]):
                 for b_, beta in enumerate(blocks[k]):
-                    if alpha.sign(i) * beta.sign(i) == -1:
-                        edges.append((offsets[l] + a, offsets[k] + b_,
-                                      SharedEdgeColor(-1)))
+                    if alpha.sign(i) != beta.sign(i):
+                        edges.append((offsets[l] + a, offsets[k] + b_, "shared:-1"))
 
     meta = {"construction": "Gstar", "system": render_system(sys)}
     return ColoredGraph(tuple(labels), tuple(colors), tuple(edges), meta)
@@ -550,32 +438,53 @@ def to_json_dict(G: ColoredGraph) -> dict:
     for i, (lab, c) in enumerate(zip(G.labels, G.vertex_colors)):
         record = {"id": i, "label": render_label(lab)}
         if c is not None:
-            record["color"] = c.render()
+            record["color"] = c
         vertices.append(record)
     edges = []
     for (u, v, c) in G.edges:
         record = {"u": u, "v": v}
         if c is not None:
-            record["color"] = c.render()
+            record["color"] = c
         edges.append(record)
     return {"vertices": vertices, "edges": edges, "meta": G.meta}
 
 
+_ABSENT = object()
+_FIELD_TYPES = {"vertices": (("id", int), ("label", str), ("color", str)),
+                "edges": (("u", int), ("v", int), ("color", str))}
+
+
 def from_json_dict(data: dict) -> ColoredGraph:
+    """The graph of a JSON document in `to_json_dict`'s format.  Raises
+    ValueError naming the field where the document departs from it: ids and
+    endpoints must be ints, labels strings, and colors canonical colors."""
+    if not isinstance(data, dict):
+        raise ValueError("a graph document must be a JSON object")
     meta = data.get("meta", {})
+    if not isinstance(meta, dict) or not isinstance(meta.get("system", ""), str):
+        raise ValueError('"meta" must be an object whose "system" is a string')
     system = parse_system(meta["system"]) if "system" in meta else None
-    verts = sorted(data["vertices"], key=lambda d: d["id"])
+    for where, fields in _FIELD_TYPES.items():
+        records = data[where]
+        if not (isinstance(records, list) and all(map(isinstance, records, repeat(dict)))):
+            raise ValueError(f'"{where}" must be a list of objects')
+        for key, kind in fields:
+            found = set(map(type, map(dict.get, records, repeat(key), repeat(_ABSENT))))
+            if found - {kind, object}:  # object: the key is absent
+                raise ValueError(f'every "{key}" in "{where}" must be '
+                                 + ("an integer" if kind is int else "a string"))
+    verts, edges = data["vertices"], data["edges"]
+    for color in set(map(dict.get, chain(verts, edges), repeat("color"))) - {None}:
+        _color_key(color)
+
+    verts = sorted(verts, key=lambda d: d["id"])
     if [d["id"] for d in verts] != list(range(len(verts))):
         raise ValueError("vertex ids must be 0..n-1")
     labels = tuple(parse_label(d.get("label", str(d["id"])), system) for d in verts)
-    vcolors = tuple(parse_color(d["color"], system) if "color" in d else None
-                    for d in verts)
-    edges = []
-    for d in data["edges"]:
-        u, v = d["u"], d["v"]
-        color = parse_color(d["color"], system) if "color" in d else None
-        edges.append((min(u, v), max(u, v), color))
-    return ColoredGraph(labels, vcolors, tuple(edges), meta)
+    vcolors = tuple(d.get("color") for d in verts)
+    edges = tuple((min(d["u"], d["v"]), max(d["u"], d["v"]), d.get("color"))
+                  for d in edges)
+    return ColoredGraph(labels, vcolors, edges, meta)
 
 
 def to_dot(G: ColoredGraph) -> str:
@@ -583,10 +492,10 @@ def to_dot(G: ColoredGraph) -> str:
     for i, (lab, c) in enumerate(zip(G.labels, G.vertex_colors)):
         attrs = [f'label="{render_label(lab)}"']
         if c is not None:
-            attrs.append(f'tooltip="{c.render()}"')
+            attrs.append(f'tooltip="{c}"')
         lines.append(f"  {i} [{', '.join(attrs)}];")
     for (u, v, c) in G.edges:
-        attr = f' [label="{c.render()}"]' if c is not None else ""
+        attr = f' [label="{c}"]' if c is not None else ""
         lines.append(f"  {u} -- {v}{attr};")
     lines.append("}")
     return "\n".join(lines)

@@ -216,9 +216,7 @@ class VerificationReport:
 def _edge_classes(G: ColoredGraph) -> dict[str, list[tuple[int, int]]]:
     classes: dict[str, list[tuple[int, int]]] = {}
     for (u, v, c) in G.edges:
-        classes.setdefault(c.render() if c is not None else "", []).append((u, v))
-    for c in G.edge_palette():
-        classes.setdefault(c.render(), [])
+        classes.setdefault(c or "", []).append((u, v))
     return classes
 
 
@@ -300,29 +298,30 @@ def _intertwine(rows: dict, adj1: dict, adj2: dict,
     return max((_residual(memo, elems, bits, sig) for sig in sigs), default=0.0)
 
 
-def _rendered_colors(G: ColoredGraph) -> list:
-    return [c.render() if c is not None else None for c in G.vertex_colors]
-
-
 def _algebra(elem):
     """What `combine` needs two elements to share: a dense element's
     dimension, or a group-algebra element's context."""
     return elem.dim if isinstance(elem, DenseElement) else elem.ctx
 
 
+def _misfit(cert: MagicUnitaryCert, distinct: list):
+    """The first key of `distinct` (as from `cert.distinct_elements()`)
+    whose element is over another algebra than `cert.identity`, or None."""
+    algebra = _algebra(cert.identity)
+    return next((key for key, elem in distinct if _algebra(elem) != algebra), None)
+
+
 def _color_family(cert: MagicUnitaryCert) -> tuple[str, float, str]:
     """Color vanishing: every stored entry between vertices of different
     colors must be zero."""
-    colors1 = _rendered_colors(cert.row_graph)
-    colors2 = (colors1 if cert.col_graph is cert.row_graph
-               else _rendered_colors(cert.col_graph))
+    colors1, colors2 = cert.row_graph.vertex_colors, cert.col_graph.vertex_colors
     worst, desc = 0.0, ""
     for (i, j), elem in cert.entries.items():
-        r1, r2 = colors1[i], colors2[j]
-        if r1 != r2:
+        c1, c2 = colors1[i], colors2[j]
+        if c1 != c2:
             r = elem.residual_norm()
             if r > worst:
-                worst, desc = r, f"entry ({i},{j}) colors {r1}/{r2}"
+                worst, desc = r, f"entry ({i},{j}) colors {c1}/{c2}"
     return ("color", worst, desc)
 
 
@@ -360,13 +359,10 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
 
     # entry projections: e = e* = e^2, and each element's algebra
     distinct = cert.distinct_elements()
-    algebra = _algebra(cert.identity)
-    misfit = None
+    misfit = _misfit(cert, distinct)
     selfadjoint: set[int] = set()
     worst, desc = 0.0, ""
     for key, elem in distinct:
-        if misfit is None and _algebra(elem) != algebra:
-            misfit = key
         skew = (elem - elem.adjoint()).residual_norm()
         if not skew:
             selfadjoint.add(id(elem))
@@ -546,15 +542,20 @@ def noncommuting_witness(cert: MagicUnitaryCert):
     entries commutes -- no quantum symmetry is witnessed.  The first pair
     in key order with a nonzero commutator is returned, with its norm.
 
-    A group algebra is commutative exactly when its group is abelian, so
-    over an abelian group the answer is None without a search.  In the
-    search, each element's self-adjointness is found once, when first
-    needed; for a self-adjoint pair one product gives the commutator (see
-    `_commutator_norm`).
+    An element over another algebra than `cert.identity` raises
+    CertificateError naming the first such entry, as `verify_cert`'s
+    `shape` family does.  A group algebra is commutative exactly when its
+    group is abelian, so over an abelian group the answer is None without a
+    search.  In the search, each element's self-adjointness is found once,
+    when first needed; for a self-adjoint pair one product gives the
+    commutator (see `_commutator_norm`).
     """
+    distinct = cert.distinct_elements()
+    misfit = _misfit(cert, distinct)
+    if misfit is not None:
+        raise CertificateError(f"shape: entry {misfit} is over another algebra")
     if cert.backend == "group_algebra" and cert.identity.ctx.abelian:
         return None
-    distinct = cert.distinct_elements()
     selfadjoint: list[bool | None] = [None] * len(distinct)
 
     def is_selfadjoint(idx: int) -> bool:
@@ -635,8 +636,7 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
             f"source certificate fails verification: {report.worst[0]} "
             f"(residual {report.worst[1]:.3g})")
 
-    pa = PathAssignment.from_json_dict(asg1, cert.row_graph.system())
-    c0_name = asg1["c0"]
+    pa = PathAssignment.from_json_dict(asg1)
     orig1, vpath1, sub1, epath1 = _decorated_index(Gpp1)
     orig2, vpath2, sub2, epath2 = _decorated_index(Gpp2)
 
@@ -651,22 +651,20 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
             out[(vpath1[(v, i)], vpath2[(x, i)])] = elem
 
     # edge gadgets: w_{e_k, f_k} = u_{ac} u_{bd} + u_{ad} u_{bc}
-    def colored_edges(G: ColoredGraph) -> dict[str, tuple]:
-        """Rendered color -> (its first tag, its edges), c0 and None left out."""
-        grouped: dict[str, tuple] = {}
+    def colored_edges(G: ColoredGraph) -> dict[str, list]:
+        """Color -> its edges, c0 and None left out."""
+        grouped: dict[str, list] = {}
         for (u, v, c) in G.edges:
-            if c is not None:
-                name = c.render()
-                if name != c0_name:
-                    grouped.setdefault(name, (c, []))[1].append((u, v))
+            if c is not None and c != pa.c0:
+                grouped.setdefault(c, []).append((u, v))
         return grouped
 
     edges1 = colored_edges(cert.row_graph)
     edges2 = colored_edges(cert.col_graph)
     zero = cert.zero()
     gadgets: dict[tuple[int, int, int, int], object] = {}
-    for cname, (color, elist) in sorted(edges1.items()):
-        flist = edges2.get(cname, (None, []))[1]
+    for color, elist in sorted(edges1.items()):
+        flist = edges2.get(color, [])
         m = pa.edge_length(color)  # colors of subdivided edges must carry a length
         for (a, b) in elist:
             for (c, d) in flist:

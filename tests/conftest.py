@@ -6,13 +6,13 @@ from __future__ import annotations
 import pytest
 
 from lcsq.f2core import complete_bipartite, incidence_system, parse_system
-from lcsq.graphs import build_Gstar, SharedEdgeColor
+from lcsq.graphs import build_Gstar
 from lcsq.decolor import canonical_assignment, decolor_vertices, decolor_edges
 from lcsq.fpgroups import solution_presentation, todd_coxeter
 from lcsq.reps import pauli_magic_square_rep, group_algebra_rep
 from lcsq.qcert import build_magic_unitary
 
-C0 = SharedEdgeColor(-1)
+C0 = "shared:-1"
 E1_33 = (1, 0, 0, 0, 0, 0)
 E1_34 = (1, 0, 0, 0, 0, 0, 0)
 

@@ -74,6 +74,18 @@ def test_build_deterministic(files):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_build_c0_is_taken_as_given(files, capsys):
+    # --c0 names an edge color of the graph, or the run is a usage error
+    default, given = files / "default.json", files / "given.json"
+    build = ("build", "--graph", files / "k33.g", "--decolor", "full")
+    assert run(*build, "--out", default) == 0
+    assert run(*build, "--c0", "shared:-1", "--out", given) == 0
+    assert given.read_bytes() == default.read_bytes()
+    capsys.readouterr()
+    assert run(*build, "--c0", "shared:x") == 2
+    assert "c0 shared:x is not an edge color" in capsys.readouterr().err
+
+
 # sha256 of graph JSONs and an `aut` report, measured with the stdlib
 # encoder before `graphs.dump_json` wrote them, from the relative paths below;
 # the `aut` report's digest was re-derived when reports stopped echoing a
@@ -368,6 +380,33 @@ def test_malformed_graph_json_exit_2(files, capsys):
     assert "error:" in capsys.readouterr().err
     bad.write_text("not json at all")
     assert run("aut", bad) == 2
+
+
+# documents that depart from the graph file format in one field each
+MALFORMED_GRAPHS = {
+    "color-int": {"vertices": [{"id": 0, "color": 5}], "edges": []},
+    "label-int": {"vertices": [{"id": 0, "label": 3}], "edges": []},
+    "id-string": {"vertices": [{"id": "0"}, {"id": 1}], "edges": []},
+    "u-string": {"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": "0", "v": 1}]},
+    "u-float": {"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0.0, "v": 1}]},
+    "vertices-not-objects": {"vertices": [0, 1], "edges": []},
+    "top-level-list": [],
+    "color-shared-x": {"vertices": [{"id": 0}, {"id": 1}],
+                       "edges": [{"u": 0, "v": 1, "color": "shared:x"}]},
+    "color-v-01": {"vertices": [{"id": 0, "color": "v:01"}], "edges": []},
+}
+
+
+@pytest.mark.parametrize("command", ["iso", "aut"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRAPHS))
+def test_malformed_graph_documents_exit_2(files, capsys, command, name):
+    good, bad = files / "good.json", files / "bad.json"
+    good.write_text('{"vertices": [{"id": 0}], "edges": []}')
+    bad.write_text(json.dumps(MALFORMED_GRAPHS[name]))
+    assert run(command, *([good] if command == "iso" else []), bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_failed_self_check_exits_internal(files, monkeypatch, capsys):

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq import graphiso
-from lcsq.graphs import ColoredGraph, Original, PlainColor, SharedEdgeColor, VertexColor
+from lcsq.graphs import ColoredGraph, Original
 from lcsq.decolor import canonical_assignment, decolor_vertices
 from lcsq.graphiso import (Bijection, automorphism_group, find_isomorphism,
                            refine, verify_mapping)
 
-C0 = SharedEdgeColor(-1)
+C0 = "shared:-1"
 
 
 def plain(n, edges):
@@ -34,8 +34,8 @@ def complete(n):
 
 
 def _colors(G):
-    vcol = [c.render() if c is not None else "" for c in G.vertex_colors]
-    emap = {(u, v): (c.render() if c is not None else "") for (u, v, c) in G.edges}
+    vcol = [c or "" for c in G.vertex_colors]
+    emap = {(u, v): c or "" for (u, v, c) in G.edges}
 
     def ecol(u, v):
         return emap.get((min(u, v), max(u, v)))
@@ -95,9 +95,9 @@ def closure_order(generators, n):
 def random_colored_graph(rng, n):
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = tuple((u, v,
-                   PlainColor(rng.randint(0, 1)) if rng.random() < 0.5 else None)
+                   f"plain:{rng.randint(0, 1)}" if rng.random() < 0.5 else None)
                   for (u, v) in rng.sample(possible, rng.randint(0, len(possible))))
-    vcolors = tuple(VertexColor(rng.randint(0, 1)) if rng.random() < 0.4 else None
+    vcolors = tuple(f"v:{rng.randint(0, 1)}" if rng.random() < 0.4 else None
                     for _ in range(n))
     return ColoredGraph(tuple(range(n)), vcolors, edges)
 
@@ -120,7 +120,7 @@ def wl_classes(G):
     vcol, _ = _colors(G)
     adj = [[] for _ in range(G.num_vertices)]
     for (u, v, c) in G.edges:
-        key = c.render() if c is not None else ""
+        key = c or ""
         adj[u].append((v, key))
         adj[v].append((u, key))
     colors = list(vcol)
@@ -147,9 +147,9 @@ def colored_graphs(draw, max_vertices=7):
     n = draw(st.integers(1, max_vertices))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = sorted(draw(st.lists(st.sampled_from(possible), unique=True))) if possible else []
-    edge_colors = draw(st.lists(st.sampled_from([None, PlainColor(0), PlainColor(1)]),
+    edge_colors = draw(st.lists(st.sampled_from([None, "plain:0", "plain:1"]),
                                 min_size=len(chosen), max_size=len(chosen)))
-    vcolors = draw(st.lists(st.sampled_from([None, VertexColor(0), VertexColor(1)]),
+    vcolors = draw(st.lists(st.sampled_from([None, "v:0", "v:1"]),
                             min_size=n, max_size=n))
     edges = tuple((u, v, c) for (u, v), c in zip(chosen, edge_colors))
     return ColoredGraph(tuple(range(n)), tuple(vcolors), edges)

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcsq.f2core import BinMatrix, LinearSystem, parse_system
-from lcsq.graphs import (ColorTag, ColoredGraph, IntraEdgeColor, PlainColor,
-                         SharedEdgeColor, VertexColor, build_G, build_Gstar,
-                         dump_json, parse_graph_json, render_label, serialize,
-                         sign_vectors, to_json_dict)
+from lcsq.decolor import canonical_assignment, decolor_vertices
+from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system, parse_system
+from lcsq.graphs import (ColoredGraph, build_G, build_Gstar, dump_json,
+                         parse_graph_json, render_label, serialize, sign_vectors,
+                         to_json_dict)
 
 # The 2x5 demo system: block 0 holds the solutions of x1 x2 x3 = 1 and block 1
 # the solutions of x1 x4 x5 = -1, in canonical order; the 8 surviving inter
@@ -47,7 +47,7 @@ def test_sign_vectors_order_and_parity():
 def test_block_sizes_two_block_demo(demo_sys):
     G = build_G(demo_sys)
     assert G.num_vertices == 8
-    counts = Counter(c.render() for c in G.vertex_colors)
+    counts = Counter(G.vertex_colors)
     assert counts == {"v:0": 4, "v:1": 4}
     assert [render_label(l) for l in G.labels] == DEMO_VERTICES
 
@@ -61,36 +61,35 @@ def test_build_G_single_block():
 
 def test_build_G_demo_edge_counts(demo_sys):
     G = build_G(demo_sys)
-    kinds = Counter(type(c).__name__ for (_, _, c) in G.edges)
-    assert kinds == {"IntraEdgeColor": 12, "InterEdgeColor": 16}
+    kinds = Counter(c.split(":")[0] for (_, _, c) in G.edges)
+    assert kinds == {"intra": 12, "inter": 16}
 
 
 def test_demo_reduction_exact(demo_sys):
     G = build_Gstar(demo_sys)
     assert G.num_vertices == 8
-    inter = {(u, v) for (u, v, c) in G.edges if isinstance(c, SharedEdgeColor)}
+    inter = {(u, v) for (u, v, c) in G.edges if c.startswith("shared:")}
     assert inter == DEMO_INTER
-    assert all(c.sign == -1 for (_, _, c) in G.edges
-               if isinstance(c, SharedEdgeColor))
+    assert all(c == "shared:-1" for (_, _, c) in G.edges if c.startswith("shared:"))
     intra: dict[str, set] = {}
     for (u, v, c) in G.edges:
-        if isinstance(c, IntraEdgeColor):
-            intra.setdefault(c.render(), set()).add((u, v))
+        if c.startswith("intra:"):
+            intra.setdefault(c, set()).add((u, v))
     assert intra == DEMO_INTRA_CLASSES
 
 
 def test_build_G_k33_counts(k33_sys0):
     G = build_G(k33_sys0)
     assert G.num_vertices == 24
-    kinds = Counter(type(c).__name__ for (_, _, c) in G.edges)
-    assert kinds == {"IntraEdgeColor": 36, "InterEdgeColor": 144}
+    kinds = Counter(c.split(":")[0] for (_, _, c) in G.edges)
+    assert kinds == {"intra": 36, "inter": 144}
 
 
 def test_build_Gstar_k33_counts(gstar33_0, gstar33_e1):
     for G in (gstar33_0, gstar33_e1):
         assert G.num_vertices == 24
-        kinds = Counter(type(c).__name__ for (_, _, c) in G.edges)
-        assert kinds == {"IntraEdgeColor": 36, "SharedEdgeColor": 72}
+        kinds = Counter(c.split(":")[0] for (_, _, c) in G.edges)
+        assert kinds == {"intra": 36, "shared": 72}
 
 
 def test_gstar_vertices_match_g(k33_sys0):
@@ -116,9 +115,9 @@ def test_intra_colors_distinct_against_fixed_vertex(gstar33_0):
     # alpha * beta = alpha * beta' forces beta = beta'
     by_vertex: dict[int, list[str]] = {}
     for (u, v, c) in gstar33_0.edges:
-        if isinstance(c, IntraEdgeColor):
-            by_vertex.setdefault(u, []).append(c.render())
-            by_vertex.setdefault(v, []).append(c.render())
+        if c.startswith("intra:"):
+            by_vertex.setdefault(u, []).append(c)
+            by_vertex.setdefault(v, []).append(c)
     for v, colors in by_vertex.items():
         assert len(colors) == len(set(colors))
 
@@ -127,47 +126,38 @@ def test_intra_colors_distinct_against_fixed_vertex(gstar33_0):
 # adjacency matrices (a numpy oracle over the edge list)
 
 
-def adjacency_matrix(G: ColoredGraph, color: ColorTag) -> np.ndarray:
+def adjacency_matrix(G: ColoredGraph, color: str) -> np.ndarray:
     """0/1 adjacency matrix of the edges carrying one color."""
-    palette = {c.render() for c in G.edge_palette()}
-    if color.render() not in palette:
-        raise ValueError(f"color {color.render()} is not in the graph's palette")
+    if color not in G.edge_palette():
+        raise ValueError(f"color {color} is not in the graph's palette")
     A = np.zeros((G.num_vertices, G.num_vertices), dtype=np.int64)
-    want = color.render()
     for (u, v, c) in G.edges:
-        if c is not None and c.render() == want:
+        if c == color:
             A[u, v] = A[v, u] = 1
     return A
 
 
 def test_adjacency_single_edge():
-    G = ColoredGraph((0, 1), (None, None), ((0, 1, SharedEdgeColor(-1)),))
-    A = adjacency_matrix(G, SharedEdgeColor(-1))
+    G = ColoredGraph((0, 1), (None, None), ((0, 1, "shared:-1"),))
+    A = adjacency_matrix(G, "shared:-1")
     assert A.tolist() == [[0, 1], [1, 0]]
 
 
 def test_adjacency_row_sums_k33(gstar33_0):
-    A = adjacency_matrix(gstar33_0, SharedEdgeColor(-1))
+    A = adjacency_matrix(gstar33_0, "shared:-1")
     # brute-force count: 3 adjacent blocks, 2 opposite-sign partners in each
     degrees = [0] * 24
     for (u, v, c) in gstar33_0.edges:
-        if isinstance(c, SharedEdgeColor):
+        if c.startswith("shared:"):
             degrees[u] += 1
             degrees[v] += 1
     assert degrees == [6] * 24
     assert A.sum(axis=0).tolist() == degrees
 
 
-def test_adjacency_declared_palette_empty_class():
-    G = ColoredGraph((0, 1), (None, None), ((0, 1, PlainColor(0)),),
-                     {"edge_palette": ["plain:1"]})
-    A = adjacency_matrix(G, PlainColor(1))
-    assert not A.any()
-
-
 def test_adjacency_unknown_color(gstar33_0):
     with pytest.raises(ValueError, match="palette"):
-        adjacency_matrix(gstar33_0, PlainColor(99))
+        adjacency_matrix(gstar33_0, "plain:99")
 
 
 def test_color_classes_partition_offdiagonal(gstar33_0, demo_sys):
@@ -291,6 +281,58 @@ def test_round_trip_block_graphs(gstar33_0, gstar33_e1, k34_sys0):
         assert parse_graph_json(serialize(G)) == G
 
 
+def test_round_trip_k33_pipeline(k33_sys0, gstar33_0, gpp33_pair):
+    # G, G*, G' and G'' of K3,3: same colors, labels and edges after a file
+    pa = canonical_assignment(gstar33_0, "shared:-1")
+    for G in (build_G(k33_sys0), gstar33_0, decolor_vertices(gstar33_0, pa),
+              gpp33_pair[0]):
+        back = parse_graph_json(serialize(G))
+        assert back.vertex_colors == G.vertex_colors
+        assert back.labels == G.labels
+        assert back.edges == G.edges
+
+
+# ---------------------------------------------------------------------------
+# colors: canonical strings in one canonical order
+
+
+def test_palette_orders_blocks_as_ints():
+    # eleven blocks: as plain strings "v:10" would sort between v:1 and v:2
+    cycle = SimpleGraph.from_edges(11, [(i, (i + 1) % 11) for i in range(11)])
+    G = build_Gstar(incidence_system(cycle, (0,) * 11))
+    assert G.vertex_palette() == [f"v:{k}" for k in range(11)]
+    pa = canonical_assignment(G, "shared:-1")
+    assert pa.vertex_lengths["v:10"] == 10
+    assert pa.vertex_lengths["v:2"] == 2
+
+
+def test_palette_puts_intra_before_inter(k33_sys0):
+    # as plain strings "inter:..." would sort before "intra:..."
+    palette = build_G(k33_sys0).edge_palette()
+    kinds = [c.split(":")[0] for c in palette]
+    assert kinds == ["intra"] * kinds.count("intra") + ["inter"] * kinds.count("inter")
+    assert kinds.count("intra") == kinds.count("inter") == 18
+
+
+def test_palette_puts_plus_before_minus(demo_sys):
+    palette = build_G(demo_sys).edge_palette()
+    assert palette[:3] == ["intra:0:+--", "intra:0:-+-", "intra:0:--+"]
+    assert palette[-2:] == ["inter:0-1:+", "inter:0-1:-"]
+
+
+@pytest.mark.parametrize("color", [
+    "shared:x", "shared:1", "v:01", "v:-1", "v:", "plain:1.0", "blue", "v:1 ",
+    "intra:0:+++", "intra:0:+-", "intra:0", "inter:1-0:-", "inter:0-0:-",
+    "inter:0-1:", "inter:0-1:+1",
+])
+def test_non_canonical_colors_are_rejected(color):
+    for doc in ({"vertices": [{"id": 0, "color": color}], "edges": []},
+                {"vertices": [{"id": 0}, {"id": 1}],
+                 "edges": [{"u": 0, "v": 1, "color": color}]}):
+        with pytest.raises(ValueError, match="not a canonical color"):
+            parse_graph_json(json.dumps(doc))
+
+
 def test_decorated_labels_parse_without_importing_decolor(gpp33_pair, tmp_path):
     # a fresh interpreter that imports lcsq.graphs alone reads the decorated
     # labels of a G'' file as the same objects as this process, which has
@@ -319,9 +361,9 @@ def test_round_trip_random_plain_graphs():
     for _ in range(25):
         n = rng.randint(1, 8)
         possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = tuple((u, v, PlainColor(rng.randint(0, 2)) if rng.random() < 0.7 else None)
+        edges = tuple((u, v, f"plain:{rng.randint(0, 2)}" if rng.random() < 0.7 else None)
                       for (u, v) in rng.sample(possible, rng.randint(0, len(possible))))
-        vcolors = tuple(VertexColor(rng.randint(0, 2)) if rng.random() < 0.5 else None
+        vcolors = tuple(f"v:{rng.randint(0, 2)}" if rng.random() < 0.5 else None
                         for _ in range(n))
         G = ColoredGraph(tuple(range(n)), vcolors, edges)
         assert parse_graph_json(serialize(G)) == G
