@@ -105,8 +105,11 @@ def _build_graph(cfg: RunConfig, sys_: f2core.LinearSystem) -> graphs.ColoredGra
 
 
 def _cap(cfg: RunConfig) -> int:
-    """The coset cap: --cap, or fpgroups.DEFAULT_COSET_CAP without it.  A cap
-    below 1 is rejected by `fpgroups.todd_coxeter` (exit 2)."""
+    """The cap: --cap, or fpgroups.DEFAULT_COSET_CAP without it.  It bounds
+    the group elements an enumeration may stand for: live cosets for
+    `cert --rep regular`, live cosets times |S| for `group`, which
+    enumerates the cosets of a star subgroup S.  A cap below 1 is rejected
+    by `fpgroups.todd_coxeter` (exit 2)."""
     return fpgroups.DEFAULT_COSET_CAP if cfg.cap is None else cfg.cap
 
 
@@ -165,25 +168,30 @@ def cmd_group(cfg: RunConfig) -> int:
     homogeneous = cfg.homogeneous or all(v == 0 for v in sys_.b)
     P = fpgroups.solution_presentation(sys_, homogeneous=homogeneous)
     cap = _cap(cfg)
-    table = fpgroups.todd_coxeter(P, [], cap)
+    # the cosets of a star subgroup S, whose order F2 linear algebra knows;
+    # the cap bounds group elements, cosets times |S|
+    S = fpgroups.star_subgroup(P, cap)
+    table = fpgroups.todd_coxeter(P, [(g,) for g in S.letters], cap // S.order)
+    order = table.num_cosets * S.order if table.is_complete else None
     result: dict = {
         "config": cfg.echo(),
         "homogeneous": homogeneous,
         "abelianized_order": f2core.abelianized_order(sys_.M),
         "cap": cap,
         "status": table.status,
-        "order": table.num_cosets if table.is_complete else None,
+        "order": order,
     }
     lines = []
     if table.is_complete:
-        abelian = fpgroups.is_abelian(table)
+        # the abelianization is the largest abelian quotient
+        abelian = order == S.abelianized_order
         result["abelian"] = abelian
-        lines.append(f"order: {table.num_cosets}, abelian: {abelian}")
+        lines.append(f"order: {order}, abelian: {abelian}")
     else:
         lines.append(f"order: exceeds cap {cap}")
     if cfg.word:
         word = P.word_from_names(cfg.word)
-        trivial = fpgroups.word_is_identity(table, word) if table.is_complete else None
+        trivial = fpgroups.word_is_identity(table, S, word) if table.is_complete else None
         result["word"] = cfg.word
         result["word_is_identity"] = trivial
         if trivial is None:

@@ -25,6 +25,21 @@ every column; relators whose trace closes are skipped and runs of
 involution relators are fill steps.  Only scans that would change nothing
 are left out, so the numbering is that of the plain scans (see
 `todd_coxeter`).
+
+The quantum automorphism group of the colored graph G* is the dual of the
+homogeneous solution group Gamma_0 (the paper's main theorem), so finite
+quantum symmetry means a finite, non-abelian Gamma_0: an order and an
+abelian verdict.  These need no table over the trivial subgroup.  Since
+every generator is an involution, the abelianization is F2^ngens / R, with
+R the span of the relator parities.  A relator r of distinct, pairwise
+commuting letters whose coordinate subspace meets R only in {0, parity(r)}
+generates a subgroup S of order exactly 2^(len r - 1): r bounds it from
+above, and its image in the abelianization from below.  For an incidence
+system this is the star of a vertex that is not a cut vertex.
+`star_subgroup` picks the longest such r, the group order is the index of
+S times |S|, the group is abelian exactly when its order equals that of
+the abelianization, and a word is 1 exactly when it fixes the coset of S
+and its letter parities lie in R (`word_is_identity`).
 """
 
 from __future__ import annotations
@@ -425,15 +440,97 @@ def is_abelian(T: CosetTable) -> bool:
     return True
 
 
-def word_is_identity(T: CosetTable, word: Word) -> bool:
+def _parity(word: Word) -> int:
+    """The letter parities of a word, as a bit mask over the generators."""
+    mask = 0
+    for g in word:
+        mask ^= 1 << g
+    return mask
+
+
+def _reduce(basis: Iterable[int], v: int) -> int:
+    """v modulo the span of an echelon basis (distinct leading bits, in
+    decreasing order): 0 exactly when v lies in the span."""
+    for row in basis:
+        v = min(v, v ^ row)
+    return v
+
+
+def _insert(basis: list[int], v: int) -> bool:
+    """Add v to the echelon basis unless it lies in its span; whether added."""
+    v = _reduce(basis, v)
+    if v:
+        basis.append(v)
+        basis.sort(reverse=True)
+    return v != 0
+
+
+@dataclass(frozen=True)
+class StarSubgroup:
+    """S = <letters>, commuting involutions independent in the
+    abelianization, so |S| = 2^len(letters); with R, the span of the
+    relator parities, as an echelon basis (see `star_subgroup`)."""
+
+    letters: Word
+    relator_space: tuple[int, ...]
+    abelianized_order: int
+
+    @property
+    def order(self) -> int:
+        return 1 << len(self.letters)
+
+
+def star_subgroup(P: Presentation, cap: int = DEFAULT_COSET_CAP) -> StarSubgroup:
+    """The largest star subgroup that F2 linear algebra certifies, with at
+    most `cap` elements.
+
+    A candidate is a relator r of distinct, pairwise-commuting letters
+    (each pair has its commutator relator), so <r> is elementary abelian
+    and, by r itself, of order at most 2^(len r - 1).  Let R be the span of
+    the relator parities in F2^ngens; the abelianization is F2^ngens / R,
+    since every generator is an involution.  If the coordinate subspace of
+    r's letters meets R only in {0, parity(r)}, their images there span
+    len r - 1 dimensions, so <r> has order exactly 2^(len r - 1) and maps
+    injectively into the abelianization, as does the subgroup of any
+    len r - 1 of its letters.  The longest such r is picked (the first in
+    relator order among equals), and S is generated by its first
+    min(len r - 1, floor(log2 cap)) letters; S is trivial if nothing
+    qualifies or cap < 2.
+    """
+    basis: list[int] = []
+    for rel in P.relators:
+        _insert(basis, _parity(rel))
+    commuting = {(w[0], w[1]) for w in P.relators
+                 if len(w) == 4 and w[0] == w[2] != w[1] == w[3]}
+
+    def qualifies(rel: Word) -> bool:
+        if len(set(rel)) < len(rel) or not all(
+                (a, b) in commuting or (b, a) in commuting
+                for i, a in enumerate(rel) for b in rel[i + 1:]):
+            return False
+        images = list(basis)
+        return sum(_insert(images, 1 << g) for g in rel) == len(rel) - 1
+
+    star = next((rel for rel in sorted(P.relators, key=len, reverse=True)
+                 if qualifies(rel)), ())
+    size = min(len(star) - 1, cap.bit_length() - 1) if star and cap > 0 else 0
+    return StarSubgroup(star[:size], tuple(basis), 1 << (P.ngens - len(basis)))
+
+
+def word_is_identity(T: CosetTable, S: StarSubgroup, word: Word) -> bool:
     """Whether a word is trivial in the group of a complete table over the
-    trivial subgroup.  Raises ValueError for a capped table."""
+    cosets of S.  Raises ValueError for a capped table.
+
+    The word is 1 exactly when it fixes coset 0, so lies in S, and its
+    letter parities lie in R: S maps injectively into the abelianization
+    F2^ngens / R.
+    """
     if not T.is_complete:
         raise ValueError("coset table is not complete")
     for g in word:
         if not 0 <= g < T.presentation.ngens:
             raise ValueError(f"word references unknown generator {g}")
-    return T.follow(0, word) == 0
+    return T.follow(0, word) == 0 and _reduce(S.relator_space, _parity(word)) == 0
 
 
 def coset_rep_words(T: CosetTable) -> list[Word]:

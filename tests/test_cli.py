@@ -14,7 +14,7 @@ import pytest
 from types import SimpleNamespace
 
 from lcsq import graphiso, qcert, reps
-from lcsq.cli import EXIT_INTERNAL, main
+from lcsq.cli import EXIT_INTERNAL, _dump, main
 from test_qcert import corrupt_swap_columns
 
 EX_SYS = "11100;10011|01\n"
@@ -142,6 +142,58 @@ def test_group_gamma_word(files, capsys):
 def test_group_cap_exit_3(files):
     assert run("group", "--graph", files / "k34.g", "--homogeneous",
                "--cap", "10") == 3
+
+
+K44_G = "8\n" + "".join(f"{a} {b}\n" for a in (1, 2, 3, 4) for b in (5, 6, 7, 8))
+
+# `lcsq group --json` reports as the trivial-subgroup enumeration wrote them,
+# with the path-dependent `config` member dropped
+GROUP_REPORTS = {
+    "k34-homogeneous": (["--graph", "k34.g", "--homogeneous"], 0, {
+        "abelian": False, "abelianized_order": 64, "cap": 1000000,
+        "homogeneous": True, "order": 256, "status": "complete"}),
+    "k35-homogeneous": (["--graph", "k35.g", "--homogeneous"], 0, {
+        "abelian": False, "abelianized_order": 256, "cap": 1000000,
+        "homogeneous": True, "order": 8192, "status": "complete"}),
+    "k33-gamma": (["--graph", "k33.g", "--b", "100000", "--word", "gamma"], 0, {
+        "abelian": False, "abelianized_order": 16, "cap": 1000000,
+        "homogeneous": False, "order": 32, "status": "complete",
+        "word": "gamma", "word_is_identity": False}),
+    "k44-capped": (["--graph", "k44.g", "--homogeneous", "--cap", "1000"], 3, {
+        "abelianized_order": 512, "cap": 1000, "homogeneous": True,
+        "order": None, "status": "capped"}),
+    # the cap is below the order 8 of a K3,4 star subgroup
+    "k34-cap-5": (["--graph", "k34.g", "--homogeneous", "--cap", "5"], 3, {
+        "abelianized_order": 64, "cap": 5, "homogeneous": True,
+        "order": None, "status": "capped"}),
+}
+
+# K3,5 words: x1..x5 are the edges at vertex 1, a star of five commuting
+# involutions; x6 and x7 are edges at vertex 2 that meet x1 and miss it
+K35_WORDS = {
+    "x1 x2": False,             # in the star subgroup, not 1
+    "x1 x2 x3 x4 x5": True,     # the star's product relator
+    "x1 x6": False,             # outside the star subgroup
+    "x1 x6 x1 x6": True,        # commutator of edges sharing vertex 4
+    "x1 x7 x1 x7": False,       # a nontrivial commutator: even letter parities
+}
+for _word, _trivial in K35_WORDS.items():
+    GROUP_REPORTS[f"k35-word-{_word}"] = (
+        ["--graph", "k35.g", "--homogeneous", "--word", _word], 0,
+        dict(GROUP_REPORTS["k35-homogeneous"][2], word=_word, word_is_identity=_trivial))
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_REPORTS))
+def test_group_reports_are_pinned(files, monkeypatch, name):
+    args, code, expected = GROUP_REPORTS[name]
+    monkeypatch.chdir(files)
+    (files / "k44.g").write_text(K44_G)
+    assert run("group", *args, "--json", "g.json") == code
+    text = (files / "g.json").read_text()
+    data = json.loads(text)
+    data.pop("config")
+    assert data == expected
+    assert text == _dump(dict(expected, config=json.loads(text)["config"]))
 
 
 def test_group_unknown_word_generator_exit_2(files, capsys):

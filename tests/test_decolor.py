@@ -184,22 +184,23 @@ def test_gpp_counts(gpp33_pair, gpp34):
     assert gpp34.num_vertices == 1720
 
 
-def test_gpp_subdivision_degrees(gpp33_pair):
+def test_gpp_subdivision_degrees(gstar33_0, gpp33_pair):
     gpp, _ = gpp33_pair
     deg = gpp.degrees()
     pa = PathAssignment.from_json_dict(gpp.meta["assignment"])
+    # a subdivision's edge is the pair of its endpoints in G'
+    colors = {(u, v): c for u, v, c in decolor_vertices(gstar33_0, pa).edges}
+    by_degree = {2: 0, 3: 0}
     for v, lab in enumerate(gpp.labels):
         if isinstance(lab, Subdivision):
-            assert deg[v] in (2, 3)
+            # the m = 0 color's subdivisions keep their two edges; every
+            # other one gains the first edge of its path
+            expected = 2 if pa.edge_length(colors[lab.edge]) == 0 else 3
+            assert deg[v] == expected
+            by_degree[expected] += 1
         elif isinstance(lab, EdgePath):
             assert deg[v] in (1, 2)
-    # the m = 0 subdivision vertices have degree exactly 2
-    zero_color = next(c for c, n in pa.edge_lengths.items() if n == 0)
-    # subdivisions of that color: find via the base graph's edges
-    assert any(deg[v] == 2 for v, lab in enumerate(gpp.labels)
-               if isinstance(lab, Subdivision))
-    assert any(deg[v] == 3 for v, lab in enumerate(gpp.labels)
-               if isinstance(lab, Subdivision))
+    assert by_degree[2] and by_degree[3]
 
 
 def test_missing_edge_length_is_error():

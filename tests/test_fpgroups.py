@@ -12,9 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 import lcsq.fpgroups as fp
 from lcsq.f2core import (BinMatrix, LinearSystem, abelianized_order,
                          complete_bipartite, incidence_system, solve_f2)
-from lcsq.fpgroups import (COMPACT_SLACK, CosetTable, Presentation, coset_rep_words,
-                           is_abelian, regular_perm_rep, solution_presentation,
-                           todd_coxeter, word_is_identity)
+from lcsq.f2core import SimpleGraph
+from lcsq.fpgroups import (COMPACT_SLACK, DEFAULT_COSET_CAP, CosetTable, Presentation,
+                           coset_rep_words, is_abelian, regular_perm_rep,
+                           solution_presentation, star_subgroup, todd_coxeter,
+                           word_is_identity)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +27,12 @@ def k35_sys0():
 @pytest.fixture(scope="module")
 def table35(k35_sys0):
     return todd_coxeter(solution_presentation(k35_sys0, homogeneous=True))
+
+
+def star_table(P: Presentation, cap: int = DEFAULT_COSET_CAP):
+    """The route of `lcsq group`: the star subgroup S and its coset table."""
+    S = star_subgroup(P, cap)
+    return S, todd_coxeter(P, [(g,) for g in S.letters], cap // S.order)
 
 
 def perm_closure(gens: list[tuple[int, ...]]) -> int:
@@ -220,7 +228,7 @@ def test_infinite_dihedral_unknown():
     with pytest.raises(ValueError):
         is_abelian(todd_coxeter(P, cap=100))
     with pytest.raises(ValueError):
-        word_is_identity(todd_coxeter(P, cap=100), (0, 0))
+        word_is_identity(todd_coxeter(P, cap=100), star_subgroup(P), (0, 0))
 
 
 def test_order_equals_abelianization_when_abelian(k33_sys0):
@@ -235,14 +243,16 @@ def test_order_multiple_of_abelianization(k34_sys0):
 
 def test_word_squares_are_identity(k33_sys0):
     P = solution_presentation(k33_sys0, homogeneous=True)
-    assert word_is_identity(todd_coxeter(P), (0, 0)) is True
+    S, T = star_table(P)
+    assert word_is_identity(T, S, (0, 0)) is True
 
 
 def test_gamma_nontrivial_for_magic_square(k33_sys_e1):
     P = solution_presentation(k33_sys_e1, homogeneous=False)
     gamma = P.gen_index("gamma")
-    assert word_is_identity(todd_coxeter(P), (gamma,)) is False
-    assert todd_coxeter(P, []).num_cosets == 32
+    S, T = star_table(P)
+    assert word_is_identity(T, S, (gamma,)) is False
+    assert T.num_cosets * S.order == todd_coxeter(P, []).num_cosets == 32
 
 
 def test_gamma_for_solvable_system_sign_character():
@@ -260,13 +270,18 @@ def test_gamma_for_solvable_system_sign_character():
         assert signs == (-1) ** b[k]  # the character respects every relation
     P = solution_presentation(sys, homogeneous=False)
     gamma = P.gen_index("gamma")
-    assert word_is_identity(todd_coxeter(P), (gamma,)) is False
+    S, T = star_table(P)
+    # b has even weight, so the relator x1 x2 x3 gamma of vertex 0 qualifies
+    assert S.letters == (0, 1, 2) and T.num_cosets * S.order == 32
+    assert word_is_identity(T, S, (gamma,)) is False
+    assert todd_coxeter(P).follow(0, (gamma,)) != 0
 
 
 def test_word_validation(k33_sys0):
     P = solution_presentation(k33_sys0, homogeneous=True)
+    S, T = star_table(P)
     with pytest.raises(ValueError):
-        word_is_identity(todd_coxeter(P), (99,))
+        word_is_identity(T, S, (99,))
 
 
 def test_rep_words_reject_unreachable_row():
@@ -297,6 +312,92 @@ def test_unknown_generator_names_word(k33_sys0):
         P.word_from_names("x1 y9")
     with pytest.raises(ValueError, match="unknown generator 'y9'"):
         P.gen_index("y9")
+
+
+# ---------------------------------------------------------------------------
+# star subgroups: the cosets `lcsq group` enumerates
+
+
+def test_star_pick_rejects_a_cut_vertex():
+    # two triangles sharing vertex 0: the star of 0 contains the cut
+    # {x4, x5} around the triangle 0-3-4, which lies in the relator space
+    H = SimpleGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    sys = incidence_system(H, (0,) * 5)
+    P = solution_presentation(sys, homogeneous=True)
+    assert sys.support(0) == (0, 1, 3, 4)
+    S = star_subgroup(P)
+    assert S.letters == sys.support(1)[:1] == (0,)  # vertex 1, degree 2
+    assert S.order == 2
+    T = todd_coxeter(P, [(g,) for g in S.letters])
+    assert T.num_cosets * S.order == todd_coxeter(P, []).num_cosets == 4
+
+
+def test_k35_star_route_takes_512_cosets(k35_sys0):
+    S, T = star_table(solution_presentation(k35_sys0, homogeneous=True))
+    assert S.letters == (0, 1, 2, 3)  # four of the five edges at vertex 0
+    assert S.order == 16 and S.abelianized_order == 256
+    assert T.is_complete and T.num_cosets == 512
+
+
+def test_no_qualifying_relator_uses_the_trivial_subgroup():
+    # R is all of F2^3, so every relator's letters meet it in too much
+    sys = LinearSystem(BinMatrix.from_rows([[1, 1, 1], [1, 1, 0], [0, 1, 1]]), (0,) * 3)
+    P = solution_presentation(sys, homogeneous=True)
+    S, T = star_table(P)
+    assert S.letters == () and S.order == 1 and S.abelianized_order == 1
+    assert T.num_cosets == todd_coxeter(P, []).num_cosets == 1
+
+
+@pytest.mark.parametrize("cap, order", [(10 ** 6, 8), (8, 8), (7, 4), (5, 4), (2, 2),
+                                        (1, 1), (0, 1), (-3, 1)])
+def test_star_shrinks_below_the_cap(k34_sys0, cap, order):
+    P = solution_presentation(k34_sys0, homogeneous=True)
+    assert star_subgroup(P, cap).order == order
+
+
+CROSS_CHECK_CAP = 1024
+
+
+@st.composite
+def small_incidence_systems(draw):
+    """A random connected graph on at most 6 vertices (a random spanning
+    tree plus random edges, in random order), a random b and a random word."""
+    n = draw(st.integers(2, 6))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True) if others else st.just([]))
+    edges = draw(st.permutations(sorted(tree) + extra))
+    b = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    homogeneous = draw(st.booleans())
+    sys = incidence_system(SimpleGraph.from_edges(n, edges), b)
+    P = solution_presentation(sys, homogeneous)
+    word = tuple(draw(st.lists(st.integers(0, P.ngens - 1), max_size=8)))
+    return sys, P, word
+
+
+def _k33_gamma_case(b):
+    """K3,3's Gamma(M, b) and the word gamma."""
+    sys = incidence_system(complete_bipartite(3, 3), b)
+    P = solution_presentation(sys, homogeneous=False)
+    return sys, P, (P.gen_index("gamma"),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_incidence_systems())
+@example(_k33_gamma_case((1, 0, 0, 0, 0, 0)))  # non-abelian; gamma's relator fails
+@example(_k33_gamma_case((1, 0, 0, 1, 0, 0)))  # gamma's relator qualifies
+def test_star_route_matches_trivial_subgroup_enumeration(case):
+    sys, P, word = case
+    full = todd_coxeter(P, [], CROSS_CHECK_CAP)
+    if not full.is_complete:
+        return  # a group beyond the cap: no reference to compare with
+    S, T = star_table(P)
+    assert T.is_complete
+    assert T.num_cosets * S.order == full.num_cosets
+    assert (full.num_cosets == S.abelianized_order) is is_abelian(full)
+    assert word_is_identity(T, S, word) is (full.follow(0, word) == 0)
+    if P.ngens == sys.num_vars:  # a homogeneous presentation
+        assert S.abelianized_order == abelianized_order(sys.M)
 
 
 # ---------------------------------------------------------------------------
