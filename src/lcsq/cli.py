@@ -176,7 +176,7 @@ def cmd_group(cfg: RunConfig) -> int:
     result: dict = {
         "config": cfg.echo(),
         "homogeneous": homogeneous,
-        "abelianized_order": f2core.abelianized_order(sys_.M),
+        "abelianized_order": S.abelianized_order,
         "cap": cap,
         "status": table.status,
         "order": order,
@@ -261,14 +261,11 @@ def cmd_cert(cfg: RunConfig) -> int:
     passed = report.passed
     # a failing source is not lifted: the run is a verified negative either way
     if cfg.lift and passed:
-        # one assignment, from G1, for both graphs: lift_cert needs them equal
         pa = decolor.canonical_assignment(G1, _pick_c0(cfg, G1))
-        Gpp1 = decolor.decolor_full(G1, pa)
-        Gpp2 = Gpp1 if G2 is G1 else decolor.decolor_full(G2, pa)
-        lifted = qcert.lift_cert(cert, report, Gpp1, Gpp2)
+        lifted = qcert.lift_cert(cert, report, pa)
         lift_report = qcert.verify_cert(lifted, mode)
         result["lifted_verification"] = lift_report.to_json_dict()
-        lines.append(f"lifted certificate over {Gpp1.num_vertices}-vertex graphs "
+        lines.append(f"lifted certificate over {lifted.row_graph.num_vertices}-vertex graphs "
                      f"{'passes' if lift_report.passed else 'FAILS'}")
         passed = passed and lift_report.passed
         if mode == "qut":

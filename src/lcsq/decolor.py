@@ -6,17 +6,42 @@ Path lengths are chosen canonically (0, 1, 2, ... along the palette order
 of `lcsq.graphs`), so two graphs sharing a palette receive identical
 assignments -- certificates can then be transported between the decolored
 graphs entry by entry.  A path assignment maps each color string straight
-to its length.  New vertices carry structured, stable identities
-(vpath/sub/epath, defined and parsed in `lcsq.graphs`) so downstream
-constructions can address them by provenance instead of by renumbered
-index.
+to its length.  Every vertex of a decoloring carries a stable id, the
+string its graph file holds (see `VertexId`), so downstream constructions
+can address it by provenance instead of by renumbered index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, EdgePath, Original, Subdivision, VertexPath
+from .graphs import ColoredGraph
+
+
+class VertexId:
+    """The ids of the decoloring's vertices, as strings: an original vertex
+    v, the i-th vertex of the path attached to it, the subdivision vertex
+    of an edge (a, b), a < b, and the i-th vertex of the path attached to
+    that.  Path positions start at 1.  This module is the one that writes
+    the format.  They are static methods of a class, which
+    `bench/tracer.py` does not wrap, so a call made once per vertex opens
+    no trace span."""
+
+    @staticmethod
+    def orig(v: int) -> str:
+        return f"orig:{v}"
+
+    @staticmethod
+    def vpath(v: int, i: int) -> str:
+        return f"vpath:{v}:{i}"
+
+    @staticmethod
+    def sub(a: int, b: int) -> str:
+        return f"sub:{a}-{b}"
+
+    @staticmethod
+    def epath(a: int, b: int, i: int) -> str:
+        return f"epath:{a}-{b}:{i}"
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +80,6 @@ class PathAssignment:
         return {"c0": self.c0, "vertex_lengths": dict(self.vertex_lengths),
                 "edge_lengths": dict(self.edge_lengths)}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> PathAssignment:
-        return cls(dict(data["vertex_lengths"]), dict(data["edge_lengths"]), data["c0"])
-
 
 def canonical_assignment(G: ColoredGraph, c0: str) -> PathAssignment:
     """Smallest distinct lengths in canonical color order: vertex colors get
@@ -81,8 +102,9 @@ def canonical_assignment(G: ColoredGraph, c0: str) -> PathAssignment:
 
 def decolor_vertices(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     """G -> G': attach a path of length n_{c(v)} to every vertex, color all
-    path edges c0, drop the vertex colors, keep the edge colors."""
-    labels = [Original(v) for v in range(G.num_vertices)]
+    path edges c0, drop the vertex colors, keep the edge colors.  Vertex v
+    of G stays vertex v, and the path vertices follow."""
+    labels = [VertexId.orig(v) for v in range(G.num_vertices)]
     edges = list(G.edges)
     for v in range(G.num_vertices):
         color = G.vertex_colors[v]
@@ -91,9 +113,9 @@ def decolor_vertices(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
         n = pa.vertex_length(color)
         prev = v
         for i in range(1, n + 1):
-            labels.append(VertexPath(v, i))
+            labels.append(VertexId.vpath(v, i))
             cur = len(labels) - 1
-            edges.append((min(prev, cur), max(prev, cur), pa.c0))
+            edges.append((prev, cur, pa.c0))
             prev = cur
     meta = {
         "construction": G.meta.get("construction", "graph") + "'",
@@ -105,7 +127,11 @@ def decolor_vertices(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
 
 def decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     """G' -> G'': subdivide every edge with color != c0, attach a path of
-    length m_{c(e)} to the subdivision vertex, and drop all edge colors."""
+    length m_{c(e)} to the subdivision vertex, and drop all edge colors.
+
+    A subdivision and its path are named by the edge's endpoints (u, v) in
+    G'.  `decolor_vertices` keeps vertex v of G at index v, so for an edge
+    of G those are its endpoints in G too."""
     labels = list(Gp.labels)
     edges = []
     new_vertices = []
@@ -114,23 +140,18 @@ def decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
             edges.append((u, v, None))
             continue
         m = pa.edge_length(c)  # KeyError when a color has no assigned length
-        lu, lv = Gp.labels[u], Gp.labels[v]
-        if isinstance(lu, Original) and isinstance(lv, Original):
-            key = (min(lu.vertex, lv.vertex), max(lu.vertex, lv.vertex))
-        else:
-            key = (u, v)
-        new_vertices.append((key, m, u, v))
+        new_vertices.append((m, u, v))
 
-    for (key, m, u, v) in new_vertices:
-        labels.append(Subdivision(key))
+    for (m, u, v) in new_vertices:
+        labels.append(VertexId.sub(u, v))
         sub = len(labels) - 1
-        edges.append((min(u, sub), max(u, sub), None))
-        edges.append((min(v, sub), max(v, sub), None))
+        edges.append((u, sub, None))
+        edges.append((v, sub, None))
         prev = sub
         for i in range(1, m + 1):
-            labels.append(EdgePath(key, i))
+            labels.append(VertexId.epath(u, v, i))
             cur = len(labels) - 1
-            edges.append((min(prev, cur), max(prev, cur), None))
+            edges.append((prev, cur, None))
             prev = cur
 
     meta = {

@@ -61,14 +61,6 @@ class BinMatrix:
             packed.append(word)
         return cls(len(rows), n, tuple(packed))
 
-    @classmethod
-    def identity(cls, n: int) -> BinMatrix:
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zero(cls, m: int, n: int) -> BinMatrix:
-        return cls(m, n, (0,) * m)
-
     def row(self, i: int) -> list[int]:
         return [(self.bits[i] >> j) & 1 for j in range(self.cols)]
 
@@ -350,8 +342,3 @@ def solve_f2(sys: LinearSystem) -> tuple[int, ...] | None:
     if sys.M.mul_vec(x) != b_vec:
         raise RuntimeError("solver produced a non-solution")
     return tuple((x >> j) & 1 for j in range(n))
-
-
-def abelianized_order(M: BinMatrix) -> int:
-    """Order of the abelianization of the homogeneous solution group: 2^(n - rank)."""
-    return 1 << (M.cols - rank_f2(M))

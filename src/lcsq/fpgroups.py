@@ -421,25 +421,6 @@ def regular_perm_rep(T: CosetTable) -> list[tuple[int, ...]]:
     return perms
 
 
-def is_abelian(T: CosetTable) -> bool:
-    """Whether the group of a complete table over the trivial subgroup is
-    abelian.  Raises ValueError for a capped table.
-
-    Over the trivial subgroup coset c is a group element and the table is
-    its right action, so generators a and b commute exactly when the words
-    ab and ba lead from coset 0 to the same coset: O(ngens^2) lookups.
-    """
-    if not T.is_complete:
-        raise ValueError("coset table is not complete")
-    rows = T.table
-    after = [rows[c] for c in rows[0]]  # after[a][b]: the coset of ab
-    for a, row_a in enumerate(after):
-        for b in range(a + 1, len(after)):
-            if row_a[b] != after[b][a]:
-                return False
-    return True
-
-
 def _parity(word: Word) -> int:
     """The letter parities of a word, as a bit mask over the generators."""
     mask = 0
@@ -463,6 +444,20 @@ def _insert(basis: list[int], v: int) -> bool:
         basis.append(v)
         basis.sort(reverse=True)
     return v != 0
+
+
+def _relator_space(P: Presentation) -> list[int]:
+    """R, the span of the relator parities in F2^ngens, as an echelon basis."""
+    basis: list[int] = []
+    for rel in P.relators:
+        _insert(basis, _parity(rel))
+    return basis
+
+
+def abelianized_order(P: Presentation) -> int:
+    """The order of the abelianization, F2^ngens / R: every generator is an
+    involution.  A finite group is abelian exactly when its order is this."""
+    return 1 << (P.ngens - len(_relator_space(P)))
 
 
 @dataclass(frozen=True)
@@ -497,9 +492,7 @@ def star_subgroup(P: Presentation, cap: int = DEFAULT_COSET_CAP) -> StarSubgroup
     min(len r - 1, floor(log2 cap)) letters; S is trivial if nothing
     qualifies or cap < 2.
     """
-    basis: list[int] = []
-    for rel in P.relators:
-        _insert(basis, _parity(rel))
+    basis = _relator_space(P)
     commuting = {(w[0], w[1]) for w in P.relators
                  if len(w) == 4 and w[0] == w[2] != w[1] == w[3]}
 

@@ -17,6 +17,11 @@ A color is the canonical string that graph files hold, such as "v:3",
 the one that knows the format: it writes colors, checks those a file
 holds, and orders a palette by kind, then block, then sign.  Everywhere
 else a color is compared as a plain string.
+
+A vertex label is a VertexLabel "k:alpha" on the block constructions, and
+otherwise an int or a string.  The decoloring's ids, such as "orig:3" or
+"epath:0-5:2", are strings that `lcsq.decolor` alone writes; a file keeps
+them as they are, so a graph read back holds the labels it was built with.
 """
 
 from __future__ import annotations
@@ -133,66 +138,8 @@ class VertexLabel:
         return f"{self.block}:{self.assignment.render()}"
 
 
-# The decorated identities of the decoloring pipeline (`lcsq.decolor`): an
-# original vertex, the i-th vertex of its attached path, the subdivision
-# vertex of an edge, and the i-th vertex of the path attached to it.
-
-
-@dataclass(frozen=True)
-class Original:
-    vertex: int
-
-    def render(self) -> str:
-        return f"orig:{self.vertex}"
-
-
-@dataclass(frozen=True)
-class VertexPath:
-    vertex: int
-    i: int
-
-    def __post_init__(self):
-        if self.i < 1:
-            raise ValueError("path positions start at 1")
-
-    def render(self) -> str:
-        return f"vpath:{self.vertex}:{self.i}"
-
-
-@dataclass(frozen=True)
-class Subdivision:
-    edge: tuple[int, int]
-
-    def __post_init__(self):
-        if self.edge[0] >= self.edge[1]:
-            raise ValueError("edge endpoints must be ascending")
-
-    def render(self) -> str:
-        return f"sub:{self.edge[0]}-{self.edge[1]}"
-
-
-@dataclass(frozen=True)
-class EdgePath:
-    edge: tuple[int, int]
-    i: int
-
-    def __post_init__(self):
-        if self.edge[0] >= self.edge[1]:
-            raise ValueError("edge endpoints must be ascending")
-        if self.i < 1:
-            raise ValueError("path positions start at 1")
-
-    def render(self) -> str:
-        return f"epath:{self.edge[0]}-{self.edge[1]}:{self.i}"
-
-
-DecoratedVertexId = Original | VertexPath | Subdivision | EdgePath
-
-
 def render_label(label) -> str:
-    if hasattr(label, "render"):
-        return label.render()
-    return str(label)
+    return label.render() if isinstance(label, VertexLabel) else str(label)
 
 
 def _parse_vertex_label(text: str, system: LinearSystem | None) -> VertexLabel | None:
@@ -206,30 +153,10 @@ def _parse_vertex_label(text: str, system: LinearSystem | None) -> VertexLabel |
     return None
 
 
-def _parse_decorated(text: str) -> DecoratedVertexId | None:
-    kind, _, rest = text.partition(":")
-    try:
-        if kind == "orig":
-            return Original(int(rest))
-        if kind == "vpath":
-            v, i = rest.split(":")
-            return VertexPath(int(v), int(i))
-        if kind == "sub":
-            a, b = rest.split("-")
-            return Subdivision((int(a), int(b)))
-        if kind == "epath":
-            pair, i = rest.split(":")
-            a, b = pair.split("-")
-            return EdgePath((int(a), int(b)), int(i))
-    except ValueError:
-        return None
-    return None
-
-
-def parse_label(text: str, system: LinearSystem | None = None):
-    """A label from its rendered string: a VertexLabel, then a decorated
-    identity, then an int, and otherwise the string itself."""
-    parsed = _parse_vertex_label(text, system) or _parse_decorated(text)
+def parse_label(text: str, system: LinearSystem | None = None) -> VertexLabel | int | str:
+    """A label from its rendered string: a VertexLabel, then an int, and
+    otherwise the string itself (such as the decoloring's "sub:0-5")."""
+    parsed = _parse_vertex_label(text, system)
     if parsed is not None:
         return parsed
     if text.lstrip("-").isdigit():
@@ -245,9 +172,9 @@ def parse_label(text: str, system: LinearSystem | None = None):
 class ColoredGraph:
     """Simple graph with optional vertex colors, edge colors, and provenance.
 
-    Vertices are 0..n-1; `labels[i]` is the structured identity of vertex i
-    (a VertexLabel, a decorated id from the decoloring pipeline, an int, or
-    a string).  Edges are (u, v, color) with u < v.  A color is a canonical
+    Vertices are 0..n-1; `labels[i]` is the identity of vertex i: a
+    VertexLabel, an int, or a string (the decoloring's ids, such as
+    "vpath:3:1", are strings).  Edges are (u, v, color) with u < v.  A color is a canonical
     color string, or None for none.
     """
 

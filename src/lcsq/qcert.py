@@ -46,9 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .f2core import LinearSystem
-from .graphs import (ColoredGraph, EdgePath, Original, Subdivision, VertexLabel,
-                     VertexPath, render_label, sign_vectors)
-from .decolor import PathAssignment
+from .graphs import ColoredGraph, VertexLabel, render_label, sign_vectors
+from .decolor import PathAssignment, VertexId, decolor_full
 from .reps import DenseElement, GroupAlgebraElement, Representation, verify_representation
 
 class CertificateError(Exception):
@@ -579,41 +578,18 @@ def noncommuting_witness(cert: MagicUnitaryCert):
 # Lifting through the decoloring pipeline
 
 
-def _decorated_index(G: ColoredGraph):
-    orig: dict[int, int] = {}
-    vpath: dict[tuple[int, int], int] = {}
-    sub: dict[tuple[int, int], int] = {}
-    epath: dict[tuple[tuple[int, int], int], int] = {}
-    for idx, lab in enumerate(G.labels):
-        if isinstance(lab, Original):
-            orig[lab.vertex] = idx
-        elif isinstance(lab, VertexPath):
-            vpath[(lab.vertex, lab.i)] = idx
-        elif isinstance(lab, Subdivision):
-            sub[lab.edge] = idx
-        elif isinstance(lab, EdgePath):
-            epath[(lab.edge, lab.i)] = idx
-        else:
-            raise CertificateError("graph is not a decorated decoloring")
-    return orig, vpath, sub, epath
-
-
-def _assignment_of(G: ColoredGraph) -> dict:
-    data = G.meta.get("assignment")
-    if data is None:
-        raise CertificateError("graph metadata carries no path assignment")
-    return data
-
-
 def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
-              Gpp1: ColoredGraph, Gpp2: ColoredGraph) -> MagicUnitaryCert:
-    """Transport a verified certificate over (G, G') to their decolorings.
+              pa: PathAssignment) -> MagicUnitaryCert:
+    """Transport a verified certificate over (G, G') to their decolorings
+    under the path assignment `pa`, returning the lifted certificate.
 
     `report` is `verify_cert`'s report on `cert` (either mode: the residuals
     are the same).  This raises exactly when the report fails, without
-    re-verifying the source.
+    re-verifying the source.  Both decolorings are built here, with
+    `decolor_full` under `pa` (one, when the two graphs are one object), so
+    they cannot disagree with each other or with the certificate.
 
-    Original and path vertices inherit the source entry at equal path
+    A vertex of G and its path inherit the source entry at equal path
     positions; subdivision vertices of same-colored edges e = (a, b) and
     f = (c, d) receive u_{ac} u_{bd} + u_{ad} u_{bc} (a projection because
     the same-block factors commute, which is checked here).  The source
@@ -622,52 +598,50 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
     with the same four input objects are one element, built and checked
     once.
     """
-    asg1, asg2 = _assignment_of(Gpp1), _assignment_of(Gpp2)
-    if asg1 != asg2:
-        raise CertificateError("the two decolorings used different path lengths")
-    base1 = Gpp1.meta.get("base", {}).get("base", {}).get("system")
-    base2 = Gpp2.meta.get("base", {}).get("base", {}).get("system")
-    if base1 != cert.row_graph.meta.get("system") or \
-            base2 != cert.col_graph.meta.get("system"):
-        raise CertificateError("decolorings were not built from the certificate's graphs")
-
     if not report.passed:
         raise CertificateError(
             f"source certificate fails verification: {report.worst[0]} "
             f"(residual {report.worst[1]:.3g})")
+    G1, G2 = cert.row_graph, cert.col_graph
+    Gpp1 = decolor_full(G1, pa)
+    Gpp2 = Gpp1 if G2 is G1 else decolor_full(G2, pa)
 
-    pa = PathAssignment.from_json_dict(asg1)
-    orig1, vpath1, sub1, epath1 = _decorated_index(Gpp1)
-    orig2, vpath2, sub2, epath2 = _decorated_index(Gpp2)
+    def chains(G: ColoredGraph, Gpp: ColoredGraph):
+        """Each vertex of G as the indices in Gpp of its original vertex and
+        path, and each edge whose color is not c0 as those of its
+        subdivision and path, keyed by its color and then by the edge."""
+        index = {label: i for i, label in enumerate(Gpp.labels)}
+        vertices = []
+        for v, color in enumerate(G.vertex_colors):
+            n = pa.vertex_length(color) if color is not None else 0
+            vertices.append([index[VertexId.orig(v)]]
+                            + [index[VertexId.vpath(v, i)] for i in range(1, n + 1)])
+        edges: dict[str, dict] = {}
+        for (a, b, c) in G.edges:
+            if c is not None and c != pa.c0:
+                m = pa.edge_length(c)
+                edges.setdefault(c, {})[(a, b)] = (
+                    [index[VertexId.sub(a, b)]]
+                    + [index[VertexId.epath(a, b, i)] for i in range(1, m + 1)])
+        return vertices, edges
+
+    vertices1, edges1 = chains(G1, Gpp1)
+    vertices2, edges2 = (vertices1, edges1) if Gpp2 is Gpp1 else chains(G2, Gpp2)
 
     out: dict = {}
 
-    # vertex gadgets: w_{v_k, x_k} = u_{v, x}
+    # vertex gadgets: w_{v_k, x_k} = u_{v, x}; paths of different lengths
+    # belong to different colors, where the passing source's entries are zero
     for (v, x), elem in cert.entries.items():
-        out[(orig1[v], orig2[x])] = elem
-        color = cert.row_graph.vertex_colors[v]
-        n = pa.vertex_length(color) if color is not None else 0
-        for i in range(1, n + 1):
-            out[(vpath1[(v, i)], vpath2[(x, i)])] = elem
+        for key in zip(vertices1[v], vertices2[x]):
+            out[key] = elem
 
     # edge gadgets: w_{e_k, f_k} = u_{ac} u_{bd} + u_{ad} u_{bc}
-    def colored_edges(G: ColoredGraph) -> dict[str, list]:
-        """Color -> its edges, c0 and None left out."""
-        grouped: dict[str, list] = {}
-        for (u, v, c) in G.edges:
-            if c is not None and c != pa.c0:
-                grouped.setdefault(c, []).append((u, v))
-        return grouped
-
-    edges1 = colored_edges(cert.row_graph)
-    edges2 = colored_edges(cert.col_graph)
     zero = cert.zero()
     gadgets: dict[tuple[int, int, int, int], object] = {}
     for color, elist in sorted(edges1.items()):
-        flist = edges2.get(color, [])
-        m = pa.edge_length(color)  # colors of subdivided edges must carry a length
-        for (a, b) in elist:
-            for (c, d) in flist:
+        for (a, b), chain1 in elist.items():
+            for (c, d), chain2 in edges2.get(color, {}).items():
                 u_ac = cert.entry(a, c) or zero
                 u_bd = cert.entry(b, d) or zero
                 u_ad = cert.entry(a, d) or zero
@@ -681,9 +655,8 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
                         raise CertificateError(
                             f"entries for edges {(a, b)}/{(c, d)} do not commute")
                     elem = gadgets[sig] = prod + u_ad * u_bc
-                out[(sub1[(a, b)], sub2[(c, d)])] = elem
-                for i in range(1, m + 1):
-                    out[(epath1[((a, b), i)], epath2[((c, d), i)])] = elem
+                for key in zip(chain1, chain2):
+                    out[key] = elem
 
     return MagicUnitaryCert(Gpp1, Gpp2, out, cert.backend, cert.identity,
                             provenance=f"lifted:{cert.provenance}",

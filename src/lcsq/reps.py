@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .f2core import LinearSystem, complete_bipartite, incidence_system
-from .fpgroups import CosetTable, coset_rep_words, is_abelian
+from .fpgroups import CosetTable, abelianized_order, coset_rep_words
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +220,14 @@ class GroupAlgebraContext:
     """Multiplication and inversion for a finite group given by a completed
     coset table over the trivial subgroup (cosets are the group elements).
     `abelian` tells whether the group, and so its group algebra, is
-    commutative."""
+    commutative: whether its order is that of its abelianization."""
 
     def __init__(self, table: CosetTable):
         if not table.is_complete:
             raise ValueError("group algebra needs a complete coset table")
         self.table = table
         self.size = table.num_cosets
-        self.abelian = is_abelian(table)
+        self.abelian = self.size == abelianized_order(table.presentation)
         self.words = coset_rep_words(table)
         # generators are involutions, so reversing a word inverts the element
         self.inverse = [table.follow(0, tuple(reversed(w))) for w in self.words]
@@ -365,7 +365,6 @@ class RepVerification:
     """Residual of every defining relation, plus the overall verdict."""
 
     entries: tuple  # ((name, residual), ...)
-    backend: str
 
     @property
     def max_residual(self) -> float:
@@ -419,7 +418,7 @@ def verify_representation(R: Representation, sys: LinearSystem,
             target = -one
         entries.append((f"product:k{k + 1}", (prod - target).residual_norm()))
 
-    return RepVerification(tuple(entries), R.backend)
+    return RepVerification(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

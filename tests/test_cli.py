@@ -146,8 +146,10 @@ def test_group_cap_exit_3(files):
 
 K44_G = "8\n" + "".join(f"{a} {b}\n" for a in (1, 2, 3, 4) for b in (5, 6, 7, 8))
 
-# `lcsq group --json` reports as the trivial-subgroup enumeration wrote them,
-# with the path-dependent `config` member dropped
+# `lcsq group --json` reports with the path-dependent `config` member
+# dropped, each as the trivial-subgroup enumeration wrote it, except that
+# "k33-solvable" gives the abelianized order of Gamma(M, b), 32, not
+# Gamma_0's 16
 GROUP_REPORTS = {
     "k34-homogeneous": (["--graph", "k34.g", "--homogeneous"], 0, {
         "abelian": False, "abelianized_order": 64, "cap": 1000000,
@@ -159,6 +161,11 @@ GROUP_REPORTS = {
         "abelian": False, "abelianized_order": 16, "cap": 1000000,
         "homogeneous": False, "order": 32, "status": "complete",
         "word": "gamma", "word_is_identity": False}),
+    # |b| even, so Gamma(M, b) is Gamma_0 x <gamma>: abelian of order 32, and
+    # its abelianization has order 32 as well
+    "k33-solvable": (["--graph", "k33.g", "--b", "110000"], 0, {
+        "abelian": True, "abelianized_order": 32, "cap": 1000000,
+        "homogeneous": False, "order": 32, "status": "complete"}),
     "k44-capped": (["--graph", "k44.g", "--homogeneous", "--cap", "1000"], 3, {
         "abelianized_order": 512, "cap": 1000, "homogeneous": True,
         "order": None, "status": "capped"}),
@@ -476,12 +483,12 @@ def test_certificate_error_exits_internal(files, monkeypatch, capsys):
     # every certificate input of `cert` is built by the CLI, so a failed
     # certificate precondition is a bug, not a usage error
     def broken(*args):
-        raise qcert.CertificateError("the two decolorings used different path lengths")
+        raise qcert.CertificateError("entries for edges (0, 5)/(0, 5) do not commute")
 
     monkeypatch.setattr(qcert, "lift_cert", broken)
     assert run("cert", "qut", "--graph", files / "k33.g", "--rep", "regular",
                "--lift") == EXIT_INTERNAL
-    assert "internal error: the two decolorings" in capsys.readouterr().err
+    assert "internal error: entries for edges" in capsys.readouterr().err
 
 
 def test_failed_magic_square_exits_internal(files, monkeypatch, capsys):

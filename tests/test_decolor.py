@@ -12,8 +12,7 @@ from lcsq.f2core import BinMatrix, LinearSystem
 from lcsq.decolor import (PathAssignment, canonical_assignment, check_matchings,
                           check_min_degree, decolor_edges, decolor_full,
                           decolor_vertices)
-from lcsq.graphs import (ColoredGraph, EdgePath, Original, Subdivision, VertexPath,
-                         build_G, serialize)
+from lcsq.graphs import ColoredGraph, build_G, serialize
 
 C0 = "shared:-1"
 
@@ -114,8 +113,8 @@ def test_gp_preserves_original_subgraph(gstar33_0):
     n = gstar33_0.num_vertices
     original_edges = tuple((u, v, c) for (u, v, c) in Gp.edges if u < n and v < n)
     assert original_edges == gstar33_0.edges
-    assert all(isinstance(Gp.labels[v], Original) for v in range(n))
-    assert all(isinstance(Gp.labels[v], VertexPath) for v in range(n, Gp.num_vertices))
+    assert Gp.labels[:n] == tuple(f"orig:{v}" for v in range(n))
+    assert all(label.startswith("vpath:") for label in Gp.labels[n:])
 
 
 def test_gp_invariants_separate_former_vertex_colors(gstar33_0):
@@ -136,8 +135,7 @@ def test_gp_path_distances(gstar33_0):
     # the path attached to v realizes d(v, v_i) = i
     pa = canonical_assignment(gstar33_0, C0)
     Gp = decolor_vertices(gstar33_0, pa)
-    index = {lab.render() if hasattr(lab, "render") else str(lab): i
-             for i, lab in enumerate(Gp.labels)}
+    index = {label: i for i, label in enumerate(Gp.labels)}
     adj = [set() for _ in range(Gp.num_vertices)]
     for (u, v, _) in Gp.edges:
         adj[u].add(v)
@@ -187,20 +185,33 @@ def test_gpp_counts(gpp33_pair, gpp34):
 def test_gpp_subdivision_degrees(gstar33_0, gpp33_pair):
     gpp, _ = gpp33_pair
     deg = gpp.degrees()
-    pa = PathAssignment.from_json_dict(gpp.meta["assignment"])
+    pa = canonical_assignment(gstar33_0, C0)
     # a subdivision's edge is the pair of its endpoints in G'
     colors = {(u, v): c for u, v, c in decolor_vertices(gstar33_0, pa).edges}
     by_degree = {2: 0, 3: 0}
-    for v, lab in enumerate(gpp.labels):
-        if isinstance(lab, Subdivision):
+    for v, label in enumerate(gpp.labels):
+        kind, _, rest = label.partition(":")
+        if kind == "sub":
             # the m = 0 color's subdivisions keep their two edges; every
             # other one gains the first edge of its path
-            expected = 2 if pa.edge_length(colors[lab.edge]) == 0 else 3
+            a, b = map(int, rest.split("-"))
+            expected = 2 if pa.edge_length(colors[(a, b)]) == 0 else 3
             assert deg[v] == expected
             by_degree[expected] += 1
-        elif isinstance(lab, EdgePath):
+        elif kind == "epath":
             assert deg[v] in (1, 2)
     assert by_degree[2] and by_degree[3]
+
+
+def test_subdivision_ids_name_the_colored_edges_of_gstar(gstar33_0, gpp33_pair):
+    # G' keeps vertex v of G* at index v, so "sub:a-b" names the edge (a, b)
+    # of G*, and only edges whose color is not c0 are subdivided
+    colored = {(u, v) for u, v, c in gstar33_0.edges if c != C0}
+    subs = [label.partition(":")[2] for label in gpp33_pair[0].labels
+            if label.startswith("sub:")]
+    named = {tuple(map(int, rest.split("-"))) for rest in subs}
+    assert len(named) == len(subs)
+    assert named == colored
 
 
 def test_missing_edge_length_is_error():

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from lcsq.f2core import (BinMatrix, LinearSystem, SimpleGraph, SystemFormatError,
-                         abelianized_order, complete_bipartite, incidence_system,
-                         parse_graph, parse_system, rank_f2, render_system,
-                         solve_f2)
+                         complete_bipartite, incidence_system, parse_graph,
+                         parse_system, rank_f2, render_system, solve_f2)
+from lcsq.fpgroups import abelianized_order, solution_presentation
 
 
 def rowspace_size(M: BinMatrix) -> int:
@@ -134,11 +134,11 @@ def test_incidence_disconnected_warns():
 
 
 def test_rank_identity():
-    assert rank_f2(BinMatrix.identity(3)) == 3
+    assert rank_f2(BinMatrix(3, 3, (0b001, 0b010, 0b100))) == 3
 
 
 def test_rank_zero():
-    assert rank_f2(BinMatrix.zero(2, 5)) == 0
+    assert rank_f2(BinMatrix(2, 5, (0, 0))) == 0
 
 
 def test_rank_k33_against_rowspace_oracle():
@@ -174,11 +174,13 @@ def test_solve_rejects_a_non_solution(monkeypatch):
 
 
 def test_abelianized_orders():
-    k33 = incidence_system(complete_bipartite(3, 3), (0,) * 6).M
-    k34 = incidence_system(complete_bipartite(3, 4), (0,) * 7).M
-    assert abelianized_order(k33) == 16
-    assert abelianized_order(k34) == 64
-    assert abelianized_order(BinMatrix.identity(5)) == 1
+    # the abelianization of the homogeneous solution group is F2^n / rowspace(M)
+    identity5 = BinMatrix(5, 5, tuple(1 << i for i in range(5)))
+    for sys, order in ((incidence_system(complete_bipartite(3, 3), (0,) * 6), 16),
+                       (incidence_system(complete_bipartite(3, 4), (0,) * 7), 64),
+                       (LinearSystem(identity5, (0,) * 5), 1)):
+        assert 1 << (sys.M.cols - rank_f2(sys.M)) == order
+        assert abelianized_order(solution_presentation(sys, homogeneous=True)) == order
 
 
 # ---------------------------------------------------------------------------

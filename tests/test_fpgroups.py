@@ -10,13 +10,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lcsq.fpgroups as fp
-from lcsq.f2core import (BinMatrix, LinearSystem, abelianized_order,
-                         complete_bipartite, incidence_system, solve_f2)
+from lcsq.f2core import (BinMatrix, LinearSystem, complete_bipartite,
+                         incidence_system, rank_f2, solve_f2)
 from lcsq.f2core import SimpleGraph
 from lcsq.fpgroups import (COMPACT_SLACK, DEFAULT_COSET_CAP, CosetTable, Presentation,
-                           coset_rep_words, is_abelian, regular_perm_rep,
-                           solution_presentation, star_subgroup, todd_coxeter,
-                           word_is_identity)
+                           coset_rep_words, regular_perm_rep, solution_presentation,
+                           star_subgroup, todd_coxeter, word_is_identity)
+from lcsq.reps import GroupAlgebraContext
+
+
+def abelianized_order_by_rank(M: BinMatrix) -> int:
+    """Oracle: the abelianization of the homogeneous solution group of M is
+    F2^cols / rowspace(M)."""
+    return 1 << (M.cols - rank_f2(M))
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +39,15 @@ def star_table(P: Presentation, cap: int = DEFAULT_COSET_CAP):
     """The route of `lcsq group`: the star subgroup S and its coset table."""
     S = star_subgroup(P, cap)
     return S, todd_coxeter(P, [(g,) for g in S.letters], cap // S.order)
+
+
+def generators_commute(T: CosetTable) -> bool:
+    """Oracle on a complete table over the trivial subgroup: coset 0 is the
+    identity, so generators a and b commute exactly when the words ab and ba
+    lead from it to the same coset."""
+    n = T.presentation.ngens
+    return all(T.follow(0, (a, b)) == T.follow(0, (b, a))
+               for a in range(n) for b in range(a))
 
 
 def perm_closure(gens: list[tuple[int, ...]]) -> int:
@@ -115,13 +130,13 @@ def test_klein_four_group():
 
 def test_k33_order(table33, k33_sys0):
     assert table33.is_complete
-    assert table33.num_cosets == 16 == abelianized_order(k33_sys0.M)
+    assert table33.num_cosets == 16 == abelianized_order_by_rank(k33_sys0.M)
 
 
 def test_k34_order(table34, k34_sys0):
     assert table34.is_complete
     assert table34.num_cosets == 256
-    assert table34.num_cosets > 64 == abelianized_order(k34_sys0.M)
+    assert table34.num_cosets > 64 == abelianized_order_by_rank(k34_sys0.M)
     # independent oracle: closure of the regular permutation representation
     assert perm_closure(regular_perm_rep(table34)) == 256
 
@@ -219,26 +234,28 @@ def test_constraint_products_act_trivially(table33, k33_sys0):
 
 
 def test_is_abelian(k33_sys0, k34_sys0):
-    assert is_abelian(todd_coxeter(solution_presentation(k33_sys0, True))) is True
-    assert is_abelian(todd_coxeter(solution_presentation(k34_sys0, True))) is False
+    T33 = todd_coxeter(solution_presentation(k33_sys0, True))
+    T34 = todd_coxeter(solution_presentation(k34_sys0, True))
+    assert GroupAlgebraContext(T33).abelian is True
+    assert GroupAlgebraContext(T34).abelian is False
 
 
 def test_infinite_dihedral_unknown():
     P = Presentation(("x", "y"), ((0, 0), (1, 1)))
     with pytest.raises(ValueError):
-        is_abelian(todd_coxeter(P, cap=100))
+        GroupAlgebraContext(todd_coxeter(P, cap=100))
     with pytest.raises(ValueError):
         word_is_identity(todd_coxeter(P, cap=100), star_subgroup(P), (0, 0))
 
 
 def test_order_equals_abelianization_when_abelian(k33_sys0):
     P = solution_presentation(k33_sys0, homogeneous=True)
-    assert todd_coxeter(P, []).num_cosets == abelianized_order(k33_sys0.M)
+    assert todd_coxeter(P, []).num_cosets == abelianized_order_by_rank(k33_sys0.M)
 
 
 def test_order_multiple_of_abelianization(k34_sys0):
     P = solution_presentation(k34_sys0, homogeneous=True)
-    assert todd_coxeter(P, []).num_cosets % abelianized_order(k34_sys0.M) == 0
+    assert todd_coxeter(P, []).num_cosets % abelianized_order_by_rank(k34_sys0.M) == 0
 
 
 def test_word_squares_are_identity(k33_sys0):
@@ -394,10 +411,10 @@ def test_star_route_matches_trivial_subgroup_enumeration(case):
     S, T = star_table(P)
     assert T.is_complete
     assert T.num_cosets * S.order == full.num_cosets
-    assert (full.num_cosets == S.abelianized_order) is is_abelian(full)
+    assert (full.num_cosets == S.abelianized_order) is generators_commute(full)
     assert word_is_identity(T, S, word) is (full.follow(0, word) == 0)
     if P.ngens == sys.num_vars:  # a homogeneous presentation
-        assert S.abelianized_order == abelianized_order(sys.M)
+        assert S.abelianized_order == abelianized_order_by_rank(sys.M)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +423,8 @@ def test_star_route_matches_trivial_subgroup_enumeration(case):
 
 def test_k35_order(table35, k35_sys0):
     assert table35.is_complete and table35.num_cosets == 8192
-    assert abelianized_order(k35_sys0.M) == 2 ** 8
-    assert is_abelian(table35) is False
+    assert abelianized_order_by_rank(k35_sys0.M) == 2 ** 8
+    assert GroupAlgebraContext(table35).abelian is False
 
 
 def test_k35_relators_act_trivially(table35):
@@ -639,7 +656,7 @@ def test_flagship_tables_replay_union_find_reference(k33_sys_e1, table34, table3
 
 
 # ---------------------------------------------------------------------------
-# is_abelian and the permutation check against the full permutations
+# abelian verdicts and the permutation check against the full permutations
 
 
 def commute_as_permutations(T: CosetTable) -> bool:
@@ -655,10 +672,10 @@ def test_is_abelian_matches_permutation_commutation(case):
     P, _, cap = case
     T = todd_coxeter(P, [], cap)
     if T.is_complete:
-        assert is_abelian(T) is commute_as_permutations(T)
+        assert GroupAlgebraContext(T).abelian is commute_as_permutations(T)
     else:
         with pytest.raises(ValueError, match="complete"):
-            is_abelian(T)
+            GroupAlgebraContext(T)
 
 
 def test_is_abelian_matches_permutation_commutation_on_flagships(
@@ -666,7 +683,7 @@ def test_is_abelian_matches_permutation_commutation_on_flagships(
     gamma33 = todd_coxeter(solution_presentation(k33_sys_e1, homogeneous=False))
     for T, abelian in ((table33, True), (table34, False), (table35, False),
                        (gamma33, False)):
-        assert is_abelian(T) is abelian
+        assert GroupAlgebraContext(T).abelian is abelian
         assert commute_as_permutations(T) is abelian
 
 

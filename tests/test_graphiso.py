@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq import graphiso
-from lcsq.graphs import ColoredGraph, Original
+from lcsq.graphs import ColoredGraph
 from lcsq.decolor import canonical_assignment, decolor_vertices
 from lcsq.graphiso import (Bijection, automorphism_group, find_isomorphism,
                            refine, verify_mapping)
@@ -171,14 +171,15 @@ def test_refine_separates_former_blocks(gstar33_0):
     pa = canonical_assignment(gstar33_0, C0)
     Gp = decolor_vertices(gstar33_0, pa)
     coloring = refine(Gp)
+    # G' keeps vertex v of G* at index v, labelled "orig:v"
+    originals = range(gstar33_0.num_vertices)
+    assert [Gp.labels[v] for v in originals] == [f"orig:{v}" for v in originals]
     block_of_class = {}
-    for v, lab in enumerate(Gp.labels):
-        if isinstance(lab, Original):
-            block = gstar33_0.labels[lab.vertex].block
-            cls = coloring.classes[v]
-            assert block_of_class.setdefault(cls, block) == block
-    assert len({coloring.classes[v] for v, lab in enumerate(Gp.labels)
-                if isinstance(lab, Original)}) == 6
+    for v in originals:
+        block = gstar33_0.labels[v].block
+        cls = coloring.classes[v]
+        assert block_of_class.setdefault(cls, block) == block
+    assert len({coloring.classes[v] for v in originals}) == 6
 
 
 def test_refine_classes_are_orbit_unions():

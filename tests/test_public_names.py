@@ -8,9 +8,8 @@ it is in ALLOWED with the reason it stays.
 
 Matching is by name only, so it cannot see a dead method that shares its
 name with a live one: a `BinMatrix.entry` would hide behind the live
-`MagicUnitaryCert.entry`, and `BinMatrix.identity` and `zero`, which only
-the tests construct with, hide behind `DenseElement.identity` and
-`MagicUnitaryCert.zero`.
+`MagicUnitaryCert.entry`, and a `BinMatrix.zero` behind
+`MagicUnitaryCert.zero`.  Such a name is found by reading, not by this test.
 """
 
 from __future__ import annotations

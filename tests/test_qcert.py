@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system
-from lcsq.graphs import (ColoredGraph, EdgePath, Original, Subdivision, VertexLabel,
-                         VertexPath, build_G, build_Gstar, sign_vectors)
-from lcsq.decolor import canonical_assignment, decolor_edges, decolor_vertices
+from lcsq.graphs import ColoredGraph, VertexLabel, build_G, build_Gstar, sign_vectors
+from lcsq.decolor import canonical_assignment
 from lcsq.fpgroups import Presentation, solution_presentation, todd_coxeter
 from lcsq.graphiso import automorphism_group
 from lcsq.reps import (DenseElement, GroupAlgebraContext, Representation,
@@ -350,10 +349,17 @@ def test_no_witness_for_k33(exact_cert33):
 # lifting
 
 
+def lift_pa(cert):
+    """The canonical path assignment of the certificate's row graph, as
+    `cert --lift` uses it."""
+    return canonical_assignment(cert.row_graph, "shared:-1")
+
+
 def test_lift_classical_identity(gstar33_0, gpp33_pair):
     gpp0, _ = gpp33_pair
     cert = make_classical_cert(gstar33_0, gstar33_0, {v: v for v in range(24)})
-    lifted = lift_cert(cert, verify_cert(cert, "iso"), gpp0, gpp0)
+    lifted = lift_cert(cert, verify_cert(cert, "iso"), lift_pa(cert))
+    assert lifted.row_graph == gpp0 and lifted.col_graph is lifted.row_graph
     nonzero = {key for key, e in lifted.entries.items() if e.residual_norm() > 1e-12}
     assert nonzero == {(v, v) for v in range(gpp0.num_vertices)}
     assert verify_cert(lifted, "qut").passed
@@ -363,24 +369,23 @@ def test_lift_classical_automorphism_is_induced_map(gstar33_0, gpp33_pair):
     gpp0, _ = gpp33_pair
     g = automorphism_group(gstar33_0).generators[0].mapping()
     cert = make_classical_cert(gstar33_0, gstar33_0, g)
-    lifted = lift_cert(cert, verify_cert(cert, "iso"), gpp0, gpp0)
+    lifted = lift_cert(cert, verify_cert(cert, "iso"), lift_pa(cert))
+    assert lifted.row_graph == gpp0
 
-    index = {}
-    for i, lab in enumerate(gpp0.labels):
-        index[lab] = i
+    index = {label: i for i, label in enumerate(gpp0.labels)}
 
-    def induced(lab):
-        if isinstance(lab, Original):
-            return Original(g[lab.vertex])
-        if isinstance(lab, VertexPath):
-            return VertexPath(g[lab.vertex], lab.i)
-        if isinstance(lab, Subdivision):
-            a, b = g[lab.edge[0]], g[lab.edge[1]]
-            return Subdivision((min(a, b), max(a, b)))
-        a, b = g[lab.edge[0]], g[lab.edge[1]]
-        return EdgePath((min(a, b), max(a, b)), lab.i)
+    def induced(label):
+        """The id of g's image: "orig:v", "vpath:v:i", "sub:a-b", "epath:a-b:i"."""
+        kind, _, rest = label.partition(":")
+        head, *position = rest.split(":")
+        if kind in ("orig", "vpath"):
+            image = str(g[int(head)])
+        else:
+            a, b = sorted(g[int(end)] for end in head.split("-"))
+            image = f"{a}-{b}"
+        return ":".join([kind, image, *position])
 
-    expected = {(i, index[induced(lab)]) for i, lab in enumerate(gpp0.labels)}
+    expected = {(i, index[induced(label)]) for i, label in enumerate(gpp0.labels)}
     nonzero = {key for key, e in lifted.entries.items() if e.residual_norm() > 1e-12}
     assert nonzero == expected
     assert verify_cert(lifted, "qut").passed
@@ -388,50 +393,43 @@ def test_lift_classical_automorphism_is_induced_map(gstar33_0, gpp33_pair):
 
 def test_lift_pauli(pauli_cert, gpp33_pair):
     gpp0, gpp1 = gpp33_pair
-    lifted = lift_cert(pauli_cert, verify_cert(pauli_cert, "iso"), gpp0, gpp1)
+    lifted = lift_cert(pauli_cert, verify_cert(pauli_cert, "iso"), lift_pa(pauli_cert))
+    assert (lifted.row_graph, lifted.col_graph) == (gpp0, gpp1)
     report = verify_cert(lifted, "iso")
     assert report.passed
     assert report.max_residual == 0.0
     # vertex entries are inherited verbatim
-    orig_index0 = {lab.vertex: i for i, lab in enumerate(gpp0.labels)
-                   if isinstance(lab, Original)}
-    orig_index1 = {lab.vertex: i for i, lab in enumerate(gpp1.labels)
-                   if isinstance(lab, Original)}
+    index0 = {label: i for i, label in enumerate(gpp0.labels)}
+    index1 = {label: i for i, label in enumerate(gpp1.labels)}
     for (v, x), elem in list(pauli_cert.entries.items())[:8]:
-        assert lifted.entry(orig_index0[v], orig_index1[x]) is elem
+        assert lifted.entry(index0[f"orig:{v}"], index1[f"orig:{x}"]) is elem
 
 
 def test_lift_exact_k34_retains_witness(exact_cert34, gpp34):
-    lifted = lift_cert(exact_cert34, verify_cert(exact_cert34, "iso"), gpp34, gpp34)
+    lifted = lift_cert(exact_cert34, verify_cert(exact_cert34, "iso"), lift_pa(exact_cert34))
+    assert lifted.row_graph == gpp34
     report = verify_cert(lifted, "qut")
     assert report.passed
     assert report.max_residual == 0.0
     assert noncommuting_witness(lifted) is not None
 
 
-def test_lift_rejects_mismatched_assignments(pauli_cert, gpp33_pair, gpp34):
-    gpp0, _ = gpp33_pair
-    with pytest.raises(CertificateError, match="path lengths|built from"):
-        lift_cert(pauli_cert, verify_cert(pauli_cert, "iso"), gpp0, gpp34)
-
-
-def test_lift_rejects_failing_source(pauli_cert, gpp33_pair):
-    gpp0, gpp1 = gpp33_pair
+def test_lift_rejects_failing_source(pauli_cert):
     bad = corrupt_swap_columns(pauli_cert, 0, 1)
     with pytest.raises(CertificateError, match="fails verification"):
-        lift_cert(bad, verify_cert(bad, "iso"), gpp0, gpp1)
+        lift_cert(bad, verify_cert(bad, "iso"), lift_pa(bad))
 
 
 def test_lift_rejects_any_nonzero_residual_in_the_report(pauli_cert, gpp33_pair):
     # the lift judges the report it is given: a residual far below any float
     # tolerance still fails, and an all-zero report passes
-    gpp0, gpp1 = gpp33_pair
+    pa = lift_pa(pauli_cert)
     report = VerificationReport((("projection", 5e-300, "entry (0, 0)"),), "dense")
     assert not report.passed
     with pytest.raises(CertificateError, match="fails verification: projection"):
-        lift_cert(pauli_cert, report, gpp0, gpp1)
+        lift_cert(pauli_cert, report, pa)
     clean = VerificationReport((("projection", 0.0, ""),), "dense")
-    assert lift_cert(pauli_cert, clean, gpp0, gpp1).row_graph is gpp0
+    assert lift_cert(pauli_cert, clean, pa).row_graph == gpp33_pair[0]
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +574,7 @@ def test_regular_cert_verifies_lifts_and_round_trips_exactly(H):
     report = verify_cert(cert, "qut")
     assert report.passed and report.max_residual == 0.0
 
-    pa = canonical_assignment(G, "shared:-1")
-    gpp = decolor_edges(decolor_vertices(G, pa), pa)
-    lifted = verify_cert(lift_cert(cert, report, gpp, gpp), "qut")
+    lifted = verify_cert(lift_cert(cert, report, lift_pa(cert)), "qut")
     assert lifted.passed and lifted.max_residual == 0.0
 
     extraction = extract_generators(cert)
@@ -926,11 +922,7 @@ def exact_cert35():
 
 def lifted_cert(cert):
     """The certificate lifted to the full decolorings of its two graphs."""
-    G1, G2 = cert.row_graph, cert.col_graph
-    pa = canonical_assignment(G1, "shared:-1")
-    gpp1 = decolor_edges(decolor_vertices(G1, pa), pa)
-    gpp2 = gpp1 if G2 is G1 else decolor_edges(decolor_vertices(G2, pa), pa)
-    return lift_cert(cert, verify_cert(cert, "iso"), gpp1, gpp2)
+    return lift_cert(cert, verify_cert(cert, "iso"), lift_pa(cert))
 
 
 @pytest.fixture(scope="module")
