@@ -106,10 +106,10 @@ def _build_graph(cfg: RunConfig, sys_: f2core.LinearSystem) -> graphs.ColoredGra
 
 def _cap(cfg: RunConfig) -> int:
     """The cap: --cap, or fpgroups.DEFAULT_COSET_CAP without it.  It bounds
-    the group elements an enumeration may stand for: live cosets for
-    `cert --rep regular`, live cosets times |S| for `group`, which
-    enumerates the cosets of a star subgroup S.  A cap below 1 is rejected
-    by `fpgroups.todd_coxeter` (exit 2)."""
+    the group elements an enumeration may stand for, live cosets times |S|:
+    `group` and `cert --rep regular` both enumerate the cosets of a star
+    subgroup S, the latter through `fpgroups.regular_table`.  A cap below 1
+    is rejected by `fpgroups.todd_coxeter` (exit 2)."""
     return fpgroups.DEFAULT_COSET_CAP if cfg.cap is None else cfg.cap
 
 
@@ -233,7 +233,7 @@ def cmd_cert(cfg: RunConfig) -> int:
                              "b1 and b2 must agree")
         P = fpgroups.solution_presentation(sys_.with_b(xor_b), homogeneous=True)
         cap = _cap(cfg)
-        table = fpgroups.todd_coxeter(P, [], cap)
+        table = fpgroups.regular_table(P, cap)
         if not table.is_complete:
             print(f"coset enumeration exceeded cap {cap}")
             return EXIT_CAP

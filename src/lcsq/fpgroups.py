@@ -29,9 +29,11 @@ are left out, so the numbering is that of the plain scans (see
 The quantum automorphism group of the colored graph G* is the dual of the
 homogeneous solution group Gamma_0 (the paper's main theorem), so finite
 quantum symmetry means a finite, non-abelian Gamma_0: an order and an
-abelian verdict.  These need no table over the trivial subgroup.  Since
-every generator is an involution, the abelianization is F2^ngens / R, with
-R the span of the relator parities.  A relator r of distinct, pairwise
+abelian verdict, and for a regular certificate Gamma_0's multiplication
+table.  All three come from one enumeration, over the cosets of a star
+subgroup S; nothing enumerates over the trivial subgroup.  Since every
+generator is an involution, the abelianization is F2^ngens / R, with R
+the span of the relator parities.  A relator r of distinct, pairwise
 commuting letters whose coordinate subspace meets R only in {0, parity(r)}
 generates a subgroup S of order exactly 2^(len r - 1): r bounds it from
 above, and its image in the abelianization from below.  For an incidence
@@ -39,7 +41,10 @@ system this is the star of a vertex that is not a cut vertex.
 `star_subgroup` picks the longest such r, the group order is the index of
 S times |S|, the group is abelian exactly when its order equals that of
 the abelianization, and a word is 1 exactly when it fixes the coset of S
-and its letter parities lie in R (`word_is_identity`).
+and its letter parities lie in R (`word_is_identity`).  `regular_table`
+lifts the table of the cosets of S to the group's own, one row per
+element, and numbers the elements breadth-first from the identity, so
+that numbering depends on the group and its generator order alone.
 """
 
 from __future__ import annotations
@@ -524,6 +529,86 @@ def word_is_identity(T: CosetTable, S: StarSubgroup, word: Word) -> bool:
         if not 0 <= g < T.presentation.ngens:
             raise ValueError(f"word references unknown generator {g}")
     return T.follow(0, word) == 0 and _reduce(S.relator_space, _parity(word)) == 0
+
+
+def _sigma(T: CosetTable, S: StarSubgroup) -> list[list[int]]:
+    """sigma[g][t]: the element w_t·g·w_{t·g}^-1 of S, as a bit mask over
+    S's letters, for each coset t of S and generator g (w_t from
+    `coset_rep_words`).  It is read off from its image in the
+    abelianization, into which S injects; an image outside S's is a
+    RuntimeError."""
+    basis = S.relator_space
+    images = [0]  # images[s]: the reduced image of the element s of S
+    for g in S.letters:
+        bit = _reduce(basis, 1 << g)
+        images += [v ^ bit for v in images]
+    element_of = {v: s for s, v in enumerate(images)}
+    # reduction mod R is linear, so each parity is reduced once
+    parity = [_reduce(basis, _parity(w)) for w in coset_rep_words(T)]
+    sigma = []
+    for g, col in enumerate(zip(*T.table)):
+        bit = _reduce(basis, 1 << g)
+        sigma.append([element_of.get(p ^ bit ^ parity[d], UNDEF)
+                      for p, d in zip(parity, col)])
+        if UNDEF in sigma[-1]:
+            raise RuntimeError(f"a coset transversal times {T.presentation.generators[g]} "
+                               "leaves the star subgroup")
+    return sigma
+
+
+def regular_table(P: Presentation, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
+    """The group's table over the trivial subgroup, one row per element,
+    numbered breadth-first from the identity, built from the cosets of the
+    star subgroup S.
+
+    The enumeration is that of `lcsq group`: the cosets of
+    S = star_subgroup(P, cap), capped at cap // |S| of them, so the cap
+    bounds group elements, live cosets times |S|; a capped table keeps
+    that product as its live count.  An element is a pair (s, t), s in S
+    as a bit mask over its letters and t a coset, standing for s·w_t; it
+    acts by (s, t)·g = (s xor sigma(t, g), t·g), with sigma from `_sigma`.
+    Each relator must fix (0, t) for every coset t, else RuntimeError;
+    since xor by s commutes with the action, every relator then fixes
+    every element.  A transitive action of the group on its own number of
+    points is its regular action, so the table is exact.
+
+    Elements are numbered as in a standardized coset table (Holt, Eick &
+    O'Brien, ch. 5): the identity is 0, and rows are visited in order,
+    each generator column in order, a new element taking the next number.
+    The numbering therefore depends only on the group and the order of
+    its generators, not on the enumeration.
+    """
+    S = star_subgroup(P, cap)
+    T = todd_coxeter(P, [(g,) for g in S.letters], cap // S.order)
+    if not T.is_complete:
+        return CosetTable(P, (), "capped", T.live_at_cap * S.order)
+    k = T.num_cosets
+    n = k * S.order
+    # cols[g][s·k + t] is the position of (s, t)·g
+    cols = [[(s ^ x) * k + d for s in range(S.order) for x, d in zip(sig, col)]
+            for col, sig in zip(zip(*T.table), _sigma(T, S))]
+    starts = list(range(k))  # the elements (0, t)
+    for rel in P.relators:
+        images = starts
+        for g in rel:
+            images = map(cols[g].__getitem__, images)
+        if list(images) != starts:
+            raise RuntimeError(f"relator {rel} moves an element of the lifted table")
+    number = [UNDEF] * n
+    number[0] = 0
+    order = [0]
+    for x in order:  # grows while it is walked
+        for col in cols:
+            y = col[x]
+            if number[y] < 0:
+                number[y] = len(order)
+                order.append(y)
+    if len(order) != n:
+        raise RuntimeError("the lifted table is not transitive")
+    renumber = number.__getitem__
+    for g, col in enumerate(cols):
+        cols[g] = list(map(renumber, map(col.__getitem__, order)))
+    return CosetTable(P, tuple(zip(*cols)), "complete")
 
 
 def coset_rep_words(T: CosetTable) -> list[Word]:

@@ -10,7 +10,7 @@ are exact:
   0, +-1, +-i, and every constant arising here is a half, so this ring
   holds all of its arithmetic;
 * GroupAlgebraElement -- elements of the group algebra of a finite group
-  given by a completed coset table, with dyadic-rational coefficients
+  given by a complete regular table, with dyadic-rational coefficients
   stored the same way.
 
 Both keep a dict of nonzero integer numerators and an exponent exp (the
@@ -217,10 +217,12 @@ class DenseElement:
 
 
 class GroupAlgebraContext:
-    """Multiplication and inversion for a finite group given by a completed
-    coset table over the trivial subgroup (cosets are the group elements).
-    `abelian` tells whether the group, and so its group algebra, is
-    commutative: whether its order is that of its abelianization."""
+    """Multiplication and inversion for a finite group given by any
+    complete regular table: one row per group element, row 0 the identity,
+    as `fpgroups.regular_table` builds it (or an enumeration over the
+    trivial subgroup).  `abelian` tells whether the group, and so its group
+    algebra, is commutative: whether its order is that of its
+    abelianization."""
 
     def __init__(self, table: CosetTable):
         if not table.is_complete:
@@ -486,7 +488,7 @@ def pauli_magic_square_rep(distinguished: int = 0) -> Representation:
 
 def group_algebra_rep(P, T: CosetTable) -> Representation:
     """Exact regular model: x_i maps to its own group element in the group
-    algebra over the completed coset table."""
+    algebra over a complete regular table (see `GroupAlgebraContext`)."""
     if not T.is_complete:
         raise ValueError("coset table is not complete")
     ctx = GroupAlgebraContext(T)

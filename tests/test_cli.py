@@ -13,8 +13,9 @@ import pytest
 
 from types import SimpleNamespace
 
-from lcsq import graphiso, qcert, reps
+from lcsq import fpgroups, graphiso, qcert, reps
 from lcsq.cli import EXIT_INTERNAL, _dump, main
+from test_fpgroups import standard_numbering
 from test_qcert import corrupt_swap_columns
 
 EX_SYS = "11100;10011|01\n"
@@ -273,9 +274,16 @@ def test_cert_qut_regular_k34_witness(files, capsys):
     assert data["backend"] == "group_algebra"
 
 
-# the regular-rep certificate lists group elements by coset number, so its
-# digest pins the enumerator's coset numbering end to end
+# the regular-rep certificate lists group elements by their numbers in
+# `fpgroups.regular_table`, so its digest pins the standardized numbering
+# (breadth-first from the identity), which no enumerator chooses; derived
+# from the certificate numbered by the trivial-subgroup enumeration by
+# `test_k34_regular_pin_is_the_enumerated_certificate_renumbered`
 K34_REGULAR_CERT_SHA256 = (
+    "db03bf73b07337cb23312dcc7d6d59ea691eb0c5469a0c9c4f43d8c207e172af")
+# the same certificate numbered by the trivial-subgroup enumeration: the
+# starting point of that derivation
+K34_ENUMERATED_CERT_SHA256 = (
     "6aac99ced985bcece3183d8f2d18062daddad70d4934150b5339648e74386540")
 # the Pauli certificate's [re, im] floats, as written when the dense backend
 # was a numpy complex128 matrix (`--out` echoes no config, so this digest
@@ -326,6 +334,42 @@ def test_no_tolerance_in_any_report(files, monkeypatch):
     monkeypatch.chdir(files)
     assert run(*LIFTED_JOBS["qiso-k33-pauli"][0], "--lift", "--report", "report.json") == 0
     assert '"tol"' not in (files / "report.json").read_text()
+
+
+def test_k34_regular_pin_is_the_enumerated_certificate_renumbered(files, monkeypatch):
+    # the certificate `cert --rep regular` wrote over the trivial-subgroup
+    # enumeration, with each support element g renumbered to its
+    # standardized number and each support re-sorted, is the one it writes
+    # now; the lifted report depends on no numbering and is unchanged
+    job, report_digest = LIFTED_JOBS["qut-k34-regular"]
+    monkeypatch.chdir(files)
+    enumerated = []
+
+    def trivial_subgroup_table(P, cap):
+        enumerated.append(fpgroups.todd_coxeter(P, [], cap))
+        return enumerated[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fpgroups, "regular_table", trivial_subgroup_table)
+        assert run(*job, "--out", "cert.json") == 0
+        assert run(*job, "--lift", "--report", "report.json") == 0
+    old_cert = (files / "cert.json").read_text()
+    old_report = (files / "report.json").read_bytes()
+    assert hashlib.sha256(old_cert.encode()).hexdigest() == K34_ENUMERATED_CERT_SHA256
+
+    number = standard_numbering(enumerated[0])
+    data = json.loads(old_cert)
+    assert _dump(data) == old_cert
+    data["elements"] = [sorted([number[g], num, exp] for g, num, exp in support)
+                        for support in data["elements"]]
+    derived = _dump(data).encode()
+
+    assert run(*job, "--out", "cert.json") == 0
+    assert (files / "cert.json").read_bytes() == derived
+    assert hashlib.sha256(derived).hexdigest() == K34_REGULAR_CERT_SHA256
+    assert run(*job, "--lift", "--report", "report.json") == 0
+    assert (files / "report.json").read_bytes() == old_report
+    assert hashlib.sha256(old_report).hexdigest() == report_digest
 
 
 def _cli(*argv, cwd, optimize=False):
@@ -394,6 +438,46 @@ def test_failing_source_is_not_lifted_and_exits_1(files, monkeypatch, capsys, jo
 def test_cert_cap_exit_3(files):
     assert run("cert", "qut", "--graph", files / "k34.g", "--rep", "regular",
                "--cap", "10") == 3
+
+
+# K3,4's star route completes from cap 424 and K3,5's from 10544, so the
+# caps on either side of those give the same exit code on both commands
+@pytest.mark.parametrize("graph, cap, code", [
+    ("k34.g", 363, 3), ("k34.g", 364, 3), ("k34.g", 423, 3), ("k34.g", 424, 0),
+    ("k34.g", 10 ** 6, 0), ("k35.g", 10543, 3), ("k35.g", 10544, 0)])
+def test_cert_and_group_cap_out_together(files, graph, cap, code):
+    assert run("group", "--graph", files / graph, "--homogeneous", "--cap", cap) == code
+    assert run("cert", "qut", "--graph", files / graph, "--rep", "regular",
+               "--cap", cap) == code
+
+
+# one wrong entry of the lift from the cosets of the star to the group
+ONE_WRONG_SIGMA = """
+import sys
+import lcsq.fpgroups as fp
+from lcsq.cli import main
+
+sigma = fp._sigma
+
+
+def one_wrong(T, S):
+    s = sigma(T, S)
+    s[-1][0] ^= 1
+    return s
+
+
+fp._sigma = one_wrong
+sys.exit(main(["cert", "qut", "--graph", "k34.g", "--rep", "regular"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_wrong_regular_table_exits_internal(files, optimize):
+    # the relator check of `regular_table` is an explicit raise, so -O keeps it
+    proc = _cli("-c", ONE_WRONG_SIGMA, cwd=files, optimize=optimize)
+    assert proc.returncode == EXIT_INTERNAL, proc.stderr
+    assert proc.stderr.startswith("internal error: relator")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cert_infinite_group_caps(files, capsys):

@@ -14,8 +14,9 @@ from lcsq.f2core import (BinMatrix, LinearSystem, complete_bipartite,
                          incidence_system, rank_f2, solve_f2)
 from lcsq.f2core import SimpleGraph
 from lcsq.fpgroups import (COMPACT_SLACK, DEFAULT_COSET_CAP, CosetTable, Presentation,
-                           coset_rep_words, regular_perm_rep, solution_presentation,
-                           star_subgroup, todd_coxeter, word_is_identity)
+                           coset_rep_words, regular_perm_rep, regular_table,
+                           solution_presentation, star_subgroup, todd_coxeter,
+                           word_is_identity)
 from lcsq.reps import GroupAlgebraContext
 
 
@@ -48,6 +49,33 @@ def generators_commute(T: CosetTable) -> bool:
     n = T.presentation.ngens
     return all(T.follow(0, (a, b)) == T.follow(0, (b, a))
                for a in range(n) for b in range(a))
+
+
+def standard_numbering(T: CosetTable) -> list[int]:
+    """Oracle: the new number of each coset of a complete table over the
+    trivial subgroup when the table is standardized (Holt, Eick & O'Brien,
+    ch. 5): coset 0 keeps 0, rows are visited in their new order, each
+    generator column in order, and a coset not yet numbered takes the next
+    number."""
+    number = [-1] * T.num_cosets
+    number[0] = 0
+    order = [0]
+    for c in order:
+        for d in T.table[c]:
+            if number[d] < 0:
+                number[d] = len(order)
+                order.append(d)
+    return number
+
+
+def standardized(T: CosetTable) -> tuple[tuple[int, ...], ...]:
+    """Oracle: the rows of T renumbered by `standard_numbering`, in their
+    new order."""
+    number = standard_numbering(T)
+    rows: list = [None] * T.num_cosets
+    for c, row in enumerate(T.table):
+        rows[number[c]] = tuple(number[d] for d in row)
+    return tuple(rows)
 
 
 def perm_closure(gens: list[tuple[int, ...]]) -> int:
@@ -363,6 +391,7 @@ def test_no_qualifying_relator_uses_the_trivial_subgroup():
     S, T = star_table(P)
     assert S.letters == () and S.order == 1 and S.abelianized_order == 1
     assert T.num_cosets == todd_coxeter(P, []).num_cosets == 1
+    assert regular_table(P).table == ((0, 0, 0),)
 
 
 @pytest.mark.parametrize("cap, order", [(10 ** 6, 8), (8, 8), (7, 4), (5, 4), (2, 2),
@@ -415,6 +444,7 @@ def test_star_route_matches_trivial_subgroup_enumeration(case):
     assert word_is_identity(T, S, word) is (full.follow(0, word) == 0)
     if P.ngens == sys.num_vars:  # a homogeneous presentation
         assert S.abelianized_order == abelianized_order_by_rank(sys.M)
+    assert regular_table(P).table == standardized(full)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +469,54 @@ def test_k35_relators_act_trivially(table35):
         for g in rel:
             image = [perms[g][c] for c in image]
         assert image == identity
+
+
+# ---------------------------------------------------------------------------
+# the regular table, lifted from the cosets of a star
+
+
+@pytest.mark.parametrize("fixture", ["table33", "table34", "table35"])
+def test_regular_table_is_the_standardized_enumeration(request, fixture):
+    full = request.getfixturevalue(fixture)
+    R = regular_table(full.presentation)
+    assert R.is_complete and R.presentation is full.presentation
+    assert R.table == standardized(full)
+    # the enumerator numbers K3,3's 16 cosets breadth-first already
+    assert (R.table == full.table) is (fixture == "table33")
+
+
+def test_regular_table_over_a_trivial_star():
+    # no relator has distinct letters, so S = 1: the dihedral group of order 6
+    P = Presentation(("a", "b"), ((0, 0), (1, 1), (0, 1, 0, 1, 0, 1)))
+    assert star_subgroup(P).order == 1
+    R = regular_table(P)
+    assert R.num_cosets == 6
+    assert R.table == standardized(todd_coxeter(P, []))
+
+
+@pytest.mark.parametrize("cap", [1, 10, 255])
+def test_capped_regular_table_counts_group_elements(k34_sys0, cap):
+    # a capped table stands for more group elements than the cap, the
+    # live cosets of S times |S|, and is capped exactly when `lcsq group`'s
+    # enumeration is
+    P = solution_presentation(k34_sys0, homogeneous=True)
+    R = regular_table(P, cap)
+    S, T = star_table(P, cap)
+    assert not R.is_complete and not T.is_complete
+    assert R.num_cosets == T.num_cosets * S.order > cap
+
+
+def test_a_wrong_sigma_entry_fails_the_relator_check(k34_sys0, monkeypatch):
+    sigma = fp._sigma
+
+    def one_wrong(T, S):
+        s = sigma(T, S)
+        s[-1][0] ^= 1
+        return s
+
+    monkeypatch.setattr(fp, "_sigma", one_wrong)
+    with pytest.raises(RuntimeError, match="relator .* moves an element"):
+        regular_table(solution_presentation(k34_sys0, homogeneous=True))
 
 
 # ---------------------------------------------------------------------------
