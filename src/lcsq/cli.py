@@ -105,11 +105,8 @@ def _build_graph(cfg: RunConfig, sys_: f2core.LinearSystem) -> graphs.ColoredGra
 
 
 def _cap(cfg: RunConfig) -> int:
-    """The cap: --cap, or fpgroups.DEFAULT_COSET_CAP without it.  It bounds
-    the group elements an enumeration may stand for, live cosets times |S|:
-    `group` and `cert --rep regular` both enumerate the cosets of a star
-    subgroup S, the latter through `fpgroups.regular_table`.  A cap below 1
-    is rejected by `fpgroups.todd_coxeter` (exit 2)."""
+    """--cap, or fpgroups.DEFAULT_COSET_CAP: a count of group elements (see
+    `fpgroups.star_cosets`); `fpgroups.todd_coxeter` rejects one below 1."""
     return fpgroups.DEFAULT_COSET_CAP if cfg.cap is None else cfg.cap
 
 
@@ -168,10 +165,7 @@ def cmd_group(cfg: RunConfig) -> int:
     homogeneous = cfg.homogeneous or all(v == 0 for v in sys_.b)
     P = fpgroups.solution_presentation(sys_, homogeneous=homogeneous)
     cap = _cap(cfg)
-    # the cosets of a star subgroup S, whose order F2 linear algebra knows;
-    # the cap bounds group elements, cosets times |S|
-    S = fpgroups.star_subgroup(P, cap)
-    table = fpgroups.todd_coxeter(P, [(g,) for g in S.letters], cap // S.order)
+    S, table = fpgroups.star_cosets(P, cap)
     order = table.num_cosets * S.order if table.is_complete else None
     result: dict = {
         "config": cfg.echo(),

@@ -5,7 +5,7 @@ system, commutation between variables sharing a constraint, and one
 product relator per constraint (with an extra central involution gamma
 in the non-homogeneous case).  Because every generator is an involution,
 words and relators are plain sequences of generator indices with no
-inverse markers, and the coset table has one column per generator.
+inverse markers, and a coset table is one column per generator.
 
 The enumerator is HLT scan-and-fill (Holt, Eick & O'Brien, *Handbook of
 Computational Group Theory*, ch. 5).  Each relator is scanned forward and
@@ -14,14 +14,13 @@ is filled as a deduction, meeting ends are identified by COINC-style
 coincidence processing, and otherwise one coset is defined and the scan
 resumes.  The table stays clean and symmetric: c·g = d exactly when
 d·g = c, and no live row points at a dead coset.  Identifications only
-ever quotient the table, so a completed table is exact: its row count is
-the subgroup index and the generator columns give the regular
-permutation action.  Cosets are numbered in definition order and the
-smaller index survives every coincidence, so the result is numbered in
-that index order.
+ever quotient the table, so a completed table is exact: its length is
+the subgroup index and its columns give the regular permutation action.
+Cosets are numbered in definition order and the smaller index survives
+every coincidence, so the result is numbered in that index order.
 
-The workspace is column-major, with a never-assigned sink slot closing
-every column; relators whose trace closes are skipped and runs of
+The workspace has the table's layout, with a never-assigned sink slot
+closing every column; relators whose trace closes are skipped and runs of
 involution relators are fill steps.  Only scans that would change nothing
 are left out, so the numbering is that of the plain scans (see
 `todd_coxeter`).
@@ -38,13 +37,14 @@ commuting letters whose coordinate subspace meets R only in {0, parity(r)}
 generates a subgroup S of order exactly 2^(len r - 1): r bounds it from
 above, and its image in the abelianization from below.  For an incidence
 system this is the star of a vertex that is not a cut vertex.
-`star_subgroup` picks the longest such r, the group order is the index of
-S times |S|, the group is abelian exactly when its order equals that of
-the abelianization, and a word is 1 exactly when it fixes the coset of S
-and its letter parities lie in R (`word_is_identity`).  `regular_table`
-lifts the table of the cosets of S to the group's own, one row per
-element, and numbers the elements breadth-first from the identity, so
-that numbering depends on the group and its generator order alone.
+`star_cosets` enumerates the cosets of the longest such r: the group
+order is the index of S times |S|, the group is abelian exactly when its
+order equals that of the abelianization, and a word is 1 exactly when it
+fixes the coset of S and its letter parities lie in R (`word_is_identity`).
+`regular_table` lifts the table of the cosets of S to the group's own,
+one coset per element, and numbers the elements breadth-first from the
+identity, by the table's `spanning_tree`, whose paths are also the words
+by which `reps.GroupAlgebraContext` multiplies and inverts.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .f2core import LinearSystem
 
@@ -127,7 +126,8 @@ def solution_presentation(sys: LinearSystem, homogeneous: bool) -> Presentation:
     constraint; per constraint k the product of x_i over S_k, followed by
     gamma when b_k = 1 in the non-homogeneous case (so the relator says
     prod x_i = gamma^{b_k}, using gamma = gamma^{-1}).  Non-homogeneous
-    presentations add gamma^2 and centrality relators (x_i gamma)^2.
+    presentations add gamma^2 and centrality relators (x_i gamma)^2.  An
+    empty product relator is a ValueError naming its constraint.
     """
     n = sys.num_vars
     names = [f"x{i + 1}" for i in range(n)]
@@ -150,6 +150,8 @@ def solution_presentation(sys: LinearSystem, homogeneous: bool) -> Presentation:
         word = sys.support(k)
         if gamma is not None and sys.b[k] == 1:
             word = word + (gamma,)
+        if not word:
+            raise ValueError(f"constraint {k} touches no variable")
         relators.append(word)
 
     return Presentation(tuple(names), tuple(relators))
@@ -157,21 +159,21 @@ def solution_presentation(sys: LinearSystem, homogeneous: bool) -> Presentation:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Completed (or capped) coset table: rows = cosets, columns = generators.
+    """Completed (or capped) coset table: columns[g][c] = c·g.
 
-    Row 0 is the coset of the subgroup.  A complete table is closed under
+    Coset 0 is the coset of the subgroup.  A complete table is closed under
     all generators and all relators of its presentation.  A capped table
-    keeps no rows, only the number of live cosets when the cap was hit.
+    keeps no columns, only the number of live cosets when the cap was hit.
     """
 
     presentation: Presentation
-    table: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
     status: str  # "complete" | "capped"
     live_at_cap: int = 0
 
     @property
     def num_cosets(self) -> int:
-        return len(self.table) if self.is_complete else self.live_at_cap
+        return len(self.columns[0]) if self.is_complete else self.live_at_cap
 
     @property
     def is_complete(self) -> bool:
@@ -179,7 +181,7 @@ class CosetTable:
 
     def follow(self, coset: int, word: Word) -> int:
         for g in word:
-            coset = self.table[coset][g]
+            coset = self.columns[g][coset]
         return coset
 
 
@@ -355,7 +357,7 @@ def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
     survivors keep their relative order, and the result is renumbered in
     that index order.
 
-    The workspace is column-major, cols[g][c] = c·g, and each word is
+    The workspace has the table's layout, cols[g][c] = c·g, and each word is
     resolved once (again after each compaction) to its tuple of columns,
     so a letter is one subscript.  The last slot of every column is a sink
     that is never assigned: columns grow by about 1/8 before a definition
@@ -400,11 +402,11 @@ def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
     cols = _live_columns(cols, parent)[0]
     if any(UNDEF in col for col in cols):
         raise RuntimeError("enumeration closed with undefined table entries")
-    return CosetTable(P, tuple(zip(*cols)), "complete")
+    return CosetTable(P, tuple(map(tuple, cols)), "complete")
 
 
 def regular_perm_rep(T: CosetTable) -> list[tuple[int, ...]]:
-    """One permutation per generator: coset c maps to T[c][g].
+    """One permutation per generator, its column: coset c maps to c·g.
 
     Only defined for complete tables.  Every permutation is an involution
     and every relator evaluates to the identity permutation.  Each column
@@ -413,12 +415,11 @@ def regular_perm_rep(T: CosetTable) -> list[tuple[int, ...]]:
     """
     if not T.is_complete:
         raise ValueError("coset table is not complete")
-    perms = list(zip(*T.table))
+    perms = list(T.columns)
     identity = tuple(range(T.num_cosets))
     for g, perm in enumerate(perms):
         try:
-            # p∘p in one C-level call (which returns a bare item for one coset)
-            square = itemgetter(*perm)(perm) if len(perm) > 1 else perm
+            square = tuple(map(perm.__getitem__, perm))  # p∘p
         except IndexError:
             square = None
         if square != identity:
@@ -515,6 +516,14 @@ def star_subgroup(P: Presentation, cap: int = DEFAULT_COSET_CAP) -> StarSubgroup
     return StarSubgroup(star[:size], tuple(basis), 1 << (P.ngens - len(basis)))
 
 
+def star_cosets(P: Presentation,
+                cap: int = DEFAULT_COSET_CAP) -> tuple[StarSubgroup, CosetTable]:
+    """S = star_subgroup(P, cap) and the table of its cosets.  The cap
+    counts group elements, live cosets times |S|."""
+    S = star_subgroup(P, cap)
+    return S, todd_coxeter(P, [(g,) for g in S.letters], cap // S.order)
+
+
 def word_is_identity(T: CosetTable, S: StarSubgroup, word: Word) -> bool:
     """Whether a word is trivial in the group of a complete table over the
     cosets of S.  Raises ValueError for a capped table.
@@ -531,24 +540,46 @@ def word_is_identity(T: CosetTable, S: StarSubgroup, word: Word) -> bool:
     return T.follow(0, word) == 0 and _reduce(S.relator_space, _parity(word)) == 0
 
 
+def spanning_tree(columns) -> tuple[list[int], list[int], list[int]]:
+    """(order, parent, gen) of the breadth-first tree from coset 0 of a complete
+    table's columns, c = parent[c]·gen[c]: `order` visits the cosets as a
+    standardized table numbers them (Holt, Eick & O'Brien, ch. 5), so tree
+    paths are shortest words.  An unreachable coset is a RuntimeError."""
+    parent = [UNDEF] * len(columns[0])
+    gen = parent[:]
+    parent[0] = 0
+    order = [0]
+    letters = list(enumerate(columns))  # made once, not once per coset
+    for c in order:  # grows while it is walked
+        for g, col in letters:
+            d = col[c]
+            if parent[d] < 0:
+                parent[d], gen[d] = c, g
+                order.append(d)
+    if len(order) != len(parent):
+        raise RuntimeError("table row unreachable from coset 0")
+    return order, parent, gen
+
+
 def _sigma(T: CosetTable, S: StarSubgroup) -> list[list[int]]:
     """sigma[g][t]: the element w_t·g·w_{t·g}^-1 of S, as a bit mask over
-    S's letters, for each coset t of S and generator g (w_t from
-    `coset_rep_words`).  It is read off from its image in the
+    S's letters, for each coset t of S and generator g, with w_t the path
+    to t in `spanning_tree`.  It is read off from its image in the
     abelianization, into which S injects; an image outside S's is a
     RuntimeError."""
-    basis = S.relator_space
+    # reduction mod R is linear, so each letter's image is reduced once
+    bits = [_reduce(S.relator_space, 1 << g) for g in range(T.presentation.ngens)]
     images = [0]  # images[s]: the reduced image of the element s of S
     for g in S.letters:
-        bit = _reduce(basis, 1 << g)
-        images += [v ^ bit for v in images]
+        images += [v ^ bits[g] for v in images]
     element_of = {v: s for s, v in enumerate(images)}
-    # reduction mod R is linear, so each parity is reduced once
-    parity = [_reduce(basis, _parity(w)) for w in coset_rep_words(T)]
+    order, parent, gen = spanning_tree(T.columns)
+    parity = [0] * T.num_cosets  # parity[t]: the reduced image of w_t
+    for t in order[1:]:
+        parity[t] = parity[parent[t]] ^ bits[gen[t]]
     sigma = []
-    for g, col in enumerate(zip(*T.table)):
-        bit = _reduce(basis, 1 << g)
-        sigma.append([element_of.get(p ^ bit ^ parity[d], UNDEF)
+    for g, col in enumerate(T.columns):
+        sigma.append([element_of.get(p ^ bits[g] ^ parity[d], UNDEF)
                       for p, d in zip(parity, col)])
         if UNDEF in sigma[-1]:
             raise RuntimeError(f"a coset transversal times {T.presentation.generators[g]} "
@@ -557,36 +588,32 @@ def _sigma(T: CosetTable, S: StarSubgroup) -> list[list[int]]:
 
 
 def regular_table(P: Presentation, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
-    """The group's table over the trivial subgroup, one row per element,
+    """The group's table over the trivial subgroup, one coset per element,
     numbered breadth-first from the identity, built from the cosets of the
     star subgroup S.
 
-    The enumeration is that of `lcsq group`: the cosets of
-    S = star_subgroup(P, cap), capped at cap // |S| of them, so the cap
-    bounds group elements, live cosets times |S|; a capped table keeps
-    that product as its live count.  An element is a pair (s, t), s in S
-    as a bit mask over its letters and t a coset, standing for s·w_t; it
-    acts by (s, t)·g = (s xor sigma(t, g), t·g), with sigma from `_sigma`.
-    Each relator must fix (0, t) for every coset t, else RuntimeError;
-    since xor by s commutes with the action, every relator then fixes
-    every element.  A transitive action of the group on its own number of
-    points is its regular action, so the table is exact.
+    The enumeration is `star_cosets(P, cap)`, that of `lcsq group`; a
+    capped table keeps the group elements it stands for, live cosets times
+    |S|, as its live count.  An element is a pair (s, t), s in S as a bit
+    mask over its letters and t a coset, standing for s·w_t; it acts by
+    (s, t)·g = (s xor sigma(t, g), t·g), with sigma from `_sigma`.  Each
+    relator must fix (0, t) for every coset t, else RuntimeError; since
+    xor by s commutes with the action, every relator then fixes every
+    element.  A transitive action of the group on its own number of points
+    is its regular action, so the table is exact.
 
     Elements are numbered as in a standardized coset table (Holt, Eick &
-    O'Brien, ch. 5): the identity is 0, and rows are visited in order,
-    each generator column in order, a new element taking the next number.
-    The numbering therefore depends only on the group and the order of
-    its generators, not on the enumeration.
+    O'Brien, ch. 5): the lifted table is renumbered by the visit order of
+    its `spanning_tree`.  The numbering therefore depends only on the group
+    and the order of its generators, not on the enumeration.
     """
-    S = star_subgroup(P, cap)
-    T = todd_coxeter(P, [(g,) for g in S.letters], cap // S.order)
+    S, T = star_cosets(P, cap)
     if not T.is_complete:
         return CosetTable(P, (), "capped", T.live_at_cap * S.order)
     k = T.num_cosets
-    n = k * S.order
     # cols[g][s·k + t] is the position of (s, t)·g
     cols = [[(s ^ x) * k + d for s in range(S.order) for x, d in zip(sig, col)]
-            for col, sig in zip(zip(*T.table), _sigma(T, S))]
+            for col, sig in zip(T.columns, _sigma(T, S))]
     starts = list(range(k))  # the elements (0, t)
     for rel in P.relators:
         images = starts
@@ -594,40 +621,8 @@ def regular_table(P: Presentation, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
             images = map(cols[g].__getitem__, images)
         if list(images) != starts:
             raise RuntimeError(f"relator {rel} moves an element of the lifted table")
-    number = [UNDEF] * n
-    number[0] = 0
-    order = [0]
-    for x in order:  # grows while it is walked
-        for col in cols:
-            y = col[x]
-            if number[y] < 0:
-                number[y] = len(order)
-                order.append(y)
-    if len(order) != n:
-        raise RuntimeError("the lifted table is not transitive")
+    order = spanning_tree(cols)[0]
+    number = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
     renumber = number.__getitem__
-    for g, col in enumerate(cols):
-        cols[g] = list(map(renumber, map(col.__getitem__, order)))
-    return CosetTable(P, tuple(zip(*cols)), "complete")
-
-
-def coset_rep_words(T: CosetTable) -> list[Word]:
-    """Shortest representative word for each coset, by breadth-first search."""
-    if not T.is_complete:
-        raise ValueError("coset table is not complete")
-    n = T.num_cosets
-    words: list[Word | None] = [None] * n
-    words[0] = ()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for g in range(T.presentation.ngens):
-                d = T.table[c][g]
-                if words[d] is None:
-                    words[d] = words[c] + (g,)
-                    nxt.append(d)
-        frontier = nxt
-    if any(w is None for w in words):
-        raise RuntimeError("table row unreachable from coset 0")
-    return words  # type: ignore[return-value]
+    return CosetTable(P, tuple(tuple(map(renumber, map(col.__getitem__, order)))
+                               for col in cols), "complete")

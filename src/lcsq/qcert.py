@@ -297,17 +297,18 @@ def _intertwine(rows: dict, adj1: dict, adj2: dict,
     return max((_residual(memo, elems, bits, sig) for sig in sigs), default=0.0)
 
 
-def _algebra(elem):
-    """What `combine` needs two elements to share: a dense element's
-    dimension, or a group-algebra element's context."""
-    return elem.dim if isinstance(elem, DenseElement) else elem.ctx
-
-
-def _misfit(cert: MagicUnitaryCert, distinct: list):
-    """The first key of `distinct` (as from `cert.distinct_elements()`)
-    whose element is over another algebra than `cert.identity`, or None."""
-    algebra = _algebra(cert.identity)
-    return next((key for key, elem in distinct if _algebra(elem) != algebra), None)
+def _shape_fault(cert: MagicUnitaryCert, distinct: list) -> tuple[str, str] | None:
+    """(what, why) when the identity is not a nonzero projection, e = e* =
+    e^2 != 0 (the unit is one, with no product), else when an element of
+    `distinct` (`cert.distinct_elements()`) is over another algebra, its
+    unit not the identity's, naming the first; or None."""
+    one = cert.identity
+    unit = one.unit()
+    if one != unit and (not one.residual_norm() or one != one.adjoint()
+                        or one * one != one):
+        return "identity", "is not a nonzero projection"
+    key = next((key for key, elem in distinct if elem.unit() != unit), None)
+    return None if key is None else (f"entry {key}", "is over another algebra")
 
 
 def _color_family(cert: MagicUnitaryCert) -> tuple[str, float, str]:
@@ -331,11 +332,12 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     vanishing; intertwining with every edge-color adjacency matrix; and,
     when both graphs are block-labelled, the structural block form
     (entries depend only on alpha * beta and same-block entries commute).
-    Failures are report entries, never exceptions.  An element over
-    another algebra than `cert.identity` (another dense dimension, another
-    group-algebra context) fails a `shape` family, residual 1.0, naming the
-    first such entry; the families that add or multiply entries together
-    are then left out, and only projection, shape and color are reported.
+    Failures are report entries, never exceptions.  An identity that is not
+    a nonzero projection (a zero one passes every other family), or an
+    element over another algebra than `cert.identity` (another dense
+    dimension, another group-algebra context), fails a `shape` family,
+    residual 1.0, naming it; only projection, shape and color are then
+    reported, as the others add or multiply entries together.
 
     Every family is checked entry by entry with the element operations of
     the certificate's backend, and its residual is the largest residual
@@ -356,9 +358,9 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     families: list[tuple[str, float, str]] = []
     G1, G2 = cert.row_graph, cert.col_graph
 
-    # entry projections: e = e* = e^2, and each element's algebra
+    # entry projections, e = e* = e^2, and the shape (see `_shape_fault`)
     distinct = cert.distinct_elements()
-    misfit = _misfit(cert, distinct)
+    fault = _shape_fault(cert, distinct)
     selfadjoint: set[int] = set()
     worst, desc = 0.0, ""
     for key, elem in distinct:
@@ -369,8 +371,8 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
         if r > worst:
             worst, desc = r, f"entry {key}"
     families.append(("projection", worst, desc))
-    if misfit is not None:
-        families += [("shape", 1.0, f"entry {misfit}"), _color_family(cert)]
+    if fault is not None:
+        families += [("shape", 1.0, fault[0]), _color_family(cert)]
         return VerificationReport(tuple(families), cert.backend)
 
     # the stored entries by row, as (column, weight of the object) pairs;
@@ -541,8 +543,8 @@ def noncommuting_witness(cert: MagicUnitaryCert):
     entries commutes -- no quantum symmetry is witnessed.  The first pair
     in key order with a nonzero commutator is returned, with its norm.
 
-    An element over another algebra than `cert.identity` raises
-    CertificateError naming the first such entry, as `verify_cert`'s
+    A shape fault (see `_shape_fault`) raises CertificateError naming the
+    identity or the first entry over another algebra, as `verify_cert`'s
     `shape` family does.  A group algebra is commutative exactly when its
     group is abelian, so over an abelian group the answer is None without a
     search.  In the search, each element's self-adjointness is found once,
@@ -550,9 +552,9 @@ def noncommuting_witness(cert: MagicUnitaryCert):
     commutator (see `_commutator_norm`).
     """
     distinct = cert.distinct_elements()
-    misfit = _misfit(cert, distinct)
-    if misfit is not None:
-        raise CertificateError(f"shape: entry {misfit} is over another algebra")
+    fault = _shape_fault(cert, distinct)
+    if fault is not None:
+        raise CertificateError(f"shape: {fault[0]} {fault[1]}")
     if cert.backend == "group_algebra" and cert.identity.ctx.abelian:
         return None
     selfadjoint: list[bool | None] = [None] * len(distinct)

@@ -10,25 +10,26 @@ are exact:
   0, +-1, +-i, and every constant arising here is a half, so this ring
   holds all of its arithmetic;
 * GroupAlgebraElement -- elements of the group algebra of a finite group
-  given by a complete regular table, with dyadic-rational coefficients
-  stored the same way.
+  given by a complete regular table, multiplied along its spanning tree's
+  paths, with dyadic-rational coefficients stored the same way.
 
 Both keep a dict of nonzero integer numerators and an exponent exp (the
 value is numerators / 2^exp), normalized so that either exp = 0 or some
 numerator is odd, so equal elements are equal objects field by field.
-Both support sum, product, halving, adjoint, `combine` (the sum of one
-sequence of elements minus the sum of another, in one call), and a
-residual norm that is 0.0 exactly on the zero element; a relation holds
-only when its residual is literally zero.
+Both support sum, product, halving, adjoint, their algebra's `unit`,
+`combine` (the sum of one sequence of elements minus the sum of another,
+in one call), and a residual norm that is 0.0 exactly on the zero
+element; a relation holds only when its residual is literally zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .f2core import LinearSystem, complete_bipartite, incidence_system
-from .fpgroups import CosetTable, abelianized_order, coset_rep_words
+from .fpgroups import CosetTable, abelianized_order, spanning_tree
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +180,9 @@ class DenseElement:
                     out[o] = out.get(o, 0) + a * b
         return DenseElement._exact(d, out, self.exp + other.exp)
 
+    def unit(self) -> DenseElement:
+        return DenseElement.identity(self.dim)
+
     def halve(self) -> DenseElement:
         return DenseElement._exact(self.dim, self.coeffs, self.exp + 1)
 
@@ -218,11 +222,12 @@ class DenseElement:
 
 class GroupAlgebraContext:
     """Multiplication and inversion for a finite group given by any
-    complete regular table: one row per group element, row 0 the identity,
-    as `fpgroups.regular_table` builds it (or an enumeration over the
-    trivial subgroup).  `abelian` tells whether the group, and so its group
-    algebra, is commutative: whether its order is that of its
-    abelianization."""
+    complete regular table: one coset per group element, coset 0 the
+    identity, as `fpgroups.regular_table` builds it (or an enumeration over
+    the trivial subgroup).  Element h is the product of the generators on
+    its path in the table's `fpgroups.spanning_tree`, and since they are
+    involutions, the path read backward is h's inverse.  `abelian` tells
+    whether the group, and so its group algebra, is commutative."""
 
     def __init__(self, table: CosetTable):
         if not table.is_complete:
@@ -230,30 +235,34 @@ class GroupAlgebraContext:
         self.table = table
         self.size = table.num_cosets
         self.abelian = self.size == abelianized_order(table.presentation)
-        self.words = coset_rep_words(table)
-        # generators are involutions, so reversing a word inverts the element
-        self.inverse = [table.follow(0, tuple(reversed(w))) for w in self.words]
-        self._columns: dict[int, list[int]] = {}
+        _, self._parent, self._gen = spanning_tree(table.columns)
+        self.inverse = []
+        for h in range(self.size):
+            x = 0
+            for g in self._path(h):
+                x = table.columns[g][x]
+            self.inverse.append(x)
+        self._columns: dict[int, tuple[int, ...]] = {}
 
-    def column(self, h: int) -> list[int]:
+    def _path(self, h: int):
+        """The generators on h's tree path, from h back to the identity."""
+        while h:
+            yield self._gen[h]
+            h = self._parent[h]
+
+    def column(self, h: int) -> tuple[int, ...]:
         """Right multiplication by element h as a map on all elements."""
         col = self._columns.get(h)
         if col is None:
-            rows = self.table.table
-            col = list(range(self.size))
-            for g in self.words[h]:
-                col = [rows[c][g] for c in col]
+            col = tuple(range(self.size))
+            for g in reversed([*self._path(h)]):
+                # one C-level call; a tuple, as a path with letters means n >= 2
+                col = itemgetter(*col)(self.table.columns[g])
             self._columns[h] = col
         return col
 
-    def identity_element(self) -> GroupAlgebraElement:
-        return GroupAlgebraElement(self, {0: 1}, 0)
-
     def basis_element(self, g: int) -> GroupAlgebraElement:
         return GroupAlgebraElement(self, {g: 1}, 0)
-
-    def generator_element(self, gen: int) -> GroupAlgebraElement:
-        return self.basis_element(self.table.table[0][gen])
 
 
 class GroupAlgebraElement:
@@ -304,6 +313,9 @@ class GroupAlgebraElement:
                 out[gh] = out.get(gh, 0) + a * b
         return GroupAlgebraElement(self.ctx, out, self.exp + other.exp)
 
+    def unit(self) -> GroupAlgebraElement:
+        return self.ctx.basis_element(0)
+
     def halve(self) -> GroupAlgebraElement:
         return GroupAlgebraElement(self.ctx, self.coeffs, self.exp + 1)
 
@@ -350,10 +362,7 @@ class Representation:
     name: str = ""
 
     def identity(self):
-        first = self.images[0]
-        if self.backend == "dense":
-            return DenseElement.identity(first.dim)
-        return first.ctx.identity_element()
+        return self.images[0].unit()
 
     def projection(self, i: int, sign: int):
         """p_i^+ or p_i^-: (1 +- x_i) / 2."""
@@ -489,9 +498,7 @@ def pauli_magic_square_rep(distinguished: int = 0) -> Representation:
 def group_algebra_rep(P, T: CosetTable) -> Representation:
     """Exact regular model: x_i maps to its own group element in the group
     algebra over a complete regular table (see `GroupAlgebraContext`)."""
-    if not T.is_complete:
-        raise ValueError("coset table is not complete")
     ctx = GroupAlgebraContext(T)
     nvars = P.ngens - (1 if "gamma" in P.generators else 0)
-    images = [ctx.generator_element(i) for i in range(nvars)]
+    images = [ctx.basis_element(T.columns[i][0]) for i in range(nvars)]
     return Representation(images, "group_algebra", name="regular")

@@ -226,6 +226,15 @@ def test_invalid_cap_exit_2(files, monkeypatch, capsys, command, raw):
     assert ("invalid int value" if raw == "abc" else "cap must be at least 1") in err
 
 
+@pytest.mark.parametrize("argv", [["group"], ["cert", "qut", "--rep", "regular"], ["build"]])
+def test_empty_constraint_row_exit_2(files, capsys, argv):
+    # the second constraint touches no variable: its relator would be empty,
+    # and its block of the graph constructions has no vertex
+    (files / "empty.sys").write_text("110;000|00\n")
+    assert run(*argv, "--system", files / "empty.sys") == 2
+    assert capsys.readouterr().err == "error: constraint 1 touches no variable\n"
+
+
 def test_group_json_without_cap_reports_the_default(files, monkeypatch):
     monkeypatch.chdir(files)
     assert run("group", "--graph", "k33.g", "--json", "g.json") == 0

@@ -13,10 +13,9 @@ import lcsq.fpgroups as fp
 from lcsq.f2core import (BinMatrix, LinearSystem, complete_bipartite,
                          incidence_system, rank_f2, solve_f2)
 from lcsq.f2core import SimpleGraph
-from lcsq.fpgroups import (COMPACT_SLACK, DEFAULT_COSET_CAP, CosetTable, Presentation,
-                           coset_rep_words, regular_perm_rep, regular_table,
-                           solution_presentation, star_subgroup, todd_coxeter,
-                           word_is_identity)
+from lcsq.fpgroups import (COMPACT_SLACK, CosetTable, Presentation, regular_perm_rep,
+                           regular_table, solution_presentation, spanning_tree,
+                           star_cosets, star_subgroup, todd_coxeter, word_is_identity)
 from lcsq.reps import GroupAlgebraContext
 
 
@@ -36,12 +35,6 @@ def table35(k35_sys0):
     return todd_coxeter(solution_presentation(k35_sys0, homogeneous=True))
 
 
-def star_table(P: Presentation, cap: int = DEFAULT_COSET_CAP):
-    """The route of `lcsq group`: the star subgroup S and its coset table."""
-    S = star_subgroup(P, cap)
-    return S, todd_coxeter(P, [(g,) for g in S.letters], cap // S.order)
-
-
 def generators_commute(T: CosetTable) -> bool:
     """Oracle on a complete table over the trivial subgroup: coset 0 is the
     identity, so generators a and b commute exactly when the words ab and ba
@@ -54,14 +47,15 @@ def generators_commute(T: CosetTable) -> bool:
 def standard_numbering(T: CosetTable) -> list[int]:
     """Oracle: the new number of each coset of a complete table over the
     trivial subgroup when the table is standardized (Holt, Eick & O'Brien,
-    ch. 5): coset 0 keeps 0, rows are visited in their new order, each
+    ch. 5): coset 0 keeps 0, cosets are visited in their new order, each
     generator column in order, and a coset not yet numbered takes the next
     number."""
     number = [-1] * T.num_cosets
     number[0] = 0
     order = [0]
     for c in order:
-        for d in T.table[c]:
+        for col in T.columns:
+            d = col[c]
             if number[d] < 0:
                 number[d] = len(order)
                 order.append(d)
@@ -69,13 +63,31 @@ def standard_numbering(T: CosetTable) -> list[int]:
 
 
 def standardized(T: CosetTable) -> tuple[tuple[int, ...], ...]:
-    """Oracle: the rows of T renumbered by `standard_numbering`, in their
-    new order."""
+    """Oracle: the columns of T renumbered by `standard_numbering`."""
     number = standard_numbering(T)
-    rows: list = [None] * T.num_cosets
-    for c, row in enumerate(T.table):
-        rows[number[c]] = tuple(number[d] for d in row)
-    return tuple(rows)
+    columns = []
+    for col in T.columns:
+        new = [-1] * T.num_cosets
+        for c, d in enumerate(col):
+            new[number[c]] = number[d]
+        columns.append(tuple(new))
+    return tuple(columns)
+
+
+def rep_words(T: CosetTable) -> dict[int, tuple[int, ...]]:
+    """Oracle: coset -> a shortest word leading to it from coset 0 in a
+    complete table, by breadth-first search."""
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        reached = []
+        for c in frontier:
+            for g, col in enumerate(T.columns):
+                if col[c] not in words:
+                    words[col[c]] = words[c] + (g,)
+                    reached.append(col[c])
+        frontier = reached
+    return words
 
 
 def perm_closure(gens: list[tuple[int, ...]]) -> int:
@@ -288,14 +300,14 @@ def test_order_multiple_of_abelianization(k34_sys0):
 
 def test_word_squares_are_identity(k33_sys0):
     P = solution_presentation(k33_sys0, homogeneous=True)
-    S, T = star_table(P)
+    S, T = star_cosets(P)
     assert word_is_identity(T, S, (0, 0)) is True
 
 
 def test_gamma_nontrivial_for_magic_square(k33_sys_e1):
     P = solution_presentation(k33_sys_e1, homogeneous=False)
     gamma = P.gen_index("gamma")
-    S, T = star_table(P)
+    S, T = star_cosets(P)
     assert word_is_identity(T, S, (gamma,)) is False
     assert T.num_cosets * S.order == todd_coxeter(P, []).num_cosets == 32
 
@@ -315,7 +327,7 @@ def test_gamma_for_solvable_system_sign_character():
         assert signs == (-1) ** b[k]  # the character respects every relation
     P = solution_presentation(sys, homogeneous=False)
     gamma = P.gen_index("gamma")
-    S, T = star_table(P)
+    S, T = star_cosets(P)
     # b has even weight, so the relator x1 x2 x3 gamma of vertex 0 qualifies
     assert S.letters == (0, 1, 2) and T.num_cosets * S.order == 32
     assert word_is_identity(T, S, (gamma,)) is False
@@ -324,29 +336,35 @@ def test_gamma_for_solvable_system_sign_character():
 
 def test_word_validation(k33_sys0):
     P = solution_presentation(k33_sys0, homogeneous=True)
-    S, T = star_table(P)
+    S, T = star_cosets(P)
     with pytest.raises(ValueError):
         word_is_identity(T, S, (99,))
 
 
 def test_rep_words_reject_unreachable_row():
-    P = Presentation(("x",), ((0, 0),))
+    # two cosets, each fixed by x: the second has no path from coset 0
     with pytest.raises(RuntimeError, match="unreachable"):
-        coset_rep_words(CosetTable(P, ((0,), (1,)), "complete"))
+        spanning_tree(((0, 1),))
 
 
-def test_rep_words_reach_their_cosets(table33):
-    words = coset_rep_words(table33)
-    assert words[0] == ()
-    assert len(words) == table33.num_cosets
-    for c, w in enumerate(words):
-        assert table33.follow(0, w) == c
+def test_rep_words_reach_their_cosets(table34):
+    # the spanning tree's paths are the breadth-first representative words,
+    # each leading from coset 0 to its coset, and the tree visits the cosets
+    # in their standardized order
+    order, parent, gen = spanning_tree(table34.columns)
+    number = standard_numbering(table34)
+    assert [number[c] for c in order] == list(range(table34.num_cosets))
+    words = {0: ()}
+    for c in order[1:]:
+        words[c] = words[parent[c]] + (gen[c],)
+        assert table34.follow(0, words[c]) == c
+    assert words == rep_words(table34)
 
 
 def test_capped_table_keeps_only_the_live_count(k34_sys0):
     P = solution_presentation(k34_sys0, homogeneous=True)
     T = todd_coxeter(P, [], cap=10)
-    assert T.table == ()
+    assert T.columns == ()
     assert T.num_cosets == reference_todd_coxeter(P, [], 10)[2] > 10
 
 
@@ -378,7 +396,7 @@ def test_star_pick_rejects_a_cut_vertex():
 
 
 def test_k35_star_route_takes_512_cosets(k35_sys0):
-    S, T = star_table(solution_presentation(k35_sys0, homogeneous=True))
+    S, T = star_cosets(solution_presentation(k35_sys0, homogeneous=True))
     assert S.letters == (0, 1, 2, 3)  # four of the five edges at vertex 0
     assert S.order == 16 and S.abelianized_order == 256
     assert T.is_complete and T.num_cosets == 512
@@ -388,10 +406,10 @@ def test_no_qualifying_relator_uses_the_trivial_subgroup():
     # R is all of F2^3, so every relator's letters meet it in too much
     sys = LinearSystem(BinMatrix.from_rows([[1, 1, 1], [1, 1, 0], [0, 1, 1]]), (0,) * 3)
     P = solution_presentation(sys, homogeneous=True)
-    S, T = star_table(P)
+    S, T = star_cosets(P)
     assert S.letters == () and S.order == 1 and S.abelianized_order == 1
     assert T.num_cosets == todd_coxeter(P, []).num_cosets == 1
-    assert regular_table(P).table == ((0, 0, 0),)
+    assert regular_table(P).columns == ((0,), (0,), (0,))
 
 
 @pytest.mark.parametrize("cap, order", [(10 ** 6, 8), (8, 8), (7, 4), (5, 4), (2, 2),
@@ -405,17 +423,24 @@ CROSS_CHECK_CAP = 1024
 
 
 @st.composite
-def small_incidence_systems(draw):
-    """A random connected graph on at most 6 vertices (a random spanning
-    tree plus random edges, in random order), a random b and a random word."""
+def small_graphs(draw):
+    """A random connected graph on at most 6 vertices: a random spanning
+    tree plus random edges, in random order."""
     n = draw(st.integers(2, 6))
     tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
     extra = draw(st.lists(st.sampled_from(others), unique=True) if others else st.just([]))
-    edges = draw(st.permutations(sorted(tree) + extra))
+    return SimpleGraph.from_edges(n, draw(st.permutations(sorted(tree) + extra)))
+
+
+@st.composite
+def small_incidence_systems(draw):
+    """A random `small_graphs` graph, a random b and a random word."""
+    H = draw(small_graphs())
+    n = H.num_vertices
     b = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     homogeneous = draw(st.booleans())
-    sys = incidence_system(SimpleGraph.from_edges(n, edges), b)
+    sys = incidence_system(H, b)
     P = solution_presentation(sys, homogeneous)
     word = tuple(draw(st.lists(st.integers(0, P.ngens - 1), max_size=8)))
     return sys, P, word
@@ -437,14 +462,14 @@ def test_star_route_matches_trivial_subgroup_enumeration(case):
     full = todd_coxeter(P, [], CROSS_CHECK_CAP)
     if not full.is_complete:
         return  # a group beyond the cap: no reference to compare with
-    S, T = star_table(P)
+    S, T = star_cosets(P)
     assert T.is_complete
     assert T.num_cosets * S.order == full.num_cosets
     assert (full.num_cosets == S.abelianized_order) is generators_commute(full)
     assert word_is_identity(T, S, word) is (full.follow(0, word) == 0)
     if P.ngens == sys.num_vars:  # a homogeneous presentation
         assert S.abelianized_order == abelianized_order_by_rank(sys.M)
-    assert regular_table(P).table == standardized(full)
+    assert regular_table(P).columns == standardized(full)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +505,9 @@ def test_regular_table_is_the_standardized_enumeration(request, fixture):
     full = request.getfixturevalue(fixture)
     R = regular_table(full.presentation)
     assert R.is_complete and R.presentation is full.presentation
-    assert R.table == standardized(full)
+    assert R.columns == standardized(full)
     # the enumerator numbers K3,3's 16 cosets breadth-first already
-    assert (R.table == full.table) is (fixture == "table33")
+    assert (R.columns == full.columns) is (fixture == "table33")
 
 
 def test_regular_table_over_a_trivial_star():
@@ -491,7 +516,35 @@ def test_regular_table_over_a_trivial_star():
     assert star_subgroup(P).order == 1
     R = regular_table(P)
     assert R.num_cosets == 6
-    assert R.table == standardized(todd_coxeter(P, []))
+    assert R.columns == standardized(todd_coxeter(P, []))
+
+
+CONTEXT_CAP = 256
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), st.booleans())
+@example(complete_bipartite(3, 3), False)  # non-abelian, of order 32
+def test_context_columns_and_inverses_match_the_enumeration(H, homogeneous):
+    # Gamma_0 or Gamma(M, e1), over the regular table and over the
+    # trivial-subgroup enumeration: h's column maps a to a·h and h's inverse
+    # is h's word reversed, both read through `follow` in the enumeration
+    # and renumbered to the table's numbering
+    P = solution_presentation(incidence_system(H, (1,) + (0,) * (H.num_vertices - 1)),
+                              homogeneous)
+    full = todd_coxeter(P, [], CONTEXT_CAP)
+    if not full.is_complete:
+        return  # a group beyond the cap: no reference to compare with
+    n = full.num_cosets
+    words = rep_words(full)
+    for T, number in ((regular_table(P), standard_numbering(full)), (full, range(n))):
+        ctx = GroupAlgebraContext(T)
+        for h, word in words.items():
+            column = [0] * n
+            for a in range(n):
+                column[number[a]] = number[full.follow(a, word)]
+            assert ctx.column(number[h]) == tuple(column)
+            assert ctx.inverse[number[h]] == number[full.follow(0, word[::-1])]
 
 
 @pytest.mark.parametrize("cap", [1, 10, 255])
@@ -501,7 +554,7 @@ def test_capped_regular_table_counts_group_elements(k34_sys0, cap):
     # enumeration is
     P = solution_presentation(k34_sys0, homogeneous=True)
     R = regular_table(P, cap)
-    S, T = star_table(P, cap)
+    S, T = star_cosets(P, cap)
     assert not R.is_complete and not T.is_complete
     assert R.num_cosets == T.num_cosets * S.order > cap
 
@@ -612,7 +665,7 @@ class _UnionFindEnumerator:
 
 
 def reference_todd_coxeter(P, subgroup_words, cap):
-    """(status, rows of a complete table or None, live coset count)."""
+    """(status, columns of a complete table or None, live coset count)."""
     enum = _UnionFindEnumerator(P.ngens)
     for word in subgroup_words:
         enum.unify(enum.follow_word(0, word), 0)
@@ -634,14 +687,14 @@ def reference_todd_coxeter(P, subgroup_words, cap):
         if enum.find(c) == c:
             lookup[c] = len(lookup)
     ngens, UNDEF = enum.ngens, enum.UNDEF
-    rows = []
-    for c in lookup:
-        row = []
-        for g in range(ngens):
+    columns = []
+    for g in range(ngens):
+        column = []
+        for c in lookup:
             nxt = enum.rows[c * ngens + g]
-            row.append(UNDEF if nxt == UNDEF else lookup[enum.find(nxt)])
-        rows.append(tuple(row))
-    return "complete", tuple(rows), enum.live
+            column.append(UNDEF if nxt == UNDEF else lookup[enum.find(nxt)])
+        columns.append(tuple(column))
+    return "complete", tuple(columns), enum.live
 
 
 @st.composite
@@ -662,11 +715,11 @@ def involutive_presentations(draw):
 def test_enumeration_replays_union_find_reference(case):
     P, subgroup, cap = case
     T = todd_coxeter(P, subgroup, cap)
-    status, rows, live = reference_todd_coxeter(P, subgroup, cap)
+    status, columns, live = reference_todd_coxeter(P, subgroup, cap)
     assert T.status == status
     assert T.num_cosets == live
     if T.is_complete:
-        assert T.table == rows
+        assert T.columns == columns
 
 
 def _case(relators, subgroup, cap):
@@ -684,11 +737,11 @@ def test_enumeration_replays_union_find_reference_compacting_eagerly(case):
         mp.setattr(fp, "COMPACT_SLACK", 0)
         mp.setattr(sys.modules[__name__], "COMPACT_SLACK", 0)
         T = todd_coxeter(P, subgroup, cap)
-        status, rows, live = reference_todd_coxeter(P, subgroup, cap)
+        status, columns, live = reference_todd_coxeter(P, subgroup, cap)
     assert T.status == status
     assert T.num_cosets == live
     if T.is_complete:
-        assert T.table == rows
+        assert T.columns == columns
 
 
 @settings(max_examples=300, deadline=None)
@@ -703,11 +756,11 @@ def test_enumeration_replays_union_find_reference_growing_columns(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fp, "_INITIAL_ROWS", 2)
         T = todd_coxeter(P, subgroup, cap)
-    status, rows, live = reference_todd_coxeter(P, subgroup, cap)
+    status, columns, live = reference_todd_coxeter(P, subgroup, cap)
     assert T.status == status
     assert T.num_cosets == live
     if T.is_complete:
-        assert T.table == rows
+        assert T.columns == columns
 
 
 def test_compaction_that_leaves_no_coset_to_visit():
@@ -715,16 +768,16 @@ def test_compaction_that_leaves_no_coset_to_visit():
     # follows leaves every live coset already visited
     P = Presentation(("a", "b"), ((0, 0), (1, 1), (0, 1) * 601, (0,)))
     T = todd_coxeter(P)
-    assert T.is_complete and T.table == ((0, 0),)
-    assert reference_todd_coxeter(P, [], 10 ** 6) == ("complete", ((0, 0),), 1)
+    assert T.is_complete and T.columns == ((0,), (0,))
+    assert reference_todd_coxeter(P, [], 10 ** 6) == ("complete", ((0,), (0,)), 1)
 
 
 def test_flagship_tables_replay_union_find_reference(k33_sys_e1, table34, table35):
     gamma33 = todd_coxeter(solution_presentation(k33_sys_e1, homogeneous=False))
     for T in (gamma33, table34, table35):
-        status, rows, _ = reference_todd_coxeter(T.presentation, [], 10 ** 6)
+        status, columns, _ = reference_todd_coxeter(T.presentation, [], 10 ** 6)
         assert T.is_complete and status == "complete"
-        assert T.table == rows
+        assert T.columns == columns
     # capped, coincidence-heavy: K4,4 at a small cap
     P = solution_presentation(incidence_system(complete_bipartite(4, 4), (0,) * 8),
                               homogeneous=True)
@@ -774,12 +827,12 @@ def test_is_abelian_matches_permutation_commutation_on_flagships(
 ])
 def test_perm_rep_rejects_a_column_that_is_not_an_involution(column):
     P = Presentation(("x",), ((0, 0),))
-    T = CosetTable(P, tuple((c,) for c in column), "complete")
+    T = CosetTable(P, (column,), "complete")
     with pytest.raises(ValueError, match="generator column 0"):
         regular_perm_rep(T)
 
 
 def test_perm_rep_of_the_trivial_group():
     T = todd_coxeter(Presentation(("x",), ((0, 0), (0,))))
-    assert T.table == ((0,),)
+    assert T.columns == ((0,),)
     assert regular_perm_rep(T) == [(0,)]

@@ -189,7 +189,7 @@ def test_mixed_element_shapes_are_a_failing_family(request, cert_name, mode):
         aliens = [DenseElement.identity(1), DenseElement.identity(2)]
     else:
         z2 = todd_coxeter(Presentation(("x",), ((0, 0),)))
-        aliens = [GroupAlgebraContext(z2).identity_element() for _ in range(2)]
+        aliens = [GroupAlgebraContext(z2).basis_element(0) for _ in range(2)]
     keys = sorted(cert.entries)
     bad = replace_entry(replace_entry(cert, keys[9], aliens[0]), keys[5], aliens[1])
     report = verify_cert(bad, mode)
@@ -201,6 +201,38 @@ def test_mixed_element_shapes_are_a_failing_family(request, cert_name, mode):
     # the witness search names the same entry before it multiplies anything
     with pytest.raises(CertificateError, match=re.escape(f"shape: entry {keys[5]} ")):
         noncommuting_witness(bad)
+
+
+@pytest.mark.parametrize("cert_name, mode", [("pauli_cert", "iso"), ("exact_cert34", "qut")])
+@pytest.mark.parametrize("entries", ["zero", "absent"])
+def test_zero_identity_is_a_failing_family(request, cert_name, mode, entries):
+    # a zero identity makes every sum and product relation hold trivially,
+    # with every entry zero or with none stored
+    cert = request.getfixturevalue(cert_name)
+    zero = cert.zero()
+    bad = MagicUnitaryCert(cert.row_graph, cert.col_graph,
+                           dict.fromkeys(cert.entries, zero) if entries == "zero" else {},
+                           cert.backend, zero)
+    report = verify_cert(bad, mode)
+    assert not report.passed
+    assert [name for name, _, _ in report.families] == ["projection", "shape", "color"]
+    assert report.worst == ("shape", 1.0, "identity")
+    with pytest.raises(CertificateError, match="shape: identity is not a nonzero projection"):
+        noncommuting_witness(bad)
+
+
+@pytest.mark.parametrize("cert_name, mode", [("pauli_cert", "iso"), ("exact_cert34", "qut")])
+def test_identity_must_be_a_nonzero_projection(request, cert_name, mode):
+    # twice the unit is nonzero and self-adjoint but not idempotent, while a
+    # nonzero projection other than the unit passes the identity's check
+    cert = request.getfixturevalue(cert_name)
+    one = cert.identity
+    twice = dataclasses.replace(cert, identity=one + one)
+    assert verify_cert(twice, mode).worst == ("shape", 1.0, "identity")
+    projection = next(elem for _, elem in cert.distinct_elements() if elem != one)
+    report = verify_cert(dataclasses.replace(cert, identity=projection), mode)
+    assert not report.passed
+    assert "shape" not in {name for name, _, _ in report.families}
 
 
 def test_extract_without_block_table(pauli_cert):
