@@ -2,10 +2,11 @@
 verify certificates, and decide classical isomorphism.
 
 Exit codes: 0 success / verified positive; 1 verified negative
-(unsolvable, non-isomorphic, certificate failure); 2 usage or parse
-error; 3 enumeration cap hit; 4 internal error (a self-check inside the
-library failed, or a certificate precondition failed on inputs the CLI
-built itself: a bug, not a verdict).  Certificates are verified in exact
+(unsolvable, non-isomorphic, certificate failure); 2 usage, parse or
+file error (a path that cannot be read or written); 3 enumeration cap
+hit; 4 internal error (a self-check inside the library failed, a
+certificate precondition failed on inputs the CLI built itself, or any
+other exception escaped: a bug, not a verdict).  Certificates are verified in exact
 arithmetic on both backends, so "passes" means that every residual is
 literally zero; there is no tolerance to set.  All reports and graph
 files are written by `graphs.dump_json` (sorted keys, one space of indent),
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass, asdict
 
 from . import f2core, fpgroups, graphs, decolor, reps, qcert, graphiso
@@ -183,7 +185,7 @@ def cmd_group(cfg: RunConfig) -> int:
         lines.append(f"order: {order}, abelian: {abelian}")
     else:
         lines.append(f"order: exceeds cap {cap}")
-    if cfg.word:
+    if cfg.word is not None:  # the empty word is the identity
         word = P.word_from_names(cfg.word)
         trivial = fpgroups.word_is_identity(table, S, word) if table.is_complete else None
         result["word"] = cfg.word
@@ -400,7 +402,7 @@ def main(argv=None) -> int:
             cfg = RunConfig("aut", json_out=args.json_out)
             return cmd_aut(cfg, args.graph)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, f2core.SystemFormatError, FileNotFoundError,
+    except (UsageError, f2core.SystemFormatError, OSError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -410,6 +412,10 @@ def main(argv=None) -> int:
     except (RuntimeError, qcert.CertificateError) as exc:
         # a library self-check failed: every certificate input is built here
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug: exit 1 would read as a verified negative
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

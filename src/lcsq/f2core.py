@@ -125,10 +125,8 @@ class LinearSystem:
     def b_bitstring(self) -> str:
         return "".join(str(v) for v in self.b)
 
-    def with_b(self, b: tuple[int, ...] | list[int] | str) -> LinearSystem:
-        if isinstance(b, str):
-            b = tuple(int(c) for c in b)
-        return LinearSystem(self.M, tuple(b))
+    def with_b(self, b: tuple[int, ...]) -> LinearSystem:
+        return LinearSystem(self.M, b)
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,9 @@ class Presentation:
         except ValueError:
             raise ValueError(f"unknown generator {name!r}") from None
 
-    def word_from_names(self, names: list[str] | str) -> Word:
-        if isinstance(names, str):
-            names = names.split()
+    def word_from_names(self, text: str) -> Word:
+        """The word of a string of generator names separated by spaces."""
+        names = text.split()
         try:
             return tuple(self.gen_index(n) for n in names)
         except ValueError as exc:

@@ -18,10 +18,14 @@ the one that knows the format: it writes colors, checks those a file
 holds, and orders a palette by kind, then block, then sign.  Everywhere
 else a color is compared as a plain string.
 
-A vertex label is a VertexLabel "k:alpha" on the block constructions, and
-otherwise an int or a string.  The decoloring's ids, such as "orig:3" or
-"epath:0-5:2", are strings that `lcsq.decolor` alone writes; a file keeps
-them as they are, so a graph read back holds the labels it was built with.
+A vertex label is an int or a string.  On the block constructions the
+vertex (k, alpha) is the string "k:alpha" that graph files hold, such as
+"0:+--": alpha is one "+" or "-" per variable of S_k, in increasing
+variable order.  This module writes those labels, and `block_labels` is the
+one reader of that format.  The decoloring's ids, such as "orig:3" or
+"epath:0-5:2", are strings that `lcsq.decolor` alone writes.  A file keeps
+every label as it is, so a graph read back holds the labels it was built
+with.
 """
 
 from __future__ import annotations
@@ -38,57 +42,12 @@ from .f2core import LinearSystem, parse_system, render_system
 # Sign vectors
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """A function S -> {+1, -1} on a sorted domain of variable indices."""
-
-    domain: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.domain) != len(self.signs):
-            raise ValueError("domain and signs must have equal length")
-        if any(self.domain[i] >= self.domain[i + 1] for i in range(len(self.domain) - 1)):
-            raise ValueError("domain must be strictly ascending")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
-
-    def sign(self, i: int) -> int:
-        return self.signs[self.domain.index(i)]
-
-    def product(self) -> int:
-        out = 1
-        for s in self.signs:
-            out *= s
-        return out
-
-    def parity(self) -> int:
-        """0 if the sign product is +1, else 1."""
-        return 0 if self.product() == 1 else 1
-
-    def pointwise(self, other: SignVector) -> SignVector:
-        """The product alpha * beta on a shared domain."""
-        if self.domain != other.domain:
-            raise ValueError("pointwise product needs identical domains")
-        return SignVector(self.domain,
-                          tuple(a * b for a, b in zip(self.signs, other.signs)))
-
-    def render(self) -> str:
-        return "".join("+" if s == 1 else "-" for s in self.signs)
-
-    @classmethod
-    def from_string(cls, domain: tuple[int, ...], text: str) -> SignVector:
-        return cls(tuple(domain), tuple(1 if c == "+" else -1 for c in text))
-
-
-def sign_vectors(domain: tuple[int, ...], parity: int) -> list[SignVector]:
-    """All of +-1^S with the given sign-product parity, in canonical order."""
-    out = []
-    for signs in product((1, -1), repeat=len(domain)):
-        sv = SignVector(tuple(domain), signs)
-        if sv.parity() == parity:
-            out.append(sv)
-    return out
+def sign_vectors(domain: tuple[int, ...], parity: int) -> list[str]:
+    """All of +-1^S with the given sign-product parity (the count of -1 mod
+    2), in canonical order, each as its string: one "+" or "-" per variable
+    of the sorted domain S."""
+    return ["".join(signs) for signs in product("+-", repeat=len(domain))
+            if signs.count("-") % 2 == parity]
 
 
 # ---------------------------------------------------------------------------
@@ -127,41 +86,39 @@ def _color_key(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 # Vertex labels
 
-@dataclass(frozen=True)
-class VertexLabel:
-    """The vertex (k, alpha): block index and local solution."""
 
-    block: int
-    assignment: SignVector
-
-    def render(self) -> str:
-        return f"{self.block}:{self.assignment.render()}"
+_INT = re.compile("0|-?[1-9][0-9]*")
 
 
-def render_label(label) -> str:
-    return label.render() if isinstance(label, VertexLabel) else str(label)
+def parse_label(text: str) -> int | str:
+    """A label from its rendered string: an int where `str` of that int is
+    the text, and otherwise the string itself (such as "007", the block
+    label "0:+--" or the decoloring's "sub:0-5")."""
+    return int(text) if _INT.fullmatch(text) else text
 
 
-def _parse_vertex_label(text: str, system: LinearSystem | None) -> VertexLabel | None:
-    head, sep, sig = text.partition(":")
-    if sep and head.isdigit() and sig and set(sig) <= {"+", "-"}:
-        block = int(head)
-        if system is not None and block < system.num_constraints:
-            domain = system.support(block)
-            if len(domain) == len(sig):
-                return VertexLabel(block, SignVector.from_string(domain, sig))
-    return None
+_BLOCK_LABEL = re.compile(_NUM + ":([+-]+)")
 
 
-def parse_label(text: str, system: LinearSystem | None = None) -> VertexLabel | int | str:
-    """A label from its rendered string: a VertexLabel, then an int, and
-    otherwise the string itself (such as the decoloring's "sub:0-5")."""
-    parsed = _parse_vertex_label(text, system)
-    if parsed is not None:
-        return parsed
-    if text.lstrip("-").isdigit():
-        return int(text)
-    return text
+def block_labels(G: ColoredGraph) -> list[tuple[int, str]] | None:
+    """(k, alpha) for every vertex of G, when G's metadata holds a system
+    of m constraints and every label is a canonical block label "k:alpha" of
+    it: k < m, written without a leading zero, and alpha one "+" or "-" per
+    variable of S_k.  None for any other graph."""
+    system = G.system()
+    if system is None:
+        return None
+    sizes = [len(system.support(k)) for k in range(system.num_constraints)]
+    out = []
+    for label in G.labels:
+        match = _BLOCK_LABEL.fullmatch(str(label))  # an int never matches
+        if match is None:
+            return None
+        k, alpha = int(match[1]), match[2]
+        if k >= len(sizes) or len(alpha) != sizes[k]:
+            return None
+        out.append((k, alpha))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +129,11 @@ def parse_label(text: str, system: LinearSystem | None = None) -> VertexLabel | 
 class ColoredGraph:
     """Simple graph with optional vertex colors, edge colors, and provenance.
 
-    Vertices are 0..n-1; `labels[i]` is the identity of vertex i: a
-    VertexLabel, an int, or a string (the decoloring's ids, such as
-    "vpath:3:1", are strings).  Edges are (u, v, color) with u < v.  A color is a canonical
-    color string, or None for none.
+    Vertices are 0..n-1; `labels[i]` is the identity of vertex i, an int
+    or a string: the block label "k:alpha" on the block constructions, the
+    decoloring's id (such as "vpath:3:1") on a decoloring.  Edges are
+    (u, v, color) with u < v.  A color is a canonical color string, or None
+    for none.
     """
 
     labels: tuple
@@ -240,13 +198,21 @@ def _block_graph(sys: LinearSystem):
         base = len(labels)
         blocks.append(block)
         offsets.append(base)
-        labels.extend(VertexLabel(k, alpha) for alpha in block)
+        labels.extend(f"{k}:{alpha}" for alpha in block)
         colors.extend([f"v:{k}"] * len(block))
-        for a in range(len(block)):
+        for a, alpha in enumerate(block):
             for b_ in range(a + 1, len(block)):
-                delta = block[a].pointwise(block[b_])
-                edges.append((base + a, base + b_, f"intra:{k}:{delta.render()}"))
+                delta = "".join("+" if x == y else "-" for x, y in zip(alpha, block[b_]))
+                edges.append((base + a, base + b_, f"intra:{k}:{delta}"))
     return blocks, offsets, labels, colors, edges
+
+
+def _shared_positions(sys: LinearSystem, l: int, k: int) -> list[tuple[int, int]]:
+    """The positions in S_l and in S_k of each variable they share, in
+    increasing variable order."""
+    support_l, support_k = sys.support(l), sys.support(k)
+    return [(support_l.index(i), support_k.index(i))
+            for i in sorted(set(support_l) & set(support_k))]
 
 
 def build_G(sys: LinearSystem) -> ColoredGraph:
@@ -255,13 +221,13 @@ def build_G(sys: LinearSystem) -> ColoredGraph:
     blocks, offsets, labels, colors, edges = _block_graph(sys)
     for l in range(sys.num_constraints):
         for k in range(l + 1, sys.num_constraints):
-            shared = tuple(sorted(set(sys.support(l)) & set(sys.support(k))))
+            shared = _shared_positions(sys, l, k)
             if not shared:
                 continue
             for a, alpha in enumerate(blocks[l]):
                 for b_, beta in enumerate(blocks[k]):
-                    delta = "".join("+" if alpha.sign(i) == beta.sign(i) else "-"
-                                    for i in shared)
+                    delta = "".join("+" if alpha[p] == beta[q] else "-"
+                                    for p, q in shared)
                     edges.append((offsets[l] + a, offsets[k] + b_,
                                   f"inter:{l}-{k}:{delta}"))
 
@@ -276,17 +242,17 @@ def build_Gstar(sys: LinearSystem) -> ColoredGraph:
     blocks, offsets, labels, colors, edges = _block_graph(sys)
     for l in range(sys.num_constraints):
         for k in range(l + 1, sys.num_constraints):
-            shared = tuple(sorted(set(sys.support(l)) & set(sys.support(k))))
+            shared = _shared_positions(sys, l, k)
             if not shared:
                 continue
             if len(shared) > 1:
                 raise ValueError(
                     f"constraints {l} and {k} share {len(shared)} variables; "
                     "the reduced construction needs at most one")
-            i = shared[0]
+            [(p, q)] = shared
             for a, alpha in enumerate(blocks[l]):
                 for b_, beta in enumerate(blocks[k]):
-                    if alpha.sign(i) != beta.sign(i):
+                    if alpha[p] != beta[q]:
                         edges.append((offsets[l] + a, offsets[k] + b_, "shared:-1"))
 
     meta = {"construction": "Gstar", "system": render_system(sys)}
@@ -363,7 +329,7 @@ def dump_json(obj) -> str:
 def to_json_dict(G: ColoredGraph) -> dict:
     vertices = []
     for i, (lab, c) in enumerate(zip(G.labels, G.vertex_colors)):
-        record = {"id": i, "label": render_label(lab)}
+        record = {"id": i, "label": str(lab)}
         if c is not None:
             record["color"] = c
         vertices.append(record)
@@ -390,7 +356,8 @@ def from_json_dict(data: dict) -> ColoredGraph:
     meta = data.get("meta", {})
     if not isinstance(meta, dict) or not isinstance(meta.get("system", ""), str):
         raise ValueError('"meta" must be an object whose "system" is a string')
-    system = parse_system(meta["system"]) if "system" in meta else None
+    if "system" in meta:
+        parse_system(meta["system"])  # raises on a malformed system
     for where, fields in _FIELD_TYPES.items():
         records = data[where]
         if not (isinstance(records, list) and all(map(isinstance, records, repeat(dict)))):
@@ -407,7 +374,7 @@ def from_json_dict(data: dict) -> ColoredGraph:
     verts = sorted(verts, key=lambda d: d["id"])
     if [d["id"] for d in verts] != list(range(len(verts))):
         raise ValueError("vertex ids must be 0..n-1")
-    labels = tuple(parse_label(d.get("label", str(d["id"])), system) for d in verts)
+    labels = tuple(parse_label(d.get("label", str(d["id"]))) for d in verts)
     vcolors = tuple(d.get("color") for d in verts)
     edges = tuple((min(d["u"], d["v"]), max(d["u"], d["v"]), d.get("color"))
                   for d in edges)
@@ -417,7 +384,7 @@ def from_json_dict(data: dict) -> ColoredGraph:
 def to_dot(G: ColoredGraph) -> str:
     lines = ["graph G {"]
     for i, (lab, c) in enumerate(zip(G.labels, G.vertex_colors)):
-        attrs = [f'label="{render_label(lab)}"']
+        attrs = [f'label="{lab}"']
         if c is not None:
             attrs.append(f'tooltip="{c}"')
         lines.append(f"  {i} [{', '.join(attrs)}];")

@@ -9,7 +9,9 @@ representation, the entry at ((k, alpha), (k, beta)) is the projection
 v_delta = prod_{i in S_k} p_i^{delta_i} with delta = alpha * beta and
 p_i^{+-} = (1 +- x_i)/2; entries across different blocks vanish.  The
 same construction covers the automorphism case (both graphs equal) and
-the isomorphism case (right-hand sides b and b' differ).
+the isomorphism case (right-hand sides b and b' differ).  A vertex
+(k, alpha) is read from its label "k:alpha" by `graphs.block_labels`, and
+delta is a sign string as alpha is: "+" where alpha and beta agree.
 
 Verification has one path for both element backends: every relation is
 checked entry by entry through the elements' own `combine` (a sum minus a
@@ -46,9 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .f2core import LinearSystem
-from .graphs import ColoredGraph, VertexLabel, render_label, sign_vectors
+from .graphs import ColoredGraph, block_labels, sign_vectors
 from .decolor import PathAssignment, VertexId, decolor_full
-from .reps import DenseElement, GroupAlgebraElement, Representation, verify_representation
+from .reps import GroupAlgebraElement, Representation, verify_representation
 
 class CertificateError(Exception):
     """A certificate precondition failed (mismatched inputs, failed source)."""
@@ -99,8 +101,8 @@ class MagicUnitaryCert:
                 table.append(elem.support() if isinstance(elem, GroupAlgebraElement)
                              else elem.rows())
             entry_list.append({
-                "row": render_label(self.row_graph.labels[i]),
-                "col": render_label(self.col_graph.labels[j]),
+                "row": str(self.row_graph.labels[i]),
+                "col": str(self.col_graph.labels[j]),
                 "element": index[id(elem)],
             })
         return {"backend": self.backend, "provenance": self.provenance,
@@ -111,32 +113,46 @@ class MagicUnitaryCert:
 # Construction from a representation
 
 
+def _block_labels(G: ColoredGraph) -> list[tuple[int, str]]:
+    """`graphs.block_labels` of G; a CertificateError when it is None."""
+    labels = block_labels(G)
+    if labels is None:
+        raise CertificateError("graph vertices are not block-labelled")
+    return labels
+
+
+def _block_vertices(G: ColoredGraph) -> dict[int, list[tuple[int, str]]]:
+    """Block k -> (i, alpha) for each vertex i = (k, alpha) of G."""
+    blocks: dict[int, list[tuple[int, str]]] = {}
+    for i, (k, alpha) in enumerate(_block_labels(G)):
+        blocks.setdefault(k, []).append((i, alpha))
+    return blocks
+
+
 def _require_shared_matrix(Gb: ColoredGraph, Gb2: ColoredGraph) -> tuple:
+    """The systems of two graphs that `_block_labels` has accepted, so that
+    both hold one; they must share their matrix."""
     s1, s2 = Gb.system(), Gb2.system()
-    if s1 is None or s2 is None:
-        raise CertificateError("graphs carry no system metadata")
     if s1.M != s2.M:
         raise CertificateError("graphs were built from different matrices")
     return s1, s2
 
 
-def _block_vertices(G: ColoredGraph) -> dict[int, list[int]]:
-    blocks: dict[int, list[int]] = {}
-    for i, lab in enumerate(G.labels):
-        if not isinstance(lab, VertexLabel):
-            raise CertificateError("graph vertices are not block-labelled")
-        blocks.setdefault(lab.block, []).append(i)
-    return blocks
+def _pointwise(alpha: str, beta: str) -> str:
+    """The sign vector alpha * beta of two sign strings over one domain."""
+    return "".join("+" if a == b else "-" for a, b in zip(alpha, beta))
 
 
 def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
                         R: Representation) -> MagicUnitaryCert:
     """Certificate u with u[(k,alpha),(k,beta)] = prod_i p_i^{(alpha*beta)_i}.
 
-    R must represent the relation set of (M, b + b'); this is verified
-    before anything is built.  Works uniformly for b = b' (automorphism
-    case) and b != b' (isomorphism case).
+    Both graphs must be block-labelled (`graphs.block_labels`) over one
+    matrix, and R must represent the relation set of (M, b + b'); this is
+    verified before anything is built.  Works uniformly for b = b'
+    (automorphism case) and b != b' (isomorphism case).
     """
+    blocks1, blocks2 = _block_vertices(Gb), _block_vertices(Gb2)
     s1, s2 = _require_shared_matrix(Gb, Gb2)
     xor_b = tuple(x ^ y for x, y in zip(s1.b, s2.b))
     sys_xor = LinearSystem(s1.M, xor_b)
@@ -149,29 +165,20 @@ def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
             f"(residual {report.max_residual:.3g})")
 
     one = R.identity()
-    blocks1 = _block_vertices(Gb)
-    blocks2 = _block_vertices(Gb2)
-
     entries: dict = {}
     for k in sorted(blocks1):
-        support = s1.support(k)
-        projections = {i: (R.projection(i, 1), R.projection(i, -1)) for i in support}
-        cache: dict[tuple[int, ...], object] = {}
-
-        def v_elem(delta_signs: tuple[int, ...]) -> object:
-            elem = cache.get(delta_signs)
-            if elem is None:
-                elem = one
-                for i, s in zip(support, delta_signs):
-                    elem = elem * (projections[i][0] if s == 1 else projections[i][1])
-                cache[delta_signs] = elem
-            return elem
-
-        for i in blocks1[k]:
-            alpha = Gb.labels[i].assignment
-            for j in blocks2.get(k, []):
-                beta = Gb2.labels[j].assignment
-                entries[(i, j)] = v_elem(alpha.pointwise(beta).signs)
+        projections = [(R.projection(i, 1), R.projection(i, -1)) for i in s1.support(k)]
+        v: dict[str, object] = {}  # v_delta, keyed by the delta string
+        for i, alpha in blocks1[k]:
+            for j, beta in blocks2.get(k, []):
+                delta = _pointwise(alpha, beta)
+                elem = v.get(delta)
+                if elem is None:
+                    elem = one
+                    for (plus, minus), sign in zip(projections, delta):
+                        elem = elem * (plus if sign == "+" else minus)
+                    v[delta] = elem
+                entries[(i, j)] = elem
 
     return MagicUnitaryCert(Gb, Gb2, entries, R.backend, one,
                             provenance=f"built:{R.name}", source_rep=R)
@@ -330,8 +337,9 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
 
     Families: entry projections; row and column sums = identity; color
     vanishing; intertwining with every edge-color adjacency matrix; and,
-    when both graphs are block-labelled, the structural block form
-    (entries depend only on alpha * beta and same-block entries commute).
+    when both graphs are block-labelled (`graphs.block_labels`), the
+    structural block form, `block_equal` and `block_commute` (entries depend
+    only on alpha * beta and same-block entries commute).
     Failures are report entries, never exceptions.  An identity that is not
     a nonzero projection (a zero one passes every other family), or an
     element over another algebra than `cert.identity` (another dense
@@ -428,15 +436,14 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
         families.append((f"intertwine:{cname or 'plain'}", r, cname or "plain"))
 
     # structural invariants of the block decomposition
-    if all(isinstance(l, VertexLabel) for l in G1.labels) and \
-            all(isinstance(l, VertexLabel) for l in G2.labels):
+    labels1, labels2 = block_labels(G1), block_labels(G2)
+    if labels1 is not None and labels2 is not None:
         groups: dict[tuple[int, str], list] = {}
         for (i, j), elem in cert.entries.items():
-            li, lj = G1.labels[i], G2.labels[j]
-            if li.block != lj.block:
+            (k, alpha), (l, beta) = labels1[i], labels2[j]
+            if k != l:
                 continue  # cross-block entries are caught by the color family
-            delta = li.assignment.pointwise(lj.assignment)
-            groups.setdefault((li.block, delta.render()), []).append(elem)
+            groups.setdefault((k, _pointwise(alpha, beta)), []).append(elem)
         worst, desc = 0.0, ""
         for (k, dname), group in groups.items():
             first = group[0]
@@ -482,9 +489,10 @@ def extract_generators(cert: MagicUnitaryCert) -> ExtractionReport:
 
     v^{(k)}_delta is read from the entries: the first entry of block k
     with alpha * beta = delta (the certificate passes, so every such entry
-    is equal).  The sum must not depend on which block k containing i is
-    used; the maximal cross-block deviation is reported, together with the
-    residual against the source representation when one is attached.
+    is equal), and both graphs must be block-labelled.  The sum must not
+    depend on which block k containing i is used; the maximal cross-block
+    deviation is reported, together with the residual against the source
+    representation when one is attached.
     """
     report = verify_cert(cert, "iso")
     if not report.passed:
@@ -492,22 +500,23 @@ def extract_generators(cert: MagicUnitaryCert) -> ExtractionReport:
             f"certificate fails verification: {report.worst[0]} "
             f"(residual {report.worst[1]:.3g})")
 
+    labels1, labels2 = _block_labels(cert.row_graph), _block_labels(cert.col_graph)
     sys1, sys2 = _require_shared_matrix(cert.row_graph, cert.col_graph)
     parity = [x ^ y for x, y in zip(sys1.b, sys2.b)]
     table: dict = {}  # (block, delta string) -> element
     for (i, j), elem in cert.entries.items():
-        li, lj = cert.row_graph.labels[i], cert.col_graph.labels[j]
-        delta = li.assignment.pointwise(lj.assignment)
-        table.setdefault((li.block, delta.render()), elem)
+        (k, alpha), (l, beta) = labels1[i], labels2[j]
+        if k == l:  # the passing certificate's cross-block entries are zero
+            table.setdefault((k, _pointwise(alpha, beta)), elem)
 
     per_var_blocks: dict[int, dict[int, object]] = {}
     for k in range(sys1.num_constraints):
         support = sys1.support(k)
-        for i in support:
+        for pos, i in enumerate(support):
             y = None
             for delta in sign_vectors(support, parity[k]):
-                v = table[(k, delta.render())]
-                term = v if delta.sign(i) == 1 else -v
+                v = table[(k, delta)]
+                term = v if delta[pos] == "+" else -v
                 y = term if y is None else y + term
             per_var_blocks.setdefault(i, {})[k] = y
 

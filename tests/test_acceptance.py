@@ -13,7 +13,7 @@ import numpy as np
 
 from lcsq.f2core import (BinMatrix, LinearSystem, complete_bipartite,
                          incidence_system, parse_system, rank_f2, solve_f2)
-from lcsq.graphs import build_G, build_Gstar, render_label, sign_vectors
+from lcsq.graphs import block_labels, build_G, build_Gstar, sign_vectors
 from lcsq.decolor import (canonical_assignment, check_matchings, decolor_edges,
                           decolor_vertices)
 from lcsq.fpgroups import solution_presentation, todd_coxeter
@@ -66,7 +66,7 @@ def test_criterion_01_demo_graph_reproduction():
         sys = parse_system("11100;10011|01")
         G = build_Gstar(sys)
         assert G.num_vertices == 8
-        assert [render_label(l) for l in G.labels] == DEMO_VERTICES
+        assert list(G.labels) == DEMO_VERTICES
         inter = {(u, v) for (u, v, c) in G.edges if c.startswith("shared:")}
         intra: dict[str, set] = {}
         for (u, v, c) in G.edges:
@@ -239,8 +239,8 @@ def test_criterion_11_property_suites():
         for k in range(s1.num_constraints):
             for delta in sign_vectors(s1.support(k), 1 ^ s1.b[k] ^ s2.b[k]):
                 v = None
-                for i in s1.support(k):
-                    p = rep.projection(i, delta.sign(i))
+                for i, sign in zip(s1.support(k), delta):
+                    p = rep.projection(i, 1 if sign == "+" else -1)
                     v = p if v is None else v * p
                 assert v.residual_norm() == 0.0, (name, k)
 
@@ -256,7 +256,7 @@ def test_criterion_11_property_suites():
         def entry(c, i, j):
             return c.entries.get((i, j), zero)
 
-        block0 = [i for i, lab in enumerate(G1.labels) if lab.block == 0]
+        block0 = [i for i, (k, _) in enumerate(block_labels(G1)) if k == 0]
         checked = 0
         for i in block0:
             for k in block0:

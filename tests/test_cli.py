@@ -110,6 +110,29 @@ def test_aut_json_on_k34_gpp_is_pinned(files, monkeypatch):
     assert hashlib.sha256((files / "aut.json").read_bytes()).hexdigest() == AUT_GPP34_SHA256
 
 
+# sha256 of G(M, b) files, whose intra and inter colors are products of the
+# block labels: measured on `build --construction G` while each label was a
+# SignVector object rendered on output
+G_BUILD_SHA256 = {
+    "ex.sys": ("--system",
+               "779d80d7c9dc33a6aeeac254233e9cfb01ab0f423c2a7873ee45093701383d13",
+               "5283c26183056797b97201553608c2b15b15c0fbfeb8e9741aa45b74d03d6b58"),
+    "k34.g": ("--graph",
+              "5ed105a9de6759baa738286ae9746faae2d1c2db0da0a3fd8fbea3a0300bca23",
+              "e9c4364431c8a346f63af4bd3de405bdb2a4e104f756cfb0c6462a81c7355344"),
+}
+
+
+@pytest.mark.parametrize("source", sorted(G_BUILD_SHA256))
+def test_build_G_is_pinned(files, source):
+    flag, json_digest, dot_digest = G_BUILD_SHA256[source]
+    out, dot = files / "g.json", files / "g.dot"
+    assert run("build", flag, files / source, "--construction", "G",
+               "--out", out, "--dot", dot) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json_digest
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_digest
+
+
 def test_solve(files, capsys):
     assert run("solve", "--system", files / "ex.sys") == 0
     assert "solution:" in capsys.readouterr().out
@@ -202,6 +225,14 @@ def test_group_reports_are_pinned(files, monkeypatch, name):
     data.pop("config")
     assert data == expected
     assert text == _dump(dict(expected, config=json.loads(text)["config"]))
+
+
+def test_group_empty_word_is_the_identity(files, capsys):
+    report = files / "w.json"
+    assert run("group", "--graph", files / "k34.g", "--word", "", "--json", report) == 0
+    assert "word '' = identity" in capsys.readouterr().out
+    data = json.loads(report.read_text())
+    assert data["word"] == "" and data["word_is_identity"] is True
 
 
 def test_group_unknown_word_generator_exit_2(files, capsys):
@@ -314,6 +345,23 @@ def test_cert_qut_regular_k34_out_is_pinned(files):
     assert run("cert", "qut", "--graph", files / "k34.g", "--rep", "regular",
                "--out", cert_out) == 0
     assert hashlib.sha256(cert_out.read_bytes()).hexdigest() == K34_REGULAR_CERT_SHA256
+
+
+# the report on G(M_K34, 0), whose block families read the labels of the
+# G construction; measured while each label was a VertexLabel object
+K34_G_REGULAR_REPORT_SHA256 = (
+    "f4d061aa1dfebc1b7ef4a8e1f188b70897918025110c0e1ee43dbca849779948")
+
+
+def test_cert_qut_regular_k34_G_is_pinned(files, monkeypatch):
+    # G and G* hold the same blocks, so the certificate is the G* one
+    monkeypatch.chdir(files)
+    assert run("cert", "qut", "--graph", "k34.g", "--construction", "G",
+               "--rep", "regular", "--out", "cert.json", "--report", "report.json") == 0
+    assert hashlib.sha256((files / "cert.json").read_bytes()).hexdigest() == \
+        K34_REGULAR_CERT_SHA256
+    assert hashlib.sha256((files / "report.json").read_bytes()).hexdigest() == \
+        K34_G_REGULAR_REPORT_SHA256
 
 
 # both lifted cert jobs and the sha256 of their reports, run from the
@@ -559,6 +607,37 @@ def test_malformed_graph_documents_exit_2(files, capsys, command, name):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# each command with a directory where it reads or writes a file
+DIRECTORY_PATHS = {
+    "build-out": ["build", "--system", "ex.sys", "--out", "d"],
+    "aut": ["aut", "d"],
+    "cert-report": ["cert", "qut", "--graph", "k33.g", "--rep", "regular", "--report", "d"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTORY_PATHS))
+def test_filesystem_errors_exit_2(files, monkeypatch, capsys, name):
+    # exit 1 would read as a verified negative
+    monkeypatch.chdir(files)
+    (files / "d").mkdir()
+    assert run(*DIRECTORY_PATHS[name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_unexpected_exception_exits_internal(files, monkeypatch, capsys):
+    def broken(G):
+        raise TypeError("unsupported operand")
+
+    a = files / "a.json"
+    assert run("build", "--graph", files / "k33.g", "--out", a) == 0
+    monkeypatch.setattr(graphiso, "automorphism_group", broken)
+    assert run("aut", a) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: TypeError: unsupported operand\n")
+    assert "Traceback" in err  # a bug: the report names where it happened
 
 
 def test_failed_self_check_exits_internal(files, monkeypatch, capsys):

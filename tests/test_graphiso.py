@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq import graphiso
-from lcsq.graphs import ColoredGraph
+from lcsq.graphs import ColoredGraph, block_labels
 from lcsq.decolor import canonical_assignment, decolor_vertices
 from lcsq.graphiso import (Bijection, automorphism_group, find_isomorphism,
                            refine, verify_mapping)
@@ -175,8 +175,9 @@ def test_refine_separates_former_blocks(gstar33_0):
     originals = range(gstar33_0.num_vertices)
     assert [Gp.labels[v] for v in originals] == [f"orig:{v}" for v in originals]
     block_of_class = {}
+    blocks = [k for k, _ in block_labels(gstar33_0)]
     for v in originals:
-        block = gstar33_0.labels[v].block
+        block = blocks[v]
         cls = coloring.classes[v]
         assert block_of_class.setdefault(cls, block) == block
     assert len({coloring.classes[v] for v in originals}) == 6

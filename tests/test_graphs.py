@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from lcsq.decolor import canonical_assignment, decolor_vertices
 from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system, parse_system
-from lcsq.graphs import (ColoredGraph, build_G, build_Gstar, dump_json,
-                         parse_graph_json, render_label, serialize, sign_vectors,
-                         to_json_dict)
+from lcsq.graphs import (ColoredGraph, block_labels, build_G, build_Gstar, dump_json,
+                         parse_graph_json, serialize, sign_vectors, to_json_dict)
+from test_fpgroups import small_graphs
 
 # The 2x5 demo system: block 0 holds the solutions of x1 x2 x3 = 1 and block 1
 # the solutions of x1 x4 x5 = -1, in canonical order; the 8 surviving inter
@@ -34,10 +34,10 @@ DEMO_INTRA_CLASSES = {
 
 def test_sign_vectors_order_and_parity():
     vs = sign_vectors((0, 1, 2), 0)
-    assert [v.render() for v in vs] == ["+++", "+--", "-+-", "--+"]
-    assert all(v.product() == 1 for v in vs)
+    assert vs == ["+++", "+--", "-+-", "--+"]
+    assert all(v.count("-") % 2 == 0 for v in vs)  # sign product +1
     odd = sign_vectors((0, 1, 2), 1)
-    assert [v.render() for v in odd] == ["++-", "+-+", "-++", "---"]
+    assert odd == ["++-", "+-+", "-++", "---"]
 
 
 def test_block_sizes_two_block_demo(demo_sys):
@@ -45,13 +45,13 @@ def test_block_sizes_two_block_demo(demo_sys):
     assert G.num_vertices == 8
     counts = Counter(G.vertex_colors)
     assert counts == {"v:0": 4, "v:1": 4}
-    assert [render_label(l) for l in G.labels] == DEMO_VERTICES
+    assert list(G.labels) == DEMO_VERTICES
 
 
 def test_build_G_single_block():
     sys = LinearSystem(BinMatrix.from_rows([[1, 1]]), (0,))
     G = build_G(sys)
-    assert [render_label(l) for l in G.labels] == ["0:++", "0:--"]
+    assert list(G.labels) == ["0:++", "0:--"]
     assert len(G.edges) == 1
 
 
@@ -342,6 +342,46 @@ def test_gpp_labels_round_trip_through_json(gpp33_pair):
         assert serialize(back) == text
 
 
+@st.composite
+def block_graphs(draw):
+    """G(M, b) of a random system of at most 4 constraints, none empty, on
+    at most 5 variables; or G*(M_H, b) of a random `small_graphs` graph H."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        rows = draw(st.lists(st.integers(1, 2 ** n - 1), min_size=1, max_size=4))
+        M = BinMatrix.from_rows([[r >> j & 1 for j in range(n)] for r in rows])
+        b = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+        return build_G(LinearSystem(M, tuple(b)))
+    H = draw(small_graphs())
+    n = H.num_vertices
+    b = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return build_Gstar(incidence_system(H, tuple(b)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_graphs())
+def test_block_labels_read_back_from_json(G):
+    back = parse_graph_json(serialize(G))
+    assert back.labels == G.labels
+    labels = block_labels(G)
+    assert block_labels(back) == labels
+    # block by block, each block's alphas in `sign_vectors` order
+    sys = G.system()
+    assert labels == [(k, alpha) for k in range(sys.num_constraints)
+                      for alpha in sign_vectors(sys.support(k), sys.b[k])]
+    assert list(G.labels) == [f"{k}:{alpha}" for k, alpha in labels]
+
+
+def test_labels_are_written_back_as_read():
+    # only a canonical int becomes an int, so every label is written back
+    # as the file held it
+    texts = ["0", "-5", "12", "007", "-0", "+5", "\u00b2", "0:+--", "sub:0-5"]
+    doc = {"vertices": [{"id": i, "label": t} for i, t in enumerate(texts)], "edges": []}
+    G = parse_graph_json(json.dumps(doc))
+    assert G.labels == (0, -5, 12, "007", "-0", "+5", "\u00b2", "0:+--", "sub:0-5")
+    assert [v["label"] for v in json.loads(serialize(G))["vertices"]] == texts
+
+
 def test_round_trip_random_plain_graphs():
     rng = random.Random(42)
     for _ in range(25):
@@ -439,6 +479,6 @@ def test_block_cardinality_random_systems():
                 row[rng.randrange(n)] = 1
         sys = LinearSystem(BinMatrix.from_rows(rows), tuple(rng.randint(0, 1) for _ in range(m)))
         G = build_G(sys)
-        counts = Counter(lab.block for lab in G.labels)
+        counts = Counter(k for k, _ in block_labels(G))
         for k in range(m):
             assert counts[k] == 2 ** (len(sys.support(k)) - 1)

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system
-from lcsq.graphs import ColoredGraph, VertexLabel, build_G, build_Gstar, sign_vectors
+from lcsq.graphs import (ColoredGraph, block_labels, build_G, build_Gstar, parse_graph_json,
+                         serialize, sign_vectors)
 from lcsq.decolor import canonical_assignment
 from lcsq.fpgroups import Presentation, solution_presentation, todd_coxeter
 from lcsq.graphiso import automorphism_group
@@ -64,12 +65,12 @@ def test_trivial_one_dimensional_cert():
 
 def test_pauli_cert_block_structure(pauli_cert):
     assert len(pauli_cert.entries) == 96  # six 4x4 blocks
-    blocks = {pauli_cert.row_graph.labels[i].block for (i, j) in pauli_cert.entries}
+    rows = block_labels(pauli_cert.row_graph)
+    cols = block_labels(pauli_cert.col_graph)
+    blocks = {rows[i][0] for (i, j) in pauli_cert.entries}
     assert blocks == set(range(6))
     for (i, j), elem in pauli_cert.entries.items():
-        li = pauli_cert.row_graph.labels[i]
-        lj = pauli_cert.col_graph.labels[j]
-        assert li.block == lj.block
+        assert rows[i][0] == cols[j][0]
         assert elem.dim == 4
     # one distinct element per (block, delta): 6 blocks x 4 deltas
     assert len(pauli_cert.distinct_elements()) == 24
@@ -102,6 +103,40 @@ def test_build_rejects_wrong_representation(gstar33_0, pauli_rep):
 def test_build_rejects_mismatched_graphs(gstar33_0, gstar34, pauli_rep):
     with pytest.raises(CertificateError, match="different matrices"):
         build_magic_unitary(gstar33_0, gstar34, pauli_rep)
+
+
+# G(M, b) of the demo system with one thing wrong: vertex 5 ("1:+-+") gets
+# another label, or the metadata loses its system
+LABEL_MUTANTS = {
+    "leading-zero": ("01:+-+", True),
+    "block-out-of-range": ("2:+-+", True),
+    "wrong-length": ("1:+-", True),
+    "foreign-character": ("1:+0+", True),
+    "decolored-id": ("orig:5", True),
+    "no-system": ("1:+-+", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_MUTANTS))
+def test_graphs_not_block_labelled(demo_sys, name):
+    label, keep_system = LABEL_MUTANTS[name]
+    G = build_G(demo_sys)
+    assert G.labels[5] == "1:+-+"
+    meta = G.meta if keep_system else {"construction": "G"}
+    mutant = dataclasses.replace(G, labels=G.labels[:5] + (label,) + G.labels[6:], meta=meta)
+    assert block_labels(mutant) is None
+    assert block_labels(parse_graph_json(serialize(mutant))) is None
+    # the all-ones scalar representation solves the homogeneous system
+    one = DenseElement.identity(1)
+    rep = Representation([one] * demo_sys.num_vars, "dense")
+    with pytest.raises(CertificateError, match="not block-labelled"):
+        build_magic_unitary(mutant, mutant, rep)
+    cert = build_magic_unitary(G, G, rep)
+    names = {n for n, _, _ in verify_cert(cert, "qut").families}
+    assert {"block_equal", "block_commute"} <= names
+    report = verify_cert(dataclasses.replace(cert, row_graph=mutant, col_graph=mutant), "qut")
+    assert report.passed
+    assert not [n for n, _, _ in report.families if n.startswith("block_")]
 
 
 def test_qut_mode_needs_square(pauli_cert):
@@ -471,11 +506,11 @@ def test_lift_rejects_any_nonzero_residual_in_the_report(pauli_cert, gpp33_pair)
 def block_elements(cert):
     """(block, delta string) -> element, recovered from the entries."""
     table = {}
+    rows, cols = block_labels(cert.row_graph), block_labels(cert.col_graph)
     for (i, j), elem in cert.entries.items():
-        li = cert.row_graph.labels[i]
-        lj = cert.col_graph.labels[j]
-        delta = li.assignment.pointwise(lj.assignment)
-        table.setdefault((li.block, delta.render()), elem)
+        (k, alpha), (_, beta) = rows[i], cols[j]
+        delta = "".join("+" if a == b else "-" for a, b in zip(alpha, beta))
+        table.setdefault((k, delta), elem)
     return table
 
 
@@ -489,7 +524,7 @@ def test_block_resolutions_of_identity(cert_name, request):
         parity = sys1.b[k] ^ sys2.b[k]
         total = None
         for delta in sign_vectors(sys1.support(k), parity):
-            v = table[(k, delta.render())]
+            v = table[(k, delta)]
             total = v if total is None else total + v
         assert (total - one).residual_norm() == 0.0
 
@@ -504,8 +539,8 @@ def test_wrong_parity_projections_vanish(cert_name, request):
         wrong = 1 ^ sys1.b[k] ^ sys2.b[k]
         for delta in sign_vectors(sys1.support(k), wrong):
             v = None
-            for i in sys1.support(k):
-                p = rep.projection(i, delta.sign(i))
+            for i, sign in zip(sys1.support(k), delta):
+                p = rep.projection(i, 1 if sign == "+" else -1)
                 v = p if v is None else v * p
             assert v.residual_norm() == 0.0
 
@@ -901,13 +936,14 @@ def naive_verify(cert, mode):
                  for key in left.keys() | right.keys()), default=0.0)
         families.append((f"intertwine:{cname or 'plain'}", r, cname or "plain"))
 
-    if all(isinstance(l, VertexLabel) for l in G1.labels + G2.labels):
+    rows, cols = block_labels(G1), block_labels(G2)
+    if rows is not None and cols is not None:
         groups = {}
         for (i, j), elem in cert.entries.items():
-            li, lj = G1.labels[i], G2.labels[j]
-            if li.block == lj.block:
-                delta = li.assignment.pointwise(lj.assignment)
-                groups.setdefault((li.block, delta.render()), []).append(elem)
+            (k, alpha), (l, beta) = rows[i], cols[j]
+            if k == l:
+                delta = "".join("+" if a == b else "-" for a, b in zip(alpha, beta))
+                groups.setdefault((k, delta), []).append(elem)
         worst, desc = 0.0, ""
         for (k, dname), elems in groups.items():
             for other in elems[1:]:
