@@ -41,10 +41,10 @@ system this is the star of a vertex that is not a cut vertex.
 order is the index of S times |S|, the group is abelian exactly when its
 order equals that of the abelianization, and a word is 1 exactly when it
 fixes the coset of S and its letter parities lie in R (`word_is_identity`).
-`regular_table` lifts the table of the cosets of S to the group's own,
-one coset per element, and numbers the elements breadth-first from the
-identity, by the table's `spanning_tree`, whose paths are also the words
-by which `reps.GroupAlgebraContext` multiplies and inverts.
+`regular_table` lifts that table to the group on star coordinates, pairs
+(s, t) of an element of S and a coset, on which a word acts through the k
+pairs (0, t); certificates number the elements breadth-first from the
+identity, a numbering computed only when one is written.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter, lshift, or_, xor
 
 from .f2core import LinearSystem
 
@@ -561,11 +563,11 @@ def spanning_tree(columns) -> tuple[list[int], list[int], list[int]]:
     return order, parent, gen
 
 
-def _sigma(T: CosetTable, S: StarSubgroup) -> list[list[int]]:
+def _sigma(T: CosetTable, S: StarSubgroup, tree: tuple) -> list[list[int]]:
     """sigma[g][t]: the element w_t·g·w_{t·g}^-1 of S, as a bit mask over
     S's letters, for each coset t of S and generator g, with w_t the path
-    to t in `spanning_tree`.  It is read off from its image in the
-    abelianization, into which S injects; an image outside S's is a
+    to t in `tree`, T's `spanning_tree`.  It is read off from its image in
+    the abelianization, into which S injects; an image outside S's is a
     RuntimeError."""
     # reduction mod R is linear, so each letter's image is reduced once
     bits = [_reduce(S.relator_space, 1 << g) for g in range(T.presentation.ngens)]
@@ -573,7 +575,7 @@ def _sigma(T: CosetTable, S: StarSubgroup) -> list[list[int]]:
     for g in S.letters:
         images += [v ^ bits[g] for v in images]
     element_of = {v: s for s, v in enumerate(images)}
-    order, parent, gen = spanning_tree(T.columns)
+    order, parent, gen = tree
     parity = [0] * T.num_cosets  # parity[t]: the reduced image of w_t
     for t in order[1:]:
         parity[t] = parity[parent[t]] ^ bits[gen[t]]
@@ -587,42 +589,81 @@ def _sigma(T: CosetTable, S: StarSubgroup) -> list[list[int]]:
     return sigma
 
 
-def regular_table(P: Presentation, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
-    """The group's table over the trivial subgroup, one coset per element,
-    numbered breadth-first from the identity, built from the cosets of the
-    star subgroup S.
+@dataclass(frozen=True)
+class RegularTable:
+    """A finite group on star coordinates (see `regular_table`): element
+    e = t << m | s, with m = len(letters), is s·w_t, s in S = <letters> as
+    a bit mask over its letters and w_t the path to coset t of S in the
+    breadth-first tree (`parent`, `gen`) of their table `cosets`.  A
+    generator acts by (s, t)·g = (s xor sigma[g][t], t·g).  A complete
+    table over the trivial subgroup is the case S = 1, sigma = 0."""
 
-    The enumeration is `star_cosets(P, cap)`, that of `lcsq group`; a
-    capped table keeps the group elements it stands for, live cosets times
-    |S|, as its live count.  An element is a pair (s, t), s in S as a bit
-    mask over its letters and t a coset, standing for s·w_t; it acts by
-    (s, t)·g = (s xor sigma(t, g), t·g), with sigma from `_sigma`.  Each
-    relator must fix (0, t) for every coset t, else RuntimeError; since
-    xor by s commutes with the action, every relator then fixes every
-    element.  A transitive action of the group on its own number of points
-    is its regular action, so the table is exact.
+    cosets: CosetTable
+    letters: Word
+    sigma: tuple[list[int], ...]
+    parent: list[int]
+    gen: list[int]
+    is_complete = True  # a capped enumeration gives a capped CosetTable
 
-    Elements are numbered as in a standardized coset table (Holt, Eick &
-    O'Brien, ch. 5): the lifted table is renumbered by the visit order of
-    its `spanning_tree`.  The numbering therefore depends only on the group
-    and the order of its generators, not on the enumeration.
-    """
+    @property
+    def num_cosets(self) -> int:
+        """One coset of the trivial subgroup per element, k·|S| of them."""
+        return self.cosets.num_cosets << len(self.letters)
+
+    def word(self, e: int) -> Word:
+        """A word for element e = (s, t): the letters of s, then w_t."""
+        path, t = [], e >> len(self.letters)
+        while t:
+            path.append(self.gen[t])
+            t = self.parent[t]
+        return (*(g for i, g in enumerate(self.letters) if e >> i & 1), *reversed(path))
+
+    def element(self, word: Word) -> int:
+        s = t = 0
+        for g in word:
+            s ^= self.sigma[g][t]
+            t = self.cosets.columns[g][t]
+        return t << len(self.letters) | s
+
+    def act(self, word: Word) -> list[int]:
+        """(0, t)·word for every coset t, one pass over the k cosets per
+        letter; then (s, t)·word is act(word)[t] xor s."""
+        # coset 0 twice, so that itemgetter gives a tuple even when k = 1
+        cosets, s = (*range(self.cosets.num_cosets), 0), repeat(0)
+        for g in word:
+            gather = itemgetter(*cosets)
+            s = map(xor, s, gather(self.sigma[g]))  # xor-ed as the result is built
+            cosets = gather(self.cosets.columns[g])
+        return list(map(or_, map(lshift, cosets[:-1], repeat(len(self.letters))), s))
+
+    def numbering(self) -> list[int]:
+        """Each element's number in a standardized table (Holt, Eick &
+        O'Brien, ch. 5), by the `spanning_tree` of the elements' columns."""
+        size, columns = 1 << len(self.letters), []
+        for g in range(len(self.sigma)):
+            first, column = self.act((g,)), [0] * self.num_cosets
+            for s in range(size):  # the elements (s, t), every t at once
+                column[s::size] = map(xor, first, repeat(s))
+            columns.append(column)
+        order = spanning_tree(columns)[0]
+        return sorted(range(len(order)), key=order.__getitem__)  # order's inverse
+
+
+def regular_table(P: Presentation,
+                  cap: int = DEFAULT_COSET_CAP) -> RegularTable | CosetTable:
+    """The group of P on star coordinates, from `star_cosets(P, cap)`, the
+    enumeration of `lcsq group`; a capped table keeps the live cosets times
+    |S| elements they stand for as its live count.  Each relator must fix
+    (0, t) for every coset t, else RuntimeError; since xor by s commutes
+    with the action, every relator then fixes every element, and the
+    group's action on its own number of points is its regular action."""
     S, T = star_cosets(P, cap)
     if not T.is_complete:
         return CosetTable(P, (), "capped", T.live_at_cap * S.order)
-    k = T.num_cosets
-    # cols[g][s·k + t] is the position of (s, t)·g
-    cols = [[(s ^ x) * k + d for s in range(S.order) for x, d in zip(sig, col)]
-            for col, sig in zip(T.columns, _sigma(T, S))]
-    starts = list(range(k))  # the elements (0, t)
+    tree = spanning_tree(T.columns)
+    R = RegularTable(T, S.letters, tuple(_sigma(T, S, tree)), *tree[1:])
+    starts = R.act(())  # the elements (0, t)
     for rel in P.relators:
-        images = starts
-        for g in rel:
-            images = map(cols[g].__getitem__, images)
-        if list(images) != starts:
+        if R.act(rel) != starts:
             raise RuntimeError(f"relator {rel} moves an element of the lifted table")
-    order = spanning_tree(cols)[0]
-    number = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
-    renumber = number.__getitem__
-    return CosetTable(P, tuple(tuple(map(renumber, map(col.__getitem__, order)))
-                               for col in cols), "complete")
+    return R

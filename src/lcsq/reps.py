@@ -10,8 +10,8 @@ are exact:
   0, +-1, +-i, and every constant arising here is a half, so this ring
   holds all of its arithmetic;
 * GroupAlgebraElement -- elements of the group algebra of a finite group
-  given by a complete regular table, multiplied along its spanning tree's
-  paths, with dyadic-rational coefficients stored the same way.
+  on star coordinates, multiplied through one vector over the star cosets
+  per right factor, with dyadic-rational coefficients stored the same way.
 
 Both keep a dict of nonzero integer numerators and an exponent exp (the
 value is numerators / 2^exp), normalized so that either exp = 0 or some
@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .f2core import LinearSystem, complete_bipartite, incidence_system
-from .fpgroups import CosetTable, abelianized_order, spanning_tree
+from .fpgroups import CosetTable, RegularTable, abelianized_order, spanning_tree
 
 
 # ---------------------------------------------------------------------------
@@ -221,45 +220,41 @@ class DenseElement:
 
 
 class GroupAlgebraContext:
-    """Multiplication and inversion for a finite group given by any
-    complete regular table: one coset per group element, coset 0 the
-    identity, as `fpgroups.regular_table` builds it (or an enumeration over
-    the trivial subgroup).  Element h is the product of the generators on
-    its path in the table's `fpgroups.spanning_tree`, and since they are
-    involutions, the path read backward is h's inverse.  `abelian` tells
+    """The group algebra of a `fpgroups.RegularTable`, or of any complete
+    regular table (coset 0 the identity) as the case S = 1.  Right
+    multiplication by h is e·h = right(h)[e >> shift] xor (e & (|S| - 1)),
+    one k-vector per h from h's word; h's inverse is that word read
+    backward.  Certificates number the elements as a standardized table
+    does, or a plain table's as it numbers its cosets.  `abelian` tells
     whether the group, and so its group algebra, is commutative."""
 
-    def __init__(self, table: CosetTable):
+    def __init__(self, table: CosetTable | RegularTable):
         if not table.is_complete:
             raise ValueError("group algebra needs a complete coset table")
-        self.table = table
-        self.size = table.num_cosets
-        self.abelian = self.size == abelianized_order(table.presentation)
-        _, self._parent, self._gen = spanning_tree(table.columns)
-        self.inverse = []
-        for h in range(self.size):
-            x = 0
-            for g in self._path(h):
-                x = table.columns[g][x]
-            self.inverse.append(x)
-        self._columns: dict[int, tuple[int, ...]] = {}
+        self._number = None  # computed when a support is first serialized
+        if isinstance(table, CosetTable):
+            zeros = [0] * table.num_cosets
+            table = RegularTable(table, (), (zeros,) * len(table.columns),
+                                 *spanning_tree(table.columns)[1:])
+            self._number = range(table.num_cosets)
+        self.table, self.size, self.shift = table, table.num_cosets, len(table.letters)
+        self.abelian = self.size == abelianized_order(table.cosets.presentation)
+        self._right, self._inverse = {}, {}  # k-vectors and inverses by element
 
-    def _path(self, h: int):
-        """The generators on h's tree path, from h back to the identity."""
-        while h:
-            yield self._gen[h]
-            h = self._parent[h]
+    def right(self, h: int) -> list[int]:
+        if h not in self._right:
+            self._right[h] = self.table.act(self.table.word(h))
+        return self._right[h]
 
-    def column(self, h: int) -> tuple[int, ...]:
-        """Right multiplication by element h as a map on all elements."""
-        col = self._columns.get(h)
-        if col is None:
-            col = tuple(range(self.size))
-            for g in reversed([*self._path(h)]):
-                # one C-level call; a tuple, as a path with letters means n >= 2
-                col = itemgetter(*col)(self.table.columns[g])
-            self._columns[h] = col
-        return col
+    def inverse(self, h: int) -> int:
+        if h not in self._inverse:
+            self._inverse[h] = self.table.element(self.table.word(h)[::-1])
+        return self._inverse[h]
+
+    def numbering(self):
+        if self._number is None:
+            self._number = self.table.numbering()
+        return self._number
 
     def basis_element(self, g: int) -> GroupAlgebraElement:
         return GroupAlgebraElement(self, {g: 1}, 0)
@@ -305,13 +300,15 @@ class GroupAlgebraElement:
     def __mul__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
         if self.ctx is not other.ctx:
             raise ValueError("elements live over different group algebras")
+        ctx, m = self.ctx, self.ctx.shift
+        left = [(g >> m, g & ((1 << m) - 1), a) for g, a in self.coeffs.items()]
         out: dict[int, int] = {}
         for h, b in other.coeffs.items():
-            col = self.ctx.column(h)
-            for g, a in self.coeffs.items():
-                gh = col[g]
+            right = ctx.right(h)
+            for t, s, a in left:
+                gh = right[t] ^ s
                 out[gh] = out.get(gh, 0) + a * b
-        return GroupAlgebraElement(self.ctx, out, self.exp + other.exp)
+        return GroupAlgebraElement(ctx, out, self.exp + other.exp)
 
     def unit(self) -> GroupAlgebraElement:
         return self.ctx.basis_element(0)
@@ -320,9 +317,9 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.ctx, self.coeffs, self.exp + 1)
 
     def adjoint(self) -> GroupAlgebraElement:
-        inv = self.ctx.inverse
+        inverse = self.ctx.inverse
         return GroupAlgebraElement(self.ctx,
-                                   {inv[g]: c for g, c in self.coeffs.items()},
+                                   {inverse(g): c for g, c in self.coeffs.items()},
                                    self.exp)
 
     def residual_norm(self) -> float:
@@ -330,8 +327,10 @@ class GroupAlgebraElement:
         return sum(abs(c) for c in self.coeffs.values()) / float(1 << self.exp)
 
     def support(self) -> list[tuple[int, int, int]]:
-        """JSON-facing support list [[element, numerator, log2 denominator]]."""
-        return [[g, self.coeffs[g], self.exp] for g in sorted(self.coeffs)]
+        """JSON-facing support list [[element, numerator, log2 denominator]],
+        elements by their numbers in certificates."""
+        number = self.ctx.numbering()
+        return sorted([number[g], c, self.exp] for g, c in self.coeffs.items())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement) and self.ctx is other.ctx
@@ -495,10 +494,10 @@ def pauli_magic_square_rep(distinguished: int = 0) -> Representation:
     return rep
 
 
-def group_algebra_rep(P, T: CosetTable) -> Representation:
+def group_algebra_rep(P, T: CosetTable | RegularTable) -> Representation:
     """Exact regular model: x_i maps to its own group element in the group
-    algebra over a complete regular table (see `GroupAlgebraContext`)."""
+    algebra of `regular_table`'s group, or of a complete regular table."""
     ctx = GroupAlgebraContext(T)
     nvars = P.ngens - (1 if "gamma" in P.generators else 0)
-    images = [ctx.basis_element(T.columns[i][0]) for i in range(nvars)]
+    images = [ctx.basis_element(ctx.table.element((i,))) for i in range(nvars)]
     return Representation(images, "group_algebra", name="regular")

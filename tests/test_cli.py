@@ -332,6 +332,40 @@ K33_PAULI_CERT_SHA256 = (
     "1c272c3d4cdf01700c2bed5ae9f5bc39d81afa0e57a0e88db0d483a7935f15bc")
 
 
+# K3,5's regular certificate: |S| = 16 and k = 512 star cosets, where K3,4
+# has 8 and 32; measured while `regular_table` built all 8192 elements'
+# columns and renumbered them
+K35_REGULAR_CERT_SHA256 = (
+    "79726da330f75fbc66d55be20b2c08bf88423240f12647b1b9bfe2eba8317f35")
+
+
+def test_cert_qut_regular_k35_out_is_pinned(files, monkeypatch):
+    monkeypatch.chdir(files)
+    assert run("cert", "qut", "--graph", "k35.g", "--rep", "regular", "--out", "c.json") == 0
+    assert hashlib.sha256((files / "c.json").read_bytes()).hexdigest() == \
+        K35_REGULAR_CERT_SHA256
+
+
+@pytest.mark.parametrize("out, sizes", [((), [512]), (("--out", "c.json"), [512, 8192])])
+def test_k35_regular_cert_walks_the_elements_only_to_write_them(files, monkeypatch,
+                                                                 out, sizes):
+    # the breadth-first tree of the 512 star cosets serves both the lift and
+    # the group algebra's words; the 8192 elements get one tree, which numbers
+    # them, and only when a certificate is written
+    sizes_seen = []
+    tree = fpgroups.spanning_tree
+
+    def counting(columns):
+        sizes_seen.append(len(columns[0]))
+        return tree(columns)
+
+    monkeypatch.setattr(fpgroups, "spanning_tree", counting)
+    monkeypatch.setattr(reps, "spanning_tree", counting)
+    monkeypatch.chdir(files)
+    assert run("cert", "qut", "--graph", "k35.g", "--rep", "regular", *out) == 0
+    assert sizes_seen == sizes
+
+
 def test_cert_qiso_pauli_out_is_pinned(files, monkeypatch):
     monkeypatch.chdir(files)
     assert run("cert", "qiso", "--graph", "k33.g", "--b1", "000000", "--b2", "100000",
@@ -517,8 +551,8 @@ from lcsq.cli import main
 sigma = fp._sigma
 
 
-def one_wrong(T, S):
-    s = sigma(T, S)
+def one_wrong(*args):
+    s = sigma(*args)
     s[-1][0] ^= 1
     return s
 

@@ -16,7 +16,7 @@ from lcsq.f2core import SimpleGraph
 from lcsq.fpgroups import (COMPACT_SLACK, CosetTable, Presentation, regular_perm_rep,
                            regular_table, solution_presentation, spanning_tree,
                            star_cosets, star_subgroup, todd_coxeter, word_is_identity)
-from lcsq.reps import GroupAlgebraContext
+from lcsq.reps import GroupAlgebraContext, GroupAlgebraElement
 
 
 def abelianized_order_by_rank(M: BinMatrix) -> int:
@@ -71,6 +71,23 @@ def standardized(T: CosetTable) -> tuple[tuple[int, ...], ...]:
         for c, d in enumerate(col):
             new[number[c]] = number[d]
         columns.append(tuple(new))
+    return tuple(columns)
+
+
+def numbered_columns(R) -> tuple[tuple[int, ...], ...]:
+    """The generator columns of a regular table in the numbering that its
+    certificates use, read through the group algebra: x, the sum of
+    (e + 1)·e over the elements e, gives e's number in its support and
+    e·g's number in the support of x·g, each beside the coefficient e + 1."""
+    ctx = GroupAlgebraContext(R)
+    x = GroupAlgebraElement(ctx, {e: e + 1 for e in range(ctx.size)}, 0)
+    number = {c: e for e, c, _ in x.support()}
+    columns = []
+    for g in range(R.cosets.presentation.ngens):
+        column = [-1] * ctx.size
+        for d, c, _ in (x * ctx.basis_element(R.element((g,)))).support():
+            column[number[c]] = d
+        columns.append(tuple(column))
     return tuple(columns)
 
 
@@ -409,7 +426,7 @@ def test_no_qualifying_relator_uses_the_trivial_subgroup():
     S, T = star_cosets(P)
     assert S.letters == () and S.order == 1 and S.abelianized_order == 1
     assert T.num_cosets == todd_coxeter(P, []).num_cosets == 1
-    assert regular_table(P).columns == ((0,), (0,), (0,))
+    assert numbered_columns(regular_table(P)) == ((0,), (0,), (0,))
 
 
 @pytest.mark.parametrize("cap, order", [(10 ** 6, 8), (8, 8), (7, 4), (5, 4), (2, 2),
@@ -469,7 +486,7 @@ def test_star_route_matches_trivial_subgroup_enumeration(case):
     assert word_is_identity(T, S, word) is (full.follow(0, word) == 0)
     if P.ngens == sys.num_vars:  # a homogeneous presentation
         assert S.abelianized_order == abelianized_order_by_rank(sys.M)
-    assert regular_table(P).columns == standardized(full)
+    assert numbered_columns(regular_table(P)) == standardized(full)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +521,11 @@ def test_k35_relators_act_trivially(table35):
 def test_regular_table_is_the_standardized_enumeration(request, fixture):
     full = request.getfixturevalue(fixture)
     R = regular_table(full.presentation)
-    assert R.is_complete and R.presentation is full.presentation
-    assert R.columns == standardized(full)
+    assert R.is_complete and R.cosets.presentation is full.presentation
+    columns = numbered_columns(R)
+    assert columns == standardized(full)
     # the enumerator numbers K3,3's 16 cosets breadth-first already
-    assert (R.columns == full.columns) is (fixture == "table33")
+    assert (columns == full.columns) is (fixture == "table33")
 
 
 def test_regular_table_over_a_trivial_star():
@@ -516,35 +534,82 @@ def test_regular_table_over_a_trivial_star():
     assert star_subgroup(P).order == 1
     R = regular_table(P)
     assert R.num_cosets == 6
-    assert R.columns == standardized(todd_coxeter(P, []))
+    assert numbered_columns(R) == standardized(todd_coxeter(P, []))
 
 
 CONTEXT_CAP = 256
 
+# a linear combination of group elements: (word, numerator) terms over 2^exp
+combinations = st.tuples(
+    st.lists(st.tuples(st.lists(st.integers(0, 99), max_size=6), st.integers(-3, 3)),
+             min_size=1, max_size=4),
+    st.integers(0, 2))
+
+
+@st.composite
+def context_cases(draw):
+    """Gamma_0 or Gamma(M, e1) of a random `small_graphs` graph, and two
+    random combinations of its elements."""
+    H = draw(small_graphs())
+    P = solution_presentation(incidence_system(H, (1,) + (0,) * (H.num_vertices - 1)),
+                              draw(st.booleans()))
+    return P, draw(combinations), draw(combinations)
+
+
+def _element(ctx, element_of, ngens, combination):
+    """A combination's element over a context, each word's element given
+    by `element_of` (its letters taken mod ngens)."""
+    terms, exp = combination
+    coeffs: dict[int, int] = {}
+    for word, c in terms:
+        e = element_of(tuple(g % ngens for g in word))
+        coeffs[e] = coeffs.get(e, 0) + c
+    return GroupAlgebraElement(ctx, coeffs, exp)
+
+
+K33_GAMMA = solution_presentation(incidence_system(complete_bipartite(3, 3),
+                                                   (1, 0, 0, 0, 0, 0)), False)
+
 
 @settings(max_examples=60, deadline=None)
-@given(small_graphs(), st.booleans())
-@example(complete_bipartite(3, 3), False)  # non-abelian, of order 32
-def test_context_columns_and_inverses_match_the_enumeration(H, homogeneous):
-    # Gamma_0 or Gamma(M, e1), over the regular table and over the
-    # trivial-subgroup enumeration: h's column maps a to a·h and h's inverse
-    # is h's word reversed, both read through `follow` in the enumeration
-    # and renumbered to the table's numbering
-    P = solution_presentation(incidence_system(H, (1,) + (0,) * (H.num_vertices - 1)),
-                              homogeneous)
+@given(context_cases())
+# S = 1 with k = 6, not a power of two: the dihedral group of order 6
+@example((Presentation(("a", "b"), ((0, 0), (1, 1), (0, 1, 0, 1, 0, 1))),
+          ([((0,), 1), ((1, 0), -2), ((0, 1, 0), 3)], 1), ([((1,), 1), ((0, 1), 1)], 0)))
+# K3,3's Gamma(M, e1): non-abelian, of order 32
+@example((K33_GAMMA, ([((0, 9), 1), ((1, 3, 0), -1)], 0),
+          ([((4, 2), 1), ((4,), 1), ((), 2)], 2)))
+def test_context_products_and_adjoints_match_the_enumeration(case):
+    # products and adjoints over the regular table equal those over the
+    # trivial-subgroup enumeration, whose supports are renumbered by
+    # `standard_numbering`; over the enumeration, the product and adjoint of
+    # basis elements u and v are u·w_v and w_u reversed, read by `follow`
+    P, a, b = case
     full = todd_coxeter(P, [], CONTEXT_CAP)
     if not full.is_complete:
         return  # a group beyond the cap: no reference to compare with
-    n = full.num_cosets
+    number = standard_numbering(full)
+    R = regular_table(P)
+    ctx_r, ctx_f = GroupAlgebraContext(R), GroupAlgebraContext(full)
+    x_r, y_r = (_element(ctx_r, R.element, P.ngens, c) for c in (a, b))
+    x_f, y_f = (_element(ctx_f, lambda w: full.follow(0, w), P.ngens, c) for c in (a, b))
+
+    def renumbered(support):
+        return sorted([number[e], c, exp] for e, c, exp in support)
+
+    product: dict[int, int] = {}
+    for u, c in x_f.coeffs.items():
+        for word, d in b[0]:
+            e = full.follow(u, tuple(g % P.ngens for g in word))
+            product[e] = product.get(e, 0) + c * d
+    assert x_f * y_f == GroupAlgebraElement(ctx_f, product, x_f.exp + b[1])
     words = rep_words(full)
-    for T, number in ((regular_table(P), standard_numbering(full)), (full, range(n))):
-        ctx = GroupAlgebraContext(T)
-        for h, word in words.items():
-            column = [0] * n
-            for a in range(n):
-                column[number[a]] = number[full.follow(a, word)]
-            assert ctx.column(number[h]) == tuple(column)
-            assert ctx.inverse[number[h]] == number[full.follow(0, word[::-1])]
+    adjoint = {full.follow(0, words[u][::-1]): c for u, c in x_f.coeffs.items()}
+    assert x_f.adjoint() == GroupAlgebraElement(ctx_f, adjoint, x_f.exp)
+    for left, right in ((x_r * y_r, x_f * y_f), (y_r * x_r, y_f * x_f),
+                        (x_r.adjoint(), x_f.adjoint()),
+                        ((x_r * y_r).adjoint(), (x_f * y_f).adjoint())):
+        assert left.support() == renumbered(right.support())
 
 
 @pytest.mark.parametrize("cap", [1, 10, 255])
@@ -562,8 +627,8 @@ def test_capped_regular_table_counts_group_elements(k34_sys0, cap):
 def test_a_wrong_sigma_entry_fails_the_relator_check(k34_sys0, monkeypatch):
     sigma = fp._sigma
 
-    def one_wrong(T, S):
-        s = sigma(T, S)
+    def one_wrong(*args):
+        s = sigma(*args)
         s[-1][0] ^= 1
         return s
 

@@ -1012,7 +1012,7 @@ def not_selfadjoint(cert):
         d = cert.identity.dim
         return DenseElement([[1j if r == c else 0 for c in range(d)] for r in range(d)])
     ctx = cert.identity.ctx
-    g = next(g for g in range(ctx.size) if ctx.inverse[g] != g)
+    g = next(g for g in range(ctx.size) if ctx.inverse(g) != g)
     return ctx.basis_element(g)
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import BinMatrix, LinearSystem, complete_bipartite, incidence_system
-from lcsq.fpgroups import Presentation, regular_perm_rep, solution_presentation, todd_coxeter
+from lcsq.fpgroups import (Presentation, regular_perm_rep, regular_table,
+                           solution_presentation, todd_coxeter)
 from lcsq.reps import (DenseElement, GroupAlgebraContext, GroupAlgebraElement,
                        Representation, group_algebra_rep, pauli_magic_square_rep,
                        verify_representation)
@@ -218,9 +221,27 @@ def test_combine_rejects_mixed_algebras(ctx33, table34):
 
 def test_group_algebra_inverse_map(table34):
     ctx = GroupAlgebraContext(table34)
+    one = ctx.basis_element(0)
     for g in range(ctx.size):
-        assert ctx.column(ctx.inverse[g])[g] == 0  # g * g^{-1} = identity
-        assert ctx.inverse[ctx.inverse[g]] == g
+        assert ctx.basis_element(g) * ctx.basis_element(ctx.inverse(g)) == one
+        assert ctx.inverse(ctx.inverse(g)) == g
+
+
+def test_no_reference_cycle_keeps_a_context_alive(k34_sys0):
+    # a context's caches (products, inverses, the numbering) go with the
+    # last element over it, without waiting for a cyclic collection
+    P = solution_presentation(k34_sys0, homogeneous=True)
+    gc.disable()
+    try:
+        R = group_algebra_rep(P, regular_table(P))
+        ctx = weakref.ref(R.images[0].ctx)
+        x, y = R.images[0], R.images[5]
+        z = (x * y - y * x).adjoint()
+        assert z.support()
+        del R, x, y, z
+        assert ctx() is None
+    finally:
+        gc.enable()
 
 
 def test_adjoint_is_involutive_antiautomorphism(table34):
