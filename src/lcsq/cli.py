@@ -16,7 +16,6 @@ so identical configurations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from dataclasses import dataclass, asdict
@@ -99,11 +98,7 @@ def _load_system(cfg: RunConfig) -> f2core.LinearSystem:
 
 def _build_graph(cfg: RunConfig, sys_: f2core.LinearSystem) -> graphs.ColoredGraph:
     construction = cfg.construction or ("Gstar" if cfg.graph_path else "G")
-    if construction == "G":
-        return graphs.build_G(sys_)
-    if construction == "Gstar":
-        return graphs.build_Gstar(sys_)
-    raise UsageError(f"unknown construction {construction!r}")
+    return graphs.build_G(sys_) if construction == "G" else graphs.build_Gstar(sys_)
 
 
 def _cap(cfg: RunConfig) -> int:
@@ -206,6 +201,8 @@ def cmd_cert(cfg: RunConfig) -> int:
     m = sys_.num_constraints
     b1 = _parse_bits(cfg.b1, m, "--b1") if cfg.b1 else sys_.b
     if cfg.subcommand == "qut":
+        if cfg.b2 is not None:
+            raise UsageError("qut takes no --b2: its column graph is its row graph")
         b2 = b1
     else:
         if not cfg.b2:
@@ -223,23 +220,21 @@ def cmd_cert(cfg: RunConfig) -> int:
         if sum(xor_b) != 1:
             raise UsageError("--rep pauli needs b1+b2 with exactly one 1")
         R = reps.pauli_magic_square_rep(xor_b.index(1))
-    elif cfg.rep == "regular":
+    else:  # regular
         if any(xor_b):
             raise UsageError("--rep regular represents the homogeneous group; "
                              "b1 and b2 must agree")
         P = fpgroups.solution_presentation(sys_.with_b(xor_b), homogeneous=True)
         cap = _cap(cfg)
         table = fpgroups.regular_table(P, cap)
-        if not table.is_complete:
+        if table is None:
             print(f"coset enumeration exceeded cap {cap}")
             return EXIT_CAP
-        R = reps.group_algebra_rep(P, table)
-    else:
-        raise UsageError("--rep must be pauli or regular")
+        R = reps.group_algebra_rep(table)
 
     mode = "qut" if cfg.subcommand == "qut" else "iso"
     cert = qcert.build_magic_unitary(G1, G2, R)
-    report = qcert.verify_cert(cert, mode)
+    report = qcert.verify_cert(cert)
     result: dict = {"config": cfg.echo(), "mode": mode,
                     "verification": report.to_json_dict()}
     lines = [f"certificate {'passes' if report.passed else 'FAILS'} "
@@ -259,7 +254,7 @@ def cmd_cert(cfg: RunConfig) -> int:
     if cfg.lift and passed:
         pa = decolor.canonical_assignment(G1, _pick_c0(cfg, G1))
         lifted = qcert.lift_cert(cert, report, pa)
-        lift_report = qcert.verify_cert(lifted, mode)
+        lift_report = qcert.verify_cert(lifted)
         result["lifted_verification"] = lift_report.to_json_dict()
         lines.append(f"lifted certificate over {lifted.row_graph.num_vertices}-vertex graphs "
                      f"{'passes' if lift_report.passed else 'FAILS'}")
@@ -398,16 +393,9 @@ def main(argv=None) -> int:
         if args.command == "iso":
             cfg = RunConfig("iso", map_out=args.map_out, json_out=args.json_out)
             return cmd_iso(cfg, args.graph1, args.graph2)
-        if args.command == "aut":
-            cfg = RunConfig("aut", json_out=args.json_out)
-            return cmd_aut(cfg, args.graph)
-        raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, f2core.SystemFormatError, OSError,
-            json.JSONDecodeError, ValueError) as exc:
+        return cmd_aut(RunConfig("aut", json_out=args.json_out), args.graph)
+    except (OSError, ValueError) as exc:  # usage, parse and file errors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:  # malformed JSON documents
-        print(f"error: missing field {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, qcert.CertificateError) as exc:
         # a library self-check failed: every certificate input is built here

@@ -603,7 +603,6 @@ class RegularTable:
     sigma: tuple[list[int], ...]
     parent: list[int]
     gen: list[int]
-    is_complete = True  # a capped enumeration gives a capped CosetTable
 
     @property
     def num_cosets(self) -> int:
@@ -650,16 +649,16 @@ class RegularTable:
 
 
 def regular_table(P: Presentation,
-                  cap: int = DEFAULT_COSET_CAP) -> RegularTable | CosetTable:
+                  cap: int = DEFAULT_COSET_CAP) -> RegularTable | None:
     """The group of P on star coordinates, from `star_cosets(P, cap)`, the
-    enumeration of `lcsq group`; a capped table keeps the live cosets times
-    |S| elements they stand for as its live count.  Each relator must fix
-    (0, t) for every coset t, else RuntimeError; since xor by s commutes
-    with the action, every relator then fixes every element, and the
-    group's action on its own number of points is its regular action."""
+    enumeration of `lcsq group`, or None when it is capped (`star_cosets`
+    holds the cap rule).  Each relator must fix (0, t) for every coset t,
+    else RuntimeError; since xor by s commutes with the action, every
+    relator then fixes every element, and the group's action on its own
+    number of points is its regular action."""
     S, T = star_cosets(P, cap)
     if not T.is_complete:
-        return CosetTable(P, (), "capped", T.live_at_cap * S.order)
+        return None
     tree = spanning_tree(T.columns)
     R = RegularTable(T, S.letters, tuple(_sigma(T, S, tree)), *tree[1:])
     starts = R.act(())  # the elements (0, t)

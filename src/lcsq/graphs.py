@@ -345,12 +345,14 @@ def to_json_dict(G: ColoredGraph) -> dict:
 _ABSENT = object()
 _FIELD_TYPES = {"vertices": (("id", int), ("label", str), ("color", str)),
                 "edges": (("u", int), ("v", int), ("color", str))}
+_REQUIRED = {"id", "u", "v"}
 
 
 def from_json_dict(data: dict) -> ColoredGraph:
     """The graph of a JSON document in `to_json_dict`'s format.  Raises
     ValueError naming the field where the document departs from it: ids and
-    endpoints must be ints, labels strings, and colors canonical colors."""
+    endpoints must be present and ints, labels strings, and colors canonical
+    colors, in lists "vertices" and "edges"."""
     if not isinstance(data, dict):
         raise ValueError("a graph document must be a JSON object")
     meta = data.get("meta", {})
@@ -359,12 +361,16 @@ def from_json_dict(data: dict) -> ColoredGraph:
     if "system" in meta:
         parse_system(meta["system"])  # raises on a malformed system
     for where, fields in _FIELD_TYPES.items():
+        if where not in data:
+            raise ValueError(f"missing field {where!r}")
         records = data[where]
         if not (isinstance(records, list) and all(map(isinstance, records, repeat(dict)))):
             raise ValueError(f'"{where}" must be a list of objects')
         for key, kind in fields:
             found = set(map(type, map(dict.get, records, repeat(key), repeat(_ABSENT))))
-            if found - {kind, object}:  # object: the key is absent
+            if object in found and key in _REQUIRED:  # object: the key is absent
+                raise ValueError(f"missing field {key!r}")
+            if found - {kind, object}:
                 raise ValueError(f'every "{key}" in "{where}" must be '
                                  + ("an integer" if kind is int else "a string"))
     verts, edges = data["vertices"], data["edges"]

@@ -1,7 +1,8 @@
 """Magic-unitary certificates: construction from representations,
-verification against the quantum automorphism / isomorphism relation
-sets, round-trip extraction of the generators, quantum-symmetry
-witnesses, and lifting through the decoloring pipeline.
+verification against the one relation set of their pair of graphs
+(quantum automorphism when the two are one graph), round-trip extraction
+of the generators, quantum-symmetry witnesses, and lifting through the
+decoloring pipeline.
 
 A certificate is a block-sparse matrix of algebra elements indexed by
 vertex pairs (row graph x column graph).  For certificates built from a
@@ -50,7 +51,8 @@ from dataclasses import dataclass
 from .f2core import LinearSystem
 from .graphs import ColoredGraph, block_labels, sign_vectors
 from .decolor import PathAssignment, VertexId, decolor_full
-from .reps import GroupAlgebraElement, Representation, verify_representation
+from .reps import (GroupAlgebraElement, Representation, VerificationReport,
+                   verify_representation)
 
 class CertificateError(Exception):
     """A certificate precondition failed (mismatched inputs, failed source)."""
@@ -158,10 +160,10 @@ def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
     sys_xor = LinearSystem(s1.M, xor_b)
     if len(R.images) != s1.M.cols:
         raise CertificateError(f"{len(R.images)} images for {s1.M.cols} variables")
-    report = verify_representation(R, sys_xor, "iso")
+    report = verify_representation(R, sys_xor)
     if not report.passed:
         raise CertificateError(
-            f"representation fails for b+b': {report.worst} "
+            f"representation fails for b+b': {report.worst[0]} "
             f"(residual {report.max_residual:.3g})")
 
     one = R.identity()
@@ -186,37 +188,6 @@ def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
 
 # ---------------------------------------------------------------------------
 # Verification
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Residual per relation family, the worst offender, and the verdict."""
-
-    families: tuple  # ((name, residual, worst description), ...)
-    backend: str
-
-    @property
-    def max_residual(self) -> float:
-        return max((r for _, r, _ in self.families), default=0.0)
-
-    @property
-    def worst(self) -> tuple:
-        if not self.families:
-            return ("", 0.0, "")
-        return max(self.families, key=lambda f: f[1])
-
-    @property
-    def passed(self) -> bool:
-        return all(r == 0.0 for _, r, _ in self.families)
-
-    def residual(self, family: str) -> float:
-        return max((r for n, r, _ in self.families if n == family), default=0.0)
-
-    def to_json_dict(self) -> dict:
-        return {"passed": self.passed, "backend": self.backend,
-                "max_residual": self.max_residual,
-                "families": [{"name": n, "residual": r, "worst": w}
-                             for n, r, w in self.families]}
 
 
 def _edge_classes(G: ColoredGraph) -> dict[str, list[tuple[int, int]]]:
@@ -332,8 +303,11 @@ def _color_family(cert: MagicUnitaryCert) -> tuple[str, float, str]:
     return ("color", worst, desc)
 
 
-def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
-    """Check the full relation set of the certificate.
+def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
+    """Check the one relation set of a magic unitary u over (G, G'), with
+    A_G·u = u·A_G' for every edge color; G' = G is the quantum automorphism
+    case.  Graphs of different sizes need no separate check: their row or
+    column sums cannot all be the nonzero identity.
 
     Families: entry projections; row and column sums = identity; color
     vanishing; intertwining with every edge-color adjacency matrix; and,
@@ -359,10 +333,6 @@ def verify_cert(cert: MagicUnitaryCert, mode: str) -> VerificationReport:
     The projection family finds which entries are self-adjoint, and a
     same-block commutator of two of them takes one product.
     """
-    if mode not in ("qut", "iso"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "qut" and cert.row_graph.num_vertices != cert.col_graph.num_vertices:
-        raise CertificateError("qut mode needs equal row and column graphs")
     families: list[tuple[str, float, str]] = []
     G1, G2 = cert.row_graph, cert.col_graph
 
@@ -494,7 +464,7 @@ def extract_generators(cert: MagicUnitaryCert) -> ExtractionReport:
     deviation is reported, together with the residual against the source
     representation when one is attached.
     """
-    report = verify_cert(cert, "iso")
+    report = verify_cert(cert)
     if not report.passed:
         raise CertificateError(
             f"certificate fails verification: {report.worst[0]} "
@@ -594,11 +564,11 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
     """Transport a verified certificate over (G, G') to their decolorings
     under the path assignment `pa`, returning the lifted certificate.
 
-    `report` is `verify_cert`'s report on `cert` (either mode: the residuals
-    are the same).  This raises exactly when the report fails, without
-    re-verifying the source.  Both decolorings are built here, with
-    `decolor_full` under `pa` (one, when the two graphs are one object), so
-    they cannot disagree with each other or with the certificate.
+    `report` is `verify_cert`'s report on `cert`.  This raises exactly when
+    the report fails, without re-verifying the source.  Both decolorings are
+    built here, with `decolor_full` under `pa` (one, when the two graphs are
+    one object), so they cannot disagree with each other or with the
+    certificate.
 
     A vertex of G and its path inherit the source entry at equal path
     positions; subdivision vertices of same-colored edges e = (a, b) and

@@ -221,18 +221,19 @@ class DenseElement:
 
 class GroupAlgebraContext:
     """The group algebra of a `fpgroups.RegularTable`, or of any complete
-    regular table (coset 0 the identity) as the case S = 1.  Right
-    multiplication by h is e·h = right(h)[e >> shift] xor (e & (|S| - 1)),
-    one k-vector per h from h's word; h's inverse is that word read
-    backward.  Certificates number the elements as a standardized table
-    does, or a plain table's as it numbers its cosets.  `abelian` tells
-    whether the group, and so its group algebra, is commutative."""
+    regular `CosetTable` (coset 0 the identity) as the case S = 1; a capped
+    `CosetTable` is a ValueError.  Right multiplication by h is
+    e·h = right(h)[e >> shift] xor (e & (|S| - 1)), one k-vector per h from
+    h's word; h's inverse is that word read backward.  Certificates number
+    the elements as a standardized table does, or a plain table's as it
+    numbers its cosets.  `abelian` tells whether the group, and so its group
+    algebra, is commutative."""
 
     def __init__(self, table: CosetTable | RegularTable):
-        if not table.is_complete:
-            raise ValueError("group algebra needs a complete coset table")
         self._number = None  # computed when a support is first serialized
         if isinstance(table, CosetTable):
+            if not table.is_complete:
+                raise ValueError("group algebra needs a complete coset table")
             zeros = [0] * table.num_cosets
             table = RegularTable(table, (), (zeros,) * len(table.columns),
                                  *spanning_tree(table.columns)[1:])
@@ -371,36 +372,45 @@ class Representation:
 
 
 @dataclass(frozen=True)
-class RepVerification:
-    """Residual of every defining relation, plus the overall verdict."""
+class VerificationReport:
+    """Residual per relation family, the worst offender, and the verdict:
+    `verify_representation`'s report on a representation, one family per
+    relation, and `qcert.verify_cert`'s on a certificate."""
 
-    entries: tuple  # ((name, residual), ...)
+    families: tuple  # ((name, residual, worst description), ...)
+    backend: str
 
     @property
     def max_residual(self) -> float:
-        return max((r for _, r in self.entries), default=0.0)
+        return max((r for _, r, _ in self.families), default=0.0)
 
     @property
-    def worst(self) -> str:
-        if not self.entries:
-            return ""
-        return max(self.entries, key=lambda e: e[1])[0]
+    def worst(self) -> tuple:
+        if not self.families:
+            return ("", 0.0, "")
+        return max(self.families, key=lambda f: f[1])
 
     @property
     def passed(self) -> bool:
-        return all(r == 0.0 for _, r in self.entries)
+        return all(r == 0.0 for _, r, _ in self.families)
+
+    def residual(self, family: str) -> float:
+        return max((r for n, r, _ in self.families if n == family), default=0.0)
+
+    def to_json_dict(self) -> dict:
+        return {"passed": self.passed, "backend": self.backend,
+                "max_residual": self.max_residual,
+                "families": [{"name": n, "residual": r, "worst": w}
+                             for n, r, w in self.families]}
 
 
-def verify_representation(R: Representation, sys: LinearSystem,
-                          mode: str) -> RepVerification:
-    """Check the defining relations of the solution-group relation set.
-
-    mode "qut" checks the homogeneous relations (every constraint product
-    equals +1); mode "iso" checks products against (-1)^{b_k}.  A relation
-    holds only when its residual is literally zero.
+def verify_representation(R: Representation, sys: LinearSystem) -> VerificationReport:
+    """Check the defining relations of the solution-group relation set of
+    `sys`: each x_i self-adjoint and an involution, images sharing a
+    constraint commuting, and each constraint product equal to (-1)^{b_k}.
+    One family per relation, with no worst description; a relation holds
+    only when its residual is literally zero.
     """
-    if mode not in ("qut", "iso"):
-        raise ValueError(f"unknown mode {mode!r}")
     if len(R.images) != sys.num_vars:
         raise ValueError(f"{len(R.images)} images for {sys.num_vars} variables")
     if R.backend == "dense":
@@ -409,26 +419,24 @@ def verify_representation(R: Representation, sys: LinearSystem,
             raise ValueError(f"mixed dense dimensions {sorted(dims)}")
 
     one = R.identity()
-    entries = []
+    families = []
     for i, x in enumerate(R.images):
-        entries.append((f"selfadjoint:x{i + 1}", (x - x.adjoint()).residual_norm()))
-        entries.append((f"involution:x{i + 1}", (x * x - one).residual_norm()))
+        families.append((f"selfadjoint:x{i + 1}", (x - x.adjoint()).residual_norm(), ""))
+        families.append((f"involution:x{i + 1}", (x * x - one).residual_norm(), ""))
 
     for i, j in sys.sharing_pairs():
         xi, xj = R.images[i], R.images[j]
-        entries.append((f"commute:x{i + 1},x{j + 1}",
-                        (xi * xj - xj * xi).residual_norm()))
+        families.append((f"commute:x{i + 1},x{j + 1}",
+                         (xi * xj - xj * xi).residual_norm(), ""))
 
     for k in range(sys.num_constraints):
         prod = one
         for i in sys.support(k):
             prod = prod * R.images[i]
-        target = one
-        if mode == "iso" and sys.b[k] == 1:
-            target = -one
-        entries.append((f"product:k{k + 1}", (prod - target).residual_norm()))
+        target = -one if sys.b[k] else one
+        families.append((f"product:k{k + 1}", (prod - target).residual_norm(), ""))
 
-    return RepVerification(tuple(entries))
+    return VerificationReport(tuple(families), R.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +496,18 @@ def pauli_magic_square_rep(distinguished: int = 0) -> Representation:
                 images[3 * a + b_] = cells[a][tau[b_]]
 
     rep = Representation(images, "dense", name="pauli-magic-square")
-    report = verify_representation(rep, sys, "iso")
+    report = verify_representation(rep, sys)
     if not report.passed:  # construction bug, not a data condition
-        raise RuntimeError(f"magic square failed verification: {report.worst}")
+        raise RuntimeError(f"magic square failed verification: {report.worst[0]}")
     return rep
 
 
-def group_algebra_rep(P, T: CosetTable | RegularTable) -> Representation:
+def group_algebra_rep(T: CosetTable | RegularTable) -> Representation:
     """Exact regular model: x_i maps to its own group element in the group
-    algebra of `regular_table`'s group, or of a complete regular table."""
+    algebra of `regular_table`'s group, or of a complete regular table,
+    over the presentation the table was enumerated from."""
     ctx = GroupAlgebraContext(T)
+    P = ctx.table.cosets.presentation
     nvars = P.ngens - (1 if "gamma" in P.generators else 0)
     images = [ctx.basis_element(ctx.table.element((i,))) for i in range(nvars)]
     return Representation(images, "group_algebra", name="regular")

@@ -94,12 +94,12 @@ def pauli_cert(gstar33_0, gstar33_e1, pauli_rep):
 
 
 @pytest.fixture(scope="session")
-def exact_cert33(gstar33_0, k33_sys0, table33):
-    rep = group_algebra_rep(solution_presentation(k33_sys0, True), table33)
+def exact_cert33(gstar33_0, table33):
+    rep = group_algebra_rep(table33)
     return build_magic_unitary(gstar33_0, gstar33_0, rep)
 
 
 @pytest.fixture(scope="session")
-def exact_cert34(gstar34, k34_sys0, table34):
-    rep = group_algebra_rep(solution_presentation(k34_sys0, True), table34)
+def exact_cert34(gstar34, table34):
+    rep = group_algebra_rep(table34)
     return build_magic_unitary(gstar34, gstar34, rep)

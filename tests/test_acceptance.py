@@ -127,7 +127,7 @@ def test_criterion_05_non_isomorphism():
 
 def test_criterion_06_pauli_representation():
     rep = pauli_magic_square_rep(0)
-    result = verify_representation(rep, k33_sys(E1), "iso")
+    result = verify_representation(rep, k33_sys(E1))
     assert result.passed
     assert result.max_residual == 0.0
     prod = np.eye(4, dtype=complex)
@@ -143,7 +143,7 @@ def test_criterion_07_quantum_isomorphism_certificate():
         cert = build_magic_unitary(build_Gstar(k33_sys()),
                                    build_Gstar(k33_sys(E1)),
                                    pauli_magic_square_rep(0))
-        result = verify_cert(cert, "iso")
+        result = verify_cert(cert)
         assert result.passed
         assert result.max_residual == 0.0
         names = {n for n, _, _ in result.families}
@@ -174,9 +174,9 @@ def test_criterion_09_k34_quantum_symmetry():
         table = todd_coxeter(P)  # default cap; a cap hit fails here
         assert table.is_complete, "coset enumeration hit the cap"
         assert table.num_cosets > 64
-        rep = group_algebra_rep(P, table)
+        rep = group_algebra_rep(table)
         cert = build_magic_unitary(build_Gstar(sys), build_Gstar(sys), rep)
-        result = verify_cert(cert, "qut")
+        result = verify_cert(cert)
         assert result.passed
         assert result.max_residual == 0.0
         witness = noncommuting_witness(cert)
@@ -223,12 +223,12 @@ def test_criterion_11_property_suites():
     for name, sys in (("k33-qut", sys33), ("k34-qut", sys34)):
         P = solution_presentation(sys, homogeneous=True)
         table = todd_coxeter(P)
-        rep = group_algebra_rep(P, table)
+        rep = group_algebra_rep(table)
         G = build_Gstar(sys)
         certs.append((name, build_magic_unitary(G, G, rep)))
 
     for name, cert in certs:
-        result = verify_cert(cert, "iso")
+        result = verify_cert(cert)
         for family in ("row_sum", "col_sum", "projection",
                        "block_equal", "block_commute"):
             assert result.residual(family) == 0.0, (name, family)

@@ -502,9 +502,9 @@ def test_cert_verifies_each_certificate_once(files, monkeypatch, lift, calls):
     verified = []
     verify = qcert.verify_cert
 
-    def counting(cert, *args):
+    def counting(cert):
         verified.append(cert)
-        return verify(cert, *args)
+        return verify(cert)
 
     monkeypatch.setattr(qcert, "verify_cert", counting)
     argv = ["cert", "qut", "--graph", files / "k33.g", "--rep", "regular"]
@@ -587,6 +587,37 @@ def test_cert_pauli_usage_errors(files):
     assert run("cert", "qiso", "--graph", files / "k33.g", "--rep", "pauli") == 2
 
 
+@pytest.mark.parametrize("b2", ["zz", "111111"])
+def test_cert_qut_rejects_b2(files, capsys, b2):
+    # qut's column graph is its row graph: a --b2, well-formed or not, is
+    # a usage error, not silently dropped
+    assert run("cert", "qut", "--graph", files / "k33.g", "--b2", b2,
+               "--rep", "regular") == 2
+    assert capsys.readouterr().err == (
+        "error: qut takes no --b2: its column graph is its row graph\n")
+
+
+@pytest.mark.parametrize("argv", [["cert", "qut", "--graph", "k33.g", "--rep", "dense"],
+                                  ["build", "--graph", "k33.g", "--construction", "H"]],
+                         ids=["rep-dense", "construction-H"])
+def test_argparse_rejects_unknown_choices(files, monkeypatch, argv):
+    monkeypatch.chdir(files)
+    assert run(*argv) == 2
+
+
+def test_qut_and_qiso_with_equal_b_verify_one_relation_set(files, monkeypatch):
+    # a certificate is checked against the relation set its graphs define,
+    # whichever kind of run built it
+    monkeypatch.chdir(files)
+    assert run("cert", "qut", "--graph", "k34.g", "--rep", "regular",
+               "--report", "qut.json") == 0
+    assert run("cert", "qiso", "--graph", "k34.g", "--b1", "0000000", "--b2", "0000000",
+               "--rep", "regular", "--report", "qiso.json") == 0
+    qut, qiso = (json.loads((files / name).read_text()) for name in ("qut.json", "qiso.json"))
+    assert qut["verification"] == qiso["verification"]
+    assert qut["verification"]["passed"]
+
+
 def test_iso_and_aut(files, capsys):
     a, b = files / "a.json", files / "b.json"
     run("build", "--graph", files / "k33.g", "--construction", "Gstar", "--out", a)
@@ -641,6 +672,33 @@ def test_malformed_graph_documents_exit_2(files, capsys, command, name):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# documents that lack a required field, and the message each one gets
+MISSING_FIELDS = {
+    "vertices": {"edges": []},
+    "id": {"vertices": [{"id": 0}, {"label": "a"}], "edges": []},
+    "v": {"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0}]},
+}
+
+
+@pytest.mark.parametrize("field", sorted(MISSING_FIELDS))
+def test_missing_graph_fields_exit_2(files, capsys, field):
+    bad = files / "bad.json"
+    bad.write_text(json.dumps(MISSING_FIELDS[field]))
+    assert run("aut", bad) == 2
+    assert capsys.readouterr().err == f"error: missing field '{field}'\n"
+
+
+def test_key_error_in_the_library_exits_internal(files, monkeypatch, capsys):
+    # a lookup bug is not a usage error
+    def broken(*args):
+        raise KeyError("orig:0")
+
+    monkeypatch.setattr(qcert, "decolor_full", broken)
+    assert run("cert", "qut", "--graph", files / "k33.g", "--rep", "regular",
+               "--lift") == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal error: KeyError: 'orig:0'\n")
 
 
 # each command with a directory where it reads or writes a file

@@ -29,7 +29,7 @@ ALLOWED = {
     "f2core.BinMatrix.transpose": "the tests' oracle for column operations",
     "graphiso.refine": "the tests' 1-WL oracle for one graph",
     "graphiso.StableColoring.num_classes": "read with `refine` in the tests",
-    "qcert.VerificationReport.residual": "the tests' per-family residual",
+    "reps.VerificationReport.residual": "the tests' per-family residual",
 }
 
 

@@ -61,7 +61,7 @@ def test_pauli_block_commutators_vanish(pauli_rep, k33_sys_e1):
 
 
 def test_pauli_verification_tight(pauli_rep, k33_sys_e1):
-    report = verify_representation(pauli_rep, k33_sys_e1, "iso")
+    report = verify_representation(pauli_rep, k33_sys_e1)
     assert report.passed
     assert report.max_residual == 0.0
 
@@ -71,7 +71,7 @@ def test_pauli_all_distinguished_positions(distinguished):
     rep = pauli_magic_square_rep(distinguished)
     sys = incidence_system(complete_bipartite(3, 3),
                            tuple(int(k == distinguished) for k in range(6)))
-    report = verify_representation(rep, sys, "iso")
+    report = verify_representation(rep, sys)
     assert report.passed
     prod = np.eye(4, dtype=complex)
     for i in sys.support(distinguished):
@@ -89,10 +89,10 @@ def test_swapped_images_fail_with_named_product(pauli_rep, k33_sys_e1):
     images = list(pauli_rep.images)
     images[0], images[4] = images[4], images[0]
     broken = Representation(images, "dense")
-    report = verify_representation(broken, k33_sys_e1, "iso")
+    report = verify_representation(broken, k33_sys_e1)
     assert not report.passed
     assert any(name.startswith("product:") and r > 1.0
-               for name, r in report.entries)
+               for name, r, _ in report.families)
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +102,14 @@ def test_swapped_images_fail_with_named_product(pauli_rep, k33_sys_e1):
 def test_group_algebra_z2():
     P = Presentation(("x",), ((0, 0),))
     T = todd_coxeter(P)
-    R = group_algebra_rep(P, T)
+    R = group_algebra_rep(T)
     x = R.images[0]
     assert x * x == R.identity()
     assert x.adjoint() == x
 
 
-def test_group_algebra_k33_all_commute(table33, k33_sys0):
-    P = solution_presentation(k33_sys0, homogeneous=True)
-    R = group_algebra_rep(P, table33)
+def test_group_algebra_k33_all_commute(table33):
+    R = group_algebra_rep(table33)
     for i in range(9):
         for j in range(i + 1, 9):
             a, b = R.images[i], R.images[j]
@@ -118,8 +117,7 @@ def test_group_algebra_k33_all_commute(table33, k33_sys0):
 
 
 def test_group_algebra_k34_noncommuting_disjoint_pair(table34, k34_sys0):
-    P = solution_presentation(k34_sys0, homogeneous=True)
-    R = group_algebra_rep(P, table34)
+    R = group_algebra_rep(table34)
     sharing = set()
     for k in range(k34_sys0.num_constraints):
         s = k34_sys0.support(k)
@@ -139,9 +137,8 @@ def test_group_algebra_k34_noncommuting_disjoint_pair(table34, k34_sys0):
 
 
 def test_group_algebra_verifies_exactly(table34, k34_sys0):
-    P = solution_presentation(k34_sys0, homogeneous=True)
-    R = group_algebra_rep(P, table34)
-    report = verify_representation(R, k34_sys0, "qut")
+    R = group_algebra_rep(table34)
+    report = verify_representation(R, k34_sys0)
     assert report.passed
     assert report.max_residual == 0.0
 
@@ -150,7 +147,7 @@ def test_group_algebra_requires_complete_table(k34_sys0):
     P = solution_presentation(k34_sys0, homogeneous=True)
     partial = todd_coxeter(P, [], cap=10)
     with pytest.raises(ValueError, match="complete"):
-        group_algebra_rep(P, partial)
+        group_algebra_rep(partial)
 
 
 def test_dyadic_normalization(table33):
@@ -233,7 +230,7 @@ def test_no_reference_cycle_keeps_a_context_alive(k34_sys0):
     P = solution_presentation(k34_sys0, homogeneous=True)
     gc.disable()
     try:
-        R = group_algebra_rep(P, regular_table(P))
+        R = group_algebra_rep(regular_table(P))
         ctx = weakref.ref(R.images[0].ctx)
         x, y = R.images[0], R.images[5]
         z = (x * y - y * x).adjoint()
@@ -276,8 +273,7 @@ def dense_regular_rep(table, sys) -> Representation:
 
 
 def test_projections_both_backends(table33, k33_sys0, pauli_rep):
-    P = solution_presentation(k33_sys0, homogeneous=True)
-    for R in (group_algebra_rep(P, table33), pauli_rep,
+    for R in (group_algebra_rep(table33), pauli_rep,
               dense_regular_rep(table33, k33_sys0)):
         one = R.identity()
         for i in range(3):
@@ -290,22 +286,21 @@ def test_projections_both_backends(table33, k33_sys0, pauli_rep):
 
 
 def test_backends_agree_on_verdicts(table33, k33_sys0):
-    P = solution_presentation(k33_sys0, homogeneous=True)
-    exact = group_algebra_rep(P, table33)
+    exact = group_algebra_rep(table33)
     dense = dense_regular_rep(table33, k33_sys0)
-    assert verify_representation(exact, k33_sys0, "qut").passed
-    assert verify_representation(dense, k33_sys0, "qut").passed
+    assert verify_representation(exact, k33_sys0).passed
+    assert verify_representation(dense, k33_sys0).passed
 
     def corrupt(R):
         images = list(R.images)
         images[0], images[3] = images[3], images[0]
         return Representation(images, R.backend)
 
-    bad_exact = verify_representation(corrupt(exact), k33_sys0, "qut")
-    bad_dense = verify_representation(corrupt(dense), k33_sys0, "qut")
+    bad_exact = verify_representation(corrupt(exact), k33_sys0)
+    bad_dense = verify_representation(corrupt(dense), k33_sys0)
     assert not bad_exact.passed and not bad_dense.passed
-    exact_failures = {n for n, r in bad_exact.entries if r > 0.0}
-    dense_failures = {n for n, r in bad_dense.entries if r > 1e-10}
+    exact_failures = {n for n, r, _ in bad_exact.families if r > 0.0}
+    dense_failures = {n for n, r, _ in bad_dense.families if r > 1e-10}
     assert exact_failures == dense_failures
 
 
@@ -316,19 +311,14 @@ def test_backends_agree_on_verdicts(table33, k33_sys0):
 def test_generator_count_mismatch(pauli_rep):
     small = LinearSystem(BinMatrix.from_rows([[1, 1]]), (0,))
     with pytest.raises(ValueError, match="images"):
-        verify_representation(pauli_rep, small, "qut")
+        verify_representation(pauli_rep, small)
 
 
 def test_mixed_dimensions_rejected():
     sys = LinearSystem(BinMatrix.from_rows([[1, 1]]), (0,))
     images = [DenseElement(np.eye(2)), DenseElement(np.eye(3))]
     with pytest.raises(ValueError, match="dimensions"):
-        verify_representation(Representation(images, "dense"), sys, "qut")
-
-
-def test_bad_mode(pauli_rep, k33_sys_e1):
-    with pytest.raises(ValueError, match="mode"):
-        verify_representation(pauli_rep, k33_sys_e1, "nope")
+        verify_representation(Representation(images, "dense"), sys)
 
 
 # ---------------------------------------------------------------------------
