@@ -199,13 +199,13 @@ def cmd_group(cfg: RunConfig) -> int:
 def cmd_cert(cfg: RunConfig) -> int:
     sys_ = _load_system(cfg)
     m = sys_.num_constraints
-    b1 = _parse_bits(cfg.b1, m, "--b1") if cfg.b1 else sys_.b
+    b1 = _parse_bits(cfg.b1, m, "--b1") if cfg.b1 is not None else sys_.b
     if cfg.subcommand == "qut":
         if cfg.b2 is not None:
             raise UsageError("qut takes no --b2: its column graph is its row graph")
         b2 = b1
     else:
-        if not cfg.b2:
+        if cfg.b2 is None:
             raise UsageError("qiso needs --b2")
         b2 = _parse_bits(cfg.b2, m, "--b2")
     sys1, sys2 = sys_.with_b(b1), sys_.with_b(b2)

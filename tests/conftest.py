@@ -73,6 +73,25 @@ def gpp34_e1(gstar34):
     return decolor_edges(decolor_vertices(gstar, pa), pa)
 
 
+def _gpp_pair(p, q):
+    """The G'' of K_{p,q} with b = 0 and b = e1, both decolored with the
+    b = 0 graph's canonical assignment."""
+    gstars = [build_Gstar(incidence_system(complete_bipartite(p, q), b))
+              for b in ((0,) * (p + q), (1,) + (0,) * (p + q - 1))]
+    pa = canonical_assignment(gstars[0], C0)
+    return tuple(decolor_edges(decolor_vertices(G, pa), pa) for G in gstars)
+
+
+@pytest.fixture(scope="session")
+def gpp44_pair():
+    return _gpp_pair(4, 4)
+
+
+@pytest.fixture(scope="session")
+def gpp35_pair():
+    return _gpp_pair(3, 5)
+
+
 @pytest.fixture(scope="session")
 def table33(k33_sys0):
     return todd_coxeter(solution_presentation(k33_sys0, homogeneous=True))

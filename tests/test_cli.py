@@ -597,6 +597,17 @@ def test_cert_qut_rejects_b2(files, capsys, b2):
         "error: qut takes no --b2: its column graph is its row graph\n")
 
 
+@pytest.mark.parametrize("kind, flags", [("qut", ["--b1", ""]),
+                                         ("qiso", ["--b1", "000000", "--b2", ""])])
+def test_cert_empty_bits_are_malformed(files, capsys, kind, flags):
+    # an empty bit string is given, and malformed: not the system's own b,
+    # and not a missing --b2
+    assert run("cert", kind, "--graph", files / "k33.g", *flags,
+               "--rep", "regular") == 2
+    assert capsys.readouterr().err == (
+        f"error: {flags[-2]} must be a 6-bit string, got ''\n")
+
+
 @pytest.mark.parametrize("argv", [["cert", "qut", "--graph", "k33.g", "--rep", "dense"],
                                   ["build", "--graph", "k33.g", "--construction", "H"]],
                          ids=["rep-dense", "construction-H"])
@@ -632,6 +643,45 @@ def test_iso_and_aut(files, capsys):
     report = files / "aut.json"
     assert run("aut", a, "--json", report) == 0
     assert json.loads(report.read_text())["order"] == 16
+
+
+def _graph_json(n, edges):
+    return json.dumps({"vertices": [{"id": v} for v in range(n)],
+                       "edges": [{"u": u, "v": v} for u, v in edges]})
+
+
+# graphs with little or no 2-core, and their automorphism group orders
+LITTLE_CORE = {
+    "empty": (_graph_json(0, []), 1),
+    "path3": (_graph_json(3, [(0, 1), (1, 2)]), 2),
+    "star13": (_graph_json(4, [(0, 1), (0, 2), (0, 3)]), 6),
+    "triangle-pendants": (_graph_json(6, [(0, 1), (0, 2), (1, 2),
+                                          (0, 3), (1, 4), (2, 5)]), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LITTLE_CORE))
+def test_aut_on_little_or_no_core(files, capsys, name):
+    text, order = LITTLE_CORE[name]
+    path, report = files / f"{name}.json", files / "aut.json"
+    path.write_text(text)
+    assert run("aut", path, "--json", report) == 0
+    assert capsys.readouterr().out == f"automorphism group order: {order}\n"
+    assert json.loads(report.read_text())["order"] == order
+
+
+def test_iso_of_forests(files, capsys):
+    # a path with an edge beside it, and a star with a vertex beside it
+    a, b, c = files / "a.json", files / "b.json", files / "c.json"
+    a.write_text(_graph_json(5, [(0, 1), (1, 2), (3, 4)]))
+    b.write_text(_graph_json(5, [(0, 1), (0, 2), (0, 3)]))
+    c.write_text(_graph_json(5, [(4, 3), (3, 1), (0, 2)]))
+    assert run("iso", a, b) == 1
+    assert capsys.readouterr().out == "non-isomorphic\n"
+    assert run("iso", a, c) == 0
+    assert run("iso", a, files / "missing.json") == 2
+    b.write_text("{")
+    assert run("iso", a, b) == 2
 
 
 def test_unknown_flag_exit_2(files):

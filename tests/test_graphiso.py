@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lcsq import graphiso
 from lcsq.graphs import ColoredGraph, block_labels
@@ -387,3 +387,170 @@ def test_gpp_k34_order_64(gpp34):
 @given(colored_graphs())
 def test_automorphism_order_matches_brute_force(G):
     assert automorphism_group(G).order == len(brute_force_isomorphisms(G, G))
+
+
+# ---------------------------------------------------------------------------
+# the 2-core reduction, against the search on the whole graphs
+
+
+def oracle_isomorphism(G1, G2):
+    """The search on both graphs as given, nothing peeled."""
+    inst = graphiso._plain([G1, G2])
+    return graphiso._search(inst, inst.initial(balanced=True))
+
+
+def oracle_automorphisms(G):
+    """The stabilizer chain on the graph as given: (generators, order)."""
+    return graphiso._chain(graphiso._plain([G, G]))
+
+
+def core_of(G):
+    return graphiso._core(G, graphiso._edge_ids([G]), {})
+
+
+def core_search(G1, G2):
+    """`find_isomorphism` without its count check: the labelled cores alone
+    must tell the graphs apart."""
+    ids, codes = graphiso._edge_ids([G1, G2]), {}
+    inst = graphiso._side_by_side(graphiso._core(G1, ids, codes),
+                                  graphiso._core(G2, ids, codes))
+    return graphiso._search(inst, inst.initial(balanced=True))
+
+
+def graph(vcolors, edges):
+    """A graph from its vertex colors and a {(u, v): color} edge dict."""
+    return ColoredGraph(tuple(range(len(vcolors))), tuple(vcolors),
+                        tuple((min(e), max(e), c) for e, c in sorted(edges.items())))
+
+
+@st.composite
+def pendant_graphs(draw):
+    """A small graph, often with a triangle so that it has a core, trees
+    grown on it one leaf at a time, and sometimes a tree component."""
+    G = draw(colored_graphs(max_vertices=5))
+    vcolors = list(G.vertex_colors)
+    edges = {(u, v): c for (u, v, c) in G.edges}
+    if G.num_vertices >= 3 and draw(st.booleans()):
+        for e in ((0, 1), (0, 2), (1, 2)):
+            edges.setdefault(e, None)
+    for _ in range(draw(st.integers(0, 6))):
+        parent = draw(st.integers(0, len(vcolors) - 1))
+        edges[(parent, len(vcolors))] = draw(st.sampled_from([None, "plain:0"]))
+        vcolors.append(draw(st.sampled_from([None, "v:0"])))
+    size = draw(st.integers(0, 2))  # a tree component: a vertex or an edge
+    vcolors.extend([None] * size)
+    if size == 2:
+        edges[(len(vcolors) - 2, len(vcolors) - 1)] = None
+    return graph(vcolors, edges)
+
+
+# a triangle with three equal leaves on vertex 0 and two equal paths on 1
+SIBLINGS = graph([None] * 10, {(0, 1): None, (0, 2): None, (1, 2): None,
+                               (0, 3): None, (0, 4): None, (0, 5): None,
+                               (1, 6): None, (6, 7): None, (1, 8): None, (8, 9): None})
+# a 4-cycle with a colored leaf, a colored pendant edge, and both on a path
+COLORED = graph([None, None, None, None, "v:0", None, None, "v:0"],
+                {(0, 1): None, (1, 2): None, (2, 3): None, (0, 3): None,
+                 (0, 4): None, (1, 5): "plain:0", (2, 6): "plain:0", (6, 7): None})
+# a triangle with a pendant vertex, beside a path: a tree component
+WITH_TREE = graph([None] * 7, {(0, 1): None, (0, 2): None, (1, 2): None,
+                               (2, 3): None, (4, 5): None, (5, 6): None})
+
+
+@settings(max_examples=150, deadline=None)
+@example(SIBLINGS, COLORED, random.Random(1))
+@example(COLORED, SIBLINGS, random.Random(2))
+@example(WITH_TREE, SIBLINGS, random.Random(3))
+@given(pendant_graphs(), pendant_graphs(), st.randoms(use_true_random=False))
+def test_core_reduction_agrees_with_whole_graph_search(G, other, rng):
+    shuffled, _ = permuted_copy(G, rng)
+    for H in (shuffled, other):
+        found = find_isomorphism(G, H)
+        assert (found is None) == (oracle_isomorphism(G, H) is None)
+        if found is not None:
+            assert verify_mapping(G, H, found) == (True, None)
+    assert find_isomorphism(G, G).pairs == tuple((v, v) for v in range(G.num_vertices))
+
+    aut = automorphism_group(G)
+    assert aut.order == oracle_automorphisms(G)[1]
+    if G.num_vertices <= 7:
+        assert aut.order == len(brute_force_isomorphisms(G, G))
+    for g in aut.generators:
+        assert verify_mapping(G, G, g) == (True, None)
+    assert closure_order(aut.generators, G.num_vertices) == aut.order
+
+
+def test_sibling_groups_multiply_the_order():
+    # the triangle's three vertices carry different trees, so its labelled
+    # automorphism group is trivial and |Aut| = 1 * 3! * 2!
+    core = core_of(SIBLINGS)
+    assert core.vertices == [0, 1, 2]
+    assert oracle_automorphisms(SIBLINGS)[1] == 12
+    aut = automorphism_group(SIBLINGS)
+    assert aut.order == 12 == len(brute_force_isomorphisms(SIBLINGS, SIBLINGS))
+    assert len(aut.generators) == 3  # swaps 3<->4, 4<->5 and path 6-7 <-> 8-9
+    assert closure_order(aut.generators, 10) == 12
+
+
+def test_tree_component_keeps_the_graph_whole():
+    core = core_of(WITH_TREE)
+    assert core.vertices == list(range(7))
+    assert not any(core.children)
+    assert core_of(plain(3, [(0, 1), (1, 2)])).vertices == [0, 1, 2]
+
+
+@pytest.mark.parametrize("pair, order, core_size",
+                         [("gpp44_pair", 512, 288), ("gpp35_pair", 256, 458)])
+def test_large_gpp_pairs_through_the_core(request, pair, order, core_size):
+    gpp0, gpp1 = request.getfixturevalue(pair)
+    assert len(core_of(gpp0).vertices) == len(core_of(gpp1).vertices) == core_size
+    assert find_isomorphism(gpp0, gpp1) is None
+    aut = automorphism_group(gpp0)
+    assert aut.order == order
+    for g in aut.generators:
+        assert verify_mapping(gpp0, gpp0, g) == (True, None)
+
+
+def _mutant(G, edges, vcolors=None):
+    vcolors = list(G.vertex_colors) if vcolors is None else vcolors
+    return graph(vcolors, edges)
+
+
+def _longer_path(G, leaf):
+    edges = {(u, v): c for (u, v, c) in G.edges}
+    edges[(leaf, G.num_vertices)] = None
+    return _mutant(G, edges, list(G.vertex_colors) + [None])
+
+
+def _recolored_pendant_edge(G, leaf):
+    edges = {(u, v): c for (u, v, c) in G.edges}
+    (e,) = [e for e in edges if leaf in e]
+    edges[e] = "plain:0"
+    return _mutant(G, edges)
+
+
+def _moved_tree(G, core):
+    # the tree below a core vertex with one child goes to a bare core vertex
+    r = next(v for v in core.vertices if len(core.children[v]) == 1)
+    s = next(v for v in core.vertices if not core.children[v])
+    t = core.children[r][0][2]
+    edges = {(u, v): c for (u, v, c) in G.edges}
+    del edges[(min(r, t), max(r, t))]
+    edges[(min(s, t), max(s, t))] = None
+    return _mutant(G, edges)
+
+
+@pytest.mark.parametrize("mutate", ["longer", "recolored", "moved"])
+def test_pendant_mutants_are_not_isomorphic(gpp33_pair, mutate):
+    gpp0, _ = gpp33_pair
+    core = core_of(gpp0)
+    leaf = gpp0.degrees().index(1)
+    M = {"longer": lambda: _longer_path(gpp0, leaf),
+         "recolored": lambda: _recolored_pendant_edge(gpp0, leaf),
+         "moved": lambda: _moved_tree(gpp0, core)}[mutate]()
+    mutant_core = core_of(M)
+    assert mutant_core.vertices == core.vertices
+    assert sorted(mutant_core.edges) == sorted(core.edges)
+    assert find_isomorphism(gpp0, M) is None
+    assert oracle_isomorphism(gpp0, M) is None
+    assert core_search(gpp0, M) is None
