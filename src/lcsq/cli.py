@@ -85,7 +85,7 @@ def _parse_bits(text: str, length: int, what: str) -> tuple[int, ...]:
 
 def _load_system(cfg: RunConfig) -> f2core.LinearSystem:
     """A linear system from either a system file or a graph file plus b."""
-    if cfg.system_path:
+    if cfg.system_path is not None:
         sys_ = f2core.parse_system(_read(cfg.system_path))
         if cfg.b is not None:
             sys_ = sys_.with_b(_parse_bits(cfg.b, sys_.num_constraints, "--b"))
@@ -97,7 +97,7 @@ def _load_system(cfg: RunConfig) -> f2core.LinearSystem:
 
 
 def _build_graph(cfg: RunConfig, sys_: f2core.LinearSystem) -> graphs.ColoredGraph:
-    construction = cfg.construction or ("Gstar" if cfg.graph_path else "G")
+    construction = cfg.construction or ("Gstar" if cfg.graph_path is not None else "G")
     return graphs.build_G(sys_) if construction == "G" else graphs.build_Gstar(sys_)
 
 
@@ -110,7 +110,7 @@ def _cap(cfg: RunConfig) -> int:
 def _pick_c0(cfg: RunConfig, G: graphs.ColoredGraph) -> str:
     """--c0 as given (`decolor.canonical_assignment` rejects one that is not
     an edge color of G), else shared:-1."""
-    if cfg.c0:
+    if cfg.c0 is not None:
         return cfg.c0
     if "shared:-1" in G.edge_palette():
         return "shared:-1"
@@ -130,7 +130,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "solution": "".join(str(v) for v in x) if x is not None else None,
         "rank": f2core.rank_f2(sys_.M),
     }
-    if cfg.json_out:
+    if cfg.json_out is not None:
         _write(cfg.json_out, _dump(result))
     if x is None:
         print("no solution")
@@ -149,9 +149,9 @@ def cmd_build(cfg: RunConfig) -> int:
         stage = decolor.decolor_vertices(G, pa)
         if cfg.decolor == "full":
             stage = decolor.decolor_edges(stage, pa)
-    if cfg.out:
+    if cfg.out is not None:
         _write(cfg.out, graphs.serialize(stage, "json"))
-    if cfg.dot:
+    if cfg.dot is not None:
         _write(cfg.dot, graphs.serialize(stage, "dot"))
     print(f"vertices: {stage.num_vertices}, edges: {stage.num_edges}")
     return EXIT_OK
@@ -190,7 +190,7 @@ def cmd_group(cfg: RunConfig) -> int:
         else:
             lines.append(f"word {cfg.word!r} "
                          + ("= identity" if trivial else "!= identity"))
-    if cfg.json_out:
+    if cfg.json_out is not None:
         _write(cfg.json_out, _dump(result))
     print("; ".join(lines))
     return EXIT_OK if table.is_complete else EXIT_CAP
@@ -263,9 +263,9 @@ def cmd_cert(cfg: RunConfig) -> int:
             lifted_witness = qcert.noncommuting_witness(lifted)
             result["lifted_noncommuting_witness"] = lifted_witness is not None
 
-    if cfg.out:
+    if cfg.out is not None:
         _write(cfg.out, _dump(cert.to_json_dict()))
-    if cfg.report:
+    if cfg.report is not None:
         _write(cfg.report, _dump(result))
     print("; ".join(lines))
     return EXIT_OK if passed else EXIT_NEGATIVE
@@ -277,12 +277,12 @@ def cmd_iso(cfg: RunConfig, path1: str, path2: str) -> int:
     mapping = graphiso.find_isomorphism(G1, G2)
     result = {"config": cfg.echo(), "isomorphic": mapping is not None,
               "mapping": mapping.to_json_dict() if mapping else None}
-    if cfg.json_out:
+    if cfg.json_out is not None:
         _write(cfg.json_out, _dump(result))
     if mapping is None:
         print("non-isomorphic")
         return EXIT_NEGATIVE
-    if cfg.map_out:
+    if cfg.map_out is not None:
         _write(cfg.map_out, _dump(mapping.to_json_dict()))
     print("isomorphic")
     return EXIT_OK
@@ -293,7 +293,7 @@ def cmd_aut(cfg: RunConfig, path: str) -> int:
     aut = graphiso.automorphism_group(G)
     result = {"config": cfg.echo(), "order": aut.order,
               "generators": [g.to_json_dict() for g in aut.generators]}
-    if cfg.json_out:
+    if cfg.json_out is not None:
         _write(cfg.json_out, _dump(result))
     print(f"automorphism group order: {aut.order}")
     return EXIT_OK
@@ -370,9 +370,10 @@ def main(argv=None) -> int:
             json_out=getattr(args, "json_out", None),
         )
         if args.command in ("solve", "build", "group", "cert"):
-            if not common["system_path"] and not common["graph_path"]:
+            given = [common[k] is not None for k in ("system_path", "graph_path")]
+            if not any(given):
                 raise UsageError("one of --system/--graph is required")
-            if common["system_path"] and common["graph_path"]:
+            if all(given):
                 raise UsageError("--system and --graph are mutually exclusive")
 
         if args.command == "solve":

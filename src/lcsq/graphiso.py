@@ -121,16 +121,16 @@ class _Instance:
         # cells are sorted, so the first-graph vertices come first
         return 2 * bisect_left(cell, self.split) != len(cell)
 
-    def initial(self, balanced: bool = False) -> _Partition | None:
-        """The stable refinement of the vertex colors; None when `balanced`
-        and some cell has unequal sides."""
+    def initial(self) -> _Partition | None:
+        """The stable refinement of the vertex colors; None when some cell
+        has unequal sides."""
         cells: list[list[int]] = [[] for _ in range(len(set(self.init_colors)))]
         for v, c in enumerate(self.init_colors):
             cells[c].append(v)
         part = _Partition(list(self.init_colors), cells)
-        if balanced and any(self._unbalanced(cell) for cell in cells):
+        if any(self._unbalanced(cell) for cell in cells):
             return None
-        return part if self._refine(part, list(range(len(cells))), balanced) else None
+        return part if self._refine(part, list(range(len(cells)))) else None
 
     def individualize(self, part: _Partition, v: int, w: int) -> _Partition | None:
         """The child of a stable, balanced `part` that pairs v (first graph)
@@ -143,13 +143,13 @@ class _Instance:
         cells.append([v, w])
         cell_of[v] = cell_of[w] = new
         child = _Partition(cell_of, cells)
-        return child if self._refine(child, [new], True) else None
+        return child if self._refine(child, [new]) else None
 
-    def _refine(self, part: _Partition, queue: list[int], balanced: bool) -> bool:
+    def _refine(self, part: _Partition, queue: list[int]) -> bool:
         """Split cells of `part` in place until it is equitable, starting
-        from the splitter cells in `queue`.  Returns False when `balanced`
-        and a fragment has unequal sides (no bijection can exist below this
-        node), True otherwise."""
+        from the splitter cells in `queue`.  Returns False when a fragment
+        has unequal sides (no bijection can exist below this node), True
+        otherwise."""
         adj, cell_of, cells = self.adj, part.cell_of, part.cells
         while queue:
             counts: dict[int, int] = {}
@@ -167,7 +167,7 @@ class _Instance:
                 for x in members:
                     groups.setdefault(counts.get(x, 0), []).append(x)
                 fragments = list(groups.values())
-                if balanced and any(self._unbalanced(f) for f in fragments):
+                if any(self._unbalanced(f) for f in fragments):
                     return False
                 # the largest fragment keeps the cell's id, and its place in
                 # the queue if it had one; every other fragment is queued.
@@ -205,8 +205,10 @@ def _plain(graphs: list[ColoredGraph]) -> _Instance:
 
 
 def refine(G: ColoredGraph) -> StableColoring:
-    """Stable 1-WL partition of one graph."""
-    return StableColoring(tuple(_plain([G]).initial().cell_of))
+    """Stable 1-WL partition of one graph, read from the first copy of G
+    beside itself: every cell there has equal sides, and a vertex has
+    neighbours only in its own copy, so the copy's classes are G's."""
+    return StableColoring(tuple(_plain([G, G]).initial().cell_of[:G.num_vertices]))
 
 
 @dataclass
@@ -370,7 +372,7 @@ def find_isomorphism(G1: ColoredGraph, G2: ColoredGraph) -> Bijection | None:
     ids, codes = _edge_ids([G1, G2]), {}
     core1, core2 = _core(G1, ids, codes), _core(G2, ids, codes)
     inst = _side_by_side(core1, core2)
-    found = _search(inst, inst.initial(balanced=True))
+    found = _search(inst, inst.initial())
     if found is None:
         return None
     found = _extend(core1, core2, found)
@@ -395,7 +397,7 @@ def _chain(inst: _Instance) -> tuple[list[Bijection], int]:
     order is the product of the orbit sizes.
     """
     n1 = inst.split
-    part = inst.initial(balanced=True)
+    part = inst.initial()
     generators: list[Bijection] = []
     order = 1
     while True:

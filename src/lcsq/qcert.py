@@ -14,34 +14,36 @@ the isomorphism case (right-hand sides b and b' differ).  A vertex
 (k, alpha) is read from its label "k:alpha" by `graphs.block_labels`, and
 delta is a sign string as alpha is: "+" where alpha and beta agree.
 
-Verification has one path for both element backends: every relation is
-checked entry by entry through the elements' own `combine` (a sum minus a
-sum), product and residual norm, so the sparse intertwining loop never
-forms a dense matrix.  Each row, column and intertwining sum
-sum(plus) - sum(minus) first gets a signature: a signed digit vector
-over the certificate's distinct stored objects, held in one int (the
-weight of object e is 1 << (e * bits), as graphiso weighs edge colors by
-base**color_id).  Digits count an object's terms on the plus side minus
-those on the minus side, and `bits` leaves room for the largest
-multiplicity one side can reach, so the int is 0 exactly when both sides
-hold the same objects (the residual is then 0.0 with no algebra), and
-equal ints mean equal sums: the sums are exact, so neither the order of
-the terms nor cancelling a term on both sides changes them.  Each
+The certificate's algebra is its identity's: every entry must satisfy
+`same_algebra` with it, and the JSON and reports name the identity's
+`backend`.  Verification has one path for both element types: every
+relation is checked entry by entry through the elements' own `combine`
+(a sum minus a sum), product and residual norm, so the sparse
+intertwining loop never forms a dense matrix.  Each row, column and
+intertwining sum sum(plus) - sum(minus) first gets a signature: a signed
+digit vector over the certificate's distinct stored objects, held in one
+int (the weight of object e is 1 << (e * bits), as graphiso weighs edge
+colors by base**color_id).  Digits count an object's terms on the plus
+side minus those on the minus side, and `bits` leaves room for the
+largest multiplicity one side can reach, so the int is 0 exactly when
+both sides hold the same objects (the residual is then 0.0 with no
+algebra), and equal ints mean equal sums: the sums are exact, so
+neither the order of the terms nor cancelling a term on both sides
+changes them.  Each
 distinct nonzero signature is decoded and summed once; entries that
 coincide by the block structure share one object, so most sums repeat.
 A family's residual is the largest norm of any single entry: a per-entry
 Frobenius norm for dense elements, and for group-algebra elements the l1
-norm of the coefficients.  Both backends are exact, so a norm is zero
-exactly on zero, and a family passes only when its residual is
+norm of the coefficients.  Both element types are exact, so a norm is
+zero exactly on zero, and a family passes only when its residual is
 literally 0.0.
 
 A commutator xy - yx of self-adjoint x and y is xy - (xy)*, so it takes
 one product and an adjoint; the block-commutation family, the witness
 search and the lift's gadgets all use this, and fall back to two
-products for an element that is not self-adjoint.  A group algebra is
-commutative exactly when its group is abelian, so a certificate over
-the regular representation of an abelian group has no quantum-symmetry
-witness, and the search is skipped.
+products for an element that is not self-adjoint.  An algebra that is
+commutative (a group algebra of an abelian group, or 1 x 1 matrices)
+holds no quantum-symmetry witness, and the search is skipped.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ from dataclasses import dataclass
 from .f2core import LinearSystem
 from .graphs import ColoredGraph, block_labels, sign_vectors
 from .decolor import PathAssignment, VertexId, decolor_full
-from .reps import (GroupAlgebraElement, Representation, VerificationReport,
-                   verify_representation)
+from .reps import Representation, VerificationReport, verify_representation
 
 class CertificateError(Exception):
     """A certificate precondition failed (mismatched inputs, failed source)."""
@@ -62,17 +63,18 @@ class CertificateError(Exception):
 class MagicUnitaryCert:
     """Block-sparse magic unitary over a pair of colored graphs.
 
-    `entries` maps (row vertex, column vertex) to an algebra element;
-    absent pairs are zero.  Entries that coincide by the block structure
-    share one element object: a certificate built from a representation
-    holds one object per (block, delta), which `extract_generators` reads
-    back from the entries.
+    `entries` maps (row vertex, column vertex) to an element of the
+    algebra of `identity`; absent pairs are zero.  Entries that coincide
+    by the block structure share one element object: a certificate built
+    from a representation holds one object per (block, delta), which
+    `extract_generators` reads back from the entries.  The JSON form
+    numbers the distinct objects in `distinct_elements` order and names the
+    identity's `backend`.
     """
 
     row_graph: ColoredGraph
     col_graph: ColoredGraph
     entries: dict
-    backend: str  # "dense" | "group_algebra"
     identity: object
     provenance: str = ""
     source_rep: Representation | None = None
@@ -93,22 +95,14 @@ class MagicUnitaryCert:
         return sorted(seen.values(), key=lambda kv: kv[0])
 
     def to_json_dict(self) -> dict:
-        table: list = []
-        index: dict[int, int] = {}
-        entry_list = []
-        for (i, j) in sorted(self.entries):
-            elem = self.entries[(i, j)]
-            if id(elem) not in index:
-                index[id(elem)] = len(table)
-                table.append(elem.support() if isinstance(elem, GroupAlgebraElement)
-                             else elem.rows())
-            entry_list.append({
-                "row": str(self.row_graph.labels[i]),
-                "col": str(self.col_graph.labels[j]),
-                "element": index[id(elem)],
-            })
-        return {"backend": self.backend, "provenance": self.provenance,
-                "elements": table, "entries": entry_list}
+        distinct = self.distinct_elements()
+        index = {id(elem): e for e, (_, elem) in enumerate(distinct)}
+        rows, cols = self.row_graph.labels, self.col_graph.labels
+        return {"backend": self.identity.backend, "provenance": self.provenance,
+                "elements": [elem.to_json() for _, elem in distinct],
+                "entries": [{"row": str(rows[i]), "col": str(cols[j]),
+                             "element": index[id(self.entries[(i, j)])]}
+                            for (i, j) in sorted(self.entries)]}
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,7 @@ def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
                     v[delta] = elem
                 entries[(i, j)] = elem
 
-    return MagicUnitaryCert(Gb, Gb2, entries, R.backend, one,
+    return MagicUnitaryCert(Gb, Gb2, entries, one,
                             provenance=f"built:{R.name}", source_rep=R)
 
 
@@ -278,14 +272,13 @@ def _intertwine(rows: dict, adj1: dict, adj2: dict,
 def _shape_fault(cert: MagicUnitaryCert, distinct: list) -> tuple[str, str] | None:
     """(what, why) when the identity is not a nonzero projection, e = e* =
     e^2 != 0 (the unit is one, with no product), else when an element of
-    `distinct` (`cert.distinct_elements()`) is over another algebra, its
-    unit not the identity's, naming the first; or None."""
+    `distinct` (`cert.distinct_elements()`) is over another algebra than
+    the identity, naming the first; or None."""
     one = cert.identity
-    unit = one.unit()
-    if one != unit and (not one.residual_norm() or one != one.adjoint()
-                        or one * one != one):
+    if one != one.unit() and (not one.residual_norm() or one != one.adjoint()
+                              or one * one != one):
         return "identity", "is not a nonzero projection"
-    key = next((key for key, elem in distinct if elem.unit() != unit), None)
+    key = next((key for key, elem in distinct if not one.same_algebra(elem)), None)
     return None if key is None else (f"entry {key}", "is over another algebra")
 
 
@@ -334,7 +327,7 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     same-block commutator of two of them takes one product.
     """
     families: list[tuple[str, float, str]] = []
-    G1, G2 = cert.row_graph, cert.col_graph
+    G1, G2, one = cert.row_graph, cert.col_graph, cert.identity
 
     # entry projections, e = e* = e^2, and the shape (see `_shape_fault`)
     distinct = cert.distinct_elements()
@@ -351,12 +344,11 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     families.append(("projection", worst, desc))
     if fault is not None:
         families += [("shape", 1.0, fault[0]), _color_family(cert)]
-        return VerificationReport(tuple(families), cert.backend)
+        return VerificationReport(tuple(families), one.backend)
 
     # the stored entries by row, as (column, weight of the object) pairs;
     # no object occurs more often on one side of a sum than the longest row
     # or column, or the largest degree in one edge color (see `_residual`)
-    one = cert.identity
     elems = [elem for _, elem in distinct] + [one]
     index = {id(elem): e for e, elem in enumerate(elems)}
     rows: dict[int, list] = {}
@@ -438,7 +430,7 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
                         worst, desc = r, f"block {k}"
         families.append(("block_commute", worst, desc))
 
-    return VerificationReport(tuple(families), cert.backend)
+    return VerificationReport(tuple(families), one.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -524,17 +516,17 @@ def noncommuting_witness(cert: MagicUnitaryCert):
 
     A shape fault (see `_shape_fault`) raises CertificateError naming the
     identity or the first entry over another algebra, as `verify_cert`'s
-    `shape` family does.  A group algebra is commutative exactly when its
-    group is abelian, so over an abelian group the answer is None without a
-    search.  In the search, each element's self-adjointness is found once,
-    when first needed; for a self-adjoint pair one product gives the
-    commutator (see `_commutator_norm`).
+    `shape` family does.  Over a commutative algebra (see the identity's
+    `commutative`) the answer is None without a search.  In the search,
+    each element's self-adjointness is found once, when first needed; for
+    a self-adjoint pair one product gives the commutator (see
+    `_commutator_norm`).
     """
     distinct = cert.distinct_elements()
     fault = _shape_fault(cert, distinct)
     if fault is not None:
         raise CertificateError(f"shape: {fault[0]} {fault[1]}")
-    if cert.backend == "group_algebra" and cert.identity.ctx.abelian:
+    if cert.identity.commutative:
         return None
     selfadjoint: list[bool | None] = [None] * len(distinct)
 
@@ -639,6 +631,6 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
                 for key in zip(chain1, chain2):
                     out[key] = elem
 
-    return MagicUnitaryCert(Gpp1, Gpp2, out, cert.backend, cert.identity,
+    return MagicUnitaryCert(Gpp1, Gpp2, out, cert.identity,
                             provenance=f"lifted:{cert.provenance}",
                             source_rep=cert.source_rep)

@@ -1,25 +1,29 @@
-"""Star-algebra backends and concrete representations of solution-group
+"""Star-algebra elements and concrete representations of solution-group
 relation sets.
 
-Two interchangeable element types drive everything downstream, and both
-are exact:
+Two exact element types drive everything downstream, and each element
+knows its algebra:
 
-* DenseElement -- square matrices over the dyadic Gaussian rationals
-  Z[i][1/2], stored as integer real and imaginary numerators over one
-  shared power-of-two denominator.  The Pauli magic square has entries
-  0, +-1, +-i, and every constant arising here is a half, so this ring
-  holds all of its arithmetic;
+* DenseElement -- d x d matrices over the dyadic Gaussian rationals
+  Z[i][1/2] (the algebra is d), stored as integer real and imaginary
+  numerators over one shared power-of-two denominator.  The Pauli magic
+  square has entries 0, +-1, +-i, and every constant arising here is a
+  half, so this ring holds all of its arithmetic;
 * GroupAlgebraElement -- elements of the group algebra of a finite group
-  on star coordinates, multiplied through one vector over the star cosets
-  per right factor, with dyadic-rational coefficients stored the same way.
+  (the algebra is a GroupAlgebraContext) on star coordinates, multiplied
+  through one vector over the star cosets per right factor, with
+  dyadic-rational coefficients stored the same way.
 
 Both keep a dict of nonzero integer numerators and an exponent exp (the
 value is numerators / 2^exp), normalized so that either exp = 0 or some
 numerator is odd, so equal elements are equal objects field by field.
-Both support sum, product, halving, adjoint, their algebra's `unit`,
-`combine` (the sum of one sequence of elements minus the sum of another,
-in one call), and a residual norm that is 0.0 exactly on the zero
-element; a relation holds only when its residual is literally zero.
+One base class holds what reads only the numerators: `combine` (the sum
+of one sequence of elements minus the sum of another, in one call),
+sums, negation, halving, equality, and `same_algebra`, the one check that
+two elements meet.  Each type adds its product, adjoint, `unit`,
+`commutative`, `to_json()`, its `backend` name, and a residual norm that
+is 0.0 exactly on the zero element; a relation holds only when its
+residual is literally zero.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .fpgroups import CosetTable, RegularTable, abelianized_order, spanning_tree
 
 
 # ---------------------------------------------------------------------------
-# Dyadic numerators, shared by both backends
+# Dyadic numerators, shared by both element types
 
 
 def _normalized(coeffs: dict[int, int], exp: int) -> tuple[dict[int, int], int]:
@@ -80,12 +84,67 @@ def _accumulate(plus, minus) -> tuple[dict[int, int], int]:
     return acc, exp
 
 
+class _Dyadic:
+    """numerators / 2^exp in `algebra`, normalized.  A subclass sets
+    `backend`, the name reports carry, and `_mismatch`, the error for
+    operands over different algebras."""
+
+    __slots__ = ("algebra", "coeffs", "exp")
+
+    def __init__(self, algebra, coeffs: dict[int, int], exp: int):
+        self.algebra = algebra
+        self.coeffs, self.exp = _normalized(coeffs, exp)
+
+    @classmethod
+    def _exact(cls, algebra, coeffs: dict[int, int], exp: int):
+        self = object.__new__(cls)
+        _Dyadic.__init__(self, algebra, coeffs, exp)
+        return self
+
+    def same_algebra(self, other) -> bool:
+        """Whether `other` is an element of the same algebra."""
+        return type(other) is type(self) and other.algebra == self.algebra
+
+    @staticmethod
+    def combine(plus, minus):
+        """sum(plus) - sum(minus) over sequences of elements, in one
+        accumulator; at least one term."""
+        terms = [*plus, *minus]
+        if not terms:
+            raise ValueError("combine needs at least one term")
+        first = terms[0]
+        for t in terms:
+            if not first.same_algebra(t):
+                raise ValueError(first._mismatch)
+        return first._exact(first.algebra, *_accumulate(plus, minus))
+
+    def __add__(self, other):
+        return self.combine((self, other), ())
+
+    def __sub__(self, other):
+        return self.combine((self,), (other,))
+
+    def __neg__(self):
+        return self._exact(self.algebra, {k: -c for k, c in self.coeffs.items()},
+                           self.exp)
+
+    def halve(self):
+        return self._exact(self.algebra, self.coeffs, self.exp + 1)
+
+    def __eq__(self, other) -> bool:
+        return (self.same_algebra(other) and self.exp == other.exp
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.exp, tuple(sorted(self.coeffs.items()))))
+
+
 # ---------------------------------------------------------------------------
-# Dense backend
+# Dense elements
 
 
-class DenseElement:
-    """A d x d matrix over Z[i][1/2].
+class DenseElement(_Dyadic):
+    """A d x d matrix over Z[i][1/2]; its algebra is d.
 
     `coeffs` maps 2 * (i * d + j) + part to a nonzero integer numerator of
     the real (part 0) or imaginary (part 1) component of entry (i, j); the
@@ -93,7 +152,9 @@ class DenseElement:
     of finite numbers, each converted exactly from its complex float value.
     """
 
-    __slots__ = ("dim", "coeffs", "exp")
+    __slots__ = ()
+    backend = "dense"
+    _mismatch = "dense elements of different dimensions"
 
     def __init__(self, mat):
         try:
@@ -112,50 +173,21 @@ class DenseElement:
                     if x:
                         ratios[2 * (i * d + j) + part] = x.as_integer_ratio()
         exp = max((den.bit_length() - 1 for _, den in ratios.values()), default=0)
-        coeffs = {k: num << (exp - den.bit_length() + 1)
-                  for k, (num, den) in ratios.items()}
-        self.dim = d
-        self.coeffs, self.exp = _normalized(coeffs, exp)
-
-    @classmethod
-    def _exact(cls, dim: int, coeffs: dict[int, int], exp: int) -> DenseElement:
-        self = object.__new__(cls)
-        self.dim = dim
-        self.coeffs, self.exp = _normalized(coeffs, exp)
-        return self
+        super().__init__(d, {k: num << (exp - den.bit_length() + 1)
+                             for k, (num, den) in ratios.items()}, exp)
 
     @classmethod
     def identity(cls, d: int) -> DenseElement:
         return cls._exact(d, {2 * (i * d + i): 1 for i in range(d)}, 0)
 
-    @staticmethod
-    def combine(plus, minus) -> DenseElement:
-        """sum(plus) - sum(minus) over sequences of elements, in one
-        accumulator; at least one term."""
-        terms = [*plus, *minus]
-        if not terms:
-            raise ValueError("combine needs at least one term")
-        d = terms[0].dim
-        for t in terms:
-            if t.dim != d:
-                raise ValueError("dense elements of different dimensions")
-        return DenseElement._exact(d, *_accumulate(plus, minus))
-
-    def __add__(self, other: DenseElement) -> DenseElement:
-        return DenseElement.combine((self, other), ())
-
-    def __sub__(self, other: DenseElement) -> DenseElement:
-        return DenseElement.combine((self,), (other,))
-
-    def __neg__(self) -> DenseElement:
-        return DenseElement._exact(self.dim, {k: -c for k, c in self.coeffs.items()},
-                                   self.exp)
+    # bench/tracer.py counts each element type's own +, - and *, so each
+    # class holds them in its own __dict__
+    __add__, __sub__ = _Dyadic.__add__, _Dyadic.__sub__
 
     def __mul__(self, other: DenseElement) -> DenseElement:
-        d = self.dim
-        if other.dim != d:
-            raise ValueError("dense elements of different dimensions")
-        width = 2 * d  # keys of one row: i * width + 2 * j + part
+        if not self.same_algebra(other):
+            raise ValueError(self._mismatch)
+        width = 2 * self.algebra  # keys of one row: i * width + 2 * j + part
         # row k of the right factor: (2j + part, b, -b if part else b); the
         # third is what b contributes after an imaginary left entry (i * i = -1)
         rows: dict[int, list[tuple[int, int, int]]] = {}
@@ -177,46 +209,40 @@ class DenseElement:
                 for c, b, _ in row:
                     o = base + c
                     out[o] = out.get(o, 0) + a * b
-        return DenseElement._exact(d, out, self.exp + other.exp)
+        return self._exact(self.algebra, out, self.exp + other.exp)
+
+    @property
+    def commutative(self) -> bool:
+        return self.algebra == 1
 
     def unit(self) -> DenseElement:
-        return DenseElement.identity(self.dim)
-
-    def halve(self) -> DenseElement:
-        return DenseElement._exact(self.dim, self.coeffs, self.exp + 1)
+        return DenseElement.identity(self.algebra)
 
     def adjoint(self) -> DenseElement:
-        width = 2 * self.dim
+        width = 2 * self.algebra
         out = {}
         for key, c in self.coeffs.items():
             i, col = divmod(key, width)
             out[(col >> 1) * width + 2 * i + (col & 1)] = -c if col & 1 else c
-        return DenseElement._exact(self.dim, out, self.exp)
+        return self._exact(self.algebra, out, self.exp)
 
     def residual_norm(self) -> float:
         # the Frobenius norm, from the exact sum of squares: 0.0 exactly on
         # the zero element, positive otherwise
         return math.sqrt(sum(c * c for c in self.coeffs.values())) / (1 << self.exp)
 
-    def rows(self) -> list[list[list[float]]]:
-        """The matrix as rows of [re, im] float pairs (its JSON form)."""
-        d, c, scale = self.dim, self.coeffs, 1 << self.exp
+    def to_json(self) -> list[list[list[float]]]:
+        """The matrix as rows of [re, im] float pairs."""
+        d, c, scale = self.algebra, self.coeffs, 1 << self.exp
         return [[[c.get(2 * (i * d + j), 0) / scale, c.get(2 * (i * d + j) + 1, 0) / scale]
                  for j in range(d)] for i in range(d)]
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DenseElement) and self.dim == other.dim
-                and self.exp == other.exp and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.dim, self.exp, tuple(sorted(self.coeffs.items()))))
-
     def __repr__(self):
-        return f"DenseElement(dim={self.dim})"
+        return f"DenseElement(dim={self.algebra})"
 
 
 # ---------------------------------------------------------------------------
-# Exact group-algebra backend
+# Group-algebra elements
 
 
 class GroupAlgebraContext:
@@ -261,47 +287,22 @@ class GroupAlgebraContext:
         return GroupAlgebraElement(self, {g: 1}, 0)
 
 
-class GroupAlgebraElement:
-    """sum_g (coeffs[g] / 2^exp) * g, exact and normalized.
+class GroupAlgebraElement(_Dyadic):
+    """sum_g (coeffs[g] / 2^exp) * g in the group algebra `algebra`, a
+    `GroupAlgebraContext`; built as GroupAlgebraElement(ctx, coeffs, exp)."""
 
-    Sums and differences of any number of terms go through `combine`, one
-    accumulator that aligns the exponents and normalizes once; `+` and `-`
-    are its two-term cases.
-    """
+    __slots__ = ()
+    backend = "group_algebra"
+    _mismatch = "elements live over different group algebras"
 
-    __slots__ = ("ctx", "coeffs", "exp")
-
-    def __init__(self, ctx: GroupAlgebraContext, coeffs: dict[int, int], exp: int):
-        self.ctx = ctx
-        self.coeffs, self.exp = _normalized(coeffs, exp)
-
-    @staticmethod
-    def combine(plus, minus) -> GroupAlgebraElement:
-        """sum(plus) - sum(minus) over sequences of elements, in one
-        accumulator; at least one term."""
-        terms = [*plus, *minus]
-        if not terms:
-            raise ValueError("combine needs at least one term")
-        ctx = terms[0].ctx
-        for t in terms:
-            if t.ctx is not ctx:
-                raise ValueError("elements live over different group algebras")
-        return GroupAlgebraElement(ctx, *_accumulate(plus, minus))
-
-    def __add__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
-        return GroupAlgebraElement.combine((self, other), ())
-
-    def __sub__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
-        return GroupAlgebraElement.combine((self,), (other,))
-
-    def __neg__(self) -> GroupAlgebraElement:
-        return GroupAlgebraElement(self.ctx, {g: -c for g, c in self.coeffs.items()},
-                                   self.exp)
+    # bench/tracer.py counts each element type's own +, - and *, so each
+    # class holds them in its own __dict__
+    __add__, __sub__ = _Dyadic.__add__, _Dyadic.__sub__
 
     def __mul__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
-        if self.ctx is not other.ctx:
-            raise ValueError("elements live over different group algebras")
-        ctx, m = self.ctx, self.ctx.shift
+        if not self.same_algebra(other):
+            raise ValueError(self._mismatch)
+        ctx, m = self.algebra, self.algebra.shift
         left = [(g >> m, g & ((1 << m) - 1), a) for g, a in self.coeffs.items()]
         out: dict[int, int] = {}
         for h, b in other.coeffs.items():
@@ -309,36 +310,29 @@ class GroupAlgebraElement:
             for t, s, a in left:
                 gh = right[t] ^ s
                 out[gh] = out.get(gh, 0) + a * b
-        return GroupAlgebraElement(ctx, out, self.exp + other.exp)
+        return self._exact(ctx, out, self.exp + other.exp)
+
+    @property
+    def commutative(self) -> bool:
+        return self.algebra.abelian
 
     def unit(self) -> GroupAlgebraElement:
-        return self.ctx.basis_element(0)
-
-    def halve(self) -> GroupAlgebraElement:
-        return GroupAlgebraElement(self.ctx, self.coeffs, self.exp + 1)
+        return self.algebra.basis_element(0)
 
     def adjoint(self) -> GroupAlgebraElement:
-        inverse = self.ctx.inverse
-        return GroupAlgebraElement(self.ctx,
-                                   {inverse(g): c for g, c in self.coeffs.items()},
-                                   self.exp)
+        inverse = self.algebra.inverse
+        return self._exact(self.algebra, {inverse(g): c for g, c in self.coeffs.items()},
+                           self.exp)
 
     def residual_norm(self) -> float:
         # 0.0 exactly on the zero element; positive otherwise
         return sum(abs(c) for c in self.coeffs.values()) / float(1 << self.exp)
 
-    def support(self) -> list[tuple[int, int, int]]:
-        """JSON-facing support list [[element, numerator, log2 denominator]],
+    def to_json(self) -> list[list[int]]:
+        """The support as [element, numerator, log2 denominator] triples,
         elements by their numbers in certificates."""
-        number = self.ctx.numbering()
+        number = self.algebra.numbering()
         return sorted([number[g], c, self.exp] for g, c in self.coeffs.items())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GroupAlgebraElement) and self.ctx is other.ctx
-                and self.exp == other.exp and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.exp, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self):
         return f"GroupAlgebraElement({len(self.coeffs)} terms, exp={self.exp})"
@@ -350,7 +344,7 @@ class GroupAlgebraElement:
 
 @dataclass
 class Representation:
-    """Images of the variables x_i in one of the backends.
+    """Images of the variables x_i, all elements of one algebra.
 
     For the isomorphism relation set of (M, b) the central element is
     fixed to -1, so no gamma image participates in verification (the
@@ -358,7 +352,6 @@ class Representation:
     """
 
     images: list
-    backend: str  # "dense" | "group_algebra"
     name: str = ""
 
     def identity(self):
@@ -409,16 +402,16 @@ def verify_representation(R: Representation, sys: LinearSystem) -> VerificationR
     `sys`: each x_i self-adjoint and an involution, images sharing a
     constraint commuting, and each constraint product equal to (-1)^{b_k}.
     One family per relation, with no worst description; a relation holds
-    only when its residual is literally zero.
+    only when its residual is literally zero.  An image over another
+    algebra than x1's is a ValueError naming it, raised before any product.
     """
     if len(R.images) != sys.num_vars:
         raise ValueError(f"{len(R.images)} images for {sys.num_vars} variables")
-    if R.backend == "dense":
-        dims = {img.dim for img in R.images}
-        if len(dims) != 1:
-            raise ValueError(f"mixed dense dimensions {sorted(dims)}")
-
     one = R.identity()
+    for i, x in enumerate(R.images):
+        if not one.same_algebra(x):
+            raise ValueError(f"image x{i + 1} is over another algebra than x1")
+
     families = []
     for i, x in enumerate(R.images):
         families.append((f"selfadjoint:x{i + 1}", (x - x.adjoint()).residual_norm(), ""))
@@ -436,7 +429,7 @@ def verify_representation(R: Representation, sys: LinearSystem) -> VerificationR
         target = -one if sys.b[k] else one
         families.append((f"product:k{k + 1}", (prod - target).residual_norm(), ""))
 
-    return VerificationReport(tuple(families), R.backend)
+    return VerificationReport(tuple(families), one.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +488,7 @@ def pauli_magic_square_rep(distinguished: int = 0) -> Representation:
             for b_ in range(3):
                 images[3 * a + b_] = cells[a][tau[b_]]
 
-    rep = Representation(images, "dense", name="pauli-magic-square")
+    rep = Representation(images, name="pauli-magic-square")
     report = verify_representation(rep, sys)
     if not report.passed:  # construction bug, not a data condition
         raise RuntimeError(f"magic square failed verification: {report.worst[0]}")
@@ -510,4 +503,4 @@ def group_algebra_rep(T: CosetTable | RegularTable) -> Representation:
     P = ctx.table.cosets.presentation
     nvars = P.ngens - (1 if "gamma" in P.generators else 0)
     images = [ctx.basis_element(ctx.table.element((i,))) for i in range(nvars)]
-    return Representation(images, "group_algebra", name="regular")
+    return Representation(images, name="regular")

@@ -608,6 +608,38 @@ def test_cert_empty_bits_are_malformed(files, capsys, kind, flags):
         f"error: {flags[-2]} must be a 6-bit string, got ''\n")
 
 
+# an empty string given to a flag is given: a color the graph lacks, a
+# second input, or a path that cannot be read or written
+EMPTY_VALUES = {
+    "c0": (["build", "--graph", "k33.g", "--decolor", "full", "--c0", ""],
+           "is not an edge color"),
+    "system": (["build", "--system", "", "--graph", "k33.g"], "mutually exclusive"),
+    "graph": (["build", "--graph", ""], "No such file"),
+    "build-out": (["build", "--graph", "k33.g", "--out", ""], "No such file"),
+    "build-dot": (["build", "--graph", "k33.g", "--dot", ""], "No such file"),
+    "solve-json": (["solve", "--graph", "k33.g", "--json", ""], "No such file"),
+    "group-json": (["group", "--graph", "k33.g", "--json", ""], "No such file"),
+    "cert-out": (["cert", "qut", "--graph", "k33.g", "--rep", "regular", "--out", ""],
+                 "No such file"),
+    "cert-report": (["cert", "qut", "--graph", "k33.g", "--rep", "regular",
+                     "--report", ""], "No such file"),
+    "iso-json": (["iso", "g.json", "g.json", "--json", ""], "No such file"),
+    "iso-map-out": (["iso", "g.json", "g.json", "--map-out", ""], "No such file"),
+    "aut-json": (["aut", "g.json", "--json", ""], "No such file"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_VALUES))
+def test_empty_flag_values_exit_2(files, monkeypatch, capsys, name):
+    monkeypatch.chdir(files)
+    assert run("build", "--graph", "k33.g", "--out", "g.json") == 0
+    capsys.readouterr()
+    argv, message = EMPTY_VALUES[name]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("argv", [["cert", "qut", "--graph", "k33.g", "--rep", "dense"],
                                   ["build", "--graph", "k33.g", "--construction", "H"]],
                          ids=["rep-dense", "construction-H"])

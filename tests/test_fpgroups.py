@@ -81,11 +81,11 @@ def numbered_columns(R) -> tuple[tuple[int, ...], ...]:
     e·g's number in the support of x·g, each beside the coefficient e + 1."""
     ctx = GroupAlgebraContext(R)
     x = GroupAlgebraElement(ctx, {e: e + 1 for e in range(ctx.size)}, 0)
-    number = {c: e for e, c, _ in x.support()}
+    number = {c: e for e, c, _ in x.to_json()}
     columns = []
     for g in range(R.cosets.presentation.ngens):
         column = [-1] * ctx.size
-        for d, c, _ in (x * ctx.basis_element(R.element((g,)))).support():
+        for d, c, _ in (x * ctx.basis_element(R.element((g,)))).to_json():
             column[number[c]] = d
         columns.append(tuple(column))
     return tuple(columns)
@@ -609,7 +609,7 @@ def test_context_products_and_adjoints_match_the_enumeration(case):
     for left, right in ((x_r * y_r, x_f * y_f), (y_r * x_r, y_f * x_f),
                         (x_r.adjoint(), x_f.adjoint()),
                         ((x_r * y_r).adjoint(), (x_f * y_f).adjoint())):
-        assert left.support() == renumbered(right.support())
+        assert left.to_json() == renumbered(right.to_json())
 
 
 @pytest.mark.parametrize("cap", [1, 10, 255])

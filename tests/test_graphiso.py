@@ -396,7 +396,7 @@ def test_automorphism_order_matches_brute_force(G):
 def oracle_isomorphism(G1, G2):
     """The search on both graphs as given, nothing peeled."""
     inst = graphiso._plain([G1, G2])
-    return graphiso._search(inst, inst.initial(balanced=True))
+    return graphiso._search(inst, inst.initial())
 
 
 def oracle_automorphisms(G):
@@ -414,7 +414,7 @@ def core_search(G1, G2):
     ids, codes = graphiso._edge_ids([G1, G2]), {}
     inst = graphiso._side_by_side(graphiso._core(G1, ids, codes),
                                   graphiso._core(G2, ids, codes))
-    return graphiso._search(inst, inst.initial(balanced=True))
+    return graphiso._search(inst, inst.initial())
 
 
 def graph(vcolors, edges):

@@ -70,3 +70,11 @@ def test_every_public_name_has_a_reader_or_a_reason():
     unread = {qual for qual, name in public_names().items() if name not in read}
     assert unread - ALLOWED.keys() == set(), "public names that nothing in src reads"
     assert ALLOWED.keys() - unread == set(), "allowlisted names that src now reads"
+
+
+def test_no_assert_statements():
+    # a check in the package must survive `python -O`, which strips asserts
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -35,7 +35,7 @@ def tiny_cert():
     sys = tiny_system()
     G = build_G(sys)
     one = DenseElement.identity(1)
-    rep = Representation([one, one], "dense")
+    rep = Representation([one, one])
     return build_magic_unitary(G, G, rep)
 
 
@@ -47,7 +47,7 @@ def make_classical_cert(G1: ColoredGraph, G2: ColoredGraph,
         raise CertificateError("mapping is not a bijection between the vertex sets")
     one = DenseElement.identity(1)
     entries = {(v, w): one for v, w in mapping.items()}
-    return MagicUnitaryCert(G1, G2, entries, "dense", one, provenance="classical")
+    return MagicUnitaryCert(G1, G2, entries, one, provenance="classical")
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_pauli_cert_block_structure(pauli_cert):
     assert blocks == set(range(6))
     for (i, j), elem in pauli_cert.entries.items():
         assert rows[i][0] == cols[j][0]
-        assert elem.dim == 4
+        assert elem.algebra == 4
     # one distinct element per (block, delta): 6 blocks x 4 deltas
     assert len(pauli_cert.distinct_elements()) == 24
 
@@ -128,7 +128,7 @@ def test_graphs_not_block_labelled(demo_sys, name):
     assert block_labels(parse_graph_json(serialize(mutant))) is None
     # the all-ones scalar representation solves the homogeneous system
     one = DenseElement.identity(1)
-    rep = Representation([one] * demo_sys.num_vars, "dense")
+    rep = Representation([one] * demo_sys.num_vars)
     with pytest.raises(CertificateError, match="not block-labelled"):
         build_magic_unitary(mutant, mutant, rep)
     cert = build_magic_unitary(G, G, rep)
@@ -144,7 +144,7 @@ def test_non_square_cert_fails_a_sum():
     # the identity, column 2 to zero; a failure, not an exception
     one = DenseElement.identity(1)
     cert = MagicUnitaryCert(plain_graph(2, []), plain_graph(3, []),
-                            {(0, 0): one, (1, 1): one}, "dense", one)
+                            {(0, 0): one, (1, 1): one}, one)
     report = verify_cert(cert)
     assert not report.passed
     assert report.residual("row_sum") == 0.0
@@ -163,7 +163,7 @@ def corrupt_swap_columns(cert, j1, j2):
         elif j == j2:
             j = j1
         entries[(i, j)] = elem
-    return MagicUnitaryCert(cert.row_graph, cert.col_graph, entries, cert.backend,
+    return MagicUnitaryCert(cert.row_graph, cert.col_graph, entries,
                             cert.identity, provenance="corrupted",
                             source_rep=cert.source_rep)
 
@@ -180,7 +180,7 @@ def test_swapped_block_columns_fail_with_named_color(pauli_cert):
 def replace_entry(cert, key, elem):
     entries = dict(cert.entries)
     entries[key] = elem
-    return MagicUnitaryCert(cert.row_graph, cert.col_graph, entries, cert.backend,
+    return MagicUnitaryCert(cert.row_graph, cert.col_graph, entries,
                             cert.identity, provenance="corrupted")
 
 
@@ -189,7 +189,7 @@ def test_each_family_catches_its_own_corruption(pauli_cert):
     entries = dict(pauli_cert.entries)
     del entries[(0, 0)]
     dropped = MagicUnitaryCert(pauli_cert.row_graph, pauli_cert.col_graph, entries,
-                               "dense", pauli_cert.identity)
+                               pauli_cert.identity)
     report = verify_cert(dropped)
     assert report.residual("row_sum") > 1e-6
     assert report.residual("col_sum") > 1e-6
@@ -228,7 +228,7 @@ def test_mixed_element_shapes_are_a_failing_family(request, cert_name):
     # element of another group's algebra among the K3,3 group algebra's
     cert = request.getfixturevalue(cert_name)
     assert "shape" not in {name for name, _, _ in verify_cert(cert).families}
-    if cert.backend == "dense":
+    if cert.identity.backend == "dense":
         aliens = [DenseElement.identity(1), DenseElement.identity(2)]
     else:
         z2 = todd_coxeter(Presentation(("x",), ((0, 0),)))
@@ -256,7 +256,7 @@ def test_zero_identity_is_a_failing_family(request, cert_name, entries):
     zero = cert.zero()
     bad = MagicUnitaryCert(cert.row_graph, cert.col_graph,
                            dict.fromkeys(cert.entries, zero) if entries == "zero" else {},
-                           cert.backend, zero)
+                           zero)
     report = verify_cert(bad)
     assert not report.passed
     assert [name for name, _, _ in report.families] == ["projection", "shape", "color"]
@@ -284,7 +284,7 @@ def test_extract_without_block_table(pauli_cert):
     # a certificate assembled from a copy of the entries alone: extraction
     # reads the (block, delta) elements back from the entries
     rebuilt = MagicUnitaryCert(pauli_cert.row_graph, pauli_cert.col_graph,
-                               dict(pauli_cert.entries), "dense",
+                               dict(pauli_cert.entries),
                                pauli_cert.identity, source_rep=pauli_cert.source_rep)
     report = extract_generators(rebuilt)
     assert report.cross_block_discrepancy == 0.0
@@ -797,7 +797,7 @@ def test_reordered_rows_read_one_residual(gstar33_0):
     entries = {(0, 0): a, (0, 1): b, (0, 2): c, (1, 0): c, (1, 1): b, (1, 2): a}
     one = DenseElement.identity(1)
     entries.update({(v, v): one for v in range(2, 24)})
-    cert = MagicUnitaryCert(gstar33_0, gstar33_0, entries, "dense", one)
+    cert = MagicUnitaryCert(gstar33_0, gstar33_0, entries, one)
     residual = DenseElement.combine([a, b, c], [one]).residual_norm()
     assert residual > 0
     assert verify_cert(cert).families[1] == ("row_sum", residual, "row 0")
@@ -827,7 +827,7 @@ def test_one_object_at_the_digit_bound(kind):
     x = DenseElement([[0.5, 0.25], [0.25, 0.5]])
     one = DenseElement.identity(2)
     cert = MagicUnitaryCert(G1, G2, {(i, j): x for i in (1, 2, 3) for j in (1, 2, 3)},
-                            "dense", one)
+                            one)
     report = verify_cert(cert)
     three_x = DenseElement.combine([x, x, x], [])
     assert report.residual("intertwine:plain:0") == three_x.residual_norm() > 0
@@ -844,7 +844,7 @@ def test_same_objects_in_another_order_cancel():
     a1, a2, b = DenseElement([[0.25]]), DenseElement([[0.25]]), DenseElement([[0.5]])
     entries = {(1, 0): a2, (2, 0): a1, (0, 1): a1, (0, 2): a2,
                (0, 0): b, (1, 2): b, (2, 1): b}
-    cert = MagicUnitaryCert(G, G, entries, "dense", DenseElement.identity(1))
+    cert = MagicUnitaryCert(G, G, entries, DenseElement.identity(1))
     assert verify_cert(cert).residual("intertwine:plain:0") == 0.0
     assert_sums_match_reference(cert)
 
@@ -971,7 +971,7 @@ def naive_verify(cert):
                     if r > worst:
                         worst, desc = r, f"block {k}"
         families.append(("block_commute", worst, desc))
-    return VerificationReport(tuple(families), cert.backend)
+    return VerificationReport(tuple(families), cert.identity.backend)
 
 
 def brute_witness(cert):
@@ -1015,10 +1015,10 @@ def not_selfadjoint(cert):
     """An element of the certificate's algebra with x* != x: i times the
     identity for dense certificates, a group element that is not an
     involution for group-algebra ones."""
-    if cert.backend == "dense":
-        d = cert.identity.dim
+    if cert.identity.backend == "dense":
+        d = cert.identity.algebra
         return DenseElement([[1j if r == c else 0 for c in range(d)] for r in range(d)])
-    ctx = cert.identity.ctx
+    ctx = cert.identity.algebra
     g = next(g for g in range(ctx.size) if ctx.inverse(g) != g)
     return ctx.basis_element(g)
 
@@ -1029,7 +1029,7 @@ def corruptions(cert):
     first = next(iter(cert.entries))
     out = {"swap": corrupt_swap_columns(cert, 0, 1),
            "zero": replace_entry(cert, first, cert.zero())}
-    if cert.backend == "dense" or not cert.identity.ctx.abelian:
+    if cert.identity.backend == "dense" or not cert.identity.algebra.abelian:
         # over an abelian group of involutions every element is self-adjoint
         out["skew"] = replace_entry(cert, first, not_selfadjoint(cert))
     return out
@@ -1089,7 +1089,20 @@ def test_witness_equals_brute_force_on_random_graphs(H):
     cert = regular_cert(H)
     witness = noncommuting_witness(cert)
     assert witness == brute_witness(cert)
-    assert (witness is None) is cert.identity.ctx.abelian
+    assert (witness is None) is cert.identity.algebra.abelian
+
+
+def test_one_dimensional_witness_takes_no_commutators(monkeypatch):
+    # 1 x 1 matrices commute, so the search is skipped: the entries 1 and 0
+    # are never paired
+    cert = tiny_cert()
+    assert len(cert.distinct_elements()) == 2
+
+    def no_commutators(x, y, selfadjoint):
+        raise AssertionError("a commutator was formed")
+
+    monkeypatch.setattr("lcsq.qcert._commutator_norm", no_commutators)
+    assert noncommuting_witness(cert) is None
 
 
 def test_abelian_witness_takes_no_products(certs, monkeypatch):

@@ -21,7 +21,7 @@ from lcsq.reps import (DenseElement, GroupAlgebraContext, GroupAlgebraElement,
 
 def as_array(e: DenseElement) -> np.ndarray:
     """A dense element as a numpy complex128 matrix, the tests' oracle."""
-    return np.array([[complex(re, im) for re, im in row] for row in e.rows()])
+    return np.array([[complex(re, im) for re, im in row] for row in e.to_json()])
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +31,7 @@ def as_array(e: DenseElement) -> np.ndarray:
 def test_pauli_images_are_involutions(pauli_rep):
     assert len(pauli_rep.images) == 9
     for x in pauli_rep.images:
-        assert x.dim == 4
+        assert x.algebra == 4
         assert np.allclose(as_array(x) @ as_array(x), np.eye(4))
         assert np.allclose(as_array(x), as_array(x).conj().T)
 
@@ -88,7 +88,7 @@ def test_swapped_images_fail_with_named_product(pauli_rep, k33_sys_e1):
     # swap two images from different rows/columns: some constraint product breaks
     images = list(pauli_rep.images)
     images[0], images[4] = images[4], images[0]
-    broken = Representation(images, "dense")
+    broken = Representation(images)
     report = verify_representation(broken, k33_sys_e1)
     assert not report.passed
     assert any(name.startswith("product:") and r > 1.0
@@ -156,7 +156,7 @@ def test_dyadic_normalization(table33):
     assert e.coeffs == {0: 1, 1: 2} and e.exp == 1
     zero = e - e
     assert not zero.coeffs and zero.exp == 0 and zero.residual_norm() == 0.0
-    assert e.support() == [[0, 1, 1], [1, 2, 1]]
+    assert e.to_json() == [[0, 1, 1], [1, 2, 1]]
 
 
 def reference_normalize(coeffs, exp):
@@ -231,10 +231,10 @@ def test_no_reference_cycle_keeps_a_context_alive(k34_sys0):
     gc.disable()
     try:
         R = group_algebra_rep(regular_table(P))
-        ctx = weakref.ref(R.images[0].ctx)
+        ctx = weakref.ref(R.images[0].algebra)
         x, y = R.images[0], R.images[5]
         z = (x * y - y * x).adjoint()
-        assert z.support()
+        assert z.to_json()
         del R, x, y, z
         assert ctx() is None
     finally:
@@ -269,7 +269,7 @@ def dense_regular_rep(table, sys) -> Representation:
         for c in range(n):
             mat[perms[g][c], c] = 1.0
         images.append(DenseElement(mat))
-    return Representation(images, "dense")
+    return Representation(images)
 
 
 def test_projections_both_backends(table33, k33_sys0, pauli_rep):
@@ -294,7 +294,7 @@ def test_backends_agree_on_verdicts(table33, k33_sys0):
     def corrupt(R):
         images = list(R.images)
         images[0], images[3] = images[3], images[0]
-        return Representation(images, R.backend)
+        return Representation(images)
 
     bad_exact = verify_representation(corrupt(exact), k33_sys0)
     bad_dense = verify_representation(corrupt(dense), k33_sys0)
@@ -314,11 +314,43 @@ def test_generator_count_mismatch(pauli_rep):
         verify_representation(pauli_rep, small)
 
 
-def test_mixed_dimensions_rejected():
+@pytest.mark.parametrize("backend", ["dense", "group_algebra"])
+def test_mixed_dimensions_rejected(monkeypatch, table33, table34, backend):
+    # an image over another algebra is named before any product is formed
     sys = LinearSystem(BinMatrix.from_rows([[1, 1]]), (0,))
-    images = [DenseElement(np.eye(2)), DenseElement(np.eye(3))]
-    with pytest.raises(ValueError, match="dimensions"):
-        verify_representation(Representation(images, "dense"), sys)
+    if backend == "dense":
+        images = [DenseElement(np.eye(2)), DenseElement(np.eye(3))]
+    else:
+        images = [GroupAlgebraContext(T).basis_element(0) for T in (table33, table34)]
+
+    def no_products(self, other):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(type(images[0]), "__mul__", no_products)
+    with pytest.raises(ValueError, match="image x2 is over another algebra than x1"):
+        verify_representation(Representation(images), sys)
+
+
+@pytest.mark.parametrize("cls", [DenseElement, GroupAlgebraElement])
+def test_each_element_type_holds_its_own_operators(cls):
+    # bench/tracer.py counts each type's arithmetic by wrapping the
+    # operators in the class's own __dict__, not those of a base class
+    assert {"__add__", "__sub__", "__mul__"} <= cls.__dict__.keys()
+
+
+def test_an_element_knows_its_algebra(pauli_rep, table33, table34):
+    x = pauli_rep.images[0]
+    assert (x.backend, x.algebra, x.commutative) == ("dense", 4, False)
+    assert DenseElement.identity(1).commutative
+    assert not x.same_algebra(DenseElement.identity(2))
+    assert x.same_algebra(x.unit())
+    abelian, nonabelian = GroupAlgebraContext(table33), GroupAlgebraContext(table34)
+    g = abelian.basis_element(1)
+    assert (g.backend, g.algebra, g.commutative) == ("group_algebra", abelian, True)
+    assert not nonabelian.basis_element(1).commutative
+    assert g.same_algebra(abelian.basis_element(0))
+    assert not g.same_algebra(nonabelian.basis_element(1))
+    assert not g.same_algebra(DenseElement.identity(1))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +374,8 @@ def dyadic_matrices(draw, d=None):
 @given(st.data())
 def test_dense_arithmetic_matches_numpy(data):
     a, A = data.draw(dyadic_matrices())
-    b, B = data.draw(dyadic_matrices(a.dim))
-    others = data.draw(st.lists(dyadic_matrices(a.dim), max_size=4))
+    b, B = data.draw(dyadic_matrices(a.algebra))
+    others = data.draw(st.lists(dyadic_matrices(a.algebra), max_size=4))
     assert np.array_equal(as_array(a), A)
     assert np.array_equal(as_array(a * b), A @ B)
     assert np.array_equal(as_array(a.adjoint()), A.conj().T)
