@@ -16,6 +16,7 @@ so identical configurations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from dataclasses import dataclass, asdict
@@ -303,7 +304,10 @@ def cmd_aut(cfg: RunConfig, path: str) -> int:
 # Argument parsing
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing reads it
+    and never changes it."""
     top = argparse.ArgumentParser(prog="lcsq", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

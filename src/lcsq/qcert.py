@@ -32,6 +32,9 @@ neither the order of the terms nor cancelling a term on both sides
 changes them.  Each
 distinct nonzero signature is decoded and summed once; entries that
 coincide by the block structure share one object, so most sums repeat.
+Intertwining with one edge color forms only the rows that color reaches:
+a row with a neighbour in the row graph, or with an entry in a column
+that has a neighbour in the column graph; every other row is zero.
 A family's residual is the largest norm of any single entry: a per-entry
 Frobenius norm for dense elements, and for group-algebra elements the l1
 norm of the coefficients.  Both element types are exact, so a norm is
@@ -43,7 +46,14 @@ one product and an adjoint; the block-commutation family, the witness
 search and the lift's gadgets all use this, and fall back to two
 products for an element that is not self-adjoint.  An algebra that is
 commutative (a group algebra of an abelian group, or 1 x 1 matrices)
-holds no quantum-symmetry witness, and the search is skipped.
+holds no quantum-symmetry witness, and the search is skipped.  A block
+whose entries commute as their supports show (`supports_commute`) takes
+no commutator at all: over the group algebra, every two group elements
+in the union of the block's supports commute.  A built certificate's
+block k lies in the abelian subgroup <x_i : i in S_k>, so every block of
+every group-algebra certificate built here takes this path; a dense
+block does only over 1 x 1 matrices.  Any other block forms each pair's
+commutator, so its residual and description are those of the pairs.
 """
 
 from __future__ import annotations
@@ -246,18 +256,24 @@ def _commutator_norm(x, y, selfadjoint: bool) -> float:
     return (xy - (xy.adjoint() if selfadjoint else y * x)).residual_norm()
 
 
-def _intertwine(rows: dict, adj1: dict, adj2: dict,
+def _intertwine(rows: dict, col_rows: dict, adj1: dict, adj2: dict,
                 memo: dict, elems: list, bits: int) -> float:
     """Largest residual norm over the entries of A1 u - u A2.
 
     A1 and A2 are the adjacency matrices of one edge color, as neighbour
-    lists, and `rows` maps a row of u to its stored (column, weight) pairs.
-    Row i of the difference is formed alone, as a dict from column j to the
+    lists, `rows` maps a row of u to its stored (column, weight) pairs and
+    `col_rows` a column of u to the rows that store an entry in it.  Row i
+    of the difference is formed alone, as a dict from column j to the
     signature of sum_{k ~1 i} u[k, j] - sum_{k ~2 j} u[i, k]; each distinct
-    signature is summed once, through `_residual`.
+    signature is summed once, through `_residual`.  Only the rows the color
+    reaches are formed: those with a neighbour under A1, and those with an
+    entry in a column that has a neighbour under A2; every other row is 0.
     """
+    touched = set(adj1)
+    for k in adj2:
+        touched.update(col_rows.get(k, ()))
     sigs: set[int] = set()
-    for i in adj1.keys() | rows.keys():
+    for i in touched:
         acc: dict[int, int] = {}
         for k in adj1.get(i, ()):
             for j, w in rows.get(k, ()):
@@ -322,9 +338,15 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     row, column or intertwining sum is evaluated once, and one whose two
     sides hold the same objects not at all (see `_residual`); the family
     reports the first row or column attaining its residual.  Intertwining
-    is formed one row at a time from an index of the entries by row.
-    The projection family finds which entries are self-adjoint, and a
-    same-block commutator of two of them takes one product.
+    is formed one row at a time from an index of the entries by row, and
+    only at the rows an edge color reaches (see `_intertwine`), found from
+    a second index of the rows by column.  A block whose representatives'
+    supports commute (the elements' `supports_commute`: every group-algebra
+    block of a built certificate, and a dense block only over 1 x 1
+    matrices) adds 0.0 to `block_commute` and takes no product; any other
+    block pairs its representatives.  The projection family finds which
+    entries are self-adjoint, and a same-block commutator of two of them
+    takes one product.
     """
     families: list[tuple[str, float, str]] = []
     G1, G2, one = cert.row_graph, cert.col_graph, cert.identity
@@ -352,10 +374,10 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     elems = [elem for _, elem in distinct] + [one]
     index = {id(elem): e for e, elem in enumerate(elems)}
     rows: dict[int, list] = {}
-    col_lengths: dict[int, int] = {}
+    col_rows: dict[int, list[int]] = {}
     for (i, j), elem in cert.entries.items():
         rows.setdefault(i, []).append((j, index[id(elem)]))
-        col_lengths[j] = col_lengths.get(j, 0) + 1
+        col_rows.setdefault(j, []).append(i)
     classes1 = _edge_classes(G1)
     classes2 = classes1 if G2 is G1 else _edge_classes(G2)
     adjacency = {}
@@ -366,7 +388,7 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     degrees = (len(nbrs) for pair in adjacency.values() for adj in pair
                for nbrs in adj.values())
     bound = max(max(map(len, rows.values()), default=1),
-                max(col_lengths.values(), default=1), max(degrees, default=1))
+                max(map(len, col_rows.values()), default=1), max(degrees, default=1))
     bits = bound.bit_length() + 1
     weights = [1 << (e * bits) for e in range(len(elems))]
     for row in rows.values():
@@ -394,7 +416,7 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
 
     # intertwining per edge color
     for cname, (adj1, adj2) in adjacency.items():
-        r = _intertwine(rows, adj1, adj2, memo, elems, bits)
+        r = _intertwine(rows, col_rows, adj1, adj2, memo, elems, bits)
         families.append((f"intertwine:{cname or 'plain'}", r, cname or "plain"))
 
     # structural invariants of the block decomposition
@@ -422,6 +444,8 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
         for (k, _), group in groups.items():
             per_block.setdefault(k, []).append(group[0])
         for k, firsts in per_block.items():
+            if firsts[0].supports_commute(firsts):
+                continue  # every commutator of the block is zero
             for a in range(len(firsts)):
                 for b in range(a + 1, len(firsts)):
                     x, y = firsts[a], firsts[b]

@@ -21,9 +21,11 @@ One base class holds what reads only the numerators: `combine` (the sum
 of one sequence of elements minus the sum of another, in one call),
 sums, negation, halving, equality, and `same_algebra`, the one check that
 two elements meet.  Each type adds its product, adjoint, `unit`,
-`commutative`, `to_json()`, its `backend` name, and a residual norm that
-is 0.0 exactly on the zero element; a relation holds only when its
-residual is literally zero.
+`commutative`, `supports_commute` (whether some elements commute, as
+their supports alone show: in the group algebra, when every two group
+elements in the union of the supports commute), `to_json()`, its
+`backend` name, and a residual norm that is 0.0 exactly on the zero
+element; a relation holds only when its residual is literally zero.
 """
 
 from __future__ import annotations
@@ -215,6 +217,11 @@ class DenseElement(_Dyadic):
     def commutative(self) -> bool:
         return self.algebra == 1
 
+    def supports_commute(self, elements) -> bool:
+        """Whether every two of `elements` commute, as far as their supports
+        show: only in a commutative algebra.  False proves nothing."""
+        return self.commutative
+
     def unit(self) -> DenseElement:
         return DenseElement.identity(self.algebra)
 
@@ -253,7 +260,8 @@ class GroupAlgebraContext:
     h's word; h's inverse is that word read backward.  Certificates number
     the elements as a standardized table does, or a plain table's as it
     numbers its cosets.  `abelian` tells whether the group, and so its group
-    algebra, is commutative."""
+    algebra, is commutative; `commuting` whether every two of some group
+    elements commute."""
 
     def __init__(self, table: CosetTable | RegularTable):
         self._number = None  # computed when a support is first serialized
@@ -277,6 +285,19 @@ class GroupAlgebraContext:
         if h not in self._inverse:
             self._inverse[h] = self.table.element(self.table.word(h)[::-1])
         return self._inverse[h]
+
+    def commuting(self, support) -> bool:
+        """Whether every two of the group elements in `support` commute:
+        g·h = right(h)[t_g] xor s_g against h·g = right(g)[t_h] xor s_h."""
+        if self.abelian:
+            return True
+        mask = (1 << self.shift) - 1
+        elems = [(g >> self.shift, g & mask, self.right(g)) for g in support]
+        for a, (t_g, s_g, right_g) in enumerate(elems):
+            for t_h, s_h, right_h in elems[a + 1:]:
+                if right_h[t_g] ^ s_g != right_g[t_h] ^ s_h:
+                    return False
+        return True
 
     def numbering(self):
         if self._number is None:
@@ -315,6 +336,14 @@ class GroupAlgebraElement(_Dyadic):
     @property
     def commutative(self) -> bool:
         return self.algebra.abelian
+
+    def supports_commute(self, elements) -> bool:
+        """Whether every two of `elements` commute because every two group
+        elements in the union of their supports do.  False proves nothing."""
+        support: set[int] = set()
+        for elem in elements:
+            support.update(elem.coeffs)
+        return self.algebra.commuting(support)
 
     def unit(self) -> GroupAlgebraElement:
         return self.algebra.basis_element(0)

@@ -14,7 +14,7 @@ import pytest
 from types import SimpleNamespace
 
 from lcsq import fpgroups, graphiso, qcert, reps
-from lcsq.cli import EXIT_INTERNAL, _dump, main
+from lcsq.cli import EXIT_INTERNAL, _dump, _parser, main
 from test_fpgroups import standard_numbering
 from test_qcert import corrupt_swap_columns
 
@@ -862,3 +862,42 @@ def test_regular_k33_lift_under_python_O_matches_in_process(files, monkeypatch, 
     assert data["noncommuting_witness"] is None
     assert data["lifted_noncommuting_witness"] is False
     assert (files / "r.json").read_bytes() == in_process
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process
+
+
+def test_parser_is_built_once():
+    assert _parser() is _parser()
+
+
+def test_usage_error_leaves_the_parser_as_a_fresh_process_finds_it(files, monkeypatch,
+                                                                    capsys):
+    monkeypatch.chdir(files)
+    argv = ["group", "--graph", "k34.g", "--word", "x1 x5"]
+    assert run("cert", "qut", "--graph", "k33.g", "--rep", "dense") == 2
+    assert run("group", "--graph", "k33.g", "--cap", "many") == 2
+    capsys.readouterr()
+    assert run(*argv) == 0
+    out = capsys.readouterr()
+    proc = _cli("-m", "lcsq.cli", *argv, cwd=files)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.out, out.err)
+
+
+HELP_ARGV = [[], ["solve"], ["build"], ["group"], ["cert"], ["iso"], ["aut"]]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=["lcsq", *(a[0] for a in HELP_ARGV[1:])])
+def test_help_exits_0_with_the_bytes_of_a_fresh_process(files, monkeypatch, capsys, argv):
+    # argparse wraps help to the terminal width, read from COLUMNS first
+    monkeypatch.setenv("COLUMNS", "80")
+    outs = []
+    for _ in range(2):
+        assert run(*argv, "--help") == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert outs[0].out.startswith(f"usage: {' '.join(['lcsq', *argv])}")
+    assert outs[0].err == ""
+    proc = _cli("-m", "lcsq.cli", *argv, "--help", cwd=files)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, outs[0].out, "")

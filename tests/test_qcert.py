@@ -730,19 +730,34 @@ def regular_cert(H):
     return build_magic_unitary(G, G, group_algebra_rep(todd_coxeter(P)))
 
 
+def replace_object(cert, old, new):
+    """The certificate with every entry that stores the object `old`
+    storing `new` instead, so a (block, delta) class stays one object."""
+    entries = {key: new if elem is old else elem for key, elem in cert.entries.items()}
+    return MagicUnitaryCert(cert.row_graph, cert.col_graph, entries,
+                            cert.identity, provenance="corrupted")
+
+
 @st.composite
 def corrupted_certs(draw, pauli):
     """The Pauli certificate or a regular-rep certificate on a random
     connected graph, after one to three corruptions: two columns swapped, an
-    entry zeroed, or an entry replaced by another stored element."""
+    entry zeroed, an entry replaced by another stored element, or a stored
+    object replaced wherever it is stored by a projection (1 +- x_j)/2 of
+    the source representation, which `block_equal` cannot tell apart."""
     cert = pauli if draw(st.booleans()) else regular_cert(draw(connected_graphs()))
     n = cert.col_graph.num_vertices
     stored = [elem for _, elem in cert.distinct_elements()]
-    for kind in draw(st.lists(st.sampled_from(["swap", "zero", "copy"]),
+    rep = cert.source_rep
+    for kind in draw(st.lists(st.sampled_from(["swap", "zero", "copy", "project"]),
                               min_size=1, max_size=3)):
         if kind == "swap":
             cert = corrupt_swap_columns(cert, draw(st.integers(0, n - 1)),
                                         draw(st.integers(0, n - 1)))
+        elif kind == "project":
+            new = rep.projection(draw(st.integers(0, len(rep.images) - 1)),
+                                 draw(st.sampled_from([1, -1])))
+            cert = replace_object(cert, draw(st.sampled_from(stored)), new)
         else:
             key = draw(st.sampled_from(sorted(cert.entries)))
             elem = cert.zero() if kind == "zero" else draw(st.sampled_from(stored))
@@ -1120,3 +1135,38 @@ def test_abelian_witness_takes_no_products(certs, monkeypatch):
     assert products == []
     assert noncommuting_witness(certs["k34"]) is not None
     assert products
+
+
+def test_noncommuting_block_takes_the_pair_loop(certs):
+    # each block's first (block, delta) object is replaced wherever it is
+    # stored by (1 + x_j)/2, j the first variable outside the block's star:
+    # the projection family passes and block_equal cannot see the swap, so
+    # only the commutators of that block find it
+    cert = certs["k34"]
+    rep, sys = cert.source_rep, cert.row_graph.system()
+    table = block_elements(cert)
+    for k in range(sys.num_constraints):
+        delta = next(d for (l, d) in table if l == k)
+        j = next(j for j in range(sys.num_vars) if j not in sys.support(k))
+        bad = replace_object(cert, table[(k, delta)], rep.projection(j, 1))
+        report = verify_cert(bad)
+        assert report.residual("projection") == report.residual("block_equal") == 0.0
+        assert report.residual("block_commute") > 0.0
+        assert ("block_commute", report.residual("block_commute"), f"block {k}") \
+            in report.families
+        assert report.to_json_dict() == naive_verify(bad).to_json_dict()
+
+
+@pytest.mark.parametrize("name", ["k33", "k34", "k35", "tiny"])
+def test_commuting_blocks_take_no_commutators(certs, monkeypatch, name):
+    # every entry of a block is supported in its star's abelian subgroup
+    # (or the algebra is commutative), so no block commutator is formed
+    cert = tiny_cert() if name == "tiny" else certs[name]
+    expected = naive_verify(cert).to_json_dict()
+
+    def no_commutators(x, y, selfadjoint):
+        raise AssertionError("a commutator was formed")
+
+    monkeypatch.setattr("lcsq.qcert._commutator_norm", no_commutators)
+    assert verify_cert(cert).to_json_dict() == expected
+    assert expected["passed"]

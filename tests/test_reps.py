@@ -353,6 +353,36 @@ def test_an_element_knows_its_algebra(pauli_rep, table33, table34):
     assert not g.same_algebra(DenseElement.identity(1))
 
 
+def test_commuting_supports_match_products(table34, k34_sys0):
+    # group elements commute exactly when their basis elements do, and a
+    # support commutes when every two of its elements do
+    P = solution_presentation(k34_sys0, homogeneous=True)
+    for table in (table34, regular_table(P)):
+        ctx = GroupAlgebraContext(table)
+        rng = random.Random(0)
+        sample = rng.sample(range(ctx.size), 24)
+        for g in sample:
+            for h in sample:
+                x, y = ctx.basis_element(g), ctx.basis_element(h)
+                assert ctx.commuting({g, h}) == (x * y == y * x)
+        noncommuting = next((g, h) for g in sample for h in sample
+                            if not ctx.commuting({g, h}))
+        assert not ctx.commuting(set(sample))
+        x, y = (ctx.basis_element(g) for g in noncommuting)
+        assert not x.supports_commute([x + x.unit(), y])
+        assert x.supports_commute([x, x.adjoint(), x.unit()])
+
+
+def test_a_commutative_algebra_proves_every_support_commutes(pauli_rep, table33):
+    one = DenseElement.identity(1)
+    assert one.supports_commute([one, one - one])
+    x = pauli_rep.images[0]
+    assert not x.supports_commute([x, x.unit()])  # true, but not proven
+    ctx = GroupAlgebraContext(table33)
+    elems = [ctx.basis_element(g) for g in range(ctx.size)]
+    assert elems[0].supports_commute(elems)
+
+
 # ---------------------------------------------------------------------------
 # exact dense arithmetic against numpy complex128 (exact on these inputs:
 # every numerator and product is far below 2^53)
