@@ -1,23 +1,23 @@
 """Classical isomorphism and automorphism of colored graphs.
 
 Both questions are answered on the 2-core: what is left of a graph after
-repeatedly deleting vertices of degree 1.  Each deleted vertex hangs, by
-the edge to its parent, below one core vertex, and the hanging vertices
-form rooted trees.  Each tree gets an AHU code (Aho, Hopcroft and Ullman's
-rooted-tree isomorphism, with colors): the code of a vertex is its vertex
-color with the sorted (edge color, code) pairs of its children, interned
-to an int, so two rooted trees have equal codes exactly when they are
-isomorphic.  A core vertex is labelled by its color with its sorted
-hanging (edge color, code) pairs.  The reduction is exact: every
-isomorphism maps core onto core and each hanging tree onto one with the
-same code, so two graphs are isomorphic exactly when their labelled cores
-are, and a core isomorphism extends by pairing children with equal codes
-in sorted order.  |Aut(G)| is |Aut(labelled core)| times k! for every
-group of k equal-code children of any vertex, core vertices included.  A
-graph with a tree component (an isolated vertex, a path, a forest) has
-no core below that component; it is searched as given.  Decolored graphs
-encode every color as a pendant path, so their cores are small: the K4,4
-G'' has 288 core vertices out of 6672.
+repeatedly deleting vertices of degree 1.  The deleted vertices form
+rooted trees, each hanging by the edge to its parent below a core vertex.
+A vertex's AHU code (Aho, Hopcroft and Ullman's rooted-tree isomorphism,
+with colors) is its color with the sorted (edge color, code) pairs of its
+children, interned to an int, so two rooted trees have equal codes
+exactly when they are isomorphic; core vertices are labelled alike.  The
+reduction is exact: every isomorphism maps core onto core and each
+hanging tree onto one with the same code, so two graphs are isomorphic
+exactly when their labelled cores are.  A core isomorphism extends to a
+graph laid out as each core vertex followed by its tree in preorder,
+children in sorted order, by mapping each core vertex's span onto its
+image's, position by position.  |Aut(G)| is |Aut(labelled core)| times
+k! for every group of k equal-code children of any vertex, core vertices
+included.  A graph with a tree component (an isolated vertex, a path, a
+forest) has no core below that component; it is searched as given.
+Decolored graphs encode every color as a pendant path, so their cores
+are small: the K4,4 G'' has 288 core vertices out of 6672.
 
 Color refinement drives an individualization-refinement backtracking
 search.  Refinement is incremental cell splitting (McKay and Piperno,
@@ -48,6 +48,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from .graphs import ColoredGraph
 
@@ -195,8 +198,7 @@ def _edge_ids(graphs: list[ColoredGraph]) -> dict:
 def _plain(graphs: list[ColoredGraph]) -> _Instance:
     """The workspace of whole graphs, nothing peeled: `refine`'s."""
     ids = _edge_ids(graphs)
-    tokens: list = []
-    edges = []
+    tokens, edges = [], []
     for G in graphs:
         offset = len(tokens)
         edges.extend((offset + u, offset + v, ids[c]) for (u, v, c) in G.edges)
@@ -218,13 +220,39 @@ class _Core:
     `vertices` lists the core's vertices of the graph in increasing order;
     core vertex i is `vertices[i]`, `tokens[i]` its label and `edges` the
     core's edges in that numbering.  `children[x]` holds (edge color id,
-    code, child) for each child of vertex x of the graph, sorted.
+    code, child) for each child of x, sorted.  The `layout` has core vertex
+    i, then its hanging tree in preorder, at order[starts[i]:starts[i + 1]].
     """
 
     vertices: list[int]
     tokens: list[int]
     edges: list[tuple[int, int, int]]
     children: list[list[tuple[int, int, int]]]
+
+    @cached_property
+    def layout(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """(ids, order, rank, starts), built on first use: x is order[rank[x]]
+        and `ids`, [0, 1, ..., n-1], is shared by this graph's bijections."""
+        children, order, stack = self.children, [], self.vertices[::-1]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            kids = children[x]
+            while kids:  # down the first child, the later ones stacked
+                if len(kids) > 1:
+                    stack += [k[2] for k in kids[:0:-1]]
+                x = kids[0][2]
+                order.append(x)
+                kids = children[x]
+        ids, rank = list(range(len(order))), [0] * len(order)
+        for i, x in zip(ids, order):
+            rank[x] = i
+        return ids, order, rank, [rank[v] for v in self.vertices] + [len(order)]
+
+    def bijection(self, image: list[int]) -> Bijection:
+        """The bijection mapping the i-th vertex of the layout to image[i]."""
+        ids, _, rank, _ = self.layout
+        return Bijection(tuple(zip(ids, map(image.__getitem__, rank))))
 
 
 def _core(G: ColoredGraph, ids: dict, codes: dict) -> _Core:
@@ -233,40 +261,39 @@ def _core(G: ColoredGraph, ids: dict, codes: dict) -> _Core:
     with a tree component is kept whole."""
     n = G.num_vertices
     colors = [c or "" for c in G.vertex_colors]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v, c) in G.edges:
-        adj[u].append((v, ids[c]))
-        adj[v].append((u, ids[c]))
-    degree = [len(a) for a in adj]
-    peeled = [False] * n
-    up = []  # (vertex, parent, edge color id) in the order peeled
+    edges = G.edges
+    pair = itemgetter(0, 1)  # a child's (edge color id, code)
+    degree, incident = [0] * n, [0] * n  # incident[v]: v's unpeeled edges' index sum
+    for i, (u, v, _) in enumerate(edges):
+        degree[u] += 1
+        degree[v] += 1
+        incident[u] += i
+        incident[v] += i
+    children: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     order = [v for v in range(n) if degree[v] == 1]
     for x in order:  # grows while it is read
         if degree[x] == 0:  # x is the last vertex of a tree component
             break
-        peeled[x] = True
-        parent, cid = next((y, cid) for y, cid in adj[x] if not peeled[y])
-        up.append((x, parent, cid))
+        u, v, c = edges[incident[x]]  # x's one edge left: to its parent
+        parent = u if v == x else v
+        incident[parent] -= incident[x]
+        kids = children[x]
+        kids.sort()  # every child is peeled, and coded, before its parent
+        key = (colors[x], tuple(map(pair, kids)))
+        children[parent].append((ids[c], codes.setdefault(key, len(codes)), x))
         degree[parent] -= 1
         if degree[parent] == 1:
             order.append(parent)
     if 0 in degree:  # a tree has no core to hang from: search G as given
-        up, peeled = [], [False] * n
-
-    children: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-
-    def code(v):
-        children[v].sort()
-        return codes.setdefault((colors[v], tuple(k[:2] for k in children[v])),
-                                len(codes))
-
-    for x, parent, cid in up:  # every child is peeled before its parent
-        children[parent].append((cid, code(x), x))
-    vertices = [v for v in range(n) if not peeled[v]]
+        children, degree = [[] for _ in range(n)], [2] * n  # nothing peeled
+    vertices = [v for v in range(n) if degree[v] > 1]  # the unpeeled ones
     index = {v: i for i, v in enumerate(vertices)}
-    edges = [(index[u], index[v], ids[c]) for (u, v, c) in G.edges
-             if not (peeled[u] or peeled[v])]
-    return _Core(vertices, [code(v) for v in vertices], edges, children)
+    for v in vertices:
+        children[v].sort()
+    tokens = [codes.setdefault((colors[v], tuple(map(pair, children[v]))), len(codes))
+              for v in vertices]
+    return _Core(vertices, tokens, [(index[u], index[v], ids[c]) for (u, v, c) in edges
+                                    if degree[u] > 1 and degree[v] > 1], children)
 
 
 def _side_by_side(core1: _Core, core2: _Core) -> _Instance:
@@ -276,23 +303,11 @@ def _side_by_side(core1: _Core, core2: _Core) -> _Instance:
 
 
 def _extend(core1: _Core, core2: _Core, f: Bijection) -> Bijection:
-    """The bijection of the full graphs that a core bijection f extends to,
-    pairing the children of each vertex and its image in sorted order."""
-    return _pair_trees(core1, core2, [(core1.vertices[v], core2.vertices[w])
-                                      for v, w in f.pairs])
-
-
-def _pair_trees(core1: _Core, core2: _Core,
-                roots: list[tuple[int, int]]) -> Bijection:
-    """Each root pair with everything hanging below it, paired down the
-    trees in sorted (edge color, code, vertex) order."""
-    image = {}
-    stack = list(roots)
-    while stack:
-        x, y = stack.pop()
-        image[x] = y
-        stack.extend((a[2], b[2]) for a, b in zip(core1.children[x], core2.children[y]))
-    return Bijection(tuple(sorted(image.items())))
+    """The bijection of the full graphs that a core bijection f extends to:
+    the span of each core vertex onto the span of its image."""
+    _, order, _, starts = core2.layout
+    return core1.bijection(list(chain.from_iterable(
+        order[starts[w]:starts[w + 1]] for _, w in f.pairs)))
 
 
 def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
@@ -311,17 +326,14 @@ def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
             return False, (1, f"vertex color: {v} has {c1}, image {w} has {c2}")
 
     e1, e2 = ({(u, v): c for (u, v, c) in G.edges} for G in (G1, G2))
-    for (u, v), c in e1.items():
-        iu, iv = mapping[u], mapping[v]
-        image = e2.get((min(iu, iv), max(iu, iv)), "absent")
-        if image != c:
-            return False, (3, f"edge ({u},{v}) color {c} maps to {image}")
     inverse = f.inverse().mapping()
-    for (u, v), c in e2.items():
-        iu, iv = inverse[u], inverse[v]
-        preimage = e1.get((min(iu, iv), max(iu, iv)), "absent")
-        if preimage != c:
-            return False, (3, f"edge ({u},{v}) color {c} pulls back to {preimage}")
+    for edges, other, image, verb in ((e1, e2, mapping, "maps to"),
+                                      (e2, e1, inverse, "pulls back to")):
+        for (u, v), c in edges.items():
+            iu, iv = image[u], image[v]
+            found = other.get((min(iu, iv), max(iu, iv)), "absent")
+            if found != c:
+                return False, (3, f"edge ({u},{v}) color {c} {verb} {found}")
     return True, None
 
 
@@ -334,11 +346,8 @@ def _quick_mismatch(G1: ColoredGraph, G2: ColoredGraph) -> bool:
 def _target(part: _Partition) -> list[int] | None:
     """The smallest cell with more than one vertex from each graph, ties to
     the cell holding the smallest vertex; None when every cell is a pair."""
-    best = None
-    for cell in part.cells:
-        if len(cell) > 2 and (best is None or (len(cell), cell[0]) < (len(best), best[0])):
-            best = cell
-    return best
+    return min((cell for cell in part.cells if len(cell) > 2),
+               key=lambda cell: (len(cell), cell[0]), default=None)
 
 
 def _search(inst: _Instance, part: _Partition | None) -> Bijection | None:
@@ -350,8 +359,7 @@ def _search(inst: _Instance, part: _Partition | None) -> Bijection | None:
         return Bijection(tuple(sorted((c[0], c[1] - n1) for c in part.cells)))
     v = cell[0]
     # try the mirror vertex first: makes "G vs itself" return the identity
-    candidates = sorted(cell[len(cell) // 2:], key=lambda w: (w - n1 != v, w))
-    for w in candidates:
+    for w in sorted(cell[len(cell) // 2:], key=lambda w: (w - n1 != v, w)):
         found = _search(inst, inst.individualize(part, v, w))
         if found is not None:
             return found
@@ -359,14 +367,10 @@ def _search(inst: _Instance, part: _Partition | None) -> Bijection | None:
 
 
 def find_isomorphism(G1: ColoredGraph, G2: ColoredGraph) -> Bijection | None:
-    """A color- and edge-preserving bijection, or None when none exists.
-
-    The search runs on the two 2-cores, labelled by their hanging trees'
-    codes from one shared table, and a core bijection is extended to the
-    trees by pairing equal-code children in sorted order.  The result is
-    re-checked with verify_mapping on the full graphs before being
-    returned.
-    """
+    """A color- and edge-preserving bijection, or None when none exists:
+    searched on the two 2-cores, labelled by their hanging trees' codes
+    from one shared table, extended span by span, and re-checked with
+    verify_mapping on the full graphs."""
     if _quick_mismatch(G1, G2):
         return None
     ids, codes = _edge_ids([G1, G2]), {}
@@ -390,12 +394,7 @@ class AutomorphismGroup:
 
 def _chain(inst: _Instance) -> tuple[list[Bijection], int]:
     """Generators and order of the automorphism group of a graph laid side
-    by side with itself in `inst`.
-
-    Stabilizer chain: fix base vertices one at a time; the orbit of each
-    base vertex is determined by one search per candidate image, and the
-    order is the product of the orbit sizes.
-    """
+    by side with itself in `inst`, by the stabilizer chain."""
     n1 = inst.split
     part = inst.initial()
     generators: list[Bijection] = []
@@ -429,13 +428,14 @@ def automorphism_group(G: ColoredGraph) -> AutomorphismGroup:
     core = _core(G, _edge_ids([G]), {})
     found, order = _chain(_side_by_side(core, core))
     generators = [_extend(core, core, g) for g in found]
-    n = G.num_vertices
     for kids in core.children:
         run = 1  # the place of b in its group of equal codes
         for a, b in zip(kids, kids[1:]):
             run = run + 1 if a[:2] == b[:2] else 1
             if run > 1:
                 order *= run
-                swap = _pair_trees(core, core, [(a[2], b[2]), (b[2], a[2])]).mapping()
-                generators.append(Bijection(tuple((x, swap.get(x, x)) for x in range(n))))
+                _, lay, rank, _ = core.layout
+                i, j = rank[a[2]], rank[b[2]]  # b's span follows a's, as long
+                image = lay[:i] + lay[j:2 * j - i] + lay[i:j] + lay[2 * j - i:]
+                generators.append(core.bijection(image))
     return AutomorphismGroup(tuple(generators), order)

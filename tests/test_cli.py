@@ -38,6 +38,11 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def _graph_json(n, edges):
+    return json.dumps({"vertices": [{"id": v} for v in range(n)],
+                       "edges": [{"u": u, "v": v} for u, v in edges]})
+
+
 def test_build_demo_system(files, capsys):
     out = files / "fig1.json"
     assert run("build", "--system", files / "ex.sys", "--construction", "Gstar",
@@ -108,6 +113,48 @@ def test_aut_json_on_k34_gpp_is_pinned(files, monkeypatch):
                "--out", "gpp34.json") == 0
     assert run("aut", "gpp34.json", "--json", "aut.json") == 0
     assert hashlib.sha256((files / "aut.json").read_bytes()).hexdigest() == AUT_GPP34_SHA256
+
+
+# sha256 of the `iso --map-out` map from the K3,3 G'' to a relabelling of
+# itself, and of `aut --json` reports on graphs whose trees have equal-code
+# siblings, measured while core maps were extended by one tree walk each
+ISO_GPP33_RELABELLED_SHA256 = (
+    "4ce830a8057d559a51189343da93656985751d045facd29063a834608a5e9661")
+AUT_SIBLINGS_SHA256 = {
+    # a triangle with three equal leaves on one vertex, two equal paths on another
+    "siblings": (_graph_json(10, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (0, 5),
+                                  (1, 6), (6, 7), (1, 8), (8, 9)]),
+                 "41814419388d717d0c0b52fa4c52c54742759ecb36a8a8090bee10c4937f0945"),
+    # a triangle with two equal leaves and two equal paths on every vertex
+    "triangle-siblings": (_graph_json(21, [(0, 1), (0, 2), (1, 2)] + [
+        e for r in range(3) for a in range(3 + 6 * r, 9 + 6 * r, 3)
+        for e in ((r, a), (r, a + 1), (a + 1, a + 2))]),
+        "8cf8f2c9939460642821b982051c8d4539a8fe85673a59df04f5bb594514a599"),
+}
+
+
+def test_iso_map_of_a_relabelled_gpp33_is_pinned(files, monkeypatch):
+    monkeypatch.chdir(files)
+    assert run("build", "--graph", "k33.g", "--decolor", "full",
+               "--out", "gpp33.json") == 0
+    data = json.loads((files / "gpp33.json").read_text())
+    n = len(data["vertices"])
+    perm = [(5 * v + 1) % n for v in range(n)]  # 5 is prime to n = 426
+    data["vertices"] = [dict(d, id=perm[d["id"]]) for d in data["vertices"]]
+    data["edges"] = [dict(d, u=perm[d["u"]], v=perm[d["v"]]) for d in data["edges"]]
+    (files / "relabelled.json").write_text(json.dumps(data))
+    assert run("iso", "gpp33.json", "relabelled.json", "--map-out", "map.json") == 0
+    assert hashlib.sha256((files / "map.json").read_bytes()).hexdigest() == \
+        ISO_GPP33_RELABELLED_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(AUT_SIBLINGS_SHA256))
+def test_aut_json_with_sibling_swaps_is_pinned(files, monkeypatch, name):
+    text, digest = AUT_SIBLINGS_SHA256[name]
+    monkeypatch.chdir(files)
+    (files / "g.json").write_text(text)
+    assert run("aut", "g.json", "--json", "aut.json") == 0
+    assert hashlib.sha256((files / "aut.json").read_bytes()).hexdigest() == digest
 
 
 # sha256 of G(M, b) files, whose intra and inter colors are products of the
@@ -675,11 +722,6 @@ def test_iso_and_aut(files, capsys):
     report = files / "aut.json"
     assert run("aut", a, "--json", report) == 0
     assert json.loads(report.read_text())["order"] == 16
-
-
-def _graph_json(n, edges):
-    return json.dumps({"vertices": [{"id": v} for v in range(n)],
-                       "edges": [{"u": u, "v": v} for u, v in edges]})
 
 
 # graphs with little or no 2-core, and their automorphism group orders

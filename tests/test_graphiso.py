@@ -480,6 +480,77 @@ def test_core_reduction_agrees_with_whole_graph_search(G, other, rng):
     assert closure_order(aut.generators, G.num_vertices) == aut.order
 
 
+def oracle_pair_trees(core1, core2, roots):
+    """Each root pair with everything hanging below it, paired down the
+    trees in sorted (edge color, code, vertex) order, one walk per call."""
+    image = {}
+    stack = list(roots)
+    while stack:
+        x, y = stack.pop()
+        image[x] = y
+        stack.extend((a[2], b[2]) for a, b in zip(core1.children[x], core2.children[y]))
+    return Bijection(tuple(sorted(image.items())))
+
+
+def oracle_extend(core1, core2, f):
+    return oracle_pair_trees(core1, core2, [(core1.vertices[v], core2.vertices[w])
+                                            for v, w in f.pairs])
+
+
+def oracle_find_isomorphism(G1, G2):
+    """`find_isomorphism` with the core map paired down the trees."""
+    if graphiso._quick_mismatch(G1, G2):
+        return None
+    ids, codes = graphiso._edge_ids([G1, G2]), {}
+    core1, core2 = graphiso._core(G1, ids, codes), graphiso._core(G2, ids, codes)
+    inst = graphiso._side_by_side(core1, core2)
+    found = graphiso._search(inst, inst.initial())
+    return None if found is None else oracle_extend(core1, core2, found)
+
+
+def oracle_automorphism_generators(G):
+    """The core generators paired down the trees, then one swap of each two
+    neighbouring children with equal codes."""
+    core = core_of(G)
+    found, _ = graphiso._chain(graphiso._side_by_side(core, core))
+    generators = [oracle_extend(core, core, g) for g in found]
+    for kids in core.children:
+        for a, b in zip(kids, kids[1:]):
+            if a[:2] == b[:2]:
+                swap = oracle_pair_trees(core, core, [(a[2], b[2]), (b[2], a[2])]).mapping()
+                generators.append(Bijection(tuple((x, swap.get(x, x))
+                                                  for x in range(G.num_vertices))))
+    return tuple(generators)
+
+
+def with_edge_beside(G):
+    """G with a disjoint edge added: a tree component, so G is kept whole."""
+    n = G.num_vertices
+    return ColoredGraph(tuple(range(n + 2)), G.vertex_colors + (None, None),
+                        G.edges + ((n, n + 1, None),))
+
+
+@settings(max_examples=150, deadline=None)
+@example(SIBLINGS, COLORED, random.Random(1))
+@example(COLORED, SIBLINGS, random.Random(2))
+@example(WITH_TREE, SIBLINGS, random.Random(3))
+@given(pendant_graphs(), pendant_graphs(), st.randoms(use_true_random=False))
+def test_layout_extension_agrees_with_pairing_down_the_trees(G, other, rng):
+    for F in (G, with_edge_beside(G)):
+        shuffled, _ = permuted_copy(F, rng)
+        for H in (shuffled, other, F):
+            assert find_isomorphism(F, H) == oracle_find_isomorphism(F, H)
+        assert automorphism_group(F).generators == oracle_automorphism_generators(F)
+
+
+def test_layout_spans_of_siblings():
+    # core vertex 0 hangs three leaves, 1 two paths, 2 nothing
+    ids, order, rank, starts = core_of(SIBLINGS).layout
+    assert order == [0, 3, 4, 5, 1, 6, 7, 8, 9, 2]
+    assert starts == [0, 4, 9, 10]
+    assert [order[r] for r in rank] == ids == list(range(10))
+
+
 def test_sibling_groups_multiply_the_order():
     # the triangle's three vertices carry different trees, so its labelled
     # automorphism group is trivial and |Aut| = 1 * 3! * 2!
