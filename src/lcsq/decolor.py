@@ -7,41 +7,48 @@ of `lcsq.graphs`), so two graphs sharing a palette receive identical
 assignments -- certificates can then be transported between the decolored
 graphs entry by entry.  A path assignment maps each color string straight
 to its length.  Every vertex of a decoloring carries a stable id, the
-string its graph file holds (see `VertexId`), so downstream constructions
-can address it by provenance instead of by renumbered index.
+string its graph file holds, so downstream constructions can address it by
+provenance instead of by renumbered index.  `VertexId` writes every id; the
+stages lay out each attached path with one C-level extend of its ids (a
+map of the path's format string over its positions) and one of its edges
+(a zip of the path's vertices with themselves shifted by one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .graphs import ColoredGraph
 
 
 class VertexId:
     """The ids of the decoloring's vertices, as strings: an original vertex
-    v, the i-th vertex of the path attached to it, the subdivision vertex
-    of an edge (a, b), a < b, and the i-th vertex of the path attached to
-    that.  Path positions start at 1.  This module is the one that writes
-    the format.  They are static methods of a class, which
-    `bench/tracer.py` does not wrap, so a call made once per vertex opens
-    no trace span."""
+    v, the subdivision vertex of an edge (a, b), a < b, and the i-th vertex
+    of the path attached to either.  Path positions start at 1, and a path's
+    ids are `format(i)` of its format string (`vpath`, `epath`), so one
+    path's ids are laid out by one C-level map.  This module is the one that
+    writes the format.  They are static methods of a class, which
+    `bench/tracer.py` does not wrap, so a call made once per vertex or path
+    opens no trace span."""
 
     @staticmethod
     def orig(v: int) -> str:
         return f"orig:{v}"
 
     @staticmethod
-    def vpath(v: int, i: int) -> str:
-        return f"vpath:{v}:{i}"
+    def vpath(v: int) -> str:
+        """The format string of the ids of the path attached to v."""
+        return f"vpath:{v}:{{}}"
 
     @staticmethod
     def sub(a: int, b: int) -> str:
         return f"sub:{a}-{b}"
 
     @staticmethod
-    def epath(a: int, b: int, i: int) -> str:
-        return f"epath:{a}-{b}:{i}"
+    def epath(a: int, b: int) -> str:
+        """The format string of the ids of the path attached to sub(a, b)."""
+        return f"epath:{a}-{b}:{{}}"
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +113,14 @@ def decolor_vertices(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     of G stays vertex v, and the path vertices follow."""
     labels = [VertexId.orig(v) for v in range(G.num_vertices)]
     edges = list(G.edges)
-    for v in range(G.num_vertices):
-        color = G.vertex_colors[v]
+    for v, color in enumerate(G.vertex_colors):
         if color is None:
             continue
         n = pa.vertex_length(color)
-        prev = v
-        for i in range(1, n + 1):
-            labels.append(VertexId.vpath(v, i))
-            cur = len(labels) - 1
-            edges.append((prev, cur, pa.c0))
-            prev = cur
+        # v and its path; a vertex's two path edges share its one int object
+        path = [v, *range(len(labels), len(labels) + n)]
+        labels.extend(map(VertexId.vpath(v).format, range(1, n + 1)))
+        edges.extend(zip(path, path[1:], repeat(pa.c0)))
     meta = {
         "construction": G.meta.get("construction", "graph") + "'",
         "base": dict(G.meta),
@@ -143,16 +147,12 @@ def decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
         new_vertices.append((m, u, v))
 
     for (m, u, v) in new_vertices:
+        path = list(range(len(labels), len(labels) + m + 1))  # sub and its path
         labels.append(VertexId.sub(u, v))
-        sub = len(labels) - 1
-        edges.append((u, sub, None))
-        edges.append((v, sub, None))
-        prev = sub
-        for i in range(1, m + 1):
-            labels.append(VertexId.epath(u, v, i))
-            cur = len(labels) - 1
-            edges.append((prev, cur, None))
-            prev = cur
+        labels.extend(map(VertexId.epath(u, v).format, range(1, m + 1)))
+        edges.append((u, path[0], None))
+        edges.append((v, path[0], None))
+        edges.extend(zip(path, path[1:], repeat(None)))
 
     meta = {
         "construction": Gp.meta.get("construction", "graph") + "'",

@@ -34,6 +34,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import chain, groupby, product, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .f2core import LinearSystem, parse_system, render_system
 
@@ -321,12 +323,17 @@ def dump_json(obj) -> str:
     The text equals `json.dumps(obj, sort_keys=True)` with an indent of one,
     byte for byte.  That call would run CPython's pure-Python encoder; here
     the recursion covers structure only, and every run of scalars and every
-    list of flat records is written by one call to the C encoder.
+    list of flat records is written by one call to the C encoder.  A graph
+    file's vertex and edge records are the exception: `serialize` writes
+    them from the graph's columns, and only their `meta` comes through here.
     """
     return _encode(obj, 0)
 
 
 def to_json_dict(G: ColoredGraph) -> dict:
+    """The graph file format's definition: a graph file is the text
+    `dump_json` writes of this dict, which `serialize` writes without
+    building it."""
     vertices = []
     for i, (lab, c) in enumerate(zip(G.labels, G.vertex_colors)):
         record = {"id": i, "label": str(lab)}
@@ -401,10 +408,49 @@ def to_dot(G: ColoredGraph) -> str:
     return "\n".join(lines)
 
 
+# One record of a graph file's "vertices" or "edges" list in `dump_json`'s
+# layout: the record at depth 2 and its keys at depth 3, in sorted order.
+# The %s takes the color line, and the rest is filled from the graph's
+# columns: an id and an encoded label per vertex, and per edge its tuple
+# (u, v, color), whose color the closing %.0s consumes and writes as nothing.
+_VERTEX_RECORD = '  {%s\n   "id": %%d,\n   "label": %%s\n  }'
+_EDGE_RECORD = '  {%s\n   "u": %%d,\n   "v": %%d%%.0s\n  }'
+
+
+def _records(record: str, colors, values) -> str:
+    """The list of records at depth 1 whose i-th is `record` with the color
+    line of colors[i] (no line for None), filled from the flat `values`.
+
+    One template per distinct color holds that color's encoded text, so the
+    whole list is one join of templates and one C-level format."""
+    if not colors:
+        return "[]"
+    templates = {c: record % ("" if c is None else '\n   "color": %s,'
+                              % encode_basestring_ascii(c).replace("%", "%%"))
+                 for c in set(colors)}
+    rows = ",\n".join(map(templates.__getitem__, colors))
+    return ("[\n" + rows + "\n ]") % tuple(values)
+
+
+def _graph_json(G: ColoredGraph) -> str:
+    """`dump_json(to_json_dict(G))`, byte for byte, written from G's tuples:
+    labels and colors escaped as `json.dumps` escapes them, ids and
+    endpoints as ints, and only `meta` through `dump_json`'s encoder."""
+    labels = map(encode_basestring_ascii, map(str, G.labels))
+    vertices = _records(_VERTEX_RECORD, G.vertex_colors,
+                        chain.from_iterable(zip(range(G.num_vertices), labels)))
+    edges = _records(_EDGE_RECORD, list(map(itemgetter(2), G.edges)),
+                     chain.from_iterable(G.edges))
+    return "".join(('{\n "edges": ', edges, ',\n "meta": ', _encode(G.meta, 1),
+                    ',\n "vertices": ', vertices, "\n}"))
+
+
 def serialize(G: ColoredGraph, fmt: str = "json") -> str:
-    """Render the graph as a JSON document (`dump_json`) or as DOT source."""
+    """Render the graph as a JSON document or as DOT source.  The JSON is
+    the text of `dump_json(to_json_dict(G))`, written from G's columns
+    without building a dict per record."""
     if fmt == "json":
-        return dump_json(to_json_dict(G))
+        return _graph_json(G)
     if fmt == "dot":
         return to_dot(G)
     raise ValueError(f"unknown format {fmt!r}")

@@ -59,6 +59,7 @@ commutator, so its residual and description are those of the pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .f2core import LinearSystem
 from .graphs import ColoredGraph, block_labels, sign_vectors
@@ -79,7 +80,9 @@ class MagicUnitaryCert:
     from a representation holds one object per (block, delta), which
     `extract_generators` reads back from the entries.  The JSON form
     numbers the distinct objects in `distinct_elements` order and names the
-    identity's `backend`.
+    identity's `backend`.  `entries` is read-only after construction: the
+    distinct objects are found once per certificate, and a changed
+    certificate is a new one (`dataclasses.replace`).
     """
 
     row_graph: ColoredGraph
@@ -95,14 +98,19 @@ class MagicUnitaryCert:
     def zero(self):
         return self.identity - self.identity
 
-    def distinct_elements(self) -> list[tuple[tuple[int, int], object]]:
-        """One representative (key, element) per distinct stored object."""
+    def distinct_elements(self) -> tuple[tuple[tuple[int, int], object], ...]:
+        """One representative (key, element) per distinct stored object,
+        the smallest key of each, in key order."""
+        return self._distinct
+
+    @cached_property
+    def _distinct(self) -> tuple[tuple[tuple[int, int], object], ...]:
         seen: dict[int, tuple[tuple[int, int], object]] = {}
         for key, elem in self.entries.items():  # the smallest key per object
             first = seen.get(id(elem))
             if first is None or key < first[0]:
                 seen[id(elem)] = (key, elem)
-        return sorted(seen.values(), key=lambda kv: kv[0])
+        return tuple(sorted(seen.values(), key=lambda kv: kv[0]))
 
     def to_json_dict(self) -> dict:
         distinct = self.distinct_elements()
@@ -285,7 +293,7 @@ def _intertwine(rows: dict, col_rows: dict, adj1: dict, adj2: dict,
     return max((_residual(memo, elems, bits, sig) for sig in sigs), default=0.0)
 
 
-def _shape_fault(cert: MagicUnitaryCert, distinct: list) -> tuple[str, str] | None:
+def _shape_fault(cert: MagicUnitaryCert, distinct: tuple) -> tuple[str, str] | None:
     """(what, why) when the identity is not a nonzero projection, e = e* =
     e^2 != 0 (the unit is one, with no product), else when an element of
     `distinct` (`cert.distinct_elements()`) is over another algebra than
@@ -611,15 +619,14 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
         vertices = []
         for v, color in enumerate(G.vertex_colors):
             n = pa.vertex_length(color) if color is not None else 0
-            vertices.append([index[VertexId.orig(v)]]
-                            + [index[VertexId.vpath(v, i)] for i in range(1, n + 1)])
+            vertices.append([index[VertexId.orig(v)], *map(
+                index.__getitem__, map(VertexId.vpath(v).format, range(1, n + 1)))])
         edges: dict[str, dict] = {}
         for (a, b, c) in G.edges:
             if c is not None and c != pa.c0:
                 m = pa.edge_length(c)
-                edges.setdefault(c, {})[(a, b)] = (
-                    [index[VertexId.sub(a, b)]]
-                    + [index[VertexId.epath(a, b, i)] for i in range(1, m + 1)])
+                edges.setdefault(c, {})[(a, b)] = [index[VertexId.sub(a, b)], *map(
+                    index.__getitem__, map(VertexId.epath(a, b).format, range(1, m + 1)))]
         return vertices, edges
 
     vertices1, edges1 = chains(G1, Gpp1)

@@ -107,6 +107,18 @@ def test_build_full_decolor_k35_is_pinned(files, monkeypatch):
     assert hashlib.sha256((files / "gpp35.json").read_bytes()).hexdigest() == GPP35_SHA256
 
 
+# sha256 of the DOT source of the K3,3 G'' of b = e1, measured while graph
+# files were written through `graphs.to_json_dict`
+GPP33_DOT_SHA256 = "2841ebed1cfdd84745e32d44fef613e2424c34b3cd66c168f3a074267b62837a"
+
+
+def test_build_full_decolor_dot_is_pinned(files):
+    dot = files / "gpp33.dot"
+    assert run("build", "--graph", files / "k33.g", "--b", "100000",
+               "--decolor", "full", "--dot", dot) == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == GPP33_DOT_SHA256
+
+
 def test_aut_json_on_k34_gpp_is_pinned(files, monkeypatch):
     monkeypatch.chdir(files)
     assert run("build", "--graph", "k34.g", "--decolor", "full",

@@ -7,6 +7,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import BinMatrix, LinearSystem
 from lcsq.decolor import (PathAssignment, canonical_assignment, check_matchings,
@@ -273,6 +274,96 @@ def test_count_formulas_random_systems():
             1 + pa.edge_length(c) for (_, _, c) in Gp.edges
             if c != c0)
         assert Gpp.num_vertices == expected_gpp
+
+
+# ---------------------------------------------------------------------------
+# both stages against their per-vertex loops
+
+
+def oracle_decolor_vertices(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
+    """`decolor_vertices` as written with one id, one append and one edge
+    per path vertex."""
+    labels = [f"orig:{v}" for v in range(G.num_vertices)]
+    edges = list(G.edges)
+    for v in range(G.num_vertices):
+        color = G.vertex_colors[v]
+        if color is None:
+            continue
+        n = pa.vertex_length(color)
+        prev = v
+        for i in range(1, n + 1):
+            labels.append(f"vpath:{v}:{i}")
+            cur = len(labels) - 1
+            edges.append((prev, cur, pa.c0))
+            prev = cur
+    meta = {"construction": G.meta.get("construction", "graph") + "'",
+            "base": dict(G.meta), "assignment": pa.to_json_dict()}
+    return ColoredGraph(tuple(labels), (None,) * len(labels), tuple(edges), meta)
+
+
+def oracle_decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
+    """`decolor_edges` as written with one id, one append and one edge per
+    path vertex."""
+    labels = list(Gp.labels)
+    edges = []
+    new_vertices = []
+    for (u, v, c) in Gp.edges:
+        if c is None or c == pa.c0:
+            edges.append((u, v, None))
+            continue
+        new_vertices.append((pa.edge_length(c), u, v))
+    for (m, u, v) in new_vertices:
+        labels.append(f"sub:{u}-{v}")
+        sub = len(labels) - 1
+        edges.append((u, sub, None))
+        edges.append((v, sub, None))
+        prev = sub
+        for i in range(1, m + 1):
+            labels.append(f"epath:{u}-{v}:{i}")
+            cur = len(labels) - 1
+            edges.append((prev, cur, None))
+            prev = cur
+    meta = {"construction": Gp.meta.get("construction", "graph") + "'",
+            "base": dict(Gp.meta), "assignment": pa.to_json_dict()}
+    return ColoredGraph(tuple(labels), (None,) * len(labels), tuple(edges), meta)
+
+
+PLAIN = [f"plain:{k}" for k in range(4)]
+
+
+@st.composite
+def decoloring_cases(draw):
+    """A graph of at most 6 vertices, some of them and some of its edges
+    colored from four colors, and a path assignment on it: the canonical
+    one, or lengths drawn distinct from 0..5 (so zero-length paths occur)
+    with c0 any color."""
+    n = draw(st.integers(0, 6))
+    vcolors = tuple(draw(st.lists(st.one_of(st.none(), st.sampled_from(PLAIN)),
+                                  min_size=n, max_size=n)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = tuple((u, v, draw(st.one_of(st.none(), st.sampled_from(PLAIN))))
+                  for u, v in chosen)
+    meta = draw(st.sampled_from([{}, {"construction": "Gstar", "system": "1|0"}]))
+    G = ColoredGraph(tuple(range(n)), vcolors, edges, meta)
+    c0 = draw(st.sampled_from(PLAIN))
+    if c0 in G.edge_palette() and draw(st.booleans()):
+        return G, canonical_assignment(G, c0)
+    vpalette, epalette = G.vertex_palette(), sorted(set(G.edge_palette()) - {c0})
+    vlen = draw(st.permutations(range(6)))
+    elen = draw(st.permutations(range(6)))
+    return G, PathAssignment(dict(zip(vpalette, vlen)), dict(zip(epalette, elen)), c0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(decoloring_cases())
+def test_stages_match_their_per_vertex_loops(case):
+    G, pa = case
+    Gp = decolor_vertices(G, pa)
+    assert Gp == oracle_decolor_vertices(G, pa)  # labels, edges in order, meta
+    Gpp = decolor_edges(Gp, pa)
+    assert Gpp == oracle_decolor_edges(Gp, pa)
+    assert decolor_full(G, pa) == Gpp
 
 
 # ---------------------------------------------------------------------------

@@ -462,6 +462,43 @@ def test_serialize_is_stdlib_bytes(gstar33_0, gpp33_pair):
         assert serialize(G) == stdlib_dump(to_json_dict(G))
 
 
+# text that `serialize`'s %-templates or a `str.format` could take for
+# their own syntax, and characters the encoder escapes
+FORMAT_TEXT = TRICKY_TEXT + ["%", "%s", "%%", "%d", "%(id)s", "{}", "{0}", "{{",
+                             "\u00fc%", "\u2603", "\x00", "\x1f", "\x7f", "\r\n"]
+graph_text = st.one_of(st.sampled_from(FORMAT_TEXT), st.text(max_size=6))
+
+
+def color_lists(draw, k: int) -> list:
+    """k colors, all set, none set or some set; canonical or arbitrary text."""
+    color = st.one_of(st.sampled_from(["v:0", "v:1", "shared:-1", "plain:2"]), graph_text)
+    kind = draw(st.sampled_from(["all", "none", "some"]))
+    if kind == "none":
+        return [None] * k
+    return draw(st.lists(color if kind == "all" else st.one_of(st.none(), color),
+                         min_size=k, max_size=k))
+
+
+@st.composite
+def colored_graphs(draw):
+    """A `ColoredGraph` of at most 7 vertices with int or text labels, its
+    vertices and edges all, none or some colored, its edges in any order,
+    and an empty, flat or nested `meta`."""
+    n = draw(st.integers(0, 7))
+    labels = draw(st.lists(st.one_of(st.integers(), graph_text), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = tuple((u, v, c) for (u, v), c in zip(chosen, color_lists(draw, len(chosen))))
+    meta = draw(st.one_of(st.just({}), st.dictionaries(graph_text, json_trees(2), max_size=3)))
+    return ColoredGraph(tuple(labels), tuple(color_lists(draw, n)), edges, meta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+def test_serialize_matches_stdlib_on_random_graphs(G):
+    assert serialize(G) == stdlib_dump(to_json_dict(G))
+
+
 def test_dot_output(gstar33_0):
     dot = serialize(gstar33_0, "dot")
     assert dot.startswith("graph G {")
