@@ -73,8 +73,8 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _dump(data: dict) -> str:
-    """A report as written to disk: `graphs.dump_json` plus a newline."""
+def _dump(data) -> str:
+    """A report or map as written to disk: `graphs.dump_json` plus a newline."""
     return graphs.dump_json(data) + "\n"
 
 
@@ -277,14 +277,14 @@ def cmd_iso(cfg: RunConfig, path1: str, path2: str) -> int:
     G2 = graphs.parse_graph_json(_read(path2))
     mapping = graphiso.find_isomorphism(G1, G2)
     result = {"config": cfg.echo(), "isomorphic": mapping is not None,
-              "mapping": mapping.to_json_dict() if mapping else None}
+              "mapping": mapping.images if mapping else None}
     if cfg.json_out is not None:
         _write(cfg.json_out, _dump(result))
     if mapping is None:
         print("non-isomorphic")
         return EXIT_NEGATIVE
     if cfg.map_out is not None:
-        _write(cfg.map_out, _dump(mapping.to_json_dict()))
+        _write(cfg.map_out, _dump(mapping.images))
     print("isomorphic")
     return EXIT_OK
 
@@ -293,7 +293,7 @@ def cmd_aut(cfg: RunConfig, path: str) -> int:
     G = graphs.parse_graph_json(_read(path))
     aut = graphiso.automorphism_group(G)
     result = {"config": cfg.echo(), "order": aut.order,
-              "generators": [g.to_json_dict() for g in aut.generators]}
+              "generators": [g.images for g in aut.generators]}
     if cfg.json_out is not None:
         _write(cfg.json_out, _dump(result))
     print(f"automorphism group order: {aut.order}")

@@ -27,32 +27,40 @@ vertices' per-edge-color neighbour counts into the splitter, until the
 partition is equitable.  The coarsest equitable refinement is unique, so
 the stable partition is the one 1-WL color refinement reaches.
 
-Isomorphism is decided on the disjoint union of the two cores: a search
-node holds a stable partition in which every cell has as many vertices
-of one graph as of the other, and each child individualizes one pair
-(v, w), one vertex from each graph, then refines from that new cell
-alone.  A fragment with unequal sides prunes the branch at once.
-Refinement alone cannot separate the quantum-isomorphic pairs produced
-elsewhere in this package -- they are fractionally isomorphic by
-construction -- so the search exhausts the candidate branches.
+Each graph is refined on its own, as McKay and Piperno do.  A search
+node holds a left partition (of the first graph) and a right one (of the
+second) with equal cell sizes under the same cell ids.  Refining the
+left records what each splitter did to every cell it touched; the right
+refines from the same queue and must reproduce that record exactly, or
+no bijection respects both partitions and the branch is pruned.  Every
+child of a node individualizes the same left vertex, the first of the
+left's target cell (the smallest non-singleton, then the one holding the
+smallest vertex), against each right vertex of the same cell in turn,
+the mirror vertex first.  So the left partition depends on the depth
+alone: it is refined once per depth for a whole search, and only the
+right side replays.  Refinement alone cannot separate the
+quantum-isomorphic pairs produced elsewhere in this package -- they are
+fractionally isomorphic by construction -- so the search exhausts the
+candidate branches.
 
 The automorphism group of the core is computed as a stabilizer chain:
 the orbit of a base vertex is found by explicit searches, the stabilizer
-recursively, and the order is the product of the orbit sizes.  The only
-canonical form computed is the AHU code of each hanging tree; the core
-itself is compared by direct search.
+recursively, and the order is the product of the orbit sizes.  Both
+sides are the one graph there, and the chain's base follows the left's
+path, so each level's stabilizer node is the left's own partition.  The
+only canonical form computed is the AHU code of each hanging tree; the
+core itself is compared by direct search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
-from .graphs import ColoredGraph
+from .graphs import ColoredGraph, ImageColumn
 
 
 @dataclass(frozen=True)
@@ -69,18 +77,23 @@ class StableColoring:
 
 @dataclass(frozen=True)
 class Bijection:
-    """A vertex bijection held as sorted (source, image) pairs."""
+    """A vertex bijection held as its image column: `images[v]` is the image
+    of vertex v.  The column is a `graphs.ImageColumn`, which
+    `graphs.dump_json` writes as the map's JSON object {"0": images[0], ...}."""
 
-    pairs: tuple[tuple[int, int], ...]
+    images: ImageColumn
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(vertex, image) for every vertex, in increasing vertex order."""
+        return tuple(enumerate(self.images))
 
     def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
+        return dict(enumerate(self.images))
 
     def inverse(self) -> Bijection:
-        return Bijection(tuple(sorted((w, v) for v, w in self.pairs)))
-
-    def to_json_dict(self) -> dict:
-        return {str(v): w for v, w in self.pairs}
+        images = self.images
+        return Bijection(ImageColumn(sorted(range(len(images)), key=images.__getitem__)))
 
 
 @dataclass
@@ -92,68 +105,71 @@ class _Partition:
     cell_of: list[int]
     cells: list[list[int]]
 
+    def individualize(self, c: int, v: int) -> _Partition:
+        """A copy with v, a vertex of cell c, split off into a new last cell;
+        refining it from that cell gives the child node."""
+        cell_of, cells = list(self.cell_of), list(self.cells)
+        rest = list(cells[c])
+        rest.remove(v)
+        cells[c] = rest
+        cell_of[v] = len(cells)
+        cells.append([v])
+        return _Partition(cell_of, cells)
 
-class _Instance:
-    """Shared refinement workspace for one graph, or two side by side.
 
-    `tokens[v]` is the color of vertex v, any sortable value, and `edges`
-    are (u, v, color id) with id 0 for no color.  The vertices of the
-    second graph follow those of the first, from `split` on.  Each
-    adjacency entry is (neighbour, weight) with weight base**color_id, base
-    above every degree, so a sum of weights encodes a per-color count.
+class _Side:
+    """The refinement workspace of one graph.
+
+    `colors[v]` is the id of vertex v's label and `sizes[i]` counts the
+    vertices of label id i.  Each adjacency entry is (neighbour, weight)
+    with weight base**color_id, so a sum of weights encodes a per-color
+    count.  Graphs that are compared share one label table and one base,
+    above every degree of both, so equal sums mean equal counts.
     """
 
-    def __init__(self, split: int, tokens: list, edges: list[tuple[int, int, int]]):
-        self.split = split  # first vertex of the second graph
-        total = len(tokens)
-        degree = [0] * total
-        for (u, v, _) in edges:
-            degree[u] += 1
-            degree[v] += 1
-        base = max(degree, default=0) + 1
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(total)]
+    def __init__(self, n: int, colors: list[int], edges: list[tuple[int, int, int]],
+                 weights: list[int], num_colors: int):
+        self.colors = colors
+        self.sizes = [0] * num_colors
+        for c in colors:
+            self.sizes[c] += 1
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for (u, v, cid) in edges:
-            weight = base ** cid
+            weight = weights[cid]
             self.adj[u].append((v, weight))
             self.adj[v].append((u, weight))
 
-        token_ids = {t: i for i, t in enumerate(sorted(set(tokens)))}
-        self.init_colors = [token_ids[t] for t in tokens]
-
-    def _unbalanced(self, cell: list[int]) -> bool:
-        # cells are sorted, so the first-graph vertices come first
-        return 2 * bisect_left(cell, self.split) != len(cell)
-
-    def initial(self) -> _Partition | None:
-        """The stable refinement of the vertex colors; None when some cell
-        has unequal sides."""
-        cells: list[list[int]] = [[] for _ in range(len(set(self.init_colors)))]
-        for v, c in enumerate(self.init_colors):
+    def root(self, record: list | None = None) -> tuple[_Partition, list] | None:
+        """The stable refinement of the vertex labels and its record; given
+        the record of the other graph's, whose labels have the same `sizes`,
+        None when this graph departs from it."""
+        cells: list[list[int]] = [[] for _ in self.sizes]
+        for v, c in enumerate(self.colors):
             cells[c].append(v)
-        part = _Partition(list(self.init_colors), cells)
-        if any(self._unbalanced(cell) for cell in cells):
-            return None
-        return part if self._refine(part, list(range(len(cells)))) else None
+        part = _Partition(list(self.colors), cells)
+        record = self.split(part, list(range(len(cells))), record)
+        return None if record is None else (part, record)
 
-    def individualize(self, part: _Partition, v: int, w: int) -> _Partition | None:
-        """The child of a stable, balanced `part` that pairs v (first graph)
-        with w (second graph, same cell); None when it is unbalanced."""
-        cell_of = list(part.cell_of)
-        cells = list(part.cells)
-        c = cell_of[v]
-        cells[c] = [x for x in cells[c] if x != v and x != w]
-        new = len(cells)
-        cells.append([v, w])
-        cell_of[v] = cell_of[w] = new
-        child = _Partition(cell_of, cells)
-        return child if self._refine(child, [new]) else None
-
-    def _refine(self, part: _Partition, queue: list[int]) -> bool:
+    def split(self, part: _Partition, queue: list[int],
+               record: list | None = None) -> list | None:
         """Split cells of `part` in place until it is equitable, starting
-        from the splitter cells in `queue`.  Returns False when a fragment
-        has unequal sides (no bijection can exist below this node), True
-        otherwise."""
+        from the splitter cells in `queue`, and return the record of what
+        each popped splitter did.  Given the record of the other graph's
+        refinement from the same queue, follow it instead and return it, or
+        None as soon as a split departs from it.
+
+        A splitter's entry maps each touched cell, in the order cells were
+        reached, to k when every member was counted k and the cell stayed
+        whole, or else to its fragments' counts in the order they were met
+        among the sorted members, their sizes, and the index of the fragment
+        that keeps the cell's id: the first largest one.  Any other fragment
+        becomes a new cell and joins the queue.
+        """
         adj, cell_of, cells = self.adj, part.cell_of, part.cells
+        replay = record is not None
+        if not replay:
+            record = []
+        steps = iter(record)
         while queue:
             counts: dict[int, int] = {}
             for u in cells[queue.pop()]:
@@ -162,31 +178,141 @@ class _Instance:
             touched: dict[int, list[int]] = {}
             for x, k in counts.items():
                 touched.setdefault(cell_of[x], []).append(k)
-            for c, keys in touched.items():
-                members = cells[c]
-                if len(keys) == len(members) and min(keys) == max(keys):
+            if replay:
+                entry = next(steps)
+                if touched.keys() != entry.keys():
+                    return None
+            else:
+                entry = dict.fromkeys(touched)
+                record.append(entry)
+            for c, outcome in entry.items():
+                keys, members = touched[c], cells[c]
+                if len(keys) == len(members) and (len(keys) == 1 or min(keys) == max(keys)):
+                    if not replay:
+                        entry[c] = keys[0]
+                    elif outcome != keys[0]:
+                        return None
                     continue
+                if replay and isinstance(outcome, int):
+                    return None
                 groups: dict[int, list[int]] = {}
                 for x in members:
                     groups.setdefault(counts.get(x, 0), []).append(x)
-                fragments = list(groups.values())
-                if any(self._unbalanced(f) for f in fragments):
-                    return False
-                # the largest fragment keeps the cell's id, and its place in
-                # the queue if it had one; every other fragment is queued.
-                # Counts into an unqueued largest fragment are the counts
-                # into the old cell minus those into the others.
-                largest = max(fragments, key=len)
-                cells[c] = largest
-                for fragment in fragments:
-                    if fragment is largest:
-                        continue
-                    new = len(cells)
-                    cells.append(fragment)
-                    for x in fragment:
-                        cell_of[x] = new
-                    queue.append(new)
-        return True
+                if replay:
+                    order, sizes, keep = outcome
+                    if len(groups) != len(order):
+                        return None
+                    fragments = list(map(groups.get, order))
+                    if None in fragments or list(map(len, fragments)) != sizes:
+                        return None
+                else:
+                    fragments = list(groups.values())
+                    sizes = list(map(len, fragments))
+                    keep = sizes.index(max(sizes))
+                    entry[c] = (tuple(groups), sizes, keep)
+                # the kept fragment takes over the cell's place in the queue
+                # if it had one: counts into an unqueued kept fragment are the
+                # counts into the old cell minus those into the others
+                cells[c] = fragments[keep]
+                for i, fragment in enumerate(fragments):
+                    if i != keep:
+                        new = len(cells)
+                        cells.append(fragment)
+                        for x in fragment:
+                            cell_of[x] = new
+                        queue.append(new)
+        return record
+
+
+def _sides(graphs: list[tuple[list, list[tuple[int, int, int]]]]) -> list[_Side]:
+    """One workspace per graph, each given as (vertex labels, edges (u, v,
+    color id)), with one label table and one weight base for all.  A graph
+    equal to the first gets the first's workspace, so that searches know
+    both sides alike."""
+    ids = {t: i for i, t in enumerate(sorted(set().union(*(t for t, _ in graphs))))}
+    degree, top = 0, 0  # the largest degree and edge color id of any graph
+    for _, edges in graphs:
+        ends = Counter(map(itemgetter(0), edges))
+        ends.update(map(itemgetter(1), edges))
+        degree = max(degree, max(ends.values(), default=0))
+        top = max(top, max(map(itemgetter(2), edges), default=0))
+    weights = [(degree + 1) ** i for i in range(top + 1)]
+    sides: list[_Side] = []
+    for tokens, edges in graphs:
+        if sides and (tokens, edges) == graphs[0]:
+            sides.append(sides[0])
+        else:
+            sides.append(_Side(len(tokens), list(map(ids.__getitem__, tokens)), edges,
+                               weights, len(ids)))
+    return sides
+
+
+def _target(part: _Partition) -> int | None:
+    """The smallest cell with more than one vertex, ties to the cell holding
+    the smallest vertex; None when every cell is a single vertex."""
+    return min((c for c, cell in enumerate(part.cells) if len(cell) > 1),
+               key=lambda c: (len(part.cells[c]), part.cells[c][0]), default=None)
+
+
+class _Path:
+    """The left graph's partition at each depth of every search.
+
+    Each node individualizes the first vertex of the left's target cell,
+    whatever the right side does, so the left partition at a depth is one
+    for all nodes there.  `parts[d]` is that stable partition, `targets[d]`
+    its target cell (None at a leaf), and `records[d]` the record of the
+    refinement that reached it."""
+
+    def __init__(self, side: _Side):
+        self.side = side
+        part, record = side.root()
+        self.parts, self.records, self.targets = [part], [record], [_target(part)]
+
+    def child(self, depth: int) -> list:
+        """The record of the refinement into depth + 1, refining once."""
+        if depth + 1 == len(self.parts):
+            part, c = self.parts[depth], self.targets[depth]
+            part = part.individualize(c, part.cells[c][0])
+            self.records.append(self.side.split(part, [len(part.cells) - 1]))
+            self.parts.append(part)
+            self.targets.append(_target(part))
+        return self.records[depth + 1]
+
+
+def _search(path: _Path, right: _Side, depth: int, part: _Partition) -> list[int] | None:
+    """The first leaf below the right partition `part` at `depth`: the image
+    column of a map from the left graph onto the right, or None."""
+    left, c = path.parts[depth], path.targets[depth]
+    if c is None:  # every cell is a single vertex on both sides
+        first = list(map(itemgetter(0), part.cells))
+        return list(map(first.__getitem__, left.cell_of))
+    v = left.cells[c][0]
+    record = path.child(depth)
+    cell = part.cells[c]
+    # try the mirror vertex first: makes "G vs itself" return the identity
+    for w in [v] + [x for x in cell if x != v] if v in cell else cell:
+        if part is left and w == v:  # the left's own node: its child is known
+            child = path.parts[depth + 1]
+        else:
+            child = part.individualize(c, w)
+            if right.split(child, [len(child.cells) - 1], record) is None:
+                continue
+        found = _search(path, right, depth + 1, child)
+        if found is not None:
+            return found
+    return None
+
+
+def _find(left: _Side, right: _Side) -> list[int] | None:
+    """The image column of a map from the left graph onto the right that
+    respects labels and edge colors, or None."""
+    path = _Path(left)
+    if right is left:
+        return _search(path, right, 0, path.parts[0])
+    if right.sizes != left.sizes:  # some label is on more vertices of one graph
+        return None
+    found = right.root(path.records[0])
+    return None if found is None else _search(path, right, 0, found[0])
 
 
 def _edge_ids(graphs: list[ColoredGraph]) -> dict:
@@ -195,22 +321,12 @@ def _edge_ids(graphs: list[ColoredGraph]) -> dict:
     return {None: 0, **{name: i + 1 for i, name in enumerate(names)}}
 
 
-def _plain(graphs: list[ColoredGraph]) -> _Instance:
-    """The workspace of whole graphs, nothing peeled: `refine`'s."""
-    ids = _edge_ids(graphs)
-    tokens, edges = [], []
-    for G in graphs:
-        offset = len(tokens)
-        edges.extend((offset + u, offset + v, ids[c]) for (u, v, c) in G.edges)
-        tokens.extend(c or "" for c in G.vertex_colors)
-    return _Instance(graphs[0].num_vertices, tokens, edges)
-
-
 def refine(G: ColoredGraph) -> StableColoring:
-    """Stable 1-WL partition of one graph, read from the first copy of G
-    beside itself: every cell there has equal sides, and a vertex has
-    neighbours only in its own copy, so the copy's classes are G's."""
-    return StableColoring(tuple(_plain([G, G]).initial().cell_of[:G.num_vertices]))
+    """Stable 1-WL partition of one graph, nothing peeled."""
+    ids = _edge_ids([G])
+    [side] = _sides([([c or "" for c in G.vertex_colors],
+                      [(u, v, ids[c]) for (u, v, c) in G.edges])])
+    return StableColoring(tuple(side.root()[0].cell_of))
 
 
 @dataclass
@@ -221,7 +337,7 @@ class _Core:
     core vertex i is `vertices[i]`, `tokens[i]` its label and `edges` the
     core's edges in that numbering.  `children[x]` holds (edge color id,
     code, child) for each child of x, sorted.  The `layout` has core vertex
-    i, then its hanging tree in preorder, at order[starts[i]:starts[i + 1]].
+    i, then its hanging tree in preorder, at spans[i].
     """
 
     vertices: list[int]
@@ -230,9 +346,9 @@ class _Core:
     children: list[list[tuple[int, int, int]]]
 
     @cached_property
-    def layout(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """(ids, order, rank, starts), built on first use: x is order[rank[x]]
-        and `ids`, [0, 1, ..., n-1], is shared by this graph's bijections."""
+    def layout(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """(order, rank, spans), built on first use: x is order[rank[x]], and
+        order is the concatenation of the spans."""
         children, order, stack = self.children, [], self.vertices[::-1]
         while stack:
             x = stack.pop()
@@ -244,15 +360,15 @@ class _Core:
                 x = kids[0][2]
                 order.append(x)
                 kids = children[x]
-        ids, rank = list(range(len(order))), [0] * len(order)
-        for i, x in zip(ids, order):
+        rank = [0] * len(order)
+        for i, x in enumerate(order):
             rank[x] = i
-        return ids, order, rank, [rank[v] for v in self.vertices] + [len(order)]
+        starts = [rank[v] for v in self.vertices] + [len(order)]
+        return order, rank, [order[i:j] for i, j in zip(starts, starts[1:])]
 
     def bijection(self, image: list[int]) -> Bijection:
         """The bijection mapping the i-th vertex of the layout to image[i]."""
-        ids, _, rank, _ = self.layout
-        return Bijection(tuple(zip(ids, map(image.__getitem__, rank))))
+        return Bijection(ImageColumn(map(image.__getitem__, self.layout[1])))
 
 
 def _core(G: ColoredGraph, ids: dict, codes: dict) -> _Core:
@@ -296,18 +412,11 @@ def _core(G: ColoredGraph, ids: dict, codes: dict) -> _Core:
                                     if degree[u] > 1 and degree[v] > 1], children)
 
 
-def _side_by_side(core1: _Core, core2: _Core) -> _Instance:
-    k = len(core1.vertices)
-    return _Instance(k, core1.tokens + core2.tokens,
-                     core1.edges + [(u + k, v + k, e) for (u, v, e) in core2.edges])
-
-
-def _extend(core1: _Core, core2: _Core, f: Bijection) -> Bijection:
-    """The bijection of the full graphs that a core bijection f extends to:
-    the span of each core vertex onto the span of its image."""
-    _, order, _, starts = core2.layout
-    return core1.bijection(list(chain.from_iterable(
-        order[starts[w]:starts[w + 1]] for _, w in f.pairs)))
+def _extend(core1: _Core, core2: _Core, images: list[int]) -> Bijection:
+    """The bijection of the full graphs that a core map, given as its image
+    column, extends to: the span of each core vertex onto its image's."""
+    spans = core2.layout[2]
+    return core1.bijection(list(chain.from_iterable(map(spans.__getitem__, images))))
 
 
 def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
@@ -315,20 +424,19 @@ def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
     """Check the deterministic win conditions: vertex colors (1) and
     edge/non-edge with equal colors both ways (3).  A non-bijective map is
     an error (it cannot satisfy condition 2)."""
-    mapping = f.mapping()
-    n1, n2 = G1.num_vertices, G2.num_vertices
-    if sorted(mapping) != list(range(n1)) or sorted(mapping.values()) != list(range(n2)):
+    images = f.images
+    if len(images) != G1.num_vertices or sorted(images) != list(range(G2.num_vertices)):
         raise ValueError("not a bijection between the vertex sets (condition 2)")
 
-    for v, w in mapping.items():
-        c1, c2 = G1.vertex_colors[v], G2.vertex_colors[w]
-        if c1 != c2:
-            return False, (1, f"vertex color: {v} has {c1}, image {w} has {c2}")
+    colors1, colors2 = G1.vertex_colors, G2.vertex_colors
+    if list(map(colors2.__getitem__, images)) != list(colors1):
+        v = next(v for v, w in enumerate(images) if colors1[v] != colors2[w])
+        return False, (1, f"vertex color: {v} has {colors1[v]}, "
+                          f"image {images[v]} has {colors2[images[v]]}")
 
     e1, e2 = ({(u, v): c for (u, v, c) in G.edges} for G in (G1, G2))
-    inverse = f.inverse().mapping()
-    for edges, other, image, verb in ((e1, e2, mapping, "maps to"),
-                                      (e2, e1, inverse, "pulls back to")):
+    for edges, other, image, verb in ((e1, e2, images, "maps to"),
+                                      (e2, e1, f.inverse().images, "pulls back to")):
         for (u, v), c in edges.items():
             iu, iv = image[u], image[v]
             found = other.get((min(iu, iv), max(iu, iv)), "absent")
@@ -343,29 +451,6 @@ def _quick_mismatch(G1: ColoredGraph, G2: ColoredGraph) -> bool:
             or Counter(c for (_, _, c) in G1.edges) != Counter(c for (_, _, c) in G2.edges))
 
 
-def _target(part: _Partition) -> list[int] | None:
-    """The smallest cell with more than one vertex from each graph, ties to
-    the cell holding the smallest vertex; None when every cell is a pair."""
-    return min((cell for cell in part.cells if len(cell) > 2),
-               key=lambda cell: (len(cell), cell[0]), default=None)
-
-
-def _search(inst: _Instance, part: _Partition | None) -> Bijection | None:
-    if part is None:
-        return None
-    n1 = inst.split
-    cell = _target(part)
-    if cell is None:
-        return Bijection(tuple(sorted((c[0], c[1] - n1) for c in part.cells)))
-    v = cell[0]
-    # try the mirror vertex first: makes "G vs itself" return the identity
-    for w in sorted(cell[len(cell) // 2:], key=lambda w: (w - n1 != v, w)):
-        found = _search(inst, inst.individualize(part, v, w))
-        if found is not None:
-            return found
-    return None
-
-
 def find_isomorphism(G1: ColoredGraph, G2: ColoredGraph) -> Bijection | None:
     """A color- and edge-preserving bijection, or None when none exists:
     searched on the two 2-cores, labelled by their hanging trees' codes
@@ -375,8 +460,7 @@ def find_isomorphism(G1: ColoredGraph, G2: ColoredGraph) -> Bijection | None:
         return None
     ids, codes = _edge_ids([G1, G2]), {}
     core1, core2 = _core(G1, ids, codes), _core(G2, ids, codes)
-    inst = _side_by_side(core1, core2)
-    found = _search(inst, inst.initial())
+    found = _find(*_sides([(core1.tokens, core1.edges), (core2.tokens, core2.edges)]))
     if found is None:
         return None
     found = _extend(core1, core2, found)
@@ -392,29 +476,27 @@ class AutomorphismGroup:
     order: int
 
 
-def _chain(inst: _Instance) -> tuple[list[Bijection], int]:
-    """Generators and order of the automorphism group of a graph laid side
-    by side with itself in `inst`, by the stabilizer chain."""
-    n1 = inst.split
-    part = inst.initial()
-    generators: list[Bijection] = []
-    order = 1
-    while True:
-        if part is None:
-            raise RuntimeError("refinement of a graph against itself is unbalanced")
-        cell = _target(part)
-        if cell is None:
-            return generators, order
-        left = cell[:len(cell) // 2]
-        v = left[0]
+def _chain(side: _Side) -> tuple[list[list[int]], int]:
+    """Generators, as image columns, and the order of the automorphism
+    group of one graph, by the stabilizer chain along the left's path."""
+    path = _Path(side)
+    generators: list[list[int]] = []
+    order, depth = 1, 0
+    while path.targets[depth] is not None:
+        part, c = path.parts[depth], path.targets[depth]
+        record = path.child(depth)
         orbit = 1
-        for w in left[1:]:
-            g = _search(inst, inst.individualize(part, v, n1 + w))
+        for w in part.cells[c][1:]:  # the base vertex is the cell's first
+            child = part.individualize(c, w)
+            if side.split(child, [len(child.cells) - 1], record) is None:
+                continue
+            g = _search(path, side, depth + 1, child)
             if g is not None:
                 orbit += 1
                 generators.append(g)
         order *= orbit
-        part = inst.individualize(part, v, n1 + v)
+        depth += 1  # the stabilizer of the base vertex: the left's child
+    return generators, order
 
 
 def automorphism_group(G: ColoredGraph) -> AutomorphismGroup:
@@ -426,7 +508,7 @@ def automorphism_group(G: ColoredGraph) -> AutomorphismGroup:
     swap neighbouring subtrees, and a factor k! to the order.
     """
     core = _core(G, _edge_ids([G]), {})
-    found, order = _chain(_side_by_side(core, core))
+    found, order = _chain(*_sides([(core.tokens, core.edges)]))
     generators = [_extend(core, core, g) for g in found]
     for kids in core.children:
         run = 1  # the place of b in its group of equal codes
@@ -434,7 +516,7 @@ def automorphism_group(G: ColoredGraph) -> AutomorphismGroup:
             run = run + 1 if a[:2] == b[:2] else 1
             if run > 1:
                 order *= run
-                _, lay, rank, _ = core.layout
+                lay, rank, _ = core.layout
                 i, j = rank[a[2]], rank[b[2]]  # b's span follows a's, as long
                 image = lay[:i] + lay[j:2 * j - i] + lay[i:j] + lay[2 * j - i:]
                 generators.append(core.bijection(image))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, groupby, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -276,10 +277,34 @@ def _flat_records(items) -> bool:
     return not any(issubclass(t, _CONTAINERS) for t in types)
 
 
+class ImageColumn(tuple):
+    """A map of the vertices 0..n-1 held as its images: entry v is the image
+    of vertex v.  `dump_json` writes it as the JSON object of that map,
+    {"0": column[0], "1": column[1], ...}, without building the dict."""
+
+    __slots__ = ()
+
+
+@lru_cache(maxsize=4)
+def _column_layout(n: int, depth: int) -> tuple[str, tuple[int, ...]]:
+    """The %-template of an `ImageColumn` of n > 0 entries opened at nesting
+    depth `depth`, and the vertices in the order it takes their images:
+    the sorted order of their keys, "0", "1", "10", "100", ..."""
+    order = tuple(sorted(range(n), key=str))
+    inner = "\n" + " " * (depth + 1)
+    body = ("," + inner).join(map('"%d": %%d'.__mod__, order))
+    return "".join(("{", inner, body, "\n", " " * depth, "}")), order
+
+
 def _encode(obj, depth: int) -> str:
     """`obj` in `dump_json`'s layout, opened at nesting depth `depth`."""
     if isinstance(obj, dict):
         is_dict, items = True, sorted(obj.items())
+    elif isinstance(obj, ImageColumn):
+        if not obj:
+            return "{}"
+        template, order = _column_layout(len(obj), depth)
+        return template % tuple(map(obj.__getitem__, order))
     elif isinstance(obj, (list, tuple)):
         is_dict, items = False, obj
     else:
@@ -323,9 +348,11 @@ def dump_json(obj) -> str:
     The text equals `json.dumps(obj, sort_keys=True)` with an indent of one,
     byte for byte.  That call would run CPython's pure-Python encoder; here
     the recursion covers structure only, and every run of scalars and every
-    list of flat records is written by one call to the C encoder.  A graph
-    file's vertex and edge records are the exception: `serialize` writes
-    them from the graph's columns, and only their `meta` comes through here.
+    list of flat records is written by one call to the C encoder.  An
+    `ImageColumn` is written as the object of its map, from one template
+    per length and depth.  A graph file's vertex and edge records are the
+    exception: `serialize` writes them from the graph's columns, and only
+    their `meta` comes through here.
     """
     return _encode(obj, 0)
 
@@ -353,13 +380,16 @@ _ABSENT = object()
 _FIELD_TYPES = {"vertices": (("id", int), ("label", str), ("color", str)),
                 "edges": (("u", int), ("v", int), ("color", str))}
 _REQUIRED = {"id", "u", "v"}
+_NO_COLOR = {_ABSENT: None}
 
 
 def from_json_dict(data: dict) -> ColoredGraph:
     """The graph of a JSON document in `to_json_dict`'s format.  Raises
     ValueError naming the field where the document departs from it: ids and
     endpoints must be present and ints, labels strings, and colors canonical
-    colors, in lists "vertices" and "edges"."""
+    colors, in lists "vertices" and "edges".
+
+    Each field of each record list is read once, as a column."""
     if not isinstance(data, dict):
         raise ValueError("a graph document must be a JSON object")
     meta = data.get("meta", {})
@@ -367,6 +397,7 @@ def from_json_dict(data: dict) -> ColoredGraph:
         raise ValueError('"meta" must be an object whose "system" is a string')
     if "system" in meta:
         parse_system(meta["system"])  # raises on a malformed system
+    columns = {}
     for where, fields in _FIELD_TYPES.items():
         if where not in data:
             raise ValueError(f"missing field {where!r}")
@@ -374,24 +405,34 @@ def from_json_dict(data: dict) -> ColoredGraph:
         if not (isinstance(records, list) and all(map(isinstance, records, repeat(dict)))):
             raise ValueError(f'"{where}" must be a list of objects')
         for key, kind in fields:
-            found = set(map(type, map(dict.get, records, repeat(key), repeat(_ABSENT))))
+            column = list(map(dict.get, records, repeat(key), repeat(_ABSENT)))
+            found = set(map(type, column))
             if object in found and key in _REQUIRED:  # object: the key is absent
                 raise ValueError(f"missing field {key!r}")
             if found - {kind, object}:
                 raise ValueError(f'every "{key}" in "{where}" must be '
                                  + ("an integer" if kind is int else "a string"))
-    verts, edges = data["vertices"], data["edges"]
-    for color in set(map(dict.get, chain(verts, edges), repeat("color"))) - {None}:
+            columns[where, key] = column
+    ids, labels, vcolors = (columns["vertices", key] for key in ("id", "label", "color"))
+    us, vs, ecolors = (columns["edges", key] for key in ("u", "v", "color"))
+    # an absent color is None, and every present one a string by now
+    vcolors, ecolors = (list(map(_NO_COLOR.get, c, c)) for c in (vcolors, ecolors))
+    for color in set(chain(vcolors, ecolors)) - {None}:
         _color_key(color)
 
-    verts = sorted(verts, key=lambda d: d["id"])
-    if [d["id"] for d in verts] != list(range(len(verts))):
-        raise ValueError("vertex ids must be 0..n-1")
-    labels = tuple(parse_label(d.get("label", str(d["id"]))) for d in verts)
-    vcolors = tuple(d.get("color") for d in verts)
-    edges = tuple((min(d["u"], d["v"]), max(d["u"], d["v"]), d.get("color"))
-                  for d in edges)
-    return ColoredGraph(labels, vcolors, edges, meta)
+    n = len(ids)
+    if ids != list(range(n)):
+        order = sorted(range(n), key=ids.__getitem__)
+        if list(map(ids.__getitem__, order)) != list(range(n)):
+            raise ValueError("vertex ids must be 0..n-1")
+        labels, vcolors = ([c[i] for i in order] for c in (labels, vcolors))
+    if _ABSENT in labels:  # a vertex without a label is labelled by its id
+        labels = tuple(i if label is _ABSENT else parse_label(label)
+                       for i, label in enumerate(labels))
+    else:
+        labels = tuple(map(parse_label, labels))
+    edges = tuple(zip(map(min, us, vs), map(max, us, vs), ecolors))
+    return ColoredGraph(labels, tuple(vcolors), edges, meta)
 
 
 def to_dot(G: ColoredGraph) -> str:

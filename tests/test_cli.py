@@ -169,6 +169,33 @@ def test_aut_json_with_sibling_swaps_is_pinned(files, monkeypatch, name):
     assert hashlib.sha256((files / "aut.json").read_bytes()).hexdigest() == digest
 
 
+# sha256 of `aut --json` on the colored G*(K3,4) of b = 0, whose 34 edge
+# colors give replayed splits many weights, and on the K3,3 G''; and of the
+# `iso --json` report and `--map-out` map of that G'' against itself, which
+# hold the map at depth 1 and at depth 0.  Measured while both graphs of a
+# search were refined side by side in one partition and maps were written
+# from dicts of (vertex, image) pairs.
+SEARCH_OUTPUT_SHA256 = {
+    "aut-gstar34": "74d41c9abf22ff5cbb8785c04576355931de16a3cde37b1cf92de02797141fdc",
+    "aut-gpp33": "efc60be59d3dd8dce8b22838bfefd14d731e875b69b26c529010eb9b384b939b",
+    "iso-gpp33-self": "943ccd30cf9b60827d3b2d556e92a22f9d9b165fdd8774a5e0d3ac19d9e0d26e",
+    "iso-gpp33-self-map": "b3dec99941b67b1a4a4738ab7bb19e4ccc804889f18da19ed83cd5737541fd39",
+}
+
+
+def test_search_outputs_are_pinned(files, monkeypatch):
+    monkeypatch.chdir(files)
+    assert run("build", "--graph", "k34.g", "--out", "gs34.json") == 0
+    assert run("build", "--graph", "k33.g", "--decolor", "full", "--out", "gpp33.json") == 0
+    assert run("aut", "gs34.json", "--json", "aut-gstar34.json") == 0
+    assert run("aut", "gpp33.json", "--json", "aut-gpp33.json") == 0
+    assert run("iso", "gpp33.json", "gpp33.json", "--json", "iso-gpp33-self.json",
+               "--map-out", "iso-gpp33-self-map.json") == 0
+    digests = {name: hashlib.sha256((files / f"{name}.json").read_bytes()).hexdigest()
+               for name in SEARCH_OUTPUT_SHA256}
+    assert digests == SEARCH_OUTPUT_SHA256
+
+
 # sha256 of G(M, b) files, whose intra and inter colors are products of the
 # block labels: measured on `build --construction G` while each label was a
 # SignVector object rendered on output
@@ -824,6 +851,26 @@ def test_missing_graph_fields_exit_2(files, capsys, field):
     bad.write_text(json.dumps(MISSING_FIELDS[field]))
     assert run("aut", bad) == 2
     assert capsys.readouterr().err == f"error: missing field '{field}'\n"
+
+
+# graph documents with one bad edge each, and the message each one gets
+BAD_EDGES = {
+    "loop": ([{"u": 1, "v": 1}], "loop at vertex 1"),
+    "out-of-range": ([{"u": 0, "v": 2}], "bad edge endpoints (0, 2)"),
+    "negative": ([{"u": -1, "v": 1}], "bad edge endpoints (-1, 1)"),
+    "duplicate": ([{"u": 0, "v": 1}, {"u": 1, "v": 0}], "duplicate edge (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("command", ["iso", "aut"])
+@pytest.mark.parametrize("name", sorted(BAD_EDGES))
+def test_bad_graph_edges_exit_2(files, capsys, command, name):
+    edges, message = BAD_EDGES[name]
+    good, bad = files / "good.json", files / "bad.json"
+    good.write_text('{"vertices": [{"id": 0}], "edges": []}')
+    bad.write_text(json.dumps({"vertices": [{"id": 0}, {"id": 1}], "edges": edges}))
+    assert run(command, *([good] if command == "iso" else []), bad) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_key_error_in_the_library_exits_internal(files, monkeypatch, capsys):

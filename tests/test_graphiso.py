@@ -4,12 +4,15 @@ against brute-force oracles on small graphs."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lcsq import graphiso
-from lcsq.graphs import ColoredGraph, block_labels
+from lcsq.f2core import BinMatrix, LinearSystem, parse_system, solve_f2
+from lcsq.fpgroups import abelianized_order, solution_presentation
+from lcsq.graphs import ColoredGraph, ImageColumn, block_labels, build_G, build_Gstar
 from lcsq.decolor import canonical_assignment, decolor_vertices
 from lcsq.graphiso import (Bijection, automorphism_group, find_isomorphism,
                            refine, verify_mapping)
@@ -261,8 +264,7 @@ def test_finds_verified_isomorphism_of_any_permuted_copy(G, rng):
 
 def test_invalid_search_result_raises(monkeypatch):
     G = plain(3, [(0, 1), (1, 2)])
-    swap = Bijection(((0, 1), (1, 0), (2, 2)))
-    monkeypatch.setattr(graphiso, "_search", lambda inst, part: swap)
+    monkeypatch.setattr(graphiso, "_find", lambda left, right: [1, 0, 2])
     with pytest.raises(RuntimeError, match="invalid mapping"):
         find_isomorphism(G, G)
 
@@ -272,22 +274,21 @@ def test_invalid_search_result_raises(monkeypatch):
 
 
 def test_verify_identity(gstar33_0):
-    ident = Bijection(tuple((v, v) for v in range(24)))
+    ident = Bijection(tuple(range(24)))
     assert verify_mapping(gstar33_0, gstar33_0, ident) == (True, None)
 
 
 def test_verify_names_vertex_color_condition(gstar33_0):
-    pairs = [(v, v) for v in range(24)]
-    pairs[0], pairs[4] = (0, 4), (4, 0)  # different blocks
-    ok, violation = verify_mapping(gstar33_0, gstar33_0, Bijection(tuple(pairs)))
+    images = list(range(24))
+    images[0], images[4] = 4, 0  # different blocks
+    ok, violation = verify_mapping(gstar33_0, gstar33_0, Bijection(tuple(images)))
     assert not ok
     assert violation[0] == 1
 
 
 def test_verify_names_edge_condition():
     G = plain(4, [(0, 1), (1, 2), (2, 3)])
-    pairs = ((0, 1), (1, 0), (2, 2), (3, 3))
-    ok, violation = verify_mapping(G, G, Bijection(pairs))
+    ok, violation = verify_mapping(G, G, Bijection((1, 0, 2, 3)))
     assert not ok
     assert violation[0] == 3
 
@@ -295,7 +296,7 @@ def test_verify_names_edge_condition():
 def test_verify_rejects_non_bijection(gstar33_0):
     with pytest.raises(ValueError, match="bijection"):
         verify_mapping(gstar33_0, gstar33_0,
-                       Bijection(tuple((v, 0) for v in range(24))))
+                       Bijection((0,) * 24))
 
 
 def test_verify_symmetric_under_inverse():
@@ -303,7 +304,7 @@ def test_verify_symmetric_under_inverse():
     for _ in range(20):
         G1 = random_colored_graph(rng, 6)
         G2, perm = permuted_copy(G1, rng)
-        f = Bijection(tuple((v, perm[v]) for v in range(6)))
+        f = Bijection(tuple(perm))
         forward = verify_mapping(G1, G2, f)
         backward = verify_mapping(G2, G1, f.inverse())
         assert forward[0] == backward[0] == True  # noqa: E712
@@ -390,18 +391,233 @@ def test_automorphism_order_matches_brute_force(G):
 
 
 # ---------------------------------------------------------------------------
+# the union refiner: the search as it ran before each graph was refined on
+# its own, with both graphs side by side in one partition
+
+
+class UnionInstance:
+    """Shared refinement workspace for one graph, or two side by side.
+
+    `tokens[v]` is the color of vertex v, any sortable value, and `edges`
+    are (u, v, color id) with id 0 for no color.  The vertices of the
+    second graph follow those of the first, from `split` on.  Each
+    adjacency entry is (neighbour, weight) with weight base**color_id, base
+    above every degree, so a sum of weights encodes a per-color count.
+    """
+
+    def __init__(self, split, tokens, edges):
+        self.split = split  # first vertex of the second graph
+        total = len(tokens)
+        degree = [0] * total
+        for (u, v, _) in edges:
+            degree[u] += 1
+            degree[v] += 1
+        base = max(degree, default=0) + 1
+        self.adj = [[] for _ in range(total)]
+        for (u, v, cid) in edges:
+            weight = base ** cid
+            self.adj[u].append((v, weight))
+            self.adj[v].append((u, weight))
+
+        token_ids = {t: i for i, t in enumerate(sorted(set(tokens)))}
+        self.init_colors = [token_ids[t] for t in tokens]
+
+    def _unbalanced(self, cell):
+        # cells are sorted, so the first-graph vertices come first
+        return 2 * bisect_left(cell, self.split) != len(cell)
+
+    def initial(self):
+        """The stable refinement of the vertex colors; None when some cell
+        has unequal sides."""
+        cells = [[] for _ in range(len(set(self.init_colors)))]
+        for v, c in enumerate(self.init_colors):
+            cells[c].append(v)
+        part = graphiso._Partition(list(self.init_colors), cells)
+        if any(self._unbalanced(cell) for cell in cells):
+            return None
+        return part if self._refine(part, list(range(len(cells)))) else None
+
+    def individualize(self, part, v, w):
+        """The child of a stable, balanced `part` that pairs v (first graph)
+        with w (second graph, same cell); None when it is unbalanced."""
+        cell_of = list(part.cell_of)
+        cells = list(part.cells)
+        c = cell_of[v]
+        cells[c] = [x for x in cells[c] if x != v and x != w]
+        new = len(cells)
+        cells.append([v, w])
+        cell_of[v] = cell_of[w] = new
+        child = graphiso._Partition(cell_of, cells)
+        return child if self._refine(child, [new]) else None
+
+    def _refine(self, part, queue):
+        """Split cells of `part` in place until it is equitable, starting
+        from the splitter cells in `queue`.  Returns False when a fragment
+        has unequal sides (no bijection can exist below this node), True
+        otherwise."""
+        adj, cell_of, cells = self.adj, part.cell_of, part.cells
+        while queue:
+            counts = {}
+            for u in cells[queue.pop()]:
+                for x, weight in adj[u]:
+                    counts[x] = counts.get(x, 0) + weight
+            touched = {}
+            for x, k in counts.items():
+                touched.setdefault(cell_of[x], []).append(k)
+            for c, keys in touched.items():
+                members = cells[c]
+                if len(keys) == len(members) and min(keys) == max(keys):
+                    continue
+                groups = {}
+                for x in members:
+                    groups.setdefault(counts.get(x, 0), []).append(x)
+                fragments = list(groups.values())
+                if any(self._unbalanced(f) for f in fragments):
+                    return False
+                largest = max(fragments, key=len)
+                cells[c] = largest
+                for fragment in fragments:
+                    if fragment is largest:
+                        continue
+                    new = len(cells)
+                    cells.append(fragment)
+                    for x in fragment:
+                        cell_of[x] = new
+                    queue.append(new)
+        return True
+
+
+def union_plain(graphs):
+    """The workspace of whole graphs, nothing peeled."""
+    ids = graphiso._edge_ids(graphs)
+    tokens, edges = [], []
+    for G in graphs:
+        offset = len(tokens)
+        edges.extend((offset + u, offset + v, ids[c]) for (u, v, c) in G.edges)
+        tokens.extend(c or "" for c in G.vertex_colors)
+    return UnionInstance(graphs[0].num_vertices, tokens, edges)
+
+
+def union_side_by_side(core1, core2):
+    k = len(core1.vertices)
+    return UnionInstance(k, core1.tokens + core2.tokens,
+                         core1.edges + [(u + k, v + k, e) for (u, v, e) in core2.edges])
+
+
+def union_target(part):
+    """The smallest cell with more than one vertex from each graph, ties to
+    the cell holding the smallest vertex; None when every cell is a pair."""
+    return min((cell for cell in part.cells if len(cell) > 2),
+               key=lambda cell: (len(cell), cell[0]), default=None)
+
+
+def union_search(inst, part):
+    if part is None:
+        return None
+    n1 = inst.split
+    cell = union_target(part)
+    if cell is None:
+        return Bijection(ImageColumn(c[1] - n1 for c in sorted(part.cells)))
+    v = cell[0]
+    # try the mirror vertex first: makes "G vs itself" return the identity
+    for w in sorted(cell[len(cell) // 2:], key=lambda w: (w - n1 != v, w)):
+        found = union_search(inst, inst.individualize(part, v, w))
+        if found is not None:
+            return found
+    return None
+
+
+def union_chain(inst):
+    """Generators and order of the automorphism group of a graph laid side
+    by side with itself in `inst`, by the stabilizer chain."""
+    n1 = inst.split
+    part = inst.initial()
+    generators = []
+    order = 1
+    while True:
+        if part is None:
+            raise RuntimeError("refinement of a graph against itself is unbalanced")
+        cell = union_target(part)
+        if cell is None:
+            return generators, order
+        left = cell[:len(cell) // 2]
+        v = left[0]
+        orbit = 1
+        for w in left[1:]:
+            g = union_search(inst, inst.individualize(part, v, n1 + w))
+            if g is not None:
+                orbit += 1
+                generators.append(g)
+        order *= orbit
+        part = inst.individualize(part, v, n1 + v)
+
+
+def union_refine(G):
+    """The classes of G's first copy beside itself."""
+    return tuple(union_plain([G, G]).initial().cell_of[:G.num_vertices])
+
+
+def plain_sides(graphs):
+    """The per-graph workspaces of whole graphs, nothing peeled."""
+    ids = graphiso._edge_ids(graphs)
+    return graphiso._sides([([c or "" for c in G.vertex_colors],
+                             [(u, v, ids[c]) for (u, v, c) in G.edges]) for G in graphs])
+
+
+def column(images):
+    return None if images is None else Bijection(ImageColumn(images))
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_graphs(), colored_graphs(), st.randoms(use_true_random=False))
+def test_per_graph_refinement_agrees_with_the_union(G, other, rng):
+    assert refine(G).classes == union_refine(G)
+    shuffled, _ = permuted_copy(G, rng)
+    for H in (G, shuffled, other):
+        inst = union_plain([G, H])
+        assert column(graphiso._find(*plain_sides([G, H]))) == \
+            union_search(inst, inst.initial())
+    # the same graph in two workspaces replays what one workspace reuses
+    [side], [twin] = plain_sides([G]), plain_sides([G])
+    assert graphiso._find(side, twin) == graphiso._find(side, side)
+    generators, order = graphiso._chain(side)
+    assert ([column(g) for g in generators], order) == union_chain(union_plain([G, G]))
+
+
+def test_a_whole_cell_counted_differently_prunes():
+    # three color classes of three vertices: a 6-cycle between A and B and
+    # K3,3 between B and C, against the reverse.  Refinement splits nothing;
+    # only the count each splitter gives a whole cell tells them apart
+    A, B, C = (0, 1, 2), (3, 4, 5), (6, 7, 8)
+
+    def six_cycle(X, Y):
+        return [(X[i], Y[j]) for i in range(3) for j in (i, (i + 1) % 3)]
+
+    def complete_bipartite(X, Y):
+        return [(x, y) for x in X for y in Y]
+
+    vcolors = ["v:0"] * 3 + ["v:1"] * 3 + ["v:2"] * 3
+    G1 = graph(vcolors, dict.fromkeys(six_cycle(A, B) + complete_bipartite(B, C)))
+    G2 = graph(vcolors, dict.fromkeys(complete_bipartite(A, B) + six_cycle(B, C)))
+    assert refine(G1).classes == refine(G2).classes == (0,) * 3 + (1,) * 3 + (2,) * 3
+    assert oracle_isomorphism(G1, G2) is None
+    assert graphiso._find(*plain_sides([G1, G2])) is None
+    assert find_isomorphism(G1, G2) is None
+
+
+# ---------------------------------------------------------------------------
 # the 2-core reduction, against the search on the whole graphs
 
 
 def oracle_isomorphism(G1, G2):
     """The search on both graphs as given, nothing peeled."""
-    inst = graphiso._plain([G1, G2])
-    return graphiso._search(inst, inst.initial())
+    inst = union_plain([G1, G2])
+    return union_search(inst, inst.initial())
 
 
 def oracle_automorphisms(G):
     """The stabilizer chain on the graph as given: (generators, order)."""
-    return graphiso._chain(graphiso._plain([G, G]))
+    return union_chain(union_plain([G, G]))
 
 
 def core_of(G):
@@ -412,9 +628,9 @@ def core_search(G1, G2):
     """`find_isomorphism` without its count check: the labelled cores alone
     must tell the graphs apart."""
     ids, codes = graphiso._edge_ids([G1, G2]), {}
-    inst = graphiso._side_by_side(graphiso._core(G1, ids, codes),
-                                  graphiso._core(G2, ids, codes))
-    return graphiso._search(inst, inst.initial())
+    inst = union_side_by_side(graphiso._core(G1, ids, codes),
+                              graphiso._core(G2, ids, codes))
+    return union_search(inst, inst.initial())
 
 
 def graph(vcolors, edges):
@@ -482,19 +698,21 @@ def test_core_reduction_agrees_with_whole_graph_search(G, other, rng):
 
 def oracle_pair_trees(core1, core2, roots):
     """Each root pair with everything hanging below it, paired down the
-    trees in sorted (edge color, code, vertex) order, one walk per call."""
+    trees in sorted (edge color, code, vertex) order, one walk per call:
+    {vertex: image}."""
     image = {}
     stack = list(roots)
     while stack:
         x, y = stack.pop()
         image[x] = y
         stack.extend((a[2], b[2]) for a, b in zip(core1.children[x], core2.children[y]))
-    return Bijection(tuple(sorted(image.items())))
+    return image
 
 
 def oracle_extend(core1, core2, f):
-    return oracle_pair_trees(core1, core2, [(core1.vertices[v], core2.vertices[w])
-                                            for v, w in f.pairs])
+    image = oracle_pair_trees(core1, core2, [(core1.vertices[v], core2.vertices[w])
+                                             for v, w in f.pairs])
+    return Bijection(ImageColumn(map(image.__getitem__, range(len(image)))))
 
 
 def oracle_find_isomorphism(G1, G2):
@@ -503,8 +721,8 @@ def oracle_find_isomorphism(G1, G2):
         return None
     ids, codes = graphiso._edge_ids([G1, G2]), {}
     core1, core2 = graphiso._core(G1, ids, codes), graphiso._core(G2, ids, codes)
-    inst = graphiso._side_by_side(core1, core2)
-    found = graphiso._search(inst, inst.initial())
+    inst = union_side_by_side(core1, core2)
+    found = union_search(inst, inst.initial())
     return None if found is None else oracle_extend(core1, core2, found)
 
 
@@ -512,14 +730,14 @@ def oracle_automorphism_generators(G):
     """The core generators paired down the trees, then one swap of each two
     neighbouring children with equal codes."""
     core = core_of(G)
-    found, _ = graphiso._chain(graphiso._side_by_side(core, core))
+    found, _ = union_chain(union_side_by_side(core, core))
     generators = [oracle_extend(core, core, g) for g in found]
     for kids in core.children:
         for a, b in zip(kids, kids[1:]):
             if a[:2] == b[:2]:
-                swap = oracle_pair_trees(core, core, [(a[2], b[2]), (b[2], a[2])]).mapping()
-                generators.append(Bijection(tuple((x, swap.get(x, x))
-                                                  for x in range(G.num_vertices))))
+                swap = oracle_pair_trees(core, core, [(a[2], b[2]), (b[2], a[2])])
+                generators.append(Bijection(ImageColumn(swap.get(x, x)
+                                                        for x in range(G.num_vertices))))
     return tuple(generators)
 
 
@@ -545,10 +763,10 @@ def test_layout_extension_agrees_with_pairing_down_the_trees(G, other, rng):
 
 def test_layout_spans_of_siblings():
     # core vertex 0 hangs three leaves, 1 two paths, 2 nothing
-    ids, order, rank, starts = core_of(SIBLINGS).layout
+    order, rank, spans = core_of(SIBLINGS).layout
     assert order == [0, 3, 4, 5, 1, 6, 7, 8, 9, 2]
-    assert starts == [0, 4, 9, 10]
-    assert [order[r] for r in rank] == ids == list(range(10))
+    assert spans == [[0, 3, 4, 5], [1, 6, 7, 8, 9], [2]]
+    assert [order[r] for r in rank] == list(range(10))
 
 
 def test_sibling_groups_multiply_the_order():
@@ -625,3 +843,71 @@ def test_pendant_mutants_are_not_isomorphic(gpp33_pair, mutate):
     assert find_isomorphism(gpp0, M) is None
     assert oracle_isomorphism(gpp0, M) is None
     assert core_search(gpp0, M) is None
+
+
+# ---------------------------------------------------------------------------
+# a search-free oracle: on the graphs of a linear system, classical
+# isomorphism and automorphism orders are F2 linear algebra
+
+
+@st.composite
+def linear_systems(draw, constraints, variables):
+    """A system M x = b with the given ranges of constraint and variable
+    counts, every constraint touching at least one variable."""
+    m, n = draw(st.integers(*constraints)), draw(st.integers(*variables))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    return LinearSystem(BinMatrix.from_rows(rows), tuple(b))
+
+
+def constructions(sys):
+    """build_G, and build_Gstar when no two constraints share two variables."""
+    try:
+        build_Gstar(sys)
+    except ValueError as exc:
+        assert "the reduced construction needs at most one" in str(exc)
+        return [build_G]
+    return [build_G, build_Gstar]
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_systems((2, 4), (3, 6)), st.data())
+def test_isomorphism_exactly_when_the_rhs_difference_is_solvable(sys, data):
+    # G(M, b1) and G(M, b2) are isomorphic exactly when M x = b1 + b2 is
+    # solvable (Atserias et al. 2019); a solution flips the signs at x
+    m = sys.num_constraints
+    b2 = tuple(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    solvable = solve_f2(sys.with_b(tuple(x ^ y for x, y in zip(sys.b, b2)))) is not None
+    for build in constructions(sys):
+        G1, G2 = build(sys), build(sys.with_b(b2))
+        found = find_isomorphism(G1, G2)
+        assert (found is not None) == solvable, build.__name__
+        if found is not None:
+            assert verify_mapping(G1, G2, found) == (True, None)
+
+
+def free_variables(sys):
+    """The number of variables that no constraint touches."""
+    used = set().union(*map(sys.support, range(sys.num_constraints)))
+    return sys.num_vars - len(used)
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_systems((2, 5), (3, 7)))
+def test_automorphism_order_of_G_M_0_is_the_abelianized_order(sys):
+    # each variable in no constraint is a free Z2 factor of Gamma_0 that
+    # the graph, whose vertices are local solutions, cannot see
+    homogeneous = sys.with_b((0,) * sys.num_constraints)
+    expected = abelianized_order(solution_presentation(homogeneous, homogeneous=True))
+    assert automorphism_group(build_G(homogeneous)).order == \
+        expected >> free_variables(homogeneous)
+
+
+def test_a_variable_in_no_constraint_does_not_act_on_G():
+    # x1 and x2 occur in no constraint: Gamma_0's abelianization has order 4,
+    # while G(M, 0) is two vertices of different colors joined by an edge
+    sys = parse_system("001;001|00")
+    assert abelianized_order(solution_presentation(sys, homogeneous=True)) == 4
+    assert free_variables(sys) == 2
+    assert automorphism_group(build_G(sys)).order == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from lcsq.decolor import canonical_assignment, decolor_vertices
 from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system, parse_system
-from lcsq.graphs import (ColoredGraph, block_labels, build_G, build_Gstar, dump_json,
-                         parse_graph_json, serialize, sign_vectors, to_json_dict)
+from lcsq.graphs import (ColoredGraph, ImageColumn, _color_key, block_labels, build_G,
+                         build_Gstar, dump_json, from_json_dict, parse_graph_json,
+                         parse_label, serialize, sign_vectors, to_json_dict)
 from test_fpgroups import small_graphs
 
 # The 2x5 demo system: block 0 holds the solutions of x1 x2 x3 = 1 and block 1
@@ -455,6 +457,25 @@ def test_dump_json_rejects_what_json_rejects():
         dump_json([{"a": object()}])
 
 
+def map_dict(images):
+    """The dict an image column stands for in a report."""
+    return {str(v): w for v, w in enumerate(images)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 200), max_size=120), max_size=4), st.integers(0, 3))
+def test_image_columns_are_written_as_their_maps(columns, shape):
+    # the map alone, in a report, and listed as generators, beside scalars
+    def report(wrap):
+        maps = [wrap(c) for c in columns]
+        return [maps[0] if maps else wrap([]),
+                {"config": {"json_out": "a.json"}, "mapping": maps[0] if maps else None,
+                 "isomorphic": True},
+                {"generators": maps, "order": 2},
+                [maps, {"a": maps}]][shape]
+    assert dump_json(report(ImageColumn)) == stdlib_dump(report(map_dict))
+
+
 def test_serialize_is_stdlib_bytes(gstar33_0, gpp33_pair):
     """G*(K3,3) and the two 426-vertex decolorings serialize exactly as the
     stdlib encoder writes them."""
@@ -497,6 +518,171 @@ def colored_graphs(draw):
 @given(colored_graphs())
 def test_serialize_matches_stdlib_on_random_graphs(G):
     assert serialize(G) == stdlib_dump(to_json_dict(G))
+
+
+# ---------------------------------------------------------------------------
+# reading graph files: the record-by-record reader as the oracle
+
+
+ORACLE_ABSENT = object()
+ORACLE_FIELD_TYPES = {"vertices": (("id", int), ("label", str), ("color", str)),
+                      "edges": (("u", int), ("v", int), ("color", str))}
+ORACLE_REQUIRED = {"id", "u", "v"}
+
+
+def oracle_from_json_dict(data):
+    """The reader that walked the records one by one, before fields were
+    read as columns: the same checks in the same order."""
+    if not isinstance(data, dict):
+        raise ValueError("a graph document must be a JSON object")
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict) or not isinstance(meta.get("system", ""), str):
+        raise ValueError('"meta" must be an object whose "system" is a string')
+    if "system" in meta:
+        parse_system(meta["system"])  # raises on a malformed system
+    for where, fields in ORACLE_FIELD_TYPES.items():
+        if where not in data:
+            raise ValueError(f"missing field {where!r}")
+        records = data[where]
+        if not (isinstance(records, list) and all(map(isinstance, records, repeat(dict)))):
+            raise ValueError(f'"{where}" must be a list of objects')
+        for key, kind in fields:
+            found = set(map(type, map(dict.get, records, repeat(key), repeat(ORACLE_ABSENT))))
+            if object in found and key in ORACLE_REQUIRED:  # object: the key is absent
+                raise ValueError(f"missing field {key!r}")
+            if found - {kind, object}:
+                raise ValueError(f'every "{key}" in "{where}" must be '
+                                 + ("an integer" if kind is int else "a string"))
+    verts, edges = data["vertices"], data["edges"]
+    for color in set(map(dict.get, chain(verts, edges), repeat("color"))) - {None}:
+        _color_key(color)
+
+    verts = sorted(verts, key=lambda d: d["id"])
+    if [d["id"] for d in verts] != list(range(len(verts))):
+        raise ValueError("vertex ids must be 0..n-1")
+    labels = tuple(parse_label(d.get("label", str(d["id"]))) for d in verts)
+    vcolors = tuple(d.get("color") for d in verts)
+    edges = tuple((min(d["u"], d["v"]), max(d["u"], d["v"]), d.get("color"))
+                  for d in edges)
+    return ColoredGraph(labels, vcolors, edges, meta)
+
+
+def outcome(read, doc):
+    """The graph a reader returns, or the type and text of what it raises."""
+    try:
+        return read(doc)
+    except Exception as exc:  # noqa: BLE001 -- both readers must fail alike
+        return type(exc), str(exc)
+
+
+# values that break one field: wrong types, absent ids, repeated or
+# out-of-range ids and endpoints, loops and non-canonical colors
+BAD_VALUES = [None, "0", "x", 1.5, 0.0, True, [], {}, -1, 0, 1, 7, "v:01", "shared:x"]
+
+
+@st.composite
+def graph_documents(draw):
+    """The document of a random graph, shuffled (ids permuted, records
+    reordered, endpoints swapped, labels and colors dropped), and often
+    broken in one or two places."""
+    G = draw(colored_graphs())
+    rng = draw(st.randoms(use_true_random=False))
+    doc = json.loads(json.dumps(to_json_dict(G)))
+    for d in chain(doc["vertices"], doc["edges"]):  # mostly canonical colors
+        if "color" in d and rng.random() < 0.9:
+            d["color"] = rng.choice(["v:0", "v:1", "shared:-1", "plain:2"])
+    n = G.num_vertices
+    if draw(st.booleans()):  # shuffled
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for d in doc["vertices"]:
+            d["id"] = perm[d["id"]]
+        for d in doc["edges"]:
+            d["u"], d["v"] = perm[d["u"]], perm[d["v"]]
+            if rng.random() < 0.5:
+                d["u"], d["v"] = d["v"], d["u"]
+        for d in doc["vertices"]:
+            if rng.random() < 0.3:
+                d.pop("label")
+        rng.shuffle(doc["vertices"])
+        rng.shuffle(doc["edges"])
+    for _ in range(draw(st.integers(0, 2))):  # broken
+        where = rng.choice(["vertices", "edges"])
+        found = doc.get(where)
+        records = [d for d in found if isinstance(d, dict)] if isinstance(found, list) else []
+        kind = draw(st.sampled_from(["value", "drop", "repeat", "top", "meta"]))
+        if kind == "value" and records:
+            key = rng.choice(["id", "label", "color"] if where == "vertices"
+                             else ["u", "v", "color"])
+            rng.choice(records)[key] = rng.choice(BAD_VALUES)
+        elif kind == "drop" and records:
+            rng.choice(records).pop(rng.choice(["id", "label", "color", "u", "v"]), None)
+        elif kind == "repeat" and records:
+            found.append(dict(rng.choice(records)))
+        elif kind == "top":
+            doc[where] = rng.choice([None, {}, [0], [{}, 1], "x"])
+            if rng.random() < 0.3:
+                del doc[where]
+        elif kind == "meta":
+            doc["meta"] = rng.choice([[], {"system": 5}, {"system": "1;2|0"}, {"x": 1}])
+    if draw(st.integers(0, 30)) == 17:  # not an object at all
+        doc = rng.choice([[], None, "x", 0])
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_documents())
+def test_column_reader_matches_the_record_reader(doc):
+    assert outcome(from_json_dict, doc) == outcome(oracle_from_json_dict, doc)
+
+
+def test_reader_keeps_the_message_precedence():
+    # a missing id outranks a label of the wrong type in the same list, and
+    # every vertex check outranks a missing edge list
+    doc = {"vertices": [{"label": 3}, {"id": 0}]}
+    assert outcome(from_json_dict, doc) == (ValueError, "missing field 'id'")
+    doc = {"vertices": [{"id": 0, "label": 3}]}
+    assert outcome(from_json_dict, doc) == \
+        (ValueError, 'every "label" in "vertices" must be a string')
+    doc = {"vertices": [{"id": 1}, {"id": 0}, {"id": 0}], "edges": []}
+    assert outcome(from_json_dict, doc) == (ValueError, "vertex ids must be 0..n-1")
+
+
+def test_reader_sorts_vertices_by_id():
+    doc = {"vertices": [{"id": 2, "color": "v:2"}, {"id": 0, "label": "a"}, {"id": 1}],
+           "edges": [{"u": 2, "v": 0}]}
+    G = from_json_dict(doc)
+    assert G.labels == ("a", 1, 2)
+    assert G.vertex_colors == (None, None, "v:2")
+    assert G.edges == ((0, 2, None),)
+
+
+# ---------------------------------------------------------------------------
+# edge checks: a graph names its first bad edge
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((0, 0, None),), "loop at vertex 0"),
+    (((0, 1, None), (1, 1, None)), "loop at vertex 1"),
+    (((0, 5, None),), "bad edge endpoints (0, 5)"),
+    (((-1, 1, None),), "bad edge endpoints (-1, 1)"),
+    (((1, 0, None),), "bad edge endpoints (1, 0)"),
+    (((0, 1, None), (0, 1, "plain:0")), "duplicate edge (0, 1)"),
+    (((0, 1, None), (1, 2, None), (0, 1, None), (2, 2, None)), "duplicate edge (0, 1)"),
+    (((0, 1, None), (2, 2, None), (0, 1, None)), "loop at vertex 2"),
+    (((0, 1, None), (1, 7, None), (1, 1, None)), "bad edge endpoints (1, 7)"),
+    (((1, 2, None), (0, 2, None), (2, 1, None)), "bad edge endpoints (2, 1)"),
+])
+def test_bad_edges_are_named(edges, message):
+    with pytest.raises(ValueError) as info:
+        ColoredGraph((0, 1, 2), (None,) * 3, edges)
+    assert str(info.value) == message
+
+
+def test_good_edges_pass_in_any_order():
+    edges = ((1, 2, None), (0, 2, "plain:0"), (0, 1, None))
+    assert ColoredGraph((0, 1, 2), (None,) * 3, edges).edges == edges
+    assert ColoredGraph((), (), ()).num_edges == 0
 
 
 def test_dot_output(gstar33_0):
