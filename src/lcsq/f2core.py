@@ -14,6 +14,7 @@ endpoint of edge i.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -43,38 +44,6 @@ class BinMatrix:
         for r in self.bits:
             if r & ~mask:
                 raise ValueError("row has bits outside the declared width")
-
-    @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> BinMatrix:
-        if not rows or not rows[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        n = len(rows[0])
-        packed = []
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("ragged rows")
-            word = 0
-            for i, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError(f"entry {v!r} is not a bit")
-                word |= v << i
-            packed.append(word)
-        return cls(len(rows), n, tuple(packed))
-
-    def row(self, i: int) -> list[int]:
-        return [(self.bits[i] >> j) & 1 for j in range(self.cols)]
-
-    def to_lists(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> BinMatrix:
-        cols = []
-        for j in range(self.cols):
-            word = 0
-            for i in range(self.rows):
-                word |= ((self.bits[i] >> j) & 1) << i
-            cols.append(word)
-        return BinMatrix(self.cols, self.rows, tuple(cols))
 
     def support(self, k: int) -> tuple[int, ...]:
         """Indices of the 1-entries of row k (the constraint set S_k)."""
@@ -252,6 +221,8 @@ def parse_graph(text: str) -> SimpleGraph:
         n = int(head)
     except ValueError:
         raise SystemFormatError(f"expected vertex count, got {head!r}", lineno, 1)
+    if n < 0:
+        raise SystemFormatError(f"vertex count {n} is negative", lineno, 1)
     edges = []
     for lineno, body in entries[1:]:
         parts = body.split()
@@ -312,6 +283,24 @@ def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
         pivots.append(col)
         rank += 1
     return rows, pivots
+
+
+def echelon_basis(vectors: Iterable[int], ncols: int) -> tuple[int, ...]:
+    """The reduced row echelon basis of the span of bit-packed vectors of
+    width ncols: the lowest set bit of each row is its pivot, and no other
+    row has that bit set."""
+    rows, pivots = _eliminate(list(vectors), ncols)
+    return tuple(rows[:len(pivots)])
+
+
+def reduce_f2(basis: tuple[int, ...], v: int) -> int:
+    """v modulo the span of an `echelon_basis`: the one vector of the coset
+    v + span with no pivot bit set.  So vectors of one coset reduce to the
+    same vector, and v reduces to 0 exactly when it lies in the span."""
+    for row in basis:
+        if v & row & -row:
+            v ^= row
+    return v
 
 
 def rank_f2(M: BinMatrix) -> int:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, lshift, or_, xor
 
-from .f2core import LinearSystem
+from .f2core import LinearSystem, echelon_basis, reduce_f2
 
 DEFAULT_COSET_CAP = 10 ** 6
 
@@ -407,28 +407,6 @@ def todd_coxeter(P: Presentation, subgroup_words: list[Word] | None = None,
     return CosetTable(P, tuple(map(tuple, cols)), "complete")
 
 
-def regular_perm_rep(T: CosetTable) -> list[tuple[int, ...]]:
-    """One permutation per generator, its column: coset c maps to c·g.
-
-    Only defined for complete tables.  Every permutation is an involution
-    and every relator evaluates to the identity permutation.  Each column
-    is checked to be an involution, p[p[c]] == c for every coset c, which
-    also proves it a permutation, in linear time.
-    """
-    if not T.is_complete:
-        raise ValueError("coset table is not complete")
-    perms = list(T.columns)
-    identity = tuple(range(T.num_cosets))
-    for g, perm in enumerate(perms):
-        try:
-            square = tuple(map(perm.__getitem__, perm))  # p∘p
-        except IndexError:
-            square = None
-        if square != identity:
-            raise ValueError(f"generator column {g} is not an involution")
-    return perms
-
-
 def _parity(word: Word) -> int:
     """The letter parities of a word, as a bit mask over the generators."""
     mask = 0
@@ -437,42 +415,17 @@ def _parity(word: Word) -> int:
     return mask
 
 
-def _reduce(basis: Iterable[int], v: int) -> int:
-    """v modulo the span of an echelon basis (distinct leading bits, in
-    decreasing order): 0 exactly when v lies in the span."""
-    for row in basis:
-        v = min(v, v ^ row)
-    return v
-
-
-def _insert(basis: list[int], v: int) -> bool:
-    """Add v to the echelon basis unless it lies in its span; whether added."""
-    v = _reduce(basis, v)
-    if v:
-        basis.append(v)
-        basis.sort(reverse=True)
-    return v != 0
-
-
-def _relator_space(P: Presentation) -> list[int]:
-    """R, the span of the relator parities in F2^ngens, as an echelon basis."""
-    basis: list[int] = []
-    for rel in P.relators:
-        _insert(basis, _parity(rel))
-    return basis
-
-
 def abelianized_order(P: Presentation) -> int:
     """The order of the abelianization, F2^ngens / R: every generator is an
     involution.  A finite group is abelian exactly when its order is this."""
-    return 1 << (P.ngens - len(_relator_space(P)))
+    return 1 << (P.ngens - len(echelon_basis(map(_parity, P.relators), P.ngens)))
 
 
 @dataclass(frozen=True)
 class StarSubgroup:
     """S = <letters>, commuting involutions independent in the
     abelianization, so |S| = 2^len(letters); with R, the span of the
-    relator parities, as an echelon basis (see `star_subgroup`)."""
+    relator parities, as its `f2core.echelon_basis` (see `star_subgroup`)."""
 
     letters: Word
     relator_space: tuple[int, ...]
@@ -500,7 +453,7 @@ def star_subgroup(P: Presentation, cap: int = DEFAULT_COSET_CAP) -> StarSubgroup
     min(len r - 1, floor(log2 cap)) letters; S is trivial if nothing
     qualifies or cap < 2.
     """
-    basis = _relator_space(P)
+    basis = echelon_basis(map(_parity, P.relators), P.ngens)
     commuting = {(w[0], w[1]) for w in P.relators
                  if len(w) == 4 and w[0] == w[2] != w[1] == w[3]}
 
@@ -509,13 +462,13 @@ def star_subgroup(P: Presentation, cap: int = DEFAULT_COSET_CAP) -> StarSubgroup
                 (a, b) in commuting or (b, a) in commuting
                 for i, a in enumerate(rel) for b in rel[i + 1:]):
             return False
-        images = list(basis)
-        return sum(_insert(images, 1 << g) for g in rel) == len(rel) - 1
+        letters = echelon_basis((*basis, *(1 << g for g in rel)), P.ngens)
+        return len(letters) - len(basis) == len(rel) - 1
 
     star = next((rel for rel in sorted(P.relators, key=len, reverse=True)
                  if qualifies(rel)), ())
     size = min(len(star) - 1, cap.bit_length() - 1) if star and cap > 0 else 0
-    return StarSubgroup(star[:size], tuple(basis), 1 << (P.ngens - len(basis)))
+    return StarSubgroup(star[:size], basis, 1 << (P.ngens - len(basis)))
 
 
 def star_cosets(P: Presentation,
@@ -539,7 +492,7 @@ def word_is_identity(T: CosetTable, S: StarSubgroup, word: Word) -> bool:
     for g in word:
         if not 0 <= g < T.presentation.ngens:
             raise ValueError(f"word references unknown generator {g}")
-    return T.follow(0, word) == 0 and _reduce(S.relator_space, _parity(word)) == 0
+    return T.follow(0, word) == 0 and reduce_f2(S.relator_space, _parity(word)) == 0
 
 
 def spanning_tree(columns) -> tuple[list[int], list[int], list[int]]:
@@ -570,7 +523,7 @@ def _sigma(T: CosetTable, S: StarSubgroup, tree: tuple) -> list[list[int]]:
     the abelianization, into which S injects; an image outside S's is a
     RuntimeError."""
     # reduction mod R is linear, so each letter's image is reduced once
-    bits = [_reduce(S.relator_space, 1 << g) for g in range(T.presentation.ngens)]
+    bits = [reduce_f2(S.relator_space, 1 << g) for g in range(T.presentation.ngens)]
     images = [0]  # images[s]: the reduced image of the element s of S
     for g in S.letters:
         images += [v ^ bits[g] for v in images]

@@ -64,36 +64,12 @@ from .graphs import ColoredGraph, ImageColumn
 
 
 @dataclass(frozen=True)
-class StableColoring:
-    """Vertex classes of the stable (equitable) partition: `classes[v]` is
-    the index of v's cell."""
-
-    classes: tuple[int, ...]
-
-    @property
-    def num_classes(self) -> int:
-        return len(set(self.classes))
-
-
-@dataclass(frozen=True)
 class Bijection:
     """A vertex bijection held as its image column: `images[v]` is the image
     of vertex v.  The column is a `graphs.ImageColumn`, which
     `graphs.dump_json` writes as the map's JSON object {"0": images[0], ...}."""
 
     images: ImageColumn
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """(vertex, image) for every vertex, in increasing vertex order."""
-        return tuple(enumerate(self.images))
-
-    def mapping(self) -> dict[int, int]:
-        return dict(enumerate(self.images))
-
-    def inverse(self) -> Bijection:
-        images = self.images
-        return Bijection(ImageColumn(sorted(range(len(images)), key=images.__getitem__)))
 
 
 @dataclass
@@ -321,14 +297,6 @@ def _edge_ids(graphs: list[ColoredGraph]) -> dict:
     return {None: 0, **{name: i + 1 for i, name in enumerate(names)}}
 
 
-def refine(G: ColoredGraph) -> StableColoring:
-    """Stable 1-WL partition of one graph, nothing peeled."""
-    ids = _edge_ids([G])
-    [side] = _sides([([c or "" for c in G.vertex_colors],
-                      [(u, v, ids[c]) for (u, v, c) in G.edges])])
-    return StableColoring(tuple(side.root()[0].cell_of))
-
-
 @dataclass
 class _Core:
     """The 2-core of a graph with the rooted trees hanging from it.
@@ -422,8 +390,13 @@ def _extend(core1: _Core, core2: _Core, images: list[int]) -> Bijection:
 def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
                    f: Bijection) -> tuple[bool, tuple[int, str] | None]:
     """Check the deterministic win conditions: vertex colors (1) and
-    edge/non-edge with equal colors both ways (3).  A non-bijective map is
-    an error (it cannot satisfy condition 2)."""
+    edge/non-edge with equal colors (3).  A non-bijective map is an error
+    (it cannot satisfy condition 2).
+
+    Edges are checked forward only.  A vertex bijection maps distinct edges
+    of G1 to distinct vertex pairs, so once each lands on an edge of G2 of
+    its color, the edges of G1 map onto those of G2 exactly when the two
+    graphs have equally many."""
     images = f.images
     if len(images) != G1.num_vertices or sorted(images) != list(range(G2.num_vertices)):
         raise ValueError("not a bijection between the vertex sets (condition 2)")
@@ -434,14 +407,14 @@ def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
         return False, (1, f"vertex color: {v} has {colors1[v]}, "
                           f"image {images[v]} has {colors2[images[v]]}")
 
-    e1, e2 = ({(u, v): c for (u, v, c) in G.edges} for G in (G1, G2))
-    for edges, other, image, verb in ((e1, e2, images, "maps to"),
-                                      (e2, e1, f.inverse().images, "pulls back to")):
-        for (u, v), c in edges.items():
-            iu, iv = image[u], image[v]
-            found = other.get((min(iu, iv), max(iu, iv)), "absent")
-            if found != c:
-                return False, (3, f"edge ({u},{v}) color {c} {verb} {found}")
+    e2 = {(u, v): c for (u, v, c) in G2.edges}
+    for (u, v, c) in G1.edges:
+        iu, iv = images[u], images[v]
+        found = e2.get((min(iu, iv), max(iu, iv)), "absent")
+        if found != c:
+            return False, (3, f"edge ({u},{v}) color {c} maps to {found}")
+    if G1.num_edges != G2.num_edges:
+        return False, (3, f"{G1.num_edges} edges map into {G2.num_edges}")
     return True, None
 
 

@@ -357,25 +357,6 @@ def dump_json(obj) -> str:
     return _encode(obj, 0)
 
 
-def to_json_dict(G: ColoredGraph) -> dict:
-    """The graph file format's definition: a graph file is the text
-    `dump_json` writes of this dict, which `serialize` writes without
-    building it."""
-    vertices = []
-    for i, (lab, c) in enumerate(zip(G.labels, G.vertex_colors)):
-        record = {"id": i, "label": str(lab)}
-        if c is not None:
-            record["color"] = c
-        vertices.append(record)
-    edges = []
-    for (u, v, c) in G.edges:
-        record = {"u": u, "v": v}
-        if c is not None:
-            record["color"] = c
-        edges.append(record)
-    return {"vertices": vertices, "edges": edges, "meta": G.meta}
-
-
 _ABSENT = object()
 _FIELD_TYPES = {"vertices": (("id", int), ("label", str), ("color", str)),
                 "edges": (("u", int), ("v", int), ("color", str))}
@@ -384,10 +365,10 @@ _NO_COLOR = {_ABSENT: None}
 
 
 def from_json_dict(data: dict) -> ColoredGraph:
-    """The graph of a JSON document in `to_json_dict`'s format.  Raises
-    ValueError naming the field where the document departs from it: ids and
-    endpoints must be present and ints, labels strings, and colors canonical
-    colors, in lists "vertices" and "edges".
+    """The graph of a JSON document in the graph file format (see
+    `serialize`).  Raises ValueError naming the field where the document
+    departs from it: ids and endpoints must be present and ints, labels
+    strings, and colors canonical colors, in lists "vertices" and "edges".
 
     Each field of each record list is read once, as a column."""
     if not isinstance(data, dict):
@@ -474,9 +455,10 @@ def _records(record: str, colors, values) -> str:
 
 
 def _graph_json(G: ColoredGraph) -> str:
-    """`dump_json(to_json_dict(G))`, byte for byte, written from G's tuples:
-    labels and colors escaped as `json.dumps` escapes them, ids and
-    endpoints as ints, and only `meta` through `dump_json`'s encoder."""
+    """The graph file of G, byte for byte `dump_json` of its document (see
+    `serialize`), written from G's tuples: labels and colors escaped as
+    `json.dumps` escapes them, ids and endpoints as ints, and only `meta`
+    through `dump_json`'s encoder."""
     labels = map(encode_basestring_ascii, map(str, G.labels))
     vertices = _records(_VERTEX_RECORD, G.vertex_colors,
                         chain.from_iterable(zip(range(G.num_vertices), labels)))
@@ -487,9 +469,14 @@ def _graph_json(G: ColoredGraph) -> str:
 
 
 def serialize(G: ColoredGraph, fmt: str = "json") -> str:
-    """Render the graph as a JSON document or as DOT source.  The JSON is
-    the text of `dump_json(to_json_dict(G))`, written from G's columns
-    without building a dict per record."""
+    """Render the graph as a JSON document or as DOT source.
+
+    The JSON is the graph file format: the text `dump_json` writes of the
+    document {"vertices": [...], "edges": [...], "meta": G.meta}, whose
+    vertex records are {"id": i, "label": str(G.labels[i])} and edge
+    records {"u": u, "v": v}, each with a "color" key exactly when it has a
+    color.  It is written from G's columns without building a dict per
+    record."""
     if fmt == "json":
         return _graph_json(G)
     if fmt == "dot":

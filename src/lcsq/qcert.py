@@ -1,8 +1,7 @@
 """Magic-unitary certificates: construction from representations,
 verification against the one relation set of their pair of graphs
-(quantum automorphism when the two are one graph), round-trip extraction
-of the generators, quantum-symmetry witnesses, and lifting through the
-decoloring pipeline.
+(quantum automorphism when the two are one graph), quantum-symmetry
+witnesses, and lifting through the decoloring pipeline.
 
 A certificate is a block-sparse matrix of algebra elements indexed by
 vertex pairs (row graph x column graph).  For certificates built from a
@@ -62,7 +61,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .f2core import LinearSystem
-from .graphs import ColoredGraph, block_labels, sign_vectors
+from .graphs import ColoredGraph, block_labels
 from .decolor import PathAssignment, VertexId, decolor_full
 from .reps import Representation, VerificationReport, verify_representation
 
@@ -77,8 +76,7 @@ class MagicUnitaryCert:
     `entries` maps (row vertex, column vertex) to an element of the
     algebra of `identity`; absent pairs are zero.  Entries that coincide
     by the block structure share one element object: a certificate built
-    from a representation holds one object per (block, delta), which
-    `extract_generators` reads back from the entries.  The JSON form
+    from a representation holds one object per (block, delta).  The JSON form
     numbers the distinct objects in `distinct_elements` order and names the
     identity's `backend`.  `entries` is read-only after construction: the
     distinct objects are found once per certificate, and a changed
@@ -90,7 +88,6 @@ class MagicUnitaryCert:
     entries: dict
     identity: object
     provenance: str = ""
-    source_rep: Representation | None = None
 
     def entry(self, i: int, j: int):
         return self.entries.get((i, j))
@@ -127,29 +124,16 @@ class MagicUnitaryCert:
 # Construction from a representation
 
 
-def _block_labels(G: ColoredGraph) -> list[tuple[int, str]]:
-    """`graphs.block_labels` of G; a CertificateError when it is None."""
+def _block_vertices(G: ColoredGraph) -> dict[int, list[tuple[int, str]]]:
+    """Block k -> (i, alpha) for each vertex i = (k, alpha) of G, by
+    `graphs.block_labels`; a CertificateError when G is not block-labelled."""
     labels = block_labels(G)
     if labels is None:
         raise CertificateError("graph vertices are not block-labelled")
-    return labels
-
-
-def _block_vertices(G: ColoredGraph) -> dict[int, list[tuple[int, str]]]:
-    """Block k -> (i, alpha) for each vertex i = (k, alpha) of G."""
     blocks: dict[int, list[tuple[int, str]]] = {}
-    for i, (k, alpha) in enumerate(_block_labels(G)):
+    for i, (k, alpha) in enumerate(labels):
         blocks.setdefault(k, []).append((i, alpha))
     return blocks
-
-
-def _require_shared_matrix(Gb: ColoredGraph, Gb2: ColoredGraph) -> tuple:
-    """The systems of two graphs that `_block_labels` has accepted, so that
-    both hold one; they must share their matrix."""
-    s1, s2 = Gb.system(), Gb2.system()
-    if s1.M != s2.M:
-        raise CertificateError("graphs were built from different matrices")
-    return s1, s2
 
 
 def _pointwise(alpha: str, beta: str) -> str:
@@ -167,7 +151,9 @@ def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
     (automorphism case) and b != b' (isomorphism case).
     """
     blocks1, blocks2 = _block_vertices(Gb), _block_vertices(Gb2)
-    s1, s2 = _require_shared_matrix(Gb, Gb2)
+    s1, s2 = Gb.system(), Gb2.system()  # both hold one, being block-labelled
+    if s1.M != s2.M:
+        raise CertificateError("graphs were built from different matrices")
     xor_b = tuple(x ^ y for x, y in zip(s1.b, s2.b))
     sys_xor = LinearSystem(s1.M, xor_b)
     if len(R.images) != s1.M.cols:
@@ -194,8 +180,7 @@ def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
                     v[delta] = elem
                 entries[(i, j)] = elem
 
-    return MagicUnitaryCert(Gb, Gb2, entries, one,
-                            provenance=f"built:{R.name}", source_rep=R)
+    return MagicUnitaryCert(Gb, Gb2, entries, one, provenance=f"built:{R.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -466,75 +451,6 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Generator extraction (the round-trip direction)
-
-
-@dataclass(frozen=True)
-class ExtractionReport:
-    """Extracted generator images and how well they glue across blocks."""
-
-    generators: tuple
-    cross_block_discrepancy: float
-    roundtrip_residual: float | None  # vs. the source representation
-
-
-def extract_generators(cert: MagicUnitaryCert) -> ExtractionReport:
-    """Recover y_i = sum_delta delta_i v^{(k)}_delta for every variable.
-
-    v^{(k)}_delta is read from the entries: the first entry of block k
-    with alpha * beta = delta (the certificate passes, so every such entry
-    is equal), and both graphs must be block-labelled.  The sum must not
-    depend on which block k containing i is used; the maximal cross-block
-    deviation is reported, together with the residual against the source
-    representation when one is attached.
-    """
-    report = verify_cert(cert)
-    if not report.passed:
-        raise CertificateError(
-            f"certificate fails verification: {report.worst[0]} "
-            f"(residual {report.worst[1]:.3g})")
-
-    labels1, labels2 = _block_labels(cert.row_graph), _block_labels(cert.col_graph)
-    sys1, sys2 = _require_shared_matrix(cert.row_graph, cert.col_graph)
-    parity = [x ^ y for x, y in zip(sys1.b, sys2.b)]
-    table: dict = {}  # (block, delta string) -> element
-    for (i, j), elem in cert.entries.items():
-        (k, alpha), (l, beta) = labels1[i], labels2[j]
-        if k == l:  # the passing certificate's cross-block entries are zero
-            table.setdefault((k, _pointwise(alpha, beta)), elem)
-
-    per_var_blocks: dict[int, dict[int, object]] = {}
-    for k in range(sys1.num_constraints):
-        support = sys1.support(k)
-        for pos, i in enumerate(support):
-            y = None
-            for delta in sign_vectors(support, parity[k]):
-                v = table[(k, delta)]
-                term = v if delta[pos] == "+" else -v
-                y = term if y is None else y + term
-            per_var_blocks.setdefault(i, {})[k] = y
-
-    generators = []
-    discrepancy = 0.0
-    for i in range(sys1.num_vars):
-        blocks = per_var_blocks.get(i)
-        if not blocks:
-            raise CertificateError(f"variable {i} occurs in no constraint")
-        ys = [blocks[k] for k in sorted(blocks)]
-        generators.append(ys[0])
-        for a in range(len(ys)):
-            for b in range(a + 1, len(ys)):
-                discrepancy = max(discrepancy, (ys[a] - ys[b]).residual_norm())
-
-    roundtrip = None
-    if cert.source_rep is not None:
-        roundtrip = max((y - x).residual_norm()
-                        for y, x in zip(generators, cert.source_rep.images))
-
-    return ExtractionReport(tuple(generators), discrepancy, roundtrip)
-
-
-# ---------------------------------------------------------------------------
 # Quantum symmetry witness
 
 
@@ -663,5 +579,4 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
                     out[key] = elem
 
     return MagicUnitaryCert(Gpp1, Gpp2, out, cert.identity,
-                            provenance=f"lifted:{cert.provenance}",
-                            source_rep=cert.source_rep)
+                            provenance=f"lifted:{cert.provenance}")

@@ -416,9 +416,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(r == 0.0 for _, r, _ in self.families)
 
-    def residual(self, family: str) -> float:
-        return max((r for n, r, _ in self.families if n == family), default=0.0)
-
     def to_json_dict(self) -> dict:
         return {"passed": self.passed, "backend": self.backend,
                 "max_residual": self.max_residual,

@@ -113,12 +113,20 @@ def pauli_cert(gstar33_0, gstar33_e1, pauli_rep):
 
 
 @pytest.fixture(scope="session")
-def exact_cert33(gstar33_0, table33):
-    rep = group_algebra_rep(table33)
-    return build_magic_unitary(gstar33_0, gstar33_0, rep)
+def regular_rep33(table33):
+    return group_algebra_rep(table33)
 
 
 @pytest.fixture(scope="session")
-def exact_cert34(gstar34, table34):
-    rep = group_algebra_rep(table34)
-    return build_magic_unitary(gstar34, gstar34, rep)
+def regular_rep34(table34):
+    return group_algebra_rep(table34)
+
+
+@pytest.fixture(scope="session")
+def exact_cert33(gstar33_0, regular_rep33):
+    return build_magic_unitary(gstar33_0, gstar33_0, regular_rep33)
+
+
+@pytest.fixture(scope="session")
+def exact_cert34(gstar34, regular_rep34):
+    return build_magic_unitary(gstar34, gstar34, regular_rep34)

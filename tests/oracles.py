@@ -1,0 +1,166 @@
+"""Oracles and helpers the tests share, built on the package's public API.
+
+Nothing in `lcsq` reads these: each is what a test checks the package
+against (a coset table's permutations, the generators a certificate
+encodes, a graph file's document), or a short way to write a test input.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from lcsq.f2core import BinMatrix, LinearSystem, parse_system
+from lcsq.fpgroups import CosetTable
+from lcsq.graphs import ColoredGraph, block_labels, sign_vectors
+from lcsq.qcert import CertificateError, MagicUnitaryCert, verify_cert
+from lcsq.reps import Representation, VerificationReport
+
+# ---------------------------------------------------------------------------
+# F2 matrices
+
+
+def system(rows: list[list[int]], b) -> LinearSystem:
+    """The system with the given matrix rows (lists of bits) and right-hand
+    side, read from its system file text."""
+    return parse_system(";".join("".join(map(str, row)) for row in rows)
+                        + "|" + "".join(map(str, b)))
+
+
+def transpose(M: BinMatrix) -> BinMatrix:
+    """M's transpose, built bit by bit: the oracle for column operations."""
+    cols = []
+    for j in range(M.cols):
+        word = 0
+        for i in range(M.rows):
+            word |= ((M.bits[i] >> j) & 1) << i
+        cols.append(word)
+    return BinMatrix(M.cols, M.rows, tuple(cols))
+
+
+# ---------------------------------------------------------------------------
+# coset tables
+
+
+def regular_perm_rep(T: CosetTable) -> list[tuple[int, ...]]:
+    """One permutation per generator, its column: coset c maps to c·g.
+
+    Only defined for complete tables.  Every permutation is an involution
+    and every relator evaluates to the identity permutation.  Each column
+    is checked to be an involution, p[p[c]] == c for every coset c, which
+    also proves it a permutation, in linear time.
+    """
+    if not T.is_complete:
+        raise ValueError("coset table is not complete")
+    perms = list(T.columns)
+    identity = tuple(range(T.num_cosets))
+    for g, perm in enumerate(perms):
+        try:
+            square = tuple(map(perm.__getitem__, perm))  # p∘p
+        except IndexError:
+            square = None
+        if square != identity:
+            raise ValueError(f"generator column {g} is not an involution")
+    return perms
+
+
+# ---------------------------------------------------------------------------
+# certificates
+
+
+def residual(report: VerificationReport, family: str) -> float:
+    """The residual of a report's family, 0.0 when it has none."""
+    return max((r for n, r, _ in report.families if n == family), default=0.0)
+
+
+@dataclass(frozen=True)
+class ExtractionReport:
+    """Extracted generator images and how well they glue across blocks."""
+
+    generators: tuple
+    cross_block_discrepancy: float
+    roundtrip_residual: float | None  # vs. the representation, when given
+
+
+def extract_generators(cert: MagicUnitaryCert,
+                       rep: Representation | None = None) -> ExtractionReport:
+    """Recover y_i = sum_delta delta_i v^{(k)}_delta for every variable:
+    the duality round trip of a certificate built from a representation.
+
+    v^{(k)}_delta is read from the entries: the first entry of block k
+    with alpha * beta = delta (the certificate passes, so every such entry
+    is equal), and both graphs must be block-labelled.  The sum must not
+    depend on which block k containing i is used; the maximal cross-block
+    deviation is reported, together with the residual against `rep` when
+    it is given.
+    """
+    report = verify_cert(cert)
+    if not report.passed:
+        raise CertificateError(
+            f"certificate fails verification: {report.worst[0]} "
+            f"(residual {report.worst[1]:.3g})")
+
+    labels1, labels2 = block_labels(cert.row_graph), block_labels(cert.col_graph)
+    if labels1 is None or labels2 is None:
+        raise CertificateError("graph vertices are not block-labelled")
+    sys1, sys2 = cert.row_graph.system(), cert.col_graph.system()
+    if sys1.M != sys2.M:
+        raise CertificateError("graphs were built from different matrices")
+    parity = [x ^ y for x, y in zip(sys1.b, sys2.b)]
+    table: dict = {}  # (block, delta string) -> element
+    for (i, j), elem in cert.entries.items():
+        (k, alpha), (l, beta) = labels1[i], labels2[j]
+        if k == l:  # the passing certificate's cross-block entries are zero
+            delta = "".join("+" if a == b else "-" for a, b in zip(alpha, beta))
+            table.setdefault((k, delta), elem)
+
+    per_var_blocks: dict[int, dict[int, object]] = {}
+    for k in range(sys1.num_constraints):
+        support = sys1.support(k)
+        for pos, i in enumerate(support):
+            y = None
+            for delta in sign_vectors(support, parity[k]):
+                v = table[(k, delta)]
+                term = v if delta[pos] == "+" else -v
+                y = term if y is None else y + term
+            per_var_blocks.setdefault(i, {})[k] = y
+
+    generators = []
+    discrepancy = 0.0
+    for i in range(sys1.num_vars):
+        blocks = per_var_blocks.get(i)
+        if not blocks:
+            raise CertificateError(f"variable {i} occurs in no constraint")
+        ys = [blocks[k] for k in sorted(blocks)]
+        generators.append(ys[0])
+        for a in range(len(ys)):
+            for b in range(a + 1, len(ys)):
+                discrepancy = max(discrepancy, (ys[a] - ys[b]).residual_norm())
+
+    roundtrip = None
+    if rep is not None:
+        roundtrip = max((y - x).residual_norm() for y, x in zip(generators, rep.images))
+
+    return ExtractionReport(tuple(generators), discrepancy, roundtrip)
+
+
+# ---------------------------------------------------------------------------
+# graph files
+
+
+def to_json_dict(G: ColoredGraph) -> dict:
+    """The graph file document of G, built record by record: the oracle
+    for `serialize`, which writes `dump_json`'s text of it without
+    building it."""
+    vertices = []
+    for i, (lab, c) in enumerate(zip(G.labels, G.vertex_colors)):
+        record = {"id": i, "label": str(lab)}
+        if c is not None:
+            record["color"] = c
+        vertices.append(record)
+    edges = []
+    for (u, v, c) in G.edges:
+        record = {"u": u, "v": v}
+        if c is not None:
+            record["color"] = c
+        edges.append(record)
+    return {"vertices": vertices, "edges": edges, "meta": G.meta}

@@ -108,7 +108,7 @@ def test_build_full_decolor_k35_is_pinned(files, monkeypatch):
 
 
 # sha256 of the DOT source of the K3,3 G'' of b = e1, measured while graph
-# files were written through `graphs.to_json_dict`
+# files were written by encoding a dict per record
 GPP33_DOT_SHA256 = "2841ebed1cfdd84745e32d44fef613e2424c34b3cd66c168f3a074267b62837a"
 
 
@@ -350,6 +350,14 @@ def test_empty_constraint_row_exit_2(files, capsys, argv):
     (files / "empty.sys").write_text("110;000|00\n")
     assert run(*argv, "--system", files / "empty.sys") == 2
     assert capsys.readouterr().err == "error: constraint 1 touches no variable\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "group", "build"])
+def test_negative_vertex_count_exit_2(files, monkeypatch, capsys, command):
+    (files / "negative.g").write_text("-3\n")
+    monkeypatch.chdir(files)
+    assert run(command, "--graph", "negative.g") == 2
+    assert capsys.readouterr().err == "error: line 1, column 1: vertex count -3 is negative\n"
 
 
 def test_group_json_without_cap_reports_the_default(files, monkeypatch):

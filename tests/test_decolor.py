@@ -9,11 +9,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcsq.f2core import BinMatrix, LinearSystem
 from lcsq.decolor import (PathAssignment, canonical_assignment, check_matchings,
                           check_min_degree, decolor_edges, decolor_full,
                           decolor_vertices)
 from lcsq.graphs import ColoredGraph, build_G, serialize
+from oracles import system
 
 C0 = "shared:-1"
 
@@ -258,8 +258,7 @@ def test_count_formulas_random_systems():
         for row in rows:
             if not any(row):
                 row[rng.randrange(n)] = 1
-        sys = LinearSystem(BinMatrix.from_rows(rows),
-                           tuple(rng.randint(0, 1) for _ in range(m)))
+        sys = system(rows, tuple(rng.randint(0, 1) for _ in range(m)))
         G = build_G(sys)
         if not G.edges:
             continue

@@ -7,9 +7,11 @@ import random
 import pytest
 
 from lcsq.f2core import (BinMatrix, LinearSystem, SimpleGraph, SystemFormatError,
-                         complete_bipartite, incidence_system, parse_graph,
-                         parse_system, rank_f2, render_system, solve_f2)
+                         complete_bipartite, echelon_basis, incidence_system,
+                         parse_graph, parse_system, rank_f2, reduce_f2, render_system,
+                         solve_f2)
 from lcsq.fpgroups import abelianized_order, solution_presentation
+from oracles import system, transpose
 
 
 def rowspace_size(M: BinMatrix) -> int:
@@ -26,7 +28,7 @@ def rowspace_size(M: BinMatrix) -> int:
 
 def test_parse_two_block_demo():
     sys = parse_system("11100;10011|01")
-    assert sys.M.to_lists() == [[1, 1, 1, 0, 0], [1, 0, 0, 1, 1]]
+    assert [sys.support(k) for k in range(2)] == [(0, 1, 2), (0, 3, 4)]
     assert sys.b == (0, 1)
 
 
@@ -86,6 +88,9 @@ def test_parse_graph_errors():
         parse_graph("2\n1\n")
     with pytest.raises(SystemFormatError):
         parse_graph("")
+    with pytest.raises(SystemFormatError, match="vertex count -3 is negative") as err:
+        parse_graph("# no vertices\n-3\n")
+    assert (err.value.line, err.value.column) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +100,7 @@ def test_parse_graph_errors():
 def test_incidence_single_edge():
     H = SimpleGraph.from_edges(2, [(0, 1)])
     sys = incidence_system(H, (0, 0))
-    assert sys.M.to_lists() == [[1], [1]]
+    assert sys.M.bits == (1, 1)
 
 
 def test_incidence_k33():
@@ -103,18 +108,18 @@ def test_incidence_k33():
     sys = incidence_system(H, (0,) * 6)
     assert (sys.M.rows, sys.M.cols) == (6, 9)
     # direct enumeration oracle: M[k][i] = 1 iff vertex k is an endpoint of edge i
-    expected = [[1 if k in H.edges[i] else 0 for i in range(9)] for k in range(6)]
-    assert sys.M.to_lists() == expected
-    assert all(sum(row) == 3 for row in sys.M.to_lists())
-    cols = sys.M.transpose().to_lists()
-    assert all(sum(col) == 2 for col in cols)
+    expected = [tuple(i for i in range(9) if k in H.edges[i]) for k in range(6)]
+    assert [sys.support(k) for k in range(6)] == expected
+    assert all(len(sys.support(k)) == 3 for k in range(6))
+    cols = transpose(sys.M)
+    assert all(len(cols.support(i)) == 2 for i in range(9))
 
 
 def test_incidence_k34_row_degrees():
     H = complete_bipartite(3, 4)
     sys = incidence_system(H, (0,) * 7)
     assert (sys.M.rows, sys.M.cols) == (7, 12)
-    assert [sum(row) for row in sys.M.to_lists()] == [4, 4, 4, 3, 3, 3, 3]
+    assert [len(sys.support(k)) for k in range(7)] == [4, 4, 4, 3, 3, 3, 3]
 
 
 def test_incidence_b_length():
@@ -161,13 +166,13 @@ def test_solve_k33_e1_unsolvable():
 
 
 def test_solve_single_equation():
-    sys = LinearSystem(BinMatrix.from_rows([[1, 1]]), (1,))
+    sys = system([[1, 1]], (1,))
     assert solve_f2(sys) == (1, 0)
 
 
 def test_solve_rejects_a_non_solution(monkeypatch):
     # the re-substitution check must raise, not assert, so it survives -O
-    sys = LinearSystem(BinMatrix.from_rows([[1, 1]]), (1,))
+    sys = system([[1, 1]], (1,))
     monkeypatch.setattr(BinMatrix, "mul_vec", lambda self, x: 0)
     with pytest.raises(RuntimeError, match="non-solution"):
         solve_f2(sys)
@@ -198,7 +203,7 @@ def random_system(rng: random.Random) -> LinearSystem:
     m, n = rng.randint(1, 4), rng.randint(1, 6)
     rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
     b = tuple(rng.randint(0, 1) for _ in range(m))
-    return LinearSystem(BinMatrix.from_rows(rows), b)
+    return system(rows, b)
 
 
 def test_incidence_columns_always_sum_to_two():
@@ -209,8 +214,9 @@ def test_incidence_columns_always_sum_to_two():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sys = incidence_system(H, (0,) * H.num_vertices)
-        for col in sys.M.transpose().to_lists():
-            assert sum(col) == 2
+        cols = transpose(sys.M)
+        for i in range(cols.rows):
+            assert len(cols.support(i)) == 2
 
 
 def test_solve_agrees_with_rank_criterion():
@@ -228,21 +234,40 @@ def test_solve_agrees_with_rank_criterion():
             assert sys.M.mul_vec(sum(v << i for i, v in enumerate(x))) == b_vec
 
 
+def test_reduction_is_canonical_on_every_coset_of_the_span():
+    rng = random.Random(13)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        vectors = [rng.getrandbits(n) for _ in range(rng.randint(0, 6))]
+        basis = echelon_basis(vectors, n)
+        span = {0}
+        for row in vectors:
+            span |= {v ^ row for v in span}
+        assert 1 << len(basis) == len(span)
+        pivots = [row & -row for row in basis]
+        assert all(row & p == 0 for row in basis for p in pivots if p != row & -row)
+        for v in range(1 << n):
+            r = reduce_f2(basis, v)
+            assert (r == 0) == (v in span)
+            assert r ^ v in span and all(r & p == 0 for p in pivots)
+            assert {reduce_f2(basis, v ^ w) for w in span} == {r}
+
+
 def test_rank_equals_transpose_rank():
     rng = random.Random(5)
     for _ in range(100):
         M = random_system(rng).M
-        assert rank_f2(M) == rank_f2(M.transpose())
+        assert rank_f2(M) == rank_f2(transpose(M))
 
 
 def test_desk_scale_elimination_is_instant():
     # a few hundred columns must stay comfortably interactive
     rng = random.Random(71)
     rows = [[rng.randint(0, 1) for _ in range(400)] for _ in range(200)]
-    M = BinMatrix.from_rows(rows)
+    M = system(rows, [0] * len(rows)).M
     import time
     start = time.perf_counter()
     r = rank_f2(M)
-    rt = rank_f2(M.transpose())
+    rt = rank_f2(transpose(M))
     assert time.perf_counter() - start < 1.0
     assert r == rt <= 200

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lcsq.fpgroups as fp
-from lcsq.f2core import (BinMatrix, LinearSystem, complete_bipartite,
-                         incidence_system, rank_f2, solve_f2)
-from lcsq.f2core import SimpleGraph
-from lcsq.fpgroups import (COMPACT_SLACK, CosetTable, Presentation, regular_perm_rep,
-                           regular_table, solution_presentation, spanning_tree,
-                           star_cosets, star_subgroup, todd_coxeter, word_is_identity)
+from lcsq.f2core import (BinMatrix, SimpleGraph, complete_bipartite, incidence_system,
+                         rank_f2, solve_f2)
+from lcsq.fpgroups import (COMPACT_SLACK, CosetTable, Presentation, regular_table,
+                           solution_presentation, spanning_tree, star_cosets,
+                           star_subgroup, todd_coxeter, word_is_identity)
 from lcsq.reps import GroupAlgebraContext, GroupAlgebraElement
+from oracles import regular_perm_rep, system
 
 
 def abelianized_order_by_rank(M: BinMatrix) -> int:
@@ -135,7 +135,7 @@ def test_presentation_requires_involutions():
 
 
 def test_forced_equal_involutions_give_z2():
-    sys = LinearSystem(BinMatrix.from_rows([[1, 1]]), (0,))
+    sys = system([[1, 1]], (0,))
     P = solution_presentation(sys, homogeneous=True)
     assert P.generators == ("x1", "x2")
     assert todd_coxeter(P, []).num_cosets == 2
@@ -421,7 +421,7 @@ def test_k35_star_route_takes_512_cosets(k35_sys0):
 
 def test_no_qualifying_relator_uses_the_trivial_subgroup():
     # R is all of F2^3, so every relator's letters meet it in too much
-    sys = LinearSystem(BinMatrix.from_rows([[1, 1, 1], [1, 1, 0], [0, 1, 1]]), (0,) * 3)
+    sys = system([[1, 1, 1], [1, 1, 0], [0, 1, 1]], (0,) * 3)
     P = solution_presentation(sys, homogeneous=True)
     S, T = star_cosets(P)
     assert S.letters == () and S.order == 1 and S.abelianized_order == 1

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lcsq import graphiso
-from lcsq.f2core import BinMatrix, LinearSystem, parse_system, solve_f2
+from lcsq.f2core import parse_system, solve_f2
 from lcsq.fpgroups import abelianized_order, solution_presentation
 from lcsq.graphs import ColoredGraph, ImageColumn, block_labels, build_G, build_Gstar
 from lcsq.decolor import canonical_assignment, decolor_vertices
-from lcsq.graphiso import (Bijection, automorphism_group, find_isomorphism,
-                           refine, verify_mapping)
+from lcsq.graphiso import Bijection, automorphism_group, find_isomorphism, verify_mapping
+from oracles import system
 
 C0 = "shared:-1"
 
@@ -80,7 +80,7 @@ def brute_force_isomorphisms(G1, G2, first_only=False):
 def closure_order(generators, n):
     """Size of the permutation group generated by the given bijections."""
     ident = tuple(range(n))
-    gens = [tuple(g.mapping()[v] for v in range(n)) for g in generators]
+    gens = [tuple(g.images) for g in generators]
     seen = {ident}
     frontier = [ident]
     while frontier:
@@ -118,6 +118,13 @@ def permuted_copy(G, rng):
     return ColoredGraph(tuple(range(n)), tuple(vcolors), edges), perm
 
 
+def refine(G):
+    """The stable 1-WL partition of G, nothing peeled: the class of each
+    vertex in the root partition of its own refinement workspace."""
+    [side] = plain_sides([G])
+    return tuple(side.root()[0].cell_of)
+
+
 def wl_classes(G):
     """Round-based 1-WL to stability: the reference for refine()."""
     vcol, _ = _colors(G)
@@ -146,8 +153,8 @@ def blocks(classes):
 
 
 @st.composite
-def colored_graphs(draw, max_vertices=7):
-    n = draw(st.integers(1, max_vertices))
+def colored_graphs(draw, max_vertices=7, min_vertices=1):
+    n = draw(st.integers(min_vertices, max_vertices))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = sorted(draw(st.lists(st.sampled_from(possible), unique=True))) if possible else []
     edge_colors = draw(st.lists(st.sampled_from([None, "plain:0", "plain:1"]),
@@ -163,11 +170,11 @@ def colored_graphs(draw, max_vertices=7):
 
 
 def test_refine_cycle_single_class():
-    assert refine(cycle(5)).num_classes == 1
+    assert len(set(refine(cycle(5)))) == 1
 
 
 def test_refine_path_two_classes():
-    assert refine(plain(3, [(0, 1), (1, 2)])).num_classes == 2
+    assert len(set(refine(plain(3, [(0, 1), (1, 2)])))) == 2
 
 
 def test_refine_separates_former_blocks(gstar33_0):
@@ -181,9 +188,9 @@ def test_refine_separates_former_blocks(gstar33_0):
     blocks = [k for k, _ in block_labels(gstar33_0)]
     for v in originals:
         block = blocks[v]
-        cls = coloring.classes[v]
+        cls = coloring[v]
         assert block_of_class.setdefault(cls, block) == block
-    assert len({coloring.classes[v] for v in originals}) == 6
+    assert len({coloring[v] for v in originals}) == 6
 
 
 def test_refine_classes_are_orbit_unions():
@@ -194,13 +201,13 @@ def test_refine_classes_are_orbit_unions():
         coloring = refine(G)
         for auto in autos:
             for v, w in auto.items():
-                assert coloring.classes[v] == coloring.classes[w]
+                assert coloring[v] == coloring[w]
 
 
 @settings(max_examples=150, deadline=None)
 @given(colored_graphs(max_vertices=12))
 def test_refine_matches_round_based_wl(G):
-    assert blocks(refine(G).classes) == blocks(wl_classes(G))
+    assert blocks(refine(G)) == blocks(wl_classes(G))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +217,7 @@ def test_refine_matches_round_based_wl(G):
 def test_identity_on_self(gstar33_0):
     result = find_isomorphism(gstar33_0, gstar33_0)
     assert result is not None
-    assert all(v == w for v, w in result.pairs)
+    assert result.images == tuple(range(gstar33_0.num_vertices))
 
 
 def test_colored_k33_pair_non_isomorphic(gstar33_0, gstar33_e1):
@@ -299,6 +306,10 @@ def test_verify_rejects_non_bijection(gstar33_0):
                        Bijection((0,) * 24))
 
 
+def inverse(f):
+    return Bijection(ImageColumn(sorted(range(len(f.images)), key=f.images.__getitem__)))
+
+
 def test_verify_symmetric_under_inverse():
     rng = random.Random(77)
     for _ in range(20):
@@ -306,8 +317,70 @@ def test_verify_symmetric_under_inverse():
         G2, perm = permuted_copy(G1, rng)
         f = Bijection(tuple(perm))
         forward = verify_mapping(G1, G2, f)
-        backward = verify_mapping(G2, G1, f.inverse())
+        backward = verify_mapping(G2, G1, inverse(f))
         assert forward[0] == backward[0] == True  # noqa: E712
+
+
+def test_verify_counts_the_edges_a_forward_pass_cannot_see():
+    # every edge of the path maps onto an edge of the triangle, whose third
+    # edge pulls back to a non-edge
+    path, triangle = plain(3, [(0, 1), (1, 2)]), cycle(3)
+    assert verify_mapping(path, triangle, Bijection((0, 1, 2))) == \
+        (False, (3, "2 edges map into 3"))
+    assert verify_both_ways(path, triangle, Bijection((0, 1, 2))) == (False, 3)
+
+
+def verify_both_ways(G1, G2, f):
+    """(verdict, violated condition or None) by checking edges in both
+    directions: each edge of G1 maps onto an edge of G2 of its color, and
+    each edge of G2 pulls back to one of G1 of its color.  The oracle for
+    `verify_mapping`'s forward pass and edge count."""
+    images = f.images
+    if any(G1.vertex_colors[v] != G2.vertex_colors[w] for v, w in enumerate(images)):
+        return False, 1
+    e1, e2 = ({(u, v): c for (u, v, c) in G.edges} for G in (G1, G2))
+    for edges, other, image in ((e1, e2, images), (e2, e1, inverse(f).images)):
+        for (u, v), c in edges.items():
+            iu, iv = image[u], image[v]
+            if other.get((min(iu, iv), max(iu, iv)), "absent") != c:
+                return False, 3
+    return True, None
+
+
+EDGE_COLORS = [None, "plain:0", "plain:1"]
+
+
+@st.composite
+def mapped_pairs(draw):
+    """(G1, G2, f): a random colored graph, a random bijection f of its
+    vertices, and for G2 the image of G1 under f, that image with one edge
+    added, recolored or removed, or another graph on as many vertices."""
+    G1 = draw(colored_graphs())
+    n = G1.num_vertices
+    f = draw(st.permutations(range(n)))
+    vcolors = [None] * n
+    for v, w in enumerate(f):
+        vcolors[w] = G1.vertex_colors[v]
+    edges = {(min(f[u], f[v]), max(f[u], f[v])): c for (u, v, c) in G1.edges}
+    kind = draw(st.sampled_from(["image", "extra", "recolor", "missing", "other"]))
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if kind == "extra" and absent:
+        edges[draw(st.sampled_from(absent))] = draw(st.sampled_from(EDGE_COLORS))
+    elif kind == "recolor" and edges:
+        e = draw(st.sampled_from(sorted(edges)))
+        edges[e] = draw(st.sampled_from([c for c in EDGE_COLORS if c != edges[e]]))
+    elif kind == "missing" and edges:
+        del edges[draw(st.sampled_from(sorted(edges)))]
+    G2 = draw(colored_graphs(n, n)) if kind == "other" else graph(vcolors, edges)
+    return G1, G2, Bijection(ImageColumn(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mapped_pairs())
+def test_one_way_check_agrees_with_the_two_way_oracle(pair):
+    G1, G2, f = pair
+    ok, violation = verify_mapping(G1, G2, f)
+    assert (ok, None if ok else violation[0]) == verify_both_ways(G1, G2, f)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +644,7 @@ def column(images):
 @settings(max_examples=200, deadline=None)
 @given(colored_graphs(), colored_graphs(), st.randoms(use_true_random=False))
 def test_per_graph_refinement_agrees_with_the_union(G, other, rng):
-    assert refine(G).classes == union_refine(G)
+    assert refine(G) == union_refine(G)
     shuffled, _ = permuted_copy(G, rng)
     for H in (G, shuffled, other):
         inst = union_plain([G, H])
@@ -599,7 +672,7 @@ def test_a_whole_cell_counted_differently_prunes():
     vcolors = ["v:0"] * 3 + ["v:1"] * 3 + ["v:2"] * 3
     G1 = graph(vcolors, dict.fromkeys(six_cycle(A, B) + complete_bipartite(B, C)))
     G2 = graph(vcolors, dict.fromkeys(complete_bipartite(A, B) + six_cycle(B, C)))
-    assert refine(G1).classes == refine(G2).classes == (0,) * 3 + (1,) * 3 + (2,) * 3
+    assert refine(G1) == refine(G2) == (0,) * 3 + (1,) * 3 + (2,) * 3
     assert oracle_isomorphism(G1, G2) is None
     assert graphiso._find(*plain_sides([G1, G2])) is None
     assert find_isomorphism(G1, G2) is None
@@ -685,7 +758,7 @@ def test_core_reduction_agrees_with_whole_graph_search(G, other, rng):
         assert (found is None) == (oracle_isomorphism(G, H) is None)
         if found is not None:
             assert verify_mapping(G, H, found) == (True, None)
-    assert find_isomorphism(G, G).pairs == tuple((v, v) for v in range(G.num_vertices))
+    assert find_isomorphism(G, G).images == tuple(range(G.num_vertices))
 
     aut = automorphism_group(G)
     assert aut.order == oracle_automorphisms(G)[1]
@@ -711,7 +784,7 @@ def oracle_pair_trees(core1, core2, roots):
 
 def oracle_extend(core1, core2, f):
     image = oracle_pair_trees(core1, core2, [(core1.vertices[v], core2.vertices[w])
-                                             for v, w in f.pairs])
+                                             for v, w in enumerate(f.images)])
     return Bijection(ImageColumn(map(image.__getitem__, range(len(image)))))
 
 
@@ -858,7 +931,7 @@ def linear_systems(draw, constraints, variables):
     row = st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any)
     rows = draw(st.lists(row, min_size=m, max_size=m))
     b = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
-    return LinearSystem(BinMatrix.from_rows(rows), tuple(b))
+    return system(rows, tuple(b))
 
 
 def constructions(sys):

@@ -15,7 +15,8 @@ from lcsq.decolor import canonical_assignment, decolor_vertices
 from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system, parse_system
 from lcsq.graphs import (ColoredGraph, ImageColumn, _color_key, block_labels, build_G,
                          build_Gstar, dump_json, from_json_dict, parse_graph_json,
-                         parse_label, serialize, sign_vectors, to_json_dict)
+                         parse_label, serialize, sign_vectors)
+from oracles import system, to_json_dict
 from test_fpgroups import small_graphs
 
 # The 2x5 demo system: block 0 holds the solutions of x1 x2 x3 = 1 and block 1
@@ -51,7 +52,7 @@ def test_block_sizes_two_block_demo(demo_sys):
 
 
 def test_build_G_single_block():
-    sys = LinearSystem(BinMatrix.from_rows([[1, 1]]), (0,))
+    sys = system([[1, 1]], (0,))
     G = build_G(sys)
     assert list(G.labels) == ["0:++", "0:--"]
     assert len(G.edges) == 1
@@ -98,13 +99,13 @@ def test_gstar_vertices_match_g(k33_sys0):
 
 
 def test_empty_constraint_rejected():
-    sys = LinearSystem(BinMatrix.from_rows([[1, 1], [0, 0]]), (0, 0))
+    sys = system([[1, 1], [0, 0]], (0, 0))
     with pytest.raises(ValueError, match="no variable"):
         build_G(sys)
 
 
 def test_gstar_rejects_shared_pairs():
-    sys = LinearSystem(BinMatrix.from_rows([[1, 1], [1, 1]]), (0, 0))
+    sys = system([[1, 1], [1, 1]], (0, 0))
     with pytest.raises(ValueError, match="at most one"):
         build_Gstar(sys)
 
@@ -351,9 +352,8 @@ def block_graphs(draw):
     if draw(st.booleans()):
         n = draw(st.integers(1, 5))
         rows = draw(st.lists(st.integers(1, 2 ** n - 1), min_size=1, max_size=4))
-        M = BinMatrix.from_rows([[r >> j & 1 for j in range(n)] for r in rows])
         b = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
-        return build_G(LinearSystem(M, tuple(b)))
+        return build_G(LinearSystem(BinMatrix(len(rows), n, tuple(rows)), tuple(b)))
     H = draw(small_graphs())
     n = H.num_vertices
     b = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
@@ -700,7 +700,7 @@ def test_block_cardinality_random_systems():
         for row in rows:
             if not any(row):
                 row[rng.randrange(n)] = 1
-        sys = LinearSystem(BinMatrix.from_rows(rows), tuple(rng.randint(0, 1) for _ in range(m)))
+        sys = system(rows, tuple(rng.randint(0, 1) for _ in range(m)))
         G = build_G(sys)
         counts = Counter(k for k, _ in block_labels(G))
         for k in range(m):

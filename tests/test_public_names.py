@@ -2,14 +2,24 @@
 
 The check parses each module with `ast`.  It lists every public top-level
 function, and every public method of a public class (dunders are exempt),
-and asks whether the name occurs as a `Name` or `Attribute` node anywhere
-in the package.  A name that does not is either wired in or deleted, or
-it is in ALLOWED with the reason it stays.
+and asks whether the package reads it:
 
-Matching is by name only, so it cannot see a dead method that shares its
-name with a live one: a `BinMatrix.entry` would hide behind the live
-`MagicUnitaryCert.entry`, and a `BinMatrix.zero` behind
-`MagicUnitaryCert.zero`.  Such a name is found by reading, not by this test.
+- a method or property is read when some `Attribute` node anywhere in the
+  package names it (`x.name`);
+- a top-level function is read when its own module names it as a bare
+  `Name`, when another module names it as `module.name` on a name bound
+  to its module (`from . import module`), or when another module imports
+  it (`from .module import name`).
+
+A name the package does not read is either wired in or deleted, or it is
+in ALLOWED with the reason it stays.
+
+A bare name read elsewhere does not count, so a local `pairs` cannot hide
+a dead method `pairs`, nor a method `to_json_dict` a dead function of that
+name.  Attributes are still matched by name alone, whatever the object: a
+dead `BinMatrix.entry` would hide behind the live `MagicUnitaryCert.entry`,
+and a `BinMatrix.zero` behind `MagicUnitaryCert.zero`.  Such a name is
+found by reading, not by this test.
 """
 
 from __future__ import annotations
@@ -18,18 +28,13 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lcsq"
+PACKAGE = "lcsq"
 
 ALLOWED = {
-    "qcert.extract_generators": "ROADMAP item 4: the duality round trip for `cert qut`",
-    "decolor.check_min_degree": "ROADMAP item 6: a decoloring hypothesis for `qsym`",
-    "decolor.check_matchings": "ROADMAP item 6: a decoloring hypothesis for `qsym`",
-    "fpgroups.regular_perm_rep": "ROADMAP item 5: an order oracle in the tests",
-    "f2core.BinMatrix.from_rows": "the tests' matrix constructor",
-    "f2core.BinMatrix.to_lists": "the tests' view of a matrix",
-    "f2core.BinMatrix.transpose": "the tests' oracle for column operations",
-    "graphiso.refine": "the tests' 1-WL oracle for one graph",
-    "graphiso.StableColoring.num_classes": "read with `refine` in the tests",
-    "reps.VerificationReport.residual": "the tests' per-family residual",
+    "decolor.check_min_degree": "ROADMAP item 20: a decoloring hypothesis for a "
+                                "`hypotheses` report section",
+    "decolor.check_matchings": "ROADMAP item 20: a decoloring hypothesis for a "
+                               "`hypotheses` report section",
 }
 
 
@@ -37,39 +42,88 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
-def public_names() -> dict[str, str]:
-    """Qualified name -> bare name, for every public function and method."""
+def _modules(src: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(src.glob("*.py"))}
+
+
+def public_names(src: Path = SRC) -> dict[str, str]:
+    """Qualified name -> "function" or "method", for every public top-level
+    function and every public method of a public class."""
     found = {}
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for stem, tree in _modules(src).items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(node.name):
-                found[f"{path.stem}.{node.name}"] = node.name
+                found[f"{stem}.{node.name}"] = "function"
             elif isinstance(node, ast.ClassDef) and _public(node.name):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                             and _public(item.name):
-                        found[f"{path.stem}.{node.name}.{item.name}"] = item.name
+                        found[f"{stem}.{node.name}.{item.name}"] = "method"
     return found
 
 
-def read_names() -> set[str]:
-    """Every identifier that occurs as a Name or an Attribute in the package."""
-    read = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+def _sibling(node: ast.ImportFrom) -> str | None:
+    """The package module an import takes names from, or None."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and node.module and node.module.startswith(PACKAGE + "."):
+        return node.module[len(PACKAGE) + 1:]
+    return None
+
+
+def read_names(src: Path = SRC) -> tuple[set[str], set[str]]:
+    """(functions, attributes): every "module.function" the package reads by
+    the rules above, and every identifier that occurs as an attribute."""
+    functions, attributes = set(), set()
+    for stem, tree in _modules(src).items():
+        modules = {}  # a name bound in this module -> the package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = _sibling(node)
+                for alias in node.names:
+                    if source is None and node.level == 1:  # from . import module
+                        modules[alias.asname or alias.name] = alias.name
+                    elif source is not None:
+                        functions.add(f"{source}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith(PACKAGE + ".") and alias.asname:
+                        modules[alias.asname] = alias.name[len(PACKAGE) + 1:]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                functions.add(f"{stem}.{node.id}")
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return read
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    functions.add(f"{modules[node.value.id]}.{node.attr}")
+    return functions, attributes
+
+
+def unread_names(src: Path = SRC) -> set[str]:
+    functions, attributes = read_names(src)
+    return {qual for qual, kind in public_names(src).items()
+            if (qual not in functions if kind == "function"
+                else qual.rsplit(".", 1)[1] not in attributes)}
 
 
 def test_every_public_name_has_a_reader_or_a_reason():
-    read = read_names()
-    unread = {qual for qual, name in public_names().items() if name not in read}
+    unread = unread_names()
     assert unread - ALLOWED.keys() == set(), "public names that nothing in src reads"
     assert ALLOWED.keys() - unread == set(), "allowlisted names that src now reads"
+
+
+def test_a_local_name_does_not_read_a_method_or_another_modules_function(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def pairs():\n    pass\n\n"
+        "def shared():\n    pass\n\n"
+        "class Box:\n    def pairs(self):\n        pass\n\n"
+        "    def size(self):\n        return len(self.items)\n")
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from .a import shared\n\n"
+        "def use(box):\n    pairs = box.size()\n    return a.Box, pairs, shared\n")
+    assert unread_names(tmp_path) == {"a.pairs", "a.Box.pairs", "b.use"}
 
 
 def test_no_assert_statements():

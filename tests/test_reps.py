@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcsq.f2core import BinMatrix, LinearSystem, complete_bipartite, incidence_system
-from lcsq.fpgroups import (Presentation, regular_perm_rep, regular_table,
-                           solution_presentation, todd_coxeter)
+from lcsq.f2core import complete_bipartite, incidence_system
+from lcsq.fpgroups import Presentation, regular_table, solution_presentation, todd_coxeter
 from lcsq.reps import (DenseElement, GroupAlgebraContext, GroupAlgebraElement,
                        Representation, group_algebra_rep, pauli_magic_square_rep,
                        verify_representation)
+from oracles import regular_perm_rep, system
 
 
 def as_array(e: DenseElement) -> np.ndarray:
@@ -309,7 +309,7 @@ def test_backends_agree_on_verdicts(table33, k33_sys0):
 
 
 def test_generator_count_mismatch(pauli_rep):
-    small = LinearSystem(BinMatrix.from_rows([[1, 1]]), (0,))
+    small = system([[1, 1]], (0,))
     with pytest.raises(ValueError, match="images"):
         verify_representation(pauli_rep, small)
 
@@ -317,7 +317,7 @@ def test_generator_count_mismatch(pauli_rep):
 @pytest.mark.parametrize("backend", ["dense", "group_algebra"])
 def test_mixed_dimensions_rejected(monkeypatch, table33, table34, backend):
     # an image over another algebra is named before any product is formed
-    sys = LinearSystem(BinMatrix.from_rows([[1, 1]]), (0,))
+    sys = system([[1, 1]], (0,))
     if backend == "dense":
         images = [DenseElement(np.eye(2)), DenseElement(np.eye(3))]
     else:
