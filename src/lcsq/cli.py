@@ -19,6 +19,7 @@ import argparse
 import functools
 import sys
 import traceback
+import warnings
 from dataclasses import dataclass, asdict
 
 from . import f2core, fpgroups, graphs, decolor, reps, qcert, graphiso
@@ -94,7 +95,14 @@ def _load_system(cfg: RunConfig) -> f2core.LinearSystem:
     H = f2core.parse_graph(_read(cfg.graph_path))
     b = (_parse_bits(cfg.b, H.num_vertices, "--b") if cfg.b is not None
          else (0,) * H.num_vertices)
-    return f2core.incidence_system(H, b)
+    # the library's warnings (a disconnected H) as one line each, not
+    # Python's warning format with a source line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sys_ = f2core.incidence_system(H, b)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return sys_
 
 
 def _build_graph(cfg: RunConfig, sys_: f2core.LinearSystem) -> graphs.ColoredGraph:
@@ -277,14 +285,14 @@ def cmd_iso(cfg: RunConfig, path1: str, path2: str) -> int:
     G2 = graphs.parse_graph_json(_read(path2))
     mapping = graphiso.find_isomorphism(G1, G2)
     result = {"config": cfg.echo(), "isomorphic": mapping is not None,
-              "mapping": mapping.images if mapping else None}
+              "mapping": mapping}
     if cfg.json_out is not None:
         _write(cfg.json_out, _dump(result))
     if mapping is None:
         print("non-isomorphic")
         return EXIT_NEGATIVE
     if cfg.map_out is not None:
-        _write(cfg.map_out, _dump(mapping.images))
+        _write(cfg.map_out, _dump(mapping))
     print("isomorphic")
     return EXIT_OK
 
@@ -293,7 +301,7 @@ def cmd_aut(cfg: RunConfig, path: str) -> int:
     G = graphs.parse_graph_json(_read(path))
     aut = graphiso.automorphism_group(G)
     result = {"config": cfg.echo(), "order": aut.order,
-              "generators": [g.images for g in aut.generators]}
+              "generators": aut.generators}
     if cfg.json_out is not None:
         _write(cfg.json_out, _dump(result))
     print(f"automorphism group order: {aut.order}")

@@ -44,14 +44,16 @@ fixes the coset of S and its letter parities lie in R (`word_is_identity`).
 `regular_table` lifts that table to the group on star coordinates, pairs
 (s, t) of an element of S and a coset, on which a word acts through the k
 pairs (0, t); certificates number the elements breadth-first from the
-identity, a numbering computed only when one is written.
+identity, a numbering computed only when one is written.  The table is
+also the context of the group algebra (`reps.GroupAlgebraElement`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter, lshift, or_, xor
 
@@ -415,12 +417,6 @@ def _parity(word: Word) -> int:
     return mask
 
 
-def abelianized_order(P: Presentation) -> int:
-    """The order of the abelianization, F2^ngens / R: every generator is an
-    involution.  A finite group is abelian exactly when its order is this."""
-    return 1 << (P.ngens - len(echelon_basis(map(_parity, P.relators), P.ngens)))
-
-
 @dataclass(frozen=True)
 class StarSubgroup:
     """S = <letters>, commuting involutions independent in the
@@ -542,20 +538,28 @@ def _sigma(T: CosetTable, S: StarSubgroup, tree: tuple) -> list[list[int]]:
     return sigma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularTable:
     """A finite group on star coordinates (see `regular_table`): element
     e = t << m | s, with m = len(letters), is s·w_t, s in S = <letters> as
     a bit mask over its letters and w_t the path to coset t of S in the
     breadth-first tree (`parent`, `gen`) of their table `cosets`.  A
-    generator acts by (s, t)·g = (s xor sigma[g][t], t·g).  A complete
-    table over the trivial subgroup is the case S = 1, sigma = 0."""
+    generator acts by (s, t)·g = (s xor sigma[g][t], t·g).  `abelian` tells
+    whether the group is commutative.
+
+    The table is its group algebra's context, held by every
+    `reps.GroupAlgebraElement`: e·h = right(h)[e >> m] xor (e & (|S| - 1)),
+    one k-vector per h from h's word, and h's inverse is that word read
+    backward, both cached per h.  Equality is identity."""
 
     cosets: CosetTable
     letters: Word
     sigma: tuple[list[int], ...]
     parent: list[int]
     gen: list[int]
+    abelian: bool
+    _right: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
+    _inverse: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def num_cosets(self) -> int:
@@ -588,9 +592,36 @@ class RegularTable:
             cosets = gather(self.cosets.columns[g])
         return list(map(or_, map(lshift, cosets[:-1], repeat(len(self.letters))), s))
 
+    def right(self, h: int) -> list[int]:
+        """act(word(h)): (0, t)·h for every coset t."""
+        if h not in self._right:
+            self._right[h] = self.act(self.word(h))
+        return self._right[h]
+
+    def inverse(self, h: int) -> int:
+        if h not in self._inverse:
+            self._inverse[h] = self.element(self.word(h)[::-1])
+        return self._inverse[h]
+
+    def commuting(self, support) -> bool:
+        """Whether every two of the elements in `support` commute:
+        g·h = right(h)[t_g] xor s_g against h·g = right(g)[t_h] xor s_h."""
+        if self.abelian:
+            return True
+        m = len(self.letters)
+        mask = (1 << m) - 1
+        elems = [(g >> m, g & mask, self.right(g)) for g in support]
+        for a, (t_g, s_g, right_g) in enumerate(elems):
+            for t_h, s_h, right_h in elems[a + 1:]:
+                if right_h[t_g] ^ s_g != right_g[t_h] ^ s_h:
+                    return False
+        return True
+
+    @cached_property
     def numbering(self) -> list[int]:
         """Each element's number in a standardized table (Holt, Eick &
-        O'Brien, ch. 5), by the `spanning_tree` of the elements' columns."""
+        O'Brien, ch. 5), by the `spanning_tree` of the elements' columns;
+        computed when a certificate is first written."""
         size, columns = 1 << len(self.letters), []
         for g in range(len(self.sigma)):
             first, column = self.act((g,)), [0] * self.num_cosets
@@ -608,12 +639,14 @@ def regular_table(P: Presentation,
     holds the cap rule).  Each relator must fix (0, t) for every coset t,
     else RuntimeError; since xor by s commutes with the action, every
     relator then fixes every element, and the group's action on its own
-    number of points is its regular action."""
+    number of points is its regular action.  The group is abelian exactly
+    when its order is that of its abelianization, `S.abelianized_order`."""
     S, T = star_cosets(P, cap)
     if not T.is_complete:
         return None
     tree = spanning_tree(T.columns)
-    R = RegularTable(T, S.letters, tuple(_sigma(T, S, tree)), *tree[1:])
+    R = RegularTable(T, S.letters, tuple(_sigma(T, S, tree)), *tree[1:],
+                     T.num_cosets * S.order == S.abelianized_order)
     starts = R.act(())  # the elements (0, t)
     for rel in P.relators:
         if R.act(rel) != starts:

@@ -63,15 +63,6 @@ from operator import itemgetter
 from .graphs import ColoredGraph, ImageColumn
 
 
-@dataclass(frozen=True)
-class Bijection:
-    """A vertex bijection held as its image column: `images[v]` is the image
-    of vertex v.  The column is a `graphs.ImageColumn`, which
-    `graphs.dump_json` writes as the map's JSON object {"0": images[0], ...}."""
-
-    images: ImageColumn
-
-
 @dataclass
 class _Partition:
     """`cells[i]` lists the vertices of cell i in increasing order and
@@ -334,9 +325,9 @@ class _Core:
         starts = [rank[v] for v in self.vertices] + [len(order)]
         return order, rank, [order[i:j] for i, j in zip(starts, starts[1:])]
 
-    def bijection(self, image: list[int]) -> Bijection:
-        """The bijection mapping the i-th vertex of the layout to image[i]."""
-        return Bijection(ImageColumn(map(image.__getitem__, self.layout[1])))
+    def bijection(self, image: list[int]) -> ImageColumn:
+        """The map of the i-th vertex of the layout to image[i]."""
+        return ImageColumn(map(image.__getitem__, self.layout[1]))
 
 
 def _core(G: ColoredGraph, ids: dict, codes: dict) -> _Core:
@@ -380,7 +371,7 @@ def _core(G: ColoredGraph, ids: dict, codes: dict) -> _Core:
                                     if degree[u] > 1 and degree[v] > 1], children)
 
 
-def _extend(core1: _Core, core2: _Core, images: list[int]) -> Bijection:
+def _extend(core1: _Core, core2: _Core, images: list[int]) -> ImageColumn:
     """The bijection of the full graphs that a core map, given as its image
     column, extends to: the span of each core vertex onto its image's."""
     spans = core2.layout[2]
@@ -388,16 +379,16 @@ def _extend(core1: _Core, core2: _Core, images: list[int]) -> Bijection:
 
 
 def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
-                   f: Bijection) -> tuple[bool, tuple[int, str] | None]:
-    """Check the deterministic win conditions: vertex colors (1) and
-    edge/non-edge with equal colors (3).  A non-bijective map is an error
-    (it cannot satisfy condition 2).
+                   images: tuple[int, ...]) -> tuple[bool, tuple[int, str] | None]:
+    """Check the deterministic win conditions, for the vertex map whose
+    image column is `images` (vertex v maps to images[v]): vertex colors (1)
+    and edge/non-edge with equal colors (3).  A non-bijective map is an
+    error (it cannot satisfy condition 2).
 
     Edges are checked forward only.  A vertex bijection maps distinct edges
     of G1 to distinct vertex pairs, so once each lands on an edge of G2 of
     its color, the edges of G1 map onto those of G2 exactly when the two
     graphs have equally many."""
-    images = f.images
     if len(images) != G1.num_vertices or sorted(images) != list(range(G2.num_vertices)):
         raise ValueError("not a bijection between the vertex sets (condition 2)")
 
@@ -424,8 +415,10 @@ def _quick_mismatch(G1: ColoredGraph, G2: ColoredGraph) -> bool:
             or Counter(c for (_, _, c) in G1.edges) != Counter(c for (_, _, c) in G2.edges))
 
 
-def find_isomorphism(G1: ColoredGraph, G2: ColoredGraph) -> Bijection | None:
-    """A color- and edge-preserving bijection, or None when none exists:
+def find_isomorphism(G1: ColoredGraph, G2: ColoredGraph) -> ImageColumn | None:
+    """A color- and edge-preserving bijection as its image column
+    (`graphs.ImageColumn`, written by `graphs.dump_json` as the map's JSON
+    object {"0": images[0], ...}), or None when none exists:
     searched on the two 2-cores, labelled by their hanging trees' codes
     from one shared table, extended span by span, and re-checked with
     verify_mapping on the full graphs."""
@@ -445,7 +438,7 @@ def find_isomorphism(G1: ColoredGraph, G2: ColoredGraph) -> Bijection | None:
 
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    generators: tuple[Bijection, ...]
+    generators: tuple[ImageColumn, ...]
     order: int
 
 

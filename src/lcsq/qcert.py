@@ -319,7 +319,7 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     Failures are report entries, never exceptions.  An identity that is not
     a nonzero projection (a zero one passes every other family), or an
     element over another algebra than `cert.identity` (another dense
-    dimension, another group-algebra context), fails a `shape` family,
+    dimension, another group's table), fails a `shape` family,
     residual 1.0, naming it; only projection, shape and color are then
     reported, as the others add or multiply entries together.
 

@@ -10,8 +10,8 @@ knows its algebra:
   square has entries 0, +-1, +-i, and every constant arising here is a
   half, so this ring holds all of its arithmetic;
 * GroupAlgebraElement -- elements of the group algebra of a finite group
-  (the algebra is a GroupAlgebraContext) on star coordinates, multiplied
-  through one vector over the star cosets per right factor, with
+  on star coordinates (the algebra is the group's `fpgroups.RegularTable`),
+  multiplied through one vector over the star cosets per right factor, with
   dyadic-rational coefficients stored the same way.
 
 Both keep a dict of nonzero integer numerators and an exponent exp (the
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .f2core import LinearSystem, complete_bipartite, incidence_system
-from .fpgroups import CosetTable, RegularTable, abelianized_order, spanning_tree
+from .fpgroups import RegularTable
 
 
 # ---------------------------------------------------------------------------
@@ -252,65 +252,10 @@ class DenseElement(_Dyadic):
 # Group-algebra elements
 
 
-class GroupAlgebraContext:
-    """The group algebra of a `fpgroups.RegularTable`, or of any complete
-    regular `CosetTable` (coset 0 the identity) as the case S = 1; a capped
-    `CosetTable` is a ValueError.  Right multiplication by h is
-    e·h = right(h)[e >> shift] xor (e & (|S| - 1)), one k-vector per h from
-    h's word; h's inverse is that word read backward.  Certificates number
-    the elements as a standardized table does, or a plain table's as it
-    numbers its cosets.  `abelian` tells whether the group, and so its group
-    algebra, is commutative; `commuting` whether every two of some group
-    elements commute."""
-
-    def __init__(self, table: CosetTable | RegularTable):
-        self._number = None  # computed when a support is first serialized
-        if isinstance(table, CosetTable):
-            if not table.is_complete:
-                raise ValueError("group algebra needs a complete coset table")
-            zeros = [0] * table.num_cosets
-            table = RegularTable(table, (), (zeros,) * len(table.columns),
-                                 *spanning_tree(table.columns)[1:])
-            self._number = range(table.num_cosets)
-        self.table, self.size, self.shift = table, table.num_cosets, len(table.letters)
-        self.abelian = self.size == abelianized_order(table.cosets.presentation)
-        self._right, self._inverse = {}, {}  # k-vectors and inverses by element
-
-    def right(self, h: int) -> list[int]:
-        if h not in self._right:
-            self._right[h] = self.table.act(self.table.word(h))
-        return self._right[h]
-
-    def inverse(self, h: int) -> int:
-        if h not in self._inverse:
-            self._inverse[h] = self.table.element(self.table.word(h)[::-1])
-        return self._inverse[h]
-
-    def commuting(self, support) -> bool:
-        """Whether every two of the group elements in `support` commute:
-        g·h = right(h)[t_g] xor s_g against h·g = right(g)[t_h] xor s_h."""
-        if self.abelian:
-            return True
-        mask = (1 << self.shift) - 1
-        elems = [(g >> self.shift, g & mask, self.right(g)) for g in support]
-        for a, (t_g, s_g, right_g) in enumerate(elems):
-            for t_h, s_h, right_h in elems[a + 1:]:
-                if right_h[t_g] ^ s_g != right_g[t_h] ^ s_h:
-                    return False
-        return True
-
-    def numbering(self):
-        if self._number is None:
-            self._number = self.table.numbering()
-        return self._number
-
-    def basis_element(self, g: int) -> GroupAlgebraElement:
-        return GroupAlgebraElement(self, {g: 1}, 0)
-
-
 class GroupAlgebraElement(_Dyadic):
-    """sum_g (coeffs[g] / 2^exp) * g in the group algebra `algebra`, a
-    `GroupAlgebraContext`; built as GroupAlgebraElement(ctx, coeffs, exp)."""
+    """sum_g (coeffs[g] / 2^exp) * g in the group algebra of `algebra`, a
+    `fpgroups.RegularTable`, which multiplies, inverts and numbers the group
+    elements g; built as GroupAlgebraElement(table, coeffs, exp)."""
 
     __slots__ = ()
     backend = "group_algebra"
@@ -320,18 +265,23 @@ class GroupAlgebraElement(_Dyadic):
     # class holds them in its own __dict__
     __add__, __sub__ = _Dyadic.__add__, _Dyadic.__sub__
 
+    @classmethod
+    def basis_element(cls, algebra: RegularTable, g: int) -> GroupAlgebraElement:
+        """The group element g as an element of its group algebra."""
+        return cls._exact(algebra, {g: 1}, 0)
+
     def __mul__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
         if not self.same_algebra(other):
             raise ValueError(self._mismatch)
-        ctx, m = self.algebra, self.algebra.shift
+        table, m = self.algebra, len(self.algebra.letters)
         left = [(g >> m, g & ((1 << m) - 1), a) for g, a in self.coeffs.items()]
         out: dict[int, int] = {}
         for h, b in other.coeffs.items():
-            right = ctx.right(h)
+            right = table.right(h)
             for t, s, a in left:
                 gh = right[t] ^ s
                 out[gh] = out.get(gh, 0) + a * b
-        return self._exact(ctx, out, self.exp + other.exp)
+        return self._exact(table, out, self.exp + other.exp)
 
     @property
     def commutative(self) -> bool:
@@ -346,7 +296,7 @@ class GroupAlgebraElement(_Dyadic):
         return self.algebra.commuting(support)
 
     def unit(self) -> GroupAlgebraElement:
-        return self.algebra.basis_element(0)
+        return self.basis_element(self.algebra, 0)
 
     def adjoint(self) -> GroupAlgebraElement:
         inverse = self.algebra.inverse
@@ -360,7 +310,7 @@ class GroupAlgebraElement(_Dyadic):
     def to_json(self) -> list[list[int]]:
         """The support as [element, numerator, log2 denominator] triples,
         elements by their numbers in certificates."""
-        number = self.algebra.numbering()
+        number = self.algebra.numbering
         return sorted([number[g], c, self.exp] for g, c in self.coeffs.items())
 
     def __repr__(self):
@@ -521,12 +471,13 @@ def pauli_magic_square_rep(distinguished: int = 0) -> Representation:
     return rep
 
 
-def group_algebra_rep(T: CosetTable | RegularTable) -> Representation:
+def group_algebra_rep(T: RegularTable) -> Representation:
     """Exact regular model: x_i maps to its own group element in the group
-    algebra of `regular_table`'s group, or of a complete regular table,
-    over the presentation the table was enumerated from."""
-    ctx = GroupAlgebraContext(T)
-    P = ctx.table.cosets.presentation
+    algebra of `regular_table`'s group, over the presentation the table was
+    enumerated from.  Any other table is a TypeError."""
+    if not isinstance(T, RegularTable):
+        raise TypeError(f"group algebra needs a fpgroups.RegularTable, not {type(T).__name__}")
+    P = T.cosets.presentation
     nvars = P.ngens - (1 if "gamma" in P.generators else 0)
-    images = [ctx.basis_element(ctx.table.element((i,))) for i in range(nvars)]
+    images = [GroupAlgebraElement.basis_element(T, T.element((i,))) for i in range(nvars)]
     return Representation(images, name="regular")

@@ -8,7 +8,7 @@ import pytest
 from lcsq.f2core import complete_bipartite, incidence_system, parse_system
 from lcsq.graphs import build_Gstar
 from lcsq.decolor import canonical_assignment, decolor_vertices, decolor_edges
-from lcsq.fpgroups import solution_presentation, todd_coxeter
+from lcsq.fpgroups import regular_table, solution_presentation, todd_coxeter
 from lcsq.reps import pauli_magic_square_rep, group_algebra_rep
 from lcsq.qcert import build_magic_unitary
 
@@ -103,6 +103,18 @@ def table34(k34_sys0):
 
 
 @pytest.fixture(scope="session")
+def regular33(k33_sys0):
+    """Gamma_0 of K3,3 on star coordinates, as `lcsq cert --rep regular`
+    builds it."""
+    return regular_table(solution_presentation(k33_sys0, homogeneous=True))
+
+
+@pytest.fixture(scope="session")
+def regular34(k34_sys0):
+    return regular_table(solution_presentation(k34_sys0, homogeneous=True))
+
+
+@pytest.fixture(scope="session")
 def pauli_rep():
     return pauli_magic_square_rep(0)
 
@@ -113,13 +125,13 @@ def pauli_cert(gstar33_0, gstar33_e1, pauli_rep):
 
 
 @pytest.fixture(scope="session")
-def regular_rep33(table33):
-    return group_algebra_rep(table33)
+def regular_rep33(regular33):
+    return group_algebra_rep(regular33)
 
 
 @pytest.fixture(scope="session")
-def regular_rep34(table34):
-    return group_algebra_rep(table34)
+def regular_rep34(regular34):
+    return group_algebra_rep(regular34)
 
 
 @pytest.fixture(scope="session")

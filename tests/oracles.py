@@ -1,19 +1,20 @@
 """Oracles and helpers the tests share, built on the package's public API.
 
 Nothing in `lcsq` reads these: each is what a test checks the package
-against (a coset table's permutations, the generators a certificate
-encodes, a graph file's document), or a short way to write a test input.
+against (a coset table's permutations, the group algebra over the
+trivial-subgroup enumeration, the generators a certificate encodes, a
+graph file's document), or a short way to write a test input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from lcsq.f2core import BinMatrix, LinearSystem, parse_system
-from lcsq.fpgroups import CosetTable
+from lcsq.f2core import BinMatrix, LinearSystem, echelon_basis, parse_system
+from lcsq.fpgroups import CosetTable, Presentation
 from lcsq.graphs import ColoredGraph, block_labels, sign_vectors
 from lcsq.qcert import CertificateError, MagicUnitaryCert, verify_cert
-from lcsq.reps import Representation, VerificationReport
+from lcsq.reps import GroupAlgebraElement, Representation, VerificationReport
 
 # ---------------------------------------------------------------------------
 # F2 matrices
@@ -61,6 +62,77 @@ def regular_perm_rep(T: CosetTable) -> list[tuple[int, ...]]:
         if square != identity:
             raise ValueError(f"generator column {g} is not an involution")
     return perms
+
+
+def abelianized_order(P: Presentation) -> int:
+    """The order of the abelianization, F2^ngens / R with R the span of the
+    relator parities: every generator is an involution.  A finite group is
+    abelian exactly when its order is this."""
+    parities = []
+    for rel in P.relators:
+        mask = 0
+        for g in rel:
+            mask ^= 1 << g
+        parities.append(mask)
+    return 1 << (P.ngens - len(echelon_basis(parities, P.ngens)))
+
+
+def rep_words(T: CosetTable) -> dict[int, tuple[int, ...]]:
+    """coset -> a shortest word leading to it from coset 0 in a complete
+    table, by breadth-first search."""
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        reached = []
+        for c in frontier:
+            for g, col in enumerate(T.columns):
+                if col[c] not in words:
+                    words[col[c]] = words[c] + (g,)
+                    reached.append(col[c])
+        frontier = reached
+    return words
+
+
+class EnumeratedGroup:
+    """The group of a complete table over the trivial subgroup, coset c the
+    element c, as the context of its group algebra in the place of a
+    `fpgroups.RegularTable`: the reference that products, adjoints and
+    certificates over the star coordinates are renumbered against.  Right
+    multiplication by h follows h's `rep_words` word from every coset, an
+    inverse is that word read backward from coset 0, and certificates
+    number the elements as the enumeration numbers its cosets."""
+
+    letters = ()  # no star subgroup: element c is the pair (0, c)
+
+    def __init__(self, T: CosetTable):
+        if not T.is_complete:
+            raise ValueError("coset table is not complete")
+        self.table, self.words = T, rep_words(T)
+        self.numbering = range(T.num_cosets)
+        self.abelian = T.num_cosets == abelianized_order(T.presentation)
+        self._right: dict[int, list[int]] = {}
+
+    def right(self, h: int) -> list[int]:
+        if h not in self._right:
+            self._right[h] = [self.table.follow(c, self.words[h])
+                              for c in range(self.table.num_cosets)]
+        return self._right[h]
+
+    def inverse(self, h: int) -> int:
+        return self.table.follow(0, self.words[h][::-1])
+
+    def commuting(self, support) -> bool:
+        return all(self.right(h)[g] == self.right(g)[h] for g in support for h in support)
+
+
+def enumerated_rep(T: CosetTable) -> Representation:
+    """`reps.group_algebra_rep` over the trivial-subgroup enumeration: x_i
+    is the coset of its own generator."""
+    G = EnumeratedGroup(T)
+    P = T.presentation
+    nvars = P.ngens - (1 if "gamma" in P.generators else 0)
+    return Representation([GroupAlgebraElement.basis_element(G, T.follow(0, (i,)))
+                           for i in range(nvars)], name="regular")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ import pytest
 
 from types import SimpleNamespace
 
-from lcsq import fpgroups, graphiso, qcert, reps
+from lcsq import f2core, fpgroups, graphiso, graphs, qcert, reps
 from lcsq.cli import EXIT_INTERNAL, _dump, _parser, main
+from oracles import enumerated_rep
 from test_fpgroups import standard_numbering
 from test_qcert import corrupt_swap_columns
 
@@ -224,6 +225,17 @@ def test_solve(files, capsys):
     assert "solution:" in capsys.readouterr().out
     # K3,3 with b = e1 has no solution
     assert run("solve", "--graph", files / "k33.g", "--b", "100000") == 1
+
+
+def test_solve_warns_of_a_disconnected_graph_in_one_line(files):
+    # the library's UserWarning reaches the user as one line, not as
+    # Python's warning format with a source line
+    (files / "two.g").write_text("4\n1 2\n3 4\n")
+    proc = _cli("-m", "lcsq.cli", "solve", "--graph", "two.g", cwd=files)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: graph is disconnected; downstream constructions "
+                           "assume a connected graph\n")
+    assert proc.stdout == "solution: 00\n"
 
 
 def test_group_k33(files, capsys):
@@ -454,10 +466,29 @@ def test_k35_regular_cert_walks_the_elements_only_to_write_them(files, monkeypat
         return tree(columns)
 
     monkeypatch.setattr(fpgroups, "spanning_tree", counting)
-    monkeypatch.setattr(reps, "spanning_tree", counting)
     monkeypatch.chdir(files)
     assert run("cert", "qut", "--graph", "k35.g", "--rep", "regular", *out) == 0
     assert sizes_seen == sizes
+
+
+def test_fixture_certificates_are_the_ones_the_cli_writes(files, monkeypatch, exact_cert34):
+    # the tests' shared K3,4 certificate, from `regular_table` as every
+    # fixture certificate is, is the one `cert qut --rep regular --out`
+    # writes for its graph, three-vertex side first; k34.g lists the
+    # four-vertex side first, and the same pipeline on that system writes
+    # the K34_REGULAR_CERT_SHA256 certificate
+    (files / "k34_3.g").write_text(
+        "7\n" + "".join(f"{a} {b}\n" for a in (1, 2, 3) for b in (4, 5, 6, 7)))
+    monkeypatch.chdir(files)
+    assert run("cert", "qut", "--graph", "k34_3.g", "--rep", "regular", "--out", "c.json") == 0
+    assert (files / "c.json").read_text() == _dump(exact_cert34.to_json_dict())
+
+    sys_ = f2core.incidence_system(f2core.complete_bipartite(4, 3), (0,) * 7)
+    G = graphs.build_Gstar(sys_)
+    table = fpgroups.regular_table(fpgroups.solution_presentation(sys_, homogeneous=True))
+    cert = qcert.build_magic_unitary(G, G, reps.group_algebra_rep(table))
+    assert hashlib.sha256(_dump(cert.to_json_dict()).encode()).hexdigest() == \
+        K34_REGULAR_CERT_SHA256
 
 
 def test_cert_qiso_pauli_out_is_pinned(files, monkeypatch):
@@ -522,10 +553,11 @@ def test_no_tolerance_in_any_report(files, monkeypatch):
 
 
 def test_k34_regular_pin_is_the_enumerated_certificate_renumbered(files, monkeypatch):
-    # the certificate `cert --rep regular` wrote over the trivial-subgroup
-    # enumeration, with each support element g renumbered to its
-    # standardized number and each support re-sorted, is the one it writes
-    # now; the lifted report depends on no numbering and is unchanged
+    # the certificate `cert --rep regular` writes over the group algebra of
+    # the trivial-subgroup enumeration (`oracles.enumerated_rep`), with each
+    # support element g renumbered to its standardized number and each
+    # support re-sorted, is the one it writes over the star coordinates; the
+    # lifted report depends on no numbering and is the same
     job, report_digest = LIFTED_JOBS["qut-k34-regular"]
     monkeypatch.chdir(files)
     enumerated = []
@@ -536,6 +568,7 @@ def test_k34_regular_pin_is_the_enumerated_certificate_renumbered(files, monkeyp
 
     with monkeypatch.context() as patch:
         patch.setattr(fpgroups, "regular_table", trivial_subgroup_table)
+        patch.setattr(reps, "group_algebra_rep", enumerated_rep)
         assert run(*job, "--out", "cert.json") == 0
         assert run(*job, "--lift", "--report", "report.json") == 0
     old_cert = (files / "cert.json").read_text()

@@ -10,8 +10,8 @@ from lcsq.f2core import (BinMatrix, LinearSystem, SimpleGraph, SystemFormatError
                          complete_bipartite, echelon_basis, incidence_system,
                          parse_graph, parse_system, rank_f2, reduce_f2, render_system,
                          solve_f2)
-from lcsq.fpgroups import abelianized_order, solution_presentation
-from oracles import system, transpose
+from lcsq.fpgroups import solution_presentation, star_subgroup
+from oracles import abelianized_order, system, transpose
 
 
 def rowspace_size(M: BinMatrix) -> int:
@@ -185,7 +185,8 @@ def test_abelianized_orders():
                        (incidence_system(complete_bipartite(3, 4), (0,) * 7), 64),
                        (LinearSystem(identity5, (0,) * 5), 1)):
         assert 1 << (sys.M.cols - rank_f2(sys.M)) == order
-        assert abelianized_order(solution_presentation(sys, homogeneous=True)) == order
+        P = solution_presentation(sys, homogeneous=True)
+        assert abelianized_order(P) == star_subgroup(P).abelianized_order == order
 
 
 # ---------------------------------------------------------------------------

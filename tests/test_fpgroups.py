@@ -15,8 +15,8 @@ from lcsq.f2core import (BinMatrix, SimpleGraph, complete_bipartite, incidence_s
 from lcsq.fpgroups import (COMPACT_SLACK, CosetTable, Presentation, regular_table,
                            solution_presentation, spanning_tree, star_cosets,
                            star_subgroup, todd_coxeter, word_is_identity)
-from lcsq.reps import GroupAlgebraContext, GroupAlgebraElement
-from oracles import regular_perm_rep, system
+from lcsq.reps import GroupAlgebraElement, group_algebra_rep
+from oracles import EnumeratedGroup, regular_perm_rep, rep_words, system
 
 
 def abelianized_order_by_rank(M: BinMatrix) -> int:
@@ -79,32 +79,15 @@ def numbered_columns(R) -> tuple[tuple[int, ...], ...]:
     certificates use, read through the group algebra: x, the sum of
     (e + 1)·e over the elements e, gives e's number in its support and
     e·g's number in the support of x·g, each beside the coefficient e + 1."""
-    ctx = GroupAlgebraContext(R)
-    x = GroupAlgebraElement(ctx, {e: e + 1 for e in range(ctx.size)}, 0)
+    x = GroupAlgebraElement(R, {e: e + 1 for e in range(R.num_cosets)}, 0)
     number = {c: e for e, c, _ in x.to_json()}
     columns = []
     for g in range(R.cosets.presentation.ngens):
-        column = [-1] * ctx.size
-        for d, c, _ in (x * ctx.basis_element(R.element((g,)))).to_json():
+        column = [-1] * R.num_cosets
+        for d, c, _ in (x * GroupAlgebraElement.basis_element(R, R.element((g,)))).to_json():
             column[number[c]] = d
         columns.append(tuple(column))
     return tuple(columns)
-
-
-def rep_words(T: CosetTable) -> dict[int, tuple[int, ...]]:
-    """Oracle: coset -> a shortest word leading to it from coset 0 in a
-    complete table, by breadth-first search."""
-    words = {0: ()}
-    frontier = [0]
-    while frontier:
-        reached = []
-        for c in frontier:
-            for g, col in enumerate(T.columns):
-                if col[c] not in words:
-                    words[col[c]] = words[c] + (g,)
-                    reached.append(col[c])
-        frontier = reached
-    return words
 
 
 def perm_closure(gens: list[tuple[int, ...]]) -> int:
@@ -291,16 +274,13 @@ def test_constraint_products_act_trivially(table33, k33_sys0):
 
 
 def test_is_abelian(k33_sys0, k34_sys0):
-    T33 = todd_coxeter(solution_presentation(k33_sys0, True))
-    T34 = todd_coxeter(solution_presentation(k34_sys0, True))
-    assert GroupAlgebraContext(T33).abelian is True
-    assert GroupAlgebraContext(T34).abelian is False
+    assert regular_table(solution_presentation(k33_sys0, True)).abelian is True
+    assert regular_table(solution_presentation(k34_sys0, True)).abelian is False
 
 
 def test_infinite_dihedral_unknown():
     P = Presentation(("x", "y"), ((0, 0), (1, 1)))
-    with pytest.raises(ValueError):
-        GroupAlgebraContext(todd_coxeter(P, cap=100))
+    assert regular_table(P, cap=100) is None
     with pytest.raises(ValueError):
         word_is_identity(todd_coxeter(P, cap=100), star_subgroup(P), (0, 0))
 
@@ -496,7 +476,7 @@ def test_star_route_matches_trivial_subgroup_enumeration(case):
 def test_k35_order(table35, k35_sys0):
     assert table35.is_complete and table35.num_cosets == 8192
     assert abelianized_order_by_rank(k35_sys0.M) == 2 ** 8
-    assert GroupAlgebraContext(table35).abelian is False
+    assert regular_table(table35.presentation).abelian is False
 
 
 def test_k35_relators_act_trivially(table35):
@@ -556,15 +536,16 @@ def context_cases(draw):
     return P, draw(combinations), draw(combinations)
 
 
-def _element(ctx, element_of, ngens, combination):
-    """A combination's element over a context, each word's element given
-    by `element_of` (its letters taken mod ngens)."""
+def _element(algebra, element_of, ngens, combination):
+    """A combination's element of the group algebra whose context is
+    `algebra`, each word's element given by `element_of` (its letters taken
+    mod ngens)."""
     terms, exp = combination
     coeffs: dict[int, int] = {}
     for word, c in terms:
         e = element_of(tuple(g % ngens for g in word))
         coeffs[e] = coeffs.get(e, 0) + c
-    return GroupAlgebraElement(ctx, coeffs, exp)
+    return GroupAlgebraElement(algebra, coeffs, exp)
 
 
 K33_GAMMA = solution_presentation(incidence_system(complete_bipartite(3, 3),
@@ -581,18 +562,20 @@ K33_GAMMA = solution_presentation(incidence_system(complete_bipartite(3, 3),
           ([((4, 2), 1), ((4,), 1), ((), 2)], 2)))
 def test_context_products_and_adjoints_match_the_enumeration(case):
     # products and adjoints over the regular table equal those over the
-    # trivial-subgroup enumeration, whose supports are renumbered by
-    # `standard_numbering`; over the enumeration, the product and adjoint of
-    # basis elements u and v are u·w_v and w_u reversed, read by `follow`
+    # trivial-subgroup enumeration (`oracles.EnumeratedGroup`), whose
+    # supports are renumbered by `standard_numbering`; over the enumeration,
+    # the product and adjoint of basis elements u and v are u·w_v and w_u
+    # reversed, read by `follow`
     P, a, b = case
     full = todd_coxeter(P, [], CONTEXT_CAP)
     if not full.is_complete:
         return  # a group beyond the cap: no reference to compare with
     number = standard_numbering(full)
     R = regular_table(P)
-    ctx_r, ctx_f = GroupAlgebraContext(R), GroupAlgebraContext(full)
-    x_r, y_r = (_element(ctx_r, R.element, P.ngens, c) for c in (a, b))
-    x_f, y_f = (_element(ctx_f, lambda w: full.follow(0, w), P.ngens, c) for c in (a, b))
+    enumerated = EnumeratedGroup(full)
+    x_r, y_r = (_element(R, R.element, P.ngens, c) for c in (a, b))
+    x_f, y_f = (_element(enumerated, lambda w: full.follow(0, w), P.ngens, c)
+                for c in (a, b))
 
     def renumbered(support):
         return sorted([number[e], c, exp] for e, c, exp in support)
@@ -602,10 +585,10 @@ def test_context_products_and_adjoints_match_the_enumeration(case):
         for word, d in b[0]:
             e = full.follow(u, tuple(g % P.ngens for g in word))
             product[e] = product.get(e, 0) + c * d
-    assert x_f * y_f == GroupAlgebraElement(ctx_f, product, x_f.exp + b[1])
+    assert x_f * y_f == GroupAlgebraElement(enumerated, product, x_f.exp + b[1])
     words = rep_words(full)
     adjoint = {full.follow(0, words[u][::-1]): c for u, c in x_f.coeffs.items()}
-    assert x_f.adjoint() == GroupAlgebraElement(ctx_f, adjoint, x_f.exp)
+    assert x_f.adjoint() == GroupAlgebraElement(enumerated, adjoint, x_f.exp)
     for left, right in ((x_r * y_r, x_f * y_f), (y_r * x_r, y_f * x_f),
                         (x_r.adjoint(), x_f.adjoint()),
                         ((x_r * y_r).adjoint(), (x_f * y_f).adjoint())):
@@ -868,10 +851,10 @@ def test_is_abelian_matches_permutation_commutation(case):
     P, _, cap = case
     T = todd_coxeter(P, [], cap)
     if T.is_complete:
-        assert GroupAlgebraContext(T).abelian is commute_as_permutations(T)
+        assert regular_table(P).abelian is commute_as_permutations(T)
     else:
-        with pytest.raises(ValueError, match="complete"):
-            GroupAlgebraContext(T)
+        with pytest.raises(TypeError, match="RegularTable"):
+            group_algebra_rep(T)
 
 
 def test_is_abelian_matches_permutation_commutation_on_flagships(
@@ -879,7 +862,7 @@ def test_is_abelian_matches_permutation_commutation_on_flagships(
     gamma33 = todd_coxeter(solution_presentation(k33_sys_e1, homogeneous=False))
     for T, abelian in ((table33, True), (table34, False), (table35, False),
                        (gamma33, False)):
-        assert GroupAlgebraContext(T).abelian is abelian
+        assert regular_table(T.presentation).abelian is abelian
         assert commute_as_permutations(T) is abelian
 
 

@@ -1,11 +1,12 @@
-"""Every public function and method in `src/lcsq` has a reader in `src/lcsq`.
+"""Every public function, method and field in `src/lcsq` has a reader in
+`src/lcsq`.
 
 The check parses each module with `ast`.  It lists every public top-level
-function, and every public method of a public class (dunders are exempt),
-and asks whether the package reads it:
+function, and every public method and annotated field of a public class
+(dunders are exempt), and asks whether the package reads it:
 
-- a method or property is read when some `Attribute` node anywhere in the
-  package names it (`x.name`);
+- a method, property or field is read when some `Attribute` node anywhere
+  in the package names it (`x.name`);
 - a top-level function is read when its own module names it as a bare
   `Name`, when another module names it as `module.name` on a name bound
   to its module (`from . import module`), or when another module imports
@@ -48,8 +49,9 @@ def _modules(src: Path) -> dict[str, ast.Module]:
 
 
 def public_names(src: Path = SRC) -> dict[str, str]:
-    """Qualified name -> "function" or "method", for every public top-level
-    function and every public method of a public class."""
+    """Qualified name -> "function", "method" or "field", for every public
+    top-level function and every public method and annotated field of a
+    public class."""
     found = {}
     for stem, tree in _modules(src).items():
         for node in tree.body:
@@ -60,6 +62,9 @@ def public_names(src: Path = SRC) -> dict[str, str]:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                             and _public(item.name):
                         found[f"{stem}.{node.name}.{item.name}"] = "method"
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) \
+                            and _public(item.target.id):
+                        found[f"{stem}.{node.name}.{item.target.id}"] = "field"
     return found
 
 
@@ -117,13 +122,14 @@ def test_a_local_name_does_not_read_a_method_or_another_modules_function(tmp_pat
     (tmp_path / "a.py").write_text(
         "def pairs():\n    pass\n\n"
         "def shared():\n    pass\n\n"
-        "class Box:\n    def pairs(self):\n        pass\n\n"
+        "class Box:\n    items: list\n    dead: int\n\n"
+        "    def pairs(self):\n        pass\n\n"
         "    def size(self):\n        return len(self.items)\n")
     (tmp_path / "b.py").write_text(
         "from . import a\n"
         "from .a import shared\n\n"
         "def use(box):\n    pairs = box.size()\n    return a.Box, pairs, shared\n")
-    assert unread_names(tmp_path) == {"a.pairs", "a.Box.pairs", "b.use"}
+    assert unread_names(tmp_path) == {"a.pairs", "a.Box.pairs", "a.Box.dead", "b.use"}
 
 
 def test_no_assert_statements():

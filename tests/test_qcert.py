@@ -17,9 +17,9 @@ from lcsq.f2core import SimpleGraph, incidence_system
 from lcsq.graphs import (ColoredGraph, block_labels, build_G, build_Gstar, parse_graph_json,
                          serialize, sign_vectors)
 from lcsq.decolor import canonical_assignment
-from lcsq.fpgroups import Presentation, solution_presentation, todd_coxeter
+from lcsq.fpgroups import Presentation, regular_table, solution_presentation
 from lcsq.graphiso import automorphism_group
-from lcsq.reps import (DenseElement, GroupAlgebraContext, Representation,
+from lcsq.reps import (DenseElement, GroupAlgebraElement, Representation,
                        group_algebra_rep)
 from lcsq.qcert import (CertificateError, MagicUnitaryCert, VerificationReport,
                         _decode, _edge_classes, build_magic_unitary, lift_cert,
@@ -233,8 +233,8 @@ def test_mixed_element_shapes_are_a_failing_family(request, cert_name):
     if cert.identity.backend == "dense":
         aliens = [DenseElement.identity(1), DenseElement.identity(2)]
     else:
-        z2 = todd_coxeter(Presentation(("x",), ((0, 0),)))
-        aliens = [GroupAlgebraContext(z2).basis_element(0) for _ in range(2)]
+        z2 = regular_table(Presentation(("x",), ((0, 0),)))
+        aliens = [GroupAlgebraElement.basis_element(z2, 0) for _ in range(2)]
     keys = sorted(cert.entries)
     bad = replace_entry(replace_entry(cert, keys[9], aliens[0]), keys[5], aliens[1])
     report = verify_cert(bad)
@@ -315,7 +315,7 @@ def test_identity_certificate_passes(gstar33_0):
 def test_nontrivial_automorphism_certificate(gstar33_0):
     aut = automorphism_group(gstar33_0)
     g = aut.generators[0]
-    cert = make_classical_cert(gstar33_0, gstar33_0, dict(enumerate(g.images)))
+    cert = make_classical_cert(gstar33_0, gstar33_0, dict(enumerate(g)))
     assert verify_cert(cert).passed
 
 
@@ -445,7 +445,7 @@ def test_lift_classical_identity(gstar33_0, gpp33_pair):
 
 def test_lift_classical_automorphism_is_induced_map(gstar33_0, gpp33_pair):
     gpp0, _ = gpp33_pair
-    g = dict(enumerate(automorphism_group(gstar33_0).generators[0].images))
+    g = dict(enumerate(automorphism_group(gstar33_0).generators[0]))
     cert = make_classical_cert(gstar33_0, gstar33_0, g)
     lifted = lift_cert(cert, verify_cert(cert), lift_pa(cert))
     assert lifted.row_graph == gpp0
@@ -645,8 +645,8 @@ def connected_graphs(draw, max_vertices=5):
 def test_regular_cert_verifies_lifts_and_round_trips_exactly(H):
     sys = incidence_system(H, (0,) * H.num_vertices)
     P = solution_presentation(sys, homogeneous=True)
-    table = todd_coxeter(P)
-    assert table.is_complete
+    table = regular_table(P)
+    assert table is not None
     G = build_Gstar(sys)
     rep = group_algebra_rep(table)
     cert = build_magic_unitary(G, G, rep)
@@ -728,7 +728,7 @@ def assert_sums_match_reference(cert):
 @functools.lru_cache(maxsize=None)
 def regular_rep(H):
     P = solution_presentation(incidence_system(H, (0,) * H.num_vertices), homogeneous=True)
-    return group_algebra_rep(todd_coxeter(P))
+    return group_algebra_rep(regular_table(P))
 
 
 @functools.lru_cache(maxsize=None)
@@ -1017,7 +1017,7 @@ def exact_cert35():
         8, [(a, b) for a in range(3) for b in range(3, 8)]), (0,) * 8)
     P = solution_presentation(sys, homogeneous=True)
     G = build_Gstar(sys)
-    return build_magic_unitary(G, G, group_algebra_rep(todd_coxeter(P)))
+    return build_magic_unitary(G, G, group_algebra_rep(regular_table(P)))
 
 
 def lifted_cert(cert):
@@ -1043,9 +1043,9 @@ def not_selfadjoint(cert):
     if cert.identity.backend == "dense":
         d = cert.identity.algebra
         return DenseElement([[1j if r == c else 0 for c in range(d)] for r in range(d)])
-    ctx = cert.identity.algebra
-    g = next(g for g in range(ctx.size) if ctx.inverse(g) != g)
-    return ctx.basis_element(g)
+    table = cert.identity.algebra
+    g = next(g for g in range(table.num_cosets) if table.inverse(g) != g)
+    return GroupAlgebraElement.basis_element(table, g)
 
 
 def corruptions(cert):

@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import complete_bipartite, incidence_system
 from lcsq.fpgroups import Presentation, regular_table, solution_presentation, todd_coxeter
-from lcsq.reps import (DenseElement, GroupAlgebraContext, GroupAlgebraElement,
-                       Representation, group_algebra_rep, pauli_magic_square_rep,
-                       verify_representation)
-from oracles import regular_perm_rep, system
+from lcsq.reps import (DenseElement, GroupAlgebraElement, Representation,
+                       group_algebra_rep, pauli_magic_square_rep, verify_representation)
+from oracles import EnumeratedGroup, regular_perm_rep, system
 
 
 def as_array(e: DenseElement) -> np.ndarray:
@@ -101,23 +100,22 @@ def test_swapped_images_fail_with_named_product(pauli_rep, k33_sys_e1):
 
 def test_group_algebra_z2():
     P = Presentation(("x",), ((0, 0),))
-    T = todd_coxeter(P)
-    R = group_algebra_rep(T)
+    R = group_algebra_rep(regular_table(P))
     x = R.images[0]
     assert x * x == R.identity()
     assert x.adjoint() == x
 
 
-def test_group_algebra_k33_all_commute(table33):
-    R = group_algebra_rep(table33)
+def test_group_algebra_k33_all_commute(regular33):
+    R = group_algebra_rep(regular33)
     for i in range(9):
         for j in range(i + 1, 9):
             a, b = R.images[i], R.images[j]
             assert a * b == b * a
 
 
-def test_group_algebra_k34_noncommuting_disjoint_pair(table34, k34_sys0):
-    R = group_algebra_rep(table34)
+def test_group_algebra_k34_noncommuting_disjoint_pair(regular34, k34_sys0):
+    R = group_algebra_rep(regular34)
     sharing = set()
     for k in range(k34_sys0.num_constraints):
         s = k34_sys0.support(k)
@@ -136,23 +134,26 @@ def test_group_algebra_k34_noncommuting_disjoint_pair(table34, k34_sys0):
     assert found is not None
 
 
-def test_group_algebra_verifies_exactly(table34, k34_sys0):
-    R = group_algebra_rep(table34)
+def test_group_algebra_verifies_exactly(regular34, k34_sys0):
+    R = group_algebra_rep(regular34)
     report = verify_representation(R, k34_sys0)
     assert report.passed
     assert report.max_residual == 0.0
 
 
-def test_group_algebra_requires_complete_table(k34_sys0):
+def test_group_algebra_requires_complete_table(k34_sys0, table34):
+    # a capped enumeration has no regular table, and a coset table, capped
+    # or complete, is not the context of a group algebra
     P = solution_presentation(k34_sys0, homogeneous=True)
     partial = todd_coxeter(P, [], cap=10)
-    with pytest.raises(ValueError, match="complete"):
-        group_algebra_rep(partial)
+    assert regular_table(P, cap=10) is None
+    for table in (partial, table34):
+        with pytest.raises(TypeError, match="needs a fpgroups.RegularTable, not CosetTable"):
+            group_algebra_rep(table)
 
 
-def test_dyadic_normalization(table33):
-    ctx = GroupAlgebraContext(table33)
-    e = GroupAlgebraElement(ctx, {0: 4, 1: 8}, 3)
+def test_dyadic_normalization(regular33):
+    e = GroupAlgebraElement(regular33, {0: 4, 1: 8}, 3)
     assert e.coeffs == {0: 1, 1: 2} and e.exp == 1
     zero = e - e
     assert not zero.coeffs and zero.exp == 0 and zero.residual_norm() == 0.0
@@ -177,22 +178,17 @@ raw_elements = st.tuples(st.dictionaries(st.integers(0, 15), numerators, max_siz
                          st.integers(0, 10))
 
 
-@pytest.fixture(scope="module")
-def ctx33(table33):
-    return GroupAlgebraContext(table33)
-
-
 @settings(max_examples=150, deadline=None)
 @given(raw_elements)
-def test_normalization_matches_halving_loop(ctx33, raw):
+def test_normalization_matches_halving_loop(regular33, raw):
     coeffs, exp = raw
-    e = GroupAlgebraElement(ctx33, coeffs, exp)
+    e = GroupAlgebraElement(regular33, coeffs, exp)
     assert (e.coeffs, e.exp) == reference_normalize(coeffs, exp)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(raw_elements, max_size=5), st.lists(raw_elements, max_size=5))
-def test_combine_is_the_exact_sum_and_difference(ctx33, plus, minus):
+def test_combine_is_the_exact_sum_and_difference(regular33, plus, minus):
     if not plus and not minus:
         with pytest.raises(ValueError, match="at least one term"):
             GroupAlgebraElement.combine([], [])
@@ -202,52 +198,55 @@ def test_combine_is_the_exact_sum_and_difference(ctx33, plus, minus):
         for coeffs, exp in side:
             for g, c in coeffs.items():
                 value[g] = value.get(g, 0) + sign * Fraction(c, 2 ** exp)
-    e = GroupAlgebraElement.combine([GroupAlgebraElement(ctx33, c, x) for c, x in plus],
-                                    [GroupAlgebraElement(ctx33, c, x) for c, x in minus])
+    e = GroupAlgebraElement.combine([GroupAlgebraElement(regular33, c, x) for c, x in plus],
+                                    [GroupAlgebraElement(regular33, c, x) for c, x in minus])
     assert {g: Fraction(c, 2 ** e.exp) for g, c in e.coeffs.items()} == \
         {g: v for g, v in value.items() if v}
     assert e.exp == 0 or any(c % 2 for c in e.coeffs.values())
 
 
-def test_combine_rejects_mixed_algebras(ctx33, table34):
-    a = ctx33.basis_element(0)
-    b = GroupAlgebraContext(table34).basis_element(0)
+def test_combine_rejects_mixed_algebras(regular33, regular34):
+    a = GroupAlgebraElement.basis_element(regular33, 0)
+    b = GroupAlgebraElement.basis_element(regular34, 0)
     with pytest.raises(ValueError, match="different group algebras"):
         GroupAlgebraElement.combine([a], [b])
 
 
-def test_group_algebra_inverse_map(table34):
-    ctx = GroupAlgebraContext(table34)
-    one = ctx.basis_element(0)
-    for g in range(ctx.size):
-        assert ctx.basis_element(g) * ctx.basis_element(ctx.inverse(g)) == one
-        assert ctx.inverse(ctx.inverse(g)) == g
+def test_group_algebra_inverse_map(regular34):
+    def basis(g):
+        return GroupAlgebraElement.basis_element(regular34, g)
+
+    one = basis(0)
+    for g in range(regular34.num_cosets):
+        assert basis(g) * basis(regular34.inverse(g)) == one
+        assert regular34.inverse(regular34.inverse(g)) == g
 
 
 def test_no_reference_cycle_keeps_a_context_alive(k34_sys0):
-    # a context's caches (products, inverses, the numbering) go with the
-    # last element over it, without waiting for a cyclic collection
+    # the table that is the elements' algebra, with its caches (products,
+    # inverses, the numbering), goes with the last element over it, without
+    # waiting for a cyclic collection
     P = solution_presentation(k34_sys0, homogeneous=True)
     gc.disable()
     try:
         R = group_algebra_rep(regular_table(P))
-        ctx = weakref.ref(R.images[0].algebra)
+        table = weakref.ref(R.images[0].algebra)
         x, y = R.images[0], R.images[5]
         z = (x * y - y * x).adjoint()
         assert z.to_json()
+        assert table()._right and table()._inverse and "numbering" in vars(table())
         del R, x, y, z
-        assert ctx() is None
+        assert table() is None
     finally:
         gc.enable()
 
 
-def test_adjoint_is_involutive_antiautomorphism(table34):
-    ctx = GroupAlgebraContext(table34)
+def test_adjoint_is_involutive_antiautomorphism(regular34):
     rng = random.Random(17)
 
     def rand_elem():
-        coeffs = {rng.randrange(ctx.size): rng.randint(-5, 5) for _ in range(6)}
-        return GroupAlgebraElement(ctx, coeffs, rng.randint(0, 4))
+        coeffs = {rng.randrange(regular34.num_cosets): rng.randint(-5, 5) for _ in range(6)}
+        return GroupAlgebraElement(regular34, coeffs, rng.randint(0, 4))
 
     for _ in range(25):
         a, b = rand_elem(), rand_elem()
@@ -272,8 +271,8 @@ def dense_regular_rep(table, sys) -> Representation:
     return Representation(images)
 
 
-def test_projections_both_backends(table33, k33_sys0, pauli_rep):
-    for R in (group_algebra_rep(table33), pauli_rep,
+def test_projections_both_backends(regular33, table33, k33_sys0, pauli_rep):
+    for R in (group_algebra_rep(regular33), pauli_rep,
               dense_regular_rep(table33, k33_sys0)):
         one = R.identity()
         for i in range(3):
@@ -285,8 +284,8 @@ def test_projections_both_backends(table33, k33_sys0, pauli_rep):
             assert (plus * minus).residual_norm() == 0.0
 
 
-def test_backends_agree_on_verdicts(table33, k33_sys0):
-    exact = group_algebra_rep(table33)
+def test_backends_agree_on_verdicts(regular33, table33, k33_sys0):
+    exact = group_algebra_rep(regular33)
     dense = dense_regular_rep(table33, k33_sys0)
     assert verify_representation(exact, k33_sys0).passed
     assert verify_representation(dense, k33_sys0).passed
@@ -315,13 +314,13 @@ def test_generator_count_mismatch(pauli_rep):
 
 
 @pytest.mark.parametrize("backend", ["dense", "group_algebra"])
-def test_mixed_dimensions_rejected(monkeypatch, table33, table34, backend):
+def test_mixed_dimensions_rejected(monkeypatch, regular33, regular34, backend):
     # an image over another algebra is named before any product is formed
     sys = system([[1, 1]], (0,))
     if backend == "dense":
         images = [DenseElement(np.eye(2)), DenseElement(np.eye(3))]
     else:
-        images = [GroupAlgebraContext(T).basis_element(0) for T in (table33, table34)]
+        images = [GroupAlgebraElement.basis_element(T, 0) for T in (regular33, regular34)]
 
     def no_products(self, other):
         raise AssertionError("a product was formed")
@@ -338,48 +337,47 @@ def test_each_element_type_holds_its_own_operators(cls):
     assert {"__add__", "__sub__", "__mul__"} <= cls.__dict__.keys()
 
 
-def test_an_element_knows_its_algebra(pauli_rep, table33, table34):
+def test_an_element_knows_its_algebra(pauli_rep, regular33, regular34):
     x = pauli_rep.images[0]
     assert (x.backend, x.algebra, x.commutative) == ("dense", 4, False)
     assert DenseElement.identity(1).commutative
     assert not x.same_algebra(DenseElement.identity(2))
     assert x.same_algebra(x.unit())
-    abelian, nonabelian = GroupAlgebraContext(table33), GroupAlgebraContext(table34)
-    g = abelian.basis_element(1)
-    assert (g.backend, g.algebra, g.commutative) == ("group_algebra", abelian, True)
-    assert not nonabelian.basis_element(1).commutative
-    assert g.same_algebra(abelian.basis_element(0))
-    assert not g.same_algebra(nonabelian.basis_element(1))
+    basis = GroupAlgebraElement.basis_element
+    g = basis(regular33, 1)
+    assert (g.backend, g.algebra, g.commutative) == ("group_algebra", regular33, True)
+    assert not basis(regular34, 1).commutative
+    assert g.same_algebra(basis(regular33, 0))
+    assert not g.same_algebra(basis(regular34, 1))
     assert not g.same_algebra(DenseElement.identity(1))
 
 
-def test_commuting_supports_match_products(table34, k34_sys0):
+def test_commuting_supports_match_products(table34, regular34):
     # group elements commute exactly when their basis elements do, and a
-    # support commutes when every two of its elements do
-    P = solution_presentation(k34_sys0, homogeneous=True)
-    for table in (table34, regular_table(P)):
-        ctx = GroupAlgebraContext(table)
+    # support commutes when every two of its elements do; on star
+    # coordinates and on the trivial-subgroup enumeration alike
+    for table in (EnumeratedGroup(table34), regular34):
         rng = random.Random(0)
-        sample = rng.sample(range(ctx.size), 24)
+        sample = rng.sample(range(table34.num_cosets), 24)
         for g in sample:
             for h in sample:
-                x, y = ctx.basis_element(g), ctx.basis_element(h)
-                assert ctx.commuting({g, h}) == (x * y == y * x)
+                x, y = (GroupAlgebraElement.basis_element(table, e) for e in (g, h))
+                assert table.commuting({g, h}) == (x * y == y * x)
         noncommuting = next((g, h) for g in sample for h in sample
-                            if not ctx.commuting({g, h}))
-        assert not ctx.commuting(set(sample))
-        x, y = (ctx.basis_element(g) for g in noncommuting)
+                            if not table.commuting({g, h}))
+        assert not table.commuting(set(sample))
+        x, y = (GroupAlgebraElement.basis_element(table, g) for g in noncommuting)
         assert not x.supports_commute([x + x.unit(), y])
         assert x.supports_commute([x, x.adjoint(), x.unit()])
 
 
-def test_a_commutative_algebra_proves_every_support_commutes(pauli_rep, table33):
+def test_a_commutative_algebra_proves_every_support_commutes(pauli_rep, regular33):
     one = DenseElement.identity(1)
     assert one.supports_commute([one, one - one])
     x = pauli_rep.images[0]
     assert not x.supports_commute([x, x.unit()])  # true, but not proven
-    ctx = GroupAlgebraContext(table33)
-    elems = [ctx.basis_element(g) for g in range(ctx.size)]
+    elems = [GroupAlgebraElement.basis_element(regular33, g)
+             for g in range(regular33.num_cosets)]
     assert elems[0].supports_commute(elems)
 
 
