@@ -33,7 +33,8 @@ EXIT_INTERNAL = 4
 
 @dataclass
 class RunConfig:
-    """Validated flags for one run; echoed into every JSON report."""
+    """The flags of one run, one field per dest of the parser (see
+    `_parser`); echoed into every JSON report."""
 
     subcommand: str
     system_path: str | None = None
@@ -261,7 +262,11 @@ def cmd_cert(cfg: RunConfig) -> int:
     passed = report.passed
     # a failing source is not lifted: the run is a verified negative either way
     if cfg.lift and passed:
-        pa = decolor.canonical_assignment(G1, _pick_c0(cfg, G1))
+        # the decoloring keeps G*'s shared:-1 edges; cert has no --c0
+        if "shared:-1" not in G1.edge_palette():
+            raise UsageError("--lift needs G*'s shared:-1 edge color "
+                             "(--construction Gstar), and this graph has none")
+        pa = decolor.canonical_assignment(G1, "shared:-1")
         lifted = qcert.lift_cert(cert, report, pa)
         lift_report = qcert.verify_cert(lifted)
         result["lifted_verification"] = lift_report.to_json_dict()
@@ -315,22 +320,28 @@ def cmd_aut(cfg: RunConfig, path: str) -> int:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use: parsing reads it
-    and never changes it."""
+    and never changes it.  Every dest is a field of `RunConfig` (cert's kind
+    is its `subcommand`), except `run`, the command's function, and `paths`,
+    the graph files that `iso` and `aut` take as arguments."""
     top = argparse.ArgumentParser(prog="lcsq", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="subcommand", required=True)
 
     def add_inputs(p, need_construction=False):
-        p.add_argument("--system", help="system file (rows;rows|b)")
-        p.add_argument("--graph", help="graph file (vertex count, then edges)")
+        p.add_argument("--system", dest="system_path", metavar="SYSTEM",
+                       help="system file (rows;rows|b)")
+        p.add_argument("--graph", dest="graph_path", metavar="GRAPH",
+                       help="graph file (vertex count, then edges)")
         p.add_argument("--b", help="right-hand side bits in constraint order")
         if need_construction:
             p.add_argument("--construction", choices=["G", "Gstar"])
 
     p = sub.add_parser("solve", help="classical solvability of Mx = b")
+    p.set_defaults(run=cmd_solve)
     add_inputs(p)
     p.add_argument("--json", dest="json_out")
 
     p = sub.add_parser("build", help="build (and optionally decolor) the graph")
+    p.set_defaults(run=cmd_build)
     add_inputs(p, need_construction=True)
     p.add_argument("--decolor", choices=["none", "vertices", "full"], default="none")
     p.add_argument("--c0", help="edge color kept during decoloring (default shared:-1)")
@@ -338,6 +349,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="write DOT here")
 
     p = sub.add_parser("group", help="solution group order / abelianness / words")
+    p.set_defaults(run=cmd_group)
     add_inputs(p)
     p.add_argument("--homogeneous", action="store_true")
     p.add_argument("--cap", type=int)
@@ -345,7 +357,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_out")
 
     p = sub.add_parser("cert", help="build + verify a magic-unitary certificate")
-    p.add_argument("kind", choices=["qut", "qiso"])
+    p.set_defaults(run=cmd_cert)
+    p.add_argument("subcommand", choices=["qut", "qiso"])
     add_inputs(p, need_construction=True)
     p.add_argument("--b1")
     p.add_argument("--b2")
@@ -355,14 +368,17 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write certificate JSON here")
     p.add_argument("--report", help="write verification report JSON here")
 
+    # each graph file appends to `paths`, in order
     p = sub.add_parser("iso", help="classical isomorphism of two graph JSONs")
-    p.add_argument("graph1")
-    p.add_argument("graph2")
+    p.set_defaults(run=cmd_iso)
+    p.add_argument("paths", metavar="graph1", action="append")
+    p.add_argument("paths", metavar="graph2", action="append")
     p.add_argument("--map-out", dest="map_out")
     p.add_argument("--json", dest="json_out")
 
     p = sub.add_parser("aut", help="automorphism group of a graph JSON")
-    p.add_argument("graph")
+    p.set_defaults(run=cmd_aut)
+    p.add_argument("paths", metavar="graph", action="append")
     p.add_argument("--json", dest="json_out")
     return top
 
@@ -370,43 +386,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        fields = vars(parser.parse_args(argv))
     except SystemExit as exc:  # argparse uses its own exit codes
         return EXIT_USAGE if exc.code else EXIT_OK
+    run, paths = fields.pop("run"), fields.pop("paths", ())
 
     try:
-        common = dict(
-            system_path=getattr(args, "system", None),
-            graph_path=getattr(args, "graph", None) if args.command != "aut" else None,
-            b=getattr(args, "b", None),
-            json_out=getattr(args, "json_out", None),
-        )
-        if args.command in ("solve", "build", "group", "cert"):
-            given = [common[k] is not None for k in ("system_path", "graph_path")]
+        if "system_path" in fields:  # the commands that read a system
+            given = [fields[k] is not None for k in ("system_path", "graph_path")]
             if not any(given):
                 raise UsageError("one of --system/--graph is required")
             if all(given):
                 raise UsageError("--system and --graph are mutually exclusive")
-
-        if args.command == "solve":
-            return cmd_solve(RunConfig("solve", **common))
-        if args.command == "build":
-            return cmd_build(RunConfig(
-                "build", construction=args.construction, decolor=args.decolor,
-                c0=args.c0, out=args.out, dot=args.dot, **common))
-        if args.command == "group":
-            return cmd_group(RunConfig(
-                "group", homogeneous=args.homogeneous, cap=args.cap,
-                word=args.word, **common))
-        if args.command == "cert":
-            return cmd_cert(RunConfig(
-                args.kind, construction=args.construction, b1=args.b1, b2=args.b2,
-                rep=args.rep, lift=args.lift, cap=args.cap,
-                out=args.out, report=args.report, **common))
-        if args.command == "iso":
-            cfg = RunConfig("iso", map_out=args.map_out, json_out=args.json_out)
-            return cmd_iso(cfg, args.graph1, args.graph2)
-        return cmd_aut(RunConfig("aut", json_out=args.json_out), args.graph)
+        return run(RunConfig(**fields), *paths)
     except (OSError, ValueError) as exc:  # usage, parse and file errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

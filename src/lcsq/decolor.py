@@ -6,12 +6,18 @@ Path lengths are chosen canonically (0, 1, 2, ... along the palette order
 of `lcsq.graphs`), so two graphs sharing a palette receive identical
 assignments -- certificates can then be transported between the decolored
 graphs entry by entry.  A path assignment maps each color string straight
-to its length.  Every vertex of a decoloring carries a stable id, the
-string its graph file holds, so downstream constructions can address it by
-provenance instead of by renumbered index.  `VertexId` writes every id; the
-stages lay out each attached path with one C-level extend of its ids (a
-map of the path's format string over its positions) and one of its edges
-(a zip of the path's vertices with themselves shifted by one).
+to its length.
+
+This module alone decides the layout of a decoloring: which vertices and
+edges get a path, of what length, and at which indices (`_vertex_chains`,
+`_edge_chains`).  Both stages lay out from those rules, and so does
+`chains`, which gives each vertex and colored edge of G its indices in
+G'' without building G''.  Every vertex of a decoloring carries a stable
+id, the string its graph file holds (`orig:v`, `vpath:v:i`, `sub:a-b`,
+`epath:a-b:i`), written only by the two stages.  Each attached path is
+laid out with one C-level extend of its ids (a map of the path's format
+string over its positions) and one of its edges (a zip of the path's
+vertices with themselves shifted by one).
 """
 
 from __future__ import annotations
@@ -20,35 +26,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .graphs import ColoredGraph
-
-
-class VertexId:
-    """The ids of the decoloring's vertices, as strings: an original vertex
-    v, the subdivision vertex of an edge (a, b), a < b, and the i-th vertex
-    of the path attached to either.  Path positions start at 1, and a path's
-    ids are `format(i)` of its format string (`vpath`, `epath`), so one
-    path's ids are laid out by one C-level map.  This module is the one that
-    writes the format.  They are static methods of a class, which
-    `bench/tracer.py` does not wrap, so a call made once per vertex or path
-    opens no trace span."""
-
-    @staticmethod
-    def orig(v: int) -> str:
-        return f"orig:{v}"
-
-    @staticmethod
-    def vpath(v: int) -> str:
-        """The format string of the ids of the path attached to v."""
-        return f"vpath:{v}:{{}}"
-
-    @staticmethod
-    def sub(a: int, b: int) -> str:
-        return f"sub:{a}-{b}"
-
-    @staticmethod
-    def epath(a: int, b: int) -> str:
-        """The format string of the ids of the path attached to sub(a, b)."""
-        return f"epath:{a}-{b}:{{}}"
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +84,48 @@ def canonical_assignment(G: ColoredGraph, c0: str) -> PathAssignment:
 # The two stages
 
 
+def _vertex_chains(G: ColoredGraph, pa: PathAssignment) -> dict[int, list[int]]:
+    """Vertex v of G -> v followed by the indices of its path, for every v
+    that gets one: a colored vertex, with a path of its color's length n_c.
+    The paths follow G's vertices, one after another in vertex order."""
+    chains, end = {}, G.num_vertices
+    for v, color in enumerate(G.vertex_colors):
+        if color is not None:
+            n = pa.vertex_length(color)
+            # a vertex's two path edges share its one int object
+            chains[v] = [v, *range(end, end + n)]
+            end += n
+    return chains
+
+
+def _subdivided(color: str | None, pa: PathAssignment) -> bool:
+    """Whether the second stage subdivides an edge of this color: one that
+    is neither None nor c0."""
+    return color is not None and color != pa.c0
+
+
+def _edge_chains(edges, start: int, pa: PathAssignment) -> list[tuple]:
+    """(u, v, c, chain) for every edge (u, v, c) that is subdivided, in edge
+    order, with a path of its color's length m_c.  `chain` is the
+    subdivision's index and then its path's, the chains laid out one after
+    another from `start`; a KeyError when a color has no assigned length."""
+    out = []
+    for (u, v, c) in edges:
+        if _subdivided(c, pa):
+            m = pa.edge_length(c)
+            out.append((u, v, c, list(range(start, start + m + 1))))
+            start += m + 1
+    return out
+
+
 def decolor_vertices(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     """G -> G': attach a path of length n_{c(v)} to every vertex, color all
     path edges c0, drop the vertex colors, keep the edge colors.  Vertex v
     of G stays vertex v, and the path vertices follow."""
-    labels = [VertexId.orig(v) for v in range(G.num_vertices)]
+    labels = [f"orig:{v}" for v in range(G.num_vertices)]
     edges = list(G.edges)
-    for v, color in enumerate(G.vertex_colors):
-        if color is None:
-            continue
-        n = pa.vertex_length(color)
-        # v and its path; a vertex's two path edges share its one int object
-        path = [v, *range(len(labels), len(labels) + n)]
-        labels.extend(map(VertexId.vpath(v).format, range(1, n + 1)))
+    for v, path in _vertex_chains(G, pa).items():
+        labels.extend(map(f"vpath:{v}:{{}}".format, range(1, len(path))))
         edges.extend(zip(path, path[1:], repeat(pa.c0)))
     meta = {
         "construction": G.meta.get("construction", "graph") + "'",
@@ -137,23 +143,13 @@ def decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     G'.  `decolor_vertices` keeps vertex v of G at index v, so for an edge
     of G those are its endpoints in G too."""
     labels = list(Gp.labels)
-    edges = []
-    new_vertices = []
-    for (u, v, c) in Gp.edges:
-        if c is None or c == pa.c0:
-            edges.append((u, v, None))
-            continue
-        m = pa.edge_length(c)  # KeyError when a color has no assigned length
-        new_vertices.append((m, u, v))
-
-    for (m, u, v) in new_vertices:
-        path = list(range(len(labels), len(labels) + m + 1))  # sub and its path
-        labels.append(VertexId.sub(u, v))
-        labels.extend(map(VertexId.epath(u, v).format, range(1, m + 1)))
+    edges = [(u, v, None) for (u, v, c) in Gp.edges if not _subdivided(c, pa)]
+    for (u, v, _, path) in _edge_chains(Gp.edges, len(labels), pa):
+        labels.append(f"sub:{u}-{v}")
+        labels.extend(map(f"epath:{u}-{v}:{{}}".format, range(1, len(path))))
         edges.append((u, path[0], None))
         edges.append((v, path[0], None))
         edges.extend(zip(path, path[1:], repeat(None)))
-
     meta = {
         "construction": Gp.meta.get("construction", "graph") + "'",
         "base": dict(Gp.meta),
@@ -165,6 +161,24 @@ def decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
 def decolor_full(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     """G -> G'': both stages under one path assignment."""
     return decolor_edges(decolor_vertices(G, pa), pa)
+
+
+def chains(G: ColoredGraph, pa: PathAssignment) -> tuple[list, dict]:
+    """The indices in `decolor_full(G, pa)` of each vertex of G and of each
+    edge of G whose color is not c0, without building it.
+
+    Returns (vertices, edges): vertices[v] is [v, path...], and
+    edges[c][(a, b)] is [subdivision, path...] for the edge (a, b) of color
+    c, in edge order.  G' holds G's edges, then the c0-colored path edges,
+    so its subdivided edges are G's, in G's order and with G's endpoints,
+    laid out after G's vertices and their paths."""
+    vertex_chains = _vertex_chains(G, pa)
+    vertices = [vertex_chains.get(v, [v]) for v in range(G.num_vertices)]
+    start = G.num_vertices + sum(len(path) - 1 for path in vertex_chains.values())
+    edges: dict[str, dict] = {}
+    for (a, b, c, path) in _edge_chains(G.edges, start, pa):
+        edges.setdefault(c, {})[(a, b)] = path
+    return vertices, edges
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ from functools import cached_property
 
 from .f2core import LinearSystem
 from .graphs import ColoredGraph, block_labels
-from .decolor import PathAssignment, VertexId, decolor_full
+from .decolor import PathAssignment, chains, decolor_full
 from .reps import Representation, VerificationReport, verify_representation
 
 class CertificateError(Exception):
@@ -508,7 +508,8 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
     the report fails, without re-verifying the source.  Both decolorings are
     built here, with `decolor_full` under `pa` (one, when the two graphs are
     one object), so they cannot disagree with each other or with the
-    certificate.
+    certificate.  Each vertex and each edge whose color is not c0 is found
+    in them by `decolor.chains`, the decoloring's own layout.
 
     A vertex of G and its path inherit the source entry at equal path
     positions; subdivision vertices of same-colored edges e = (a, b) and
@@ -527,26 +528,8 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
     Gpp1 = decolor_full(G1, pa)
     Gpp2 = Gpp1 if G2 is G1 else decolor_full(G2, pa)
 
-    def chains(G: ColoredGraph, Gpp: ColoredGraph):
-        """Each vertex of G as the indices in Gpp of its original vertex and
-        path, and each edge whose color is not c0 as those of its
-        subdivision and path, keyed by its color and then by the edge."""
-        index = {label: i for i, label in enumerate(Gpp.labels)}
-        vertices = []
-        for v, color in enumerate(G.vertex_colors):
-            n = pa.vertex_length(color) if color is not None else 0
-            vertices.append([index[VertexId.orig(v)], *map(
-                index.__getitem__, map(VertexId.vpath(v).format, range(1, n + 1)))])
-        edges: dict[str, dict] = {}
-        for (a, b, c) in G.edges:
-            if c is not None and c != pa.c0:
-                m = pa.edge_length(c)
-                edges.setdefault(c, {})[(a, b)] = [index[VertexId.sub(a, b)], *map(
-                    index.__getitem__, map(VertexId.epath(a, b).format, range(1, m + 1)))]
-        return vertices, edges
-
-    vertices1, edges1 = chains(G1, Gpp1)
-    vertices2, edges2 = (vertices1, edges1) if Gpp2 is Gpp1 else chains(G2, Gpp2)
+    vertices1, edges1 = chains(G1, pa)
+    vertices2, edges2 = (vertices1, edges1) if G2 is G1 else chains(G2, pa)
 
     out: dict = {}
 

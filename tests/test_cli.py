@@ -325,6 +325,29 @@ def test_group_reports_are_pinned(files, monkeypatch, name):
     assert text == _dump(dict(expected, config=json.loads(text)["config"]))
 
 
+# sha256 of `solve --json` and `group --json` reports with their `config`
+# echo, run from the directory holding the input files; measured before
+# `RunConfig` was built from the parser's namespace
+JSON_REPORT_SHA256 = {
+    "solve-solvable": (["solve", "--system", "ex.sys"], 0,
+                       "506cd66727024e46d0ee711638ece3c1b8d6d46f283d1ce880fe8a5738215d6e"),
+    "solve-unsolvable": (["solve", "--graph", "k33.g", "--b", "100000"], 1,
+                         "eb54e0fcf0cbe53ae31988ececb92acffdd42f29bd62024a92d4fdcb2ed30f81"),
+    "group-word": (["group", "--graph", "k33.g", "--b", "100000", "--word", "gamma"], 0,
+                   "c0a1b424504b57c7cc5b282c81053ff383333742bb8ce1120f72a390f4346bc9"),
+    "group-capped": (["group", "--graph", "k34.g", "--homogeneous", "--cap", "10"], 3,
+                     "7c17010ad03f5d0c3c2e3e6f6278aed254d89007aa4cdd206c4a8273e844dcd0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_REPORT_SHA256))
+def test_json_reports_with_their_config_are_pinned(files, monkeypatch, name):
+    argv, code, digest = JSON_REPORT_SHA256[name]
+    monkeypatch.chdir(files)
+    assert run(*argv, "--json", "r.json") == code
+    assert hashlib.sha256((files / "r.json").read_bytes()).hexdigest() == digest
+
+
 def test_group_empty_word_is_the_identity(files, capsys):
     report = files / "w.json"
     assert run("group", "--graph", files / "k34.g", "--word", "", "--json", report) == 0
@@ -722,6 +745,22 @@ def test_cert_qut_rejects_b2(files, capsys, b2):
                "--rep", "regular") == 2
     assert capsys.readouterr().err == (
         "error: qut takes no --b2: its column graph is its row graph\n")
+
+
+@pytest.mark.parametrize("inputs", [["--graph", "k33.g", "--construction", "G"],
+                                    ["--system", "path.sys"]],
+                         ids=["construction-G", "system"])
+def test_lift_without_shared_color_names_the_cause(files, monkeypatch, capsys, inputs):
+    # the lift keeps G*'s shared:-1 edges and cert has no --c0; G(M, b), the
+    # default construction of a --system input, has no such color
+    (files / "path.sys").write_text("110;011|00\n")
+    monkeypatch.chdir(files)
+    assert run("cert", "qut", *inputs, "--rep", "regular", "--lift") == 2
+    assert capsys.readouterr().err == (
+        "error: --lift needs G*'s shared:-1 edge color (--construction Gstar), "
+        "and this graph has none\n")
+    assert run("cert", "qut", "--system", "path.sys", "--construction", "Gstar",
+               "--rep", "regular", "--lift") == 0
 
 
 @pytest.mark.parametrize("kind, flags", [("qut", ["--b1", ""]),

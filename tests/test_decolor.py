@@ -9,10 +9,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcsq.decolor import (PathAssignment, canonical_assignment, check_matchings,
+from lcsq.decolor import (PathAssignment, canonical_assignment, chains, check_matchings,
                           check_min_degree, decolor_edges, decolor_full,
                           decolor_vertices)
-from lcsq.graphs import ColoredGraph, build_G, serialize
+from lcsq.f2core import complete_bipartite, incidence_system
+from lcsq.graphs import ColoredGraph, build_G, build_Gstar, serialize
 from oracles import system
 
 C0 = "shared:-1"
@@ -363,6 +364,54 @@ def test_stages_match_their_per_vertex_loops(case):
     Gpp = decolor_edges(Gp, pa)
     assert Gpp == oracle_decolor_edges(Gp, pa)
     assert decolor_full(G, pa) == Gpp
+
+
+# ---------------------------------------------------------------------------
+# chains against the ids
+
+
+def oracle_chains(G: ColoredGraph, pa: PathAssignment) -> tuple[list, dict]:
+    """`chains` by lookup: each vertex and each edge whose color is not c0
+    found by its ids in the labels of `decolor_full(G, pa)`."""
+    index = {label: i for i, label in enumerate(decolor_full(G, pa).labels)}
+    vertices = []
+    for v, color in enumerate(G.vertex_colors):
+        n = pa.vertex_length(color) if color is not None else 0
+        vertices.append([index[f"orig:{v}"],
+                         *(index[f"vpath:{v}:{i}"] for i in range(1, n + 1))])
+    edges: dict[str, dict] = {}
+    for (a, b, c) in G.edges:
+        if c is not None and c != pa.c0:
+            m = pa.edge_length(c)
+            edges.setdefault(c, {})[(a, b)] = [
+                index[f"sub:{a}-{b}"], *(index[f"epath:{a}-{b}:{i}"] for i in range(1, m + 1))]
+    return vertices, edges
+
+
+def assert_chains_match_the_ids(G: ColoredGraph, pa: PathAssignment) -> None:
+    vertices, edges = chains(G, pa)
+    expected_vertices, expected_edges = oracle_chains(G, pa)
+    assert vertices == expected_vertices
+    # the same colors, and each color's edges in the same order
+    assert [(c, list(e.items())) for c, e in edges.items()] == \
+        [(c, list(e.items())) for c, e in expected_edges.items()]
+
+
+@pytest.mark.parametrize("b", ["0", "e1"])
+@pytest.mark.parametrize("p, q", [(3, 3), (3, 4), (3, 5)])
+def test_chains_match_the_ids_on_gstar(p, q, b):
+    # both b under the b = 0 graph's canonical assignment, as `cert --lift`
+    # decolors a qiso pair
+    rhs = {"0": (0,) * (p + q), "e1": (1,) + (0,) * (p + q - 1)}
+    G0 = build_Gstar(incidence_system(complete_bipartite(p, q), rhs["0"]))
+    G = build_Gstar(incidence_system(complete_bipartite(p, q), rhs[b]))
+    assert_chains_match_the_ids(G, canonical_assignment(G0, C0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(decoloring_cases())
+def test_chains_match_the_ids_on_random_graphs(case):
+    assert_chains_match_the_ids(*case)
 
 
 # ---------------------------------------------------------------------------
