@@ -15,9 +15,10 @@ edges get a path, of what length, and at which indices (`_vertex_chains`,
 G'' without building G''.  Every vertex of a decoloring carries a stable
 id, the string its graph file holds (`orig:v`, `vpath:v:i`, `sub:a-b`,
 `epath:a-b:i`), written only by the two stages.  Each attached path is
-laid out with one C-level extend of its ids (a map of the path's format
-string over its positions) and one of its edges (a zip of the path's
-vertices with themselves shifted by one).
+laid out with one C-level extend of its ids (the path's id prefix added
+to each of the position strings "1", "2", ..., made once per stage) and
+one of its edges (a zip of the path's vertices with themselves shifted by
+one).
 """
 
 from __future__ import annotations
@@ -118,14 +119,21 @@ def _edge_chains(edges, start: int, pa: PathAssignment) -> list[tuple]:
     return out
 
 
+def _positions(lengths: dict[str, int]) -> list[str]:
+    """The position strings "1", "2", ... up to the longest path length:
+    a path of length n ends its vertex ids with the first n."""
+    return [str(i) for i in range(1, max(lengths.values(), default=0) + 1)]
+
+
 def decolor_vertices(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     """G -> G': attach a path of length n_{c(v)} to every vertex, color all
     path edges c0, drop the vertex colors, keep the edge colors.  Vertex v
     of G stays vertex v, and the path vertices follow."""
     labels = [f"orig:{v}" for v in range(G.num_vertices)]
     edges = list(G.edges)
+    positions = _positions(pa.vertex_lengths)
     for v, path in _vertex_chains(G, pa).items():
-        labels.extend(map(f"vpath:{v}:{{}}".format, range(1, len(path))))
+        labels.extend(map(f"vpath:{v}:".__add__, positions[:len(path) - 1]))
         edges.extend(zip(path, path[1:], repeat(pa.c0)))
     meta = {
         "construction": G.meta.get("construction", "graph") + "'",
@@ -144,9 +152,10 @@ def decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     of G those are its endpoints in G too."""
     labels = list(Gp.labels)
     edges = [(u, v, None) for (u, v, c) in Gp.edges if not _subdivided(c, pa)]
+    positions = _positions(pa.edge_lengths)
     for (u, v, _, path) in _edge_chains(Gp.edges, len(labels), pa):
         labels.append(f"sub:{u}-{v}")
-        labels.extend(map(f"epath:{u}-{v}:{{}}".format, range(1, len(path))))
+        labels.extend(map(f"epath:{u}-{v}:".__add__, positions[:len(path) - 1]))
         edges.append((u, path[0], None))
         edges.append((v, path[0], None))
         edges.extend(zip(path, path[1:], repeat(None)))

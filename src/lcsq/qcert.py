@@ -29,8 +29,10 @@ both sides hold the same objects (the residual is then 0.0 with no
 algebra), and equal ints mean equal sums: the sums are exact, so
 neither the order of the terms nor cancelling a term on both sides
 changes them.  Each
-distinct nonzero signature is decoded and summed once; entries that
-coincide by the block structure share one object, so most sums repeat.
+distinct nonzero signature is decoded and summed once, up to sign: -sig
+is the negated sum, and both norms ignore sign, so a sum and its negation
+share one memo entry under abs(sig).  Entries that coincide by the block
+structure share one object, so most sums repeat.
 Intertwining with one edge color forms only the rows that color reaches:
 a row with a neighbour in the row graph, or with an entry in a column
 that has a neighbour in the column graph; every other row is zero.
@@ -38,12 +40,17 @@ A family's residual is the largest norm of any single entry: a per-entry
 Frobenius norm for dense elements, and for group-algebra elements the l1
 norm of the coefficients.  Both element types are exact, so a norm is
 zero exactly on zero, and a family passes only when its residual is
-literally 0.0.
+literally 0.0.  A difference of two formed elements (e - e* and e^2 - e
+for a projection, a commutator, a `block_equal` pair) is measured by
+the elements' `distance`, which decides a zero by equality and subtracts
+only two elements that differ.
 
 A commutator xy - yx of self-adjoint x and y is xy - (xy)*, so it takes
 one product and an adjoint; the block-commutation family, the witness
 search and the lift's gadgets all use this, and fall back to two
-products for an element that is not self-adjoint.  An algebra that is
+products for an element that is not self-adjoint.  The lift forms each
+product of two stored objects once per call: its gadgets repeat a few
+operand pairs many times.  An algebra that is
 commutative (a group algebra of an abelian group, or 1 x 1 matrices)
 holds no quantum-symmetry witness, and the search is skipped.  A block
 whose entries commute as their supports show (`supports_commute`) takes
@@ -223,15 +230,18 @@ def _decode(sig: int, bits: int) -> tuple[list[int], list[int]]:
 
 def _residual(memo: dict, elems: list, bits: int, sig: int) -> float:
     """Residual norm of the sum with signature `sig`, summed once per
-    signature.
+    signature up to sign.
 
     `sig` is sum(weight of plus terms) - sum(weight of minus terms), where
     object `elems[e]` weighs 1 << (e * bits) and no object occurs more than
     2**(bits - 1) - 1 times on one side, so each digit is one object's
-    signed multiplicity.  `memo` maps 0 to 0.0: equal multisets cancel.  A
-    nonzero signature is decoded into its uncancelled terms; the sums are
-    exact, so those give the same element as the terms that built it.
+    signed multiplicity.  `memo` is keyed by abs(sig): -sig is the
+    negated sum, and a residual norm ignores sign.  It maps 0 to 0.0:
+    equal multisets cancel.  A nonzero signature is decoded into its
+    uncancelled terms; the sums are exact, so those give the same element
+    as the terms that built it.
     """
+    sig = abs(sig)
     r = memo.get(sig)
     if r is None:
         plus, minus = _decode(sig, bits)
@@ -246,7 +256,7 @@ def _commutator_norm(x, y, selfadjoint: bool) -> float:
     """Residual norm of xy - yx.  When x and y are both self-adjoint, yx is
     (xy)*, so one product and an adjoint give the same element."""
     xy = x * y
-    return (xy - (xy.adjoint() if selfadjoint else y * x)).residual_norm()
+    return xy.distance(xy.adjoint() if selfadjoint else y * x)
 
 
 def _intertwine(rows: dict, col_rows: dict, adj1: dict, adj2: dict,
@@ -328,9 +338,13 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     norm of any one offending element.  For the dense backend that is the
     Frobenius norm of one d x d entry (for intertwining, of one (i, j)
     entry of A_G u - u A_G'), not of the whole difference.  Each distinct
-    row, column or intertwining sum is evaluated once, and one whose two
-    sides hold the same objects not at all (see `_residual`); the family
-    reports the first row or column attaining its residual.  Intertwining
+    row, column or intertwining sum is evaluated once, a sum and its
+    negation once between them, and one whose two sides hold the same
+    objects not at all (see `_residual`); the family reports the first row
+    or column attaining its residual, looked up under the same sign-folded
+    signature.  The projection, `block_equal` and commutator residuals
+    come from `distance`, so a difference of two equal elements is 0.0
+    with no subtraction.  Intertwining
     is formed one row at a time from an index of the entries by row, and
     only at the rows an edge color reaches (see `_intertwine`), found from
     a second index of the rows by column.  A block whose representatives'
@@ -350,10 +364,10 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     selfadjoint: set[int] = set()
     worst, desc = 0.0, ""
     for key, elem in distinct:
-        skew = (elem - elem.adjoint()).residual_norm()
+        skew = elem.distance(elem.adjoint())
         if not skew:
             selfadjoint.add(id(elem))
-        r = max(skew, (elem * elem - elem).residual_norm())
+        r = max(skew, (elem * elem).distance(elem))
         if r > worst:
             worst, desc = r, f"entry {key}"
     families.append(("projection", worst, desc))
@@ -400,7 +414,8 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
         worst = max((_residual(memo, elems, bits, sig) for sig in sigs), default=0.0)
         desc = ""
         if worst:  # the first row or column attaining it
-            idx = next(idx for idx in range(count) if memo[sums.get(idx, 0) - minus] == worst)
+            idx = next(idx for idx in range(count)
+                       if memo[abs(sums.get(idx, 0) - minus)] == worst)
             desc = f"{name} {idx}"
         families.append((f"{name}_sum", worst, desc))
     del sums  # one int per column: free them before the intertwining
@@ -427,7 +442,7 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
             for other in group[1:]:
                 if other is first:
                     continue
-                r = (other - first).residual_norm()
+                r = other.distance(first)
                 if r > worst:
                     worst, desc = r, f"block {k} delta {dname}"
         families.append(("block_equal", worst, desc))
@@ -518,7 +533,10 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
     passes, so its entries are self-adjoint and u_{bd} u_{ac} is
     (u_{ac} u_{bd})*: the check and the gadget share one product.  Gadgets
     with the same four input objects are one element, built and checked
-    once.
+    once, and each product of two stored objects is formed once per call,
+    keyed by the objects' identities, whichever gadget and factor first
+    needs it; the commutation check still runs at every new gadget, so it
+    names the first edge pair whose entries do not commute.
     """
     if not report.passed:
         raise CertificateError(
@@ -542,6 +560,17 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
     # edge gadgets: w_{e_k, f_k} = u_{ac} u_{bd} + u_{ad} u_{bc}
     zero = cert.zero()
     gadgets: dict[tuple[int, int, int, int], object] = {}
+    # keyed by the operands' ids: each is a stored entry or `zero`, alive
+    # for the whole call
+    products: dict[tuple[int, int], object] = {}
+
+    def product(x, y):
+        key = (id(x), id(y))
+        xy = products.get(key)
+        if xy is None:
+            xy = products[key] = x * y
+        return xy
+
     for color, elist in sorted(edges1.items()):
         for (a, b), chain1 in elist.items():
             for (c, d), chain2 in edges2.get(color, {}).items():
@@ -553,11 +582,11 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
                 elem = gadgets.get(sig)
                 if elem is None:
                     # the entries are self-adjoint, so u_bd u_ac = (u_ac u_bd)*
-                    prod = u_ac * u_bd
+                    prod = product(u_ac, u_bd)
                     if prod != prod.adjoint():
                         raise CertificateError(
                             f"entries for edges {(a, b)}/{(c, d)} do not commute")
-                    elem = gadgets[sig] = prod + u_ad * u_bc
+                    elem = gadgets[sig] = prod + product(u_ad, u_bc)
                 for key in zip(chain1, chain2):
                     out[key] = elem
 

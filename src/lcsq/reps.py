@@ -19,12 +19,14 @@ value is numerators / 2^exp), normalized so that either exp = 0 or some
 numerator is odd, so equal elements are equal objects field by field.
 One base class holds what reads only the numerators: `combine` (the sum
 of one sequence of elements minus the sum of another, in one call),
-sums, negation, halving, equality, and `same_algebra`, the one check that
-two elements meet.  Each type adds its product, adjoint, `unit`,
-`commutative`, `supports_commute` (whether some elements commute, as
-their supports alone show: in the group algebra, when every two group
-elements in the union of the supports commute), `to_json()`, its
-`backend` name, and a residual norm that is 0.0 exactly on the zero
+sums, negation, halving, equality, `distance` (the residual norm of a
+difference, 0.0 without subtracting when the two are equal, as normalized
+elements are exactly when their difference is zero), and `same_algebra`,
+the one check that two elements meet.  Each type adds its product,
+adjoint, `unit`, `commutative`, `supports_commute` (whether some elements
+commute, as their supports alone show: in the group algebra, when every
+two group elements in the union of the supports commute), `to_json()`,
+its `backend` name, and a residual norm that is 0.0 exactly on the zero
 element; a relation holds only when its residual is literally zero.
 """
 
@@ -136,6 +138,14 @@ class _Dyadic:
     def __eq__(self, other) -> bool:
         return (self.same_algebra(other) and self.exp == other.exp
                 and self.coeffs == other.coeffs)
+
+    def distance(self, other) -> float:
+        """The residual norm of self - other: 0.0 with no subtraction when
+        the two are equal field by field, which normalized elements are
+        exactly when their difference is zero."""
+        if self == other:
+            return 0.0
+        return (self - other).residual_norm()
 
     def __hash__(self):
         return hash((self.exp, tuple(sorted(self.coeffs.items()))))
@@ -390,20 +400,20 @@ def verify_representation(R: Representation, sys: LinearSystem) -> VerificationR
 
     families = []
     for i, x in enumerate(R.images):
-        families.append((f"selfadjoint:x{i + 1}", (x - x.adjoint()).residual_norm(), ""))
-        families.append((f"involution:x{i + 1}", (x * x - one).residual_norm(), ""))
+        families.append((f"selfadjoint:x{i + 1}", x.distance(x.adjoint()), ""))
+        families.append((f"involution:x{i + 1}", (x * x).distance(one), ""))
 
     for i, j in sys.sharing_pairs():
         xi, xj = R.images[i], R.images[j]
         families.append((f"commute:x{i + 1},x{j + 1}",
-                         (xi * xj - xj * xi).residual_norm(), ""))
+                         (xi * xj).distance(xj * xi), ""))
 
     for k in range(sys.num_constraints):
         prod = one
         for i in sys.support(k):
             prod = prod * R.images[i]
         target = -one if sys.b[k] else one
-        families.append((f"product:k{k + 1}", (prod - target).residual_norm(), ""))
+        families.append((f"product:k{k + 1}", prod.distance(target), ""))
 
     return VerificationReport(tuple(families), one.backend)
 

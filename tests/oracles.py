@@ -139,6 +139,104 @@ def enumerated_rep(T: CosetTable) -> Representation:
 # certificates
 
 
+def plain_verify(cert: MagicUnitaryCert) -> VerificationReport:
+    """`verify_cert`'s report computed entry by entry with element
+    arithmetic alone: each entry's projection residuals, each row and column
+    summed term by term, each entry of A_G u - u A_G' for each edge color,
+    each same-block entry subtracted from its class's first and each block
+    commutator formed with two products.  No signature, memo or equality
+    shortcut: each residual is the norm of a difference formed in full."""
+    G1, G2, one = cert.row_graph, cert.col_graph, cert.identity
+    entries = cert.entries
+    families = []
+
+    def worst_of(name, residuals):
+        """(name, largest residual, the first description attaining it)
+        from (description, residual) pairs."""
+        worst, desc = 0.0, ""
+        for d, r in residuals:
+            if r > worst:
+                worst, desc = r, d
+        return (name, worst, desc)
+
+    def chain(plus, minus):
+        """sum(plus) - sum(minus), one term at a time; at least one term."""
+        out = None
+        for elem in plus:
+            out = elem if out is None else out + elem
+        for elem in minus:
+            out = -elem if out is None else out - elem
+        return out
+
+    families.append(worst_of("projection", (
+        (f"entry {key}", max((e - e.adjoint()).residual_norm(), (e * e - e).residual_norm()))
+        for key, e in sorted(entries.items()))))
+    colors1, colors2 = G1.vertex_colors, G2.vertex_colors
+    color = worst_of("color", (
+        (f"entry ({i},{j}) colors {colors1[i]}/{colors2[j]}", e.residual_norm())
+        for (i, j), e in entries.items() if colors1[i] != colors2[j]))
+
+    if (one - one.unit()).residual_norm() and (
+            not one.residual_norm() or (one - one.adjoint()).residual_norm()
+            or (one * one - one).residual_norm()):
+        shape = "identity"  # not a nonzero projection
+    else:  # the first entry over another algebra
+        shape = next((f"entry {key}" for key in sorted(entries)
+                      if not one.same_algebra(entries[key])), None)
+    if shape is not None:
+        families += [("shape", 1.0, shape), color]
+        return VerificationReport(tuple(families), one.backend)
+
+    for axis, name, count in ((0, "row", G1.num_vertices), (1, "col", G2.num_vertices)):
+        lines = [[] for _ in range(count)]
+        for key, e in entries.items():
+            lines[key[axis]].append(e)
+        families.append(worst_of(f"{name}_sum", (
+            (f"{name} {idx}", chain(terms, [one]).residual_norm())
+            for idx, terms in enumerate(lines))))
+    families.append(color)
+
+    colors = sorted({c or "" for G in (G1, G2) for (_, _, c) in G.edges})
+    for cname in colors:
+        adj1, adj2 = ({u: [] for u in range(G.num_vertices)} for G in (G1, G2))
+        for G, adj in ((G1, adj1), (G2, adj2)):
+            for (u, v, c) in G.edges:
+                if (c or "") == cname:
+                    adj[u].append(v)
+                    adj[v].append(u)
+        left, right = {}, {}  # (i, j) -> the terms of (A_G u)[i, j], (u A_G')[i, j]
+        for (k, j), e in entries.items():
+            for i in adj1[k]:
+                left.setdefault((i, j), []).append(e)
+        for (i, k), e in entries.items():
+            for j in adj2[k]:
+                right.setdefault((i, j), []).append(e)
+        worst = max((chain(left.get(key, ()), right.get(key, ())).residual_norm()
+                     for key in left.keys() | right.keys()), default=0.0)
+        families.append((f"intertwine:{cname or 'plain'}", worst, cname or "plain"))
+
+    labels1, labels2 = block_labels(G1), block_labels(G2)
+    if labels1 is not None and labels2 is not None:
+        classes = {}  # (block, delta) -> its entries, in entry order
+        for (i, j), e in entries.items():
+            (k, alpha), (l, beta) = labels1[i], labels2[j]
+            if k == l:
+                delta = "".join("+" if a == b else "-" for a, b in zip(alpha, beta))
+                classes.setdefault((k, delta), []).append(e)
+        families.append(worst_of("block_equal", (
+            (f"block {k} delta {delta}", (e - elems[0]).residual_norm())
+            for (k, delta), elems in classes.items() for e in elems)))
+        firsts = {}
+        for (k, _), elems in classes.items():
+            firsts.setdefault(k, []).append(elems[0])
+        families.append(worst_of("block_commute", (
+            (f"block {k}", (x * y - y * x).residual_norm())
+            for k, elems in firsts.items()
+            for a, x in enumerate(elems) for y in elems[a + 1:])))
+
+    return VerificationReport(tuple(families), one.backend)
+
+
 def residual(report: VerificationReport, family: str) -> float:
     """The residual of a report's family, 0.0 when it has none."""
     return max((r for n, r, _ in report.families if n == family), default=0.0)

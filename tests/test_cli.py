@@ -662,6 +662,14 @@ def test_cert_verifies_each_certificate_once(files, monkeypatch, lift, calls):
     assert len(verified) == len({id(cert) for cert in verified}) == calls
 
 
+# sha256 of the whole report of each lifted job whose certificate has its
+# columns 0 and 1 swapped, measured before the sign-folded sum memo
+FAILING_REPORT_SHA256 = {
+    "qut-k34-regular": "b40db788b5679b70e02306f0dd5d035340a19524e4209a3d1d52076db7ff8adc",
+    "qiso-k33-pauli": "57920535c965939f9a80fa71bb1dd796c2586dc56a7e7af9dd16422c98358c88",
+}
+
+
 @pytest.mark.parametrize("job", sorted(LIFTED_JOBS))
 def test_failing_source_is_not_lifted_and_exits_1(files, monkeypatch, capsys, job):
     build = qcert.build_magic_unitary
@@ -674,6 +682,8 @@ def test_failing_source_is_not_lifted_and_exits_1(files, monkeypatch, capsys, jo
     data = json.loads((files / "report.json").read_text())
     assert data["verification"]["passed"] is False
     assert not any(key.startswith("lifted") for key in data)
+    assert hashlib.sha256((files / "report.json").read_bytes()).hexdigest() == \
+        FAILING_REPORT_SHA256[job]
 
 
 def test_cert_cap_exit_3(files):

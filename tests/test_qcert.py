@@ -20,11 +20,11 @@ from lcsq.decolor import canonical_assignment
 from lcsq.fpgroups import Presentation, regular_table, solution_presentation
 from lcsq.graphiso import automorphism_group
 from lcsq.reps import (DenseElement, GroupAlgebraElement, Representation,
-                       group_algebra_rep)
+                       _Dyadic, group_algebra_rep)
 from lcsq.qcert import (CertificateError, MagicUnitaryCert, VerificationReport,
                         _decode, _edge_classes, build_magic_unitary, lift_cert,
                         noncommuting_witness, verify_cert)
-from oracles import extract_generators, residual, system
+from oracles import extract_generators, plain_verify, residual, system
 from test_reps import as_array
 
 
@@ -510,6 +510,24 @@ def test_lift_rejects_any_nonzero_residual_in_the_report(pauli_cert, gpp33_pair)
     assert lift_cert(pauli_cert, clean, pa).row_graph == gpp33_pair[0]
 
 
+@pytest.mark.parametrize("key, edges", [((5, 4), "(5, 7)/(4, 6)"),
+                                        ((0, 1), "(0, 2)/(1, 3)")])
+def test_lift_names_the_first_edges_whose_entries_do_not_commute(pauli_cert, key, edges):
+    # one entry becomes (1 + X (x) I)/2, a projection that commutes with too
+    # few of the others; the report handed in is clean, so only the gadgets'
+    # commutation check can refuse.  The pairs were measured before the
+    # lift's product memo.  Neither gadget is the first one built, and with
+    # entry (0, 1) the failing product u_ac u_bd was already formed as the
+    # u_ad u_bc of an earlier gadget
+    P = DenseElement([[0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5],
+                      [0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5]])
+    bad = replace_entry(pauli_cert, key, P)
+    clean = VerificationReport((("projection", 0.0, ""),), "dense")
+    with pytest.raises(CertificateError,
+                       match=re.escape(f"entries for edges {edges} do not commute")):
+        lift_cert(bad, clean, lift_pa(bad))
+
+
 # ---------------------------------------------------------------------------
 # algebraic property suites
 
@@ -663,66 +681,12 @@ def test_regular_cert_verifies_lifts_and_round_trips_exactly(H):
 
 
 # ---------------------------------------------------------------------------
-# memoised sums against the chain sums they replaced
+# the verifier against the plain oracle (`oracles.plain_verify`)
 
 
-def reference_intertwine(cert, pairs1, pairs2):
-    """Largest residual norm over the entries of A1 u - u A2, each entry
-    summed as a chain of `+` in entry order."""
-    adj1, adj2 = {}, {}
-    for adj, pairs in ((adj1, pairs1), (adj2, pairs2)):
-        for (u, v) in pairs:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-    left, right = {}, {}
-    for (k, j), elem in cert.entries.items():
-        for i in adj1.get(k, ()):
-            key = (i, j)
-            left[key] = left[key] + elem if key in left else elem
-    for (i, k), elem in cert.entries.items():
-        for j in adj2.get(k, ()):
-            key = (i, j)
-            right[key] = right[key] + elem if key in right else elem
-    worst = 0.0
-    for key in left.keys() | right.keys():
-        a, b = left.get(key), right.get(key)
-        diff = (a - b) if (a is not None and b is not None) else (a if b is None else -b)
-        worst = max(worst, diff.residual_norm())
-    return worst
-
-
-def reference_sum_families(cert):
-    """The row_sum, col_sum and intertwine families, in verify_cert's order,
-    from chain sums."""
-    G1, G2 = cert.row_graph, cert.col_graph
-    one = cert.identity
-    families = []
-    for axis, name, count in ((0, "row_sum", G1.num_vertices),
-                              (1, "col_sum", G2.num_vertices)):
-        sums = {}
-        for (i, j), elem in cert.entries.items():
-            idx = i if axis == 0 else j
-            sums[idx] = sums[idx] + elem if idx in sums else elem
-        worst, desc = 0.0, ""
-        for idx in range(count):
-            total = sums.get(idx)
-            r = (total - one).residual_norm() if total is not None \
-                else one.residual_norm()
-            if r > worst:
-                worst, desc = r, f"{name.split('_')[0]} {idx}"
-        families.append((name, worst, desc))
-    classes1, classes2 = _edge_classes(G1), _edge_classes(G2)
-    for cname in sorted(classes1.keys() | classes2.keys()):
-        r = reference_intertwine(cert, classes1.get(cname, []), classes2.get(cname, []))
-        families.append((f"intertwine:{cname or 'plain'}", r, cname or "plain"))
-    return families
-
-
-def assert_sums_match_reference(cert):
-    report = verify_cert(cert)
-    expected = reference_sum_families(cert)
-    names = {name for name, _, _ in expected}
-    assert [f for f in report.families if f[0] in names] == expected
+def assert_equals_plain(cert):
+    """verify_cert's whole report is the plain oracle's."""
+    assert verify_cert(cert).to_json_dict() == plain_verify(cert).to_json_dict()
 
 
 @functools.lru_cache(maxsize=None)
@@ -746,21 +710,24 @@ def replace_object(cert, old, new):
 
 
 @st.composite
-def corrupted_certs(draw, pauli, pauli_rep):
-    """The Pauli certificate or a regular-rep certificate on a random
-    connected graph, after one to three corruptions: two columns swapped, an
-    entry zeroed, an entry replaced by another stored element, or a stored
-    object replaced wherever it is stored by a projection (1 +- x_j)/2 of
-    the source representation, which `block_equal` cannot tell apart."""
-    if draw(st.booleans()):
-        cert, rep = pauli, pauli_rep
-    else:
+def corrupted_certs(draw, certs, reps):
+    """A K3,3 certificate (Pauli or regular, source or lifted) or a
+    regular-rep certificate on a random connected graph, after one to three
+    corruptions: two columns swapped; an entry zeroed, negated, removed or
+    replaced by another stored element; or a stored object replaced
+    wherever it is stored by a projection (1 +- x_j)/2 of the source
+    representation, which `block_equal` cannot tell apart.  `reps` maps
+    "pauli" and "k33" to the K3,3 certificates' representations."""
+    name = draw(st.sampled_from(["pauli", "k33", "pauli-lifted", "k33-lifted", "random"]))
+    if name == "random":
         H = draw(connected_graphs())
         cert, rep = regular_cert(H), regular_rep(H)
+    else:
+        cert, rep = certs[name], reps[name.split("-")[0]]
     n = cert.col_graph.num_vertices
     stored = [elem for _, elem in cert.distinct_elements()]
-    for kind in draw(st.lists(st.sampled_from(["swap", "zero", "copy", "project"]),
-                              min_size=1, max_size=3)):
+    kinds = ["swap", "zero", "negate", "remove", "copy", "project"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
         if kind == "swap":
             cert = corrupt_swap_columns(cert, draw(st.integers(0, n - 1)),
                                         draw(st.integers(0, n - 1)))
@@ -768,18 +735,20 @@ def corrupted_certs(draw, pauli, pauli_rep):
             new = rep.projection(draw(st.integers(0, len(rep.images) - 1)),
                                  draw(st.sampled_from([1, -1])))
             cert = replace_object(cert, draw(st.sampled_from(stored)), new)
+        elif kind == "remove":
+            entries = dict(cert.entries)
+            del entries[draw(st.sampled_from(sorted(entries)))]
+            cert = dataclasses.replace(cert, entries=entries)
         else:
             key = draw(st.sampled_from(sorted(cert.entries)))
-            elem = cert.zero() if kind == "zero" else draw(st.sampled_from(stored))
+            if kind == "zero":
+                elem = cert.zero()
+            elif kind == "negate":
+                elem = -cert.entries[key]
+            else:
+                elem = draw(st.sampled_from(stored))
             cert = replace_entry(cert, key, elem)
     return cert
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_memoised_sums_match_chain_sums_on_corrupted_certs(pauli_cert, pauli_rep, data):
-    cert = data.draw(corrupted_certs(pauli_cert, pauli_rep))
-    assert_sums_match_reference(cert)
 
 
 @st.composite
@@ -826,7 +795,7 @@ def test_reordered_rows_read_one_residual(gstar33_0):
     residual = DenseElement.combine([a, b, c], [one]).residual_norm()
     assert residual > 0
     assert verify_cert(cert).families[1] == ("row_sum", residual, "row 0")
-    assert_sums_match_reference(cert)
+    assert_equals_plain(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +827,7 @@ def test_one_object_at_the_digit_bound(kind):
     assert residual(report, "intertwine:plain:0") == three_x.residual_norm() > 0
     assert residual(report, "row_sum") == max((three_x - one).residual_norm(),
                                              one.residual_norm())
-    assert_sums_match_reference(cert)
+    assert_equals_plain(cert)
 
 
 def test_same_objects_in_another_order_cancel():
@@ -871,7 +840,7 @@ def test_same_objects_in_another_order_cancel():
                (0, 0): b, (1, 2): b, (2, 1): b}
     cert = MagicUnitaryCert(G, G, entries, DenseElement.identity(1))
     assert residual(verify_cert(cert), "intertwine:plain:0") == 0.0
-    assert_sums_match_reference(cert)
+    assert_equals_plain(cert)
 
 
 @settings(max_examples=200, deadline=None)
@@ -902,101 +871,8 @@ def test_distinct_elements_in_key_order(certs, name):
 
 
 # ---------------------------------------------------------------------------
-# the verifier's and the witness search's shortcuts against naive evaluators
-
-
-def naive_verify(cert):
-    """verify_cert as evaluated without shortcuts: every sum is memoised by
-    the ids of its terms in order, every commutator takes two products, and
-    every vertex color is rendered per entry."""
-    G1, G2 = cert.row_graph, cert.col_graph
-    memo = {}
-
-    def residual(plus, minus):
-        sig = (tuple(map(id, plus)), tuple(map(id, minus)))
-        if sig not in memo:
-            first = plus[0] if plus else minus[0]
-            memo[sig] = first.combine(plus, minus).residual_norm()
-        return memo[sig]
-
-    families = []
-    worst, desc = 0.0, ""
-    for key, elem in cert.distinct_elements():
-        r = max((elem - elem.adjoint()).residual_norm(),
-                (elem * elem - elem).residual_norm())
-        if r > worst:
-            worst, desc = r, f"entry {key}"
-    families.append(("projection", worst, desc))
-
-    one = cert.identity
-    for axis, name, count in ((0, "row_sum", G1.num_vertices),
-                              (1, "col_sum", G2.num_vertices)):
-        terms = {}
-        for (i, j), elem in cert.entries.items():
-            terms.setdefault(i if axis == 0 else j, []).append(elem)
-        worst, desc = 0.0, ""
-        for idx in range(count):
-            r = residual(terms.get(idx, []), [one])
-            if r > worst:
-                worst, desc = r, f"{name.split('_')[0]} {idx}"
-        families.append((name, worst, desc))
-
-    worst, desc = 0.0, ""
-    for (i, j), elem in cert.entries.items():
-        c1, c2 = G1.vertex_colors[i], G2.vertex_colors[j]
-        if c1 != c2:
-            r = elem.residual_norm()
-            if r > worst:
-                worst, desc = r, f"entry ({i},{j}) colors {c1}/{c2}"
-    families.append(("color", worst, desc))
-
-    classes1, classes2 = _edge_classes(G1), _edge_classes(G2)
-    for cname in sorted(classes1.keys() | classes2.keys()):
-        adj1, adj2 = {}, {}
-        for adj, pairs in ((adj1, classes1.get(cname, [])), (adj2, classes2.get(cname, []))):
-            for (u, v) in pairs:
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-        left, right = {}, {}
-        for (k, j), elem in cert.entries.items():
-            for i in adj1.get(k, ()):
-                left.setdefault((i, j), []).append(elem)
-        for (i, k), elem in cert.entries.items():
-            for j in adj2.get(k, ()):
-                right.setdefault((i, j), []).append(elem)
-        r = max((residual(left.get(key, []), right.get(key, []))
-                 for key in left.keys() | right.keys()), default=0.0)
-        families.append((f"intertwine:{cname or 'plain'}", r, cname or "plain"))
-
-    rows, cols = block_labels(G1), block_labels(G2)
-    if rows is not None and cols is not None:
-        groups = {}
-        for (i, j), elem in cert.entries.items():
-            (k, alpha), (l, beta) = rows[i], cols[j]
-            if k == l:
-                delta = "".join("+" if a == b else "-" for a, b in zip(alpha, beta))
-                groups.setdefault((k, delta), []).append(elem)
-        worst, desc = 0.0, ""
-        for (k, dname), elems in groups.items():
-            for other in elems[1:]:
-                if other is not elems[0]:
-                    r = (other - elems[0]).residual_norm()
-                    if r > worst:
-                        worst, desc = r, f"block {k} delta {dname}"
-        families.append(("block_equal", worst, desc))
-        worst, desc = 0.0, ""
-        per_block = {}
-        for (k, _), elems in groups.items():
-            per_block.setdefault(k, []).append(elems[0])
-        for k, elems in per_block.items():
-            for a in range(len(elems)):
-                for b in range(a + 1, len(elems)):
-                    x, y = elems[a], elems[b]
-                    r = (x * y - y * x).residual_norm()
-                    if r > worst:
-                        worst, desc = r, f"block {k}"
-        families.append(("block_commute", worst, desc))
-    return VerificationReport(tuple(families), cert.identity.backend)
+# the verifier's and the witness search's shortcuts against the plain
+# oracle and brute force
 
 
 def brute_witness(cert):
@@ -1066,7 +942,7 @@ def test_report_equals_naive_evaluation(certs, name):
     cert = certs[name]
     report = verify_cert(cert)
     assert report.passed
-    assert report.to_json_dict() == naive_verify(cert).to_json_dict()
+    assert report.to_json_dict() == plain_verify(cert).to_json_dict()
 
 
 @pytest.mark.parametrize("name", ["pauli", "pauli-lifted", "k33", "k33-lifted", "k34",
@@ -1076,7 +952,7 @@ def test_broken_report_equals_naive_evaluation(certs, name):
     for kind, bad in corruptions(cert).items():
         report = verify_cert(bad)
         assert not report.passed, kind
-        assert report.to_json_dict() == naive_verify(bad).to_json_dict(), kind
+        assert report.to_json_dict() == plain_verify(bad).to_json_dict(), kind
 
 
 def test_non_selfadjoint_entry_keeps_two_product_commutators(certs):
@@ -1093,10 +969,39 @@ def test_non_selfadjoint_entry_keeps_two_product_commutators(certs):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_reports_equal_naive_evaluation_on_corrupted_certs(pauli_cert, pauli_rep, data):
-    cert = data.draw(corrupted_certs(pauli_cert, pauli_rep))
-    assert verify_cert(cert).to_json_dict() == \
-        naive_verify(cert).to_json_dict()
+def test_reports_equal_naive_evaluation_on_corrupted_certs(certs, pauli_rep, regular_rep33,
+                                                           data):
+    cert = data.draw(corrupted_certs(certs, {"pauli": pauli_rep, "k33": regular_rep33}))
+    assert_equals_plain(cert)
+
+
+def test_lift_and_its_check_compute_each_value_once(exact_cert34, monkeypatch):
+    # K3,4's regular certificate lifts through 108 distinct gadgets, two
+    # products each (216), over 40 distinct operand pairs; the lifted check
+    # sums each row, column and intertwining sum once up to sign, and
+    # measures a difference of equal elements with no subtraction (600
+    # combines when each sign and each such difference took its own)
+    counts = Counter()
+    combine, mul = _Dyadic.combine, GroupAlgebraElement.__mul__
+
+    def counting_combine(plus, minus):
+        counts["combine"] += 1
+        return combine(plus, minus)
+
+    def counting_mul(x, y):
+        counts["mul"] += 1
+        return mul(x, y)
+
+    report = verify_cert(exact_cert34)
+    pa = lift_pa(exact_cert34)
+    # combine is called on instances too, by + and -: it stays a staticmethod
+    monkeypatch.setattr(_Dyadic, "combine", staticmethod(counting_combine))
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", counting_mul)
+    lifted = lift_cert(exact_cert34, report, pa)
+    assert counts["mul"] == 40
+    counts.clear()
+    assert verify_cert(lifted).passed
+    assert counts["combine"] == 172
 
 
 @pytest.mark.parametrize("name", ["pauli", "pauli-lifted", "k33", "k33-lifted",
@@ -1164,7 +1069,7 @@ def test_noncommuting_block_takes_the_pair_loop(certs, regular_rep34):
         assert residual(report, "block_commute") > 0.0
         assert ("block_commute", residual(report, "block_commute"), f"block {k}") \
             in report.families
-        assert report.to_json_dict() == naive_verify(bad).to_json_dict()
+        assert report.to_json_dict() == plain_verify(bad).to_json_dict()
 
 
 @pytest.mark.parametrize("name", ["k33", "k34", "k35", "tiny"])
@@ -1172,7 +1077,7 @@ def test_commuting_blocks_take_no_commutators(certs, monkeypatch, name):
     # every entry of a block is supported in its star's abelian subgroup
     # (or the algebra is commutative), so no block commutator is formed
     cert = tiny_cert() if name == "tiny" else certs[name]
-    expected = naive_verify(cert).to_json_dict()
+    expected = plain_verify(cert).to_json_dict()
 
     def no_commutators(x, y, selfadjoint):
         raise AssertionError("a commutator was formed")
