@@ -3,14 +3,16 @@ verify certificates, and decide classical isomorphism.
 
 Exit codes: 0 success / verified positive; 1 verified negative
 (unsolvable, non-isomorphic, certificate failure); 2 usage, parse or
-file error (a path that cannot be read or written); 3 enumeration cap
-hit; 4 internal error (a self-check inside the library failed, a
-certificate precondition failed on inputs the CLI built itself, or any
-other exception escaped: a bug, not a verdict).  Certificates are verified in exact
-arithmetic on both backends, so "passes" means that every residual is
-literally zero; there is no tolerance to set.  All reports and graph
-files are written by `graphs.dump_json` (sorted keys, one space of indent),
-so identical configurations produce byte-identical outputs.
+file error (a path that cannot be read or written, or flags that can
+never work together, found before any work); 3 enumeration cap hit; 4
+internal error (a self-check inside the library failed, a certificate
+precondition failed on inputs the CLI built itself, or any other
+exception escaped: a bug, not a verdict).  Certificates are verified in
+exact arithmetic on both backends, so "passes" means that every residual
+is literally zero; there is no tolerance to set.  All reports and graph
+files are written by `graphs.dump_json` (sorted keys, one space of
+indent), and every report echoes its run's flags as `config`, so
+identical configurations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import functools
 import sys
 import traceback
 import warnings
-from dataclasses import dataclass, asdict
 
 from . import f2core, fpgroups, graphs, decolor, reps, qcert, graphiso
 
@@ -31,38 +32,14 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class RunConfig:
-    """The flags of one run, one field per dest of the parser (see
-    `_parser`); echoed into every JSON report."""
-
-    subcommand: str
-    system_path: str | None = None
-    graph_path: str | None = None
-    b: str | None = None
-    b1: str | None = None
-    b2: str | None = None
-    construction: str | None = None
-    decolor: str = "none"
-    c0: str | None = None
-    homogeneous: bool = False
-    word: str | None = None
-    rep: str | None = None
-    lift: bool = False
-    cap: int | None = None
-    out: str | None = None
-    dot: str | None = None
-    report: str | None = None
-    map_out: str | None = None
-    json_out: str | None = None
-
-    def echo(self) -> dict:
-        return {k: v for k, v in asdict(self).items()
-                if v is not None and v is not False}
-
-
 class UsageError(ValueError):
     pass
+
+
+def _echo(args: argparse.Namespace) -> dict:
+    """The `config` member of a report: every dest of the run whose value
+    is neither None nor False."""
+    return {k: v for k, v in vars(args).items() if v is not None and v is not False}
 
 
 def _read(path: str) -> str:
@@ -86,15 +63,15 @@ def _parse_bits(text: str, length: int, what: str) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
 
-def _load_system(cfg: RunConfig) -> f2core.LinearSystem:
+def _load_system(args: argparse.Namespace) -> f2core.LinearSystem:
     """A linear system from either a system file or a graph file plus b."""
-    if cfg.system_path is not None:
-        sys_ = f2core.parse_system(_read(cfg.system_path))
-        if cfg.b is not None:
-            sys_ = sys_.with_b(_parse_bits(cfg.b, sys_.num_constraints, "--b"))
+    if args.system_path is not None:
+        sys_ = f2core.parse_system(_read(args.system_path))
+        if args.b is not None:
+            sys_ = sys_.with_b(_parse_bits(args.b, sys_.num_constraints, "--b"))
         return sys_
-    H = f2core.parse_graph(_read(cfg.graph_path))
-    b = (_parse_bits(cfg.b, H.num_vertices, "--b") if cfg.b is not None
+    H = f2core.parse_graph(_read(args.graph_path))
+    b = (_parse_bits(args.b, H.num_vertices, "--b") if args.b is not None
          else (0,) * H.num_vertices)
     # the library's warnings (a disconnected H) as one line each, not
     # Python's warning format with a source line
@@ -106,22 +83,22 @@ def _load_system(cfg: RunConfig) -> f2core.LinearSystem:
     return sys_
 
 
-def _build_graph(cfg: RunConfig, sys_: f2core.LinearSystem) -> graphs.ColoredGraph:
-    construction = cfg.construction or ("Gstar" if cfg.graph_path is not None else "G")
+def _build_graph(args: argparse.Namespace, sys_: f2core.LinearSystem) -> graphs.ColoredGraph:
+    construction = args.construction or ("Gstar" if args.graph_path is not None else "G")
     return graphs.build_G(sys_) if construction == "G" else graphs.build_Gstar(sys_)
 
 
-def _cap(cfg: RunConfig) -> int:
+def _cap(args: argparse.Namespace) -> int:
     """--cap, or fpgroups.DEFAULT_COSET_CAP: a count of group elements (see
     `fpgroups.star_cosets`); `fpgroups.todd_coxeter` rejects one below 1."""
-    return fpgroups.DEFAULT_COSET_CAP if cfg.cap is None else cfg.cap
+    return fpgroups.DEFAULT_COSET_CAP if args.cap is None else args.cap
 
 
-def _pick_c0(cfg: RunConfig, G: graphs.ColoredGraph) -> str:
+def _pick_c0(args: argparse.Namespace, G: graphs.ColoredGraph) -> str:
     """--c0 as given (`decolor.canonical_assignment` rejects one that is not
     an edge color of G), else shared:-1."""
-    if cfg.c0 is not None:
-        return cfg.c0
+    if args.c0 is not None:
+        return args.c0
     if "shared:-1" in G.edge_palette():
         return "shared:-1"
     raise UsageError("no shared:-1 edge color present; specify --c0 explicitly")
@@ -131,17 +108,17 @@ def _pick_c0(cfg: RunConfig, G: graphs.ColoredGraph) -> str:
 # Subcommands
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    sys_ = _load_system(cfg)
+def cmd_solve(args: argparse.Namespace) -> int:
+    sys_ = _load_system(args)
     x = f2core.solve_f2(sys_)
     result = {
-        "config": cfg.echo(),
+        "config": _echo(args),
         "solvable": x is not None,
         "solution": "".join(str(v) for v in x) if x is not None else None,
         "rank": f2core.rank_f2(sys_.M),
     }
-    if cfg.json_out is not None:
-        _write(cfg.json_out, _dump(result))
+    if args.json_out is not None:
+        _write(args.json_out, _dump(result))
     if x is None:
         print("no solution")
         return EXIT_NEGATIVE
@@ -149,33 +126,33 @@ def cmd_solve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    sys_ = _load_system(cfg)
-    G = _build_graph(cfg, sys_)
+def cmd_build(args: argparse.Namespace) -> int:
+    sys_ = _load_system(args)
+    G = _build_graph(args, sys_)
     stage = G
-    if cfg.decolor in ("vertices", "full"):
-        c0 = _pick_c0(cfg, G)
+    if args.decolor in ("vertices", "full"):
+        c0 = _pick_c0(args, G)
         pa = decolor.canonical_assignment(G, c0)
         stage = decolor.decolor_vertices(G, pa)
-        if cfg.decolor == "full":
+        if args.decolor == "full":
             stage = decolor.decolor_edges(stage, pa)
-    if cfg.out is not None:
-        _write(cfg.out, graphs.serialize(stage, "json"))
-    if cfg.dot is not None:
-        _write(cfg.dot, graphs.serialize(stage, "dot"))
+    if args.out is not None:
+        _write(args.out, graphs.serialize(stage, "json"))
+    if args.dot is not None:
+        _write(args.dot, graphs.serialize(stage, "dot"))
     print(f"vertices: {stage.num_vertices}, edges: {stage.num_edges}")
     return EXIT_OK
 
 
-def cmd_group(cfg: RunConfig) -> int:
-    sys_ = _load_system(cfg)
-    homogeneous = cfg.homogeneous or all(v == 0 for v in sys_.b)
+def cmd_group(args: argparse.Namespace) -> int:
+    sys_ = _load_system(args)
+    homogeneous = args.homogeneous or all(v == 0 for v in sys_.b)
     P = fpgroups.solution_presentation(sys_, homogeneous=homogeneous)
-    cap = _cap(cfg)
+    cap = _cap(args)
     S, table = fpgroups.star_cosets(P, cap)
     order = table.num_cosets * S.order if table.is_complete else None
     result: dict = {
-        "config": cfg.echo(),
+        "config": _echo(args),
         "homogeneous": homogeneous,
         "abelianized_order": S.abelianized_order,
         "cap": cap,
@@ -190,40 +167,45 @@ def cmd_group(cfg: RunConfig) -> int:
         lines.append(f"order: {order}, abelian: {abelian}")
     else:
         lines.append(f"order: exceeds cap {cap}")
-    if cfg.word is not None:  # the empty word is the identity
-        word = P.word_from_names(cfg.word)
+    if args.word is not None:  # the empty word is the identity
+        word = P.word_from_names(args.word)
         trivial = fpgroups.word_is_identity(table, S, word) if table.is_complete else None
-        result["word"] = cfg.word
+        result["word"] = args.word
         result["word_is_identity"] = trivial
         if trivial is None:
-            lines.append(f"word {cfg.word!r}: unknown (cap)")
+            lines.append(f"word {args.word!r}: unknown (cap)")
         else:
-            lines.append(f"word {cfg.word!r} "
+            lines.append(f"word {args.word!r} "
                          + ("= identity" if trivial else "!= identity"))
-    if cfg.json_out is not None:
-        _write(cfg.json_out, _dump(result))
+    if args.json_out is not None:
+        _write(args.json_out, _dump(result))
     print("; ".join(lines))
     return EXIT_OK if table.is_complete else EXIT_CAP
 
 
-def cmd_cert(cfg: RunConfig) -> int:
-    sys_ = _load_system(cfg)
+def cmd_cert(args: argparse.Namespace) -> int:
+    sys_ = _load_system(args)
     m = sys_.num_constraints
-    b1 = _parse_bits(cfg.b1, m, "--b1") if cfg.b1 is not None else sys_.b
-    if cfg.subcommand == "qut":
-        if cfg.b2 is not None:
+    b1 = _parse_bits(args.b1, m, "--b1") if args.b1 is not None else sys_.b
+    if args.subcommand == "qut":
+        if args.b2 is not None:
             raise UsageError("qut takes no --b2: its column graph is its row graph")
         b2 = b1
     else:
-        if cfg.b2 is None:
+        if args.b2 is None:
             raise UsageError("qiso needs --b2")
-        b2 = _parse_bits(cfg.b2, m, "--b2")
+        b2 = _parse_bits(args.b2, m, "--b2")
     sys1, sys2 = sys_.with_b(b1), sys_.with_b(b2)
-    G1 = _build_graph(cfg, sys1)
-    G2 = _build_graph(cfg, sys2) if b2 != b1 else G1
+    G1 = _build_graph(args, sys1)
+    G2 = _build_graph(args, sys2) if b2 != b1 else G1
+    # the decoloring keeps G*'s shared:-1 edges and cert has no --c0, so
+    # without that color no run could lift, whatever the group turns out to be
+    if args.lift and "shared:-1" not in G1.edge_palette():
+        raise UsageError("--lift needs G*'s shared:-1 edge color "
+                         "(--construction Gstar), and this graph has none")
 
     xor_b = tuple(x ^ y for x, y in zip(b1, b2))
-    if cfg.rep == "pauli":
+    if args.rep == "pauli":
         if sys_.M != f2core.incidence_system(
                 f2core.complete_bipartite(3, 3), (0,) * 6).M:
             raise UsageError("--rep pauli is only defined for the K3,3 incidence system")
@@ -235,17 +217,17 @@ def cmd_cert(cfg: RunConfig) -> int:
             raise UsageError("--rep regular represents the homogeneous group; "
                              "b1 and b2 must agree")
         P = fpgroups.solution_presentation(sys_.with_b(xor_b), homogeneous=True)
-        cap = _cap(cfg)
+        cap = _cap(args)
         table = fpgroups.regular_table(P, cap)
         if table is None:
             print(f"coset enumeration exceeded cap {cap}")
             return EXIT_CAP
         R = reps.group_algebra_rep(table)
 
-    mode = "qut" if cfg.subcommand == "qut" else "iso"
+    mode = "qut" if args.subcommand == "qut" else "iso"
     cert = qcert.build_magic_unitary(G1, G2, R)
     report = qcert.verify_cert(cert)
-    result: dict = {"config": cfg.echo(), "mode": mode,
+    result: dict = {"config": _echo(args), "mode": mode,
                     "verification": report.to_json_dict()}
     lines = [f"certificate {'passes' if report.passed else 'FAILS'} "
              f"(max residual {report.max_residual:.3g})"]
@@ -261,13 +243,8 @@ def cmd_cert(cfg: RunConfig) -> int:
 
     passed = report.passed
     # a failing source is not lifted: the run is a verified negative either way
-    if cfg.lift and passed:
-        # the decoloring keeps G*'s shared:-1 edges; cert has no --c0
-        if "shared:-1" not in G1.edge_palette():
-            raise UsageError("--lift needs G*'s shared:-1 edge color "
-                             "(--construction Gstar), and this graph has none")
-        pa = decolor.canonical_assignment(G1, "shared:-1")
-        lifted = qcert.lift_cert(cert, report, pa)
+    if args.lift and passed:
+        lifted = qcert.lift_cert(cert, report)
         lift_report = qcert.verify_cert(lifted)
         result["lifted_verification"] = lift_report.to_json_dict()
         lines.append(f"lifted certificate over {lifted.row_graph.num_vertices}-vertex graphs "
@@ -277,38 +254,38 @@ def cmd_cert(cfg: RunConfig) -> int:
             lifted_witness = qcert.noncommuting_witness(lifted)
             result["lifted_noncommuting_witness"] = lifted_witness is not None
 
-    if cfg.out is not None:
-        _write(cfg.out, _dump(cert.to_json_dict()))
-    if cfg.report is not None:
-        _write(cfg.report, _dump(result))
+    if args.out is not None:
+        _write(args.out, _dump(cert.to_json_dict()))
+    if args.report is not None:
+        _write(args.report, _dump(result))
     print("; ".join(lines))
     return EXIT_OK if passed else EXIT_NEGATIVE
 
 
-def cmd_iso(cfg: RunConfig, path1: str, path2: str) -> int:
+def cmd_iso(args: argparse.Namespace, path1: str, path2: str) -> int:
     G1 = graphs.parse_graph_json(_read(path1))
     G2 = graphs.parse_graph_json(_read(path2))
     mapping = graphiso.find_isomorphism(G1, G2)
-    result = {"config": cfg.echo(), "isomorphic": mapping is not None,
+    result = {"config": _echo(args), "isomorphic": mapping is not None,
               "mapping": mapping}
-    if cfg.json_out is not None:
-        _write(cfg.json_out, _dump(result))
+    if args.json_out is not None:
+        _write(args.json_out, _dump(result))
     if mapping is None:
         print("non-isomorphic")
         return EXIT_NEGATIVE
-    if cfg.map_out is not None:
-        _write(cfg.map_out, _dump(mapping))
+    if args.map_out is not None:
+        _write(args.map_out, _dump(mapping))
     print("isomorphic")
     return EXIT_OK
 
 
-def cmd_aut(cfg: RunConfig, path: str) -> int:
+def cmd_aut(args: argparse.Namespace, path: str) -> int:
     G = graphs.parse_graph_json(_read(path))
     aut = graphiso.automorphism_group(G)
-    result = {"config": cfg.echo(), "order": aut.order,
+    result = {"config": _echo(args), "order": aut.order,
               "generators": aut.generators}
-    if cfg.json_out is not None:
-        _write(cfg.json_out, _dump(result))
+    if args.json_out is not None:
+        _write(args.json_out, _dump(result))
     print(f"automorphism group order: {aut.order}")
     return EXIT_OK
 
@@ -320,10 +297,15 @@ def cmd_aut(cfg: RunConfig, path: str) -> int:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use: parsing reads it
-    and never changes it.  Every dest is a field of `RunConfig` (cert's kind
-    is its `subcommand`), except `run`, the command's function, and `paths`,
-    the graph files that `iso` and `aut` take as arguments."""
+    and never changes it.  It declares every flag and its default once.  The
+    commands read its namespace, and reports echo every dest (cert's kind is
+    its `subcommand`) but `run`, the command's function, and `paths`, the
+    graph files that `iso` and `aut` take as arguments: `main` pops both."""
     top = argparse.ArgumentParser(prog="lcsq", description=__doc__)
+    # reports echo "decolor": "none" unless `build --decolor` says otherwise:
+    # a subparser sets only the dests it declares, and build's --decolor only
+    # when given (SUPPRESS), so this one default serves every command
+    top.set_defaults(decolor="none")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     def add_inputs(p, need_construction=False):
@@ -343,7 +325,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build (and optionally decolor) the graph")
     p.set_defaults(run=cmd_build)
     add_inputs(p, need_construction=True)
-    p.add_argument("--decolor", choices=["none", "vertices", "full"], default="none")
+    p.add_argument("--decolor", choices=["none", "vertices", "full"],
+                   default=argparse.SUPPRESS)
     p.add_argument("--c0", help="edge color kept during decoloring (default shared:-1)")
     p.add_argument("--out", help="write graph JSON here")
     p.add_argument("--dot", help="write DOT here")
@@ -384,11 +367,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        fields = vars(parser.parse_args(argv))
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes
         return EXIT_USAGE if exc.code else EXIT_OK
+    fields = vars(args)  # args' own dict: `run` and `paths` leave the echo here
     run, paths = fields.pop("run"), fields.pop("paths", ())
 
     try:
@@ -398,7 +381,7 @@ def main(argv=None) -> int:
                 raise UsageError("one of --system/--graph is required")
             if all(given):
                 raise UsageError("--system and --graph are mutually exclusive")
-        return run(RunConfig(**fields), *paths)
+        return run(args, *paths)
     except (OSError, ValueError) as exc:  # usage, parse and file errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -69,7 +69,7 @@ from functools import cached_property
 
 from .f2core import LinearSystem
 from .graphs import ColoredGraph, block_labels
-from .decolor import PathAssignment, chains, decolor_full
+from .decolor import canonical_assignment, chains, decolor_full
 from .reps import Representation, VerificationReport, verify_representation
 
 class CertificateError(Exception):
@@ -514,17 +514,19 @@ def noncommuting_witness(cert: MagicUnitaryCert):
 # Lifting through the decoloring pipeline
 
 
-def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
-              pa: PathAssignment) -> MagicUnitaryCert:
-    """Transport a verified certificate over (G, G') to their decolorings
-    under the path assignment `pa`, returning the lifted certificate.
+def lift_cert(cert: MagicUnitaryCert, report: VerificationReport) -> MagicUnitaryCert:
+    """Transport a verified certificate over (G, G') to their decolorings,
+    returning the lifted certificate.
 
-    `report` is `verify_cert`'s report on `cert`.  This raises exactly when
-    the report fails, without re-verifying the source.  Both decolorings are
-    built here, with `decolor_full` under `pa` (one, when the two graphs are
-    one object), so they cannot disagree with each other or with the
-    certificate.  Each vertex and each edge whose color is not c0 is found
-    in them by `decolor.chains`, the decoloring's own layout.
+    `report` is `verify_cert`'s report on `cert`.  This raises
+    `CertificateError` exactly when the report fails, without re-verifying
+    the source.  Both graphs are decolored under one path assignment: the
+    canonical one of the row graph with c0 = shared:-1, an edge color of G*,
+    so a row graph without that color, such as G(M, b), is a `ValueError`.
+    Both decolorings are built here, with `decolor_full` (one, when the two
+    graphs are one object), so they cannot disagree with each other or with
+    the certificate.  Each vertex and each edge whose color is not c0 is
+    found in them by `decolor.chains`, the decoloring's own layout.
 
     A vertex of G and its path inherit the source entry at equal path
     positions; subdivision vertices of same-colored edges e = (a, b) and
@@ -543,6 +545,7 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport,
             f"source certificate fails verification: {report.worst[0]} "
             f"(residual {report.worst[1]:.3g})")
     G1, G2 = cert.row_graph, cert.col_graph
+    pa = canonical_assignment(G1, "shared:-1")
     Gpp1 = decolor_full(G1, pa)
     Gpp2 = Gpp1 if G2 is G1 else decolor_full(G2, pa)
 

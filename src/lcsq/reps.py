@@ -147,9 +147,6 @@ class _Dyadic:
             return 0.0
         return (self - other).residual_norm()
 
-    def __hash__(self):
-        return hash((self.exp, tuple(sorted(self.coeffs.items()))))
-
 
 # ---------------------------------------------------------------------------
 # Dense elements

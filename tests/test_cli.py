@@ -348,6 +348,66 @@ def test_json_reports_with_their_config_are_pinned(files, monkeypatch, name):
     assert hashlib.sha256((files / "r.json").read_bytes()).hexdigest() == digest
 
 
+# sha256 of reports whose `config` echo no other pin covers: a `cert`
+# report without `lift`, one that echoes `cap`, and the `iso` report of the
+# non-isomorphic K3,3 G'' pair of b = 0 and b = e1, which has no `map_out`;
+# run from the directory holding the input files, and measured while each
+# dest was declared twice, once in the parser and once as a field
+ECHO_SHAPE_SHA256 = {
+    "cert-qiso-unlifted": (["cert", "qiso", "--graph", "k33.g", "--b1", "000000",
+                            "--b2", "100000", "--rep", "pauli", "--report", "report.json"], 0,
+                           "4dc05bf28905769ad86710d596a0b7e3e84f9c965f78b7a903866f82788826ee"),
+    "cert-qut-cap": (["cert", "qut", "--graph", "k34.g", "--rep", "regular",
+                      "--cap", "1000000", "--report", "report.json"], 0,
+                     "b4e1f63dffa97231241c7f592969297d3a4b36eea9c95548b37703ff33de88db"),
+    "iso-gpp33-non-isomorphic": (["iso", "gpp0.json", "gpp1.json", "--json", "report.json"], 1,
+                                 "4bdfd242eca73daecf0b1dec7c1919a091141e29dc59f21aa2297b9475075481"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ECHO_SHAPE_SHA256))
+def test_reports_of_every_echo_shape_are_pinned(files, monkeypatch, name):
+    argv, code, digest = ECHO_SHAPE_SHA256[name]
+    monkeypatch.chdir(files)
+    assert run("build", "--graph", "k33.g", "--decolor", "full", "--out", "gpp0.json") == 0
+    assert run("build", "--graph", "k33.g", "--b", "100000", "--decolor", "full",
+               "--out", "gpp1.json") == 0
+    assert run(*argv) == code
+    assert hashlib.sha256((files / "report.json").read_bytes()).hexdigest() == digest
+
+
+# each report-writing command with every optional flag it takes, and the
+# dests those flags set
+ECHO_KEYS = {
+    "solve": (["solve", "--graph", "k33.g", "--b", "000000", "--json", "r.json"],
+              {"graph_path", "b", "json_out"}),
+    "group": (["group", "--graph", "k33.g", "--b", "000000", "--homogeneous",
+               "--cap", "1000", "--word", "x1", "--json", "r.json"],
+              {"graph_path", "b", "homogeneous", "cap", "word", "json_out"}),
+    "cert": (["cert", "qiso", "--graph", "k33.g", "--b", "000000", "--construction", "Gstar",
+              "--b1", "000000", "--b2", "100000", "--rep", "pauli", "--lift",
+              "--cap", "1000", "--out", "c.json", "--report", "r.json"],
+             {"graph_path", "b", "construction", "b1", "b2", "rep", "lift", "cap", "out",
+              "report"}),
+    "iso": (["iso", "g.json", "g.json", "--map-out", "m.json", "--json", "r.json"],
+            {"map_out", "json_out"}),
+    "aut": (["aut", "g.json", "--json", "r.json"], {"json_out"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ECHO_KEYS))
+def test_report_config_echoes_exactly_the_given_flags(files, monkeypatch, name):
+    # a command's function and its graph paths are parsed too, but they are
+    # no flags, and no report echoes them
+    argv, dests = ECHO_KEYS[name]
+    monkeypatch.chdir(files)
+    assert run("build", "--graph", "k33.g", "--out", "g.json") == 0
+    assert run(*argv) == 0
+    config = json.loads((files / "r.json").read_text())["config"]
+    assert set(config) == dests | {"subcommand", "decolor"}
+    assert config["decolor"] == "none"
+
+
 def test_group_empty_word_is_the_identity(files, capsys):
     report = files / "w.json"
     assert run("group", "--graph", files / "k34.g", "--word", "", "--json", report) == 0
@@ -758,11 +818,14 @@ def test_cert_qut_rejects_b2(files, capsys, b2):
 
 
 @pytest.mark.parametrize("inputs", [["--graph", "k33.g", "--construction", "G"],
-                                    ["--system", "path.sys"]],
-                         ids=["construction-G", "system"])
+                                    ["--system", "path.sys"],
+                                    ["--graph", "k34.g", "--construction", "G", "--cap", "10"]],
+                         ids=["construction-G", "system", "construction-G-capped"])
 def test_lift_without_shared_color_names_the_cause(files, monkeypatch, capsys, inputs):
     # the lift keeps G*'s shared:-1 edges and cert has no --c0; G(M, b), the
-    # default construction of a --system input, has no such color
+    # default construction of a --system input, has no such color.  No such
+    # run can lift, so it is a usage error before any work: the capped one
+    # never reaches the enumeration that would exit 3
     (files / "path.sys").write_text("110;011|00\n")
     monkeypatch.chdir(files)
     assert run("cert", "qut", *inputs, "--rep", "regular", "--lift") == 2

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from lcsq.f2core import SimpleGraph, incidence_system
 from lcsq.graphs import (ColoredGraph, block_labels, build_G, build_Gstar, parse_graph_json,
                          serialize, sign_vectors)
-from lcsq.decolor import canonical_assignment
 from lcsq.fpgroups import Presentation, regular_table, solution_presentation
 from lcsq.graphiso import automorphism_group
 from lcsq.reps import (DenseElement, GroupAlgebraElement, Representation,
@@ -427,16 +426,10 @@ def test_no_witness_for_k33(exact_cert33):
 # lifting
 
 
-def lift_pa(cert):
-    """The canonical path assignment of the certificate's row graph, as
-    `cert --lift` uses it."""
-    return canonical_assignment(cert.row_graph, "shared:-1")
-
-
 def test_lift_classical_identity(gstar33_0, gpp33_pair):
     gpp0, _ = gpp33_pair
     cert = make_classical_cert(gstar33_0, gstar33_0, {v: v for v in range(24)})
-    lifted = lift_cert(cert, verify_cert(cert), lift_pa(cert))
+    lifted = lift_cert(cert, verify_cert(cert))
     assert lifted.row_graph == gpp0 and lifted.col_graph is lifted.row_graph
     nonzero = {key for key, e in lifted.entries.items() if e.residual_norm() > 1e-12}
     assert nonzero == {(v, v) for v in range(gpp0.num_vertices)}
@@ -447,7 +440,7 @@ def test_lift_classical_automorphism_is_induced_map(gstar33_0, gpp33_pair):
     gpp0, _ = gpp33_pair
     g = dict(enumerate(automorphism_group(gstar33_0).generators[0]))
     cert = make_classical_cert(gstar33_0, gstar33_0, g)
-    lifted = lift_cert(cert, verify_cert(cert), lift_pa(cert))
+    lifted = lift_cert(cert, verify_cert(cert))
     assert lifted.row_graph == gpp0
 
     index = {label: i for i, label in enumerate(gpp0.labels)}
@@ -471,7 +464,7 @@ def test_lift_classical_automorphism_is_induced_map(gstar33_0, gpp33_pair):
 
 def test_lift_pauli(pauli_cert, gpp33_pair):
     gpp0, gpp1 = gpp33_pair
-    lifted = lift_cert(pauli_cert, verify_cert(pauli_cert), lift_pa(pauli_cert))
+    lifted = lift_cert(pauli_cert, verify_cert(pauli_cert))
     assert (lifted.row_graph, lifted.col_graph) == (gpp0, gpp1)
     report = verify_cert(lifted)
     assert report.passed
@@ -484,7 +477,7 @@ def test_lift_pauli(pauli_cert, gpp33_pair):
 
 
 def test_lift_exact_k34_retains_witness(exact_cert34, gpp34):
-    lifted = lift_cert(exact_cert34, verify_cert(exact_cert34), lift_pa(exact_cert34))
+    lifted = lift_cert(exact_cert34, verify_cert(exact_cert34))
     assert lifted.row_graph == gpp34
     report = verify_cert(lifted)
     assert report.passed
@@ -492,22 +485,33 @@ def test_lift_exact_k34_retains_witness(exact_cert34, gpp34):
     assert noncommuting_witness(lifted) is not None
 
 
+def test_lift_of_a_cert_over_G_names_the_missing_color(k33_sys0):
+    # the lift decolors under the canonical path assignment with c0 =
+    # shared:-1, an edge color of G* that G(M, b) does not have
+    G = build_G(k33_sys0)
+    P = solution_presentation(k33_sys0, homogeneous=True)
+    cert = build_magic_unitary(G, G, group_algebra_rep(regular_table(P)))
+    report = verify_cert(cert)
+    assert report.passed
+    with pytest.raises(ValueError, match="c0 shared:-1 is not an edge color"):
+        lift_cert(cert, report)
+
+
 def test_lift_rejects_failing_source(pauli_cert):
     bad = corrupt_swap_columns(pauli_cert, 0, 1)
     with pytest.raises(CertificateError, match="fails verification"):
-        lift_cert(bad, verify_cert(bad), lift_pa(bad))
+        lift_cert(bad, verify_cert(bad))
 
 
 def test_lift_rejects_any_nonzero_residual_in_the_report(pauli_cert, gpp33_pair):
     # the lift judges the report it is given: a residual far below any float
     # tolerance still fails, and an all-zero report passes
-    pa = lift_pa(pauli_cert)
     report = VerificationReport((("projection", 5e-300, "entry (0, 0)"),), "dense")
     assert not report.passed
     with pytest.raises(CertificateError, match="fails verification: projection"):
-        lift_cert(pauli_cert, report, pa)
+        lift_cert(pauli_cert, report)
     clean = VerificationReport((("projection", 0.0, ""),), "dense")
-    assert lift_cert(pauli_cert, clean, pa).row_graph == gpp33_pair[0]
+    assert lift_cert(pauli_cert, clean).row_graph == gpp33_pair[0]
 
 
 @pytest.mark.parametrize("key, edges", [((5, 4), "(5, 7)/(4, 6)"),
@@ -525,7 +529,7 @@ def test_lift_names_the_first_edges_whose_entries_do_not_commute(pauli_cert, key
     clean = VerificationReport((("projection", 0.0, ""),), "dense")
     with pytest.raises(CertificateError,
                        match=re.escape(f"entries for edges {edges} do not commute")):
-        lift_cert(bad, clean, lift_pa(bad))
+        lift_cert(bad, clean)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +676,7 @@ def test_regular_cert_verifies_lifts_and_round_trips_exactly(H):
     report = verify_cert(cert)
     assert report.passed and report.max_residual == 0.0
 
-    lifted = verify_cert(lift_cert(cert, report, lift_pa(cert)))
+    lifted = verify_cert(lift_cert(cert, report))
     assert lifted.passed and lifted.max_residual == 0.0
 
     extraction = extract_generators(cert, rep)
@@ -898,7 +902,7 @@ def exact_cert35():
 
 def lifted_cert(cert):
     """The certificate lifted to the full decolorings of its two graphs."""
-    return lift_cert(cert, verify_cert(cert), lift_pa(cert))
+    return lift_cert(cert, verify_cert(cert))
 
 
 @pytest.fixture(scope="module")
@@ -993,11 +997,10 @@ def test_lift_and_its_check_compute_each_value_once(exact_cert34, monkeypatch):
         return mul(x, y)
 
     report = verify_cert(exact_cert34)
-    pa = lift_pa(exact_cert34)
     # combine is called on instances too, by + and -: it stays a staticmethod
     monkeypatch.setattr(_Dyadic, "combine", staticmethod(counting_combine))
     monkeypatch.setattr(GroupAlgebraElement, "__mul__", counting_mul)
-    lifted = lift_cert(exact_cert34, report, pa)
+    lifted = lift_cert(exact_cert34, report)
     assert counts["mul"] == 40
     counts.clear()
     assert verify_cert(lifted).passed
