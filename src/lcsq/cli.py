@@ -127,6 +127,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    if args.c0 is not None and args.decolor == "none":
+        raise UsageError("--c0 needs --decolor vertices or full")
     sys_ = _load_system(args)
     G = _build_graph(args, sys_)
     stage = G
@@ -184,6 +186,8 @@ def cmd_group(args: argparse.Namespace) -> int:
 
 
 def cmd_cert(args: argparse.Namespace) -> int:
+    if args.cap is not None and args.rep == "pauli":
+        raise UsageError("--cap needs --rep regular: --rep pauli enumerates no group")
     sys_ = _load_system(args)
     m = sys_.num_constraints
     b1 = _parse_bits(args.b1, m, "--b1") if args.b1 is not None else sys_.b

@@ -2,8 +2,8 @@
 
 A constraint k of a system (M, b) has a block of vertices (k, alpha), one
 per local solution alpha in +-1^{S_k}_{b_k}.  build_G connects everything
-that shares variables and colors edges by the pointwise product
-alpha * beta (restricted to the shared variables across blocks);
+that shares variables and colors edges by the sign product alpha * beta
+(`sign_product`, restricted to the shared variables across blocks);
 build_Gstar is the incidence-system variant where each cross-block pair
 shares exactly one variable, the surviving inter edges all carry the
 single color -1, and the +1 edges become non-edges.
@@ -51,6 +51,12 @@ def sign_vectors(domain: tuple[int, ...], parity: int) -> list[str]:
     of the sorted domain S."""
     return ["".join(signs) for signs in product("+-", repeat=len(domain))
             if signs.count("-") % 2 == parity]
+
+
+def sign_product(alpha: str, beta: str) -> str:
+    """The sign vector alpha * beta of two sign strings over one domain:
+    "+" where they agree, "-" where they differ."""
+    return "".join("+" if a == b else "-" for a, b in zip(alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +211,7 @@ def _block_graph(sys: LinearSystem):
         colors.extend([f"v:{k}"] * len(block))
         for a, alpha in enumerate(block):
             for b_ in range(a + 1, len(block)):
-                delta = "".join("+" if x == y else "-" for x, y in zip(alpha, block[b_]))
+                delta = sign_product(alpha, block[b_])
                 edges.append((base + a, base + b_, f"intra:{k}:{delta}"))
     return blocks, offsets, labels, colors, edges
 
@@ -220,19 +226,20 @@ def _shared_positions(sys: LinearSystem, l: int, k: int) -> list[tuple[int, int]
 
 def build_G(sys: LinearSystem) -> ColoredGraph:
     """The colored graph G(M, b): blocks of local solutions, all edges between
-    variable-sharing blocks, colored by the (restricted) pointwise product."""
+    variable-sharing blocks, colored by the (restricted) sign product."""
     blocks, offsets, labels, colors, edges = _block_graph(sys)
     for l in range(sys.num_constraints):
         for k in range(l + 1, sys.num_constraints):
             shared = _shared_positions(sys, l, k)
             if not shared:
                 continue
-            for a, alpha in enumerate(blocks[l]):
-                for b_, beta in enumerate(blocks[k]):
-                    delta = "".join("+" if alpha[p] == beta[q] else "-"
-                                    for p, q in shared)
+            # the sign vectors restricted to the shared variables
+            alphas = ["".join(alpha[p] for p, _ in shared) for alpha in blocks[l]]
+            betas = ["".join(beta[q] for _, q in shared) for beta in blocks[k]]
+            for a, alpha in enumerate(alphas):
+                for b_, beta in enumerate(betas):
                     edges.append((offsets[l] + a, offsets[k] + b_,
-                                  f"inter:{l}-{k}:{delta}"))
+                                  f"inter:{l}-{k}:{sign_product(alpha, beta)}"))
 
     meta = {"construction": "G", "system": render_system(sys)}
     return ColoredGraph(tuple(labels), tuple(colors), tuple(edges), meta)

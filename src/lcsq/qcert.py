@@ -11,7 +11,7 @@ p_i^{+-} = (1 +- x_i)/2; entries across different blocks vanish.  The
 same construction covers the automorphism case (both graphs equal) and
 the isomorphism case (right-hand sides b and b' differ).  A vertex
 (k, alpha) is read from its label "k:alpha" by `graphs.block_labels`, and
-delta is a sign string as alpha is: "+" where alpha and beta agree.
+delta = `graphs.sign_product(alpha, beta)` is a sign string as alpha is.
 
 The certificate's algebra is its identity's: every entry must satisfy
 `same_algebra` with it, and the JSON and reports name the identity's
@@ -28,11 +28,10 @@ largest multiplicity one side can reach, so the int is 0 exactly when
 both sides hold the same objects (the residual is then 0.0 with no
 algebra), and equal ints mean equal sums: the sums are exact, so
 neither the order of the terms nor cancelling a term on both sides
-changes them.  Each
-distinct nonzero signature is decoded and summed once, up to sign: -sig
-is the negated sum, and both norms ignore sign, so a sum and its negation
-share one memo entry under abs(sig).  Entries that coincide by the block
-structure share one object, so most sums repeat.
+changes them.  Each distinct nonzero signature is decoded and summed
+once, up to sign: -sig is the negated sum, and both norms ignore sign, so
+a sum and its negation share one memo entry under abs(sig).  Entries that
+coincide by the block structure share one object, so most sums repeat.
 Intertwining with one edge color forms only the rows that color reaches:
 a row with a neighbour in the row graph, or with an entry in a column
 that has a neighbour in the column graph; every other row is zero.
@@ -68,7 +67,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .f2core import LinearSystem
-from .graphs import ColoredGraph, block_labels
+from .graphs import ColoredGraph, block_labels, sign_product
 from .decolor import canonical_assignment, chains, decolor_full
 from .reps import Representation, VerificationReport, verify_representation
 
@@ -143,11 +142,6 @@ def _block_vertices(G: ColoredGraph) -> dict[int, list[tuple[int, str]]]:
     return blocks
 
 
-def _pointwise(alpha: str, beta: str) -> str:
-    """The sign vector alpha * beta of two sign strings over one domain."""
-    return "".join("+" if a == b else "-" for a, b in zip(alpha, beta))
-
-
 def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
                         R: Representation) -> MagicUnitaryCert:
     """Certificate u with u[(k,alpha),(k,beta)] = prod_i p_i^{(alpha*beta)_i}.
@@ -175,10 +169,10 @@ def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
     entries: dict = {}
     for k in sorted(blocks1):
         projections = [(R.projection(i, 1), R.projection(i, -1)) for i in s1.support(k)]
-        v: dict[str, object] = {}  # v_delta, keyed by the delta string
+        v: dict[str, object] = {}  # v_delta, keyed by `sign_product`'s delta
         for i, alpha in blocks1[k]:
             for j, beta in blocks2.get(k, []):
-                delta = _pointwise(alpha, beta)
+                delta = sign_product(alpha, beta)
                 elem = v.get(delta)
                 if elem is None:
                     elem = one
@@ -194,19 +188,14 @@ def build_magic_unitary(Gb: ColoredGraph, Gb2: ColoredGraph,
 # Verification
 
 
-def _edge_classes(G: ColoredGraph) -> dict[str, list[tuple[int, int]]]:
-    classes: dict[str, list[tuple[int, int]]] = {}
+def _neighbours(G: ColoredGraph) -> dict[str, dict[int, list[int]]]:
+    """Edge color ("" for none) -> vertex -> its neighbours in that color."""
+    out: dict[str, dict[int, list[int]]] = {}
     for (u, v, c) in G.edges:
-        classes.setdefault(c or "", []).append((u, v))
-    return classes
-
-
-def _adjacency(pairs: list[tuple[int, int]]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for (u, v) in pairs:
+        adj = out.setdefault(c or "", {})
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    return adj
+    return out
 
 
 def _decode(sig: int, bits: int) -> tuple[list[int], list[int]]:
@@ -301,20 +290,6 @@ def _shape_fault(cert: MagicUnitaryCert, distinct: tuple) -> tuple[str, str] | N
     return None if key is None else (f"entry {key}", "is over another algebra")
 
 
-def _color_family(cert: MagicUnitaryCert) -> tuple[str, float, str]:
-    """Color vanishing: every stored entry between vertices of different
-    colors must be zero."""
-    colors1, colors2 = cert.row_graph.vertex_colors, cert.col_graph.vertex_colors
-    worst, desc = 0.0, ""
-    for (i, j), elem in cert.entries.items():
-        c1, c2 = colors1[i], colors2[j]
-        if c1 != c2:
-            r = elem.residual_norm()
-            if r > worst:
-                worst, desc = r, f"entry ({i},{j}) colors {c1}/{c2}"
-    return ("color", worst, desc)
-
-
 def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     """Check the one relation set of a magic unitary u over (G, G'), with
     A_G·u = u·A_G' for every edge color; G' = G is the quantum automorphism
@@ -344,16 +319,18 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     or column attaining its residual, looked up under the same sign-folded
     signature.  The projection, `block_equal` and commutator residuals
     come from `distance`, so a difference of two equal elements is 0.0
-    with no subtraction.  Intertwining
-    is formed one row at a time from an index of the entries by row, and
-    only at the rows an edge color reaches (see `_intertwine`), found from
-    a second index of the rows by column.  A block whose representatives'
-    supports commute (the elements' `supports_commute`: every group-algebra
-    block of a built certificate, and a dense block only over 1 x 1
-    matrices) adds 0.0 to `block_commute` and takes no product; any other
-    block pairs its representatives.  The projection family finds which
-    entries are self-adjoint, and a same-block commutator of two of them
-    takes one product.
+    with no subtraction.  One pass over the entries checks color vanishing
+    and indexes them by row and the rows by column; intertwining is formed
+    one row at a time from the first, only at the rows an edge color
+    reaches, found from the second (see `_intertwine`).  Each graph's
+    neighbours per edge color are one `_neighbours` map (one in all when
+    G' is G), and intertwining runs over both maps' colors.  A block whose
+    representatives' supports commute (the elements' `supports_commute`:
+    every group-algebra block of a built certificate, and a dense block
+    only over 1 x 1 matrices) adds 0.0 to `block_commute` and takes no
+    product; any other block pairs its representatives.  The projection
+    family finds which entries are self-adjoint, and a same-block
+    commutator of two of them takes one product.
     """
     families: list[tuple[str, float, str]] = []
     G1, G2, one = cert.row_graph, cert.col_graph, cert.identity
@@ -371,28 +348,32 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
         if r > worst:
             worst, desc = r, f"entry {key}"
     families.append(("projection", worst, desc))
-    if fault is not None:
-        families += [("shape", 1.0, fault[0]), _color_family(cert)]
-        return VerificationReport(tuple(families), one.backend)
 
-    # the stored entries by row, as (column, weight of the object) pairs;
-    # no object occurs more often on one side of a sum than the longest row
-    # or column, or the largest degree in one edge color (see `_residual`)
+    # entries by row as (column, object number), rows by column, and color
+    # vanishing: an entry between vertices of different colors must be zero
     elems = [elem for _, elem in distinct] + [one]
     index = {id(elem): e for e, elem in enumerate(elems)}
     rows: dict[int, list] = {}
     col_rows: dict[int, list[int]] = {}
+    colors1, colors2 = G1.vertex_colors, G2.vertex_colors
+    worst, desc = 0.0, ""
     for (i, j), elem in cert.entries.items():
         rows.setdefault(i, []).append((j, index[id(elem)]))
         col_rows.setdefault(j, []).append(i)
-    classes1 = _edge_classes(G1)
-    classes2 = classes1 if G2 is G1 else _edge_classes(G2)
-    adjacency = {}
-    for cname in sorted(classes1.keys() | classes2.keys()):
-        adj1 = _adjacency(classes1.get(cname, []))
-        adj2 = adj1 if G2 is G1 else _adjacency(classes2.get(cname, []))
-        adjacency[cname] = (adj1, adj2)
-    degrees = (len(nbrs) for pair in adjacency.values() for adj in pair
+        if colors1[i] != colors2[j]:
+            r = elem.residual_norm()
+            if r > worst:
+                worst, desc = r, f"entry ({i},{j}) colors {colors1[i]}/{colors2[j]}"
+    color = ("color", worst, desc)
+    if fault is not None:
+        families += [("shape", 1.0, fault[0]), color]
+        return VerificationReport(tuple(families), one.backend)
+
+    # no object occurs more often on one side of a sum than the longest row
+    # or column, or the largest degree in one edge color (see `_residual`)
+    nbrs1 = _neighbours(G1)
+    nbrs2 = nbrs1 if G2 is G1 else _neighbours(G2)
+    degrees = (len(nbrs) for graph in (nbrs1, nbrs2) for adj in graph.values()
                for nbrs in adj.values())
     bound = max(max(map(len, rows.values()), default=1),
                 max(map(len, col_rows.values()), default=1), max(degrees, default=1))
@@ -420,11 +401,12 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
         families.append((f"{name}_sum", worst, desc))
     del sums  # one int per column: free them before the intertwining
 
-    families.append(_color_family(cert))
+    families.append(color)
 
-    # intertwining per edge color
-    for cname, (adj1, adj2) in adjacency.items():
-        r = _intertwine(rows, col_rows, adj1, adj2, memo, elems, bits)
+    # intertwining per edge color of either graph
+    for cname in sorted(nbrs1.keys() | nbrs2.keys()):
+        r = _intertwine(rows, col_rows, nbrs1.get(cname, {}), nbrs2.get(cname, {}),
+                        memo, elems, bits)
         families.append((f"intertwine:{cname or 'plain'}", r, cname or "plain"))
 
     # structural invariants of the block decomposition
@@ -435,7 +417,7 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
             (k, alpha), (l, beta) = labels1[i], labels2[j]
             if k != l:
                 continue  # cross-block entries are caught by the color family
-            groups.setdefault((k, _pointwise(alpha, beta)), []).append(elem)
+            groups.setdefault((k, sign_product(alpha, beta)), []).append(elem)
         worst, desc = 0.0, ""
         for (k, dname), group in groups.items():
             first = group[0]

@@ -91,6 +91,9 @@ def test_build_c0_is_taken_as_given(files, capsys):
     capsys.readouterr()
     assert run(*build, "--c0", "shared:x") == 2
     assert "c0 shared:x is not an edge color" in capsys.readouterr().err
+    # without a decoloring nothing reads --c0: a usage error before any read
+    assert run("build", "--graph", files / "missing.g", "--c0", "shared:-1") == 2
+    assert capsys.readouterr().err == "error: --c0 needs --decolor vertices or full\n"
 
 
 # sha256 of graph JSONs and an `aut` report, measured with the stdlib
@@ -385,7 +388,7 @@ ECHO_KEYS = {
                "--cap", "1000", "--word", "x1", "--json", "r.json"],
               {"graph_path", "b", "homogeneous", "cap", "word", "json_out"}),
     "cert": (["cert", "qiso", "--graph", "k33.g", "--b", "000000", "--construction", "Gstar",
-              "--b1", "000000", "--b2", "100000", "--rep", "pauli", "--lift",
+              "--b1", "000000", "--b2", "000000", "--rep", "regular", "--lift",
               "--cap", "1000", "--out", "c.json", "--report", "r.json"],
              {"graph_path", "b", "construction", "b1", "b2", "rep", "lift", "cap", "out",
               "report"}),
@@ -799,12 +802,18 @@ def test_cert_infinite_group_caps(files, capsys):
     assert "exceeded cap" in capsys.readouterr().out
 
 
-def test_cert_pauli_usage_errors(files):
+def test_cert_pauli_usage_errors(files, capsys):
     assert run("cert", "qiso", "--graph", files / "k34.g", "--b1", "0000000",
                "--b2", "1000000", "--rep", "pauli") == 2
     assert run("cert", "qiso", "--graph", files / "k33.g", "--b1", "000000",
                "--b2", "110000", "--rep", "pauli") == 2
     assert run("cert", "qiso", "--graph", files / "k33.g", "--rep", "pauli") == 2
+    # --rep pauli enumerates no group, so a --cap is a usage error before any read
+    capsys.readouterr()
+    assert run("cert", "qiso", "--graph", files / "missing.g", "--b1", "000000",
+               "--b2", "100000", "--rep", "pauli", "--cap", "0") == 2
+    assert capsys.readouterr().err == (
+        "error: --cap needs --rep regular: --rep pauli enumerates no group\n")
 
 
 @pytest.mark.parametrize("b2", ["zz", "111111"])

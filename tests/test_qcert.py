@@ -21,7 +21,7 @@ from lcsq.graphiso import automorphism_group
 from lcsq.reps import (DenseElement, GroupAlgebraElement, Representation,
                        _Dyadic, group_algebra_rep)
 from lcsq.qcert import (CertificateError, MagicUnitaryCert, VerificationReport,
-                        _decode, _edge_classes, build_magic_unitary, lift_cert,
+                        _decode, build_magic_unitary, lift_cert,
                         noncommuting_witness, verify_cert)
 from oracles import extract_generators, plain_verify, residual, system
 from test_reps import as_array
@@ -281,6 +281,21 @@ def test_identity_must_be_a_nonzero_projection(request, cert_name):
     assert "shape" not in {name for name, _, _ in report.families}
 
 
+@pytest.mark.parametrize("fault", ["identity", "algebra"])
+def test_shape_fault_keeps_the_color_family(pauli_cert, fault):
+    # a shape fault ends the report after its color family, which still
+    # names an entry between vertex colors: (0, 4) joins blocks 0 and 1
+    bad = replace_entry(pauli_cert, (0, 4), pauli_cert.entries[(4, 4)])
+    if fault == "identity":
+        bad = dataclasses.replace(bad, identity=bad.identity + bad.identity)
+    else:
+        bad = replace_entry(bad, sorted(bad.entries)[9], DenseElement.identity(1))
+    report = verify_cert(bad)
+    assert [name for name, _, _ in report.families] == ["projection", "shape", "color"]
+    assert residual(report, "color") > 0
+    assert_equals_plain(bad)
+
+
 def test_extract_without_block_table(pauli_cert, pauli_rep):
     # a certificate assembled from a copy of the entries alone: extraction
     # reads the (block, delta) elements back from the entries
@@ -351,6 +366,19 @@ def test_edge_only_in_column_graph_fails_intertwining(gstar33_0):
     report = verify_cert(cert)
     assert residual(report, f"intertwine:{c}") == 1.0
     assert not report.passed
+
+
+def test_edge_color_only_in_column_graph_has_its_family(pauli_cert):
+    # one column-graph edge recolored to a color the row graph lacks: its
+    # family is formed from the column graph's neighbours alone
+    (u, v, _), *rest = pauli_cert.col_graph.edges
+    recolored = dataclasses.replace(pauli_cert.col_graph,
+                                    edges=((u, v, "plain:0"), *rest))
+    cert = dataclasses.replace(pauli_cert, col_graph=recolored)
+    report = verify_cert(cert)
+    assert "intertwine:plain:0" in {name for name, _, _ in report.families}
+    assert not report.passed
+    assert_equals_plain(cert)
 
 
 def test_classical_cert_rejects_non_bijection(gstar33_0):
