@@ -9,8 +9,9 @@ internal error (a self-check inside the library failed, a certificate
 precondition failed on inputs the CLI built itself, or any other
 exception escaped: a bug, not a verdict).  Certificates are verified in
 exact arithmetic on both backends, so "passes" means that every residual
-is literally zero; there is no tolerance to set.  All reports and graph
-files are written by `graphs.dump_json` (sorted keys, one space of
+is literally zero; there is no tolerance to set.  Reports, certificates
+and maps are written by `graphs.dump_json` and graph files by
+`graphs.serialize`, both in one layout (sorted keys, one space of
 indent), and every report echoes its run's flags as `config`, so
 identical configurations produce byte-identical outputs.
 """
@@ -139,9 +140,9 @@ def cmd_build(args: argparse.Namespace) -> int:
         if args.decolor == "full":
             stage = decolor.decolor_edges(stage, pa)
     if args.out is not None:
-        _write(args.out, graphs.serialize(stage, "json"))
+        _write(args.out, graphs.serialize(stage))
     if args.dot is not None:
-        _write(args.dot, graphs.serialize(stage, "dot"))
+        _write(args.dot, graphs.to_dot(stage))
     print(f"vertices: {stage.num_vertices}, edges: {stage.num_edges}")
     return EXIT_OK
 
@@ -188,17 +189,16 @@ def cmd_group(args: argparse.Namespace) -> int:
 def cmd_cert(args: argparse.Namespace) -> int:
     if args.cap is not None and args.rep == "pauli":
         raise UsageError("--cap needs --rep regular: --rep pauli enumerates no group")
+    if args.b is not None and args.b1 is not None:
+        raise UsageError("--b and --b1 are mutually exclusive: each sets the row graph's b")
+    if args.subcommand == "qut" and args.b2 is not None:
+        raise UsageError("qut takes no --b2: its column graph is its row graph")
+    if args.subcommand == "qiso" and args.b2 is None:
+        raise UsageError("qiso needs --b2")
     sys_ = _load_system(args)
     m = sys_.num_constraints
     b1 = _parse_bits(args.b1, m, "--b1") if args.b1 is not None else sys_.b
-    if args.subcommand == "qut":
-        if args.b2 is not None:
-            raise UsageError("qut takes no --b2: its column graph is its row graph")
-        b2 = b1
-    else:
-        if args.b2 is None:
-            raise UsageError("qiso needs --b2")
-        b2 = _parse_bits(args.b2, m, "--b2")
+    b2 = b1 if args.subcommand == "qut" else _parse_bits(args.b2, m, "--b2")
     sys1, sys2 = sys_.with_b(b1), sys_.with_b(b2)
     G1 = _build_graph(args, sys1)
     G2 = _build_graph(args, sys2) if b2 != b1 else G1

@@ -34,7 +34,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, groupby, product, repeat
+from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -273,17 +273,6 @@ def build_Gstar(sys: LinearSystem) -> ColoredGraph:
 # Serialization
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-def _flat_records(items) -> bool:
-    """Whether every item is a non-empty dict with no container value."""
-    if not (all(map(isinstance, items, repeat(dict))) and all(items)):
-        return False
-    types = set(map(type, chain.from_iterable(map(dict.values, items))))
-    return not any(issubclass(t, _CONTAINERS) for t in types)
-
-
 class ImageColumn(tuple):
     """A map of the vertices 0..n-1 held as its images: entry v is the image
     of vertex v.  `dump_json` writes it as the JSON object of that map,
@@ -303,63 +292,48 @@ def _column_layout(n: int, depth: int) -> tuple[str, tuple[int, ...]]:
     return "".join(("{", inner, body, "\n", " " * depth, "}")), order
 
 
+def _holds_column(obj) -> bool:
+    """Whether obj is an `ImageColumn` or a dict or list that holds one."""
+    if isinstance(obj, ImageColumn):
+        return True
+    if isinstance(obj, dict):
+        return any(map(_holds_column, obj.values()))
+    return isinstance(obj, (list, tuple)) and any(map(_holds_column, obj))
+
+
 def _encode(obj, depth: int) -> str:
     """`obj` in `dump_json`'s layout, opened at nesting depth `depth`."""
-    if isinstance(obj, dict):
-        is_dict, items = True, sorted(obj.items())
-    elif isinstance(obj, ImageColumn):
+    if isinstance(obj, ImageColumn):
         if not obj:
             return "{}"
         template, order = _column_layout(len(obj), depth)
         return template % tuple(map(obj.__getitem__, order))
-    elif isinstance(obj, (list, tuple)):
-        is_dict, items = False, obj
-    else:
-        return json.dumps(obj)
-    open_, close = "{}" if is_dict else "[]"
-    if not items:
-        return open_ + close
+    if not _holds_column(obj):
+        # an encoded string never holds a raw newline: only the layout shifts
+        text = json.dumps(obj, sort_keys=True, indent=1)
+        return text.replace("\n", "\n" + " " * depth)
     inner = "\n" + " " * (depth + 1)
-    outer = "\n" + " " * depth
-    if not is_dict and _flat_records(items):
-        # one C-encoder call writes every record with its keys at depth + 2
-        # and the records joined by the same separator; only the record
-        # boundaries need re-indenting, and "},\n" cannot occur inside an
-        # encoded string, which never holds a raw newline.  No more than two
-        # copies of the text are alive at once, here and below.
-        keys = inner + " "
-        body = json.dumps(items, sort_keys=True, separators=("," + keys, ": "))[2:-2]
-        body = body.replace("}," + keys + "{", inner + "}," + inner + "{" + keys)
-        return "".join(("[", inner, "{", keys, body, inner, "}", outer, "]"))
-    sep = "," + inner
-    parts = []
-    for scalar, group in groupby(items, lambda item: not isinstance(
-            item[1] if is_dict else item, _CONTAINERS)):
-        if scalar:
-            run = dict(group) if is_dict else list(group)
-            parts.append(json.dumps(run, sort_keys=True, separators=(sep, ": "))[1:-1])
-        elif is_dict:
-            # json.dumps({key: 0}) converts (or rejects) the key as json does
-            parts.extend(json.dumps({key: 0})[1:-4] + ": " + _encode(value, depth + 1)
-                         for key, value in group)
-        else:
-            parts.extend(_encode(value, depth + 1) for value in group)
-    parts[0] = open_ + inner + parts[0]
-    parts[-1] += outer + close
-    return sep.join(parts)
+    if isinstance(obj, dict):
+        open_, close = "{}"
+        # json.dumps({key: 0}) converts (or rejects) the key as json does
+        parts = [json.dumps({key: 0})[1:-4] + ": " + _encode(value, depth + 1)
+                 for key, value in sorted(obj.items())]
+    else:
+        open_, close = "[]"
+        parts = [_encode(value, depth + 1) for value in obj]
+    return "".join((open_, inner, ("," + inner).join(parts), "\n", " " * depth, close))
 
 
 def dump_json(obj) -> str:
     """The one JSON writer: sorted keys, one space of indent per level.
 
-    The text equals `json.dumps(obj, sort_keys=True)` with an indent of one,
-    byte for byte.  That call would run CPython's pure-Python encoder; here
-    the recursion covers structure only, and every run of scalars and every
-    list of flat records is written by one call to the C encoder.  An
-    `ImageColumn` is written as the object of its map, from one template
-    per length and depth.  A graph file's vertex and edge records are the
-    exception: `serialize` writes them from the graph's columns, and only
-    their `meta` comes through here.
+    The text is `json.dumps(obj, sort_keys=True, indent=1)`, byte for byte,
+    and the stdlib writes all of it but the vertex maps.  An `ImageColumn`
+    is written as the object of its map, from one template per length and
+    depth, and only the dicts and lists on the way down to one are walked
+    here.  A graph file's vertex and edge records are the other exception:
+    `serialize` writes them from the graph's columns, and only their `meta`
+    comes through here.
     """
     return _encode(obj, 0)
 
@@ -461,11 +435,15 @@ def _records(record: str, colors, values) -> str:
     return ("[\n" + rows + "\n ]") % tuple(values)
 
 
-def _graph_json(G: ColoredGraph) -> str:
-    """The graph file of G, byte for byte `dump_json` of its document (see
-    `serialize`), written from G's tuples: labels and colors escaped as
-    `json.dumps` escapes them, ids and endpoints as ints, and only `meta`
-    through `dump_json`'s encoder."""
+def serialize(G: ColoredGraph) -> str:
+    """The graph file of G: the text `dump_json` writes of the document
+    {"vertices": [...], "edges": [...], "meta": G.meta}, whose vertex
+    records are {"id": i, "label": str(G.labels[i])} and edge records
+    {"u": u, "v": v}, each with a "color" key exactly when it has a color.
+
+    It is written from G's tuples without building a dict per record:
+    labels and colors escaped as `json.dumps` escapes them, ids and
+    endpoints as ints, and only `meta` through `dump_json`'s encoder."""
     labels = map(encode_basestring_ascii, map(str, G.labels))
     vertices = _records(_VERTEX_RECORD, G.vertex_colors,
                         chain.from_iterable(zip(range(G.num_vertices), labels)))
@@ -473,22 +451,6 @@ def _graph_json(G: ColoredGraph) -> str:
                      chain.from_iterable(G.edges))
     return "".join(('{\n "edges": ', edges, ',\n "meta": ', _encode(G.meta, 1),
                     ',\n "vertices": ', vertices, "\n}"))
-
-
-def serialize(G: ColoredGraph, fmt: str = "json") -> str:
-    """Render the graph as a JSON document or as DOT source.
-
-    The JSON is the graph file format: the text `dump_json` writes of the
-    document {"vertices": [...], "edges": [...], "meta": G.meta}, whose
-    vertex records are {"id": i, "label": str(G.labels[i])} and edge
-    records {"u": u, "v": v}, each with a "color" key exactly when it has a
-    color.  It is written from G's columns without building a dict per
-    record."""
-    if fmt == "json":
-        return _graph_json(G)
-    if fmt == "dot":
-        return to_dot(G)
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 def parse_graph_json(text: str) -> ColoredGraph:

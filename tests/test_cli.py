@@ -387,10 +387,10 @@ ECHO_KEYS = {
     "group": (["group", "--graph", "k33.g", "--b", "000000", "--homogeneous",
                "--cap", "1000", "--word", "x1", "--json", "r.json"],
               {"graph_path", "b", "homogeneous", "cap", "word", "json_out"}),
-    "cert": (["cert", "qiso", "--graph", "k33.g", "--b", "000000", "--construction", "Gstar",
+    "cert": (["cert", "qiso", "--graph", "k33.g", "--construction", "Gstar",
               "--b1", "000000", "--b2", "000000", "--rep", "regular", "--lift",
               "--cap", "1000", "--out", "c.json", "--report", "r.json"],
-             {"graph_path", "b", "construction", "b1", "b2", "rep", "lift", "cap", "out",
+             {"graph_path", "construction", "b1", "b2", "rep", "lift", "cap", "out",
               "report"}),
     "iso": (["iso", "g.json", "g.json", "--map-out", "m.json", "--json", "r.json"],
             {"map_out", "json_out"}),
@@ -409,6 +409,36 @@ def test_report_config_echoes_exactly_the_given_flags(files, monkeypatch, name):
     config = json.loads((files / "r.json").read_text())["config"]
     assert set(config) == dests | {"subcommand", "decolor"}
     assert config["decolor"] == "none"
+
+
+# a run of each command with every JSON file it can write; graph files
+# (build --out) end without a newline, reports and maps with one
+WRITTEN = [
+    (["build", "--graph", "k33.g", "--decolor", "full", "--out", "g0.json"], 0, ["g0.json"]),
+    (["build", "--graph", "k33.g", "--b", "100000", "--construction", "Gstar",
+      "--out", "g1.json"], 0, ["g1.json"]),
+    (["solve", "--graph", "k33.g", "--b", "100000", "--json", "solve.json"], 1, ["solve.json"]),
+    (["group", "--graph", "k33.g", "--b", "100000", "--word", "gamma",
+      "--json", "group.json"], 0, ["group.json"]),
+    (["cert", "qut", "--graph", "k34.g", "--rep", "regular", "--lift",
+      "--out", "qut.json", "--report", "qut-report.json"], 0, ["qut.json", "qut-report.json"]),
+    (["cert", "qiso", "--graph", "k33.g", "--b1", "000000", "--b2", "100000",
+      "--rep", "pauli", "--out", "qiso.json", "--report", "qiso-report.json"], 0,
+     ["qiso.json", "qiso-report.json"]),
+    (["iso", "g0.json", "g0.json", "--map-out", "map.json", "--json", "iso.json"], 0,
+     ["map.json", "iso.json"]),
+    (["aut", "g0.json", "--json", "aut.json"], 0, ["aut.json"]),
+]
+
+
+def test_every_written_file_is_the_stdlib_text_of_itself(files, monkeypatch):
+    monkeypatch.chdir(files)
+    for argv, code, paths in WRITTEN:
+        assert run(*argv) == code
+        for path in paths:
+            text = (files / path).read_text()
+            end = "" if argv[0] == "build" else "\n"
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + end, path
 
 
 def test_group_empty_word_is_the_identity(files, capsys):
@@ -814,6 +844,19 @@ def test_cert_pauli_usage_errors(files, capsys):
                "--b2", "100000", "--rep", "pauli", "--cap", "0") == 2
     assert capsys.readouterr().err == (
         "error: --cap needs --rep regular: --rep pauli enumerates no group\n")
+
+
+@pytest.mark.parametrize("kind, flags, message", [
+    ("qut", ["--b", "000000", "--b1", "100000"],
+     "--b and --b1 are mutually exclusive: each sets the row graph's b"),
+    ("qut", ["--b2", "100000"], "qut takes no --b2: its column graph is its row graph"),
+    ("qiso", ["--b1", "000000"], "qiso needs --b2"),
+], ids=["b-with-b1", "qut-b2", "qiso-without-b2"])
+def test_cert_flag_conflicts_come_before_the_read(files, capsys, kind, flags, message):
+    # flags that can never work together are a usage error before any read,
+    # so a missing graph file is not what the run reports
+    assert run("cert", kind, "--graph", files / "missing.g", *flags, "--rep", "regular") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("b2", ["zz", "111111"])

@@ -15,7 +15,7 @@ from lcsq.decolor import canonical_assignment, decolor_vertices
 from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system, parse_system
 from lcsq.graphs import (ColoredGraph, ImageColumn, _color_key, block_labels, build_G,
                          build_Gstar, dump_json, from_json_dict, parse_graph_json,
-                         parse_label, serialize, sign_vectors)
+                         parse_label, serialize, sign_vectors, to_dot)
 from oracles import system, to_json_dict
 from test_fpgroups import small_graphs
 
@@ -402,8 +402,8 @@ def stdlib_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1)
 
 
-# strings that look like the record boundaries `dump_json` re-indents, or
-# that the encoder escapes
+# strings that look like JSON layout, such as a record boundary or a
+# newline with its indent, or that the encoder escapes
 TRICKY_TEXT = ["}", "{", "},\n  {", "},\n {\n", "[]", '"', '\\"', "\\",
                "\n", "\t", "é", "☃ snow", "\u2028", ""]
 text = st.one_of(st.sampled_from(TRICKY_TEXT), st.text(max_size=6))
@@ -463,16 +463,22 @@ def map_dict(images):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 200), max_size=120), max_size=4), st.integers(0, 3))
+@given(st.lists(st.lists(st.integers(0, 200), max_size=120), max_size=4), st.integers(0, 6))
 def test_image_columns_are_written_as_their_maps(columns, shape):
-    # the map alone, in a report, and listed as generators, beside scalars
+    # the map alone, in a report, and listed as generators, beside scalars;
+    # beside flat records in one list, two containers deep inside a record
+    # list, and an empty map as a dict value
     def report(wrap):
         maps = [wrap(c) for c in columns]
-        return [maps[0] if maps else wrap([]),
+        first = maps[0] if maps else wrap([])
+        return [first,
                 {"config": {"json_out": "a.json"}, "mapping": maps[0] if maps else None,
                  "isomorphic": True},
                 {"generators": maps, "order": 2},
-                [maps, {"a": maps}]][shape]
+                [maps, {"a": maps}],
+                [{"a": 1}, {"m": first}],
+                [{"a": 1, "b": [2]}, {"c": [{"d": first, "e": "}"}], "z": None}, {}],
+                {"m": wrap([]), "n": [wrap([])], "order": 1}][shape]
     assert dump_json(report(ImageColumn)) == stdlib_dump(report(map_dict))
 
 
@@ -686,7 +692,7 @@ def test_good_edges_pass_in_any_order():
 
 
 def test_dot_output(gstar33_0):
-    dot = serialize(gstar33_0, "dot")
+    dot = to_dot(gstar33_0)
     assert dot.startswith("graph G {")
     assert 'label="shared:-1"' in dot
     assert dot.count(" -- ") == gstar33_0.num_edges
