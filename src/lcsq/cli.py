@@ -151,6 +151,7 @@ def cmd_group(args: argparse.Namespace) -> int:
     sys_ = _load_system(args)
     homogeneous = args.homogeneous or all(v == 0 for v in sys_.b)
     P = fpgroups.solution_presentation(sys_, homogeneous=homogeneous)
+    word = None if args.word is None else P.word_from_names(args.word)
     cap = _cap(args)
     S, table = fpgroups.star_cosets(P, cap)
     order = table.num_cosets * S.order if table.is_complete else None
@@ -170,8 +171,7 @@ def cmd_group(args: argparse.Namespace) -> int:
         lines.append(f"order: {order}, abelian: {abelian}")
     else:
         lines.append(f"order: exceeds cap {cap}")
-    if args.word is not None:  # the empty word is the identity
-        word = P.word_from_names(args.word)
+    if word is not None:  # the empty word, (), is the identity
         trivial = fpgroups.word_is_identity(table, S, word) if table.is_complete else None
         result["word"] = args.word
         result["word_is_identity"] = trivial

@@ -581,15 +581,20 @@ class RegularTable:
             t = self.cosets.columns[g][t]
         return t << len(self.letters) | s
 
-    def act(self, word: Word) -> list[int]:
-        """(0, t)·word for every coset t, one pass over the k cosets per
-        letter; then (s, t)·word is act(word)[t] xor s."""
-        # coset 0 twice, so that itemgetter gives a tuple even when k = 1
+    def _walk(self, word: Word) -> tuple[tuple[int, ...], Iterable[int]]:
+        """The cosets t·word and the lazy sigma sums of (0, t)·word for each
+        coset t, then for coset 0 again (so that itemgetter gives a tuple
+        even when k = 1), one pass over the k cosets per letter."""
         cosets, s = (*range(self.cosets.num_cosets), 0), repeat(0)
         for g in word:
             gather = itemgetter(*cosets)
-            s = map(xor, s, gather(self.sigma[g]))  # xor-ed as the result is built
+            s = map(xor, s, gather(self.sigma[g]))  # xor-ed as they are read
             cosets = gather(self.cosets.columns[g])
+        return cosets, s
+
+    def act(self, word: Word) -> list[int]:
+        """(0, t)·word for every coset t; (s, t)·word is act(word)[t] xor s."""
+        cosets, s = self._walk(word)
         return list(map(or_, map(lshift, cosets[:-1], repeat(len(self.letters))), s))
 
     def right(self, h: int) -> list[int]:
@@ -647,8 +652,9 @@ def regular_table(P: Presentation,
     tree = spanning_tree(T.columns)
     R = RegularTable(T, S.letters, tuple(_sigma(T, S, tree)), *tree[1:],
                      T.num_cosets * S.order == S.abelianized_order)
-    starts = R.act(())  # the elements (0, t)
-    for rel in P.relators:
-        if R.act(rel) != starts:
+    starts = R._walk(())[0]
+    for rel in P.relators:  # rel fixes (0, t) when it fixes t and its sigma sum is 0
+        cosets, s = R._walk(rel)
+        if cosets != starts or any(s):
             raise RuntimeError(f"relator {rel} moves an element of the lifted table")
     return R

@@ -409,12 +409,6 @@ def verify_mapping(G1: ColoredGraph, G2: ColoredGraph,
     return True, None
 
 
-def _quick_mismatch(G1: ColoredGraph, G2: ColoredGraph) -> bool:
-    return (G1.num_vertices != G2.num_vertices or G1.num_edges != G2.num_edges
-            or Counter(G1.vertex_colors) != Counter(G2.vertex_colors)
-            or Counter(c for (_, _, c) in G1.edges) != Counter(c for (_, _, c) in G2.edges))
-
-
 def find_isomorphism(G1: ColoredGraph, G2: ColoredGraph) -> ImageColumn | None:
     """A color- and edge-preserving bijection as its image column
     (`graphs.ImageColumn`, written by `graphs.dump_json` as the map's JSON
@@ -422,8 +416,6 @@ def find_isomorphism(G1: ColoredGraph, G2: ColoredGraph) -> ImageColumn | None:
     searched on the two 2-cores, labelled by their hanging trees' codes
     from one shared table, extended span by span, and re-checked with
     verify_mapping on the full graphs."""
-    if _quick_mismatch(G1, G2):
-        return None
     ids, codes = _edge_ids([G1, G2]), {}
     core1, core2 = _core(G1, ids, codes), _core(G2, ids, codes)
     found = _find(*_sides([(core1.tokens, core1.edges), (core2.tokens, core2.edges)]))

@@ -449,9 +449,15 @@ def test_group_empty_word_is_the_identity(files, capsys):
     assert data["word"] == "" and data["word_is_identity"] is True
 
 
-def test_group_unknown_word_generator_exit_2(files, capsys):
-    assert run("group", "--graph", files / "k33.g", "--word", "x1 y9") == 2
-    assert "unknown generator 'y9' in word 'x1 y9'" in capsys.readouterr().err
+def test_group_unknown_word_generator_exit_2(files, monkeypatch, capsys):
+    # the word is read before the enumeration, which must not start
+    def no_enumeration(*args):
+        raise AssertionError("star_cosets called")
+    monkeypatch.setattr(fpgroups, "star_cosets", no_enumeration)
+    for flags, word, name in ([], "x1 y9", "y9"), (["--homogeneous"], "gamma", "gamma"):
+        assert run("group", "--graph", files / "k33.g", *flags, "--word", word) == 2
+        assert capsys.readouterr().err == \
+            f"error: unknown generator {name!r} in word {word!r}\n"
 
 
 CAP_COMMANDS = {
@@ -966,6 +972,25 @@ def test_iso_and_aut(files, capsys):
     report = files / "aut.json"
     assert run("aut", a, "--json", report) == 0
     assert json.loads(report.read_text())["order"] == 16
+
+
+def test_iso_of_graphs_with_unequal_counts(files, monkeypatch, capsys):
+    # unequal vertex, edge or color counts are told apart by the search itself
+    monkeypatch.chdir(files)
+    assert run("build", "--graph", "k33.g", "--out", "gs33.json") == 0
+    assert run("build", "--graph", "k33.g", "--decolor", "full", "--out", "gpp33.json") == 0
+    assert run("build", "--graph", "k34.g", "--decolor", "full", "--out", "gpp34.json") == 0
+    data = json.loads((files / "gpp33.json").read_text())
+    data["edges"][0]["color"] = "plain:0"
+    (files / "recolored.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    for pair in (("gs33.json", "gpp33.json"), ("gpp33.json", "gpp34.json"),
+                 ("gpp33.json", "recolored.json")):
+        assert run("iso", *pair, "--json", "r.json", "--map-out", "m.json") == 1
+        assert capsys.readouterr().out == "non-isomorphic\n"
+        report = json.loads((files / "r.json").read_text())
+        assert report["isomorphic"] is False and report["mapping"] is None
+        assert not (files / "m.json").exists()
 
 
 # graphs with little or no 2-core, and their automorphism group orders

@@ -620,6 +620,21 @@ def test_a_wrong_sigma_entry_fails_the_relator_check(k34_sys0, monkeypatch):
         regular_table(solution_presentation(k34_sys0, homogeneous=True))
 
 
+def test_a_wrong_coset_column_fails_the_relator_check(k34_sys0, monkeypatch):
+    # x1 acting as x2 passes `_sigma`, so the relator check must catch it
+    star_cosets = fp.star_cosets
+
+    def x1_as_x2(P, cap):
+        S, T = star_cosets(P, cap)
+        columns = list(T.columns)
+        columns[P.gen_index("x1")] = columns[P.gen_index("x2")]
+        return S, CosetTable(P, tuple(columns), T.status)
+
+    monkeypatch.setattr(fp, "star_cosets", x1_as_x2)
+    with pytest.raises(RuntimeError, match="relator .* moves an element"):
+        regular_table(solution_presentation(k34_sys0, homogeneous=True))
+
+
 # ---------------------------------------------------------------------------
 # exact replay against the union-find enumerator
 

@@ -696,8 +696,8 @@ def core_of(G):
 
 
 def core_search(G1, G2):
-    """`find_isomorphism` without its count check: the labelled cores alone
-    must tell the graphs apart."""
+    """The union search on the two labelled cores that `find_isomorphism`
+    searches, with no extension: the cores alone must tell the graphs apart."""
     ids, codes = graphiso._edge_ids([G1, G2]), {}
     inst = union_side_by_side(graphiso._core(G1, ids, codes),
                               graphiso._core(G2, ids, codes))
@@ -788,8 +788,6 @@ def oracle_extend(core1, core2, f):
 
 def oracle_find_isomorphism(G1, G2):
     """`find_isomorphism` with the core map paired down the trees."""
-    if graphiso._quick_mismatch(G1, G2):
-        return None
     ids, codes = graphiso._edge_ids([G1, G2]), {}
     core1, core2 = graphiso._core(G1, ids, codes), graphiso._core(G2, ids, codes)
     inst = union_side_by_side(core1, core2)
