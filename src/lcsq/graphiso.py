@@ -54,7 +54,6 @@ core itself is compared by direct search.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -197,13 +196,10 @@ def _sides(graphs: list[tuple[list, list[tuple[int, int, int]]]]) -> list[_Side]
     equal to the first gets the first's workspace, so that searches know
     both sides alike."""
     ids = {t: i for i, t in enumerate(sorted(set().union(*(t for t, _ in graphs))))}
-    degree, top = 0, 0  # the largest degree and edge color id of any graph
-    for _, edges in graphs:
-        ends = Counter(map(itemgetter(0), edges))
-        ends.update(map(itemgetter(1), edges))
-        degree = max(degree, max(ends.values(), default=0))
-        top = max(top, max(map(itemgetter(2), edges), default=0))
-    weights = [(degree + 1) ** i for i in range(top + 1)]
+    # a simple graph's degrees are below its vertex count
+    base = max(len(tokens) for tokens, _ in graphs) + 1
+    top = max((cid for _, edges in graphs for (_, _, cid) in edges), default=0)
+    weights = [base ** i for i in range(top + 1)]
     sides: list[_Side] = []
     for tokens, edges in graphs:
         if sides and (tokens, edges) == graphs[0]:

@@ -454,4 +454,8 @@ def serialize(G: ColoredGraph) -> str:
 
 
 def parse_graph_json(text: str) -> ColoredGraph:
-    return from_json_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:  # a RuntimeError, which callers read as a library fault
+        raise ValueError("graph file nests too deeply to parse") from None
+    return from_json_dict(doc)

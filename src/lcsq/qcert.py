@@ -44,12 +44,8 @@ for a projection, a commutator, a `block_equal` pair) is measured by
 the elements' `distance`, which decides a zero by equality and subtracts
 only two elements that differ.
 
-A commutator xy - yx of self-adjoint x and y is xy - (xy)*, so it takes
-one product and an adjoint; the block-commutation family, the witness
-search and the lift's gadgets all use this, and fall back to two
-products for an element that is not self-adjoint.  The lift forms each
-product of two stored objects once per call: its gadgets repeat a few
-operand pairs many times.  An algebra that is
+The lift forms each product of two stored objects once per call: its
+gadgets repeat a few operand pairs many times.  An algebra that is
 commutative (a group algebra of an abelian group, or 1 x 1 matrices)
 holds no quantum-symmetry witness, and the search is skipped.  A block
 whose entries commute as their supports show (`supports_commute`) takes
@@ -241,11 +237,9 @@ def _residual(memo: dict, elems: list, bits: int, sig: int) -> float:
     return r
 
 
-def _commutator_norm(x, y, selfadjoint: bool) -> float:
-    """Residual norm of xy - yx.  When x and y are both self-adjoint, yx is
-    (xy)*, so one product and an adjoint give the same element."""
-    xy = x * y
-    return xy.distance(xy.adjoint() if selfadjoint else y * x)
+def _commutator_norm(x, y) -> float:
+    """Residual norm of xy - yx."""
+    return (x * y).distance(y * x)
 
 
 def _intertwine(rows: dict, col_rows: dict, adj1: dict, adj2: dict,
@@ -328,9 +322,7 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     representatives' supports commute (the elements' `supports_commute`:
     every group-algebra block of a built certificate, and a dense block
     only over 1 x 1 matrices) adds 0.0 to `block_commute` and takes no
-    product; any other block pairs its representatives.  The projection
-    family finds which entries are self-adjoint, and a same-block
-    commutator of two of them takes one product.
+    product; any other block pairs its representatives.
     """
     families: list[tuple[str, float, str]] = []
     G1, G2, one = cert.row_graph, cert.col_graph, cert.identity
@@ -338,13 +330,9 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
     # entry projections, e = e* = e^2, and the shape (see `_shape_fault`)
     distinct = cert.distinct_elements()
     fault = _shape_fault(cert, distinct)
-    selfadjoint: set[int] = set()
     worst, desc = 0.0, ""
     for key, elem in distinct:
-        skew = elem.distance(elem.adjoint())
-        if not skew:
-            selfadjoint.add(id(elem))
-        r = max(skew, (elem * elem).distance(elem))
+        r = max(elem.distance(elem.adjoint()), (elem * elem).distance(elem))
         if r > worst:
             worst, desc = r, f"entry {key}"
     families.append(("projection", worst, desc))
@@ -438,8 +426,7 @@ def verify_cert(cert: MagicUnitaryCert) -> VerificationReport:
                 continue  # every commutator of the block is zero
             for a in range(len(firsts)):
                 for b in range(a + 1, len(firsts)):
-                    x, y = firsts[a], firsts[b]
-                    r = _commutator_norm(x, y, id(x) in selfadjoint and id(y) in selfadjoint)
+                    r = _commutator_norm(firsts[a], firsts[b])
                     if r > worst:
                         worst, desc = r, f"block {k}"
         families.append(("block_commute", worst, desc))
@@ -462,10 +449,7 @@ def noncommuting_witness(cert: MagicUnitaryCert):
     A shape fault (see `_shape_fault`) raises CertificateError naming the
     identity or the first entry over another algebra, as `verify_cert`'s
     `shape` family does.  Over a commutative algebra (see the identity's
-    `commutative`) the answer is None without a search.  In the search,
-    each element's self-adjointness is found once, when first needed; for
-    a self-adjoint pair one product gives the commutator (see
-    `_commutator_norm`).
+    `commutative`) the answer is None without a search.
     """
     distinct = cert.distinct_elements()
     fault = _shape_fault(cert, distinct)
@@ -473,20 +457,9 @@ def noncommuting_witness(cert: MagicUnitaryCert):
         raise CertificateError(f"shape: {fault[0]} {fault[1]}")
     if cert.identity.commutative:
         return None
-    selfadjoint: list[bool | None] = [None] * len(distinct)
-
-    def is_selfadjoint(idx: int) -> bool:
-        sa = selfadjoint[idx]
-        if sa is None:
-            elem = distinct[idx][1]
-            sa = selfadjoint[idx] = elem == elem.adjoint()
-        return sa
-
-    for a in range(len(distinct)):
-        key_a, elem_a = distinct[a]
-        for b in range(a + 1, len(distinct)):
-            key_b, elem_b = distinct[b]
-            r = _commutator_norm(elem_a, elem_b, is_selfadjoint(a) and is_selfadjoint(b))
+    for a, (key_a, elem_a) in enumerate(distinct):
+        for key_b, elem_b in distinct[a + 1:]:
+            r = _commutator_norm(elem_a, elem_b)
             if r:
                 return (key_a, key_b, r)
     return None
@@ -513,9 +486,7 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport) -> MagicUnitar
     A vertex of G and its path inherit the source entry at equal path
     positions; subdivision vertices of same-colored edges e = (a, b) and
     f = (c, d) receive u_{ac} u_{bd} + u_{ad} u_{bc} (a projection because
-    the same-block factors commute, which is checked here).  The source
-    passes, so its entries are self-adjoint and u_{bd} u_{ac} is
-    (u_{ac} u_{bd})*: the check and the gadget share one product.  Gadgets
+    the same-block factors commute, which is checked here).  Gadgets
     with the same four input objects are one element, built and checked
     once, and each product of two stored objects is formed once per call,
     keyed by the objects' identities, whichever gadget and factor first
@@ -566,9 +537,8 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport) -> MagicUnitar
                 sig = (id(u_ac), id(u_bd), id(u_ad), id(u_bc))
                 elem = gadgets.get(sig)
                 if elem is None:
-                    # the entries are self-adjoint, so u_bd u_ac = (u_ac u_bd)*
                     prod = product(u_ac, u_bd)
-                    if prod != prod.adjoint():
+                    if prod != product(u_bd, u_ac):
                         raise CertificateError(
                             f"entries for edges {(a, b)}/{(c, d)} do not commute")
                     elem = gadgets[sig] = prod + product(u_ad, u_bc)

@@ -1067,6 +1067,26 @@ def test_malformed_graph_documents_exit_2(files, capsys, command, name):
     assert "Traceback" not in err
 
 
+# documents nested past the JSON decoder's recursion limit
+NESTED_GRAPHS = {
+    "open-brackets": "[" * 100000,
+    "deep-meta": '{"vertices": [{"id": 0}], "edges": [], "meta": '
+                 + "[" * 50000 + "]" * 50000 + "}",
+}
+
+
+@pytest.mark.parametrize("command", ["iso", "aut"])
+@pytest.mark.parametrize("name", sorted(NESTED_GRAPHS))
+def test_deeply_nested_graph_documents_exit_2(files, capsys, command, name):
+    good, bad = files / "good.json", files / "bad.json"
+    good.write_text('{"vertices": [{"id": 0}], "edges": []}')
+    bad.write_text(NESTED_GRAPHS[name])
+    assert run(command, *([good] if command == "iso" else []), bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # documents that lack a required field, and the message each one gets
 MISSING_FIELDS = {
     "vertices": {"edges": []},

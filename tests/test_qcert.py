@@ -987,9 +987,9 @@ def test_broken_report_equals_naive_evaluation(certs, name):
         assert report.to_json_dict() == plain_verify(bad).to_json_dict(), kind
 
 
-def test_non_selfadjoint_entry_keeps_two_product_commutators(certs):
+def test_non_selfadjoint_entry_commutes_with_every_entry(certs):
     # i times the identity commutes with every entry, but x y - (x y)* is
-    # 2i y: reading a commutator as x y - (x y)* would report a failure
+    # 2i y: a commutator read as x y - (x y)* would report a failure
     cert = certs["pauli"]
     bad = corruptions(cert)["skew"]
     x = bad.entries[next(iter(bad.entries))]
@@ -1059,7 +1059,7 @@ def test_one_dimensional_witness_takes_no_commutators(monkeypatch):
     cert = tiny_cert()
     assert len(cert.distinct_elements()) == 2
 
-    def no_commutators(x, y, selfadjoint):
+    def no_commutators(x, y):
         raise AssertionError("a commutator was formed")
 
     monkeypatch.setattr("lcsq.qcert._commutator_norm", no_commutators)
@@ -1110,7 +1110,7 @@ def test_commuting_blocks_take_no_commutators(certs, monkeypatch, name):
     cert = tiny_cert() if name == "tiny" else certs[name]
     expected = plain_verify(cert).to_json_dict()
 
-    def no_commutators(x, y, selfadjoint):
+    def no_commutators(x, y):
         raise AssertionError("a commutator was formed")
 
     monkeypatch.setattr("lcsq.qcert._commutator_norm", no_commutators)
