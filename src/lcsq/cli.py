@@ -100,9 +100,9 @@ def _pick_c0(args: argparse.Namespace, G: graphs.ColoredGraph) -> str:
     an edge color of G), else shared:-1."""
     if args.c0 is not None:
         return args.c0
-    if "shared:-1" in G.edge_palette():
-        return "shared:-1"
-    raise UsageError("no shared:-1 edge color present; specify --c0 explicitly")
+    if graphs.GSTAR_COLOR in G.edge_palette():
+        return graphs.GSTAR_COLOR
+    raise UsageError(f"no {graphs.GSTAR_COLOR} edge color present; specify --c0 explicitly")
 
 
 # ---------------------------------------------------------------------------
@@ -204,29 +204,29 @@ def cmd_cert(args: argparse.Namespace) -> int:
     G2 = _build_graph(args, sys2) if b2 != b1 else G1
     # the decoloring keeps G*'s shared:-1 edges and cert has no --c0, so
     # without that color no run could lift, whatever the group turns out to be
-    if args.lift and "shared:-1" not in G1.edge_palette():
-        raise UsageError("--lift needs G*'s shared:-1 edge color "
+    if args.lift and graphs.GSTAR_COLOR not in G1.edge_palette():
+        raise UsageError(f"--lift needs G*'s {graphs.GSTAR_COLOR} edge color "
                          "(--construction Gstar), and this graph has none")
 
+    # R represents the relation set of (M, b1 + b2)
     xor_b = tuple(x ^ y for x, y in zip(b1, b2))
     if args.rep == "pauli":
         if sys_.M != f2core.incidence_system(
                 f2core.complete_bipartite(3, 3), (0,) * 6).M:
-            raise UsageError("--rep pauli is only defined for the K3,3 incidence system")
-        if sum(xor_b) != 1:
-            raise UsageError("--rep pauli needs b1+b2 with exactly one 1")
-        R = reps.pauli_magic_square_rep(xor_b.index(1))
-    else:  # regular
-        if any(xor_b):
-            raise UsageError("--rep regular represents the homogeneous group; "
-                             "b1 and b2 must agree")
-        P = fpgroups.solution_presentation(sys_.with_b(xor_b), homogeneous=True)
+            raise UsageError("--rep pauli is only defined for the K3,3 incidence system "
+                             "with edges 1 4, 1 5, 1 6, 2 4, 2 5, 2 6, 3 4, 3 5, 3 6 "
+                             "in this order")
+        R = reps.pauli_magic_square_rep(xor_b)
+    else:  # regular: Gamma_0's regular representation, flipped onto b1 + b2
+        x = f2core.solve_f2(sys_.with_b(xor_b))
+        if x is None:
+            raise UsageError("--rep regular needs b1+b2 in the column space of M")
         cap = _cap(args)
-        table = fpgroups.regular_table(P, cap)
+        table = fpgroups.regular_table(fpgroups.solution_presentation(sys_, True), cap)
         if table is None:
             print(f"coset enumeration exceeded cap {cap}")
             return EXIT_CAP
-        R = reps.group_algebra_rep(table)
+        R = reps.flip_signs(reps.group_algebra_rep(table), x)
 
     mode = "qut" if args.subcommand == "qut" else "iso"
     cert = qcert.build_magic_unitary(G1, G2, R)
@@ -331,7 +331,8 @@ def _parser() -> argparse.ArgumentParser:
     add_inputs(p, need_construction=True)
     p.add_argument("--decolor", choices=["none", "vertices", "full"],
                    default=argparse.SUPPRESS)
-    p.add_argument("--c0", help="edge color kept during decoloring (default shared:-1)")
+    p.add_argument("--c0",
+                   help=f"edge color kept during decoloring (default {graphs.GSTAR_COLOR})")
     p.add_argument("--out", help="write graph JSON here")
     p.add_argument("--dot", help="write DOT here")
 

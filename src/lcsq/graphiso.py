@@ -192,22 +192,14 @@ class _Side:
 
 def _sides(graphs: list[tuple[list, list[tuple[int, int, int]]]]) -> list[_Side]:
     """One workspace per graph, each given as (vertex labels, edges (u, v,
-    color id)), with one label table and one weight base for all.  A graph
-    equal to the first gets the first's workspace, so that searches know
-    both sides alike."""
+    color id)), with one label table and one weight base for all."""
     ids = {t: i for i, t in enumerate(sorted(set().union(*(t for t, _ in graphs))))}
     # a simple graph's degrees are below its vertex count
     base = max(len(tokens) for tokens, _ in graphs) + 1
     top = max((cid for _, edges in graphs for (_, _, cid) in edges), default=0)
     weights = [base ** i for i in range(top + 1)]
-    sides: list[_Side] = []
-    for tokens, edges in graphs:
-        if sides and (tokens, edges) == graphs[0]:
-            sides.append(sides[0])
-        else:
-            sides.append(_Side(len(tokens), list(map(ids.__getitem__, tokens)), edges,
-                               weights, len(ids)))
-    return sides
+    return [_Side(len(tokens), list(map(ids.__getitem__, tokens)), edges, weights, len(ids))
+            for tokens, edges in graphs]
 
 
 def _target(part: _Partition) -> int | None:
@@ -254,12 +246,9 @@ def _search(path: _Path, right: _Side, depth: int, part: _Partition) -> list[int
     cell = part.cells[c]
     # try the mirror vertex first: makes "G vs itself" return the identity
     for w in [v] + [x for x in cell if x != v] if v in cell else cell:
-        if part is left and w == v:  # the left's own node: its child is known
-            child = path.parts[depth + 1]
-        else:
-            child = part.individualize(c, w)
-            if right.split(child, [len(child.cells) - 1], record) is None:
-                continue
+        child = part.individualize(c, w)
+        if right.split(child, [len(child.cells) - 1], record) is None:
+            continue
         found = _search(path, right, depth + 1, child)
         if found is not None:
             return found
@@ -270,8 +259,6 @@ def _find(left: _Side, right: _Side) -> list[int] | None:
     """The image column of a map from the left graph onto the right that
     respects labels and edge colors, or None."""
     path = _Path(left)
-    if right is left:
-        return _search(path, right, 0, path.parts[0])
     if right.sizes != left.sizes:  # some label is on more vertices of one graph
         return None
     found = right.root(path.records[0])

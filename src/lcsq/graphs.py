@@ -69,6 +69,10 @@ def sign_product(alpha: str, beta: str) -> str:
 # incidence construction, and "plain:n" on any other graph.  Colors are
 # compared as strings; only palette order needs `_color_key`.
 
+# the color of every edge of G*: the one edge color that `cli` decolors by
+# default and that `qcert.lift_cert` keeps
+GSTAR_COLOR = "shared:-1"
+
 _NUM = "(0|[1-9][0-9]*)"
 _COLOR_FORMS = {kind: (order, re.compile(form)) for order, (kind, form) in enumerate((
     ("v", _NUM),
@@ -263,7 +267,7 @@ def build_Gstar(sys: LinearSystem) -> ColoredGraph:
             for a, alpha in enumerate(blocks[l]):
                 for b_, beta in enumerate(blocks[k]):
                     if alpha[p] != beta[q]:
-                        edges.append((offsets[l] + a, offsets[k] + b_, "shared:-1"))
+                        edges.append((offsets[l] + a, offsets[k] + b_, GSTAR_COLOR))
 
     meta = {"construction": "Gstar", "system": render_system(sys)}
     return ColoredGraph(tuple(labels), tuple(colors), tuple(edges), meta)

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .f2core import LinearSystem
-from .graphs import ColoredGraph, block_labels, sign_product
+from .graphs import GSTAR_COLOR, ColoredGraph, block_labels, sign_product
 from .decolor import canonical_assignment, chains, decolor_full
 from .reps import Representation, VerificationReport, verify_representation
 
@@ -498,7 +498,7 @@ def lift_cert(cert: MagicUnitaryCert, report: VerificationReport) -> MagicUnitar
             f"source certificate fails verification: {report.worst[0]} "
             f"(residual {report.worst[1]:.3g})")
     G1, G2 = cert.row_graph, cert.col_graph
-    pa = canonical_assignment(G1, "shared:-1")
+    pa = canonical_assignment(G1, GSTAR_COLOR)
     Gpp1 = decolor_full(G1, pa)
     Gpp2 = Gpp1 if G2 is G1 else decolor_full(G2, pa)
 

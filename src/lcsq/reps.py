@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .f2core import LinearSystem, complete_bipartite, incidence_system
+from .f2core import LinearSystem, complete_bipartite, incidence_system, solve_f2
 from .fpgroups import RegularTable
 
 
@@ -350,6 +350,16 @@ class Representation:
         return (one + x).halve() if sign == 1 else (one - x).halve()
 
 
+def flip_signs(R: Representation, x: tuple[int, ...] | list[int]) -> Representation:
+    """R with the image of x_i negated where x_i = 1, every other image the
+    same object.  Negating x_i flips the sign of every constraint product
+    that holds x_i, so where R represents the relation set of (M, b), the
+    result represents that of (M, b + M x): the one way a representation
+    moves between right-hand sides."""
+    return Representation([-image if flip else image
+                           for image, flip in zip(R.images, x, strict=True)], R.name)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Residual per relation family, the worst offender, and the verdict:
@@ -438,40 +448,28 @@ def _pauli_square() -> list[list[DenseElement]]:
     )]
 
 
-def pauli_magic_square_rep(distinguished: int = 0) -> Representation:
-    """Two-qubit Pauli observables on the nine edge variables of K_{3,3}.
+def pauli_magic_square_rep(b: tuple[int, ...]) -> Representation:
+    """Two-qubit Pauli observables on the nine edge variables of K_{3,3},
+    representing the relation set of its incidence system with right-hand
+    side b, for any b of odd weight.
 
-    Exactly the distinguished constraint's product equals -identity and
-    the remaining five equal +identity, so this represents the relation
-    set of the incidence system of K_{3,3} with b = e_distinguished.  The
-    assignment is accepted only after verify_representation passes.
+    The square is read once, for b = e1: left vertex a reads column 2 - a
+    and right vertex 3 + c reads row c, so the first constraint's product
+    is -identity and the other five are +identity.  Any other b is reached
+    by `flip_signs` with a solution x of M x = b + e1.  Every edge meets two
+    constraints, so M x has even weight, and an even-weight b is a
+    ValueError.  The result is accepted only after verify_representation
+    passes.
     """
-    if not 0 <= distinguished < 6:
-        raise ValueError("distinguished constraint must be one of 0..5")
+    sys = incidence_system(complete_bipartite(3, 3), b)
+    x = solve_f2(sys.with_b((1 - sys.b[0],) + sys.b[1:]))
+    if x is None:
+        raise ValueError("the magic square represents K3,3's incidence system "
+                         f"only for an odd-weight b, not {sys.b_bitstring()}")
     cells = _pauli_square()
-    H = complete_bipartite(3, 3)
-    sys = incidence_system(H, tuple(1 if k == distinguished else 0 for k in range(6)))
-
-    def swap_to_last(d: int) -> list[int]:
-        perm = [0, 1, 2]
-        perm[d], perm[2] = perm[2], perm[d]
-        return perm
-
-    images: list[DenseElement | None] = [None] * 9
-    if distinguished < 3:
-        sigma = swap_to_last(distinguished)
-        # left vertex a reads column sigma[a]; right vertex 3+b reads row b
-        for a in range(3):
-            for b_ in range(3):
-                images[3 * a + b_] = cells[b_][sigma[a]]
-    else:
-        tau = swap_to_last(distinguished - 3)
-        # left vertex a reads row a; right vertex 3+b reads column tau[b]
-        for a in range(3):
-            for b_ in range(3):
-                images[3 * a + b_] = cells[a][tau[b_]]
-
-    rep = Representation(images, name="pauli-magic-square")
+    square = Representation([cells[c][2 - a] for a in range(3) for c in range(3)],
+                            name="pauli-magic-square")
+    rep = flip_signs(square, x)
     report = verify_representation(rep, sys)
     if not report.passed:  # construction bug, not a data condition
         raise RuntimeError(f"magic square failed verification: {report.worst[0]}")

@@ -116,7 +116,7 @@ def regular34(k34_sys0):
 
 @pytest.fixture(scope="session")
 def pauli_rep():
-    return pauli_magic_square_rep(0)
+    return pauli_magic_square_rep(E1_33)
 
 
 @pytest.fixture(scope="session")

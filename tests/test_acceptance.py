@@ -125,7 +125,7 @@ def test_criterion_05_non_isomorphism():
 
 
 def test_criterion_06_pauli_representation():
-    rep = pauli_magic_square_rep(0)
+    rep = pauli_magic_square_rep(E1)
     result = verify_representation(rep, k33_sys(E1))
     assert result.passed
     assert result.max_residual == 0.0
@@ -141,7 +141,7 @@ def test_criterion_07_quantum_isomorphism_certificate():
     with Timer() as t:
         cert = build_magic_unitary(build_Gstar(k33_sys()),
                                    build_Gstar(k33_sys(E1)),
-                                   pauli_magic_square_rep(0))
+                                   pauli_magic_square_rep(E1))
         result = verify_cert(cert)
         assert result.passed
         assert result.max_residual == 0.0
@@ -156,7 +156,7 @@ def test_criterion_07_quantum_isomorphism_certificate():
 
 
 def test_criterion_08_round_trip():
-    rep = pauli_magic_square_rep(0)
+    rep = pauli_magic_square_rep(E1)
     cert = build_magic_unitary(build_Gstar(k33_sys()), build_Gstar(k33_sys(E1)), rep)
     extraction = extract_generators(cert, rep)
     assert len(extraction.generators) == 9
@@ -214,7 +214,7 @@ def test_criterion_10_matching_property():
 def test_criterion_11_property_suites():
     # certificate-level properties on every built certificate
     certs = []
-    rep = pauli_magic_square_rep(0)
+    rep = pauli_magic_square_rep(E1)
     cert_pauli = build_magic_unitary(build_Gstar(k33_sys()), build_Gstar(k33_sys(E1)), rep)
     certs.append(("pauli-iso", cert_pauli, rep))
     sys33, sys34 = k33_sys(), k34_sys()

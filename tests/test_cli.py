@@ -852,6 +852,44 @@ def test_cert_pauli_usage_errors(files, capsys):
         "error: --cap needs --rep regular: --rep pauli enumerates no group\n")
 
 
+def test_cert_pauli_names_the_edge_order(files, capsys):
+    # K3,3 with its edges listed backward has another incidence matrix: the
+    # magic square is laid out on the canonical edge order alone
+    (files / "k33_reversed.g").write_text("6\n" + "".join(reversed(K33_G.splitlines(True)[1:])))
+    assert run("cert", "qiso", "--graph", files / "k33_reversed.g", "--b1", "000000",
+               "--b2", "100000", "--rep", "pauli") == 2
+    assert capsys.readouterr().err == (
+        "error: --rep pauli is only defined for the K3,3 incidence system with edges "
+        "1 4, 1 5, 1 6, 2 4, 2 5, 2 6, 3 4, 3 5, 3 6 in this order\n")
+
+
+@pytest.mark.parametrize("argv, vertices", [
+    (["--graph", "k33.g", "--b1", "000000", "--b2", "111000", "--rep", "pauli"], 426),
+    (["--graph", "k34.g", "--b1", "0000000", "--b2", "1100000", "--rep", "regular"], 2272),
+], ids=["pauli-weight-3", "regular-weight-2"])
+def test_cert_qiso_flips_signs_onto_b1_plus_b2(files, monkeypatch, capsys, argv, vertices):
+    # one rule for both representations: any b1 + b2 that sign flips reach
+    # from the representation's own b gives a certificate that lifts
+    monkeypatch.chdir(files)
+    assert run("cert", "qiso", *argv, "--lift") == 0
+    assert capsys.readouterr().out == (
+        "certificate passes (max residual 0); "
+        f"lifted certificate over {vertices}-vertex graphs passes\n")
+
+
+def test_cert_regular_b_miss_exits_before_enumerating(files, monkeypatch, capsys):
+    # every column of K3,4's M has two 1s, so an odd-weight b1 + b2 is no M x:
+    # a usage error found before any coset is enumerated
+    def never(*args, **kwargs):
+        raise AssertionError("regular_table was called")
+
+    monkeypatch.setattr(fpgroups, "regular_table", never)
+    assert run("cert", "qiso", "--graph", files / "k34.g", "--b1", "0000000",
+               "--b2", "1000000", "--rep", "regular", "--lift") == 2
+    assert capsys.readouterr().err == (
+        "error: --rep regular needs b1+b2 in the column space of M\n")
+
+
 @pytest.mark.parametrize("kind, flags, message", [
     ("qut", ["--b", "000000", "--b1", "100000"],
      "--b and --b1 are mutually exclusive: each sets the row graph's b"),

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcsq.f2core import complete_bipartite, incidence_system
 from lcsq.fpgroups import Presentation, regular_table, solution_presentation, todd_coxeter
-from lcsq.reps import (DenseElement, GroupAlgebraElement, Representation,
+from lcsq.reps import (DenseElement, GroupAlgebraElement, Representation, flip_signs,
                        group_algebra_rep, pauli_magic_square_rep, verify_representation)
 from oracles import EnumeratedGroup, regular_perm_rep, system
 
@@ -67,9 +67,9 @@ def test_pauli_verification_tight(pauli_rep, k33_sys_e1):
 
 @pytest.mark.parametrize("distinguished", range(6))
 def test_pauli_all_distinguished_positions(distinguished):
-    rep = pauli_magic_square_rep(distinguished)
-    sys = incidence_system(complete_bipartite(3, 3),
-                           tuple(int(k == distinguished) for k in range(6)))
+    b = tuple(int(k == distinguished) for k in range(6))
+    rep = pauli_magic_square_rep(b)
+    sys = incidence_system(complete_bipartite(3, 3), b)
     report = verify_representation(rep, sys)
     assert report.passed
     prod = np.eye(4, dtype=complex)
@@ -79,8 +79,42 @@ def test_pauli_all_distinguished_positions(distinguished):
 
 
 def test_pauli_rejects_bad_flag():
-    with pytest.raises(ValueError):
-        pauli_magic_square_rep(6)
+    # a b of another length than K3,3's six constraints, or with a non-bit
+    with pytest.raises(ValueError, match="b has length 7"):
+        pauli_magic_square_rep((1,) + (0,) * 6)
+    with pytest.raises(ValueError, match="must be bits"):
+        pauli_magic_square_rep((2,) + (0,) * 5)
+
+
+def test_pauli_square_represents_every_odd_b_and_no_even_b():
+    # every edge of K3,3 meets two constraints, so sign flips reach exactly
+    # the b of the square's own (odd) weight
+    H = complete_bipartite(3, 3)
+    passed = 0
+    for bits in range(64):
+        b = tuple((bits >> k) & 1 for k in range(6))
+        if sum(b) % 2:
+            passed += verify_representation(pauli_magic_square_rep(b),
+                                            incidence_system(H, b)).passed
+        else:
+            with pytest.raises(ValueError, match="only for an odd-weight b"):
+                pauli_magic_square_rep(b)
+    assert passed == 32
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_flip_signs_represents_b_plus_Mx(regular_rep34, k34_sys0, pauli_rep, k33_sys_e1,
+                                         data):
+    for R, sys in ((regular_rep34, k34_sys0), (pauli_rep, k33_sys_e1)):
+        n = sys.num_vars
+        x = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        b = tuple((v + sum(x[i] for i in sys.support(k))) % 2 for k, v in enumerate(sys.b))
+        flipped = flip_signs(R, x)
+        assert verify_representation(flipped, sys.with_b(b)).passed
+        # only the flipped images are new objects
+        assert [f is r for f, r in zip(flipped.images, R.images)] == [not v for v in x]
+        assert flipped.name == R.name
 
 
 def test_swapped_images_fail_with_named_product(pauli_rep, k33_sys_e1):
