@@ -125,6 +125,17 @@ def _positions(lengths: dict[str, int]) -> list[str]:
     return [str(i) for i in range(1, max(lengths.values(), default=0) + 1)]
 
 
+def _decolored(G: ColoredGraph, pa: PathAssignment, labels, edges) -> ColoredGraph:
+    """The uncolored graph a stage makes of G, with its one provenance rule:
+    G's construction primed, G's meta as its base, and the assignment."""
+    meta = {
+        "construction": G.meta.get("construction", "graph") + "'",
+        "base": dict(G.meta),
+        "assignment": pa.to_json_dict(),
+    }
+    return ColoredGraph(tuple(labels), (None,) * len(labels), tuple(edges), meta)
+
+
 def decolor_vertices(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     """G -> G': attach a path of length n_{c(v)} to every vertex, color all
     path edges c0, drop the vertex colors, keep the edge colors.  Vertex v
@@ -135,12 +146,7 @@ def decolor_vertices(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
     for v, path in _vertex_chains(G, pa).items():
         labels.extend(map(f"vpath:{v}:".__add__, positions[:len(path) - 1]))
         edges.extend(zip(path, path[1:], repeat(pa.c0)))
-    meta = {
-        "construction": G.meta.get("construction", "graph") + "'",
-        "base": dict(G.meta),
-        "assignment": pa.to_json_dict(),
-    }
-    return ColoredGraph(tuple(labels), (None,) * len(labels), tuple(edges), meta)
+    return _decolored(G, pa, labels, edges)
 
 
 def decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
@@ -159,12 +165,7 @@ def decolor_edges(Gp: ColoredGraph, pa: PathAssignment) -> ColoredGraph:
         edges.append((u, path[0], None))
         edges.append((v, path[0], None))
         edges.extend(zip(path, path[1:], repeat(None)))
-    meta = {
-        "construction": Gp.meta.get("construction", "graph") + "'",
-        "base": dict(Gp.meta),
-        "assignment": pa.to_json_dict(),
-    }
-    return ColoredGraph(tuple(labels), (None,) * len(labels), tuple(edges), meta)
+    return _decolored(Gp, pa, labels, edges)
 
 
 def decolor_full(G: ColoredGraph, pa: PathAssignment) -> ColoredGraph:

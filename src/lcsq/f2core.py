@@ -4,11 +4,12 @@ Matrices are stored row-wise as Python ints used as bitsets, so row
 operations are single XORs regardless of width.  A linear system is a
 matrix M together with a right-hand side b, encoding the parity
 constraints  prod_{i in S_k} x_i = (-1)^{b_k}  with
-S_k = {i : M[k][i] = 1}.
+S_k = {i : M[k][i] = 1}.  `echelon_basis` is the one Gaussian
+elimination: `rank_f2` and `solve_f2` read their answers off its result.
 
 Also provides the incidence system of a simple graph H: one variable per
 edge, one constraint per vertex, (M_H)[k][i] = 1 iff vertex k is an
-endpoint of edge i.
+endpoint of edge i.  Its rank is n minus the number of components of H.
 """
 
 from __future__ import annotations
@@ -121,22 +122,6 @@ class SimpleGraph:
     def from_edges(cls, num_vertices: int, edges) -> SimpleGraph:
         return cls(num_vertices, tuple((min(u, v), max(u, v)) for u, v in edges))
 
-    def is_connected(self) -> bool:
-        if self.num_vertices <= 1:
-            return True
-        adj: dict[int, list[int]] = {v: [] for v in range(self.num_vertices)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.num_vertices
-
 
 def complete_bipartite(p: int, q: int) -> SimpleGraph:
     """K_{p,q} with parts {0..p-1} and {p..p+q-1}, edges in lexicographic order."""
@@ -244,8 +229,9 @@ def parse_graph(text: str) -> SimpleGraph:
 def incidence_system(H: SimpleGraph, b: tuple[int, ...] | list[int]) -> LinearSystem:
     """Incidence system of H: variables = edges in listed order, constraints = vertices.
 
-    Column i has exactly two 1s, at the endpoints of edge i.  Connectivity
-    of H is assumed by the constructions downstream; a disconnected H is
+    Column i has exactly two 1s, at the endpoints of edge i, so over F2
+    the rank is n minus the number of components of H.  Connectivity of H
+    is assumed by the constructions downstream; a rank below n - 1 is
     reported as a warning, not an error.
     """
     b = tuple(b)
@@ -253,20 +239,22 @@ def incidence_system(H: SimpleGraph, b: tuple[int, ...] | list[int]) -> LinearSy
         raise ValueError(f"b has length {len(b)}, expected {H.num_vertices}")
     if not H.edges:
         raise ValueError("graph has no edges, so the system has no variables")
-    if not H.is_connected():
-        warnings.warn("graph is disconnected; downstream constructions assume "
-                      "a connected graph", stacklevel=2)
     bits = [0] * H.num_vertices
     for i, (u, v) in enumerate(H.edges):
         bits[u] |= 1 << i
         bits[v] |= 1 << i
     M = BinMatrix(H.num_vertices, len(H.edges), tuple(bits))
+    if rank_f2(M) < H.num_vertices - 1:
+        warnings.warn("graph is disconnected; downstream constructions assume "
+                      "a connected graph", stacklevel=2)
     return LinearSystem(M, b)
 
 
-def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """In-place Gaussian elimination; returns (reduced rows, pivot columns)."""
-    pivots = []
+def echelon_basis(vectors: Iterable[int], ncols: int) -> tuple[int, ...]:
+    """The reduced row echelon basis of the span of bit-packed vectors of
+    width ncols: the lowest set bit of each row is its pivot, and no other
+    row has that bit set."""
+    rows = list(vectors)
     rank = 0
     for col in range(ncols):
         pivot = None
@@ -280,17 +268,8 @@ def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
         for r in range(len(rows)):
             if r != rank and ((rows[r] >> col) & 1):
                 rows[r] ^= rows[rank]
-        pivots.append(col)
         rank += 1
-    return rows, pivots
-
-
-def echelon_basis(vectors: Iterable[int], ncols: int) -> tuple[int, ...]:
-    """The reduced row echelon basis of the span of bit-packed vectors of
-    width ncols: the lowest set bit of each row is its pivot, and no other
-    row has that bit set."""
-    rows, pivots = _eliminate(list(vectors), ncols)
-    return tuple(rows[:len(pivots)])
+    return tuple(rows[:rank])
 
 
 def reduce_f2(basis: tuple[int, ...], v: int) -> int:
@@ -304,27 +283,27 @@ def reduce_f2(basis: tuple[int, ...], v: int) -> int:
 
 
 def rank_f2(M: BinMatrix) -> int:
-    """Rank of M over F2 by Gaussian elimination on bit-packed rows."""
-    _, pivots = _eliminate(list(M.bits), M.cols)
-    return len(pivots)
+    """Rank of M over F2: the size of its rows' echelon basis."""
+    return len(echelon_basis(M.bits, M.cols))
 
 
 def solve_f2(sys: LinearSystem) -> tuple[int, ...] | None:
     """Some solution of Mx = b, or None if the system is inconsistent.
 
-    Free variables are set to 0, so the result is deterministic.  The
-    returned vector is re-substituted into M before returning.
+    Each pivot variable of the echelon basis of [M | b] takes its row's b
+    bit, and a basis row 1 << n (0 = 1) means no solution.  Free variables
+    are set to 0, so the result is deterministic.  The returned vector is
+    re-substituted into M before returning.
     """
     n = sys.M.cols
     aug = [r | (b << n) for r, b in zip(sys.M.bits, sys.b)]
-    rows, pivots = _eliminate(aug, n)
-    for r in rows[len(pivots):]:
-        if r:  # zero coefficients but nonzero rhs
-            return None
+    basis = echelon_basis(aug, n + 1)
+    if 1 << n in basis:
+        return None
     x = 0
-    for r, col in zip(rows, pivots):
-        if (r >> n) & 1:
-            x |= 1 << col
+    for row in basis:
+        if (row >> n) & 1:
+            x |= row & -row  # the row's pivot bit
     b_vec = sum(b << i for i, b in enumerate(sys.b))
     if sys.M.mul_vec(x) != b_vec:
         raise RuntimeError("solver produced a non-solution")

@@ -1,12 +1,12 @@
 """Colored-graph data model and the block constructions over linear systems.
 
 A constraint k of a system (M, b) has a block of vertices (k, alpha), one
-per local solution alpha in +-1^{S_k}_{b_k}.  build_G connects everything
-that shares variables and colors edges by the sign product alpha * beta
-(`sign_product`, restricted to the shared variables across blocks);
-build_Gstar is the incidence-system variant where each cross-block pair
-shares exactly one variable, the surviving inter edges all carry the
-single color -1, and the +1 edges become non-edges.
+per local solution alpha in +-1^{S_k}_{b_k}.  Both constructions follow
+one block-pair rule: two vertices whose blocks share variables are joined
+by an edge colored by their sign product alpha * beta (`sign_product`,
+restricted to the shared variables across blocks).  build_G keeps every
+such edge; build_Gstar, whose blocks share at most one variable, keeps
+across blocks only the -1 class, colored "shared:-1".
 
 Vertex order is canonical: blocks ascending, and within a block the sign
 vectors in lexicographic order over the sorted domain with +1 < -1.  All
@@ -199,12 +199,14 @@ class ColoredGraph:
 # Constructions
 
 
-def _block_graph(sys: LinearSystem):
-    """What both constructions share: the blocks, each block's first vertex,
-    the vertex labels and colors, and the edges inside the blocks."""
+def _construction(sys: LinearSystem, construction: str, inter) -> ColoredGraph:
+    """The one block-pair rule of `build_G` and `build_Gstar`: the blocks
+    with their intra edges, and an edge colored inter(l, k, s) between any
+    two vertices of blocks l < k whose restricted sign product is s, or no
+    edge where that is None."""
+    supports = [sys.support(k) for k in range(sys.num_constraints)]
     blocks, offsets, labels, colors, edges = [], [], [], [], []
-    for k in range(sys.num_constraints):
-        support = sys.support(k)
+    for k, support in enumerate(supports):
         if not support:
             raise ValueError(f"constraint {k} touches no variable")
         block = sign_vectors(support, sys.b[k])
@@ -217,60 +219,48 @@ def _block_graph(sys: LinearSystem):
             for b_ in range(a + 1, len(block)):
                 delta = sign_product(alpha, block[b_])
                 edges.append((base + a, base + b_, f"intra:{k}:{delta}"))
-    return blocks, offsets, labels, colors, edges
-
-
-def _shared_positions(sys: LinearSystem, l: int, k: int) -> list[tuple[int, int]]:
-    """The positions in S_l and in S_k of each variable they share, in
-    increasing variable order."""
-    support_l, support_k = sys.support(l), sys.support(k)
-    return [(support_l.index(i), support_k.index(i))
-            for i in sorted(set(support_l) & set(support_k))]
+    for l in range(sys.num_constraints):
+        for k in range(l + 1, sys.num_constraints):
+            # the positions in S_l and in S_k of each variable they share
+            shared = [(supports[l].index(i), supports[k].index(i))
+                      for i in sorted(set(supports[l]) & set(supports[k]))]
+            if not shared:
+                continue
+            # the sign vectors restricted to the shared variables, and the
+            # color of each pair of them, found once per distinct pair
+            alphas = ["".join(alpha[p] for p, _ in shared) for alpha in blocks[l]]
+            betas = ["".join(beta[q] for _, q in shared) for beta in blocks[k]]
+            pair_colors = {(x, y): inter(l, k, sign_product(x, y))
+                         for x in set(alphas) for y in set(betas)}
+            for a, alpha in enumerate(alphas):
+                for b_, beta in enumerate(betas):
+                    color = pair_colors[alpha, beta]
+                    if color is not None:
+                        edges.append((offsets[l] + a, offsets[k] + b_, color))
+    meta = {"construction": construction, "system": render_system(sys)}
+    return ColoredGraph(tuple(labels), tuple(colors), tuple(edges), meta)
 
 
 def build_G(sys: LinearSystem) -> ColoredGraph:
     """The colored graph G(M, b): blocks of local solutions, all edges between
     variable-sharing blocks, colored by the (restricted) sign product."""
-    blocks, offsets, labels, colors, edges = _block_graph(sys)
-    for l in range(sys.num_constraints):
-        for k in range(l + 1, sys.num_constraints):
-            shared = _shared_positions(sys, l, k)
-            if not shared:
-                continue
-            # the sign vectors restricted to the shared variables
-            alphas = ["".join(alpha[p] for p, _ in shared) for alpha in blocks[l]]
-            betas = ["".join(beta[q] for _, q in shared) for beta in blocks[k]]
-            for a, alpha in enumerate(alphas):
-                for b_, beta in enumerate(betas):
-                    edges.append((offsets[l] + a, offsets[k] + b_,
-                                  f"inter:{l}-{k}:{sign_product(alpha, beta)}"))
+    return _construction(sys, "G", lambda l, k, s: f"inter:{l}-{k}:{s}")
 
-    meta = {"construction": "G", "system": render_system(sys)}
-    return ColoredGraph(tuple(labels), tuple(colors), tuple(edges), meta)
+
+def _gstar_color(l: int, k: int, s: str) -> str | None:
+    """G*'s color for an edge of G between blocks l < k with restricted sign
+    product s: "shared:-1" for "-", no edge for "+", and otherwise an error."""
+    if len(s) > 1:
+        raise ValueError(f"constraints {l} and {k} share {len(s)} variables; "
+                         "the reduced construction needs at most one")
+    return GSTAR_COLOR if s == "-" else None
 
 
 def build_Gstar(sys: LinearSystem) -> ColoredGraph:
-    """The reduced graph G_*(M, b): cross-block pairs must share at most one
-    variable; inter edges are colored by the single shared sign and the +1
-    class is replaced by non-edges."""
-    blocks, offsets, labels, colors, edges = _block_graph(sys)
-    for l in range(sys.num_constraints):
-        for k in range(l + 1, sys.num_constraints):
-            shared = _shared_positions(sys, l, k)
-            if not shared:
-                continue
-            if len(shared) > 1:
-                raise ValueError(
-                    f"constraints {l} and {k} share {len(shared)} variables; "
-                    "the reduced construction needs at most one")
-            [(p, q)] = shared
-            for a, alpha in enumerate(blocks[l]):
-                for b_, beta in enumerate(blocks[k]):
-                    if alpha[p] != beta[q]:
-                        edges.append((offsets[l] + a, offsets[k] + b_, GSTAR_COLOR))
-
-    meta = {"construction": "Gstar", "system": render_system(sys)}
-    return ColoredGraph(tuple(labels), tuple(colors), tuple(edges), meta)
+    """The reduced graph G_*(M, b): G(M, b) where cross-block pairs share at
+    most one variable, with the -1 class of each pair's edges colored
+    "shared:-1" and the +1 class replaced by non-edges."""
+    return _construction(sys, "Gstar", _gstar_color)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Oracles and helpers the tests share, built on the package's public API.
 
 Nothing in `lcsq` reads these: each is what a test checks the package
-against (a coset table's permutations, the group algebra over the
+against (a graph's components, the block constructions by their
+definitions, a coset table's permutations, the group algebra over the
 trivial-subgroup enumeration, the generators a certificate encodes, a
 graph file's document), or a short way to write a test input.
 """
@@ -9,6 +10,8 @@ graph file's document), or a short way to write a test input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from lcsq.f2core import BinMatrix, LinearSystem, echelon_basis, parse_system
 from lcsq.fpgroups import CosetTable, Presentation
@@ -36,6 +39,66 @@ def transpose(M: BinMatrix) -> BinMatrix:
             word |= ((M.bits[i] >> j) & 1) << i
         cols.append(word)
     return BinMatrix(M.cols, M.rows, tuple(cols))
+
+
+def components(num_vertices: int, edges) -> int:
+    """The number of connected components of the graph on 0..n-1 with the
+    given edges, by union-find: the oracle for connectivity."""
+    parent = list(range(num_vertices))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    return sum(root(v) == v for v in range(num_vertices))
+
+
+# ---------------------------------------------------------------------------
+# the block constructions
+
+
+def constructions_by_definition(sys: LinearSystem, star: bool):
+    """G(M, b), or G*(M, b) with `star`, from the definitions, as (labels,
+    vertex colors, set of colored edges).
+
+    A vertex is a local solution (k, alpha): alpha in {+1, -1}^{S_k} with
+    product (-1)^{b_k}, blocks ascending and each block's alphas as
+    `itertools.product` lists them.  Two distinct vertices whose blocks
+    share variables are joined, colored by the product alpha * beta
+    restricted to the shared variables: "intra:k:s" in one block k,
+    "inter:l-k:s" across blocks l < k.  G* keeps the intra edges and, of
+    the inter edges, those of product -1, colored "shared:-1"; it is only
+    defined when no two blocks share two or more variables."""
+    def text(signs):
+        return "".join("+" if s == 1 else "-" for s in signs)
+
+    vertices = []  # (k, {variable: sign})
+    for k in range(sys.num_constraints):
+        support = sys.support(k)
+        for signs in product((1, -1), repeat=len(support)):
+            if prod(signs) == (-1) ** sys.b[k]:
+                vertices.append((k, dict(zip(support, signs))))
+    labels = [f"{k}:{text(alpha.values())}" for k, alpha in vertices]
+    colors = [f"v:{k}" for k, _ in vertices]
+    edges = set()
+    for v, (k, beta) in enumerate(vertices):
+        for u, (l, alpha) in enumerate(vertices[:v]):
+            shared = sorted(alpha.keys() & beta.keys())
+            if not shared:
+                continue
+            s = text(alpha[i] * beta[i] for i in shared)
+            if l == k:
+                edges.add((u, v, f"intra:{k}:{s}"))
+            elif not star:
+                edges.add((u, v, f"inter:{l}-{k}:{s}"))
+            elif len(shared) > 1:
+                raise ValueError(f"blocks {l} and {k} share {len(shared)} variables")
+            elif s == "-":
+                edges.add((u, v, "shared:-1"))
+    return labels, colors, edges
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lcsq.f2core import (BinMatrix, LinearSystem, SimpleGraph, SystemFormatError,
                          complete_bipartite, echelon_basis, incidence_system,
                          parse_graph, parse_system, rank_f2, reduce_f2, render_system,
                          solve_f2)
 from lcsq.fpgroups import solution_presentation, star_subgroup
-from oracles import abelianized_order, system, transpose
+from oracles import abelianized_order, components, system, transpose
 
 
 def rowspace_size(M: BinMatrix) -> int:
@@ -134,6 +136,32 @@ def test_incidence_disconnected_warns():
         incidence_system(H, (0, 0, 0, 0))
 
 
+@st.composite
+def graphs_with_edges(draw):
+    """A random graph on 2 to 8 vertices with at least one edge, often with
+    isolated vertices and several components."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return SimpleGraph.from_edges(n, draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                                   unique=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_edges())
+@example(complete_bipartite(3, 4))
+@example(SimpleGraph.from_edges(4, [(0, 3), (3, 1), (1, 2)]))  # a path
+@example(SimpleGraph.from_edges(3, [(0, 1)]))  # an isolated vertex
+@example(SimpleGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)]))  # three components
+@example(SimpleGraph.from_edges(7, [(1, 2), (4, 6)]))  # five, three of them isolated
+def test_incidence_warns_exactly_when_disconnected(H):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        incidence_system(H, (0,) * H.num_vertices)
+    expected = (["graph is disconnected; downstream constructions assume a connected graph"]
+                if components(H.num_vertices, H.edges) > 1 else [])
+    assert [str(w.message) for w in caught] == expected
+
+
 # ---------------------------------------------------------------------------
 # rank / solve / abelianized order
 
@@ -209,7 +237,6 @@ def random_system(rng: random.Random) -> LinearSystem:
 
 def test_incidence_columns_always_sum_to_two():
     rng = random.Random(11)
-    import warnings
     for _ in range(30):
         H = random_graph(rng)
         with warnings.catch_warnings():

@@ -9,14 +9,14 @@ from itertools import chain, repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lcsq.decolor import canonical_assignment, decolor_vertices
 from lcsq.f2core import BinMatrix, LinearSystem, SimpleGraph, incidence_system, parse_system
 from lcsq.graphs import (ColoredGraph, ImageColumn, _color_key, block_labels, build_G,
                          build_Gstar, dump_json, from_json_dict, parse_graph_json,
                          parse_label, serialize, sign_vectors, to_dot)
-from oracles import system, to_json_dict
+from oracles import constructions_by_definition, system, to_json_dict
 from test_fpgroups import small_graphs
 
 # The 2x5 demo system: block 0 holds the solutions of x1 x2 x3 = 1 and block 1
@@ -108,6 +108,46 @@ def test_gstar_rejects_shared_pairs():
     sys = system([[1, 1], [1, 1]], (0, 0))
     with pytest.raises(ValueError, match="at most one"):
         build_Gstar(sys)
+
+
+@st.composite
+def systems(draw):
+    """A random system of at most 4 constraints, none empty, on at most 5
+    variables, whose blocks often share two or more variables; or the
+    incidence system of a random `small_graphs` graph, whose blocks share
+    at most one."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        rows = draw(st.lists(st.integers(1, 2 ** n - 1), min_size=1, max_size=4))
+        b = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+        return LinearSystem(BinMatrix(len(rows), n, tuple(rows)), tuple(b))
+    H = draw(small_graphs())
+    n = H.num_vertices
+    return incidence_system(H, tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+@example(parse_system("1110;0111;1001|010"))  # blocks 0 and 1 share two variables
+@example(parse_system("1100;0110;0011;1001|0100"))  # a 4-cycle: one variable each
+def test_constructions_match_their_definitions(sys):
+    def read(G):
+        return list(G.labels), list(G.vertex_colors), set(G.edges)
+
+    assert read(build_G(sys)) == constructions_by_definition(sys, star=False)
+    rows = sys.M.bits
+    shared = {(l, k): bin(rows[l] & rows[k]).count("1")
+              for l in range(len(rows)) for k in range(l + 1, len(rows))}
+    doubles = [(l, k, count) for (l, k), count in shared.items() if count > 1]
+    if doubles:  # G* raises at the first such pair in (l, k) order
+        l, k, count = doubles[0]
+        with pytest.raises(ValueError, match=f"^constraints {l} and {k} share {count} "
+                           "variables; the reduced construction needs at most one$"):
+            build_Gstar(sys)
+        with pytest.raises(ValueError):
+            constructions_by_definition(sys, star=True)
+    else:
+        assert read(build_Gstar(sys)) == constructions_by_definition(sys, star=True)
 
 
 def test_intra_colors_distinct_against_fixed_vertex(gstar33_0):

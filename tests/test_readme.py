@@ -52,6 +52,6 @@ def test_cli_block_prints_what_its_comments_say(tmp_path, monkeypatch, capsys):
     (tmp_path / "k34.g").write_text(K34_G)
     monkeypatch.chdir(tmp_path)
     commands = cli_block()
-    assert len(commands) == 12
+    assert len(commands) == 13
     for argv, first, code in commands:
         assert (main(argv), capsys.readouterr().out.splitlines()[0]) == (code, first), argv
