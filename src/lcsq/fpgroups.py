@@ -22,8 +22,10 @@ every coincidence, so the result is numbered in that index order.
 The workspace has the table's layout, with a never-assigned sink slot
 closing every column; relators whose trace closes are skipped and runs of
 involution relators are fill steps.  Only scans that would change nothing
-are left out, so the numbering is that of the plain scans (see
-`todd_coxeter`).
+are left out, so `todd_coxeter`'s numbering is that of the plain scans.
+`star_cosets` enumerates over a reduced relator list instead: it leaves
+out the commutators that a constraint relator implies and checks them on
+the complete table.
 
 The quantum automorphism group of the colored graph G* is the dual of the
 homogeneous solution group Gamma_0 (the paper's main theorem), so finite
@@ -417,6 +419,36 @@ def _parity(word: Word) -> int:
     return mask
 
 
+def _is_commutator(w: Word) -> bool:
+    return len(w) == 4 and w[0] == w[2] != w[1] == w[3]
+
+
+def _commuting_pairs(P: Presentation) -> set[frozenset[int]]:
+    """The letter pairs {a, b} with a commutator relator (a b a b)."""
+    return {frozenset(w[:2]) for w in P.relators if _is_commutator(w)}
+
+
+def _commuting_letters(rel: Word, commuting: set[frozenset[int]]) -> bool:
+    """Whether rel's letters are distinct and commute pairwise by relator."""
+    return len(set(rel)) == len(rel) and all(
+        frozenset((a, b)) in commuting for i, a in enumerate(rel) for b in rel[i + 1:])
+
+
+def _scan_relators(P: Presentation) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """(scanned, omitted): P's relators less the commutators that
+    `star_cosets` leaves out, the involutions first, then the other
+    non-commutators, then the kept commutators; and those left out."""
+    commuting = _commuting_pairs(P)
+    implied = {frozenset((x, max(rel))) for rel in P.relators
+               if _commuting_letters(rel, commuting) for x in rel if x != max(rel)}
+    scanned: list[Word] = []
+    omitted: list[Word] = []
+    for w in P.relators:
+        (omitted if _is_commutator(w) and frozenset(w[:2]) in implied else scanned).append(w)
+    scanned.sort(key=lambda w: (_is_commutator(w), len(w) != 2 or w[0] != w[1]))
+    return tuple(scanned), tuple(omitted)
+
+
 @dataclass(frozen=True)
 class StarSubgroup:
     """S = <letters>, commuting involutions independent in the
@@ -450,13 +482,10 @@ def star_subgroup(P: Presentation, cap: int = DEFAULT_COSET_CAP) -> StarSubgroup
     qualifies or cap < 2.
     """
     basis = echelon_basis(map(_parity, P.relators), P.ngens)
-    commuting = {(w[0], w[1]) for w in P.relators
-                 if len(w) == 4 and w[0] == w[2] != w[1] == w[3]}
+    commuting = _commuting_pairs(P)
 
     def qualifies(rel: Word) -> bool:
-        if len(set(rel)) < len(rel) or not all(
-                (a, b) in commuting or (b, a) in commuting
-                for i, a in enumerate(rel) for b in rel[i + 1:]):
+        if not _commuting_letters(rel, commuting):
             return False
         letters = echelon_basis((*basis, *(1 << g for g in rel)), P.ngens)
         return len(letters) - len(basis) == len(rel) - 1
@@ -469,10 +498,33 @@ def star_subgroup(P: Presentation, cap: int = DEFAULT_COSET_CAP) -> StarSubgroup
 
 def star_cosets(P: Presentation,
                 cap: int = DEFAULT_COSET_CAP) -> tuple[StarSubgroup, CosetTable]:
-    """S = star_subgroup(P, cap) and the table of its cosets.  The cap
-    counts group elements, live cosets times |S|."""
+    """S = star_subgroup(P, cap) and the table of its cosets, enumerated
+    over P's relators less those that the others imply (`_scan_relators`).
+
+    A commutator (x z x z) is left out when z is the largest letter of a
+    relator r of distinct, pairwise commuting letters and x is another
+    letter of r.  By induction on z it is implied: r makes z the product of
+    r's other letters, all smaller than z, and x commutes with each of them
+    by a kept commutator or by one implied below z.  Scanning involutions,
+    then the other non-commutators, then the kept commutators also keeps
+    fewer cosets live.  A complete table is returned
+    only once every omitted relator fixes every coset, else RuntimeError:
+    the table then carries an action of P's group, so its index is exact
+    whatever the proof.  The cap counts group elements, live cosets of the
+    reduced enumeration times |S|."""
     S = star_subgroup(P, cap)
-    return S, todd_coxeter(P, [(g,) for g in S.letters], cap // S.order)
+    scanned, omitted = _scan_relators(P)
+    T = todd_coxeter(Presentation(P.generators, scanned), [(g,) for g in S.letters],
+                     cap // S.order)
+    if T.is_complete:
+        start = list(range(T.num_cosets))
+        for rel in omitted:
+            cosets = start
+            for g in rel:
+                cosets = list(map(T.columns[g].__getitem__, cosets))
+            if cosets != start:
+                raise RuntimeError(f"relator {rel} moves a coset of the star subgroup")
+    return S, CosetTable(P, T.columns, T.status, T.live_at_cap)
 
 
 def word_is_identity(T: CosetTable, S: StarSubgroup, word: Word) -> bool:

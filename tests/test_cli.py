@@ -790,11 +790,13 @@ def test_cert_cap_exit_3(files):
                "--cap", "10") == 3
 
 
-# K3,4's star route completes from cap 424 and K3,5's from 10544, so the
-# caps on either side of those give the same exit code on both commands
+# K3,4's star route completes from cap 336 and K3,5's from 9536, so the
+# caps on either side of those give the same exit code on both commands;
+# 423 and 10543 capped out while every commutator relator was scanned
 @pytest.mark.parametrize("graph, cap, code", [
-    ("k34.g", 363, 3), ("k34.g", 364, 3), ("k34.g", 423, 3), ("k34.g", 424, 0),
-    ("k34.g", 10 ** 6, 0), ("k35.g", 10543, 3), ("k35.g", 10544, 0)])
+    ("k34.g", 335, 3), ("k34.g", 336, 0), ("k34.g", 423, 0), ("k34.g", 424, 0),
+    ("k34.g", 10 ** 6, 0), ("k35.g", 9535, 3), ("k35.g", 9536, 0), ("k35.g", 10543, 0),
+    ("k35.g", 10544, 0)])
 def test_cert_and_group_cap_out_together(files, graph, cap, code):
     assert run("group", "--graph", files / graph, "--homogeneous", "--cap", cap) == code
     assert run("cert", "qut", "--graph", files / graph, "--rep", "regular",
@@ -827,6 +829,36 @@ def test_wrong_regular_table_exits_internal(files, optimize):
     proc = _cli("-c", ONE_WRONG_SIGMA, cwd=files, optimize=optimize)
     assert proc.returncode == EXIT_INTERNAL, proc.stderr
     assert proc.stderr.startswith("internal error: relator")
+    assert "Traceback" not in proc.stderr
+
+
+# K3,4's last constraint relator left out of the star enumeration too, and
+# checked first among the relators left out
+ONE_MORE_OMITTED = """
+import sys
+import lcsq.fpgroups as fp
+from lcsq.cli import main
+
+scan_relators = fp._scan_relators
+
+
+def one_more_omitted(P):
+    scanned, omitted = scan_relators(P)
+    return tuple(w for w in scanned if w != P.relators[-1]), (P.relators[-1], *omitted)
+
+
+fp._scan_relators = one_more_omitted
+sys.exit(main(["group", "--graph", "k34.g", "--homogeneous"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_unimplied_omitted_relator_exits_internal(files, optimize):
+    # the check of the relators `star_cosets` leaves out is an explicit
+    # raise, so -O keeps it
+    proc = _cli("-c", ONE_MORE_OMITTED, cwd=files, optimize=optimize)
+    assert proc.returncode == EXIT_INTERNAL, proc.stderr
+    assert proc.stderr.startswith("internal error: relator (2, 5, 8, 11) moves a coset")
     assert "Traceback" not in proc.stderr
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from array import array
 
@@ -467,6 +468,93 @@ def test_star_route_matches_trivial_subgroup_enumeration(case):
     if P.ngens == sys.num_vars:  # a homogeneous presentation
         assert S.abelianized_order == abelianized_order_by_rank(sys.M)
     assert numbered_columns(regular_table(P)) == standardized(full)
+
+
+@st.composite
+def shared_variable_systems(draw):
+    """A random system of 3 to 5 nonempty constraints on at most 5 variables
+    in which x1 lies in at least three, a random b, homogeneous or not, and
+    a random word."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                         min_size=3, max_size=5))
+    for row in rows[:3]:
+        row[0] = 1
+    rows = [row for row in draw(st.permutations(rows)) if any(row)]
+    sys = system(rows, draw(st.lists(st.integers(0, 1), min_size=len(rows),
+                                     max_size=len(rows))))
+    P = solution_presentation(sys, draw(st.booleans()))
+    return P, tuple(draw(st.lists(st.integers(0, P.ngens - 1), max_size=8)))
+
+
+@st.composite
+def commuting_presentations(draw):
+    """An `involutive_presentations` presentation with a relator of distinct
+    letters, commutator relators for its letter pairs and for a random set
+    of other pairs added, in random order, and a random word."""
+    P = draw(involutive_presentations())[0]
+    pairs = [(a, b) for a in range(P.ngens) for b in range(P.ngens) if a != b]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    distinct = tuple(draw(st.permutations(range(P.ngens)))[:draw(st.integers(1, P.ngens))])
+    extra += [(a, b) for i, a in enumerate(distinct) for b in distinct[i + 1:]]
+    relators = draw(st.permutations(P.relators + (distinct,)
+                                    + tuple((a, b, a, b) for a, b in extra)))
+    word = tuple(draw(st.lists(st.integers(0, P.ngens - 1), max_size=8)))
+    return Presentation(P.generators, tuple(relators)), word
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(shared_variable_systems(), commuting_presentations()))
+# x1 x2 x3 = 1 with every pair commuting: [x1, x3] and [x2, x3] are left out
+@example((Presentation(("a", "b", "c"), ((0, 0), (1, 1), (2, 2), (0, 1, 0, 1),
+                                         (2, 0, 2, 0), (1, 2, 1, 2), (0, 1, 2))), (0, 2)))
+def test_star_cosets_match_trivial_subgroup_enumeration_beyond_incidence_systems(case):
+    # general systems, in which a variable lies in three or more
+    # constraints, and presentations that are no solution presentation
+    P, word = case
+    full = todd_coxeter(P, [], CROSS_CHECK_CAP)
+    if not full.is_complete:
+        return  # a group beyond the cap: no reference to compare with
+    S, T = star_cosets(P)
+    assert T.is_complete and T.presentation is P
+    assert T.num_cosets * S.order == full.num_cosets
+    assert word_is_identity(T, S, word) is (full.follow(0, word) == 0)
+
+
+@pytest.mark.parametrize("m, n, relators, scanned", [
+    (3, 3, 33, 21), (3, 4, 49, 32), (3, 5, 68, 46), (4, 4, 72, 48)])
+def test_star_cosets_scan_a_third_fewer_relators(m, n, relators, scanned):
+    P = solution_presentation(incidence_system(complete_bipartite(m, n), (0,) * (m + n)),
+                              homogeneous=True)
+    kept, omitted = fp._scan_relators(P)
+    assert len(P.relators) == relators and len(kept) == scanned
+    assert sorted(kept + omitted) == sorted(P.relators)
+    # the involutions, then the constraint relators, then the kept commutators
+    ngens, products = P.ngens, P.relators[-(m + n):]
+    assert kept[:ngens] == P.relators[:ngens] and kept[ngens:ngens + m + n] == products
+    assert all(len(w) == 4 and w[0] == w[2] for w in kept[ngens + m + n:] + omitted)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_an_omitted_constraint_relator_fails_the_check(k34_sys0, monkeypatch, k):
+    # without one of its 7 constraint relators, K3,4's enumeration finds a
+    # group of order 1024, not 256, on which that relator, checked first,
+    # moves a coset
+    P = solution_presentation(k34_sys0, homogeneous=True)
+    dropped = P.relators[-7:][k]
+    scan_relators = fp._scan_relators
+
+    def one_more_omitted(P):
+        scanned, omitted = scan_relators(P)
+        return tuple(w for w in scanned if w != dropped), (dropped, *omitted)
+
+    S = star_subgroup(P)
+    scanned = one_more_omitted(P)[0]
+    T = todd_coxeter(Presentation(P.generators, scanned), [(g,) for g in S.letters])
+    assert T.num_cosets * S.order == 1024
+    monkeypatch.setattr(fp, "_scan_relators", one_more_omitted)
+    with pytest.raises(RuntimeError, match=re.escape(f"relator {dropped} moves a coset")):
+        star_cosets(P)
 
 
 # ---------------------------------------------------------------------------
