@@ -53,9 +53,12 @@ def sign_vectors(domain: tuple[int, ...], parity: int) -> list[str]:
             if signs.count("-") % 2 == parity]
 
 
+@lru_cache(maxsize=4096)
 def sign_product(alpha: str, beta: str) -> str:
     """The sign vector alpha * beta of two sign strings over one domain:
-    "+" where they agree, "-" where they differ."""
+    "+" where they agree, "-" where they differ.  Building a graph and a
+    certificate meet the same few pairs many times, so each product is
+    formed once, in a bounded cache."""
     return "".join("+" if a == b else "-" for a, b in zip(alpha, beta))
 
 

@@ -11,7 +11,8 @@ knows its algebra:
   half, so this ring holds all of its arithmetic;
 * GroupAlgebraElement -- elements of the group algebra of a finite group
   on star coordinates (the algebra is the group's `fpgroups.RegularTable`),
-  multiplied through one vector over the star cosets per right factor, with
+  multiplied through the right action of each right factor h, read for a
+  star coset the first time a left factor occupies it, with
   dyadic-rational coefficients stored the same way.
 
 Both keep a dict of nonzero integer numerators and an exponent exp (the

@@ -832,6 +832,27 @@ def test_wrong_regular_table_exits_internal(files, optimize):
     assert "Traceback" not in proc.stderr
 
 
+# a lift of every coset t to (0, t) alone: every relator still fixes every
+# element, but the action is not transitive
+ALL_ZERO_SIGMA = """
+import sys
+import lcsq.fpgroups as fp
+from lcsq.cli import main
+
+fp._sigma = lambda T, S, tree: [[0] * T.num_cosets for _ in T.columns]
+sys.exit(main(["cert", "qut", "--graph", "k34.g", "--rep", "regular"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_intransitive_regular_table_exits_internal(files, optimize):
+    # the star letter check of `regular_table` is an explicit raise too
+    proc = _cli("-c", ALL_ZERO_SIGMA, cwd=files, optimize=optimize)
+    assert proc.returncode == EXIT_INTERNAL, proc.stderr
+    assert proc.stderr.startswith("internal error: star letter x1")
+    assert "Traceback" not in proc.stderr
+
+
 # K3,4's last constraint relator left out of the star enumeration too, and
 # checked first among the relators left out
 ONE_MORE_OMITTED = """

@@ -400,6 +400,26 @@ def test_k35_star_route_takes_512_cosets(k35_sys0):
     assert T.is_complete and T.num_cosets == 512
 
 
+@pytest.mark.parametrize("n, index, defined", [(4, 32, 62), (5, 512, 1391)])
+def test_star_cosets_define_few_cosets_scanning_constraints_first(monkeypatch, n, index,
+                                                                  defined):
+    # with no compaction, which these sizes stay below, the one call of
+    # `_live_columns` sees every coset ever defined; scanning the
+    # involutions before the constraint relators defined 94 and 2059
+    sizes = []
+    live_columns = fp._live_columns
+
+    def recording(cols, parent):
+        sizes.append(len(parent))
+        return live_columns(cols, parent)
+
+    monkeypatch.setattr(fp, "_live_columns", recording)
+    P = solution_presentation(incidence_system(complete_bipartite(3, n), (0,) * (3 + n)),
+                              homogeneous=True)
+    assert star_cosets(P)[1].num_cosets == index
+    assert sizes == [defined]
+
+
 def test_no_qualifying_relator_uses_the_trivial_subgroup():
     # R is all of F2^3, so every relator's letters meet it in too much
     sys = system([[1, 1, 1], [1, 1, 0], [0, 1, 1]], (0,) * 3)
@@ -529,9 +549,10 @@ def test_star_cosets_scan_a_third_fewer_relators(m, n, relators, scanned):
     kept, omitted = fp._scan_relators(P)
     assert len(P.relators) == relators and len(kept) == scanned
     assert sorted(kept + omitted) == sorted(P.relators)
-    # the involutions, then the constraint relators, then the kept commutators
+    # the constraint relators, then the involutions, then the kept
+    # commutators, each class in P's order
     ngens, products = P.ngens, P.relators[-(m + n):]
-    assert kept[:ngens] == P.relators[:ngens] and kept[ngens:ngens + m + n] == products
+    assert kept[:m + n] == products and kept[m + n:m + n + ngens] == P.relators[:ngens]
     assert all(len(w) == 4 and w[0] == w[2] for w in kept[ngens + m + n:] + omitted)
 
 
@@ -708,19 +729,73 @@ def test_a_wrong_sigma_entry_fails_the_relator_check(k34_sys0, monkeypatch):
         regular_table(solution_presentation(k34_sys0, homogeneous=True))
 
 
+def x1_as_x2(P, cap):
+    """`star_cosets` with x1's column replaced by x2's."""
+    S, T = star_cosets(P, cap)
+    columns = list(T.columns)
+    columns[P.gen_index("x1")] = columns[P.gen_index("x2")]
+    return S, CosetTable(P, tuple(columns), T.status)
+
+
 def test_a_wrong_coset_column_fails_the_relator_check(k34_sys0, monkeypatch):
     # x1 acting as x2 passes `_sigma`, so the relator check must catch it
-    star_cosets = fp.star_cosets
-
-    def x1_as_x2(P, cap):
-        S, T = star_cosets(P, cap)
-        columns = list(T.columns)
-        columns[P.gen_index("x1")] = columns[P.gen_index("x2")]
-        return S, CosetTable(P, tuple(columns), T.status)
-
     monkeypatch.setattr(fp, "star_cosets", x1_as_x2)
     with pytest.raises(RuntimeError, match="relator .* moves an element"):
         regular_table(solution_presentation(k34_sys0, homogeneous=True))
+
+
+def all_zero_sigma(T, S, tree):
+    """A sigma that lifts every coset t to (0, t) only: with it, a valid
+    table is an action of the group, every sigma sum 0, but not transitive."""
+    return [[0] * T.num_cosets for _ in T.columns]
+
+
+def test_an_all_zero_sigma_fails_the_star_letter_check(k34_sys0, monkeypatch):
+    # every relator fixes every (0, t), so only x1, the first star letter,
+    # failing to take (0, 0) to (1, 0) shows that the action is not regular
+    monkeypatch.setattr(fp, "_sigma", all_zero_sigma)
+    with pytest.raises(RuntimeError, match="star letter x1 does not take the identity"):
+        regular_table(solution_presentation(k34_sys0, homogeneous=True))
+
+
+def test_a_moved_coset_with_zero_sigma_sums_fails_the_relator_check(k34_sys0, monkeypatch):
+    # every sigma sum is 0, so only the coset half of the relator check
+    # (`cosets != starts`) can catch x1 acting as x2; it runs before the
+    # star letter check, which would also reject the all-zero sigma
+    monkeypatch.setattr(fp, "star_cosets", x1_as_x2)
+    monkeypatch.setattr(fp, "_sigma", all_zero_sigma)
+    with pytest.raises(RuntimeError,
+                       match=re.escape("relator (0, 4, 0, 4) moves an element")):
+        regular_table(solution_presentation(k34_sys0, homogeneous=True))
+
+
+@pytest.fixture(scope="module")
+def regular_tables(k34_sys0, k35_sys0):
+    return [regular_table(solution_presentation(s, homogeneous=True))
+            for s in (k34_sys0, k35_sys0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_right_read_per_coset_matches_act(regular_tables, data):
+    # right(h) fills each entry when it is first read: read in any order,
+    # from h's mapping made afresh, every entry is act's; and `commuting`
+    # agrees with the products g·h and h·g formed from the elements' words
+    R = data.draw(st.sampled_from(regular_tables))
+    elements = st.integers(0, R.num_cosets - 1)
+    h = data.draw(elements)
+    R._right.pop(h, None)
+    right = R.right(h)
+    expected = R.act(R.word(h))
+    for t in data.draw(st.permutations(range(R.cosets.num_cosets))):
+        assert right[t] == expected[t]
+    assert R.right(h) is right and len(right) == R.cosets.num_cosets
+    # elements of S, (s, 0), commute with each other
+    star = st.integers(0, (1 << len(R.letters)) - 1)
+    support = data.draw(st.lists(st.one_of(elements, star), min_size=1, max_size=4))
+    products = {(g, k): R.element(R.word(g) + R.word(k)) for g in support for k in support}
+    assert R.commuting(support) is all(products[g, k] == products[k, g]
+                                       for g in support for k in support)
 
 
 # ---------------------------------------------------------------------------
